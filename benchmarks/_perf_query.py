@@ -8,7 +8,7 @@ two ways:
 * scalar — one ``cloud.get`` plus one whole-cell decode per frontier
   node (``batch=False``);
 * batch — per hop, one vectorized ownership pass plus one
-  ``bulk_get``/CSR column decode per machine group (``batch=True``).
+  ``bulk_get_spans``/CSR column decode per machine group (``batch=True``).
 
 Workloads: 3-hop people search from a set of start nodes, and a
 multi-hop TQL query.  Before timing, every workload runs once with

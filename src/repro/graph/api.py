@@ -8,13 +8,13 @@ reuse it across supersteps, matching Trinity's memory-resident topology.
 
 Online queries get a middle road: the ``*_batch`` methods take a whole
 frontier of node ids at once, route it through the memory cloud's
-``bulk_get`` (one vectorized hash pass, one lock acquisition per trunk)
-and decode adjacency columns CSR-style via the compiled decoders in
-:mod:`repro.tsl.batch` — k frontier nodes cost one batched read instead
-of k hash probes plus k whole-cell decodes.  Every batch entry point
-accepts ``cross_check=True``, which shadow-replays the scalar path and
-raises :class:`~repro.memcloud.cloud.BulkPathDivergence` on any
-disagreement.
+``bulk_get_spans`` (one vectorized hash pass, one lock acquisition per
+trunk) and decode adjacency columns CSR-style, in place, via the
+compiled decoders in :mod:`repro.tsl.batch` — k frontier nodes cost one
+batched read instead of k hash probes plus k whole-cell decodes.  Every
+batch entry point accepts ``cross_check=True``, which shadow-replays the
+scalar path and raises
+:class:`~repro.memcloud.cloud.BulkPathDivergence` on any disagreement.
 """
 
 from __future__ import annotations
@@ -108,23 +108,35 @@ class Graph:
 
     # -- batched adjacency (the online traversal fast path) ----------------
 
-    def _bulk_spans(self, node_ids) -> tuple[int, list, np.ndarray | None]:
-        """Zero-copy payload spans for a frontier array.
+    def _read_batch(self, node_ids, field_name: str, decode, scalar,
+                    cross_check: bool, dtype=None, csr: bool = False):
+        """The one batched read behind every ``*_batch`` method.
 
-        Returns ``(n, groups, inverse)`` where each group is one trunk's
-        ``(arena_view, starts, limits, input_indices)`` — the cell bytes
-        are never copied; the decoders run directly on the trunk arenas
-        and only field payloads materialize.
+        Fetches the frontier as zero-copy spans — one group per trunk,
+        the cell bytes are never copied — runs
+        ``decode(arena, starts, limits, field_name)`` on each group, and
+        scatters the per-trunk results to input order: an ndarray of
+        ``dtype``, a plain list when ``dtype`` is None, or ``(indptr,
+        flat)`` with ``flat`` of ``dtype`` when ``csr``.
 
         Repeated node ids are deduplicated *before* hashing and routing:
         fused multi-query frontiers overlap heavily, and a duplicate
         would otherwise pay the full addressing + trunk lookup + decode
-        cost twice.  When duplicates were dropped, the group positions
-        index the unique-id array and ``inverse`` maps every input
-        position to its unique index so callers can expand results back
-        to input order; ``inverse`` is None for duplicate-free input (the
-        common single-query case keeps its original routing order).
+        cost twice; results are expanded back afterwards (duplicate-free
+        input, the common single-query case, keeps its routing order).
+
+        The freshness check runs *after* decoding: if any touched trunk
+        structurally changed since the span fetch (a put that triggered
+        a defrag, a remove, a resize) the arena views may have read
+        moved bytes, so the answer is
+        :class:`~repro.errors.StaleSpanError`, never silent garbage.
+        Whatever decode or that check raises, every group's page pins
+        are released, so paged trunks stay evictable between batches.
+
+        ``cross_check`` replays ``scalar(node_id)`` per input id and
+        raises :class:`BulkPathDivergence` on any difference.
         """
+        self._require_field(field_name)
         ids = np.asarray(node_ids, dtype=np.int64)
         if ids.ndim != 1:
             raise QueryError(
@@ -134,39 +146,75 @@ class Graph:
         self._m_batch_cells.inc(len(ids))
         unique, inverse = np.unique(ids, return_inverse=True)
         if len(unique) == len(ids):
-            return len(ids), self.cloud.bulk_get_spans(ids), None
-        self._m_batch_dedup.inc(len(ids) - len(unique))
-        return len(ids), self.cloud.bulk_get_spans(unique), inverse
-
-    @staticmethod
-    def _assert_spans_fresh(groups) -> None:
-        """Reject decode results built from relocated cells.
-
-        Checked *after* decoding: if any touched trunk structurally
-        changed between the span fetch and now (a put that triggered a
-        defrag, a remove, a resize), the arena views may have read moved
-        bytes and the decoded values cannot be trusted —
-        :class:`~repro.errors.StaleSpanError` instead of silent garbage.
-
-        Doubles as the end of the span lifetime: each group's page pins
-        are released here so paged trunks stay evictable between
-        batches (resident trunks: no-op).
-        """
+            unique, inverse = ids, None
+        else:
+            self._m_batch_dedup.inc(len(ids) - len(unique))
+        groups = self.cloud.bulk_get_spans(unique)
         try:
+            parts = [(idx, decode(arena, starts, limits, field_name))
+                     for arena, starts, limits, idx in groups]
             for group in groups:
                 group.assert_fresh()
         finally:
             for group in groups:
                 group.close()
+        m = len(unique)
+        if csr:
+            counts = np.zeros(m, dtype=np.int64)
+            for idx, (sub_indptr, _) in parts:
+                counts[idx] = np.diff(sub_indptr)
+            indptr = np.zeros(m + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            flat = np.empty(int(indptr[-1]), dtype=dtype)
+            for idx, (sub_indptr, sub_flat) in parts:
+                if len(sub_flat):
+                    # Scatter each trunk's contiguous lists to their
+                    # input-order positions in one fancy index.
+                    sizes = np.diff(sub_indptr)
+                    flat[np.repeat(indptr[idx] - sub_indptr[:-1], sizes)
+                         + np.arange(len(sub_flat))] = sub_flat
+            if inverse is not None:
+                # Each duplicate position gathers its unique id's list.
+                flat = gather_ranges(flat, indptr[inverse], counts[inverse])
+                indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+                np.cumsum(counts[inverse], out=indptr[1:])
+            result = indptr, flat
+        elif dtype is None:
+            result = [None] * m
+            for idx, column in parts:
+                for i, value in zip(idx.tolist(), column):
+                    result[i] = value
+            if inverse is not None:
+                result = [result[j] for j in inverse.tolist()]
+        else:
+            result = np.zeros(m, dtype=dtype)
+            for idx, column in parts:
+                result[idx] = column
+            if inverse is not None:
+                result = result[inverse]
+        if cross_check:
+            self._m_batch_checks.inc()
+            if csr:
+                values, cuts = flat.tolist(), indptr.tolist()
+                rows = (values[cuts[i]:cuts[i + 1]] for i in range(len(ids)))
+            else:
+                rows = result if dtype is None else result.tolist()
+            for node_id, row in zip(ids.tolist(), rows):
+                if row != scalar(node_id):
+                    raise BulkPathDivergence(
+                        f"node {node_id}: batched {field_name} read "
+                        f"{row!r} diverges from the scalar path"
+                    )
+        return result
 
     def outlinks_batch(self, node_ids, cross_check: bool = False
                        ) -> tuple[np.ndarray, np.ndarray]:
         """CSR adjacency for a whole frontier: ``(indptr, flat)``.
 
         ``flat[indptr[i]:indptr[i + 1]]`` are the out-neighbors of
-        ``node_ids[i]`` — one ``cloud.bulk_get`` and one columnar decode
-        for the whole batch.  ``cross_check=True`` replays every node
-        through the scalar :meth:`outlinks` path and raises
+        ``node_ids[i]`` — one span fetch and one columnar decode for the
+        whole batch.  ``cross_check=True`` replays every node through
+        the scalar :meth:`outlinks` path and raises
         :class:`BulkPathDivergence` on any difference.
         """
         return self.read_field_csr(node_ids, self.graph_schema.out_field,
@@ -184,81 +232,25 @@ class Graph:
                        ) -> tuple[np.ndarray, np.ndarray]:
         """Batched CSR decode of one ``List<primitive>`` field."""
         self._require_field(field_name)
-        if self._decoder.csr_dtype(field_name) is None:
+        dtype = self._decoder.csr_dtype(field_name)
+        if dtype is None:
             raise QueryError(
                 f"field {field_name!r} has no CSR batch decoding"
             )
-        n, groups, inverse = self._bulk_spans(node_ids)
-        m = n if inverse is None else int(inverse.max()) + 1
-        decoded = [
-            (idx, self._decoder.decode_list_csr_spans(arena, starts, limits,
-                                                      field_name))
-            for arena, starts, limits, idx in groups
-        ]
-        counts = np.zeros(m, dtype=np.int64)
-        for idx, (sub_indptr, _) in decoded:
-            counts[idx] = np.diff(sub_indptr)
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        flat = np.empty(int(indptr[-1]),
-                        dtype=self._decoder.csr_dtype(field_name))
-        for idx, (sub_indptr, sub_flat) in decoded:
-            if len(sub_flat):
-                # Scatter each trunk's contiguous lists to their input-
-                # order positions, element-at-a-time in one fancy index.
-                sizes = np.diff(sub_indptr)
-                positions = (np.repeat(indptr[idx] - sub_indptr[:-1], sizes)
-                             + np.arange(len(sub_flat)))
-                flat[positions] = sub_flat
-        self._assert_spans_fresh(groups)
-        if inverse is not None:
-            # Expand the unique-id CSR back to input order: each
-            # duplicate position gathers its unique id's list.
-            sizes = counts[inverse]
-            unique_starts = indptr[inverse]
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(sizes, out=indptr[1:])
-            flat = gather_ranges(flat, unique_starts, sizes)
-        if cross_check:
-            self._m_batch_checks.inc()
-            bounds = indptr.tolist()
-            values = flat.tolist()
-            for i, node_id in enumerate(np.asarray(node_ids).tolist()):
-                scalar = self._read_field(int(node_id), field_name)
-                if values[bounds[i]:bounds[i + 1]] != scalar:
-                    raise BulkPathDivergence(
-                        f"node {node_id}: batched {field_name} decode "
-                        f"diverges from the scalar path"
-                    )
-        return indptr, flat
+        return self._read_batch(
+            node_ids, field_name, self._decoder.decode_list_csr_spans,
+            lambda node_id: self._read_field(node_id, field_name),
+            cross_check, dtype=dtype, csr=True)
 
     def read_field_batch(self, node_ids, field_name: str,
                          cross_check: bool = False) -> list:
         """One value per node for any declared field (attribute or edge
-        list), through one ``bulk_get`` — the batched twin of
+        list), through one span fetch — the batched twin of
         :meth:`read_field`."""
-        self._require_field(field_name)
-        n, groups, inverse = self._bulk_spans(node_ids)
-        m = n if inverse is None else int(inverse.max()) + 1
-        values: list = [None] * m
-        for arena, starts, limits, idx in groups:
-            decoded = self._decoder.decode_column_spans(arena, starts,
-                                                        limits, field_name)
-            for i, value in zip(idx.tolist(), decoded):
-                values[i] = value
-        self._assert_spans_fresh(groups)
-        if inverse is not None:
-            values = [values[j] for j in inverse.tolist()]
-        if cross_check:
-            self._m_batch_checks.inc()
-            for node_id, value in zip(np.asarray(node_ids).tolist(), values):
-                scalar = self._read_field(int(node_id), field_name)
-                if value != scalar:
-                    raise BulkPathDivergence(
-                        f"node {node_id}: batched {field_name} decode "
-                        f"diverges from the scalar path"
-                    )
-        return values
+        return self._read_batch(
+            node_ids, field_name, self._decoder.decode_column_spans,
+            lambda node_id: self._read_field(node_id, field_name),
+            cross_check)
 
     def field_eq_batch(self, node_ids, field_name: str, value,
                        cross_check: bool = False) -> np.ndarray:
@@ -269,60 +261,28 @@ class Graph:
         length headers reject most nodes, and no Python string is ever
         built for the rest.
         """
-        self._require_field(field_name)
-        n, groups, inverse = self._bulk_spans(node_ids)
-        m = n if inverse is None else int(inverse.max()) + 1
-        hits = np.zeros(m, dtype=bool)
-        for arena, starts, limits, idx in groups:
-            hits[idx] = self._decoder.string_eq_spans(arena, starts, limits,
-                                                      field_name, value)
-        self._assert_spans_fresh(groups)
-        if inverse is not None:
-            hits = hits[inverse]
-        if cross_check:
-            self._m_batch_checks.inc()
-            for node_id, hit in zip(np.asarray(node_ids).tolist(),
-                                    hits.tolist()):
-                scalar = self._read_field(int(node_id), field_name) == value
-                if hit != scalar:
-                    raise BulkPathDivergence(
-                        f"node {node_id}: batched {field_name} == "
-                        f"{value!r} diverges from the scalar path"
-                    )
-        return hits
+        decoder = self._decoder
+        return self._read_batch(
+            node_ids, field_name,
+            lambda *args: decoder.string_eq_spans(*args, value),
+            lambda node_id: self._read_field(node_id, field_name) == value,
+            cross_check, dtype=bool)
 
     def degree_batch(self, node_ids, cross_check: bool = False) -> np.ndarray:
         """Out-degrees for a batch of nodes, reading only the adjacency
         count headers (no element decode at all)."""
         field_name = self.graph_schema.out_field
-        self._require_field(field_name)
-        n, groups, inverse = self._bulk_spans(node_ids)
-        m = n if inverse is None else int(inverse.max()) + 1
-        counts = np.zeros(m, dtype=np.int64)
-        header_only = isinstance(self._node_type.field_type(field_name),
-                                 ListType)
-        for arena, starts, limits, idx in groups:
-            if header_only:
-                counts[idx] = self._decoder.field_counts_spans(
-                    arena, starts, limits, field_name)
-            else:
-                counts[idx] = [
-                    len(v) for v in self._decoder.decode_column_spans(
-                        arena, starts, limits, field_name)]
-        self._assert_spans_fresh(groups)
-        if inverse is not None:
-            counts = counts[inverse]
+        decoder = self._decoder
+        if isinstance(self._node_type.field_type(field_name), ListType):
+            decode = decoder.field_counts_spans
+        else:
+            def decode(*args):
+                return [len(v) for v in decoder.decode_column_spans(*args)]
+        counts = self._read_batch(
+            node_ids, field_name, decode,
+            lambda node_id: len(self.outlinks(node_id)),
+            cross_check, dtype=np.int64)
         self._m_batch_headers.inc(len(counts))
-        if cross_check:
-            self._m_batch_checks.inc()
-            for node_id, count in zip(np.asarray(node_ids).tolist(),
-                                      counts.tolist()):
-                scalar = len(self.outlinks(int(node_id)))
-                if count != scalar:
-                    raise BulkPathDivergence(
-                        f"node {node_id}: batched degree {count} != "
-                        f"scalar {scalar}"
-                    )
         return counts
 
     def machine_of_batch(self, node_ids) -> np.ndarray:

@@ -266,8 +266,7 @@ class GraphBuilder:
         if in_group is not None:
             nodes.update(in_group[0])
         node_ids = sorted(nodes)
-        use_bulk = (bulk and hasattr(self.cloud, "bulk_put")
-                    and self._adjacency_is_long())
+        use_bulk = bulk and self._adjacency_is_long()
         if (use_bulk and backend == "shared_memory"
                 and self._parallel_eligible(node_ids)):
             done = self._finalize_parallel(node_ids, out_group, in_group,
@@ -293,7 +292,7 @@ class GraphBuilder:
         else:
             node_type = schema.node_type
             records = self._records(node_ids, out_group, in_group)
-            if bulk and hasattr(self.cloud, "bulk_put"):
+            if bulk:
                 # Adjacency type without an int64 twin: still batch the
                 # store, encoding through the compiled column encoder.
                 blobs = batch_encoder_for(node_type).encode_many(records)
@@ -401,7 +400,7 @@ class GraphBuilder:
     def _encode_subset(self, sub_ids, out_group, in_group) -> list[bytes]:
         """Cell blobs for a sorted subset of the node ids.
 
-        ``_trunk_groups`` preserves input order within a trunk and the
+        ``trunk_groups`` preserves input order within a trunk and the
         full id list is sorted, so each trunk's subset is itself sorted —
         which is all ``_adjacency_column``'s searchsorted needs.
         """

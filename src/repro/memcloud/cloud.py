@@ -22,7 +22,6 @@ import numpy as np
 from ..config import ClusterConfig
 from ..errors import AddressingError, StaleSpanError
 from ..obs import MetricsRegistry, MetricsReport, get_registry
-from ..utils.arrays import gather_ranges
 from ..utils.hashing import trunk_of, trunk_of_array
 from ..utils.sorting import stable_argsort
 from .addressing import AddressingTable
@@ -270,13 +269,15 @@ class MemoryCloud:
 
     # -- bulk fast path ------------------------------------------------------
 
-    def _trunk_groups(self, cell_ids):
-        """Stable (trunk_id, index array) groups for a batch of UIDs.
+    def trunk_groups(self, cell_ids):
+        """Stable ``(trunk_id, indices, uids)`` groups for a UID batch.
 
         One vectorized hash pass routes the whole array (Figure 3's first
         hop); the stable sort keeps each trunk's subsequence in input
         order, so the per-trunk operation stream is exactly what a scalar
-        loop would have produced.
+        loop would have produced.  Every bulk operation routes with this,
+        and so does the parallel bulk loader, so its worker/coordinator
+        halves agree on every trunk's subsequence.
         """
         uids = np.asarray(cell_ids, dtype=np.uint64)
         trunks = trunk_of_array(uids, self.config.trunk_bits)
@@ -289,12 +290,19 @@ class MemoryCloud:
             yield int(trunks[group[0]]), indices, [uid_list[i]
                                                    for i in indices]
 
-    def trunk_groups(self, cell_ids):
-        """Public routing view: stable ``(trunk_id, indices, uids)``
-        groups for a UID batch, exactly as the bulk operations consume
-        them.  The parallel bulk loader partitions work with this so the
-        worker/coordinator halves agree on every trunk's subsequence."""
-        return self._trunk_groups(cell_ids)
+    def _bulk_store(self, cell_ids, store) -> None:
+        """Route a write batch to its trunks and account for it.
+
+        ``store(trunk, indices, uids)`` runs once per trunk touched, with
+        that trunk's subsequence in input order.
+        """
+        with self._h_bulk_put.time():
+            batches = 0
+            for trunk_id, indices, uids in self.trunk_groups(cell_ids):
+                store(self.trunks[trunk_id], indices, uids)
+                batches += 1
+        self._m_bulk_put_cells.inc(len(cell_ids))
+        self._m_bulk_put_batches.inc(batches)
 
     def bulk_put_adopt(self, cell_ids, trunk_sizes: dict) -> None:
         """Adopt a parallel bulk load whose bytes workers already wrote.
@@ -308,15 +316,9 @@ class MemoryCloud:
         """
         if not len(cell_ids):
             return
-        with self._h_bulk_put.time():
-            batches = 0
-            for trunk_id, _indices, uids in self._trunk_groups(cell_ids):
-                self.trunks[trunk_id].adopt_fresh_cells(
-                    uids, trunk_sizes[trunk_id]
-                )
-                batches += 1
-        self._m_bulk_put_cells.inc(len(cell_ids))
-        self._m_bulk_put_batches.inc(batches)
+        self._bulk_store(
+            cell_ids, lambda trunk, _indices, uids: trunk.adopt_fresh_cells(
+                uids, trunk_sizes[trunk.trunk_id]))
 
     def bulk_put(self, cell_ids, values, presize: bool = True) -> None:
         """Insert or overwrite a batch of cells along the batched path.
@@ -333,17 +335,9 @@ class MemoryCloud:
             )
         if not len(cell_ids):
             return
-        with self._h_bulk_put.time():
-            batches = 0
-            for trunk_id, indices, uids in self._trunk_groups(cell_ids):
-                self.trunks[trunk_id].bulk_put(
-                    uids,
-                    [values[i] for i in indices],
-                    presize=presize,
-                )
-                batches += 1
-        self._m_bulk_put_cells.inc(len(cell_ids))
-        self._m_bulk_put_batches.inc(batches)
+        self._bulk_store(
+            cell_ids, lambda trunk, indices, uids: trunk.bulk_put(
+                uids, [values[i] for i in indices], presize=presize))
         if self._shadow is not None:
             if presize:
                 self._shadow_probes_comparable = False
@@ -352,73 +346,21 @@ class MemoryCloud:
             self.verify_shadow()
 
     def bulk_get(self, cell_ids) -> list[bytes]:
-        """Payloads for a batch of UIDs, in input order.
-
-        Grouped per trunk like :meth:`bulk_put`; accounting matches a
-        scalar :meth:`get` loop.
-        """
-        if not len(cell_ids):
-            return []
-        if self._shadow is not None:
-            for cell_id in cell_ids:
-                self._shadow.get(int(cell_id))
-        with self._h_bulk_get.time():
-            out: list[bytes | None] = [None] * len(cell_ids)
-            batches = 0
-            for trunk_id, indices, uids in self._trunk_groups(cell_ids):
-                payloads = self.trunks[trunk_id].bulk_get(uids)
-                for position, payload in zip(indices, payloads):
-                    out[position] = payload
-                batches += 1
-        self._m_bulk_get_cells.inc(len(cell_ids))
-        self._m_bulk_get_batches.inc(batches)
+        """Payload copies for a batch of UIDs, in input order: a copy-out
+        over :meth:`bulk_get_spans` (same lookups, same accounting)."""
+        out: list = [None] * len(cell_ids)
+        groups = self.bulk_get_spans(cell_ids)
+        try:
+            for arena, starts, limits, positions in groups:
+                for i, lo, hi in zip(positions.tolist(), starts.tolist(),
+                                     limits.tolist()):
+                    out[i] = arena[lo:hi].tobytes()
+            for group in groups:
+                group.assert_fresh()
+        finally:
+            for group in groups:
+                group.close()
         return out
-
-    def bulk_get_packed(self, cell_ids) -> tuple[np.ndarray, np.ndarray]:
-        """Payloads for a batch of UIDs as one packed ``(buffer, bounds)``.
-
-        ``buffer[bounds[i]:bounds[i + 1]]`` is ``cell_ids[i]``'s payload.
-        The batched twin of :meth:`bulk_get` that never materialises a
-        per-cell ``bytes`` object: each trunk gathers its subsequence
-        into a packed buffer (:meth:`MemoryTrunk.bulk_get_packed`), and
-        one more vectorized gather reorders the concatenation back to
-        input order.  Lookup and metrics accounting match
-        :meth:`bulk_get` exactly.
-        """
-        n = len(cell_ids)
-        if not n:
-            return np.empty(0, dtype=np.uint8), np.zeros(1, dtype=np.int64)
-        if self._shadow is not None:
-            for cell_id in cell_ids:
-                self._shadow.get(int(cell_id))
-        with self._h_bulk_get.time():
-            batches = 0
-            buffers = []
-            starts_parts = []
-            sizes_parts = []
-            index_parts = []
-            base = 0
-            for trunk_id, indices, uids in self._trunk_groups(cell_ids):
-                buf, bounds = self.trunks[trunk_id].bulk_get_packed(uids)
-                buffers.append(buf)
-                starts_parts.append(bounds[:-1] + base)
-                sizes_parts.append(np.diff(bounds))
-                index_parts.append(np.asarray(indices, dtype=np.int64))
-                base += len(buf)
-                batches += 1
-            joined = (buffers[0] if len(buffers) == 1
-                      else np.concatenate(buffers))
-            original = np.concatenate(index_parts)
-            starts = np.empty(n, dtype=np.int64)
-            starts[original] = np.concatenate(starts_parts)
-            sizes = np.empty(n, dtype=np.int64)
-            sizes[original] = np.concatenate(sizes_parts)
-            out_bounds = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(sizes, out=out_bounds[1:])
-            packed = gather_ranges(joined, starts, sizes)
-        self._m_bulk_get_cells.inc(n)
-        self._m_bulk_get_batches.inc(batches)
-        return packed, out_bounds
 
     def bulk_get_spans(self, cell_ids) -> list[SpanGroup]:
         """Zero-copy payload spans for a batch, grouped per trunk.
@@ -433,8 +375,9 @@ class MemoryCloud:
         group records the trunk's structural epoch; decoders call
         :meth:`SpanGroup.assert_fresh` so an interleaved mutation raises
         :class:`~repro.errors.StaleSpanError` instead of yielding bytes
-        read from relocated cells.  Lookup and metrics accounting match
-        :meth:`bulk_get`.
+        read from relocated cells.  Grouped per trunk like
+        :meth:`bulk_put`; lookup and metrics accounting match a scalar
+        :meth:`get` loop.
         """
         if not len(cell_ids):
             return []
@@ -443,17 +386,15 @@ class MemoryCloud:
                 self._shadow.get(int(cell_id))
         with self._h_bulk_get.time():
             spans = []
-            batches = 0
-            for trunk_id, indices, uids in self._trunk_groups(cell_ids):
+            for trunk_id, indices, uids in self.trunk_groups(cell_ids):
                 trunk = self.trunks[trunk_id]
                 arena, starts, limits, epoch = trunk.bulk_get_spans(uids)
                 spans.append(SpanGroup(
                     arena, starts, limits,
                     np.asarray(indices, dtype=np.int64), trunk, epoch,
                 ))
-                batches += 1
         self._m_bulk_get_cells.inc(len(cell_ids))
-        self._m_bulk_get_batches.inc(batches)
+        self._m_bulk_get_batches.inc(len(spans))
         return spans
 
     def verify_shadow(self) -> None:

@@ -280,11 +280,6 @@ class MemoryTrunk:
 
     # -- bulk fast path ------------------------------------------------------
 
-    def reserve(self, extra_cells: int) -> None:
-        """Pre-size the index for ``extra_cells`` additional cells."""
-        with self._mutex:
-            self._index.reserve(len(self._index) + extra_cells)
-
     def bulk_put(self, uids, payloads, presize: bool = True) -> None:
         """Insert or replace a batch of cells under one lock acquisition.
 
@@ -314,14 +309,10 @@ class MemoryTrunk:
                 self._index.reserve(len(self._index) + len(uids))
             done = self._bulk_insert_fresh(uids, payloads, presize)
             for i in range(done, len(uids)):
-                entry = self._lookup(uids[i])
-                if entry is None:
-                    self._insert(uids[i], payloads[i])
-                else:
-                    self._update(entry, payloads[i])
+                self.put(uids[i], payloads[i])
 
     def _bulk_insert_fresh(self, uids: list[int], payloads,
-                           presize: bool = False) -> int:
+                           presize: bool) -> int:
         """Batch-lay-out the longest eligible prefix; returns cells done.
 
         Eligible means: no UID repeats within the batch, none already
@@ -350,10 +341,28 @@ class MemoryTrunk:
         count = int(np.searchsorted(footprint_ends, available, side="right"))
         if count == 0:
             return 0
-        total = int(footprint_ends[count - 1])
-        sizes = all_sizes[:count]
+        uids, sizes = uids[:count], all_sizes[:count]
+        start = self._append_head
+        self._lay_out_fresh(start, uids, payloads[:count], sizes)
+        self._register_fresh(uids, sizes, footprint_ends[:count], start,
+                             presize)
+        return count
+
+    def _lay_out_fresh(self, start: int, uids: list[int], payloads,
+                       sizes: np.ndarray) -> None:
+        """Write a fresh run's headers and payloads at ``start``.
+
+        The byte half of a fresh insert, and nothing else: one header
+        pre-packing pass, then the run streams through the storage tier
+        in bounded chunks — a paged backing writes pages sequentially
+        and evicts behind the cursor instead of joining the whole batch
+        in RAM.  The caller registers the run (:meth:`_register_fresh`):
+        this trunk for an in-process load, the coordinator's twin of it
+        for a parallel one.
+        """
+        count = len(uids)
         headers = np.zeros(count, dtype=_HEADER_DTYPE)
-        headers["uid"] = np.array(uids[:count], dtype=np.uint64)
+        headers["uid"] = np.array(uids, dtype=np.uint64)
         headers["size"] = sizes
         headers["reserved"] = sizes
         header_bytes = headers.tobytes()
@@ -361,29 +370,25 @@ class MemoryTrunk:
         parts[0::2] = (header_bytes[i * CELL_HEADER_BYTES:
                                     (i + 1) * CELL_HEADER_BYTES]
                        for i in range(count))
-        parts[1::2] = payloads[:count]
-        start = self._append_head
-        # Stream the fresh run through the storage tier in bounded
-        # chunks: a paged backing writes pages sequentially and evicts
-        # behind the cursor instead of joining the whole batch in RAM.
+        parts[1::2] = payloads
         self._storage.write_stream(start, parts)
-        self._append_head = start + total
-        self._commit_range(start, start + total)
-        self._register_fresh(uids[:count], sizes, footprint_ends[:count],
-                             start, presize)
-        return count
 
     def _register_fresh(self, uids: list[int], sizes: np.ndarray,
                         footprint_ends: np.ndarray, start: int,
                         presize: bool) -> None:
         """Index and account a fresh run already laid out at ``start``.
 
-        Shared between :meth:`_bulk_insert_fresh` (which wrote the bytes
-        itself) and :meth:`adopt_fresh_cells` (bytes written by a worker
-        process through the shared arena); both must produce identical
-        entries, metrics and probe accounting.
+        The accounting half of a fresh insert — head advance, page
+        commits, allocation metrics, entries, index — shared by
+        :meth:`_bulk_insert_fresh` (which wrote the bytes itself) and
+        :meth:`adopt_fresh_cells` (bytes written by a worker process
+        through the shared arena), so both produce identical entries,
+        metrics and probe accounting.
         """
         count = len(uids)
+        total = int(footprint_ends[-1])
+        self._append_head = start + total
+        self._commit_range(start, start + total)
         self._m_alloc.inc(count)
         # Payload offset of cell i = start + footprint_ends[i] - size_i
         # (its own header sits just below the payload).
@@ -429,10 +434,10 @@ class MemoryTrunk:
     def bulk_write_fresh(self, uids, payloads) -> np.ndarray:
         """Write a fresh batch's headers and payloads into the arena only.
 
-        Worker-process half of the parallel bulk load: the byte layout is
-        identical to :meth:`_bulk_insert_fresh` starting from an empty
-        trunk, but no index entries, metrics, or page accounting are
-        touched — the worker's copies of those are discarded with the
+        Worker-process half of the parallel bulk load: the same
+        :meth:`_lay_out_fresh` an in-process load runs, from offset 0 of
+        an empty trunk, but no index entries, metrics, or page accounting
+        are touched — the worker's copies of those are discarded with the
         fork, and the coordinator re-creates them authoritatively via
         :meth:`adopt_fresh_cells`.  Returns the payload sizes the
         coordinator needs for adoption.
@@ -443,43 +448,30 @@ class MemoryTrunk:
                     f"trunk {self.trunk_id}: bulk_write_fresh needs an "
                     f"empty trunk"
                 )
+            uids = [int(uid) for uid in uids]
             if len(set(uids)) != len(uids):
                 raise ValueError("bulk_write_fresh got duplicate uids")
             sizes = np.fromiter((len(p) for p in payloads),
                                 dtype=np.int64, count=len(payloads))
-            footprint_ends = np.cumsum(sizes + CELL_HEADER_BYTES)
-            total = int(footprint_ends[-1]) if len(sizes) else 0
+            total = int(sizes.sum()) + CELL_HEADER_BYTES * len(sizes)
             if total > self.params.trunk_size:
                 raise TrunkFullError(
                     f"trunk {self.trunk_id}: fresh batch of {total} bytes "
                     f"exceeds trunk size {self.params.trunk_size}"
                 )
-            count = len(sizes)
-            headers = np.zeros(count, dtype=_HEADER_DTYPE)
-            headers["uid"] = np.array([int(u) for u in uids],
-                                      dtype=np.uint64)
-            headers["size"] = sizes
-            headers["reserved"] = sizes
-            header_bytes = headers.tobytes()
-            parts = [b""] * (2 * count)
-            parts[0::2] = (header_bytes[i * CELL_HEADER_BYTES:
-                                        (i + 1) * CELL_HEADER_BYTES]
-                           for i in range(count))
-            parts[1::2] = payloads
-            self._storage.write_stream(0, parts)
+            self._lay_out_fresh(0, uids, payloads, sizes)
             self._append_head = total
             return sizes
 
-    def adopt_fresh_cells(self, uids, sizes,
-                          presize: bool = True) -> None:
+    def adopt_fresh_cells(self, uids, sizes) -> None:
         """Adopt cells a worker laid out through the shared arena.
 
         Coordinator half of the parallel bulk load: the bytes are already
         in place (written by :meth:`bulk_write_fresh` in a forked worker
         sharing this arena), so this replays exactly the accounting side
         of a ``bulk_put`` on an empty trunk — index presize, epoch bump,
-        page commits, allocation metrics, entries.  After adoption the
-        trunk is indistinguishable from one loaded in-process.
+        then :meth:`_register_fresh`.  After adoption the trunk is
+        indistinguishable from one loaded in-process.
         """
         uids = [int(uid) for uid in uids]
         if not uids:
@@ -491,52 +483,11 @@ class MemoryTrunk:
                     f"empty trunk"
                 )
             sizes = np.asarray(sizes, dtype=np.int64)
-            if presize:
-                self._index.reserve(len(uids))
+            self._index.reserve(len(uids))
             self._invalidate_spans()
-            footprint_ends = np.cumsum(sizes + CELL_HEADER_BYTES)
-            total = int(footprint_ends[-1])
-            self._append_head = total
-            self._commit_range(0, total)
-            self._register_fresh(uids, sizes, footprint_ends, 0, presize)
-
-    def bulk_get(self, uids) -> list[bytes]:
-        """Payload copies for a batch of UIDs, one lock acquisition.
-
-        Index slots resolve through one vectorized
-        :meth:`~repro.memcloud.hashtable.TrunkHashTable.bulk_lookup`
-        pass; probe accounting matches a loop of scalar :meth:`get`
-        calls.  Raises :class:`CellNotFoundError` for the first missing
-        UID in input order, like the scalar loop would.
-        """
-        with self._mutex:
-            slots, found = self._index.bulk_lookup(uids)
-            if not found.all():
-                missing = int(np.flatnonzero(~found)[0])
-                raise CellNotFoundError(int(uids[missing]))
-            entries = self._entries
-            read = self._storage.read
-            out = []
-            append = out.append
-            for slot in slots.tolist():
-                entry = entries[slot]
-                append(read(entry.offset, entry.offset + entry.size))
-            return out
-
-    def bulk_get_packed(self, uids) -> tuple[np.ndarray, np.ndarray]:
-        """Payloads for a batch of UIDs as one packed ``(buffer, bounds)``.
-
-        ``buffer[bounds[i]:bounds[i + 1]]`` is UID ``i``'s payload.  Same
-        lookup and accounting as :meth:`bulk_get`, but the payload bytes
-        are assembled with a single vectorized gather from the arena —
-        no per-cell ``bytes`` object is ever created.
-        """
-        with self._mutex:
-            arena, starts, limits = self._spans_locked(uids)
-            sizes = limits - starts
-            bounds = np.zeros(len(starts) + 1, dtype=np.int64)
-            np.cumsum(sizes, out=bounds[1:])
-            return gather_ranges(arena, starts, sizes), bounds
+            self._register_fresh(uids, sizes,
+                                 np.cumsum(sizes + CELL_HEADER_BYTES), 0,
+                                 presize=True)
 
     def bulk_get_spans(self, uids) -> TrunkSpans:
         """Zero-copy payload spans: ``(arena_view, starts, limits, epoch)``.
@@ -548,7 +499,11 @@ class MemoryTrunk:
         for query execution, which decodes a frontier batch immediately
         after fetching it.  The returned epoch lets decoders verify the
         view is still current (:exc:`~repro.errors.StaleSpanError`).
-        Lookup accounting matches :meth:`bulk_get`.
+        Index slots resolve through one vectorized
+        :meth:`~repro.memcloud.hashtable.TrunkHashTable.bulk_lookup`
+        pass; probe accounting matches a loop of scalar :meth:`get`
+        calls, and the first missing UID in input order raises
+        :class:`CellNotFoundError` like the scalar loop would.
 
         On a paged trunk the pages under the spans are *pinned* against
         eviction until the next structural epoch bump (or an explicit
@@ -761,12 +716,6 @@ class MemoryTrunk:
                     entry.offset, entry.offset + entry.size
                 )))
             return out
-
-    def load_cells(self, cells) -> None:
-        """Bulk-load (uid, payload) pairs into an empty trunk."""
-        cells = list(cells)
-        self.bulk_put([uid for uid, _ in cells],
-                      [payload for _, payload in cells])
 
     def freeze_image_state(self) -> dict:
         """Full-fidelity allocator snapshot for page-image persistence.

@@ -138,7 +138,13 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper bucket bound)."""
+        """Quantile estimate, interpolated linearly inside its bucket.
+
+        A bucket's edges are narrowed to the observed ``[min, max]``, so
+        every estimate lies in that range and ``min <= p50 <= p99 <=
+        max`` holds whatever the bucket layout (a single sample, one
+        crowded bucket, the overflow bucket).
+        """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
         if not self.count:
@@ -146,12 +152,14 @@ class Histogram:
         target = q * self.count
         seen = 0
         for i, n in enumerate(self.bucket_counts):
+            if n and seen + n >= target:
+                low = max(self.bounds[i - 1], self.min) if i else self.min
+                high = (min(self.bounds[i], self.max)
+                        if i < len(self.bounds) else self.max)
+                # min(): the float sum can overshoot ``high`` by an ulp.
+                return min(low + (high - low) * (target - seen) / n, high)
             seen += n
-            if seen >= target:
-                if i < len(self.bounds):
-                    return self.bounds[i]
-                return self.max if self.max is not None else 0.0
-        return self.max if self.max is not None else 0.0
+        return self.max
 
     def summary(self) -> dict:
         """``{count, mean, p50, p99, max}`` — the one-line view the SLO

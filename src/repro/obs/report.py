@@ -77,7 +77,7 @@ class MetricsReport:
                 label = _label_str(s["labels"])
                 if kind == "histogram":
                     # The Histogram.summary() shape: count/mean/p50/p99/max
-                    # (quantiles are bucket-resolution estimates).
+                    # (quantiles are in-bucket interpolations).
                     lines.append(
                         f"  {label or '(all)'}: count={s['count']} "
                         f"mean={_fmt(s['mean'])} p50={_fmt(s.get('p50'))} "

@@ -14,7 +14,7 @@ the expansion crosses machines — all folded into one
 
 The engine runs on the batched read path by default (``batch=True``):
 candidate sets and BFS waves are *prefetched* through
-``Graph.read_field_batch`` — one ``bulk_get`` plus one column decode per
+``Graph.read_field_batch`` — one span fetch plus one column decode per
 wave — into a staging dict that ``read_field`` consumes.  Costs are
 charged on first *consumption*, never at prefetch time, so
 ``cells_touched``/``elapsed`` stay bit-identical to the scalar engine

@@ -16,12 +16,15 @@ to the scalar element encoder so error behaviour matches too.  The
 equivalence is test-pinned by a hypothesis suite.
 
 The read direction mirrors it: :class:`BatchStructDecoder` decodes one
-field across a batch of cell blobs column-at-a-time.  ``List<primitive>``
-fields come back CSR-style — one ``(indptr, flat_values)`` pair built
-from a single ``np.frombuffer`` over the concatenated element bytes,
-instead of one Python list (and one ``struct.unpack`` per element) per
-blob — and ``field_counts`` reads only the varint list headers, which is
-what makes a batched ``degree()`` O(header) instead of O(degree).
+field across a batch of cell blobs column-at-a-time.  A batch has one
+form — spans ``(buffer, starts, limits)`` over a single byte buffer,
+which is what the trunks hand out; :func:`pack_blobs` adapts a
+``list[bytes]`` to it.  ``List<primitive>`` fields come back CSR-style —
+one ``(indptr, flat_values)`` pair built from a single gather of the
+element bytes, instead of one Python list (and one ``struct.unpack`` per
+element) per blob — and ``field_counts_spans`` reads only the varint
+list headers, which is what makes a batched ``degree()`` O(header)
+instead of O(degree).
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from itertools import chain
 import numpy as np
 
 from ..errors import SchemaMismatchError
+from ..obs import get_registry
 from ..utils.arrays import gather_ranges, range_indices
 from ..utils.varint import (
     VarintBatchError,
-    decode_varint,
     encode_varint,
     read_varints,
 )
@@ -248,7 +251,7 @@ _DECODE_DTYPES[id(FLOAT)] = np.dtype("<f4")
 
 
 class _ScalarFallback(Exception):
-    """Internal: the packed fast path cannot handle this batch.
+    """Internal: the vectorized path cannot handle this batch.
 
     Raised when a layout is not vectorizable (variable-size elements in
     the skip chain) or when the input looks malformed — the caller
@@ -257,10 +260,13 @@ class _ScalarFallback(Exception):
     """
 
 
-def _pack_blobs(blobs) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate a blob batch into ``(byte_buffer, bounds)``.
+def pack_blobs(blobs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate ``list[bytes]`` into one span batch.
 
-    ``bounds[i]:bounds[i + 1]`` delimits blob ``i`` inside the buffer.
+    Returns ``(buffer, starts, limits)`` with blob ``i`` at
+    ``buffer[starts[i]:limits[i]]`` — the form every decoder entry point
+    takes.  This is the adapter for callers at the edge that hold blobs
+    rather than trunk spans; storage hands out spans directly.
     """
     buf = np.frombuffer(b"".join(blobs), dtype=np.uint8)
     bounds = np.zeros(len(blobs) + 1, dtype=np.int64)
@@ -269,7 +275,7 @@ def _pack_blobs(blobs) -> tuple[np.ndarray, np.ndarray]:
                     count=len(blobs)),
         out=bounds[1:],
     )
-    return buf, bounds
+    return buf, bounds[:-1], bounds[1:]
 
 
 def _read_varints(buf: np.ndarray, pos: np.ndarray, limits: np.ndarray
@@ -437,13 +443,6 @@ def _decode_bitmap_group(buf: np.ndarray, pos: np.ndarray,
     return values
 
 
-def _slice_blobs(buf: np.ndarray, starts: np.ndarray, limits: np.ndarray
-                 ) -> list[bytes]:
-    """Per-blob ``bytes`` for a span batch (the scalar-fallback form)."""
-    return [buf[s:l].tobytes()
-            for s, l in zip(starts.tolist(), limits.tolist())]
-
-
 class BatchStructDecoder:
     """Column-at-a-time field decoder for one struct type.
 
@@ -469,13 +468,7 @@ class BatchStructDecoder:
 
     def _offset_in(self, blob, field_name: str) -> int:
         """Byte offset of ``field_name`` inside one cell blob."""
-        try:
-            base, variable = self._locators[field_name]
-        except KeyError:
-            raise SchemaMismatchError(
-                f"{self.struct_type.name} has no field {field_name!r}"
-            ) from None
-        offset = base
+        offset, variable = self._locator(field_name)
         for tsl_type in variable:
             offset = tsl_type.skip(blob, offset)
         return offset
@@ -523,52 +516,49 @@ class BatchStructDecoder:
             return _NUMPY_DTYPES.get(id(tsl_type.element))
         return None
 
-    def field_counts(self, blobs, field_name: str) -> np.ndarray:
-        """List lengths for a ``List<T>`` field, one per blob.
+    def _decode(self, op: str, vector, scalar, buf: np.ndarray,
+                starts: np.ndarray, limits: np.ndarray, field_name: str,
+                *extra):
+        """``vector`` over the spans, or its per-blob scalar reference.
+
+        The one place a :class:`_ScalarFallback` is caught (and counted,
+        as ``tsl.batch.fallback{op}``): the spans are sliced to ``bytes``
+        once and go straight to the scalar loop, which either succeeds or
+        raises the canonical error.  An empty batch takes the same loop.
+        """
+        if len(starts):
+            try:
+                return vector(buf, starts, limits, field_name, *extra)
+            except _ScalarFallback:
+                get_registry().counter("tsl.batch.fallback", op=op).inc()
+        blobs = [buf[lo:hi].tobytes()
+                 for lo, hi in zip(starts.tolist(), limits.tolist())]
+        return scalar(blobs, field_name, *extra)
+
+    def field_counts_spans(self, buf: np.ndarray, starts: np.ndarray,
+                           limits: np.ndarray, field_name: str) -> np.ndarray:
+        """List lengths for a ``List<T>`` field, one per blob span.
 
         Decodes only each blob's varint count header — never the
         elements — which is the whole point of a batched ``degree()``.
         """
-        self._require_list(field_name)
-        if len(blobs):
-            try:
-                buf, bounds = _pack_blobs(blobs)
-                return self._field_counts_vec(buf, bounds[:-1], bounds[1:],
-                                              field_name)
-            except _ScalarFallback:
-                pass
+        tsl_type = self.field_type(field_name)
+        if not isinstance(tsl_type, ListType):
+            raise SchemaMismatchError(
+                f"{field_name!r} is {tsl_type.name}, not a List field"
+            )
+        return self._decode("counts", self._field_counts_vec,
+                            self._field_counts_scalar, buf, starts, limits,
+                            field_name)
+
+    def _field_counts_scalar(self, blobs: list[bytes],
+                             field_name: str) -> np.ndarray:
         counts = np.empty(len(blobs), dtype=np.int64)
         offset_in = self._offset_in
         decode_count = self.field_type(field_name).decode_count
         for i, blob in enumerate(blobs):
             counts[i], _ = decode_count(blob, offset_in(blob, field_name))
         return counts
-
-    def field_counts_packed(self, buf: np.ndarray, bounds: np.ndarray,
-                            field_name: str) -> np.ndarray:
-        """:meth:`field_counts` over a packed ``(buffer, bounds)`` batch."""
-        return self.field_counts_spans(buf, bounds[:-1], bounds[1:],
-                                       field_name)
-
-    def field_counts_spans(self, buf: np.ndarray, starts: np.ndarray,
-                           limits: np.ndarray, field_name: str) -> np.ndarray:
-        """:meth:`field_counts` over arbitrary blob spans of one buffer."""
-        self._require_list(field_name)
-        if len(starts):
-            try:
-                return self._field_counts_vec(buf, starts, limits,
-                                              field_name)
-            except _ScalarFallback:
-                pass
-        return self.field_counts(_slice_blobs(buf, starts, limits),
-                                 field_name)
-
-    def _require_list(self, field_name: str) -> None:
-        tsl_type = self.field_type(field_name)
-        if not isinstance(tsl_type, ListType):
-            raise SchemaMismatchError(
-                f"{field_name!r} is {tsl_type.name}, not a List field"
-            )
 
     def _field_counts_vec(self, buf, starts, limits,
                           field_name: str) -> np.ndarray:
@@ -579,93 +569,38 @@ class BatchStructDecoder:
         counts, _ = _read_varints(buf, pos, limits)
         return counts
 
-    def decode_list_csr(self, blobs, field_name: str
-                        ) -> tuple[np.ndarray, np.ndarray]:
+    def decode_list_csr_spans(self, buf: np.ndarray, starts: np.ndarray,
+                              limits: np.ndarray, field_name: str
+                              ) -> tuple[np.ndarray, np.ndarray]:
         """Decode a ``List<primitive>`` column as ``(indptr, flat)``.
 
-        ``flat[indptr[i]:indptr[i + 1]]`` holds blob ``i``'s elements.
-        One pass collects each blob's element bytes; a single
-        ``np.frombuffer`` over their concatenation replaces one
-        ``struct.unpack`` per element — the same trick as the bulk
-        encoder, run in reverse.  ``flat.tolist()`` of any slice equals
-        the scalar ``ListType.decode`` value exactly (numpy and
-        ``struct`` agree on every little-endian primitive).
+        ``flat[indptr[i]:indptr[i + 1]]`` holds the elements of blob
+        ``buf[starts[i]:limits[i]]`` (e.g. a live trunk-arena view).  One
+        gather collects every blob's element bytes and a single dtype
+        view replaces one ``struct.unpack`` per element — the same trick
+        as the bulk encoder, run in reverse.  ``flat.tolist()`` of any
+        slice equals the scalar ``ListType.decode`` value exactly (numpy
+        and ``struct`` agree on every little-endian primitive).
         """
         dtype = self.csr_dtype(field_name)
         if dtype is None:
             raise SchemaMismatchError(
                 f"{field_name!r} has no numpy-decodable element type"
             )
-        itemsize = dtype.itemsize
-        if len(blobs):
-            try:
-                buf, bounds = _pack_blobs(blobs)
-                return self._decode_list_csr_vec(buf, bounds[:-1],
-                                                 bounds[1:], field_name,
-                                                 dtype)
-            except _ScalarFallback:
-                pass
-        tsl_type = self.field_type(field_name)
-        offset_in = self._offset_in
-        if isinstance(tsl_type, AdjacencyListType):
-            # Per-blob scalar decode (the canonical reference): each
-            # layout's payload codec materialises the same int64 values.
-            indptr = np.zeros(len(blobs) + 1, dtype=np.int64)
-            lists = []
-            total = 0
-            for i, blob in enumerate(blobs):
-                values, _ = tsl_type.decode(blob,
-                                            offset_in(blob, field_name))
-                total += len(values)
-                indptr[i + 1] = total
-                lists.append(values)
-            flat = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
-                               count=total)
-            return indptr, flat
-        indptr = np.zeros(len(blobs) + 1, dtype=np.int64)
-        parts = []
-        total = 0
-        for i, blob in enumerate(blobs):
-            count, start = decode_varint(blob, offset_in(blob, field_name))
-            nbytes = count * itemsize
-            if start + nbytes > len(blob):
-                raise SchemaMismatchError(
-                    f"blob too short for {field_name!r} "
-                    f"({count} x {itemsize}-byte elements)"
-                )
-            total += count
-            indptr[i + 1] = total
-            if nbytes:
-                parts.append(blob[start:start + nbytes])
-        flat = np.frombuffer(b"".join(parts), dtype=dtype)
+        return self._decode("csr", self._decode_list_csr_vec,
+                            self._decode_list_csr_scalar, buf, starts,
+                            limits, field_name, dtype)
+
+    def _decode_list_csr_scalar(self, blobs: list[bytes], field_name: str,
+                                dtype: np.dtype
+                                ) -> tuple[np.ndarray, np.ndarray]:
+        lists = self._decode_column_scalar(blobs, field_name)
+        indptr = np.zeros(len(lists) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, lists), dtype=np.int64,
+                              count=len(lists)), out=indptr[1:])
+        flat = np.fromiter(chain.from_iterable(lists), dtype=dtype,
+                           count=int(indptr[-1]))
         return indptr, flat
-
-    def decode_list_csr_packed(self, buf: np.ndarray, bounds: np.ndarray,
-                               field_name: str
-                               ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`decode_list_csr` over a packed ``(buffer, bounds)``
-        batch — no per-blob ``bytes`` objects anywhere on the fast path."""
-        return self.decode_list_csr_spans(buf, bounds[:-1], bounds[1:],
-                                          field_name)
-
-    def decode_list_csr_spans(self, buf: np.ndarray, starts: np.ndarray,
-                              limits: np.ndarray, field_name: str
-                              ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`decode_list_csr` over arbitrary blob spans of one
-        buffer (e.g. live trunk-arena views)."""
-        dtype = self.csr_dtype(field_name)
-        if dtype is None:
-            raise SchemaMismatchError(
-                f"{field_name!r} has no numpy-decodable element type"
-            )
-        if len(starts):
-            try:
-                return self._decode_list_csr_vec(buf, starts, limits,
-                                                 field_name, dtype)
-            except _ScalarFallback:
-                pass
-        return self.decode_list_csr(_slice_blobs(buf, starts, limits),
-                                    field_name)
 
     def _decode_list_csr_vec(self, buf, starts, limits, field_name: str,
                              dtype: np.dtype
@@ -741,37 +676,10 @@ class BatchStructDecoder:
             flat[range_indices(indptr[bitmap], counts[bitmap])] = values
         return indptr, flat
 
-    def decode_column(self, blobs, field_name: str) -> list:
-        """Per-blob Python values for any field, CSR-accelerated when
-        possible; elementwise equal to scalar ``decode`` per blob."""
-        if self.csr_dtype(field_name) is not None:
-            indptr, flat = self.decode_list_csr(blobs, field_name)
-            values = flat.tolist()
-            bounds = indptr.tolist()
-            return [values[bounds[i]:bounds[i + 1]]
-                    for i in range(len(blobs))]
-        tsl_type = self.field_type(field_name)
-        if len(blobs):
-            try:
-                buf, bounds = _pack_blobs(blobs)
-                return self._decode_column_vec(buf, bounds[:-1], bounds[1:],
-                                               field_name, tsl_type)
-            except _ScalarFallback:
-                pass
-        decode = tsl_type.decode
-        offset_in = self._offset_in
-        return [decode(blob, offset_in(blob, field_name))[0]
-                for blob in blobs]
-
-    def decode_column_packed(self, buf: np.ndarray, bounds: np.ndarray,
-                             field_name: str) -> list:
-        """:meth:`decode_column` over a packed ``(buffer, bounds)`` batch."""
-        return self.decode_column_spans(buf, bounds[:-1], bounds[1:],
-                                        field_name)
-
     def decode_column_spans(self, buf: np.ndarray, starts: np.ndarray,
                             limits: np.ndarray, field_name: str) -> list:
-        """:meth:`decode_column` over arbitrary blob spans of one buffer."""
+        """Per-blob Python values for any field, CSR-accelerated when
+        possible; elementwise equal to scalar ``decode`` per blob."""
         if self.csr_dtype(field_name) is not None:
             indptr, flat = self.decode_list_csr_spans(buf, starts, limits,
                                                       field_name)
@@ -779,18 +687,22 @@ class BatchStructDecoder:
             cuts = indptr.tolist()
             return [values[cuts[i]:cuts[i + 1]]
                     for i in range(len(starts))]
-        tsl_type = self.field_type(field_name)
-        if len(starts):
-            try:
-                return self._decode_column_vec(buf, starts, limits,
-                                               field_name, tsl_type)
-            except _ScalarFallback:
-                pass
-        return self.decode_column(_slice_blobs(buf, starts, limits),
-                                  field_name)
+        return self._decode("column", self._decode_column_vec,
+                            self._decode_column_scalar, buf, starts, limits,
+                            field_name)
 
-    def _decode_column_vec(self, buf, starts, limits, field_name: str,
-                           tsl_type: TslType) -> list:
+    def _decode_column_scalar(self, blobs: list[bytes],
+                              field_name: str) -> list:
+        """The canonical reference, for values and for errors: the
+        scalar type decoder, once per blob, whatever the layout."""
+        decode = self.field_type(field_name).decode
+        offset_in = self._offset_in
+        return [decode(blob, offset_in(blob, field_name))[0]
+                for blob in blobs]
+
+    def _decode_column_vec(self, buf, starts, limits,
+                           field_name: str) -> list:
+        tsl_type = self.field_type(field_name)
         if tsl_type is STRING:
             return self._decode_string_column(buf, starts, limits,
                                               field_name)
@@ -826,13 +738,14 @@ class BatchStructDecoder:
 
     def string_eq_spans(self, buf: np.ndarray, starts: np.ndarray,
                         limits: np.ndarray, field_name: str,
-                        value: str) -> np.ndarray:
+                        value) -> np.ndarray:
         """``field == value`` per blob span, without building strings.
 
         Length mismatches are rejected by the varint headers alone; only
         equal-length candidates get a byte compare — one fancy-index
         gather for the whole batch.  Equivalent to decoding the column
-        and comparing, because utf-8 encoding is injective.
+        and comparing, because utf-8 encoding is injective (and a
+        non-``str`` value equals no string).
         """
         if self.field_type(field_name) is not STRING:
             return np.asarray(
@@ -840,14 +753,22 @@ class BatchStructDecoder:
                  for v in self.decode_column_spans(buf, starts, limits,
                                                    field_name)],
                 dtype=bool)
+        if not isinstance(value, str):
+            return np.zeros(len(starts), dtype=bool)
+        return self._decode("string_eq", self._string_eq_vec,
+                            self._string_eq_scalar, buf, starts, limits,
+                            field_name, value)
+
+    def _string_eq_scalar(self, blobs: list[bytes], field_name: str,
+                          value: str) -> np.ndarray:
+        column = self._decode_column_scalar(blobs, field_name)
+        return np.asarray([v == value for v in column], dtype=bool)
+
+    def _string_eq_vec(self, buf, starts, limits, field_name: str,
+                       value: str) -> np.ndarray:
         needle = np.frombuffer(value.encode("utf-8"), dtype=np.uint8)
-        try:
-            pos = self._field_positions(buf, starts, limits, field_name)
-            lengths, data_start = _read_varints(buf, pos, limits)
-        except _ScalarFallback:
-            column = self.decode_column_spans(buf, starts, limits,
-                                              field_name)
-            return np.asarray([v == value for v in column], dtype=bool)
+        pos = self._field_positions(buf, starts, limits, field_name)
+        lengths, data_start = _read_varints(buf, pos, limits)
         if np.any(data_start + lengths > limits):
             raise SchemaMismatchError("blob too short for string")
         hits = lengths == len(needle)

@@ -257,12 +257,12 @@ class TestLocking:
 
 
 class TestPersistenceHooks:
-    def test_dump_and_load_cells(self):
+    def test_dumped_cells_bulk_load(self):
         source = make_trunk()
         for uid in range(10):
             source.put(uid, bytes([uid]) * uid)
         target = make_trunk()
-        target.load_cells(source.dump_cells())
+        target.bulk_put(*zip(*source.dump_cells()))
         for uid in range(10):
             assert target.get(uid) == bytes([uid]) * uid
 
@@ -338,8 +338,8 @@ class TestSpanCacheInvalidation:
 
     def _cached_offsets(self, trunk):
         # Prime and return the internal (offsets, sizes) cache.
-        trunk.bulk_get_packed(np.array(sorted(trunk.uids()),
-                                       dtype=np.uint64))
+        trunk.bulk_get_spans(np.array(sorted(trunk.uids()),
+                                      dtype=np.uint64))
         return trunk._span_cache
 
     def test_adopt_fresh_cells_drops_span_cache(self):

@@ -4,7 +4,8 @@ For any struct and any batch of records: encode each record with the
 scalar TSL encoder, decode columns with
 :class:`repro.tsl.batch.BatchStructDecoder`, and the results must equal
 per-blob scalar decodes — including empty lists, varint count
-boundaries (127/128 elements), and extreme element values.
+boundaries (127/128 elements), and extreme element values.  The decoders
+take one form, spans ``(buffer, starts, limits)`` over one buffer.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.tsl import (
     ListType,
     StructType,
 )
-from repro.tsl.batch import batch_decoder_for
+from repro.tsl.batch import batch_decoder_for, pack_blobs
 
 I64 = st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)
 I32 = st.integers(min_value=-(2 ** 31), max_value=2 ** 31 - 1)
@@ -49,6 +50,21 @@ RECORDS = st.lists(
 )
 
 
+# Blobs enter the decoders the way any edge caller's do: packed once into
+# the span form (``pack_blobs``), then through the ``*_spans`` entry points.
+
+def column_of(decoder, blobs, field_name):
+    return decoder.decode_column_spans(*pack_blobs(blobs), field_name)
+
+
+def csr_of(decoder, blobs, field_name):
+    return decoder.decode_list_csr_spans(*pack_blobs(blobs), field_name)
+
+
+def counts_of(decoder, blobs, field_name):
+    return decoder.field_counts_spans(*pack_blobs(blobs), field_name)
+
+
 def scalar_decode(struct_type, blob, field_name):
     field_type = struct_type.field_type(field_name)
     offset = struct_type.field_offset(blob, field_name)
@@ -63,7 +79,7 @@ class TestColumnRoundTrip:
         decoder = batch_decoder_for(PERSON)
         blobs = [PERSON.encode(r) for r in records]
         for field_name in PERSON.field_names():
-            column = decoder.decode_column(blobs, field_name)
+            column = column_of(decoder, blobs, field_name)
             assert column == [scalar_decode(PERSON, b, field_name)
                               for b in blobs]
 
@@ -72,7 +88,7 @@ class TestColumnRoundTrip:
     def test_csr_matches_scalar(self, records):
         decoder = batch_decoder_for(PERSON)
         blobs = [PERSON.encode(r) for r in records]
-        indptr, flat = decoder.decode_list_csr(blobs, "Friends")
+        indptr, flat = csr_of(decoder, blobs, "Friends")
         assert indptr[0] == 0 and indptr[-1] == len(flat)
         for i, blob in enumerate(blobs):
             assert flat[indptr[i]:indptr[i + 1]].tolist() == \
@@ -83,7 +99,7 @@ class TestColumnRoundTrip:
     def test_header_counts_match_scalar(self, records):
         decoder = batch_decoder_for(PERSON)
         blobs = [PERSON.encode(r) for r in records]
-        counts = decoder.field_counts(blobs, "Friends")
+        counts = counts_of(decoder, blobs, "Friends")
         assert counts.tolist() == [len(r["Friends"]) for r in records]
 
 
@@ -95,26 +111,26 @@ class TestBoundaries:
         record = {"Name": "x" * 130, "Age": 1,
                   "Friends": list(range(count)), "Scores": []}
         blobs = [PERSON.encode(record)] * 3
-        indptr, flat = decoder.decode_list_csr(blobs, "Friends")
+        indptr, flat = csr_of(decoder, blobs, "Friends")
         assert indptr.tolist() == [count * i for i in range(4)]
         assert flat[:count].tolist() == list(range(count))
-        assert decoder.field_counts(blobs, "Friends").tolist() == [count] * 3
+        assert counts_of(decoder, blobs, "Friends").tolist() == [count] * 3
 
     def test_int64_extremes_survive(self):
         decoder = batch_decoder_for(PERSON)
         extremes = [-(2 ** 63), -1, 0, 1, 2 ** 63 - 1]
         blob = PERSON.encode({"Name": "", "Age": 0,
                               "Friends": extremes, "Scores": []})
-        _, flat = decoder.decode_list_csr([blob], "Friends")
+        _, flat = csr_of(decoder, [blob], "Friends")
         assert flat.tolist() == extremes
 
     def test_empty_batch(self):
         decoder = batch_decoder_for(PERSON)
-        indptr, flat = decoder.decode_list_csr([], "Friends")
+        indptr, flat = csr_of(decoder, [], "Friends")
         assert indptr.tolist() == [0]
         assert len(flat) == 0
-        assert decoder.decode_column([], "Name") == []
-        assert decoder.field_counts([], "Friends").tolist() == []
+        assert column_of(decoder, [], "Name") == []
+        assert counts_of(decoder, [], "Friends").tolist() == []
 
     def test_narrow_element_dtypes(self):
         narrow = StructType("Narrow", [
@@ -127,7 +143,7 @@ class TestBoundaries:
                   "Flags": [True, False, True]}
         blobs = [narrow.encode(record)] * 2
         for field_name in narrow.field_names():
-            column = decoder.decode_column(blobs, field_name)
+            column = column_of(decoder, blobs, field_name)
             assert column == [scalar_decode(narrow, b, field_name)
                               for b in blobs]
 
@@ -136,14 +152,14 @@ class TestBoundaries:
         blob = PERSON.encode({"Name": "a", "Age": 1,
                               "Friends": [], "Scores": []})
         with pytest.raises(SchemaMismatchError):
-            decoder.field_counts([blob], "Age")
+            counts_of(decoder, [blob], "Age")
 
     def test_truncated_blob_raises(self):
         decoder = batch_decoder_for(PERSON)
         blob = PERSON.encode({"Name": "abc", "Age": 1,
                               "Friends": [1, 2, 3], "Scores": []})
         with pytest.raises(SchemaMismatchError):
-            decoder.decode_list_csr([blob[:-5]], "Friends")
+            csr_of(decoder, [blob[:-5]], "Friends")
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +170,7 @@ class TestBoundaries:
 from repro.config import ClusterConfig, MemoryParams  # noqa: E402
 from repro.graph import GraphBuilder, plain_graph_schema  # noqa: E402
 from repro.memcloud import MemoryCloud  # noqa: E402
+from repro.obs import MetricsRegistry, get_registry  # noqa: E402
 from repro.tsl import (  # noqa: E402
     LAYOUT_BITMAP,
     LAYOUT_DELTA_VARINT,
@@ -205,7 +222,7 @@ class TestAdjacencyColumnRoundTrip:
     def test_csr_matches_scalar_across_layouts(self, records):
         decoder = batch_decoder_for(ADJ)
         blobs = [ADJ.encode(r) for r in records]
-        indptr, flat = decoder.decode_list_csr(blobs, "Out")
+        indptr, flat = csr_of(decoder, blobs, "Out")
         assert indptr[0] == 0 and indptr[-1] == len(flat)
         for i, blob in enumerate(blobs):
             assert flat[indptr[i]:indptr[i + 1]].tolist() == \
@@ -216,9 +233,9 @@ class TestAdjacencyColumnRoundTrip:
     def test_counts_and_column_match_scalar(self, records):
         decoder = batch_decoder_for(ADJ)
         blobs = [ADJ.encode(r) for r in records]
-        assert decoder.field_counts(blobs, "Out").tolist() == \
+        assert counts_of(decoder, blobs, "Out").tolist() == \
             [len(scalar_decode(ADJ, b, "Out")) for b in blobs]
-        assert decoder.decode_column(blobs, "Out") == \
+        assert column_of(decoder, blobs, "Out") == \
             [scalar_decode(ADJ, b, "Out") for b in blobs]
 
     def test_one_batch_really_mixes_all_three_layouts(self):
@@ -234,11 +251,98 @@ class TestAdjacencyColumnRoundTrip:
         assert stored_tags(blobs) == {LAYOUT_RAW, LAYOUT_DELTA_VARINT,
                                       LAYOUT_BITMAP}
         decoder = batch_decoder_for(ADJ)
-        indptr, flat = decoder.decode_list_csr(blobs, "Out")
+        indptr, flat = csr_of(decoder, blobs, "Out")
         for i, record in enumerate(records):
             assert flat[indptr[i]:indptr[i + 1]].tolist() == record["Out"]
-        assert decoder.field_counts(blobs, "Out").tolist() == \
+        assert counts_of(decoder, blobs, "Out").tolist() == \
             [len(r["Out"]) for r in records]
+
+
+class TestArbitrarySpans:
+    """What only the span form can express: the spans of one batch need
+    not tile the buffer.  A trunk arena hands them out in routing order,
+    with other cells' bytes in between and — were ids not deduplicated
+    upstream — the same cell more than once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ADJ_RECORDS, st.data())
+    def test_out_of_order_gapped_repeated_spans_match_scalar(self, records,
+                                                             data):
+        decoder = batch_decoder_for(ADJ)
+        blobs = [ADJ.encode(r) for r in records]
+        gaps = data.draw(st.lists(st.binary(max_size=9), min_size=len(blobs),
+                                  max_size=len(blobs)))
+        picks = data.draw(st.lists(
+            st.integers(min_value=0, max_value=len(blobs) - 1),
+            min_size=1, max_size=2 * len(blobs)))
+        buf, starts, limits = pack_blobs(
+            [part for pair in zip(gaps, blobs) for part in pair])
+        starts, limits = starts[1::2][picks], limits[1::2][picks]
+        picked = [blobs[i] for i in picks]
+        indptr, flat = decoder.decode_list_csr_spans(buf, starts, limits,
+                                                     "Out")
+        assert [flat[indptr[i]:indptr[i + 1]].tolist()
+                for i in range(len(picks))] == \
+            [scalar_decode(ADJ, b, "Out") for b in picked]
+        assert decoder.field_counts_spans(buf, starts, limits,
+                                          "Out").tolist() == \
+            [len(scalar_decode(ADJ, b, "Out")) for b in picked]
+        for field_name in ADJ.field_names():
+            assert decoder.decode_column_spans(buf, starts, limits,
+                                               field_name) == \
+                [scalar_decode(ADJ, b, field_name) for b in picked]
+        name = scalar_decode(ADJ, picked[0], "Name")
+        assert decoder.string_eq_spans(buf, starts, limits, "Name",
+                                       name).tolist() == \
+            [scalar_decode(ADJ, b, "Name") == name for b in picked]
+
+
+class TestFallbackIsCounted:
+    """A drop from the vector path to the scalar reference is a perf
+    cliff; ``tsl.batch.fallback{op}`` makes it visible."""
+
+    TAGGED = StructType("Tagged", [
+        ("Tags", ListType(STRING)),     # not vectorizable in a skip chain
+        ("Name", STRING),
+        ("Out", AdjacencyListType(policy=LOW_POLICY)),
+    ])
+
+    @staticmethod
+    def _fallbacks():
+        return {op: get_registry().counter("tsl.batch.fallback", op=op).value
+                for op in ("counts", "csr", "column", "string_eq")}
+
+    def test_list_of_string_predecessor_increments_every_op(self):
+        struct = self.TAGGED
+        decoder = batch_decoder_for(struct)
+        records = [{"Tags": ["a", "bc"], "Name": "n1", "Out": [1, 2, 3]},
+                   {"Tags": [], "Name": "n2", "Out": []}]
+        blobs = [struct.encode(r) for r in records]
+        before = self._fallbacks()
+        assert counts_of(decoder, blobs, "Out").tolist() == [3, 0]
+        indptr, flat = csr_of(decoder, blobs, "Out")
+        assert (indptr.tolist(), flat.tolist()) == ([0, 3, 3], [1, 2, 3])
+        assert column_of(decoder, blobs, "Name") == ["n1", "n2"]
+        assert decoder.string_eq_spans(*pack_blobs(blobs), "Name",
+                                       "n2").tolist() == [False, True]
+        assert self._fallbacks() == {op: n + 1 for op, n in before.items()}
+
+    def test_plain_social_graph_read_does_not(self):
+        from repro.graph import social_graph_schema
+        cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=2),
+                            MetricsRegistry())
+        builder = GraphBuilder(cloud, social_graph_schema())
+        for node_id in range(30):
+            builder.add_node(node_id, Name=f"p{node_id % 7}")
+            builder.add_edge(node_id, (node_id * 7 + 1) % 30)
+        graph = builder.finalize()
+        ids = np.arange(30)
+        before = self._fallbacks()
+        graph.outlinks_batch(ids, cross_check=True)
+        graph.degree_batch(ids, cross_check=True)
+        graph.read_field_batch(ids, "Name", cross_check=True)
+        assert graph.field_eq_batch(ids, "Name", "p3", cross_check=True).any()
+        assert self._fallbacks() == before
 
 
 class TestAdjacencyCanonicalErrors:
@@ -270,7 +374,7 @@ class TestAdjacencyCanonicalErrors:
             scalar_decode(ADJ, bad, "Out")
         decoder = batch_decoder_for(ADJ)
         with pytest.raises(SchemaMismatchError):
-            decoder.decode_list_csr([bad], "Out")
+            csr_of(decoder, [bad], "Out")
 
 
 class TestAdjacencyThroughStorageTiers:

@@ -95,6 +95,16 @@ def assert_trunks_identical(resident: MemoryTrunk, paged: MemoryTrunk,
                                                    b.lookup_count)
 
 
+def span_payloads(trunk: MemoryTrunk, uids) -> list[bytes]:
+    """Every payload, copied out of the trunk's one bulk read."""
+    spans = trunk.bulk_get_spans(np.asarray(uids, dtype=np.uint64))
+    try:
+        return [bytes(spans.arena[start:limit]) for start, limit
+                in zip(spans.starts.tolist(), spans.limits.tolist())]
+    finally:
+        trunk.release_span_pins()
+
+
 def close_paged(paged: MemoryTrunk) -> None:
     paged.storage.unlink()
 
@@ -114,7 +124,8 @@ class TestStorageEquivalence:
             assert_trunks_identical(resident, paged)
             live = sorted(ref_a)
             if live:
-                assert (resident.bulk_get(live) == paged.bulk_get(live)
+                assert (span_payloads(resident, live)
+                        == span_payloads(paged, live)
                         == [ref_a[u] for u in live])
                 for uid in live:
                     assert paged.get(uid) == ref_a[uid]
@@ -137,14 +148,10 @@ class TestStorageEquivalence:
                 resident.put(uid, payload)
                 paged.put(uid, payload)
                 reference[uid] = payload
-            live = np.array(sorted(reference), dtype=np.uint64)
-            span_a = resident.bulk_get_spans(live)
-            span_b = paged.bulk_get_spans(live)
-            for i, uid in enumerate(live.tolist()):
-                got_a = bytes(span_a.arena[span_a.starts[i]:span_a.limits[i]])
-                got_b = bytes(span_b.arena[span_b.starts[i]:span_b.limits[i]])
-                assert got_a == got_b == reference[uid]
-            paged.release_span_pins()
+            live = sorted(reference)
+            assert (span_payloads(resident, live)
+                    == span_payloads(paged, live)
+                    == [reference[uid] for uid in live])
         finally:
             close_paged(paged)
 
@@ -195,7 +202,7 @@ class TestEvictionChurn:
             assert stats.relocations > 0
             assert paged.storage.resident_pages <= PAGE_BUDGET
             live = sorted(reference)
-            assert paged.bulk_get(live) == [reference[u] for u in live]
+            assert span_payloads(paged, live) == [reference[u] for u in live]
         finally:
             close_paged(paged)
 

@@ -26,7 +26,7 @@ from repro.algorithms.subgraph import (
 )
 from repro.cluster import TrinityCluster
 from repro.config import ClusterConfig, MemoryParams
-from repro.errors import QueryError
+from repro.errors import CellNotFoundError, QueryError
 from repro.generators.names import sample_names
 from repro.generators.rmat import rmat_edges
 from repro.graph import GraphBuilder
@@ -241,6 +241,31 @@ class TestStorageTiers:
                          for i in ids[:100]]
 
 
+class TestFailedDecodeReleasesPins:
+    def test_corrupt_cell_leaves_no_page_pinned(self):
+        """A decode that raises between the span fetch and the freshness
+        check must still end the span lifetime: pins left behind stay
+        until the next read or write of that trunk."""
+        memory = MemoryParams(trunk_size=256 * 1024, storage="paged",
+                              storage_page_size=512, page_budget=64)
+        cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=2,
+                                          memory=memory), MetricsRegistry())
+        try:
+            graph = build_rmat_named_graph(cloud, scale=6)
+            ids = np.asarray(graph.node_ids[:40], dtype=np.int64)
+            graph.outlinks_batch(ids)
+            touched = {cloud.trunk_for(int(i)) for i in ids}
+            assert len(touched) > 1
+            assert all(t.storage.pinned_pages == 0 for t in touched)
+            cloud.put(int(ids[7]), b"\x01")   # a name that runs off the end
+            with pytest.raises(ValueError):
+                graph.outlinks_batch(ids)
+            assert [t.storage.pinned_pages for t in touched] == \
+                [0] * len(touched)
+        finally:
+            cloud.release_arenas()
+
+
 class TestDistributedSearchBatch:
     @pytest.fixture(scope="class", params=MACHINE_COUNTS)
     def cluster_deployment(self, request):
@@ -346,6 +371,20 @@ class TestFieldEqBatch:
             ids, "Name", "no such name ever", cross_check=True).any()
         assert not graph.field_eq_batch(ids, "Name", "",
                                         cross_check=True).any()
+
+    def test_non_str_value_against_string_field_is_all_false(self,
+                                                             deployment):
+        """The scalar ``read_field(i, "Name") == 5`` answers False; the
+        batch path used to die encoding the needle."""
+        cloud, graph = deployment
+        ids = np.asarray(graph.node_ids[:64], dtype=np.int64)
+        for value in (5, None, b"David", ["David"]):
+            hits = graph.field_eq_batch(ids, "Name", value, cross_check=True)
+            assert hits.dtype == bool and hits.shape == ids.shape
+            assert not hits.any()
+        # The cells are still looked up: an absent id is still an error.
+        with pytest.raises(CellNotFoundError):
+            graph.field_eq_batch(np.asarray([10 ** 9]), "Name", 5)
 
     def test_non_string_field_falls_back(self, deployment):
         _, graph = deployment
