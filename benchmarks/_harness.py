@@ -63,21 +63,17 @@ def build_topology(edges, machines: int, directed: bool = True,
 
 def build_social_graph(scale: int, avg_degree: float, machines: int = 4,
                        trunk_bits: int = 4, seed: int = 42,
-                       trunk_size: int = 64 * 1024 * 1024,
                        registry=None):
     """Seeded named R-MAT friendship graph in a fresh cloud.
 
-    The shared fixture of the online-query benchmarks (``_perf_query``
-    and ``_perf_serve``): scale 14 is the paper-sized ~131k-edge graph.
-    Raw R-MAT edges — duplicates and self-loops are real traversal work;
-    every execution path handles them identically.  ``trunk_bits`` /
-    ``trunk_size`` let the mixed read/write sweep spread the graph over
-    many small trunks (fine-grained epoch footprints) without an 8 GB
-    arena bill.  Returns ``(graph, edge_count)``.
+    The fixture of the online-query benchmark (``_perf_query``): scale
+    14 is the paper-sized ~131k-edge graph.  Raw R-MAT edges —
+    duplicates and self-loops are real traversal work; every execution
+    path handles them identically.  Returns ``(graph, edge_count)``.
     """
     cloud = MemoryCloud(
         ClusterConfig(machines=machines, trunk_bits=trunk_bits,
-                      memory=MemoryParams(trunk_size=trunk_size,
+                      memory=MemoryParams(trunk_size=64 * 1024 * 1024,
                                           hashtable_storage="numpy")),
         registry if registry is not None else MetricsRegistry(),
     )

@@ -186,7 +186,7 @@ def time_served_people_search(graph, hubs, repeats: int
     """
     best, signatures = float("inf"), None
     for _ in range(repeats):
-        config = ServeConfig(fuse=True, result_cache=False, hub_cache=True)
+        config = ServeConfig(result_cache=False, hub_cache=True)
         server = QueryServer(graph, config, registry=MetricsRegistry())
         start = time.perf_counter()
         tickets = [server.submit(PeopleSearchQuery(hub, TARGET_NAME,

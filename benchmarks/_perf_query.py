@@ -83,7 +83,7 @@ def time_tql(graph, batch: bool, repeats: int) -> float:
 def cross_check(graph) -> dict:
     """Run every timed workload once with the scalar shadow replay on.
 
-    ``cross_check=True`` raises BulkPathDivergence if the batched path
+    ``cross_check=True`` raises DivergenceError if the batched path
     ever disagrees with the scalar one — on matches, visited sets,
     messages, rows, cost accounting, or simulated time.
     """

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import ComputeParams
-from ..errors import QueryError
-from ..memcloud.cloud import BulkPathDivergence
+from ..errors import DivergenceError, QueryError
 
 
 @dataclass
@@ -282,7 +281,7 @@ def evaluate_oracle(topology, landmarks: list[int], pairs: int = 200,
     waves over the CSR arrays (identical distances — wave levels don't
     depend on intra-level order); ``cross_check=True`` also runs the
     scalar BFS and raises
-    :class:`~repro.memcloud.cloud.BulkPathDivergence` on any mismatch.
+    :class:`~repro.errors.DivergenceError` on any mismatch.
     """
     n = topology.n
     rng = np.random.default_rng(seed)
@@ -342,7 +341,7 @@ def _bfs_distances(topology, source: int, batch: bool = True,
         mine = _bfs_distances_batch(topology, source)
         theirs = _bfs_distances_scalar(topology, source)
         if not np.array_equal(mine, theirs):
-            raise BulkPathDivergence(
+            raise DivergenceError(
                 f"batch BFS from {source} diverges from scalar at nodes "
                 f"{np.flatnonzero(mine != theirs)[:10].tolist()}"
             )
@@ -398,7 +397,7 @@ def _pair_distance(topology, u: int, v: int, batch: bool = True,
         mine = _pair_distance_batch(topology, u, v)
         theirs = _pair_distance_scalar(topology, u, v)
         if mine != theirs:
-            raise BulkPathDivergence(
+            raise DivergenceError(
                 f"batch pair distance ({u}, {v}) diverges from scalar: "
                 f"{mine} != {theirs}"
             )

@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import ComputeParams
-from ..errors import QueryError
-from ..memcloud.cloud import BulkPathDivergence
+from ..errors import DivergenceError, QueryError
 from ..net.simnet import ParallelRound, SimNetwork
 
 _FRONTIER_ID_BYTES = 9   # 8-byte cell id + 1-byte hop tag
@@ -118,7 +117,7 @@ def people_search(graph, start: int, name: str, hops: int = 3,
     :func:`repro.graph.model.social_graph_schema`).  ``batch`` selects
     the vectorized frontier expansion; ``cross_check=True`` additionally
     shadow-replays the scalar path and raises
-    :class:`~repro.memcloud.cloud.BulkPathDivergence` if the two ever
+    :class:`~repro.errors.DivergenceError` if the two ever
     disagree (matches, visited set, messages or simulated hop times).
     """
     if hops < 1:
@@ -145,7 +144,7 @@ def _compare_results(batched: PeopleSearchResult,
     for attr in ("matches", "visited", "messages", "hop_times"):
         mine, theirs = getattr(batched, attr), getattr(scalar, attr)
         if mine != theirs:
-            raise BulkPathDivergence(
+            raise DivergenceError(
                 f"people_search batch path diverges from scalar on "
                 f"{attr}: {mine!r} != {theirs!r}"
             )

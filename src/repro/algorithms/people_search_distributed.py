@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import QueryError
-from ..memcloud.cloud import BulkPathDivergence
+from ..errors import DivergenceError, QueryError
 from ..tsl import compile_tsl
 
 SEARCH_TSL = """
@@ -68,7 +67,7 @@ def install_search_handlers(cluster, graph, batch: bool = True,
     the matches and the candidates belonging to other machines.  With
     ``batch`` the expansion is one CSR decode and the name check one
     column read; ``cross_check=True`` also replays the scalar handler
-    and raises :class:`~repro.memcloud.cloud.BulkPathDivergence` if the
+    and raises :class:`~repro.errors.DivergenceError` if the
     replies differ.
     """
     if "Name" not in graph.graph_schema.attribute_fields:
@@ -116,7 +115,7 @@ def install_search_handlers(cluster, graph, batch: bool = True,
             if cross_check:
                 shadow = scalar_expand(machine_id, request)
                 if reply != shadow:
-                    raise BulkPathDivergence(
+                    raise DivergenceError(
                         f"ExpandFrontier batch handler on machine "
                         f"{machine_id} diverges from scalar: "
                         f"{reply!r} != {shadow!r}"
@@ -232,7 +231,7 @@ def _client_batch(cluster, graph, start: int, name: str, hops: int,
             shadow_new = [n for n in candidates
                           if n not in seen and not seen.add(n)]
             if new.tolist() != shadow_new:
-                raise BulkPathDivergence(
+                raise DivergenceError(
                     f"distributed search batch dedup diverges from "
                     f"scalar: {new.tolist()!r} != {shadow_new!r}"
                 )

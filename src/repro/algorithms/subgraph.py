@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import ComputeParams
-from ..errors import QueryError
-from ..memcloud.cloud import BulkPathDivergence
+from ..errors import DivergenceError, QueryError
 from ..net.simnet import ParallelRound, SimNetwork
 
 
@@ -289,7 +288,7 @@ def match_subgraph(topology, labels, query: Query,
     depths), so the surviving candidates, their order, and all accounting
     are identical to the scalar path; ``cross_check=True`` replays the
     scalar filter at every level and raises
-    :class:`~repro.memcloud.cloud.BulkPathDivergence` on any difference.
+    :class:`~repro.errors.DivergenceError` on any difference.
 
     Stops once ``max_embeddings`` are found or ``max_expansions``
     candidates were examined (``truncated`` set in either case); online
@@ -353,7 +352,7 @@ def match_subgraph(topology, labels, query: Query,
                         for a in anchor_nodes)
             ]
             if survivors.tolist() != shadow:
-                raise BulkPathDivergence(
+                raise DivergenceError(
                     f"subgraph batch prefilter diverges from scalar: "
                     f"{survivors.tolist()!r} != {shadow!r}"
                 )

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import ComputeParams
-from ..errors import ComputeError, RecoveryError
+from ..errors import ComputeError, DivergenceError, RecoveryError
 from ..faults import FaultInjector, FaultPlan
 from ..net.simnet import ParallelRound, SimNetwork
 from ..obs import Tracer
@@ -444,7 +444,8 @@ class BspEngine:
         path when ``vectorize`` is on (the default); with
         ``cross_check=True`` the per-vertex reference path is executed
         as well (against a throwaway network) and any divergence in
-        values or accounting raises :class:`ComputeError`.
+        values or accounting raises
+        :class:`~repro.errors.DivergenceError`.
         """
         if max_supersteps < 1:
             raise ComputeError("max_supersteps must be >= 1")
@@ -923,7 +924,7 @@ class BspEngine:
             reference_values = np.asarray(reference.values,
                                           dtype=fast_values.dtype)
         except (TypeError, ValueError) as exc:
-            raise ComputeError(
+            raise DivergenceError(
                 "cross-check failed: the reference path left non-numeric "
                 "vertex values (a combiner program must initialise every "
                 "vertex in init/init_batch; the dense fast-path array "
@@ -932,26 +933,26 @@ class BspEngine:
             ) from exc
         if not np.array_equal(reference_values, fast_values):
             diverged = int(np.sum(reference_values != fast_values))
-            raise ComputeError(
+            raise DivergenceError(
                 f"cross-check failed: vectorized values diverge from the "
                 f"per-vertex reference at {diverged} of "
                 f"{len(fast_values)} vertices"
             )
         if reference.superstep_count != fast_result.superstep_count:
-            raise ComputeError(
+            raise DivergenceError(
                 f"cross-check failed: {fast_result.superstep_count} "
                 f"vectorized supersteps vs {reference.superstep_count} "
                 f"reference supersteps"
             )
         if reference.restarts != fast_result.restarts:
-            raise ComputeError(
+            raise DivergenceError(
                 f"cross-check failed: {fast_result.restarts} vectorized "
                 f"checkpoint-restarts vs {reference.restarts} reference"
             )
         for fast_step, ref_step in zip(fast_result.supersteps,
                                        reference.supersteps):
             if fast_step != ref_step:
-                raise ComputeError(
+                raise DivergenceError(
                     f"cross-check failed at superstep "
                     f"{ref_step.superstep}: vectorized {fast_step} vs "
                     f"reference {ref_step}"

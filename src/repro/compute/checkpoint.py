@@ -131,11 +131,11 @@ class CheckpointManager:
     def save_cloud(self, tag: int, cloud) -> int:
         """Checkpoint every trunk of a memory cloud; returns image bytes.
 
-        Each trunk is persisted in its storage tier's native image
-        format (:mod:`repro.memcloud.persistence`): paged trunks write
-        back their dirty pages and persist the page file verbatim (v2),
-        resident trunks keep the portable cell image (v1).  Nothing is
-        pickled — the images are the same format machine recovery uses.
+        Each trunk is persisted as its page image
+        (:mod:`repro.memcloud.persistence`) — committed pages verbatim
+        plus allocator state, the same on both storage tiers; a paged
+        trunk writes its dirty pages back first.  Nothing is pickled —
+        the images are the same format machine recovery uses.
         """
         total = 0
         for trunk_id, trunk in cloud.trunks.items():

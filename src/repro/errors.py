@@ -16,6 +16,17 @@ class ConfigError(TrinityError):
     """An invalid configuration value was supplied."""
 
 
+class DivergenceError(TrinityError, AssertionError):
+    """A ``cross_check`` replay disagreed with the path it shadows.
+
+    The one error every differential check raises — the memory cloud's
+    scalar shadow, the batch-vs-scalar query replays, the serving layer's
+    sequential oracle, the BSP reference run and the bulk encoder's
+    scalar re-encode.  An :class:`AssertionError` because it reports a
+    bug in the library, never bad input.
+    """
+
+
 # ---------------------------------------------------------------------------
 # Memory cloud
 # ---------------------------------------------------------------------------

@@ -14,16 +14,15 @@ compiled decoders in :mod:`repro.tsl.batch` — k frontier nodes cost one
 batched read instead of k hash probes plus k whole-cell decodes.  Every
 batch entry point accepts ``cross_check=True``, which shadow-replays the
 scalar path and raises
-:class:`~repro.memcloud.cloud.BulkPathDivergence` on any disagreement.
+:class:`~repro.errors.DivergenceError` on any disagreement.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import QueryError
+from ..errors import DivergenceError, QueryError
 from ..memcloud import MemoryCloud
-from ..memcloud.cloud import BulkPathDivergence
 from ..tsl.accessor import use_cell
 from ..tsl.batch import batch_decoder_for
 from ..tsl.layout import install_layout_policy
@@ -134,7 +133,7 @@ class Graph:
         are released, so paged trunks stay evictable between batches.
 
         ``cross_check`` replays ``scalar(node_id)`` per input id and
-        raises :class:`BulkPathDivergence` on any difference.
+        raises :class:`DivergenceError` on any difference.
         """
         self._require_field(field_name)
         ids = np.asarray(node_ids, dtype=np.int64)
@@ -201,7 +200,7 @@ class Graph:
                 rows = result if dtype is None else result.tolist()
             for node_id, row in zip(ids.tolist(), rows):
                 if row != scalar(node_id):
-                    raise BulkPathDivergence(
+                    raise DivergenceError(
                         f"node {node_id}: batched {field_name} read "
                         f"{row!r} diverges from the scalar path"
                     )
@@ -215,7 +214,7 @@ class Graph:
         ``node_ids[i]`` — one span fetch and one columnar decode for the
         whole batch.  ``cross_check=True`` replays every node through
         the scalar :meth:`outlinks` path and raises
-        :class:`BulkPathDivergence` on any difference.
+        :class:`DivergenceError` on any difference.
         """
         return self.read_field_csr(node_ids, self.graph_schema.out_field,
                                    cross_check=cross_check)

@@ -32,7 +32,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from ..errors import QueryError, TrunkFullError
+from ..errors import DivergenceError, QueryError, TrunkFullError
 from ..memcloud import MemoryCloud
 from ..tsl.batch import batch_encoder_for, encode_varint_small
 from ..tsl.layout import encode_adjacency_segments, install_layout_policy
@@ -69,7 +69,7 @@ def _bulk_worker_main(builder, groups, out_group, in_group, cross_check,
                         uids, builder._records(uids, sub_out, sub_in),
                         blobs):
                     if node_type.encode(record) != blob:
-                        raise QueryError(
+                        raise DivergenceError(
                             f"bulk encoder diverged from scalar TSL "
                             f"encoding for node {uid}"
                         )
@@ -284,7 +284,7 @@ class GraphBuilder:
                         self._records(node_ids, out_group, in_group),
                         blobs):
                     if node_type.encode(record) != blob:
-                        raise QueryError(
+                        raise DivergenceError(
                             f"bulk encoder diverged from scalar TSL "
                             f"encoding for node {node_id}"
                         )

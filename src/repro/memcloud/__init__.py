@@ -27,7 +27,7 @@ from .hashtable import (
 from .arena import BytesArena, SharedMemoryArena, shared_arena_factory
 from .trunk import CELL_HEADER_BYTES, MemoryTrunk, TrunkSpans, TrunkStats
 from .addressing import AddressingTable
-from .cloud import BulkPathDivergence, MemoryCloud, SpanGroup
+from .cloud import MemoryCloud, SpanGroup
 
 __all__ = [
     "SpinLock",
@@ -38,7 +38,6 @@ __all__ = [
     "BytesArena",
     "SharedMemoryArena",
     "shared_arena_factory",
-    "BulkPathDivergence",
     "MemoryTrunk",
     "TrunkSpans",
     "TrunkStats",

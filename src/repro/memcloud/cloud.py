@@ -20,16 +20,12 @@ import tempfile
 import numpy as np
 
 from ..config import ClusterConfig
-from ..errors import AddressingError, StaleSpanError
+from ..errors import AddressingError, DivergenceError, StaleSpanError
 from ..obs import MetricsRegistry, MetricsReport, get_registry
 from ..utils.hashing import trunk_of, trunk_of_array
 from ..utils.sorting import stable_argsort
 from .addressing import AddressingTable
 from .trunk import MemoryTrunk, TrunkStats
-
-
-class BulkPathDivergence(AssertionError):
-    """The bulk data path disagreed with the scalar shadow replay."""
 
 
 class SpanGroup:
@@ -400,7 +396,7 @@ class MemoryCloud:
     def verify_shadow(self) -> None:
         """Compare every trunk against the scalar shadow replay.
 
-        Raises :class:`BulkPathDivergence` unless stored cells are
+        Raises :class:`DivergenceError` unless stored cells are
         bit-identical and trunk accounting (live/garbage/committed bytes,
         wraps, defrag counters — the full :class:`TrunkStats`) matches.
         Hash-table probe counters are compared too while every bulk call
@@ -414,12 +410,12 @@ class MemoryCloud:
             mine = dict(trunk.dump_cells())
             theirs = dict(shadow_trunk.dump_cells())
             if mine != theirs:
-                raise BulkPathDivergence(
+                raise DivergenceError(
                     f"trunk {trunk_id}: stored cells diverge from the "
                     f"scalar shadow ({len(mine)} vs {len(theirs)} cells)"
                 )
             if trunk.stats() != shadow_trunk.stats():
-                raise BulkPathDivergence(
+                raise DivergenceError(
                     f"trunk {trunk_id}: accounting diverges\n"
                     f"  bulk:   {trunk.stats()}\n"
                     f"  scalar: {shadow_trunk.stats()}"
@@ -428,7 +424,7 @@ class MemoryCloud:
                 index, shadow_index = trunk._index, shadow_trunk._index
                 if (index.probe_count != shadow_index.probe_count
                         or index.lookup_count != shadow_index.lookup_count):
-                    raise BulkPathDivergence(
+                    raise DivergenceError(
                         f"trunk {trunk_id}: probe counters diverge "
                         f"({index.probe_count}/{index.lookup_count} vs "
                         f"{shadow_index.probe_count}/"

@@ -6,49 +6,46 @@ fails, its trunks are *reloaded from TFS* onto survivors (Section 6.2);
 this module provides the trunk image format and the backup/restore paths
 the recovery protocol in :mod:`repro.cluster.recovery` drives.
 
-Two image formats share the magic, distinguished by version:
-
-Version 1 (cell image — resident trunks, and cross-shape recovery):
-
-    magic   4 bytes  b"TRNK"
-    version varint   (1)
-    trunk_id varint
-    count   varint   number of cells
-    cells   repeated: uid varint, size varint, payload bytes
-
-Version 2 (page image — paged trunks persist *the page file*, not a
-re-encoded cell list; restoring adopts raw pages plus the allocator
-state verbatim, so layout, garbage accounting, and stats round-trip):
+There is one image format, on both storage tiers: the **page image**.  A
+trunk persists its committed pages as they are — not a re-encoded cell
+list — plus the allocator state and the cell table, so restoring adopts
+raw pages verbatim and layout, garbage accounting and ``stats()``
+round-trip exactly.  The price is size: the image carries the 16-byte
+in-arena cell headers, the dead space inside committed pages and the
+cell table (about +40 % over a bare ``uid, size, payload`` list on the
+benchmark's load_restore graph); what it buys is a restore that replays
+nothing and adopts nothing until the whole image has parsed.
 
     magic   4 bytes  b"TRNK"
-    version varint   (2)
+    version varint   (3)
     trunk_id varint
+    shape   varints  page_size, trunk_size (must equal the target's)
     state   varints  append_head, committed_tail, wrapped, end_gap,
-                     garbage_bytes, defrag counters..., page_size
-                     (see _STATE_FIELDS order)
+                     garbage_bytes, defrag counters...
+                     (:data:`~repro.memcloud.trunk.IMAGE_STATE_FIELDS`)
     pages   varint count, then one varint page index each
     cells   varint count, then per cell: uid, offset, size, reserved
     raw     per page: varint length + raw page bytes
+    crc32   4 bytes  little-endian, over every byte before it
+
+The checksum is what makes the file self-validating: a torn write, a
+cut or a flipped byte anywhere ends in :class:`MemoryCloudError` before
+a single field is trusted.
 """
 
 from __future__ import annotations
 
+import zlib
+
+from ..config import MemoryParams
 from ..errors import MemoryCloudError
 from ..tfs import TrinityFileSystem
 from ..utils.varint import decode_varint, encode_varint
 from .cloud import MemoryCloud
-from .trunk import MemoryTrunk
+from .trunk import IMAGE_STATE_FIELDS, MemoryTrunk
 
 _MAGIC = b"TRNK"
-_FORMAT_VERSION = 1
-_PAGE_FORMAT_VERSION = 2
-
-# Serialisation order of the allocator-state varints in a v2 image.
-_STATE_FIELDS = (
-    "append_head", "committed_tail", "wrapped", "end_gap",
-    "garbage_bytes", "defrag_passes", "defrag_aborts", "relocations",
-    "wraps", "tail_advances", "inplace_resizes", "page_size",
-)
+_FORMAT_VERSION = 3
 
 
 def trunk_image_path(trunk_id: int) -> str:
@@ -56,113 +53,88 @@ def trunk_image_path(trunk_id: int) -> str:
     return f"/trinity/trunks/{trunk_id:05d}.img"
 
 
-def trunk_to_bytes(trunk: MemoryTrunk,
-                   page_image: bool | None = None) -> bytes:
-    """Serialise a trunk into a portable image.
+def trunk_to_bytes(trunk: MemoryTrunk) -> bytes:
+    """Serialise a trunk into its page image.
 
-    ``page_image=None`` picks the format by storage tier: paged trunks
-    persist their page file (v2 — dirty pages written back first, raw
-    pages plus allocator state), resident trunks keep the v1 cell
-    image, which any trunk shape can restore.
+    A paged trunk writes its dirty pages back first, so its page file on
+    disk matches the image at return time.
     """
-    if page_image is None:
-        page_image = not trunk.storage.resident
-    if page_image:
-        return _page_image_to_bytes(trunk)
-    parts = [_MAGIC, encode_varint(_FORMAT_VERSION),
-             encode_varint(trunk.trunk_id)]
-    cells = list(trunk.dump_cells())
-    parts.append(encode_varint(len(cells)))
-    for uid, payload in cells:
-        parts.append(encode_varint(uid))
-        parts.append(encode_varint(len(payload)))
-        parts.append(payload)
-    return b"".join(parts)
-
-
-def _page_image_to_bytes(trunk: MemoryTrunk) -> bytes:
     state = trunk.freeze_image_state()
-    parts = [_MAGIC, encode_varint(_PAGE_FORMAT_VERSION),
-             encode_varint(trunk.trunk_id)]
-    for field in _STATE_FIELDS:
-        parts.append(encode_varint(int(state[field])))
-    parts.append(encode_varint(len(state["pages"])))
-    for page in state["pages"]:
-        parts.append(encode_varint(page))
-    parts.append(encode_varint(len(state["cells"])))
-    for uid, offset, size, reserved in state["cells"]:
-        parts.append(encode_varint(uid))
-        parts.append(encode_varint(offset))
-        parts.append(encode_varint(size))
-        parts.append(encode_varint(reserved))
+    header = [_FORMAT_VERSION, trunk.trunk_id, trunk.params.page_size,
+              trunk.params.trunk_size]
+    header += [int(state[field]) for field in IMAGE_STATE_FIELDS]
+    header += [len(state["pages"]), *state["pages"], len(state["cells"])]
+    for cell in state["cells"]:
+        header += cell
+    parts = [_MAGIC, *map(encode_varint, header)]
     for raw in state["raw"]:
-        parts.append(encode_varint(len(raw)))
-        parts.append(raw)
-    return b"".join(parts)
+        parts += (encode_varint(len(raw)), raw)
+    body = b"".join(parts)
+    return body + zlib.crc32(body).to_bytes(4, "little")
 
 
-def trunk_from_bytes(image: bytes, trunk: MemoryTrunk) -> int:
-    """Load an image into ``trunk``; returns the cell count.
+def _read_varints(buf: bytes, offset: int, count: int) -> tuple[list, int]:
+    values = []
+    for _ in range(count):
+        value, offset = decode_varint(buf, offset)
+        values.append(value)
+    return values, offset
 
-    v1 images replay cells through :meth:`MemoryTrunk.put`, so the
-    target trunk need not match the original's shape — recovery loads a
-    failed machine's trunk images into fresh trunks on survivors.  v2
-    page images adopt raw pages and allocator state verbatim and need a
-    pristine trunk with the same commit page size.
+
+def _parse_image(image: bytes, params: MemoryParams) -> dict:
+    """The allocator state held in ``image``, checked against ``params``.
+
+    Touches no trunk: every way an image can be unusable — damage, a
+    foreign version, a different trunk shape — is found here, before
+    anything is adopted.
     """
     if image[:4] != _MAGIC:
         raise MemoryCloudError("not a trunk image (bad magic)")
-    offset = 4
-    version, offset = decode_varint(image, offset)
-    if version == _PAGE_FORMAT_VERSION:
-        return _page_image_from_bytes(image, offset, trunk)
+    body, crc = image[:-4], image[-4:]
+    if len(image) < 9 or zlib.crc32(body).to_bytes(4, "little") != crc:
+        raise MemoryCloudError(
+            "truncated or corrupt trunk image (checksum mismatch)")
+    version, offset = decode_varint(body, 4)
     if version != _FORMAT_VERSION:
         raise MemoryCloudError(f"unsupported trunk image version {version}")
-    _source_trunk_id, offset = decode_varint(image, offset)
-    count, offset = decode_varint(image, offset)
-    for _ in range(count):
-        uid, offset = decode_varint(image, offset)
-        size, offset = decode_varint(image, offset)
-        payload = bytes(image[offset:offset + size])
-        if len(payload) != size:
-            raise MemoryCloudError("truncated trunk image")
-        offset += size
-        trunk.put(uid, payload)
-    return count
-
-
-def _page_image_from_bytes(image: bytes, offset: int,
-                           trunk: MemoryTrunk) -> int:
-    _source_trunk_id, offset = decode_varint(image, offset)
-    state: dict = {}
-    for field in _STATE_FIELDS:
-        state[field], offset = decode_varint(image, offset)
-    page_count, offset = decode_varint(image, offset)
-    pages = []
-    for _ in range(page_count):
-        page, offset = decode_varint(image, offset)
-        pages.append(page)
-    state["pages"] = pages
-    cell_count, offset = decode_varint(image, offset)
-    cells = []
-    for _ in range(cell_count):
-        uid, offset = decode_varint(image, offset)
-        cell_offset, offset = decode_varint(image, offset)
-        size, offset = decode_varint(image, offset)
-        reserved, offset = decode_varint(image, offset)
-        cells.append((uid, cell_offset, size, reserved))
-    state["cells"] = cells
+    (_source_trunk_id, page_size, trunk_size), offset = _read_varints(
+        body, offset, 3)
+    if (page_size, trunk_size) != (params.page_size, params.trunk_size):
+        raise MemoryCloudError(
+            f"trunk image shape (page {page_size}, trunk {trunk_size}) != "
+            f"configured (page {params.page_size}, trunk "
+            f"{params.trunk_size})")
+    fields, offset = _read_varints(body, offset, len(IMAGE_STATE_FIELDS))
+    state: dict = dict(zip(IMAGE_STATE_FIELDS, fields))
+    state["wrapped"] = bool(state["wrapped"])  # the one non-integer field
+    (page_count,), offset = _read_varints(body, offset, 1)
+    state["pages"], offset = _read_varints(body, offset, page_count)
+    (cell_count,), offset = _read_varints(body, offset, 1)
+    flat, offset = _read_varints(body, offset, 4 * cell_count)
+    # uid, offset, size, reserved per cell
+    state["cells"] = list(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
     raw = []
     for _ in range(page_count):
-        length, offset = decode_varint(image, offset)
-        chunk = bytes(image[offset:offset + length])
-        if len(chunk) != length:
-            raise MemoryCloudError("truncated trunk page image")
+        length, offset = decode_varint(body, offset)
+        raw.append(body[offset:offset + length])
         offset += length
-        raw.append(chunk)
     state["raw"] = raw
+    return state
+
+
+def trunk_from_bytes(image: bytes, trunk: MemoryTrunk) -> int:
+    """Load an image into the pristine ``trunk``; returns the cell count.
+
+    Raw pages and allocator state are adopted verbatim, so the target
+    must have the page and trunk size the image was taken with —
+    recovery loads a failed machine's images into fresh trunks of the
+    same cloud configuration on survivors.  Anything wrong with the
+    image or the target raises :class:`MemoryCloudError` with the trunk
+    untouched.
+    """
+    state = _parse_image(image, trunk.params)
     trunk.adopt_image_state(state)
-    return cell_count
+    return len(state["cells"])
 
 
 def backup_trunk(cloud: MemoryCloud, trunk_id: int,
@@ -195,7 +167,10 @@ def adopt_trunk_image(cloud: MemoryCloud, trunk_id: int,
                       image: bytes) -> int:
     """Replace ``cloud``'s trunk with one rebuilt from ``image``.
 
-    Two replacement hazards are handled here:
+    The image is parsed and checked in full first: an unusable image
+    raises :class:`MemoryCloudError` and leaves the current trunk
+    installed and readable.  Two replacement hazards are handled after
+    that point:
 
     * Outstanding zero-copy span groups hold the *old* trunk object, so
       replacing it silently would leave their epoch checks forever
@@ -208,6 +183,7 @@ def adopt_trunk_image(cloud: MemoryCloud, trunk_id: int,
       before the restore.  The fresh trunk adopts the old epoch as a
       floor and bumps past it.
     """
+    state = _parse_image(image, cloud.config.memory)
     old = cloud.trunks.get(trunk_id)
     old_epoch = 0
     if old is not None:
@@ -217,8 +193,8 @@ def adopt_trunk_image(cloud: MemoryCloud, trunk_id: int,
             old.storage.unlink()  # free the spill path for the successor
     fresh = MemoryTrunk(trunk_id, cloud.config.memory, registry=cloud.obs,
                         spill_dir=cloud.spill_dir)
-    count = trunk_from_bytes(image, fresh)
+    fresh.adopt_image_state(state)
     if old is not None:
         fresh.adopt_epoch(old_epoch)
     cloud.trunks[trunk_id] = fresh
-    return count
+    return len(state["cells"])

@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..config import MemoryParams
-from ..errors import CellNotFoundError, TrunkFullError
+from ..errors import CellNotFoundError, MemoryCloudError, TrunkFullError
 from ..obs import MetricsRegistry, get_registry
 from ..utils.arrays import gather_ranges
 from .hashtable import make_trunk_hashtable
@@ -60,6 +60,13 @@ _HEADER = struct.Struct("<QII")  # uid, live size, reserved size
 # Same 16-byte layout as _HEADER, for pre-packing a whole batch at once.
 _HEADER_DTYPE = np.dtype([("uid", "<u8"), ("size", "<u4"),
                           ("reserved", "<u4")])
+#: The allocator scalars (``MemoryTrunk._<name>``) a trunk image carries,
+#: in the order :mod:`repro.memcloud.persistence` serialises them.
+IMAGE_STATE_FIELDS = (
+    "append_head", "committed_tail", "wrapped", "end_gap",
+    "garbage_bytes", "defrag_passes", "defrag_aborts", "relocations",
+    "wraps", "tail_advances", "inplace_resizes",
+)
 
 
 @dataclass(slots=True)
@@ -739,60 +746,35 @@ class MemoryTrunk:
                 cells.append((uid, entry.offset, entry.size, entry.reserved))
             raw = [self._storage.read(p * page, min(size, (p + 1) * page))
                    for p in pages]
-            return {
-                "append_head": self._append_head,
-                "committed_tail": self._committed_tail,
-                "wrapped": self._wrapped,
-                "end_gap": self._end_gap,
-                "garbage_bytes": self._garbage_bytes,
-                "defrag_passes": self._defrag_passes,
-                "defrag_aborts": self._defrag_aborts,
-                "relocations": self._relocations,
-                "wraps": self._wraps,
-                "tail_advances": self._tail_advances,
-                "inplace_resizes": self._inplace_resizes,
-                "page_size": page,
-                "pages": pages,
-                "cells": cells,
-                "raw": raw,
-            }
+            state = {name: getattr(self, "_" + name)
+                     for name in IMAGE_STATE_FIELDS}
+            state.update(pages=pages, cells=cells, raw=raw)
+            return state
 
     def adopt_image_state(self, state: dict) -> None:
         """Adopt a :meth:`freeze_image_state` snapshot verbatim.
 
-        The trunk must be pristine and share the image's commit page
-        size.  Stored bytes, allocator accounting, and :meth:`stats`
-        restore exactly; hash-table probe counters restart from zero
-        (the index is rebuilt, not replayed).  Ends with a structural
-        epoch bump, so any span cache or page pins from the pristine
-        incarnation are dropped.
+        The trunk must be pristine and have the page and trunk size of
+        the trunk the snapshot was frozen from (the image parser in
+        :mod:`repro.memcloud.persistence` checks the sizes before it
+        hands a state over).  Stored bytes, allocator accounting, and
+        :meth:`stats` restore exactly; hash-table probe counters restart
+        from zero (the index is rebuilt, not replayed).  Ends with a
+        structural epoch bump, so any span cache or page pins from the
+        pristine incarnation are dropped.
         """
         with self._mutex:
             if not self._pristine_locked():
-                raise ValueError(
+                raise MemoryCloudError(
                     f"trunk {self.trunk_id}: adopt_image_state needs an "
                     f"empty trunk"
                 )
-            page = state["page_size"]
-            if page != self.params.page_size:
-                raise ValueError(
-                    f"trunk {self.trunk_id}: image page size {page} != "
-                    f"configured {self.params.page_size}"
-                )
+            page = self.params.page_size
             for index, raw in zip(state["pages"], state["raw"]):
                 self._storage.write(index * page, raw)
             self._committed_pages = set(state["pages"])
-            self._append_head = state["append_head"]
-            self._committed_tail = state["committed_tail"]
-            self._wrapped = bool(state["wrapped"])
-            self._end_gap = state["end_gap"]
-            self._garbage_bytes = state["garbage_bytes"]
-            self._defrag_passes = state["defrag_passes"]
-            self._defrag_aborts = state["defrag_aborts"]
-            self._relocations = state["relocations"]
-            self._wraps = state["wraps"]
-            self._tail_advances = state["tail_advances"]
-            self._inplace_resizes = state["inplace_resizes"]
+            for name in IMAGE_STATE_FIELDS:
+                setattr(self, "_" + name, state[name])
             self._g_garbage.set(self._garbage_bytes)
             cells = state["cells"]
             self._index.reserve(len(cells))

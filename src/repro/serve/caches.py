@@ -18,10 +18,9 @@ Entries come in two validity granularities:
   their one owning trunk; query-result entries stamp the trunk set their
   plan's batch reads resolved through.
 * **full-stamped** — no footprint: the entry records the entire epoch
-  token (the whole vector, or a scalar cloud-global epoch for callers
-  still on the coarse scheme).  *Any* mutation anywhere invalidates it —
-  the only safe rule for inline plans whose reads are not footprintable
-  (subgraph matching over a snapshot, inline TQL backtracking).
+  vector.  *Any* mutation anywhere invalidates it — the only safe rule
+  for inline plans whose reads are not footprintable (subgraph matching
+  over a snapshot, inline TQL backtracking).
 
 Staleness stays impossible rather than unlikely — the serving layer's
 ``cross_check`` mode proves it by shadow-replaying cached answers.
@@ -33,7 +32,7 @@ from collections import OrderedDict
 
 from ..obs import get_registry
 
-#: Stamp tags: a full stamp compares its whole token for equality, a
+#: Stamp tags: a full stamp compares the whole vector for equality, a
 #: partial (footprint) stamp compares only its recorded trunk components.
 _FULL = 0
 _PART = 1
@@ -48,11 +47,10 @@ class EpochLruCache:
     recently used entry.  Hit/miss/invalidation/eviction/clear counters
     land under ``serve.cache.*`` labelled with the cache's name.
 
-    The epoch token passed to ``get``/``put`` is either the cloud's
-    per-trunk epoch vector (a sequence indexed by trunk id) or a scalar
-    cloud-global epoch; ``footprint`` (an iterable of trunk ids) is only
-    meaningful with a vector token and restricts the entry's validity to
-    those components.
+    The epoch token passed to ``get``/``put`` is the cloud's per-trunk
+    epoch vector (a sequence indexed by trunk id); ``footprint`` (an
+    iterable of trunk ids) restricts the entry's validity to those
+    components.
     """
 
     def __init__(self, name: str, capacity: int, registry=None):
@@ -78,9 +76,8 @@ class EpochLruCache:
 
     @staticmethod
     def _stamp(epochs, footprint) -> tuple:
-        if footprint is None or isinstance(epochs, int):
-            token = (epochs if isinstance(epochs, int) else tuple(epochs))
-            return (_FULL, token)
+        if footprint is None:
+            return (_FULL, tuple(epochs))
         return (_PART, tuple(sorted(
             (int(t), int(epochs[int(t)])) for t in set(footprint))))
 
@@ -88,18 +85,13 @@ class EpochLruCache:
     def _valid(stamp: tuple, epochs) -> bool:
         tag, recorded = stamp
         if tag == _FULL:
-            current = (epochs if isinstance(epochs, int) else tuple(epochs))
-            return recorded == current
-        if isinstance(epochs, int):
-            # A footprint stamp cannot validate against a scalar token.
-            return False
+            return recorded == tuple(epochs)
         return all(epochs[trunk] == epoch for trunk, epoch in recorded)
 
     def get(self, key, epochs):
         """The cached value, or None on miss / stale entry.
 
-        ``epochs`` is the *current* epoch token — the cloud's per-trunk
-        vector or a scalar global epoch.
+        ``epochs`` is the *current* per-trunk epoch vector.
         """
         entry = self._entries.get(key)
         if entry is None:
@@ -121,8 +113,8 @@ class EpochLruCache:
         """Record ``value`` as valid for the given epoch token.
 
         ``footprint`` — trunk ids the value depends on — narrows the
-        stamp to those vector components; without it (or with a scalar
-        token) the entry is invalidated by any mutation anywhere.
+        stamp to those vector components; without it the entry is
+        invalidated by any mutation anywhere.
         """
         self._entries[key] = (self._stamp(epochs, footprint), value)
         self._entries.move_to_end(key)

@@ -10,7 +10,7 @@ scatters the answer back to each op by its slice of the concatenation.
 Ten concurrent BFS queries whose hop-3 frontiers overlap on the same
 celebrity vertices thus pay one addressing pass, one trunk lookup and
 one columnar decode for the union, not ten;
-:meth:`repro.graph.api.Graph._bulk_spans` deduplicates the repeated ids
+:meth:`repro.graph.api.Graph._read_batch` deduplicates the repeated ids
 before hashing and routing.
 
 The adjacency paths additionally consult the **hub cache**: vertices
@@ -20,11 +20,10 @@ collide — so later windows skip the cloud entirely for them.  Power-law
 frontiers concentrate on exactly those vertices, which is why a small
 LRU absorbs a large share of the decode volume.
 
-When the scheduler runs on the per-trunk epoch vector, hub entries are
-footprint-stamped with their one owning trunk, and ``run_window`` can
-additionally report each op's *trunk footprint* — the set of trunks its
-ids resolved through — which the scheduler folds into the query's
-result-cache stamp.
+The validity token is the cloud's per-trunk epoch vector: hub entries
+are footprint-stamped with their one owning trunk, and ``run_window``
+reports each op's *trunk footprint* — the set of trunks its ids resolved
+through — which the scheduler folds into the query's result-cache stamp.
 """
 
 from __future__ import annotations
@@ -41,14 +40,16 @@ from .queries import BatchOp
 class FusedExecutor:
     """Executes one window of batch ops with fusion and hub caching."""
 
-    def __init__(self, graph, fuse: bool = True,
-                 hub_cache: EpochLruCache | None = None,
+    def __init__(self, graph, hub_cache: EpochLruCache | None = None,
                  hub_degree_threshold: int = 32,
-                 registry=None):
+                 footprints: bool = True, registry=None):
         self.graph = graph
-        self.fuse = fuse
         self.hub_cache = hub_cache
         self.hub_degree_threshold = hub_degree_threshold
+        # Whether anyone stamps results with the op footprints (the
+        # server does iff it has a result cache); the owner pass per
+        # group is skipped otherwise.
+        self.footprints = footprints
         registry = (registry if registry is not None
                     else getattr(graph.cloud, "obs", None) or get_registry())
         self._m_windows = registry.counter("serve.fusion.windows")
@@ -57,45 +58,30 @@ class FusedExecutor:
         self._m_fused_ids = registry.counter("serve.fusion.ids")
         self._m_hub_served = registry.counter("serve.fusion.hub_cells")
 
-    def run_window(self, ops: list[BatchOp], epochs=None,
-                   footprints: bool = False):
-        """Results aligned one-to-one with ``ops``.
+    def run_window(self, ops: list[BatchOp], epochs):
+        """``(results, foots)``, each aligned one-to-one with ``ops``.
 
-        ``epochs`` is the epoch token the scheduler pinned for this
-        window (scalar or per-trunk vector; defaults to the cloud-global
-        scalar).  With ``footprints=True`` returns ``(results, foots)``
-        where ``foots[i]`` is the frozenset of trunk ids op *i*'s reads
-        resolved through.
+        ``epochs`` is the per-trunk epoch vector the scheduler pinned
+        for this window.  ``foots[i]`` is the frozenset of trunk ids op
+        *i*'s reads resolved through (``None`` when the executor was
+        built with ``footprints=False``).
         """
-        if epochs is None:
-            epochs = self.graph.cloud.mutation_epoch()
         self._m_windows.inc()
         self._m_ops.inc(len(ops))
         results: list = [None] * len(ops)
         foots: list = [None] * len(ops)
-        if self.fuse:
-            groups: dict[tuple, list[int]] = {}
-            for position, op in enumerate(ops):
-                groups.setdefault(op.group_key(), []).append(position)
-            for positions in groups.values():
-                self._run_group([ops[p] for p in positions], positions,
-                                results, epochs, foots if footprints
-                                else None)
-        else:
-            # Fusion off: every op is its own bulk round (the query
-            # still batches internally — this isolates the *cross-query*
-            # sharing for the benchmark's ablation).
-            for position, op in enumerate(ops):
-                self._run_group([op], [position], results, epochs,
-                                foots if footprints else None)
-        if footprints:
-            return results, foots
-        return results
+        groups: dict[tuple, list[int]] = {}
+        for position, op in enumerate(ops):
+            groups.setdefault(op.group_key(), []).append(position)
+        for positions in groups.values():
+            self._run_group([ops[p] for p in positions], positions,
+                            results, epochs, foots)
+        return results, foots
 
     # -- group execution ---------------------------------------------------
 
     def _run_group(self, group_ops: list[BatchOp], positions: list[int],
-                   results: list, epochs, foots: list | None) -> None:
+                   results: list, epochs, foots: list) -> None:
         kind = group_ops[0].kind
         ids = np.concatenate([op.ids for op in group_ops])
         offsets = np.cumsum([0] + [len(op.ids) for op in group_ops])
@@ -121,7 +107,7 @@ class FusedExecutor:
                                            offsets[op_index + 1]]
         else:  # pragma: no cover — BatchOp validates kinds
             raise QueryError(f"unknown batch op kind {kind!r}")
-        if foots is not None:
+        if self.footprints:
             # One vectorized owner pass for the whole group, sliced back
             # per op — every kind's dependency set is exactly the trunks
             # owning the ids it read.
@@ -138,7 +124,6 @@ class FusedExecutor:
                   else self.graph.inlinks_batch)
         if self.hub_cache is None:
             return reader(ids)
-        vector = not isinstance(epochs, int)
         unique, inverse = np.unique(ids, return_inverse=True)
         rows: list = [None] * len(unique)
         missing: list[int] = []
@@ -152,8 +137,7 @@ class FusedExecutor:
         if missing:
             miss_ids = unique[missing]
             miss_indptr, miss_flat = reader(miss_ids)
-            owners = (self.graph.cloud.trunks_of_array(miss_ids)
-                      if vector else None)
+            owners = self.graph.cloud.trunks_of_array(miss_ids)
             for k, j in enumerate(missing):
                 row = miss_flat[miss_indptr[k]:miss_indptr[k + 1]]
                 rows[j] = row
@@ -161,9 +145,8 @@ class FusedExecutor:
                     # A hub row depends only on the trunk owning the
                     # vertex — stamp just that component so unrelated
                     # writes leave it valid.
-                    footprint = ((int(owners[k]),) if vector else None)
                     self.hub_cache.put((kind, int(unique[j])), epochs, row,
-                                       footprint=footprint)
+                                       footprint=(int(owners[k]),))
         counts = np.fromiter((len(row) for row in rows), dtype=np.int64,
                              count=len(rows))
         unique_indptr = np.zeros(len(unique) + 1, dtype=np.int64)

@@ -11,7 +11,7 @@ Each query class also knows how to run itself through the existing
 one-at-a-time library path (:meth:`ServeQuery.run_sequential`) — that is
 both the serving layer's correctness oracle (``cross_check=True`` shadow
 replays every completion through it and raises
-:class:`~repro.memcloud.cloud.BulkPathDivergence` on any difference) and
+:class:`~repro.errors.DivergenceError` on any difference) and
 the no-optimization baseline the serving benchmark measures against.
 
 Plans return *canonical* results — plain sorted lists/dicts that are
@@ -28,8 +28,7 @@ import numpy as np
 
 from ..algorithms.people_search import _VisitedTracker, people_search
 from ..algorithms.subgraph import match_subgraph
-from ..errors import QueryError
-from ..memcloud.cloud import BulkPathDivergence
+from ..errors import DivergenceError, QueryError
 from ..net.simnet import SimNetwork
 from ..tql.engine import _OPS, execute_tql
 from ..tql.parser import TqlQuery, parse_tql
@@ -80,9 +79,9 @@ class ServeQuery:
         raise NotImplementedError
 
     def check(self, served, reference) -> None:
-        """Raise :class:`BulkPathDivergence` unless served == reference."""
+        """Raise :class:`DivergenceError` unless served == reference."""
         if served != reference:
-            raise BulkPathDivergence(
+            raise DivergenceError(
                 f"{self.cls_name} {self.key()!r}: served result diverges "
                 f"from the sequential path: {served!r} != {reference!r}"
             )

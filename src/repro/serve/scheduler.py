@@ -15,9 +15,8 @@ Execution model — deterministic by construction:
   — first sheds already-expired entries, then rejects with
   ``queue_full``.
 * ``run`` repeats **fusion windows** until idle.  A window pins the
-  epoch token (the per-trunk vector, or the scalar global epoch under
-  ``epoch_granularity="global"``), admits queries up to
-  ``max_in_flight`` in weighted-fair order (expired deadlines reject
+  epoch token (the cloud's per-trunk epoch vector), admits queries up
+  to ``max_in_flight`` in weighted-fair order (expired deadlines reject
   with ``deadline``; result-cache hits complete on the spot), then steps
   every in-flight plan exactly once, in admission order, and hands the
   collected :class:`~repro.serve.queries.BatchOp` set to the
@@ -33,7 +32,7 @@ Execution model — deterministic by construction:
 
 ``cross_check=True`` shadow-replays **every** completion — fused,
 cached, or inline — through the query's existing one-at-a-time library
-path and raises :class:`~repro.memcloud.cloud.BulkPathDivergence` on any
+path and raises :class:`~repro.errors.DivergenceError` on any
 difference, which is how the test suite proves the optimizations change
 the speed and never the answers.
 
@@ -64,9 +63,9 @@ LATENCY_BUCKETS = tuple(1e-5 * 2.0 ** e for e in range(25))
 
 @dataclass
 class ServeConfig:
-    """Serving-layer knobs; the benchmark ablates ``fuse`` and caching."""
+    """Serving-layer knobs.  The one-at-a-time, uncached baseline is
+    ``max_in_flight=1`` with both caches off."""
 
-    fuse: bool = True                    # cross-query frontier fusion
     result_cache: bool = True            # keyed whole-result cache
     hub_cache: bool = True               # high-degree adjacency cache
     hub_degree_threshold: int = 32
@@ -77,15 +76,31 @@ class ServeConfig:
     class_queue_limit: int | None = None  # admission bound per class
     class_weights: dict | None = None    # WFQ weight per priority class
     default_deadline: float | None = None   # seconds in queue before reject
-    sequential: bool = False             # baseline: one query at a time
     cross_check: bool = False            # shadow-replay every completion
-    epoch_granularity: str = "trunk"     # "trunk" vector | "global" scalar
 
     def __post_init__(self):
-        if self.epoch_granularity not in ("trunk", "global"):
+        for name in ("max_in_flight", "queue_limit", "hub_cache_capacity",
+                     "result_cache_capacity"):
+            if getattr(self, name) < 1:
+                # max_in_flight=0 would admit nothing and spin forever.
+                raise QueryError(
+                    f"{name} must be >= 1, not {getattr(self, name)!r}")
+        if self.class_queue_limit is not None and self.class_queue_limit < 1:
             raise QueryError(
-                f"epoch_granularity must be 'trunk' or 'global', "
-                f"not {self.epoch_granularity!r}")
+                f"class_queue_limit must be >= 1 or None, "
+                f"not {self.class_queue_limit!r}")
+        if self.hub_degree_threshold < 0:
+            raise QueryError(
+                f"hub_degree_threshold must be >= 0, "
+                f"not {self.hub_degree_threshold!r}")
+        if self.default_deadline is not None and self.default_deadline <= 0:
+            raise QueryError(
+                f"default_deadline must be > 0 or None, "
+                f"not {self.default_deadline!r}")
+        for cls, weight in (self.class_weights or {}).items():
+            if weight <= 0:
+                raise QueryError(
+                    f"class weight must be > 0 ({cls!r}: {weight!r})")
 
 
 class WeightedFairQueue:
@@ -249,14 +264,16 @@ class QueryServer:
         hub = (EpochLruCache("hub", cfg.hub_cache_capacity, self.registry)
                if cfg.hub_cache else None)
         self.executor = FusedExecutor(
-            graph, fuse=cfg.fuse, hub_cache=hub,
+            graph, hub_cache=hub,
             hub_degree_threshold=cfg.hub_degree_threshold,
+            footprints=self.result_cache is not None,
             registry=self.registry)
         self._wfq = WeightedFairQueue(cfg.class_weights, self.registry)
         self._active: list[tuple[QueryTicket, object, object]] = []
         self._latency: dict[str, object] = {}
         self._queue_wait: dict[str, object] = {}
-        self._current_epochs = self._epochs()
+        # The validity token windows stamp and check caches with.
+        self._current_epochs = graph.cloud.epoch_vector()
         self._m_submitted = self.registry.counter("serve.admission.submitted")
         self._m_admitted = self.registry.counter("serve.admission.admitted")
         self._m_rejected = {
@@ -275,17 +292,6 @@ class QueryServer:
         self._snapshot_epoch = None
         self._label_seed = 0
         self._num_labels = 20
-
-    # -- epoch token -------------------------------------------------------
-
-    def _epochs(self):
-        """The validity token this window stamps and checks caches with:
-        the per-trunk vector, or the scalar sum under the coarse
-        ``epoch_granularity="global"`` scheme (kept for the benchmark's
-        ablation of incremental repair)."""
-        if self.config.epoch_granularity == "global":
-            return self.graph.cloud.mutation_epoch()
-        return self.graph.cloud.epoch_vector()
 
     # -- ctx surface handed to query plans ---------------------------------
 
@@ -356,7 +362,7 @@ class QueryServer:
         # stamps at completion and the executor's hub stamps all see the
         # same epochs.  Reading it here (not per window) keeps the
         # O(trunk_count) vector build off the per-query fast path.
-        self._current_epochs = self._epochs()
+        self._current_epochs = self.graph.cloud.epoch_vector()
         while len(self._wfq) or self._active:
             self._window()
 
@@ -365,25 +371,9 @@ class QueryServer:
         self._admit()
         if not self._active:
             return
-        if self.config.sequential:
-            # Baseline mode: the window holds exactly one query and it
-            # runs to completion through the library path — the
-            # one-at-a-time server every optimization is measured
-            # against.
-            ticket, _gen, _op = self._active.pop(0)
-            result = ticket.query.run_sequential(self)
-            self._complete(ticket, result)
-            return
         ops = [op for _ticket, _gen, op in self._active]
-        want_foot = (self.result_cache is not None
-                     and isinstance(self._current_epochs, tuple))
-        if want_foot:
-            results, foots = self.executor.run_window(
-                ops, epochs=self._current_epochs, footprints=True)
-        else:
-            results = self.executor.run_window(
-                ops, epochs=self._current_epochs)
-            foots = [None] * len(ops)
+        results, foots = self.executor.run_window(
+            ops, epochs=self._current_epochs)
         still_active = []
         for (ticket, gen, _op), result, foot in zip(self._active, results,
                                                     foots):
@@ -401,7 +391,7 @@ class QueryServer:
         self._active = still_active
 
     def _admit(self) -> None:
-        limit = 1 if self.config.sequential else self.config.max_in_flight
+        limit = self.config.max_in_flight
         while len(self._wfq) and len(self._active) < limit:
             ticket = self._wfq.pop()
             now = time.perf_counter()
@@ -420,9 +410,6 @@ class QueryServer:
                     self._m_cached.inc()
                     self._complete(ticket, hit)
                     continue
-            if self.config.sequential:
-                self._active.append((ticket, None, None))
-                continue
             gen = ticket.query.plan(self)
             try:
                 first_op = gen.send(None)
@@ -457,12 +444,11 @@ class QueryServer:
         self._latency[cls].observe(ticket.latency)
         self._m_completed[cls].inc()
         if self.result_cache is not None and not ticket.cached:
-            footprint = None
-            if (ticket.trunks is not None
-                    and isinstance(self._current_epochs, tuple)):
-                # The plan's reads all resolved through these trunks —
-                # the entry survives writes to every other trunk.
-                footprint = sorted(ticket.trunks)
+            # A fused plan's reads all resolved through ticket.trunks —
+            # the entry survives writes to every other trunk.  Inline
+            # plans recorded none and are stamped with the whole vector.
+            footprint = (sorted(ticket.trunks)
+                         if ticket.trunks is not None else None)
             self.result_cache.put(ticket.query.key(), self._current_epochs,
                                   result, footprint=footprint)
         if self.config.cross_check:
@@ -483,7 +469,7 @@ class QueryServer:
         self.run()
         self._m_mutations.inc()
         fn(self.graph)
-        self._current_epochs = self._epochs()
+        self._current_epochs = self.graph.cloud.epoch_vector()
 
     # -- reporting ---------------------------------------------------------
 

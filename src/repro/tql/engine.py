@@ -21,7 +21,7 @@ charged on first *consumption*, never at prefetch time, so
 even when a LIMIT stops the search before prefetched values are used.
 ``cross_check=True`` shadow-replays the scalar decode per batched read
 and re-executes the whole query on the scalar path, raising
-:class:`~repro.memcloud.cloud.BulkPathDivergence` on any difference.
+:class:`~repro.errors.DivergenceError` on any difference.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import ComputeParams
-from ..errors import QueryError
-from ..memcloud.cloud import BulkPathDivergence
+from ..errors import DivergenceError, QueryError
 from ..net.simnet import ParallelRound, SimNetwork
 from .parser import Operand, TqlQuery, parse_tql
 
@@ -70,7 +69,7 @@ def execute_tql(graph, query: TqlQuery | str,
     ``batch`` enables the vectorized prefetch path (identical results
     and accounting); ``cross_check=True`` additionally re-executes the
     query on the scalar path and raises
-    :class:`~repro.memcloud.cloud.BulkPathDivergence` if rows, cost
+    :class:`~repro.errors.DivergenceError` if rows, cost
     accounting or simulated time diverge.
     """
     if isinstance(query, str):
@@ -86,7 +85,7 @@ def execute_tql(graph, query: TqlQuery | str,
                      "truncated"):
             mine, theirs = getattr(result, attr), getattr(shadow, attr)
             if mine != theirs:
-                raise BulkPathDivergence(
+                raise DivergenceError(
                     f"TQL batch path diverges from scalar on {attr}: "
                     f"{mine!r} != {theirs!r}"
                 )

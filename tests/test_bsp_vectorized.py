@@ -17,7 +17,7 @@ from repro.algorithms.pagerank import PageRankProgram
 from repro.algorithms.sssp import SsspProgram
 from repro.algorithms.wcc import WccProgram
 from repro.compute import BspEngine, VertexProgram
-from repro.errors import ComputeError
+from repro.errors import ComputeError, DivergenceError
 from repro.generators import rmat_edges
 from repro.generators.erdos_renyi import erdos_renyi_edges
 from repro.graph import CsrTopology
@@ -129,7 +129,7 @@ def test_cross_check_rejects_divergent_kernel(er_topology):
     engine = BspEngine(er_topology,
                        network=SimNetwork(registry=MetricsRegistry()),
                        cross_check=True)
-    with pytest.raises(ComputeError, match="cross-check"):
+    with pytest.raises(DivergenceError, match="cross-check"):
         engine.run(Broken(iterations=2))
 
 

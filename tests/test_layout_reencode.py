@@ -4,7 +4,7 @@ The invariants under test: a migration goes through the trunk's normal
 mutation path (epoch bump → span invalidation → cache invalidation), so
 concurrent serving can observe a ``StaleSpanError`` and retry but never
 a stale or wrong answer; migrations are CAS-guarded so a racing writer
-wins; and layout tags survive both checkpoint image formats.
+wins; and layout tags survive a checkpoint on both storage tiers.
 """
 
 import numpy as np
@@ -221,30 +221,27 @@ class TestCheckpointRoundTrip:
     def _tags(self, graph):
         return {uid: out_tag(graph, uid) for uid in graph.node_ids}
 
-    @pytest.mark.parametrize("storage,page_image", [
-        ("resident", False),   # v1 cell image
-        ("paged", True),       # v2 page image
-    ])
-    def test_layout_tags_survive_checkpoint(self, storage, page_image):
+    @pytest.mark.parametrize("storage", ["resident", "paged"])
+    def test_layout_tags_survive_checkpoint(self, storage):
         graph = build_graph(policy="adaptive", storage=storage, nodes=40)
         tags_before = self._tags(graph)
         assert set(tags_before.values()) != {LAYOUT_RAW}
         before = snapshot(graph)
-        images = {trunk_id: trunk_to_bytes(trunk, page_image=page_image)
+        images = {trunk_id: trunk_to_bytes(trunk)
                   for trunk_id, trunk in graph.cloud.trunks.items()}
         for trunk_id, image in images.items():
             adopt_trunk_image(graph.cloud, trunk_id, image)
         assert self._tags(graph) == tags_before
         assert snapshot(graph) == before
 
-    def test_v1_restore_into_raw_policy_cloud_keeps_tags(self):
+    def test_restore_into_raw_policy_cloud_keeps_tags(self):
         """Layout tags live inside the cell bytes: restoring onto a
         cloud configured with a different policy must not rewrite them
         (the policy only governs *new* encodes)."""
         source = build_graph(policy="adaptive", nodes=30)
         tags_before = self._tags(source)
         before = snapshot(source)
-        images = {trunk_id: trunk_to_bytes(trunk, page_image=False)
+        images = {trunk_id: trunk_to_bytes(trunk)
                   for trunk_id, trunk in source.cloud.trunks.items()}
         target_cloud = MemoryCloud(ClusterConfig(
             machines=2, memory=MemoryParams(layout_policy="raw")))
@@ -260,7 +257,7 @@ class TestCheckpointRoundTrip:
         LayoutReencoder(graph, policy=DEFAULT_LAYOUT_POLICY).run_pass()
         tags_before = self._tags(graph)
         before = snapshot(graph)
-        images = {trunk_id: trunk_to_bytes(trunk, page_image=False)
+        images = {trunk_id: trunk_to_bytes(trunk)
                   for trunk_id, trunk in graph.cloud.trunks.items()}
         for trunk_id, image in images.items():
             adopt_trunk_image(graph.cloud, trunk_id, image)

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ClusterConfig, MemoryParams
-from repro.errors import AddressingError
-from repro.memcloud import BulkPathDivergence, MemoryCloud
+from repro.errors import AddressingError, DivergenceError, TrinityError
+from repro.memcloud import MemoryCloud
 from repro.obs import MetricsRegistry
 
 UID = st.integers(min_value=0, max_value=2**63 - 1)
@@ -216,14 +216,14 @@ class TestCrossCheckShadow:
         cloud.bulk_put([1, 2, 3], [b"a", b"b", b"c"], presize=False)
         # Tamper with the real world behind the shadow's back.
         cloud.trunk_for(2).put(2, b"corrupted")
-        with pytest.raises(BulkPathDivergence):
+        with pytest.raises(DivergenceError):
             cloud.verify_shadow()
 
     def test_missing_cell_detected(self):
         cloud = make_cloud(cross_check=True)
         cloud.bulk_put([1, 2, 3], [b"a", b"b", b"c"], presize=False)
         cloud.trunk_for(3).remove(3)
-        with pytest.raises(BulkPathDivergence):
+        with pytest.raises(DivergenceError):
             cloud.verify_shadow()
 
     def test_verify_requires_cross_check(self):
@@ -231,7 +231,8 @@ class TestCrossCheckShadow:
             make_cloud().verify_shadow()
 
     def test_divergence_is_assertion_error(self):
-        assert issubclass(BulkPathDivergence, AssertionError)
+        assert issubclass(DivergenceError, AssertionError)
+        assert issubclass(DivergenceError, TrinityError)
 
 
 # One hypothesis "program": an interleaved list of operations.

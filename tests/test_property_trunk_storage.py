@@ -9,12 +9,16 @@ allocator accounting and the hash table's probe-exact counters.
 
 from __future__ import annotations
 
+import dataclasses
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import MemoryParams
-from repro.memcloud import persistence
+from repro.config import ClusterConfig, MemoryParams
+from repro.errors import MemoryCloudError
+from repro.memcloud import MemoryCloud, persistence
 from repro.memcloud.trunk import MemoryTrunk
 from repro.obs import MetricsRegistry
 
@@ -38,6 +42,27 @@ OPS = st.lists(
     ),
     max_size=40,
 )
+
+
+def _churn_program() -> list[tuple]:
+    """Removes, growth past reservation, wraps and a defrag, ending with
+    garbage still in the arena (the state an image must round-trip)."""
+    program: list[tuple] = []
+    for round_no in range(12):
+        for uid in range(8):
+            tag = round_no * 8 + uid
+            program.append(
+                ("put", uid, bytes([tag % 251]) * (40 + (tag * 37) % 140)))
+        program.append(("remove", round_no % 8))
+        if round_no == 5:
+            program.append(("defrag",))
+    # A remove may compact on its own; a growing overwrite just
+    # relocates, so its old slot is still garbage when the image is cut.
+    program.append(("put", 1, b"g" * 200))
+    return program
+
+
+CHURN = _churn_program()
 
 
 def make_params(storage: str) -> MemoryParams:
@@ -105,6 +130,14 @@ def span_payloads(trunk: MemoryTrunk, uids) -> list[bytes]:
         trunk.release_span_pins()
 
 
+def frozen_state(trunk: MemoryTrunk) -> dict:
+    """Committed bytes, allocator state and the cell table (in uid order:
+    the table is listed in hash-index order, which a rebuild may change)."""
+    state = trunk.freeze_image_state()
+    state["cells"].sort()
+    return state
+
+
 def close_paged(paged: MemoryTrunk) -> None:
     paged.storage.unlink()
 
@@ -155,25 +188,118 @@ class TestStorageEquivalence:
         finally:
             close_paged(paged)
 
+    @pytest.mark.parametrize("storage", ["resident", "paged"])
     @settings(max_examples=20, deadline=None)
     @given(OPS)
-    def test_page_image_roundtrip(self, ops):
-        """freeze → serialise → adopt restores a paged trunk exactly."""
-        _, paged = make_pair()
-        fresh = MemoryTrunk(0, make_params("paged"),
-                            registry=MetricsRegistry(),
-                            spill_dir=None)
+    def test_trunk_image_roundtrip(self, storage, ops):
+        """churn → image → adopt restores a trunk exactly, on both tiers:
+        cells, committed bytes, ``stats()`` with every allocator counter,
+        and an epoch strictly above the replaced incarnation's."""
+        cloud = MemoryCloud(
+            ClusterConfig(machines=1, trunk_bits=1,
+                          memory=make_params(storage)),
+            MetricsRegistry())
+        try:
+            old = cloud.trunks[0]
+            reference: dict[int, bytes] = {}
+            run_program(old, CHURN, reference)
+            churned = old.stats()
+            assert (churned.wraps and churned.relocations
+                    and churned.defrag_passes and churned.garbage_bytes)
+            run_program(old, ops, reference)
+            stats, state = old.stats(), frozen_state(old)
+            image = persistence.trunk_to_bytes(old)
+            count = persistence.adopt_trunk_image(cloud, 0, image)
+            fresh = cloud.trunks[0]
+            assert fresh is not old and count == len(reference)
+            assert dict(fresh.dump_cells()) == reference
+            assert fresh.stats() == stats
+            assert frozen_state(fresh) == state
+            assert fresh.mutation_epoch > old.mutation_epoch
+            # The restored allocator keeps working where the old one was.
+            fresh.put(99, b"after-restore")
+            assert fresh.get(99) == b"after-restore"
+        finally:
+            cloud.release_arenas()
+
+
+@pytest.mark.parametrize("storage", ["resident", "paged"])
+class TestDamagedImage:
+    """A damaged or foreign image ends in ``MemoryCloudError`` — never
+    another exception type, never a half-adopted trunk."""
+
+    @staticmethod
+    def _cloud(storage, **overrides):
+        params = dataclasses.replace(make_params(storage), **overrides)
+        return MemoryCloud(
+            ClusterConfig(machines=1, trunk_bits=1, memory=params),
+            MetricsRegistry())
+
+    @staticmethod
+    def _adopt_or_reject(cloud, image, reference):
+        """Adopt ``image``; whatever happens, trunk 0 reads ``reference``."""
+        installed = cloud.trunks[0]
+        try:
+            persistence.adopt_trunk_image(cloud, 0, image)
+        except MemoryCloudError:
+            assert cloud.trunks[0] is installed
+        assert dict(cloud.trunks[0].dump_cells()) == reference
+
+    def test_every_prefix_and_header_flip(self, storage):
+        cloud = self._cloud(storage)
         try:
             reference: dict[int, bytes] = {}
-            run_program(paged, ops, reference)
-            image = persistence.trunk_to_bytes(paged)
-            count = persistence.trunk_from_bytes(image, fresh)
-            assert count == len(reference)
-            assert dict(fresh.dump_cells()) == reference
-            assert fresh.stats() == paged.stats()
+            run_program(cloud.trunks[0], CHURN, reference)
+            image = persistence.trunk_to_bytes(cloud.trunks[0])
+            for cut in range(len(image)):
+                with pytest.raises(MemoryCloudError):
+                    persistence.adopt_trunk_image(cloud, 0, image[:cut])
+                assert cloud.trunks[0].get(1) == reference[1]
+            header = len(image) - sum(
+                len(raw) for raw in
+                cloud.trunks[0].freeze_image_state()["raw"])
+            for position in range(header):
+                for bit in (0x01, 0x80):
+                    flipped = bytearray(image)
+                    flipped[position] ^= bit
+                    self._adopt_or_reject(cloud, bytes(flipped), reference)
+            self._adopt_or_reject(cloud, image, reference)
         finally:
-            close_paged(paged)
-            close_paged(fresh)
+            cloud.release_arenas()
+
+    def test_other_version_rejected(self, storage):
+        cloud = self._cloud(storage)
+        try:
+            cloud.trunks[0].put(1, b"kept")
+            image = persistence.trunk_to_bytes(cloud.trunks[0])
+            assert image[4] == 3          # the one version, one byte
+            for version in (1, 2, 4):
+                body = image[:4] + bytes([version]) + image[5:-4]
+                foreign = body + zlib.crc32(body).to_bytes(4, "little")
+                with pytest.raises(MemoryCloudError, match="version"):
+                    persistence.adopt_trunk_image(cloud, 0, foreign)
+            assert cloud.trunks[0].get(1) == b"kept"
+        finally:
+            cloud.release_arenas()
+
+    def test_foreign_shape_and_used_target_rejected(self, storage):
+        source, target = self._cloud(storage), self._cloud(
+            storage, page_size=256)
+        try:
+            source.trunks[0].put(1, b"from-source")
+            target.trunks[0].put(2, b"kept")
+            image = persistence.trunk_to_bytes(source.trunks[0])
+            with pytest.raises(MemoryCloudError, match="shape"):
+                persistence.adopt_trunk_image(target, 0, image)
+            assert target.trunks[0].get(2) == b"kept"
+            # trunk_from_bytes loads into the trunk it is given, which
+            # must be empty: adopting over live cells would orphan them.
+            with pytest.raises(MemoryCloudError, match="empty"):
+                persistence.trunk_from_bytes(image, source.trunks[0])
+            assert source.trunks[0].get(1) == b"from-source"
+        finally:
+            source.release_arenas()
+            target.release_arenas()
 
 
 class TestEvictionChurn:

@@ -581,18 +581,17 @@ class TestMutationEpoch:
         cloud, graph = self._fresh()
         cache = EpochLruCache("hub", capacity=8, registry=cloud.obs)
         node = graph.node_ids[0]
-        epoch = cloud.mutation_epoch()
-        cache.put(node, epoch, list(graph.outlinks(node)))
-        assert cache.get(node, cloud.mutation_epoch()) is not None
+        cache.put(node, cloud.epoch_vector(), list(graph.outlinks(node)))
+        assert cache.get(node, cloud.epoch_vector()) is not None
         rng = np.random.default_rng(3)
         for step in range(10):
             graph.add_edge(node, int(rng.choice(graph.node_ids)))
             # After ANY mutation the stamped entry must be unreachable.
-            assert cache.get(node, cloud.mutation_epoch()) is None
-            cache.put(node, cloud.mutation_epoch(),
+            assert cache.get(node, cloud.epoch_vector()) is None
+            cache.put(node, cloud.epoch_vector(),
                       list(graph.outlinks(node)))
         assert cache.invalidated >= 1
-        served = cache.get(node, cloud.mutation_epoch())
+        served = cache.get(node, cloud.epoch_vector())
         assert served == graph.outlinks(node)
 
     def test_epoch_vector_tracks_only_owning_trunk(self):
@@ -632,17 +631,6 @@ class TestMutationEpoch:
         graph.add_edge(node, other)
         assert cache.get(("outlinks", node), cloud.epoch_vector()) is None
         assert cache.invalidated == 1
-
-    def test_footprint_stamp_never_validates_against_scalar(self):
-        from repro.serve import EpochLruCache
-        cloud, graph = self._fresh()
-        cache = EpochLruCache("t", capacity=4, registry=MetricsRegistry())
-        node = int(graph.node_ids[0])
-        owner = int(cloud.trunks_of_array([node])[0])
-        cache.put(("outlinks", node), cloud.epoch_vector(), "row",
-                  footprint=(owner,))
-        assert cache.get(("outlinks", node),
-                         cloud.mutation_epoch()) is None
 
 
 class TestVisitedTracker:

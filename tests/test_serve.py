@@ -6,7 +6,7 @@ query frontier fusion, hub/result caching, admission control — change
 serves queries does so with ``cross_check=True``, which shadow-replays
 each completion (fused, cached, or inline) through the existing
 one-at-a-time library path and raises
-:class:`~repro.memcloud.cloud.BulkPathDivergence` on any difference;
+:class:`~repro.errors.DivergenceError` on any difference;
 the suite runs across two machine counts and under interleaved
 mutations.
 """
@@ -109,42 +109,29 @@ class TestCrossCheckSuite:
         for first, again in zip(tickets, repeats):
             assert first.result == again.result
 
-    def test_fused_equals_unfused(self, deployment):
+    def test_one_at_a_time_baseline_same_answers(self, deployment):
+        """The uncached ``max_in_flight=1`` server — the baseline every
+        optimization is measured against — answers like the fused one;
+        both replay each completion through the sequential oracle."""
         _, graph = deployment
-        fused = QueryServer(graph, ServeConfig(cross_check=True),
-                            registry=MetricsRegistry())
-        plain = QueryServer(
+        base = QueryServer(
             graph,
-            ServeConfig(fuse=False, result_cache=False, hub_cache=False,
-                        cross_check=True),
-            registry=MetricsRegistry())
-        queries = [(PeopleSearchQuery(s, "David", hops=3),
-                    PeopleSearchQuery(s, "David", hops=3))
-                   for s in (0, 1, 2, 3, 17)]
-        a = [fused.submit(qa) for qa, _ in queries]
-        b = [plain.submit(qb) for _, qb in queries]
-        fused.run()
-        plain.run()
-        for ta, tb in zip(a, b):
-            assert ta.result == tb.result
-
-    def test_sequential_baseline_same_answers(self, deployment):
-        _, graph = deployment
-        seq = QueryServer(
-            graph,
-            ServeConfig(sequential=True, fuse=False, result_cache=False,
-                        hub_cache=False),
+            ServeConfig(max_in_flight=1, result_cache=False,
+                        hub_cache=False, cross_check=True),
             registry=MetricsRegistry())
         opt = QueryServer(graph, ServeConfig(cross_check=True),
                           registry=MetricsRegistry())
         pool = [PeopleSearchQuery(0, "David"), TqlServeQuery(FUSIBLE_TQL),
                 TqlServeQuery(INLINE_TQL), LandmarkBfsQuery(3)]
-        seq_tickets = [seq.submit(q) for q in pool]
+        pool += [PeopleSearchQuery(s, "David", hops=3)
+                 for s in (1, 2, 3, 17)]
+        base_tickets = [base.submit(q) for q in pool]
         opt_tickets = [opt.submit(q) for q in pool]
-        seq.run()
+        base.run()
         opt.run()
-        for ts, to in zip(seq_tickets, opt_tickets):
-            assert ts.result == to.result
+        for tb, to in zip(base_tickets, opt_tickets):
+            assert tb.status == to.status == "done"
+            assert tb.result == to.result
 
     def test_interleaved_mutations_cross_checked(self, deployment):
         # Private graph copy: mutations must not leak into the shared
@@ -176,25 +163,19 @@ class TestCrossCheckSuite:
 class TestFusion:
     def test_fusion_reduces_batch_rounds(self, deployment):
         _, graph = deployment
-        fused_reg = MetricsRegistry()
-        plain_reg = MetricsRegistry()
-        fused = QueryServer(
+        reg = MetricsRegistry()
+        server = QueryServer(
             graph, ServeConfig(result_cache=False, hub_cache=False),
-            registry=fused_reg)
-        plain = QueryServer(
-            graph,
-            ServeConfig(fuse=False, result_cache=False, hub_cache=False),
-            registry=plain_reg)
-        for server in (fused, plain):
-            for s in range(8):
-                server.submit(PeopleSearchQuery(s, "David", hops=3))
-            server.run()
-        fused_rounds = fused_reg.counter("serve.fusion.batch_rounds").value
-        plain_rounds = plain_reg.counter("serve.fusion.batch_rounds").value
-        assert fused_rounds < plain_rounds
+            registry=reg)
+        for s in range(8):
+            server.submit(PeopleSearchQuery(s, "David", hops=3))
+        server.run()
+        rounds = reg.counter("serve.fusion.batch_rounds").value
+        # Unfused, every op would be its own bulk round.
+        assert rounds < reg.counter("serve.fusion.ops").value
         # 8 concurrent 3-hop searches share two bulk reads per hop when
         # fused (one outlinks round, one name-check round).
-        assert fused_rounds <= 2 * 3 + 2
+        assert rounds <= 2 * 3 + 2
 
     def test_window_determinism(self, deployment):
         _, graph = deployment
@@ -263,13 +244,14 @@ class TestCaches:
     def test_lru_capacity_and_eviction(self):
         reg = MetricsRegistry()
         cache = EpochLruCache("t", capacity=2, registry=reg)
-        cache.put("a", 1, "A")
-        cache.put("b", 1, "B")
-        cache.get("a", 1)          # refresh a
-        cache.put("c", 1, "C")     # evicts b
-        assert cache.get("b", 1) is None
-        assert cache.get("a", 1) == "A"
-        assert cache.get("c", 1) == "C"
+        epochs = (1,)
+        cache.put("a", epochs, "A")
+        cache.put("b", epochs, "B")
+        cache.get("a", epochs)          # refresh a
+        cache.put("c", epochs, "C")     # evicts b
+        assert cache.get("b", epochs) is None
+        assert cache.get("a", epochs) == "A"
+        assert cache.get("c", epochs) == "C"
         assert reg.counter("serve.cache.evicted", cache="t").value == 1
 
     def test_lru_rejects_zero_capacity(self):
@@ -303,6 +285,28 @@ class TestAdmission:
         assert doomed.status == "rejected"
         assert doomed.reject_reason == "deadline"
         assert alive.status == "done"
+
+    @pytest.mark.parametrize("knob,value", [
+        ("max_in_flight", 0),       # used to hang run(): nothing admitted
+        ("queue_limit", 0),
+        ("hub_cache_capacity", 0),  # used to surface as a bare ValueError
+        ("result_cache_capacity", 0),
+        ("class_queue_limit", 0),
+        ("hub_degree_threshold", -1),
+        ("default_deadline", 0.0),
+        ("class_weights", {"vip": 0.0}),
+    ])
+    def test_config_validated_at_construction(self, knob, value):
+        # Construction only: at a commit that accepts max_in_flight=0 this
+        # fails with DID NOT RAISE instead of spinning in run().
+        with pytest.raises(QueryError):
+            ServeConfig(**{knob: value})
+
+    def test_config_accepts_boundary_values(self):
+        ServeConfig(max_in_flight=1, queue_limit=1, hub_cache_capacity=1,
+                    result_cache_capacity=1, class_queue_limit=1,
+                    hub_degree_threshold=0, default_deadline=1e-9,
+                    class_weights={"vip": 0.5})
 
     def test_submit_type_checked(self, deployment):
         _, graph = deployment
@@ -692,27 +696,6 @@ class TestEpochVectorInvalidation:
         server.run()
         assert not again.cached
         assert server.result_cache.invalidated >= 1
-
-    def test_global_granularity_invalidates_everything(self):
-        _cloud, graph = build_graph(machines=2, scale=7)
-        server = QueryServer(
-            graph,
-            ServeConfig(cross_check=True, epoch_granularity="global"),
-            registry=MetricsRegistry())
-        ticket = server.submit(LandmarkBfsQuery(0, max_hops=1))
-        server.run()
-        assert server.result_cache.footprint_of(ticket.query.key()) is None
-        # ANY write kills the entry under the coarse scheme.
-        outside = [n for n in map(int, graph.node_ids[:256])
-                   if self._trunk_of(graph, n) != self._trunk_of(graph, 0)]
-        server.mutate(lambda g: g.add_edge(outside[0], outside[1]))
-        again = server.submit(LandmarkBfsQuery(0, max_hops=1))
-        server.run()
-        assert not again.cached
-
-    def test_granularity_validated(self):
-        with pytest.raises(QueryError):
-            ServeConfig(epoch_granularity="nope")
 
 
 class TestEpochVectorProperty:
