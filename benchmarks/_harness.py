@@ -73,8 +73,7 @@ def build_social_graph(scale: int, avg_degree: float, machines: int = 4,
     """
     cloud = MemoryCloud(
         ClusterConfig(machines=machines, trunk_bits=trunk_bits,
-                      memory=MemoryParams(trunk_size=64 * 1024 * 1024,
-                                          hashtable_storage="numpy")),
+                      memory=MemoryParams(trunk_size=64 * 1024 * 1024)),
         registry if registry is not None else MetricsRegistry(),
     )
     n = 1 << scale

@@ -94,7 +94,6 @@ def build_graph(scale: int, avg_degree: float, storage: str, policy: str):
     cloud = MemoryCloud(
         ClusterConfig(machines=MACHINES, trunk_bits=TRUNK_BITS,
                       memory=MemoryParams(trunk_size=64 * 1024 * 1024,
-                                          hashtable_storage="numpy",
                                           storage=storage,
                                           layout_policy=policy)),
         MetricsRegistry(),

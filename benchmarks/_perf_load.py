@@ -35,7 +35,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.config import ClusterConfig, MemoryParams    # noqa: E402
+from repro.config import ClusterConfig                  # noqa: E402
 from repro.generators import rmat_edges                 # noqa: E402
 from repro.graph import GraphBuilder                    # noqa: E402
 from repro.graph.model import plain_graph_schema        # noqa: E402
@@ -50,17 +50,16 @@ TRUNK_BITS = 6
 SEED = 42
 
 
-def make_cloud(storage: str = "numpy") -> MemoryCloud:
+def make_cloud() -> MemoryCloud:
     return MemoryCloud(
-        ClusterConfig(machines=MACHINES, trunk_bits=TRUNK_BITS,
-                      memory=MemoryParams(hashtable_storage=storage)),
+        ClusterConfig(machines=MACHINES, trunk_bits=TRUNK_BITS),
         MetricsRegistry(),
     )
 
 
 def load_scalar(edges):
     """The reference path: per-edge ingest, per-node encode + put."""
-    cloud = make_cloud(storage="list")
+    cloud = make_cloud()
     builder = GraphBuilder(cloud, plain_graph_schema(directed=True))
     start = time.perf_counter()
     for src, dst in edges.tolist():
@@ -74,7 +73,7 @@ def load_scalar(edges):
 
 def load_bulk(edges):
     """The batched path: vectorized ingest, batch encode + bulk_put."""
-    cloud = make_cloud(storage="numpy")
+    cloud = make_cloud()
     builder = GraphBuilder(cloud, plain_graph_schema(directed=True))
     start = time.perf_counter()
     builder.add_edges(edges)
@@ -100,16 +99,15 @@ def cross_check(edges) -> dict:
     """Load once through each path and assert the clouds are identical.
 
     Bit-identical stored cells per trunk, identical per-machine trunk
-    accounting.  Storage backend is held fixed (list) for both clouds so
-    hash-table internals cannot mask a data-path divergence.
+    accounting.
     """
-    scalar_cloud = make_cloud(storage="list")
+    scalar_cloud = make_cloud()
     builder = GraphBuilder(scalar_cloud, plain_graph_schema(directed=True))
     for src, dst in edges.tolist():
         builder.add_edge(src, dst)
     builder.finalize(bulk=False)
 
-    bulk_cloud = make_cloud(storage="list")
+    bulk_cloud = make_cloud()
     builder = GraphBuilder(bulk_cloud, plain_graph_schema(directed=True))
     builder.add_edges(edges)
     builder.finalize(bulk=True, cross_check=True)

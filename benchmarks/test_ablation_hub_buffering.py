@@ -8,7 +8,6 @@ control case — an Erdos-Renyi graph, where buffering cannot help much
 because no vertex dominates.
 """
 
-from repro.algorithms import pagerank
 from repro.algorithms._traffic import TrafficModel
 from repro.compute.scheduler import BipartiteScheduler
 from repro.generators import erdos_renyi_edges, powerlaw_edges

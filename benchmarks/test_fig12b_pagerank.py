@@ -13,7 +13,7 @@ headline.
 
 from repro.algorithms import pagerank
 from repro.algorithms.validation import validate_pagerank
-from repro.config import ComputeParams, NetworkParams
+from repro.config import ComputeParams
 from repro.generators import rmat_edges
 from repro.net import SimNetwork
 

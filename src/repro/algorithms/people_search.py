@@ -37,6 +37,7 @@ import numpy as np
 from ..config import ComputeParams
 from ..errors import DivergenceError, QueryError
 from ..net.simnet import ParallelRound, SimNetwork
+from ..utils.arrays import first_occurrences
 
 _FRONTIER_ID_BYTES = 9   # 8-byte cell id + 1-byte hop tag
 
@@ -44,46 +45,49 @@ _FRONTIER_ID_BYTES = 9   # 8-byte cell id + 1-byte hop tag
 class _VisitedTracker:
     """Visited-id set over int64 arrays.
 
-    A dense bool mask (O(1) membership, no sorting) while ids stay under
-    ``_MASK_CAP``; permanently switches to the sorted-array
-    ``np.isin``/``np.union1d`` representation the first time an id is
-    negative or too large for a mask.  Both representations answer
-    ``unseen`` identically, so the switch is invisible to the search.
+    A dense ``stamp`` array, nonzero where visited (O(1) membership, no
+    sorting — and the scratch :func:`~repro.utils.arrays.
+    first_occurrences` dedupes a frontier over, which is why it holds
+    int32 ranks rather than bools) while ids stay under ``_MASK_CAP``;
+    permanently switches to the sorted-array ``np.isin``/``np.union1d``
+    representation (``stamp`` is None from then on) the first time an id
+    is negative or too large.  Both representations answer ``unseen``
+    identically, so the switch is invisible to the search.
     """
 
-    _MASK_CAP = 1 << 26  # a 64 MiB mask at most
+    _MASK_CAP = 1 << 26  # 256 MiB of stamps at most, committed lazily
 
     def __init__(self, start: int) -> None:
         self.count = 1
         self._sorted: np.ndarray | None = None
         if 0 <= start < self._MASK_CAP:
-            self._mask = np.zeros(max(1024, start + 1), dtype=bool)
-            self._mask[start] = True
+            self.stamp = np.zeros(max(1024, start + 1), dtype=np.int32)
+            self.stamp[start] = 1
         else:
-            self._mask = None
+            self.stamp = None
             self._sorted = np.asarray([start], dtype=np.int64)
 
     def unseen(self, ids: np.ndarray) -> np.ndarray:
         """Not-yet-visited flag per id (duplicates all flagged)."""
-        if self._mask is not None and len(ids):
+        if self.stamp is not None and len(ids):
             lo, hi = int(ids.min()), int(ids.max())
             if lo < 0 or hi >= self._MASK_CAP:
-                self._sorted = np.flatnonzero(self._mask)
-                self._mask = None
-            elif hi >= len(self._mask):
-                grown = np.zeros(max(hi + 1, 2 * len(self._mask)),
-                                 dtype=bool)
-                grown[:len(self._mask)] = self._mask
-                self._mask = grown
-        if self._mask is not None:
-            return ~self._mask[ids]
+                self._sorted = np.flatnonzero(self.stamp)
+                self.stamp = None
+            elif hi >= len(self.stamp):
+                grown = np.zeros(max(hi + 1, 2 * len(self.stamp)),
+                                 dtype=np.int32)
+                grown[:len(self.stamp)] = self.stamp
+                self.stamp = grown
+        if self.stamp is not None:
+            return self.stamp[ids] == 0
         return ~np.isin(ids, self._sorted)
 
     def add(self, new: np.ndarray) -> None:
         """Record ids (must be duplicate-free and all unseen)."""
         self.count += len(new)
-        if self._mask is not None:
-            self._mask[new] = True
+        if self.stamp is not None:
+            self.stamp[new] = 1
         else:
             self._sorted = np.union1d(self._sorted, new)
 
@@ -217,8 +221,8 @@ def _people_search_batch(graph, start: int, name: str, hops: int,
     Per hop: one ``machine_of_batch`` pass routes the frontier, machine
     groups are processed in scalar first-appearance order, each group
     expands with one CSR ``outlinks_batch`` decode, newly discovered
-    nodes are deduplicated with a first-occurrence ``np.unique`` (the
-    scalar visited-set semantics), and the whole next frontier is
+    nodes are deduplicated in first-occurrence order (the scalar
+    visited-set semantics), and the whole next frontier is
     name-checked through one ``field_eq_batch`` byte compare.
     """
     result = PeopleSearchResult(start=start, name=name, hops=hops)
@@ -245,9 +249,8 @@ def _people_search_batch(graph, start: int, name: str, hops: int,
             # First-occurrence dedup of this group's discoveries against
             # everything visited so far (including earlier groups of the
             # same hop — ``visited`` is updated between groups).
-            fresh = flat[visited.unseen(flat)]
-            _, first_seen = np.unique(fresh, return_index=True)
-            new = fresh[np.sort(first_seen)]
+            new = first_occurrences(flat[visited.unseen(flat)], ordered=True,
+                                    stamp=visited.stamp)
             if len(new):
                 destinations = graph.machine_of_batch(new)
                 counts = np.bincount(destinations)

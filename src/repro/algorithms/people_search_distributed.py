@@ -30,6 +30,8 @@ import numpy as np
 
 from ..errors import DivergenceError, QueryError
 from ..tsl import compile_tsl
+from ..utils.arrays import first_occurrences
+from .people_search import _VisitedTracker
 
 SEARCH_TSL = """
 struct ExpandRequest {
@@ -204,7 +206,8 @@ def _client_batch(cluster, graph, start: int, name: str, hops: int,
                   cross_check: bool) -> DistributedSearchResult:
     client = cluster.new_client()
     result = DistributedSearchResult()
-    visited = np.asarray([start], dtype=np.int64)          # kept sorted
+    visited = _VisitedTracker(start)
+    reached = [start]
     frontier = np.asarray([start], dtype=np.int64)
     matched: set[int] = set()
     before = cluster.network.clock.now
@@ -223,11 +226,10 @@ def _client_batch(cluster, graph, start: int, name: str, hops: int,
             matched.update(reply["Matches"])
             candidates.extend(reply["Next"])
         cand = np.asarray(candidates, dtype=np.int64)
-        fresh = cand[~np.isin(cand, visited)] if len(cand) else cand
-        _, first_seen = np.unique(fresh, return_index=True)
-        new = fresh[np.sort(first_seen)]
+        new = first_occurrences(cand[visited.unseen(cand)], ordered=True,
+                                stamp=visited.stamp)
         if cross_check:
-            seen = set(visited.tolist())
+            seen = set(reached)
             shadow_new = [n for n in candidates
                           if n not in seen and not seen.add(n)]
             if new.tolist() != shadow_new:
@@ -235,8 +237,9 @@ def _client_batch(cluster, graph, start: int, name: str, hops: int,
                     f"distributed search batch dedup diverges from "
                     f"scalar: {new.tolist()!r} != {shadow_new!r}"
                 )
+        visited.add(new)
+        reached += new.tolist()
         if len(new):
-            visited = np.union1d(visited, new)
             names = graph.read_field_batch(new, "Name",
                                            cross_check=cross_check)
             matched.update(int(node) for node, node_name
@@ -244,7 +247,7 @@ def _client_batch(cluster, graph, start: int, name: str, hops: int,
                            if node_name == name)
         frontier = new
     matched.discard(start)
-    visited_set = set(visited.tolist())
+    visited_set = set(reached)
     result.matches = sorted(m for m in matched if m in visited_set)
     result.visited = len(visited_set) - 1
     result.elapsed = cluster.network.clock.now - before

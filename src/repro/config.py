@@ -102,12 +102,6 @@ class MemoryParams:
     spinlock_budget: int = 1 << 16
     """Number of spins before ``CellLockedError`` (deadlock guard)."""
 
-    hashtable_storage: str = "list"
-    """Backing storage for each trunk's hash table: ``"list"`` (Python
-    lists) or ``"numpy"`` (int64/uint64 arrays).  Both implement the same
-    linear-probing algorithm with identical probe accounting; the numpy
-    backend is denser and supports cheap bulk pre-sizing."""
-
     storage: str = "resident"
     """Byte backing per trunk: ``"resident"`` keeps the whole arena in
     RAM (the default, behaviour-identical to the pre-tier trunk);
@@ -143,11 +137,6 @@ class MemoryParams:
     def __post_init__(self) -> None:
         if self.trunk_size <= 0:
             raise ConfigError("trunk_size must be positive")
-        if self.hashtable_storage not in ("list", "numpy"):
-            raise ConfigError(
-                f"hashtable_storage must be 'list' or 'numpy', "
-                f"got {self.hashtable_storage!r}"
-            )
         if self.storage not in ("resident", "paged"):
             raise ConfigError(
                 f"storage must be 'resident' or 'paged', "

@@ -18,7 +18,7 @@ retries to the simulated clock) lives in
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 

@@ -143,11 +143,15 @@ class Graph:
             )
         self._m_batch_calls.inc()
         self._m_batch_cells.inc(len(ids))
-        unique, inverse = np.unique(ids, return_inverse=True)
-        if len(unique) == len(ids):
-            unique, inverse = ids, None
-        else:
-            self._m_batch_dedup.inc(len(ids) - len(unique))
+        unique, inverse = ids, None
+        # Strictly increasing ids (a fused window's misses, a sorted
+        # frontier) are duplicate-free by an O(n) look: no sort.
+        if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
+            unique, inverse = np.unique(ids, return_inverse=True)
+            if len(unique) == len(ids):
+                unique, inverse = ids, None
+            else:
+                self._m_batch_dedup.inc(len(ids) - len(unique))
         groups = self.cloud.bulk_get_spans(unique)
         try:
             parts = [(idx, decode(arena, starts, limits, field_name))

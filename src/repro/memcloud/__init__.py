@@ -19,11 +19,7 @@ This package implements Section 3 ("The Memory Cloud") and Section 6.1
 """
 
 from .locks import SharedSpinLock, SpinLock
-from .hashtable import (
-    NumpyTrunkHashTable,
-    TrunkHashTable,
-    make_trunk_hashtable,
-)
+from .hashtable import TrunkHashTable
 from .arena import BytesArena, SharedMemoryArena, shared_arena_factory
 from .trunk import CELL_HEADER_BYTES, MemoryTrunk, TrunkSpans, TrunkStats
 from .addressing import AddressingTable
@@ -33,8 +29,6 @@ __all__ = [
     "SpinLock",
     "SharedSpinLock",
     "TrunkHashTable",
-    "NumpyTrunkHashTable",
-    "make_trunk_hashtable",
     "BytesArena",
     "SharedMemoryArena",
     "shared_arena_factory",

@@ -25,6 +25,7 @@ from ..obs import MetricsRegistry, MetricsReport, get_registry
 from ..utils.hashing import trunk_of, trunk_of_array
 from ..utils.sorting import stable_argsort
 from .addressing import AddressingTable
+from .hashtable import wrap_keys
 from .trunk import MemoryTrunk, TrunkStats
 
 
@@ -275,12 +276,17 @@ class MemoryCloud:
         and so does the parallel bulk loader, so its worker/coordinator
         halves agree on every trunk's subsequence.
         """
-        uids = np.asarray(cell_ids, dtype=np.uint64)
+        uids, outside = wrap_keys(cell_ids)
         trunks = trunk_of_array(uids, self.config.trunk_bits)
         order = stable_argsort(trunks)
         sorted_trunks = trunks[order]
         boundaries = np.flatnonzero(np.diff(sorted_trunks)) + 1
         uid_list = uids.tolist()  # one bulk conversion to Python ints
+        if outside is not None:
+            # Routed like the scalar path routes them (by the wrapped
+            # value) but handed on as they are, for the trunk to refuse.
+            for i in outside.tolist():
+                uid_list[i] = int(cell_ids[i])
         for group in np.split(order, boundaries):
             indices = group.tolist()
             yield int(trunks[group[0]]), indices, [uid_list[i]

@@ -7,30 +7,34 @@ suboptimal due to a higher probability of hashing conflicts"; to make that
 claim testable, this table is a real open-addressing (linear probing)
 implementation that counts probe steps, rather than a Python ``dict``.
 
-Two interchangeable backends implement the same probing algorithm with
-identical probe accounting:
+Slots live in three numpy arrays — uint64 keys, int64 values, uint8
+states — which is the form the bulk data path wants: ``bulk_lookup``
+advances a whole trunk group one probe per round, ``bulk_insert_fresh``
+hashes a batch in one pass, ``items()`` is one ``tolist()``.  Scalar
+operations, and groups too small to amortise numpy's fixed cost, walk
+the same arrays through ``memoryview``s: indexing a memoryview returns a
+plain Python int at the price of a list index, where indexing the
+ndarray would box a numpy scalar for every slot touched.  Both walks
+take the same probe sequence, so ``probe_count`` / ``lookup_count``
+never depend on which one ran.
 
-* :class:`TrunkHashTable` — three parallel Python lists (hashes are
-  implicit); the default.
-* :class:`NumpyTrunkHashTable` — uint64 key / int64 value arrays plus a
-  uint8 state array.  Denser, and the natural fit for the bulk data path,
-  which pre-sizes it with :meth:`~TrunkHashTable.reserve` so batch loads
-  never resize incrementally.
-
-Because the probe sequence depends only on slot occupancy (which evolves
-identically under the same operation sequence), the two backends report
-bit-identical ``probe_count`` / ``lookup_count`` series — the trunk-count
-ablation asserts this.
+Keys are UIDs in ``[0, 2**64)``.  Nothing else is ever stored, so a read
+of any other integer misses (scalar and bulk alike) and a write of one
+raises :class:`~repro.errors.MemoryCloudError`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..errors import MemoryCloudError
 from ..utils.hashing import mix64, mix64_array
 
-_EMPTY = -1
-_TOMBSTONE = -2
+_EMPTY = 0
+_LIVE = 1
+_TOMBSTONE = 2
+
+_MASK64 = (1 << 64) - 1
 
 # Keys reaching one trunk share the low p bits of mix64(uid) — that is
 # how the addressing layer routed them here.  The paper's Figure 3
@@ -39,9 +43,12 @@ _TOMBSTONE = -2
 # index (without it, every key in a trunk lands in the same few slots).
 _TRUNK_SALT = 0x9E3779B97F4A7C15
 
-
-def _slot_hash(key: int) -> int:
-    return mix64(key ^ _TRUNK_SALT)
+# Batch sizes at which numpy's fixed costs are repaid (measured on the
+# trunk groups cross-trunk fan-out leaves): one vectorized hash pass
+# beats hashing key by key from _VECTOR_MIN keys, and probing in
+# vectorized rounds beats walking the memoryviews from _ROUNDS_MIN.
+_VECTOR_MIN = 16
+_ROUNDS_MIN = 256
 
 
 def _capacity_for(entries: int) -> int:
@@ -53,6 +60,41 @@ def _capacity_for(entries: int) -> int:
     return capacity
 
 
+def check_key(key: int) -> None:
+    """Refuse to store anything that is not a 64-bit UID."""
+    if not 0 <= key <= _MASK64:
+        raise MemoryCloudError(f"cell id {key} is outside [0, 2**64)")
+
+
+def wrap_keys(keys) -> tuple[np.ndarray, np.ndarray | None]:
+    """``keys`` modulo 2**64 as a uint64 array, plus the positions of
+    the keys outside ``[0, 2**64)`` — ``None`` when there are none.
+
+    The wrapped value is what :func:`~repro.utils.hashing.mix64` hashes,
+    so it routes an out-of-range key where the scalar path would; the
+    positions let the caller refuse it there.
+    """
+    array = np.asarray(keys)
+    if array.dtype.kind == "u":
+        return array.astype(np.uint64, copy=False), None
+    if array.dtype.kind == "i":
+        wrapped = array.astype(np.uint64)
+        if array.size and array.min() < 0:
+            return wrapped, np.flatnonzero(array < 0)
+        return wrapped, None
+    # Python ints too wide (or too mixed) for a native integer dtype.
+    ints = [int(key) for key in keys]
+    outside = [i for i, key in enumerate(ints) if not 0 <= key <= _MASK64]
+    wrapped = np.array([key & _MASK64 for key in ints], dtype=np.uint64)
+    return wrapped, np.array(outside, dtype=np.int64) if outside else None
+
+
+def _home_slots(keys: np.ndarray, mask: int) -> np.ndarray:
+    """First probe slot per key of a uint64 array."""
+    return (mix64_array(keys ^ np.uint64(_TRUNK_SALT))
+            & np.uint64(mask)).astype(np.int64)
+
+
 class TrunkHashTable:
     """Linear-probing hash map from 64-bit UID to a non-negative int.
 
@@ -61,10 +103,9 @@ class TrunkHashTable:
     for the trunk-count ablation benchmark.
     """
 
-    __slots__ = ("_keys", "_values", "_mask", "_used", "_tombstones",
+    __slots__ = ("_keys", "_values", "_states", "_key_view", "_value_view",
+                 "_state_view", "_mask", "_used", "_tombstones",
                  "probe_count", "lookup_count")
-
-    storage = "list"
 
     def __init__(self, initial_capacity: int = 16):
         capacity = 16
@@ -77,8 +118,12 @@ class TrunkHashTable:
         self.lookup_count = 0   # total lookups (get/set/delete)
 
     def _allocate(self, capacity: int) -> None:
-        self._keys = [_EMPTY] * capacity
-        self._values = [0] * capacity
+        self._keys = np.zeros(capacity, dtype=np.uint64)
+        self._values = np.zeros(capacity, dtype=np.int64)
+        self._states = np.zeros(capacity, dtype=np.uint8)
+        self._key_view = memoryview(self._keys)
+        self._value_view = memoryview(self._values)
+        self._state_view = memoryview(self._states)
         self._mask = capacity - 1
 
     def __len__(self) -> int:
@@ -95,44 +140,53 @@ class TrunkHashTable:
             return 0.0
         return self.probe_count / self.lookup_count
 
-    def _probe(self, key: int) -> tuple[int, int]:
-        """(slot, probe steps) for ``key``: its slot, or the first
-        insertable slot if absent."""
-        index = _slot_hash(key) & self._mask
+    def _probe(self, key: int) -> tuple[int, int, bool]:
+        """``(slot, probe steps, found)`` for ``key``: the slot holding
+        it, or the first insertable slot if it is absent."""
+        states, keys, mask = self._state_view, self._key_view, self._mask
+        index = mix64(key ^ _TRUNK_SALT) & mask
         first_tombstone = -1
-        probes = 0
-        while True:
-            probes += 1
-            slot_key = self._keys[index]
-            if slot_key == key:
-                break
-            if slot_key == _EMPTY:
-                if first_tombstone >= 0:
-                    index = first_tombstone
-                break
-            if slot_key == _TOMBSTONE and first_tombstone < 0:
+        probes = 1
+        while (state := states[index]) != _EMPTY:
+            if state == _LIVE:
+                if keys[index] == key:
+                    return index, probes, True
+            elif first_tombstone < 0:
                 first_tombstone = index
-            index = (index + 1) & self._mask
-        return index, probes
+            index = (index + 1) & mask
+            probes += 1
+        return (index if first_tombstone < 0 else first_tombstone,
+                probes, False)
 
-    def _slot_for(self, key: int, record: bool = True) -> int:
-        """Find the slot holding ``key`` or the first insertable slot.
-
-        ``record=False`` skips the probe statistics — used for internal
-        re-probes (e.g. relocating the key after a resize) that are part
-        of one logical operation and must not be double-counted.
-        """
-        index, probes = self._probe(key)
-        if record:
-            self.lookup_count += 1
-            self.probe_count += probes
+    def _claim(self, key: int, index: int) -> int:
+        """Store ``key`` in the insertable slot a missed probe returned;
+        the slot it ends up in (a resize moves it)."""
+        check_key(key)
+        if self._state_view[index] == _TOMBSTONE:
+            self._tombstones -= 1
+        self._key_view[index] = key
+        self._state_view[index] = _LIVE
+        self._used += 1
+        if (self._used + self._tombstones) * 3 >= self.capacity * 2:
+            self._resize()
+            # Re-locating the key in the rebuilt table is part of the
+            # same logical operation: not counted a second time.
+            index = self._probe(key)[0]
         return index
 
     def get(self, key: int, default: int | None = None) -> int | None:
-        index = self._slot_for(key)
-        if self._keys[index] == key:
-            return self._values[index]
-        return default
+        # A read never needs the first tombstone, so the probe loop is
+        # inlined without it (this is the cloud's scalar read path).
+        states, keys, mask = self._state_view, self._key_view, self._mask
+        index = mix64(key ^ _TRUNK_SALT) & mask
+        probes = 1
+        while (state := states[index]) and not (state == _LIVE
+                                                and keys[index] == key):
+            index = (index + 1) & mask
+            probes += 1
+        self.lookup_count += 1
+        self.probe_count += probes
+        return self._value_view[index] if state else default
 
     def __contains__(self, key: int) -> bool:
         return self.get(key) is not None
@@ -143,24 +197,17 @@ class TrunkHashTable:
         The bulk path uses this to classify a batch before replaying the
         scalar-equivalent (and therefore recorded) operation sequence.
         """
-        index, _ = self._probe(key)
-        return self._keys[index] == key
+        return self._probe(key)[2]
 
     def set(self, key: int, value: int) -> None:
         if value < 0:
             raise ValueError("TrunkHashTable values must be non-negative")
-        index = self._slot_for(key)
-        if self._keys[index] != key:
-            if self._keys[index] == _TOMBSTONE:
-                self._tombstones -= 1
-            self._keys[index] = key
-            self._used += 1
-            if (self._used + self._tombstones) * 3 >= self.capacity * 2:
-                self._resize()
-                # Re-locating the key in the rebuilt table is part of the
-                # same logical set(): don't count it a second time.
-                index = self._slot_for(key, record=False)
-        self._values[index] = value
+        index, probes, found = self._probe(key)
+        self.lookup_count += 1
+        self.probe_count += probes
+        if not found:
+            index = self._claim(key, index)
+        self._value_view[index] = value
 
     def insert_fresh(self, key: int, value: int) -> None:
         """Insert a key known to be absent, probing once.
@@ -173,229 +220,78 @@ class TrunkHashTable:
         """
         if value < 0:
             raise ValueError("TrunkHashTable values must be non-negative")
-        index, probes = self._probe(key)
+        index, probes, _ = self._probe(key)
         self.lookup_count += 2
         self.probe_count += 2 * probes
-        if self._keys[index] == _TOMBSTONE:
-            self._tombstones -= 1
-        self._keys[index] = key
-        self._used += 1
-        if (self._used + self._tombstones) * 3 >= self.capacity * 2:
-            self._resize()
-            index = self._slot_for(key, record=False)
-        self._values[index] = value
+        index = self._claim(key, index)  # may swap the arrays: index first
+        self._value_view[index] = value
 
     def delete(self, key: int) -> bool:
         """Remove ``key``; returns False if it was absent."""
-        index = self._slot_for(key)
-        if self._keys[index] != key:
-            return False
-        self._keys[index] = _TOMBSTONE
-        self._used -= 1
-        self._tombstones += 1
-        return True
+        index, probes, found = self._probe(key)
+        self.lookup_count += 1
+        self.probe_count += probes
+        if found:
+            self._state_view[index] = _TOMBSTONE
+            self._used -= 1
+            self._tombstones += 1
+        return found
 
     def bulk_lookup(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """Values for a batch of keys: ``(values, found_mask)``.
 
         Read-only, so a batch is equivalent to a loop of :meth:`get`
-        calls in any order — probe/lookup counters advance by exactly
-        the scalar totals.  The list backend probes per key; the numpy
-        backend overrides this with round-vectorized probing.
+        calls in any order, and ``probe_count``/``lookup_count`` advance
+        by exactly that loop's totals whichever way the batch runs:
+
+        * a trunk group of up to a few hundred keys — or one holding a
+          key outside ``[0, 2**64)`` — walks the memoryviews key by key
+          (home slots from one vectorized hash pass once there are
+          enough keys to pay for it);
+        * a larger one advances all unresolved keys one slot per round
+          in numpy; a key retires when its slot is a live match (found)
+          or empty (absent), and walks past tombstones.
         """
         n = len(keys)
-        values = np.zeros(n, dtype=np.int64)
-        found = np.zeros(n, dtype=bool)
-        for i in range(n):
-            value = self.get(int(keys[i]))
-            if value is not None:
-                values[i] = value
-                found[i] = True
-        return values, found
-
-    def reserve(self, entries: int) -> None:
-        """Pre-size the table to hold ``entries`` live keys resize-free.
-
-        Rebuilds (rehashing live entries, dropping tombstones) only when
-        the target capacity exceeds the current one; probe statistics are
-        untouched, exactly like an internal resize.
-        """
-        capacity = _capacity_for(entries)
-        if capacity > self.capacity:
-            self._rebuild(capacity)
-
-    def items(self):
-        """Yield (key, value) pairs in arbitrary (slot) order."""
-        for key, value in zip(self._keys, self._values):
-            if key >= 0:
-                yield key, value
-
-    def keys(self):
-        for key in self._keys:
-            if key >= 0:
-                yield key
-
-    def _resize(self) -> None:
-        capacity = self.capacity
-        # Grow only if genuinely full of live entries; a tombstone-heavy
-        # table is rebuilt at the same size.
-        if self._used * 3 >= capacity * 2:
-            capacity <<= 1
-        self._rebuild(capacity)
-
-    def _rebuild(self, capacity: int) -> None:
-        old_keys = self._keys
-        old_values = self._values
-        self._allocate(capacity)
-        self._tombstones = 0
-        for key, value in zip(old_keys, old_values):
-            if key >= 0:
-                index = _slot_hash(key) & self._mask
-                while self._keys[index] != _EMPTY:
-                    index = (index + 1) & self._mask
-                self._keys[index] = key
-                self._values[index] = value
-
-
-# Slot states for the numpy backend (the list backend encodes them as
-# negative sentinel keys, which uint64 storage cannot represent).
-_STATE_EMPTY = 0
-_STATE_LIVE = 1
-_STATE_TOMBSTONE = 2
-
-
-class NumpyTrunkHashTable(TrunkHashTable):
-    """Array-backed variant: uint64 keys, int64 values, uint8 slot states.
-
-    Same probing algorithm and load-factor policy as the list backend —
-    only the storage differs, so the probe/lookup counters (and therefore
-    the trunk-count ablation's mean-probe-length claim) are preserved
-    bit for bit.
-    """
-
-    __slots__ = ("_states",)
-
-    storage = "numpy"
-
-    def _allocate(self, capacity: int) -> None:
-        self._keys = np.zeros(capacity, dtype=np.uint64)
-        self._values = np.zeros(capacity, dtype=np.int64)
-        self._states = np.zeros(capacity, dtype=np.uint8)
-        self._mask = capacity - 1
-
-    def _probe(self, key: int) -> tuple[int, int]:
-        index = _slot_hash(key) & self._mask
-        first_tombstone = -1
-        probes = 0
-        keys = self._keys
-        states = self._states
-        while True:
-            probes += 1
-            state = states[index]
-            if state == _STATE_LIVE:
-                if keys[index] == key:
-                    break
-            elif state == _STATE_EMPTY:
-                if first_tombstone >= 0:
-                    index = first_tombstone
-                break
-            elif first_tombstone < 0:
-                first_tombstone = index
-            index = (index + 1) & self._mask
-        return index, probes
-
-    def _is_live_match(self, index: int, key: int) -> bool:
-        return (self._states[index] == _STATE_LIVE
-                and self._keys[index] == key)
-
-    def get(self, key: int, default: int | None = None) -> int | None:
-        index = self._slot_for(key)
-        if self._is_live_match(index, key):
-            return int(self._values[index])
-        return default
-
-    def has_key(self, key: int) -> bool:
-        index, _ = self._probe(key)
-        return self._is_live_match(index, key)
-
-    def set(self, key: int, value: int) -> None:
-        if value < 0:
-            raise ValueError("TrunkHashTable values must be non-negative")
-        index = self._slot_for(key)
-        if not self._is_live_match(index, key):
-            if self._states[index] == _STATE_TOMBSTONE:
-                self._tombstones -= 1
-            self._keys[index] = key
-            self._states[index] = _STATE_LIVE
-            self._used += 1
-            if (self._used + self._tombstones) * 3 >= self.capacity * 2:
-                self._resize()
-                index = self._slot_for(key, record=False)
-        self._values[index] = value
-
-    def insert_fresh(self, key: int, value: int) -> None:
-        if value < 0:
-            raise ValueError("TrunkHashTable values must be non-negative")
-        index, probes = self._probe(key)
-        self.lookup_count += 2
-        self.probe_count += 2 * probes
-        if self._states[index] == _STATE_TOMBSTONE:
-            self._tombstones -= 1
-        self._keys[index] = key
-        self._states[index] = _STATE_LIVE
-        self._used += 1
-        if (self._used + self._tombstones) * 3 >= self.capacity * 2:
-            self._resize()
-            index = self._slot_for(key, record=False)
-        self._values[index] = value
-
-    def delete(self, key: int) -> bool:
-        index = self._slot_for(key)
-        if not self._is_live_match(index, key):
-            return False
-        self._states[index] = _STATE_TOMBSTONE
-        self._used -= 1
-        self._tombstones += 1
-        return True
-
-    def bulk_lookup(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`get` over a key batch.
-
-        Linear probing advances all unresolved keys one slot per round;
-        a key retires when its slot is a live match (found) or empty
-        (absent), and walks past tombstones — the exact scalar probe
-        sequence, so ``probe_count``/``lookup_count`` advance by the
-        same totals a :meth:`get` loop would record.
-        """
-        n = len(keys)
-        if n < 16:
-            # Fixed numpy overhead beats the probe work on tiny batches
-            # (cross-trunk fan-out leaves many); the scalar loop keeps
-            # the identical probe accounting.
-            return super().bulk_lookup(keys)
-        keys_arr = np.asarray(keys, dtype=np.uint64)
-        values = np.zeros(n, dtype=np.int64)
-        found = np.zeros(n, dtype=bool)
-        with np.errstate(over="ignore"):
-            index = (mix64_array(keys_arr ^ np.uint64(_TRUNK_SALT))
-                     & np.uint64(self._mask)).astype(np.int64)
-        active = np.arange(n)
-        probes = 0
         mask = self._mask
+        keys_arr, outside = (None, None) if n < _VECTOR_MIN else wrap_keys(keys)
+        if n < _ROUNDS_MIN or outside is not None:
+            if keys_arr is None:
+                homes = [mix64(int(key) ^ _TRUNK_SALT) & mask for key in keys]
+            else:
+                homes = _home_slots(keys_arr, mask).tolist()
+            states, slots, stored = (self._state_view, self._key_view,
+                                     self._value_view)
+            values, found, probes = [0] * n, [False] * n, n
+            # An out-of-range key is compared as it came, so it misses.
+            for i, (index, key) in enumerate(zip(homes, map(int, keys))):
+                while (state := states[index]) and not (
+                        state == _LIVE and slots[index] == key):
+                    index = (index + 1) & mask
+                    probes += 1
+                if state:
+                    values[i] = stored[index]
+                    found[i] = True
+            self.lookup_count += n
+            self.probe_count += probes
+            return (np.array(values, dtype=np.int64),
+                    np.array(found, dtype=bool))
+        values = np.zeros(n, dtype=np.int64)
+        found = np.zeros(n, dtype=bool)
+        index = _home_slots(keys_arr, mask)
+        active = np.arange(n)
+        self.lookup_count += n
         while len(active):
-            probes += len(active)
+            self.probe_count += len(active)
             slots = index[active]
             states = self._states[slots]
-            live_match = ((states == _STATE_LIVE)
+            live_match = ((states == _LIVE)
                           & (self._keys[slots] == keys_arr[active]))
-            finished = live_match | (states == _STATE_EMPTY)
             hits = active[live_match]
-            values[hits] = self._values[index[hits]]
+            values[hits] = self._values[slots[live_match]]
             found[hits] = True
-            active = active[~finished]
+            active = active[~(live_match | (states == _EMPTY))]
             index[active] = (index[active] + 1) & mask
-        self.lookup_count += n
-        self.probe_count += probes
         return values, found
 
     def bulk_insert_fresh(self, keys, values) -> bool:
@@ -413,62 +309,80 @@ class NumpyTrunkHashTable(TrunkHashTable):
         n = len(keys)
         if (self._used + self._tombstones + n) * 3 >= self.capacity * 2:
             return False
-        keys_arr = np.asarray(keys, dtype=np.uint64)
+        if not n:
+            return True
+        keys_arr, outside = wrap_keys(keys)
+        if outside is not None:
+            check_key(int(keys[outside[0]]))
         values_arr = np.asarray(values, dtype=np.int64)
-        if n and int(values_arr.min()) < 0:
+        if int(values_arr.min()) < 0:
             raise ValueError("TrunkHashTable values must be non-negative")
-        with np.errstate(over="ignore"):
-            homes = (mix64_array(keys_arr ^ np.uint64(_TRUNK_SALT))
-                     & np.uint64(self._mask)).astype(np.int64)
-        # Conflict-free subset: home slot truly empty and not claimed by
-        # an earlier key of this batch.  Those inserts are order-
-        # independent (each lands in its own home with probe length 1),
-        # so one fancy-indexed store is exactly the sequential result.
-        first_claim = np.zeros(n, dtype=bool)
-        first_claim[np.unique(homes, return_index=True)[1]] = True
-        free = first_claim & (self._states[homes] == _STATE_EMPTY)
+        homes = _home_slots(keys_arr, self._mask)
+        # Conflict-free subset: the earliest key of the batch per home
+        # slot (one plain sort of ``home << bits | position`` and a
+        # neighbour compare), where that slot is truly empty.  Those
+        # inserts are order-independent (each lands in its own home with
+        # probe length 1), so one fancy-indexed store is exactly the
+        # sequential result.
+        bits = n.bit_length()
+        packed = np.sort((homes << bits) | np.arange(n))
+        claimant = np.ones(n, dtype=bool)
+        claimant[1:] = (packed[1:] >> bits) != (packed[:-1] >> bits)
+        claimants = packed[claimant] & ((1 << bits) - 1)
+        free = claimants[self._states[homes[claimants]] == _EMPTY]
         free_homes = homes[free]
         self._keys[free_homes] = keys_arr[free]
         self._values[free_homes] = values_arr[free]
-        self._states[free_homes] = _STATE_LIVE
-        done = int(free.sum())
-        self._used += done
-        self.lookup_count += 2 * done
-        self.probe_count += 2 * done
-        for i in np.flatnonzero(~free).tolist():
+        self._states[free_homes] = _LIVE
+        self._used += len(free)
+        self.lookup_count += 2 * len(free)
+        self.probe_count += 2 * len(free)
+        collided = np.ones(n, dtype=bool)
+        collided[free] = False
+        for i in np.flatnonzero(collided).tolist():
             self.insert_fresh(int(keys_arr[i]), int(values_arr[i]))
         return True
 
+    def reserve(self, entries: int) -> None:
+        """Pre-size the table to hold ``entries`` live keys resize-free.
+
+        Rebuilds (rehashing live entries, dropping tombstones) only when
+        the target capacity exceeds the current one; probe statistics are
+        untouched, exactly like an internal resize.
+        """
+        capacity = _capacity_for(entries)
+        if capacity > self.capacity:
+            self._rebuild(capacity)
+
     def items(self):
-        for index in np.flatnonzero(self._states == _STATE_LIVE):
-            yield int(self._keys[index]), int(self._values[index])
+        """(key, value) pairs in arbitrary (slot) order, as Python ints."""
+        live = self._states == _LIVE
+        return zip(self._keys[live].tolist(), self._values[live].tolist())
 
     def keys(self):
-        for index in np.flatnonzero(self._states == _STATE_LIVE):
-            yield int(self._keys[index])
+        return self._keys[self._states == _LIVE].tolist()
+
+    def _resize(self) -> None:
+        capacity = self.capacity
+        # Grow only if genuinely full of live entries; a tombstone-heavy
+        # table is rebuilt at the same size.
+        if self._used * 3 >= capacity * 2:
+            capacity <<= 1
+        self._rebuild(capacity)
 
     def _rebuild(self, capacity: int) -> None:
-        old_keys = self._keys
-        old_values = self._values
-        old_states = self._states
+        live = self._states == _LIVE
+        old_keys, old_values = self._keys[live], self._values[live].tolist()
         self._allocate(capacity)
         self._tombstones = 0
+        states, keys, values = (self._state_view, self._key_view,
+                                self._value_view)
         mask = self._mask
-        for slot in np.flatnonzero(old_states == _STATE_LIVE):
-            key = int(old_keys[slot])
-            index = _slot_hash(key) & mask
-            while self._states[index] != _STATE_EMPTY:
+        # Re-inserted in old slot order, one hash pass for all of them.
+        for index, key, value in zip(_home_slots(old_keys, mask).tolist(),
+                                     old_keys.tolist(), old_values):
+            while states[index]:
                 index = (index + 1) & mask
-            self._keys[index] = key
-            self._states[index] = _STATE_LIVE
-            self._values[index] = old_values[slot]
-
-
-def make_trunk_hashtable(storage: str = "list",
-                         initial_capacity: int = 16) -> TrunkHashTable:
-    """Factory selecting a hash-table backend by name."""
-    if storage == "list":
-        return TrunkHashTable(initial_capacity)
-    if storage == "numpy":
-        return NumpyTrunkHashTable(initial_capacity)
-    raise ValueError(f"unknown hashtable storage {storage!r}")
+            keys[index] = key
+            values[index] = value
+            states[index] = _LIVE

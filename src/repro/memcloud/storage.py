@@ -356,8 +356,8 @@ class PagedStorage(TrunkStorage):
         if (first == last).all():
             return np.unique(first).tolist()
         pages: set[int] = set()
-        for f, l in zip(first.tolist(), last.tolist()):
-            pages.update(range(f, l + 1))
+        for lo, hi in zip(first.tolist(), last.tolist()):
+            pages.update(range(lo, hi + 1))
         return sorted(pages)
 
     # -- TrunkStorage API -------------------------------------------------

@@ -51,7 +51,7 @@ from ..config import MemoryParams
 from ..errors import CellNotFoundError, MemoryCloudError, TrunkFullError
 from ..obs import MetricsRegistry, get_registry
 from ..utils.arrays import gather_ranges
-from .hashtable import make_trunk_hashtable
+from .hashtable import TrunkHashTable, check_key
 from .locks import SpinLock
 from .storage import ResidentStorage, TrunkStorage, make_trunk_storage
 
@@ -172,7 +172,7 @@ class MemoryTrunk:
                 f"{self.params.trunk_size}"
             )
         self._lock_factory = lock_factory
-        self._index = make_trunk_hashtable(self.params.hashtable_storage)
+        self._index = TrunkHashTable()
         self._entries: list[_CellEntry | None] = []
         self._span_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._mutation_epoch = 0
@@ -367,6 +367,8 @@ class MemoryTrunk:
         this trunk for an in-process load, the coordinator's twin of it
         for a parallel one.
         """
+        for uid in (min(uids, default=0), max(uids, default=0)):
+            check_key(uid)
         count = len(uids)
         headers = np.zeros(count, dtype=_HEADER_DTYPE)
         headers["uid"] = np.array(uids, dtype=np.uint64)
@@ -420,11 +422,15 @@ class MemoryTrunk:
                                                      size_list)
             )
             slots = list(range(base, base + count))
-        index = self._index
-        if not (presize and hasattr(index, "bulk_insert_fresh")
-                and index.bulk_insert_fresh(uids, slots)):
+        self._index_fresh(uids, slots, presize)
+
+    def _index_fresh(self, uids, slots, presized: bool) -> None:
+        """Index absent ``uids``: in one vectorized pass when the table
+        was pre-sized for them (probe-layout equality already waived),
+        else one exact :meth:`insert_fresh` at a time."""
+        if not (presized and self._index.bulk_insert_fresh(uids, slots)):
             for uid, slot in zip(uids, slots):
-                index.insert_fresh(uid, slot)
+                self._index.insert_fresh(uid, slot)
 
     # -- parallel bulk load (repro.compute.shm) ------------------------------
 
@@ -777,12 +783,12 @@ class MemoryTrunk:
                 setattr(self, "_" + name, state[name])
             self._g_garbage.set(self._garbage_bytes)
             cells = state["cells"]
+            base = len(self._entries)
+            self._entries.extend(_CellEntry(*cell) for cell in cells)
             self._index.reserve(len(cells))
-            for uid, offset, cell_size, reserved in cells:
-                entry = _CellEntry(uid, offset, cell_size, reserved)
-                slot = len(self._entries)
-                self._entries.append(entry)
-                self._index.set(uid, slot)
+            self._index_fresh([cell[0] for cell in cells],
+                              range(base, base + len(cells)), True)
+            self._index.probe_count = self._index.lookup_count = 0
             self._invalidate_spans()
             self._storage.flush()
 
@@ -816,6 +822,7 @@ class MemoryTrunk:
         return entry
 
     def _insert(self, uid: int, value: bytes, reserve: bool = False) -> None:
+        check_key(uid)  # before any byte is allocated for it
         self._invalidate_spans()
         reserved = len(value)
         if reserve:

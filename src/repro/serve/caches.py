@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+import numpy as np
+
 from ..obs import get_registry
 
 #: Stamp tags: a full stamp compares the whole vector for equality, a
@@ -51,6 +53,12 @@ class EpochLruCache:
     epoch vector (a sequence indexed by trunk id); ``footprint`` (an
     iterable of trunk ids) restricts the entry's validity to those
     components.
+
+    Beside the entries the cache keeps, per ``kind``, the sorted array
+    of the ``uid`` of every ``(kind, uid)`` key it holds, so
+    :meth:`get_many` finds the few ids of a whole window that can hit
+    with one ``searchsorted`` instead of one ``get`` each.  The array is
+    dropped whenever the key set changes and rebuilt on the next use.
     """
 
     def __init__(self, name: str, capacity: int, registry=None):
@@ -61,6 +69,7 @@ class EpochLruCache:
         self.capacity = capacity
         self._entries: OrderedDict[object, tuple[tuple, object]] = (
             OrderedDict())
+        self._members: dict[object, np.ndarray] = {}
         self._m_hits = registry.counter("serve.cache.hits", cache=name)
         self._m_misses = registry.counter("serve.cache.misses", cache=name)
         self._m_invalidated = registry.counter(
@@ -86,7 +95,10 @@ class EpochLruCache:
         tag, recorded = stamp
         if tag == _FULL:
             return recorded == tuple(epochs)
-        return all(epochs[trunk] == epoch for trunk, epoch in recorded)
+        for trunk, epoch in recorded:
+            if epochs[trunk] != epoch:
+                return False
+        return True
 
     def get(self, key, epochs):
         """The cached value, or None on miss / stale entry.
@@ -102,6 +114,7 @@ class EpochLruCache:
             # A trunk this value was decoded from mutated since it was
             # recorded: the bytes may have changed or moved.
             del self._entries[key]
+            self._members.clear()
             self._m_invalidated.inc()
             self._m_misses.inc()
             return None
@@ -117,6 +130,7 @@ class EpochLruCache:
         invalidated by any mutation anywhere.
         """
         self._entries[key] = (self._stamp(epochs, footprint), value)
+        self._members.clear()
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -140,6 +154,41 @@ class EpochLruCache:
         ``:metrics`` instead of passing silently."""
         self._m_cleared.inc(len(self._entries))
         self._entries.clear()
+        self._members.clear()
+
+    def members(self, kind) -> np.ndarray:
+        """Sorted ``uid`` of every entry keyed ``(kind, uid)``, stale
+        ones included: exactly the uids a :meth:`get` could hit or
+        invalidate."""
+        members = self._members.get(kind)
+        if members is None:
+            members = self._members[kind] = np.array(
+                sorted(key[1] for key in self._entries if key[0] == kind),
+                dtype=np.int64)
+        return members
+
+    def get_many(self, kind, uids: np.ndarray, epochs) -> tuple[list, list]:
+        """``get((kind, uid), epochs)`` for a whole int64 array of uids:
+        the positions that hit and their values.
+
+        Only a uid in :meth:`members` gets a :meth:`get` (in input
+        order); every other one is a plain miss, counted without a
+        lookup — the counters end where a ``get`` per uid would have
+        left them.
+        """
+        members = self.members(kind)
+        candidates = np.empty(0, dtype=np.int64)
+        if len(members):
+            at = np.minimum(np.searchsorted(members, uids), len(members) - 1)
+            candidates = np.flatnonzero(members[at] == uids)
+        self._m_misses.inc(len(uids) - len(candidates))
+        hits, values = [], []
+        for j, uid in zip(candidates.tolist(), uids[candidates].tolist()):
+            value = self.get((kind, uid), epochs)
+            if value is not None:
+                hits.append(j)
+                values.append(value)
+        return hits, values
 
     @property
     def hits(self) -> int:

@@ -125,38 +125,39 @@ class FusedExecutor:
         if self.hub_cache is None:
             return reader(ids)
         unique, inverse = np.unique(ids, return_inverse=True)
-        rows: list = [None] * len(unique)
-        missing: list[int] = []
-        for j, uid in enumerate(unique.tolist()):
-            cached = self.hub_cache.get((kind, uid), epochs)
-            if cached is None:
-                missing.append(j)
-            else:
-                rows[j] = cached
-        self._m_hub_served.inc(len(unique) - len(missing))
-        if missing:
-            miss_ids = unique[missing]
-            miss_indptr, miss_flat = reader(miss_ids)
-            owners = self.graph.cloud.trunks_of_array(miss_ids)
-            for k, j in enumerate(missing):
-                row = miss_flat[miss_indptr[k]:miss_indptr[k + 1]]
-                rows[j] = row
-                if len(row) >= self.hub_degree_threshold:
-                    # A hub row depends only on the trunk owning the
-                    # vertex — stamp just that component so unrelated
-                    # writes leave it valid.
-                    self.hub_cache.put((kind, int(unique[j])), epochs, row,
-                                       footprint=(int(owners[k]),))
-        counts = np.fromiter((len(row) for row in rows), dtype=np.int64,
-                             count=len(rows))
-        unique_indptr = np.zeros(len(unique) + 1, dtype=np.int64)
-        np.cumsum(counts, out=unique_indptr[1:])
-        if int(unique_indptr[-1]):
-            unique_flat = np.concatenate(rows)
+        hits, rows = self.hub_cache.get_many(kind, unique, epochs)
+        self._m_hub_served.inc(len(hits))
+        missed = np.ones(len(unique), dtype=bool)
+        missed[hits] = False
+        # One buffer — the misses' CSR, then the hit rows — and each
+        # unique id's (start, count) in it.
+        starts = np.zeros(len(unique), dtype=np.int64)
+        counts = np.zeros(len(unique), dtype=np.int64)
+        miss_ids = unique[missed]
+        if len(miss_ids):
+            miss_indptr, buffer = reader(miss_ids)
+            starts[missed] = miss_indptr[:-1]
+            counts[missed] = miss_counts = np.diff(miss_indptr)
+            hubs = np.flatnonzero(miss_counts >= self.hub_degree_threshold)
+            if len(hubs):
+                # A hub row depends only on the trunk owning the vertex
+                # — stamp just that component so unrelated writes leave
+                # it valid.
+                owners = self.graph.cloud.trunks_of_array(miss_ids[hubs])
+                for k, uid, owner in zip(hubs.tolist(),
+                                         miss_ids[hubs].tolist(),
+                                         owners.tolist()):
+                    self.hub_cache.put(
+                        (kind, uid), epochs,
+                        buffer[miss_indptr[k]:miss_indptr[k + 1]],
+                        footprint=(owner,))
         else:
-            unique_flat = np.empty(0, dtype=np.int64)
+            buffer = np.empty(0, dtype=np.int64)
+        if hits:
+            counts[hits] = hit_counts = [len(row) for row in rows]
+            starts[hits] = len(buffer) + np.cumsum([0] + hit_counts[:-1])
+            buffer = np.concatenate([buffer, *rows])
         sizes = counts[inverse]
         indptr = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum(sizes, out=indptr[1:])
-        flat = gather_ranges(unique_flat, unique_indptr[inverse], sizes)
-        return indptr, flat
+        return indptr, gather_ranges(buffer, starts[inverse], sizes)

@@ -32,6 +32,7 @@ from ..errors import DivergenceError, QueryError
 from ..net.simnet import SimNetwork
 from ..tql.engine import _OPS, execute_tql
 from ..tql.parser import TqlQuery, parse_tql
+from ..utils.arrays import first_occurrences
 
 #: Batch-read kinds a plan may yield.  ``outlinks``/``inlinks`` answer
 #: with a CSR ``(indptr, flat)`` pair over the op's ids; ``field_eq``
@@ -118,9 +119,7 @@ class PeopleSearchQuery(ServeQuery):
                 break
             indptr, flat = yield BatchOp("outlinks", frontier)
             del indptr
-            fresh = flat[visited.unseen(flat)]
-            _, first_seen = np.unique(fresh, return_index=True)
-            new = fresh[np.sort(first_seen)]
+            new = first_occurrences(flat[visited.unseen(flat)])
             if not len(new):
                 break
             visited.add(new)
@@ -164,9 +163,7 @@ class LandmarkBfsQuery(ServeQuery):
             if not len(frontier):
                 break
             _indptr, flat = yield BatchOp("outlinks", frontier)
-            fresh = flat[visited.unseen(flat)]
-            _, first_seen = np.unique(fresh, return_index=True)
-            new = fresh[np.sort(first_seen)]
+            new = first_occurrences(flat[visited.unseen(flat)])
             if not len(new):
                 break
             visited.add(new)
@@ -314,9 +311,7 @@ class TqlServeQuery(ServeQuery):
             if not len(frontier):
                 break
             _indptr, flat = yield BatchOp(op_kind, frontier)
-            fresh = flat[visited.unseen(flat)]
-            _, first_seen = np.unique(fresh, return_index=True)
-            new = fresh[np.sort(first_seen)]
+            new = first_occurrences(flat[visited.unseen(flat)])
             if not len(new):
                 break
             visited.add(new)

@@ -7,6 +7,7 @@ run actual Python threads (the GIL interleaves them finely enough to
 expose ordering bugs) against the structures.
 """
 
+import sys
 import threading
 
 import pytest
@@ -75,13 +76,22 @@ class TestConcurrentCloud:
 
         threads = [threading.Thread(target=pinner),
                    threading.Thread(target=updater)]
-        for thread in threads:
-            thread.start()
-        pinned.wait(timeout=5)
-        assert not done.is_set()  # updater is spinning behind the pin
-        release.set()
-        for thread in threads:
-            thread.join(timeout=10)
+        # The updater gives up after 2**16 spins (~6 ms), about one
+        # default GIL slice: hand the GIL round often enough that this
+        # thread always gets to release the pin first (the test failed 2
+        # runs in 25 without).
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            pinned.wait(timeout=5)
+            assert not done.is_set()  # updater is spinning behind the pin
+            release.set()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
         assert done.is_set()
         assert big_cloud.get(1) == b"updated"
 

@@ -22,12 +22,11 @@ SMALL_UID = st.integers(min_value=0, max_value=23)
 PAYLOAD = st.binary(max_size=48)
 
 
-def make_cloud(trunk_bits=3, cross_check=False, storage="list",
+def make_cloud(trunk_bits=3, cross_check=False,
                trunk_size=4 * 1024 * 1024, page_size=4096):
     config = ClusterConfig(
         machines=2, trunk_bits=trunk_bits,
-        memory=MemoryParams(trunk_size=trunk_size, page_size=page_size,
-                            hashtable_storage=storage),
+        memory=MemoryParams(trunk_size=trunk_size, page_size=page_size),
     )
     return MemoryCloud(config, MetricsRegistry(), cross_check=cross_check)
 
@@ -110,39 +109,37 @@ class TestBulkPutBasics:
 class TestScalarEquivalence:
     """Direct two-cloud comparison, no shadow involved."""
 
-    def _load(self, batches, storage, presize):
-        bulk = make_cloud(storage=storage)
-        scalar = make_cloud(storage=storage)
+    def _load(self, batches, presize):
+        bulk = make_cloud()
+        scalar = make_cloud()
         for uids, payloads in batches:
             bulk.bulk_put(uids, payloads, presize=presize)
             for uid, payload in zip(uids, payloads):
                 scalar.put(uid, payload)
         return bulk, scalar
 
-    @pytest.mark.parametrize("storage", ["list", "numpy"])
-    def test_exact_probes_without_presize(self, storage):
+    def test_exact_probes_without_presize(self):
         rng = np.random.default_rng(7)
         uids = np.unique(rng.integers(0, 2**62, size=1500)).tolist()
         payloads = [bytes(rng.integers(0, 256, size=int(s), dtype=np.uint8))
                     for s in rng.integers(0, 64, size=len(uids))]
         batches = [(uids[i:i + 256], payloads[i:i + 256])
                    for i in range(0, len(uids), 256)]
-        bulk, scalar = self._load(batches, storage, presize=False)
+        bulk, scalar = self._load(batches, presize=False)
         assert_clouds_identical(bulk, scalar, probes=True)
 
-    @pytest.mark.parametrize("storage", ["list", "numpy"])
-    def test_contents_with_presize(self, storage):
+    def test_contents_with_presize(self):
         rng = np.random.default_rng(11)
         uids = np.unique(rng.integers(0, 2**62, size=1500)).tolist()
         payloads = [b"p" * int(s) for s in rng.integers(0, 64, len(uids))]
-        bulk, scalar = self._load([(uids, payloads)], storage, presize=True)
+        bulk, scalar = self._load([(uids, payloads)], presize=True)
         # Pre-sizing changes probe lengths, never contents or accounting.
         assert_clouds_identical(bulk, scalar, probes=False)
 
     def test_bulk_get_counts_like_scalar_gets(self):
         uids = list(range(0, 400, 3))
         payloads = [b"v"] * len(uids)
-        bulk, scalar = self._load([(uids, payloads)], "list", presize=False)
+        bulk, scalar = self._load([(uids, payloads)], presize=False)
         for uid in uids:
             scalar.get(uid)
         bulk.bulk_get(uids)
@@ -308,24 +305,25 @@ class TestPropertyEquivalence:
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(SMALL_UID, PAYLOAD), min_size=1, max_size=40))
-    def test_numpy_storage_matches_list_storage(self, pairs):
+    def test_bulk_matches_scalar_on_colliding_uids(self, pairs):
         uids = [uid for uid, _ in pairs]
         payloads = [payload for _, payload in pairs]
-        clouds = {}
-        for storage in ("list", "numpy"):
-            cloud = make_cloud(storage=storage)
-            cloud.bulk_put(uids, payloads, presize=False)
-            cloud.bulk_get(sorted(set(uids)))
-            clouds[storage] = cloud
-        assert_clouds_identical(clouds["list"], clouds["numpy"], probes=True)
+        bulk, scalar = make_cloud(), make_cloud()
+        bulk.bulk_put(uids, payloads, presize=False)
+        bulk.bulk_get(sorted(set(uids)))
+        for uid, payload in pairs:
+            scalar.put(uid, payload)
+        for uid in sorted(set(uids)):
+            scalar.get(uid)
+        assert_clouds_identical(bulk, scalar, probes=True)
 
 
 class TestBulkGetSpans:
     """The zero-copy read path must hand out every payload byte-for-byte
     (and ``bulk_get``, its copy-out, with it)."""
 
-    def _loaded_cloud(self, storage="numpy"):
-        cloud = make_cloud(storage=storage)
+    def _loaded_cloud(self):
+        cloud = make_cloud()
         rng = np.random.default_rng(7)
         uids = rng.choice(2**40, size=200, replace=False).astype(np.int64)
         payloads = [bytes([i % 251]) * (i % 37) for i in range(len(uids))]
@@ -337,13 +335,12 @@ class TestBulkGetSpans:
         assert cloud.bulk_get(uids) == payloads
 
     def test_spans_roundtrip(self):
-        for storage in ("list", "numpy"):
-            cloud, uids, payloads = self._loaded_cloud(storage)
-            out = [None] * len(uids)
-            for arena, starts, limits, idx in cloud.bulk_get_spans(uids):
-                for j, i in enumerate(idx.tolist()):
-                    out[i] = arena[starts[j]:limits[j]].tobytes()
-            assert out == payloads
+        cloud, uids, payloads = self._loaded_cloud()
+        out = [None] * len(uids)
+        for arena, starts, limits, idx in cloud.bulk_get_spans(uids):
+            for j, i in enumerate(idx.tolist()):
+                out[i] = arena[starts[j]:limits[j]].tobytes()
+        assert out == payloads
 
     def test_spans_track_mutations(self):
         """Overwrites and removes must invalidate the span caches."""

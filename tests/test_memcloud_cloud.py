@@ -59,6 +59,49 @@ class TestKeyValue:
             assert cloud.get(uid) == value
 
 
+class TestIdsOutsideTheUidRange:
+    """Only ``[0, 2**64)`` names a cell.  Reads of anything else find
+    nothing, writes are refused, and the scalar and bulk paths agree —
+    ``-1`` and ``-2`` used to equal the list table's empty and tombstone
+    sentinels (``contains(-1)`` was True on an empty cloud)."""
+
+    OUTSIDE = [-1, -2, -2**63, 2**64, 2**64 + 5]
+
+    @pytest.mark.parametrize("cell_id", OUTSIDE)
+    def test_reads_find_nothing(self, cloud, cell_id):
+        for trunk_id in cloud.trunks:       # -1 mod 2**64 and friends
+            cloud.put(2**64 - 1 - trunk_id, b"top")
+        assert not cloud.contains(cell_id)
+        assert cell_id not in cloud
+        for read in (cloud.get, cloud.size_of, cloud.remove,
+                     lambda c: cloud.bulk_get([c]),
+                     lambda c: cloud.bulk_get_spans([c] * 20),
+                     lambda c: cloud.bulk_get([1, c] * 200)):
+            with pytest.raises(CellNotFoundError):
+                read(cell_id)
+
+    def test_negative_ids_in_an_int64_array(self, cloud):
+        import numpy as np
+        cloud.put(2**64 - 1, b"top")
+        with pytest.raises(CellNotFoundError) as raised:
+            cloud.bulk_get_spans(np.array([-1] * 20, dtype=np.int64))
+        assert raised.value.cell_id == -1
+
+    @pytest.mark.parametrize("cell_id", OUTSIDE)
+    def test_writes_are_refused_before_anything_is_stored(self, cloud,
+                                                          cell_id):
+        def stats():
+            return [trunk.stats() for trunk in cloud.trunks.values()]
+        before = stats()
+        with pytest.raises(MemoryCloudError):
+            cloud.put(cell_id, b"x")
+        for presize in (True, False):
+            with pytest.raises(MemoryCloudError):
+                cloud.bulk_put([cell_id], [b"x"], presize=presize)
+        assert len(cloud) == 0 and stats() == before
+        assert not cloud.contains(cell_id)
+
+
 class TestPlacement:
     def test_every_cell_on_some_machine(self, cloud):
         for uid in range(200):

@@ -368,6 +368,39 @@ class TestSpanCacheInvalidation:
         assert target.mutation_epoch > epoch_before
         assert dict(target.dump_cells()) == dict(source.dump_cells())
 
+    def test_restored_index_equals_a_scalar_set_rebuild(self):
+        """The restore rebuilds the index in one vectorized pass: same
+        keys, values, length and capacity as one ``set`` per cell, and
+        — the index is rebuilt, not replayed — probe counters at zero."""
+        from repro.memcloud import persistence
+        from repro.memcloud.hashtable import TrunkHashTable
+        source = make_trunk(trunk_size=1 << 20)
+        rng = np.random.default_rng(5)
+        uids = rng.choice(2**62, size=3000, replace=False).tolist()
+        source.bulk_put(uids, [b"p" * (i % 40) for i in range(len(uids))])
+        for uid in uids[::7]:
+            source.remove(uid)
+        for uid in uids[1::7]:
+            source.put(uid, b"grown" * 30)      # relocations, free slots
+        target = make_trunk(trunk_size=1 << 20)
+        assert target._index.get(uids[0]) is None
+        assert target._index.lookup_count == 1   # a miss on the pristine trunk
+        restored = persistence.trunk_from_bytes(
+            persistence.trunk_to_bytes(source), target)
+        assert restored == len(source)
+        state = source.freeze_image_state()
+        rebuilt = TrunkHashTable()
+        rebuilt.reserve(len(state["cells"]))
+        for slot, (uid, *_rest) in enumerate(state["cells"]):
+            rebuilt.set(uid, slot)
+        index = target._index
+        assert dict(index.items()) == dict(rebuilt.items())
+        assert (len(index), index.capacity) == (len(rebuilt),
+                                                rebuilt.capacity)
+        assert (index.probe_count, index.lookup_count) == (0, 0)
+        assert dict(target.dump_cells()) == dict(source.dump_cells())
+        assert target.stats() == source.stats()
+
     def test_restore_trunk_stales_old_spans_and_keeps_epoch_monotonic(self):
         from repro.compute.checkpoint import CheckpointManager
         from repro.memcloud.cloud import MemoryCloud

@@ -649,7 +649,7 @@ class TestVisitedTracker:
         tracker.add(np.asarray([9], dtype=np.int64))
         huge = np.asarray([2**50, 3, 9, 2**50 + 1], dtype=np.int64)
         assert tracker.unseen(huge).tolist() == [True, False, False, True]
-        assert tracker._mask is None  # permanently in sorted mode
+        assert tracker.stamp is None  # permanently in sorted mode
         tracker.add(np.asarray([2**50], dtype=np.int64))
         assert tracker.unseen(huge).tolist() == [False, False, False, True]
         assert tracker.count == 3

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.algorithms.subgraph import generate_query_dfs
 from repro.config import ClusterConfig
@@ -257,6 +258,111 @@ class TestCaches:
     def test_lru_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             EpochLruCache("t", capacity=0, registry=MetricsRegistry())
+
+    def test_adjacency_same_with_and_without_hub_cache(self, deployment):
+        """One window holding repeated ids, cached hubs, plain misses and
+        hubs seen for the first time builds the CSR the uncached executor
+        builds."""
+        _, graph = deployment
+        degrees = graph.degree_batch(np.arange(256))
+        hubs = np.flatnonzero(degrees >= 8)
+        leaves = np.flatnonzero(degrees < 8)
+        assert len(hubs) >= 4 and len(leaves) >= 4
+        config = ServeConfig(result_cache=False, hub_degree_threshold=8)
+        cached = QueryServer(graph, config,
+                             registry=MetricsRegistry()).executor
+        plain = QueryServer(
+            graph, ServeConfig(result_cache=False, hub_cache=False),
+            registry=MetricsRegistry()).executor
+        assert plain.hub_cache is None
+        epochs = graph.cloud.epoch_vector()
+        cached._adjacency(hubs[:2], "outlinks", epochs)   # fills two hubs
+        assert len(cached.hub_cache) == 2
+        window = np.concatenate([hubs[:4], leaves[:4], hubs[1:3],
+                                 leaves[2:4], hubs[:1]])
+        hits_before = cached.hub_cache.hits
+        for _ in range(2):   # second pass: all four hubs hit
+            indptr, flat = cached._adjacency(window, "outlinks", epochs)
+            expected_indptr, expected_flat = plain._adjacency(
+                window, "outlinks", epochs)
+            assert indptr.tolist() == expected_indptr.tolist()
+            assert flat.tolist() == expected_flat.tolist()
+        assert len(cached.hub_cache) == 4
+        assert cached.hub_cache.hits - hits_before == 2 + 4
+        # lookups are per distinct id, as the per-id loop counted them
+        assert (cached.hub_cache.hits + cached.hub_cache.misses
+                == 2 + 2 * len(np.unique(window)))
+
+
+class HubCacheMachine(RuleBasedStateMachine):
+    """``EpochLruCache`` against a twin that is only ever driven one
+    ``get`` at a time: the member index always lists exactly the keys
+    held, and ``get_many`` leaves entries, LRU order and every counter
+    where the per-id loop leaves them."""
+
+    KINDS = ("outlinks", "inlinks")
+    UIDS = st.integers(0, 11)
+    TRUNKS = 3
+
+    def __init__(self):
+        super().__init__()
+        self.cache = EpochLruCache("m", capacity=5,
+                                   registry=MetricsRegistry())
+        self.twin = EpochLruCache("m", capacity=5,
+                                  registry=MetricsRegistry())
+        self.epochs = [0] * self.TRUNKS
+
+    @rule(kind=st.sampled_from(KINDS), uid=UIDS, full=st.booleans())
+    def put(self, kind, uid, full):
+        footprint = None if full else (uid % self.TRUNKS,)
+        for cache in (self.cache, self.twin):
+            cache.put((kind, uid), self.epochs, (kind, uid, len(self.epochs)),
+                      footprint=footprint)
+
+    @rule(kind=st.sampled_from(KINDS), uid=UIDS)
+    def get(self, kind, uid):
+        assert (self.cache.get((kind, uid), self.epochs)
+                == self.twin.get((kind, uid), self.epochs))
+
+    @rule(kind=st.sampled_from(KINDS),
+          uids=st.lists(st.integers(-2, 14), unique=True, max_size=12))
+    def get_many(self, kind, uids):
+        uids = np.array(sorted(uids), dtype=np.int64)
+        hits, values = self.cache.get_many(kind, uids, self.epochs)
+        looped = [self.twin.get((kind, int(uid)), self.epochs)
+                  for uid in uids]
+        assert hits == [j for j, value in enumerate(looped)
+                        if value is not None]
+        assert values == [value for value in looped if value is not None]
+
+    @rule(trunk=st.integers(0, TRUNKS - 1))
+    def bump_epoch(self, trunk):
+        self.epochs[trunk] += 1
+
+    @rule()
+    def clear(self):
+        self.cache.clear()
+        self.twin.clear()
+
+    @invariant()
+    def member_index_lists_the_keys_held(self):
+        for kind in self.KINDS:
+            assert self.cache.members(kind).tolist() == sorted(
+                key[1] for key in self.cache._entries if key[0] == kind)
+
+    @invariant()
+    def same_state_as_the_per_id_twin(self):
+        assert list(self.cache._entries.items()) == list(
+            self.twin._entries.items())
+        for counter in ("hits", "misses", "invalidated", "cleared"):
+            assert getattr(self.cache, counter) == getattr(self.twin, counter)
+        assert (self.cache._m_evicted.value == self.twin._m_evicted.value)
+
+
+TestHubCacheMachine = HubCacheMachine.TestCase
+TestHubCacheMachine.settings = settings(max_examples=60,
+                                        stateful_step_count=40,
+                                        deadline=None)
 
 
 class TestAdmission:
