@@ -54,7 +54,6 @@ from repro.graph import (                                 # noqa: E402
     CsrTopology, GraphBuilder, plain_graph_schema,
 )
 from repro.memcloud import MemoryCloud                    # noqa: E402
-from repro.memcloud.arena import shared_arena_factory     # noqa: E402
 from repro.net.simnet import SimNetwork                   # noqa: E402
 from repro.obs import MetricsRegistry                     # noqa: E402
 
@@ -175,10 +174,8 @@ def _time_bulk_load(edges, backend, workers, repeats):
     last_cloud = None
     for _ in range(repeats):
         config = ClusterConfig(machines=MACHINES, trunk_bits=6)
-        factory = (shared_arena_factory()
-                   if backend == "shared_memory" else None)
         cloud = MemoryCloud(config, registry=MetricsRegistry(),
-                            arena_factory=factory)
+                            shared_arenas=backend == "shared_memory")
         builder = GraphBuilder(cloud, plain_graph_schema(directed=True))
         builder.add_edges(edges)
         start = time.perf_counter()

@@ -5,7 +5,7 @@ this harness measures **real** wall-clock seconds loading a streamed
 social graph (``repro.generators.stream_social_edges`` — the full edge
 list never materialises) into two otherwise-identical clouds:
 
-* resident — today's in-RAM ``BytesArena`` tier;
+* resident — the in-RAM tier (anonymous arenas);
 * paged — the mmap'd page-file tier with a page budget deliberately
   smaller than the graph's arena bytes, so the load and every query
   fault, evict and write back pages continuously.

@@ -11,7 +11,6 @@ from ..config import ClusterConfig
 from ..errors import CellNotFoundError, RecoveryError
 from ..faults import FaultInjector, FaultPlan
 from ..memcloud import MemoryCloud, persistence
-from ..memcloud.trunk import MemoryTrunk
 from ..net import MessageRuntime, SimNetwork
 from ..obs import MetricsRegistry, MetricsReport, get_registry
 from ..tfs import TrinityFileSystem
@@ -40,13 +39,11 @@ class TrinityCluster:
                  schema=None, enable_buffered_log: bool = True,
                  disk_root=None, registry: MetricsRegistry | None = None,
                  faults: FaultPlan | None = None,
-                 arena_factory=None, lock_factory=None):
+                 shared_arenas: bool = False, lock_factory=None):
         self.config = config or ClusterConfig()
         self.obs = registry if registry is not None else get_registry()
-        self._arena_factory = arena_factory
-        self._lock_factory = lock_factory
         self.cloud = MemoryCloud(self.config, registry=self.obs,
-                                 arena_factory=arena_factory,
+                                 shared_arenas=shared_arenas,
                                  lock_factory=lock_factory)
         self.network = SimNetwork(self.config.network, registry=self.obs)
         self.runtime = MessageRuntime(self.network, schema=schema)
@@ -169,19 +166,9 @@ class TrinityCluster:
         slave = self.slaves[machine_id]
         slave.fail()
         self.runtime.fail_machine(machine_id)
-        trunk_kwargs = {}
-        if self._lock_factory is not None:
-            trunk_kwargs["lock_factory"] = self._lock_factory
         for trunk_id in self.cloud.addressing.trunks_of(machine_id):
-            # Losing the machine loses the DRAM: model it honestly.  The
-            # replacement trunk keeps the cluster's arena/lock wiring so
-            # shared-memory backends survive a machine failure.
-            self.cloud.trunks[trunk_id] = MemoryTrunk(
-                trunk_id, self.config.memory, registry=self.obs,
-                arena=(self._arena_factory(self.config.memory.trunk_size)
-                       if self._arena_factory is not None else None),
-                **trunk_kwargs,
-            )
+            # Losing the machine loses the DRAM: model it honestly.
+            self.cloud.replace_trunk(trunk_id)
         if machine_id == self.leader_id:
             self.leader_id = self.election.elect(self.alive_machines())
 

@@ -224,12 +224,8 @@ class RecoveryCoordinator:
             # Without an image the trunk starts empty; the buffered log
             # below replays online updates, which covers the case where
             # the machine never completed a backup.
-            from ..memcloud.trunk import MemoryTrunk
             for trunk_id in missing_images:
-                cluster.cloud.trunks[trunk_id] = MemoryTrunk(
-                    trunk_id, cluster.config.memory,
-                    registry=cluster.cloud.obs,
-                )
+                cluster.cloud.replace_trunk(trunk_id)
 
         # 3) replay buffered-log records for the failed machine, then
         # re-persist the restored trunks to TFS *before* truncating the

@@ -2,9 +2,10 @@
 
 :class:`SharedMemoryBackend` fans each superstep's kernels out to forked
 worker processes.  The dense engine state — vertex values and the active
-mask — lives in ``multiprocessing.shared_memory`` segments, so workers
-write their (disjoint) machine slices directly and the coordinator sees
-the result without any copy.  The per-superstep message inputs
+mask — lives in anonymous shared mappings
+(:class:`~repro.memcloud.arena.Arena`), so workers write their (disjoint)
+machine slices directly and the coordinator sees the result without any
+copy.  The per-superstep message inputs
 (``combined``/``received``) are coordinator-copied into two more shared
 arrays before the step fans out.
 
@@ -43,7 +44,7 @@ import traceback
 import numpy as np
 
 from ..errors import ComputeError
-from ..memcloud.arena import SharedMemoryArena
+from ..memcloud.arena import Arena
 from .backend import ExecutionBackend
 
 _FORK = multiprocessing.get_context("fork")
@@ -109,12 +110,12 @@ def _worker_main(backend, engine, machines, use_batch, conn) -> None:
                 break
     conn.close()
     # Skip interpreter teardown: inherited finalizers (checkpoint
-    # managers, arena finalizers) belong to the coordinator.
+    # managers, page-file removal) belong to the coordinator.
     os._exit(0)
 
 
 class SharedMemoryBackend(ExecutionBackend):
-    """Run superstep kernels in forked workers over OS shared memory."""
+    """Run superstep kernels in forked workers over shared mappings."""
 
     name = "shared_memory"
 
@@ -134,7 +135,7 @@ class SharedMemoryBackend(ExecutionBackend):
 
     def _alloc(self, n: int, dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
-        arena = SharedMemoryArena(max(1, n * dtype.itemsize))
+        arena = Arena(max(1, n * dtype.itemsize), shared=True)
         self._arenas.append(arena)
         return np.ndarray((n,), dtype=dtype, buffer=arena.buf)
 
@@ -245,7 +246,6 @@ class SharedMemoryBackend(ExecutionBackend):
         self._sh_received = None
         arenas, self._arenas = self._arenas, []
         for arena in arenas:
-            arena.unlink()
             arena.close()
 
     # -- pool teardown -------------------------------------------------------

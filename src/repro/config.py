@@ -84,8 +84,9 @@ class MemoryParams:
 
     trunk_size: int = 4 * 1024 * 1024
     """Reserved virtual address space per trunk.  The paper reserves 2 GB;
-    the simulation defaults to 4 MB so tests stay fast, and benchmarks raise
-    it when they need to."""
+    the simulation defaults to 4 MB, sized to its graphs (10^4-10^6 nodes
+    over 256 trunks), and benchmarks raise it when they need to.  As in the
+    paper, reserving is free: a trunk costs RAM only for the pages written."""
 
     page_size: int = 4096
     """Commit granularity: pages are committed as the append head advances."""
@@ -121,9 +122,11 @@ class MemoryParams:
     back first).  Ignored by resident storage."""
 
     spill_dir: str | None = None
-    """Directory for paged trunks' page files.  ``None`` lets each
-    owner (the cloud, or a standalone trunk) manage a private temp
-    location that is removed with it."""
+    """Directory for paged trunks' page files, one cloud at a time: the
+    files are created exclusively, and a second cloud on the same
+    directory is refused.  ``None`` lets each owner (the cloud, or a
+    standalone trunk) manage a private temp location that is removed
+    with it."""
 
     layout_policy: object = None
     """Adjacency layout selection for schemas bound to this cloud:

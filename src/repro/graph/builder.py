@@ -253,7 +253,7 @@ class GraphBuilder:
         bytes directly into the cloud's shared arenas; the coordinator
         then adopts the cells, replaying the exact accounting of the
         in-process bulk path.  Requires a cloud built with
-        ``arena_factory=shared_arena_factory()`` and pristine trunks —
+        ``shared_arenas=True`` and pristine trunks —
         otherwise (or if a batch overflows a trunk's straight-line
         region) it falls back to the in-process path, same results.
         """
@@ -414,7 +414,7 @@ class GraphBuilder:
         """Can this load use the forked shared-arena fast path?
 
         Workers lay bytes straight into the trunks' arenas from offset
-        zero, so the arenas must be OS-shared and every target trunk
+        zero, so the arenas must be mapped shared and every target trunk
         pristine; a shadow replica would also need its own copy of every
         write, which the workers don't produce.
         """

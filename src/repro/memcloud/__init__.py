@@ -7,9 +7,11 @@ This package implements Section 3 ("The Memory Cloud") and Section 6.1
   control and physical memory pinning.
 * :mod:`~repro.memcloud.hashtable` — the per-trunk open-addressing hash
   table mapping a 64-bit UID to the cell's (offset, size) inside the trunk.
-* :mod:`~repro.memcloud.trunk` — memory trunks: real ``bytearray`` arenas
-  with append-head/committed-tail circular allocation, short-lived memory
-  reservation, and a defragmentation pass.
+* :mod:`~repro.memcloud.arena` — the trunk arena: one ``mmap`` (private,
+  fork-shared or file-backed) that costs RAM only where it is written.
+* :mod:`~repro.memcloud.trunk` — memory trunks: append-head/committed-tail
+  circular allocation over an arena, short-lived memory reservation, and a
+  defragmentation pass.
 * :mod:`~repro.memcloud.addressing` — the 2**p-slot addressing table that
   maps trunks to machines, with consistent join/leave relocation.
 * :mod:`~repro.memcloud.cloud` — the :class:`MemoryCloud` facade combining
@@ -20,7 +22,7 @@ This package implements Section 3 ("The Memory Cloud") and Section 6.1
 
 from .locks import SharedSpinLock, SpinLock
 from .hashtable import TrunkHashTable
-from .arena import BytesArena, SharedMemoryArena, shared_arena_factory
+from .arena import Arena
 from .trunk import CELL_HEADER_BYTES, MemoryTrunk, TrunkSpans, TrunkStats
 from .addressing import AddressingTable
 from .cloud import MemoryCloud, SpanGroup
@@ -29,9 +31,7 @@ __all__ = [
     "SpinLock",
     "SharedSpinLock",
     "TrunkHashTable",
-    "BytesArena",
-    "SharedMemoryArena",
-    "shared_arena_factory",
+    "Arena",
     "MemoryTrunk",
     "TrunkSpans",
     "TrunkStats",

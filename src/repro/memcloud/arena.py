@@ -1,121 +1,103 @@
-"""Trunk arena backings: private bytes vs OS shared memory.
+"""The trunk arena: one ``mmap`` the kernel commits on touch.
 
 A :class:`MemoryTrunk` reserves one contiguous address space and treats
 it as raw bytes; everything it needs from the backing is a writable
-buffer of fixed length.  This module abstracts that backing so the
-shared-memory execution backend (:mod:`repro.compute.shm`) can place the
-arenas in ``multiprocessing.shared_memory`` segments that forked worker
-processes mutate directly, while the default single-process simulation
-keeps its plain ``bytearray``.
+buffer of fixed length.  :class:`Arena` is that buffer — a single
+``mmap.mmap`` call with one of three backings the code selects:
 
-Lifecycle of a shared arena: the *coordinator* process creates the
-segment and owns its name; workers inherit the mapping through ``fork``
-(no attach step, no pickling).  ``unlink`` removes the name from the
-OS namespace — on Linux the memory itself survives until the last
-mapping (coordinator or worker) goes away, so views handed out earlier
-stay readable.  Crash cleanup is belt-and-braces: a ``weakref.finalize``
-unlinks the segment when the arena object is garbage collected, and
-CPython's ``resource_tracker`` unlinks anything that outlives the
-creating process anyway.
+* *private anonymous* (the default): process-private bytes.  Mapping
+  reserves address space only; a page costs RAM once it is first
+  written — the paper's VirtualAlloc reserve/commit (§3, §6.1) — so a
+  default cloud is nearly free until cells are stored.
+* *shared anonymous* (``shared=True``): the same, but forked worker
+  processes (:mod:`repro.compute.shm`, the parallel bulk load) write
+  into the coordinator's pages.  Workers get the mapping by inheriting
+  it through ``fork``; it has no name, so there is nothing to attach to,
+  unlink or leak, and the kernel frees it with its last mapper.
+* *file-backed* (``path=...``): the paged tier's page file
+  (:class:`~repro.memcloud.storage.PagedStorage`), created exclusively
+  and removed again by the arena that created it.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import weakref
-from multiprocessing import shared_memory
+
+from ..errors import MemoryCloudError
 
 
-class BytesArena:
-    """Default backing: a process-private ``bytearray``."""
+def _remove_quietly(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
-    shared = False
 
-    __slots__ = ("buf",)
+class Arena:
+    """``size`` writable bytes behind one ``mmap``.
 
-    def __init__(self, size: int):
-        self.buf = bytearray(size)
+    ``shared`` says whether a forked child's writes land in this
+    process's bytes: asked for on an anonymous arena, always true of a
+    file-backed one (the map is shared with its file).
+    """
+
+    def __init__(self, size: int, shared: bool = False,
+                 path: str | None = None):
+        self.shared = shared or path is not None
+        self.path = path
+        # Spelled out: Python's default for an anonymous map is
+        # MAP_SHARED, and a forked child's writes into a *private* arena
+        # must not land in the parent's store.
+        flags = mmap.MAP_SHARED if self.shared else mmap.MAP_PRIVATE
+        fd, self._remove = -1, None
+        if path is None:
+            flags |= mmap.MAP_ANONYMOUS
+        else:
+            # Exclusive create: two storages on one path would read and
+            # write each other's bytes, so a collision is refused before
+            # anything is mapped — and what this arena removes later is
+            # always a file it made.
+            try:
+                fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+            except FileExistsError:
+                raise MemoryCloudError(
+                    f"page file {path} already exists: another trunk "
+                    f"storage owns it (one spill_dir per paged cloud)"
+                ) from None
+            self._remove = weakref.finalize(self, _remove_quietly, path)
+        try:
+            if fd != -1:
+                os.ftruncate(fd, size)
+            self._map: mmap.mmap | None = mmap.mmap(fd, size, flags=flags)
+        finally:
+            if fd != -1:
+                os.close(fd)
+
+    @property
+    def buf(self) -> mmap.mmap:
+        """The mapping; :class:`MemoryCloudError` once closed."""
+        if self._map is None:
+            raise MemoryCloudError("arena used after close()")
+        return self._map
 
     def __len__(self) -> int:
         return len(self.buf)
 
     def close(self) -> None:
-        pass
+        """Unmap, and remove the page file of a file-backed arena.
 
-    def unlink(self) -> None:
-        pass
-
-
-def _unlink_quietly(shm: shared_memory.SharedMemory,
-                    owner_pid: int) -> None:
-    # Forked workers inherit the finalizer; only the creating process may
-    # remove the name, or a worker's clean exit would yank the segment
-    # out from under the coordinator.
-    if os.getpid() != owner_pid:
-        return
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
-
-
-class SharedMemoryArena:
-    """Backing in a named OS shared-memory segment.
-
-    Only the creating (coordinator) process should call :meth:`unlink`;
-    forked workers share the mapping and must leave the name alone.
-    ``close`` is best-effort: while numpy views into the buffer are
-    alive the underlying mmap cannot be closed, which is fine — the OS
-    reclaims it at process exit once the segment is unlinked.
-    """
-
-    shared = True
-
-    __slots__ = ("_shm", "_owner_pid", "_finalizer", "__weakref__")
-
-    def __init__(self, size: int, name: str | None = None,
-                 create: bool = True):
-        if create:
-            self._shm = shared_memory.SharedMemory(create=True, size=size)
-        else:
-            self._shm = shared_memory.SharedMemory(name=name)
-        self._owner_pid = os.getpid() if create else None
-        if create:
-            self._finalizer = weakref.finalize(
-                self, _unlink_quietly, self._shm, self._owner_pid
-            )
-        else:
-            self._finalizer = None
-
-    @property
-    def buf(self) -> memoryview:
-        return self._shm.buf
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def __len__(self) -> int:
-        return self._shm.size
-
-    def close(self) -> None:
-        try:
-            self._shm.close()
-        except BufferError:
-            # Live views (spans, headers) still reference the mapping;
-            # the OS frees it at process exit after unlink.
-            pass
-
-    def unlink(self) -> None:
-        if self._owner_pid != os.getpid():
-            return
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        _unlink_quietly(self._shm, self._owner_pid)
-
-
-def shared_arena_factory():
-    """An ``arena_factory`` for :class:`~repro.memcloud.cloud.MemoryCloud`
-    that places every trunk arena in OS shared memory."""
-    return lambda size: SharedMemoryArena(size)
+        While numpy views or memoryviews into the buffer are alive the
+        mapping cannot be closed (``BufferError``); it is then unmapped
+        when the last of them is collected.  Either way the arena itself
+        is unusable from here on.
+        """
+        mapped, self._map = self._map, None
+        if mapped is not None:
+            try:
+                mapped.close()
+            except BufferError:
+                pass
+        if self._remove is not None:
+            self._remove()  # at most once: here or at garbage collection

@@ -26,6 +26,8 @@ from ..utils.hashing import trunk_of, trunk_of_array
 from ..utils.sorting import stable_argsort
 from .addressing import AddressingTable
 from .hashtable import wrap_keys
+from .locks import SpinLock
+from .storage import make_trunk_storage
 from .trunk import MemoryTrunk, TrunkStats
 
 
@@ -78,6 +80,10 @@ class MemoryCloud:
     ----------
     config:
         Cluster shape: machine count, trunk bits, memory parameters.
+    shared_arenas:
+        Map every trunk arena shared rather than private, so forked
+        workers (the parallel bulk load) write cells in place; resident
+        storage only.
 
     Examples
     --------
@@ -91,37 +97,26 @@ class MemoryCloud:
     def __init__(self, config: ClusterConfig | None = None,
                  registry: MetricsRegistry | None = None,
                  cross_check: bool = False,
-                 arena_factory=None, lock_factory=None):
+                 shared_arenas: bool = False, lock_factory=None):
         self.config = config or ClusterConfig()
         self.obs = registry if registry is not None else get_registry()
         self.addressing = AddressingTable(
             self.config.trunk_bits, range(self.config.machines)
         )
-        trunk_kwargs = {}
-        if lock_factory is not None:
-            trunk_kwargs["lock_factory"] = lock_factory
+        self._shared_arenas = shared_arenas
+        self._lock_factory = lock_factory or SpinLock
         # Paged clouds keep all their trunks' page files under one spill
         # directory; a private temp dir is removed with release_arenas().
+        # (Paged *and* shared is refused when the first trunk is made:
+        # make no directory for it.)
         self._spill_dir: str | None = None
-        self._owns_spill_dir = False
         memory = self.config.memory
-        if memory.storage == "paged" and arena_factory is None:
-            if memory.spill_dir is not None:
-                os.makedirs(memory.spill_dir, exist_ok=True)
-                self._spill_dir = memory.spill_dir
-            else:
-                self._spill_dir = tempfile.mkdtemp(prefix="repro-cloud-")
-                self._owns_spill_dir = True
-            trunk_kwargs["spill_dir"] = self._spill_dir
-        self.trunks: dict[int, MemoryTrunk] = {
-            trunk_id: MemoryTrunk(
-                trunk_id, memory, registry=self.obs,
-                arena=(arena_factory(memory.trunk_size)
-                       if arena_factory is not None else None),
-                **trunk_kwargs,
-            )
-            for trunk_id in range(self.config.trunk_count)
-        }
+        if memory.storage == "paged" and not shared_arenas:
+            self._spill_dir = (memory.spill_dir
+                               or tempfile.mkdtemp(prefix="repro-cloud-"))
+        self.trunks: dict[int, MemoryTrunk] = {}
+        for trunk_id in range(self.config.trunk_count):
+            self.replace_trunk(trunk_id)
         self._m_bulk_put_cells = self.obs.counter("memcloud.bulk.put.cells")
         self._m_bulk_put_batches = self.obs.counter(
             "memcloud.bulk.put.batches")
@@ -172,6 +167,42 @@ class MemoryCloud:
         """Yield every cell UID stored on ``machine_id``."""
         for trunk in self.trunks_on(machine_id):
             yield from trunk.uids()
+
+    def replace_trunk(self, trunk_id: int) -> MemoryTrunk:
+        """Install a fresh, empty trunk under ``trunk_id``; returns it.
+
+        The one place a cloud's trunks are made — at construction, when
+        a trunk image is adopted, when a machine's memory is lost — so
+        every trunk gets the cloud's arena, lock and spill-file wiring.
+        Replacing a trunk has two hazards, both handled here:
+
+        * Outstanding zero-copy span groups hold the *old* trunk object,
+          so replacing it silently would leave their epoch checks forever
+          green against dead state — the old trunk is touched first so
+          they all go stale, and its storage is released before the
+          successor claims the same page file.
+        * The cloud-wide :meth:`mutation_epoch` is a sum over trunks and
+          :meth:`epoch_vector` lists them; a successor restarting at 0
+          would move both *backwards*, validating serving-layer cache
+          entries stamped before the replacement.  The successor adopts
+          the old epoch as a floor and bumps past it.
+        """
+        old = self.trunks.get(trunk_id)
+        if old is not None:
+            old.touch()
+            old.storage.close()
+        memory = self.config.memory
+        fresh = MemoryTrunk(
+            trunk_id, memory, registry=self.obs,
+            lock_factory=self._lock_factory,
+            storage=make_trunk_storage(
+                trunk_id, memory, registry=self.obs,
+                shared=self._shared_arenas, spill_dir=self._spill_dir),
+        )
+        if old is not None:
+            fresh.adopt_epoch(old.mutation_epoch)
+        self.trunks[trunk_id] = fresh
+        return fresh
 
     # -- key-value operations ----------------------------------------------
 
@@ -447,24 +478,22 @@ class MemoryCloud:
 
     @property
     def arenas_shared(self) -> bool:
-        """True when every trunk arena lives in OS shared memory."""
-        return all(t.arena.shared for t in self.trunks.values())
+        """True when forked workers can write into every trunk arena."""
+        return all(t.storage.shared for t in self.trunks.values())
 
     def release_arenas(self) -> None:
-        """Unlink shared trunk arenas and paged trunks' page files.
+        """Unmap every trunk arena and remove paged trunks' page files.
 
-        Call from the creating process when the cloud is done; mapped
-        views stay readable until they are garbage collected, but the OS
-        name (or spill file) is gone so nothing leaks past process exit.
-        No-op for private resident arenas.
+        Call when the cloud is done: any later use of it raises
+        :class:`~repro.errors.MemoryCloudError`.  Views handed out
+        earlier stay readable until they are garbage collected.
         """
         for trunk in self.trunks.values():
-            trunk.arena.unlink()
-        if self._owns_spill_dir and self._spill_dir is not None:
+            trunk.storage.close()
+        if self._spill_dir is not None and self.config.memory.spill_dir is None:
             with contextlib.suppress(OSError):
-                os.rmdir(self._spill_dir)
+                os.rmdir(self._spill_dir)  # the temp dir made above
             self._spill_dir = None
-            self._owns_spill_dir = False
         if self._shadow is not None:
             self._shadow.release_arenas()
 

@@ -169,32 +169,10 @@ def adopt_trunk_image(cloud: MemoryCloud, trunk_id: int,
 
     The image is parsed and checked in full first: an unusable image
     raises :class:`MemoryCloudError` and leaves the current trunk
-    installed and readable.  Two replacement hazards are handled after
-    that point:
-
-    * Outstanding zero-copy span groups hold the *old* trunk object, so
-      replacing it silently would leave their epoch checks forever
-      green against dead state — the old trunk is touched first so they
-      all go stale, and its page file (if paged) is unlinked before the
-      fresh trunk claims the same spill path.
-    * The cloud-wide :meth:`MemoryCloud.mutation_epoch` is a sum over
-      trunks; a fresh trunk restarting at a small epoch could make it
-      go *backwards*, validating serving-layer cache entries stamped
-      before the restore.  The fresh trunk adopts the old epoch as a
-      floor and bumps past it.
+    installed and readable.  The replacement itself — old spans going
+    stale, the page file changing hands, the epoch carried forward — is
+    :meth:`MemoryCloud.replace_trunk`.
     """
     state = _parse_image(image, cloud.config.memory)
-    old = cloud.trunks.get(trunk_id)
-    old_epoch = 0
-    if old is not None:
-        old.touch()  # outstanding spans on the old incarnation go stale
-        old_epoch = old.mutation_epoch
-        if not old.storage.resident:
-            old.storage.unlink()  # free the spill path for the successor
-    fresh = MemoryTrunk(trunk_id, cloud.config.memory, registry=cloud.obs,
-                        spill_dir=cloud.spill_dir)
-    fresh.adopt_image_state(state)
-    if old is not None:
-        fresh.adopt_epoch(old_epoch)
-    cloud.trunks[trunk_id] = fresh
+    cloud.replace_trunk(trunk_id).adopt_image_state(state)
     return len(state["cells"])

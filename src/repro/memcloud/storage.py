@@ -2,16 +2,16 @@
 
 A :class:`~repro.memcloud.trunk.MemoryTrunk` is an allocator over one
 contiguous byte range; *where those bytes live* is this module's job.
-Two implementations share the :class:`TrunkStorage` contract:
+Every storage is one :class:`~repro.memcloud.arena.Arena` (one mmap);
+the two tiers differ in its backing and in residency policy:
 
-* :class:`ResidentStorage` — today's behaviour: every byte sits in a
-  process-private :class:`~repro.memcloud.arena.BytesArena` (or an OS
-  shared-memory segment for the parallel backend).  All operations are
-  thin slices; ``pin_spans`` always succeeds because nothing can ever
-  be evicted.
-* :class:`PagedStorage` — the out-of-core tier: the trunk's address
-  space is an mmap'd page file on disk, chopped into fixed-size pages
-  tracked by an LRU page table.  At most ``page_budget`` pages are
+* :class:`ResidentStorage` — an anonymous arena, process-private or
+  (for the parallel backend) shared with forked workers.  All
+  operations are thin slices; ``pin_spans`` always succeeds because
+  nothing can ever be evicted.
+* :class:`PagedStorage` — the out-of-core tier: the arena is a page
+  file on disk, chopped into fixed-size pages tracked by an LRU page
+  table.  At most ``page_budget`` pages are
   *resident* (physically in RAM) at a time; touching a non-resident
   page is a **fault**, going over budget **evicts** the least recently
   used unpinned page (dirty pages are **written back** with ``msync``
@@ -39,13 +39,12 @@ from __future__ import annotations
 import mmap
 import os
 import tempfile
-import weakref
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..obs import get_registry
-from .arena import BytesArena
+from .arena import Arena
 
 # Bulk fresh writes are streamed through the storage in chunks of this
 # many bytes, so a bigger-than-RAM load never joins the whole batch
@@ -56,27 +55,38 @@ WRITE_CHUNK_BYTES = 1 << 20
 class TrunkStorage:
     """Byte backing for one memory trunk (the storage-tier seam).
 
-    The trunk holds its own mutex; storages are not thread-safe on
-    their own and every call below happens under the trunk lock.
+    Owns the arena and everything that follows from it alone; the
+    methods a residency policy hooks into default to having none (plain
+    slices, nothing to account, pin or flush).  The trunk holds its own
+    mutex; storages are not thread-safe on their own and every call
+    below happens under the trunk lock.
     """
 
     #: True when the whole address space is RAM-resident by construction.
     resident = True
-    #: True when the backing can be mutated by forked worker processes.
-    shared = False
     #: Config-facing name ("resident" / "paged").
     kind = "abstract"
 
+    def __init__(self, arena: Arena):
+        self.arena = arena
+        self._array: np.ndarray | None = None
+
+    @property
+    def shared(self) -> bool:
+        """True when forked worker processes may write cells through
+        this storage on the coordinator's behalf."""
+        return self.arena.shared
+
     def __len__(self) -> int:
-        raise NotImplementedError
+        return len(self.arena)
 
     def read(self, start: int, end: int) -> bytes:
         """Copy out ``[start, end)``."""
-        raise NotImplementedError
+        return self.arena.buf[start:end]
 
     def write(self, start: int, data) -> None:
         """Write ``data`` at ``start``."""
-        raise NotImplementedError
+        self.arena.buf[start:start + len(data)] = data
 
     def write_stream(self, start: int, parts) -> int:
         """Write an iterable of byte chunks contiguously from ``start``.
@@ -105,11 +115,13 @@ class TrunkStorage:
 
     def view(self, start: int, end: int) -> memoryview:
         """Writable zero-copy view of ``[start, end)`` (cell pinning)."""
-        raise NotImplementedError
+        return memoryview(self.arena.buf)[start:end]
 
     def as_ndarray(self) -> np.ndarray:
         """The whole address space as one ``uint8`` array (span reads)."""
-        raise NotImplementedError
+        if self._array is None:
+            self._array = np.frombuffer(self.arena.buf, dtype=np.uint8)
+        return self._array
 
     def touch_spans(self, starts, limits) -> None:
         """Account reads of the given spans (page faults for a paged
@@ -133,71 +145,25 @@ class TrunkStorage:
         return 0
 
     def close(self) -> None:
-        pass
-
-    def unlink(self) -> None:
-        pass
+        """Release the arena (and a paged trunk's page file).  Any later
+        use of the storage raises :class:`MemoryCloudError`."""
+        self._array = None
+        self.arena.close()
 
 
 class ResidentStorage(TrunkStorage):
-    """The whole trunk stays in RAM — wraps a ``BytesArena`` (or an OS
-    shared-memory arena for the parallel execution backend).
+    """The whole trunk stays in RAM: an anonymous arena, private or
+    shared with forked workers, and no residency policy.
 
-    Behaviour-identical to the pre-storage-tier trunk: reads and writes
-    are plain slices, spans alias the arena buffer, pinning is a no-op
-    that always succeeds.
+    Reads and writes are plain slices, spans alias the arena buffer,
+    pinning is a no-op that always succeeds.
     """
 
-    resident = True
     kind = "resident"
-
-    def __init__(self, arena=None, size: int | None = None):
-        if arena is None:
-            if size is None:
-                raise ConfigError("ResidentStorage needs an arena or a size")
-            arena = BytesArena(size)
-        self.arena = arena
-        self._buf = arena.buf
-        self._mv = memoryview(self._buf)
-        self._array: np.ndarray | None = None
-
-    @property
-    def shared(self) -> bool:
-        return self.arena.shared
-
-    def __len__(self) -> int:
-        return len(self.arena)
-
-    def read(self, start: int, end: int) -> bytes:
-        return self._mv[start:end].tobytes()
-
-    def write(self, start: int, data) -> None:
-        self._buf[start:start + len(data)] = data
-
-    def view(self, start: int, end: int) -> memoryview:
-        return memoryview(self._buf)[start:end]
-
-    def as_ndarray(self) -> np.ndarray:
-        if self._array is None:
-            self._array = np.frombuffer(self._buf, dtype=np.uint8)
-        return self._array
-
-    def close(self) -> None:
-        self.arena.close()
-
-    def unlink(self) -> None:
-        self.arena.unlink()
-
-
-def _remove_quietly(path: str) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
 
 
 class PagedStorage(TrunkStorage):
-    """Fixed-size-page arena backed by an mmap'd file, LRU-evicted.
+    """Fixed-size-page arena backed by a page file, LRU-evicted.
 
     The page *file* always holds the full address space; the page
     *table* tracks which pages are resident in RAM and enforces the
@@ -206,41 +172,36 @@ class PagedStorage(TrunkStorage):
     and file-backed, an evicted page transparently refaults from disk
     on the next access — the table can never lose data, only residency.
 
-    One storage = one page file.  With a ``spill_dir`` the file is
-    placed (and left to the owner to clean up) under it; otherwise a
-    private temp file is created and removed on :meth:`unlink` or GC.
+    One storage = one page file, and the storage that created a file is
+    the only one that ever removes it: ``trunk-<id>.pages`` under
+    ``spill_dir`` (a private temp file without one) is created
+    exclusively — a path some other storage already holds is a
+    :class:`~repro.errors.MemoryCloudError`, never a shared mapping —
+    and removed on :meth:`close` or garbage collection.
     """
 
     resident = False
+    #: The page table is per-process: a forked writer would go round it.
     shared = False
     kind = "paged"
 
     def __init__(self, trunk_id: int, params, registry=None,
-                 spill_dir=None, path=None):
+                 spill_dir=None):
         self.trunk_id = trunk_id
         self._size = params.trunk_size
         self._page = params.storage_page_size
         self._budget = max(1, params.page_budget)
-        if path is not None:
-            self.path = os.fspath(path)
-            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o600)
-        elif spill_dir is not None:
+        if spill_dir is not None:
             os.makedirs(spill_dir, exist_ok=True)
-            self.path = os.path.join(
+            path = os.path.join(
                 os.fspath(spill_dir), f"trunk-{trunk_id:05d}.pages"
             )
-            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o600)
         else:
-            fd, self.path = tempfile.mkstemp(
+            # Only a name: the arena's exclusive create makes it ours.
+            path = tempfile.mktemp(
                 prefix=f"repro-trunk{trunk_id}-", suffix=".pages"
             )
-        try:
-            os.ftruncate(fd, self._size)
-            self._mm = mmap.mmap(fd, self._size)
-        finally:
-            os.close(fd)
-        self._finalizer = weakref.finalize(self, _remove_quietly, self.path)
-        self._array: np.ndarray | None = None
+        super().__init__(Arena(self._size, path=path))
         # LRU page table: key order is recency (oldest first).
         self._resident: dict[int, None] = {}
         self._dirty: set[int] = set()
@@ -256,9 +217,6 @@ class PagedStorage(TrunkStorage):
         self._g_pinned = obs.gauge("trunk.page.pinned", **label)
 
     # -- page table ------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._size
 
     @property
     def page_size(self) -> int:
@@ -317,7 +275,7 @@ class PagedStorage(TrunkStorage):
         start, length = self._aligned_extent(page)
         if hasattr(mmap, "MADV_DONTNEED"):
             try:
-                self._mm.madvise(mmap.MADV_DONTNEED, start, length)
+                self.arena.buf.madvise(mmap.MADV_DONTNEED, start, length)
             except (OSError, ValueError):
                 pass  # residency hint only; correctness is unaffected
         del self._resident[page]
@@ -340,7 +298,7 @@ class PagedStorage(TrunkStorage):
     def _writeback(self, page: int) -> None:
         start, length = self._aligned_extent(page)
         try:
-            self._mm.flush(start, length)
+            self.arena.buf.flush(start, length)
         except (OSError, ValueError):
             pass  # the OS will sync the shared mapping at close time
         self._m_writeback.inc()
@@ -364,14 +322,14 @@ class PagedStorage(TrunkStorage):
 
     def read(self, start: int, end: int) -> bytes:
         self._touch_range(start, end, dirty=False)
-        return self._mm[start:end]
+        return self.arena.buf[start:end]
 
     def write(self, start: int, data) -> None:
         n = len(data)
         if not n:
             return
         self._touch_range(start, start + n, dirty=True)
-        self._mm[start:start + n] = data
+        self.arena.buf[start:start + n] = data
 
     def view(self, start: int, end: int) -> memoryview:
         # The view is writable, so conservatively dirty its pages; they
@@ -381,12 +339,7 @@ class PagedStorage(TrunkStorage):
         for page in self._span_pages([start], [end]):
             self._pins[page] = self._pins.get(page, 0) + 1
         self._g_pinned.set(len(self._pins))
-        return memoryview(self._mm)[start:end]
-
-    def as_ndarray(self) -> np.ndarray:
-        if self._array is None:
-            self._array = np.frombuffer(self._mm, dtype=np.uint8)
-        return self._array
+        return memoryview(self.arena.buf)[start:end]
 
     def touch_spans(self, starts, limits) -> None:
         for page in self._span_pages(starts, limits):
@@ -418,36 +371,18 @@ class PagedStorage(TrunkStorage):
         self._dirty.clear()
         return written
 
-    def close(self) -> None:
-        self._array = None
-        try:
-            self._mm.close()
-        except BufferError:
-            # numpy span views still alias the mapping; the OS reclaims
-            # it at process exit.
-            pass
-
-    def unlink(self) -> None:
-        self.close()
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        _remove_quietly(self.path)
-
 
 def make_trunk_storage(trunk_id: int, params, registry=None,
-                       arena=None, spill_dir=None) -> TrunkStorage:
+                       shared: bool = False, spill_dir=None) -> TrunkStorage:
     """Build the storage tier a trunk's params ask for.
 
-    An explicitly provided ``arena`` (the shared-memory execution
-    backend pre-allocates OS segments) always gets resident storage —
-    paging and cross-process sharing are mutually exclusive backings.
+    ``shared`` asks for an arena forked workers can write into, which
+    only resident storage has; ``spill_dir`` (default: the params') is
+    where a paged trunk's page file goes.
     """
-    if arena is not None or params.storage == "resident":
-        if arena is None:
-            arena = BytesArena(params.trunk_size)
-        return ResidentStorage(arena)
     if params.storage == "paged":
+        if shared:
+            raise ConfigError("paged storage cannot be shared")
         return PagedStorage(trunk_id, params, registry=registry,
-                            spill_dir=spill_dir)
-    raise ConfigError(f"unknown trunk storage {params.storage!r}")
+                            spill_dir=spill_dir or params.spill_dir)
+    return ResidentStorage(Arena(params.trunk_size, shared=shared))

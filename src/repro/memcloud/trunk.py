@@ -1,13 +1,15 @@
 """Memory trunks with circular memory management (Sections 3 and 6.1).
 
-A trunk is a contiguous reserved address space (a ``bytearray`` here, a 2 GB
-VirtualAlloc reservation in the paper) holding variable-length cells plus a
-hash table locating them.  Allocation follows the paper's circular scheme:
+A trunk is a contiguous reserved address space (one ``mmap`` here, a 2 GB
+VirtualAlloc reservation in the paper; both cost RAM only for the pages
+actually written) holding variable-length cells plus a hash table locating
+them.  Allocation follows the paper's circular scheme:
 
 * New cells are appended at ``append_head``; in most cases allocation is a
   pointer bump.
-* Pages are *committed* lazily as the head advances (tracked per page so the
-  reservation ablation can report committed memory honestly).
+* Pages are *committed* lazily as the head advances: the kernel commits
+  them on first touch, and the trunk keeps its own per-page set so the
+  reservation ablation can report committed memory honestly.
 * Updates that outgrow their slot are reallocated at the head; the old slot
   becomes garbage.  The *short-lived reservation* mechanism over-allocates
   growing cells by ``reservation_factor`` so repeated growth does not keep
@@ -53,7 +55,7 @@ from ..obs import MetricsRegistry, get_registry
 from ..utils.arrays import gather_ranges
 from .hashtable import TrunkHashTable, check_key
 from .locks import SpinLock
-from .storage import ResidentStorage, TrunkStorage, make_trunk_storage
+from .storage import TrunkStorage, make_trunk_storage
 
 CELL_HEADER_BYTES = 16
 _HEADER = struct.Struct("<QII")  # uid, live size, reserved size
@@ -146,8 +148,8 @@ class MemoryTrunk:
 
     def __init__(self, trunk_id: int, params: MemoryParams | None = None,
                  registry: MetricsRegistry | None = None,
-                 arena=None, lock_factory=SpinLock,
-                 storage: TrunkStorage | None = None, spill_dir=None):
+                 lock_factory=SpinLock,
+                 storage: TrunkStorage | None = None):
         self.trunk_id = trunk_id
         self.params = params or MemoryParams()
         # Re-entrant: put() may trigger defragment() internally.
@@ -155,17 +157,8 @@ class MemoryTrunk:
         obs = registry if registry is not None else get_registry()
         self.obs = obs
         if storage is None:
-            storage = make_trunk_storage(
-                trunk_id, self.params, registry=obs, arena=arena,
-                spill_dir=spill_dir if spill_dir is not None
-                else self.params.spill_dir,
-            )
+            storage = make_trunk_storage(trunk_id, self.params, registry=obs)
         self._storage = storage
-        # Back-compat surface: `.arena` is the resident arena object
-        # (BytesArena / SharedMemoryArena) when there is one, else the
-        # storage itself — both expose `.shared` and `.unlink()`.
-        self.arena = (storage.arena if isinstance(storage, ResidentStorage)
-                      else storage)
         if len(storage) != self.params.trunk_size:
             raise ValueError(
                 f"storage holds {len(storage)} bytes, trunk needs "

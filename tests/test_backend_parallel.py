@@ -1,7 +1,7 @@
 """Backend equivalence: real worker processes, bit-identical results.
 
 The shared-memory execution backend runs superstep kernels (and the bulk
-loader's encode+store) in forked worker processes over OS shared memory.
+loader's encode+store) in forked worker processes over shared mappings.
 Everything observable must match the in-process backend **bit for bit**:
 vertex values, per-superstep reports (including simulated elapsed time),
 aggregators, engine metrics, stored cell bytes, and trunk accounting.
@@ -15,6 +15,8 @@ draws replay deterministically when real workers are killed and
 re-forked at a rollback.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,6 @@ from repro.faults import FaultPlan
 from repro.generators import rmat_edges
 from repro.graph import CsrTopology, GraphBuilder, plain_graph_schema
 from repro.memcloud import MemoryCloud
-from repro.memcloud.arena import shared_arena_factory
 from repro.net import SimNetwork
 from repro.obs import MetricsRegistry
 from repro.tfs import TrinityFileSystem
@@ -40,6 +41,16 @@ PROGRAMS = {
     "sssp": lambda: SsspProgram(root=0),
     "wcc": lambda: WccProgram(),
 }
+
+
+@pytest.fixture(autouse=True)
+def dev_shm():
+    """The backend's dense state and a shared cloud's arenas are
+    anonymous mappings: no case here may leave a segment in /dev/shm
+    (the bulk-load cases also check none exists while they run)."""
+    before = sorted(os.listdir("/dev/shm"))
+    yield before
+    assert sorted(os.listdir("/dev/shm")) == before
 
 
 @pytest.fixture(scope="module")
@@ -169,15 +180,17 @@ def _build(cloud, backend, workers=None, cross_check=True):
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_bulk_load_parallel_bit_identical(workers):
+def test_bulk_load_parallel_bit_identical(workers, dev_shm):
     config = ClusterConfig(machines=MACHINES, trunk_bits=6)
     reg_a, reg_b = MetricsRegistry(), MetricsRegistry()
     cloud_a = MemoryCloud(config, registry=reg_a)
     graph_a = _build(cloud_a, "in_process")
     cloud_b = MemoryCloud(config, registry=reg_b,
-                          arena_factory=shared_arena_factory())
+                          shared_arenas=True)
     try:
         graph_b = _build(cloud_b, "shared_memory", workers=workers)
+        assert cloud_b.arenas_shared
+        assert sorted(os.listdir("/dev/shm")) == dev_shm
         assert graph_a.node_ids == graph_b.node_ids
         node_ids = graph_a.node_ids
         assert cloud_a.bulk_get(node_ids) == cloud_b.bulk_get(node_ids)
@@ -206,7 +219,7 @@ def test_bulk_load_parallel_requires_pristine_trunks():
     """A pre-existing cell means adopt-from-offset-zero would clobber it;
     eligibility fails and the load goes through the normal bulk path."""
     cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=4),
-                        arena_factory=shared_arena_factory())
+                        shared_arenas=True)
     try:
         cloud.put(20_000_099, b"resident")
         graph = _build(cloud, "shared_memory", workers=2,

@@ -221,6 +221,52 @@ class TestRecovery:
         with pytest.raises(RecoveryError):
             cluster.restart_machine(3)  # already alive
 
+    def test_failure_stales_old_spans_and_never_rewinds_epochs(
+            self, loaded_cluster):
+        """A lost trunk is *replaced*: readers of the dead incarnation
+        must notice, and no epoch component may go backwards (a cache
+        entry stamped before the crash would validate again)."""
+        cluster, client, reference = loaded_cluster
+        cloud = cluster.cloud
+        groups = cloud.bulk_get_spans(list(reference))
+        before = cloud.epoch_vector()
+        lost = set(cloud.addressing.trunks_of(1))
+        assert any(before[t] for t in lost)
+        cluster.fail_machine(1)
+        cluster.report_failure(1)
+        after = cloud.epoch_vector()
+        for trunk_id, (old, new) in enumerate(zip(before, after)):
+            assert new > old if trunk_id in lost else new == old
+        assert all(g.stale == (g.trunk.trunk_id in lost) for g in groups)
+        assert all(client.get_cell(u) == v for u, v in reference.items())
+
+    def test_paged_replacement_keeps_its_page_file_in_the_spill_dir(self):
+        import os
+        from repro.config import MemoryParams
+        cluster = TrinityCluster(ClusterConfig(
+            machines=2, trunk_bits=2, memory=MemoryParams(
+                trunk_size=64 * 1024, storage="paged",
+                storage_page_size=1024, page_budget=4)))
+        cloud = cluster.cloud
+        try:
+            client = cluster.new_client()
+            for uid in range(20):
+                client.put_cell(uid, b"cell-%d" % uid)
+            cluster.backup_to_tfs()
+            cluster.fail_machine(0)
+            files = sorted(os.listdir(cloud.spill_dir))
+            assert files == [f"trunk-{t:05d}.pages" for t in cloud.trunks]
+            for trunk in cloud.trunks.values():
+                assert os.path.dirname(
+                    trunk.storage.arena.path) == cloud.spill_dir
+            cluster.report_failure(0)
+            assert sorted(os.listdir(cloud.spill_dir)) == files
+            assert all(client.get_cell(u) == b"cell-%d" % u
+                       for u in range(20))
+        finally:
+            cloud.release_arenas()
+        assert cloud.spill_dir is None
+
 
 class TestJoin:
     def test_add_machine_rebalances(self, loaded_cluster):

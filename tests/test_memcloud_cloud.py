@@ -190,3 +190,70 @@ class TestPersistence:
         written = persistence.backup_all(cloud, tfs)
         assert written > 100
         assert len(tfs.list_files("/trinity/trunks/")) == len(cloud.trunks)
+
+
+def _paged_config(spill_dir=None) -> ClusterConfig:
+    return ClusterConfig(machines=2, trunk_bits=2, memory=MemoryParams(
+        trunk_size=64 * 1024, storage="paged", storage_page_size=1024,
+        page_budget=4, spill_dir=spill_dir))
+
+
+class TestArenaWiring:
+    """The cloud decides how its trunks are backed, once, and every
+    trunk it ever installs is backed that way."""
+
+    def test_paged_and_shared_is_refused(self):
+        from repro.errors import ConfigError
+        with pytest.raises(ConfigError, match="paged storage cannot be "
+                                              "shared"):
+            MemoryCloud(_paged_config(), shared_arenas=True)
+
+    def test_restore_keeps_shared_arenas_and_locks(self):
+        from repro.memcloud import SharedSpinLock
+        cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=2),
+                            shared_arenas=True, lock_factory=SharedSpinLock)
+        cloud.put(3, b"three")
+        trunk_id = cloud.trunk_for(3).trunk_id
+        image = persistence.trunk_to_bytes(cloud.trunks[trunk_id])
+        persistence.adopt_trunk_image(cloud, trunk_id, image)
+        assert cloud.arenas_shared
+        assert cloud.get(3) == b"three"
+        assert isinstance(cloud.trunk_for(3).lock_of(3), SharedSpinLock)
+
+    def test_replace_trunk_carries_the_epoch_and_stales_old_spans(self, cloud):
+        for uid in range(40):
+            cloud.put(uid, b"v" * 20)
+        groups = cloud.bulk_get_spans(list(range(40)))
+        before = cloud.epoch_vector()
+        fresh = cloud.replace_trunk(0)
+        assert cloud.trunks[0] is fresh and len(fresh) == 0
+        after = cloud.epoch_vector()
+        assert after[0] > before[0] and after[1:] == before[1:]
+        assert [g.stale for g in groups] == [g.trunk.trunk_id == 0
+                                             for g in groups]
+
+    def test_two_paged_clouds_cannot_share_a_spill_dir(self, tmp_path):
+        """They would map the same page files and read each other's
+        bytes; the second is refused and the first loses nothing."""
+        import gc
+        import os
+        config = _paged_config(spill_dir=str(tmp_path))
+        first = MemoryCloud(config)
+        first.put(1, b"AAAAAAAA")
+        with pytest.raises(MemoryCloudError, match="trunk-00000.pages"):
+            MemoryCloud(config)
+        gc.collect()    # whatever the refused cloud made is collected
+        assert first.get(1) == b"AAAAAAAA"
+        assert len(os.listdir(tmp_path)) == len(first.trunks)
+        first.release_arenas()
+        assert os.listdir(tmp_path) == []
+        MemoryCloud(config).release_arenas()    # the directory is free again
+
+    def test_use_after_release_is_a_cloud_error(self):
+        cloud = MemoryCloud(_paged_config())
+        cloud.put(1, b"one")
+        cloud.release_arenas()
+        for use in (lambda: cloud.get(1), lambda: cloud.put(2, b"two"),
+                    lambda: cloud.bulk_get([1])):
+            with pytest.raises(MemoryCloudError, match="after close"):
+                use()

@@ -286,7 +286,7 @@ class TestPagedSpanStaleness:
             assert trunk.defragment()
             assert trunk.mutation_epoch != fetched
         finally:
-            trunk.storage.unlink()
+            trunk.storage.close()
 
     def test_mutation_staleness_detected(self):
         trunk = make_paged_trunk()
@@ -296,7 +296,7 @@ class TestPagedSpanStaleness:
             trunk.put(2, b"b" * 100)  # any structural mutation
             assert trunk.mutation_epoch != spans.epoch
         finally:
-            trunk.storage.unlink()
+            trunk.storage.close()
 
     def test_mutation_releases_span_pins(self):
         trunk = make_paged_trunk(page_budget=16)
@@ -307,7 +307,7 @@ class TestPagedSpanStaleness:
             trunk.put(2, b"b" * 100)
             assert trunk.storage.pinned_pages == 0
         finally:
-            trunk.storage.unlink()
+            trunk.storage.close()
 
     def test_cloud_span_group_raises_after_paged_defrag(self):
         from repro.memcloud.cloud import MemoryCloud
