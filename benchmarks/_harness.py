@@ -11,12 +11,9 @@ from __future__ import annotations
 import pathlib
 
 from repro.config import ClusterConfig, MemoryParams, NetworkParams
-from repro.generators import rmat_edges
-from repro.generators.names import sample_names
 from repro.graph import CsrTopology, GraphBuilder, plain_graph_schema
-from repro.graph.model import social_graph_schema
 from repro.memcloud import MemoryCloud
-from repro.obs import JsonFileSink, MetricsRegistry, get_registry
+from repro.obs import JsonFileSink, get_registry
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -59,54 +56,6 @@ def build_topology(edges, machines: int, directed: bool = True,
     builder.add_edges(edges.tolist())
     graph = builder.finalize()
     return CsrTopology(graph, include_inlinks=include_inlinks)
-
-
-def build_social_graph(scale: int, avg_degree: float, machines: int = 4,
-                       trunk_bits: int = 4, seed: int = 42,
-                       registry=None):
-    """Seeded named R-MAT friendship graph in a fresh cloud.
-
-    The fixture of the online-query benchmark (``_perf_query``): scale
-    14 is the paper-sized ~131k-edge graph.  Raw R-MAT edges —
-    duplicates and self-loops are real traversal work; every execution
-    path handles them identically.  Returns ``(graph, edge_count)``.
-    """
-    cloud = MemoryCloud(
-        ClusterConfig(machines=machines, trunk_bits=trunk_bits,
-                      memory=MemoryParams(trunk_size=64 * 1024 * 1024)),
-        registry if registry is not None else MetricsRegistry(),
-    )
-    n = 1 << scale
-    edges = rmat_edges(scale, avg_degree=avg_degree, seed=seed)
-    builder = GraphBuilder(cloud, social_graph_schema())
-    for node_id, name in enumerate(sample_names(n, seed=seed + 1)):
-        builder.add_node(node_id, Name=name)
-    builder.add_edges(edges.tolist())
-    return builder.finalize(), int(len(edges))
-
-
-def build_streamed_social_graph(n: int, avg_degree: float = 13.0,
-                                machines: int = 2, trunk_bits: int = 4,
-                                seed: int = 42, memory: MemoryParams
-                                | None = None, registry=None):
-    """Stream a named social graph into a fresh cloud, batch by batch.
-
-    The external-memory loading fixture: edges come from the chunked
-    Chung-Lu emitter (``repro.generators.stream_social_edges``), so the
-    full edge list never materialises — the shape of workload the paged
-    storage tier (``MemoryParams.storage="paged"``) exists for.
-    Returns ``(cloud, graph, edge_count)``.
-    """
-    from repro.generators import stream_build_social_graph
-    cloud = MemoryCloud(
-        ClusterConfig(machines=machines, trunk_bits=trunk_bits,
-                      memory=memory if memory is not None
-                      else MemoryParams(trunk_size=8 * 1024 * 1024)),
-        registry if registry is not None else MetricsRegistry(),
-    )
-    graph, edge_count = stream_build_social_graph(
-        cloud, n, avg_degree=avg_degree, seed=seed)
-    return cloud, graph, edge_count
 
 
 def format_row(cells, widths) -> str:

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import ComputeParams
-from ..errors import DivergenceError, QueryError
+from ..errors import QueryError
+from ..oracle import shadow
 
 
 @dataclass
@@ -269,7 +270,7 @@ class OracleEvaluation:
 
 
 def evaluate_oracle(topology, landmarks: list[int], pairs: int = 200,
-                    seed: int = 0, batch: bool = True,
+                    seed: int = 0,
                     cross_check: bool = False) -> OracleEvaluation:
     """Measure estimation accuracy of a landmark set.
 
@@ -277,18 +278,21 @@ def evaluate_oracle(topology, landmarks: list[int], pairs: int = 200,
     true/estimated distance over random connected pairs (1.0 = always
     exact) — a monotone stand-in for the paper's "estimation accuracy %".
 
-    ``batch`` runs the underlying BFS passes as vectorized frontier
-    waves over the CSR arrays (identical distances — wave levels don't
-    depend on intra-level order); ``cross_check=True`` also runs the
-    scalar BFS and raises
+    The underlying BFS passes run as vectorized frontier waves over
+    the CSR arrays (wave levels don't depend on intra-level order, so
+    the distances are those of a node-at-a-time walk);
+    ``cross_check=True`` also runs that scalar BFS and raises
     :class:`~repro.errors.DivergenceError` on any mismatch.
     """
     n = topology.n
     rng = np.random.default_rng(seed)
     landmark_distances = np.stack([
-        _bfs_distances(topology, lm, batch=batch, cross_check=cross_check)
-        for lm in landmarks
+        _bfs_distances_batch(topology, lm) for lm in landmarks
     ])
+    if cross_check:
+        shadow("algorithms.landmarks.bfs", landmark_distances, np.stack([
+            _bfs_distances_scalar(topology, lm) for lm in landmarks
+        ]), equal=np.array_equal)
     evaluation = OracleEvaluation(
         strategy="", landmarks=list(landmarks),
         accuracy=0.0, exact_fraction=0.0, pairs_evaluated=0,
@@ -302,8 +306,10 @@ def evaluate_oracle(topology, landmarks: list[int], pairs: int = 200,
         v = int(rng.integers(n))
         if u == v:
             continue
-        true = _pair_distance(topology, u, v, batch=batch,
-                              cross_check=cross_check)
+        true = _pair_distance_batch(topology, u, v)
+        if cross_check:
+            shadow("algorithms.landmarks.pair_distance", true,
+                   _pair_distance_scalar(topology, u, v))
         if true <= 0:
             continue
         through = landmark_distances[:, u] + landmark_distances[:, v]
@@ -333,22 +339,6 @@ def _gather_wave(indptr: np.ndarray, indices: np.ndarray,
                              np.cumsum(counts)[:-1]))
     positions = np.repeat(indptr[frontier] - shifts, counts)
     return indices[positions + np.arange(total)]
-
-
-def _bfs_distances(topology, source: int, batch: bool = True,
-                   cross_check: bool = False) -> np.ndarray:
-    if cross_check and batch:
-        mine = _bfs_distances_batch(topology, source)
-        theirs = _bfs_distances_scalar(topology, source)
-        if not np.array_equal(mine, theirs):
-            raise DivergenceError(
-                f"batch BFS from {source} diverges from scalar at nodes "
-                f"{np.flatnonzero(mine != theirs)[:10].tolist()}"
-            )
-        return mine
-    if batch:
-        return _bfs_distances_batch(topology, source)
-    return _bfs_distances_scalar(topology, source)
 
 
 def _bfs_distances_scalar(topology, source: int) -> np.ndarray:
@@ -388,23 +378,6 @@ def _bfs_distances_batch(topology, source: int) -> np.ndarray:
         frontier = np.unique(fresh)
         dist[frontier] = level
     return dist
-
-
-def _pair_distance(topology, u: int, v: int, batch: bool = True,
-                   cross_check: bool = False) -> int:
-    """Exact BFS distance (early-exit); -1 if disconnected."""
-    if cross_check and batch:
-        mine = _pair_distance_batch(topology, u, v)
-        theirs = _pair_distance_scalar(topology, u, v)
-        if mine != theirs:
-            raise DivergenceError(
-                f"batch pair distance ({u}, {v}) diverges from scalar: "
-                f"{mine} != {theirs}"
-            )
-        return mine
-    if batch:
-        return _pair_distance_batch(topology, u, v)
-    return _pair_distance_scalar(topology, u, v)
 
 
 def _pair_distance_scalar(topology, u: int, v: int) -> int:

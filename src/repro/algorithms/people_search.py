@@ -12,19 +12,14 @@ decodes, not a topology snapshot — this is the online path), and each hop
 is one :class:`~repro.net.simnet.ParallelRound`: per-machine cell/edge
 costs plus the packed cross-machine frontier messages.
 
-Two host-speed gears share that one cost model:
-
-* the scalar path (``batch=False``) — one ``cloud.get`` plus one
-  whole-cell decode per frontier node;
-* the batched path (default) — per hop, one vectorized
-  ``machine_of_batch`` ownership pass groups the frontier, each machine
-  group expands with one ``outlinks_batch`` CSR decode, and the
-  name-check compares the whole next frontier's raw utf-8 bytes with
-  one ``field_eq_batch`` (no Python string is ever built).
-
-Both paths visit nodes in the same order and charge identical simulated
-costs; ``cross_check=True`` replays the scalar path (per batched read
-*and* end-to-end) and raises on any divergence.
+There is one path: per hop, one vectorized ``machine_of_batch``
+ownership pass groups the frontier, each machine group expands with one
+``outlinks_batch`` CSR decode, and the name-check compares the whole
+next frontier's raw utf-8 bytes with one ``field_eq_batch`` (no Python
+string is ever built).  Its private reference, ``_people_search_scalar``
+— one whole-cell decode per frontier node — visits nodes in the same
+order and charges identical simulated costs; ``cross_check=True`` runs
+both, per batched read *and* end-to-end (:func:`repro.oracle.shadow`).
 """
 
 from __future__ import annotations
@@ -35,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import ComputeParams
-from ..errors import DivergenceError, QueryError
+from ..errors import QueryError
 from ..net.simnet import ParallelRound, SimNetwork
+from ..oracle import shadow
 from ..utils.arrays import first_occurrences
 
 _FRONTIER_ID_BYTES = 9   # 8-byte cell id + 1-byte hop tag
@@ -113,15 +109,13 @@ class PeopleSearchResult:
 def people_search(graph, start: int, name: str, hops: int = 3,
                   network: SimNetwork | None = None,
                   params: ComputeParams | None = None,
-                  batch: bool = True,
                   cross_check: bool = False) -> PeopleSearchResult:
     """Find all nodes named ``name`` within ``hops`` of ``start``.
 
     The graph must use a schema with a ``Name`` attribute (see
-    :func:`repro.graph.model.social_graph_schema`).  ``batch`` selects
-    the vectorized frontier expansion; ``cross_check=True`` additionally
-    shadow-replays the scalar path and raises
-    :class:`~repro.errors.DivergenceError` if the two ever
+    :func:`repro.graph.model.social_graph_schema`).
+    ``cross_check=True`` additionally replays the scalar reference and
+    raises :class:`~repro.errors.DivergenceError` if the two ever
     disagree (matches, visited set, messages or simulated hop times).
     """
     if hops < 1:
@@ -130,28 +124,15 @@ def people_search(graph, start: int, name: str, hops: int = 3,
         raise QueryError("people_search needs a graph with a Name attribute")
     network = network or SimNetwork()
     params = params or ComputeParams()
-    if not batch:
-        return _people_search_scalar(graph, start, name, hops, network,
-                                     params)
     result = _people_search_batch(graph, start, name, hops, network,
                                   params, cross_check)
     if cross_check:
-        shadow = _people_search_scalar(
+        reference = _people_search_scalar(
             graph, start, name, hops, SimNetwork(network.params), params,
         )
-        _compare_results(result, shadow)
+        shadow("algorithms.people_search", result, reference,
+               fields=("matches", "visited", "messages", "hop_times"))
     return result
-
-
-def _compare_results(batched: PeopleSearchResult,
-                     scalar: PeopleSearchResult) -> None:
-    for attr in ("matches", "visited", "messages", "hop_times"):
-        mine, theirs = getattr(batched, attr), getattr(scalar, attr)
-        if mine != theirs:
-            raise DivergenceError(
-                f"people_search batch path diverges from scalar on "
-                f"{attr}: {mine!r} != {theirs!r}"
-            )
 
 
 def _people_search_scalar(graph, start: int, name: str, hops: int,

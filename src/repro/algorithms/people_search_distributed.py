@@ -8,14 +8,15 @@ handlers, and the one-sided asynchronous runtime with message packing.
 machines" — each hop, every slave expands its share of the frontier
 locally and sends the next-hop candidates to their owning slaves.
 
-Both sides run on the batched traversal path by default: the handler
-expands its whole frontier share with one ``outlinks_batch`` CSR decode
-and name-checks its owned candidates with one ``read_field_batch``; the
-client routes the frontier with one vectorized ``machine_of_batch`` pass
-(one packed ExpandRequest per destination slave, in scalar
-first-appearance order) and dedups replies with array operations.
-``batch=False`` keeps the per-node loops; ``cross_check=True`` replays
-the scalar logic alongside the batched one and raises on divergence.
+There is one path: the handler expands its whole frontier share with one
+``outlinks_batch`` CSR decode and name-checks its owned candidates with
+one ``read_field_batch``; the client routes the frontier with one
+vectorized ``machine_of_batch`` pass (one packed ExpandRequest per
+destination slave, in scalar first-appearance order) and dedups replies
+with array operations.  The per-node loops are private references:
+``cross_check=True`` runs ``scalar_expand`` beside every reply and the
+scalar dedup beside every hop (:func:`repro.oracle.shadow`);
+``_client_scalar``, the whole per-node client, is what tests compare with.
 
 Used by the integration tests to prove the fast-path implementation and
 the protocol implementation agree, and by the examples to show the TSL
@@ -28,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DivergenceError, QueryError
+from ..errors import QueryError
+from ..oracle import shadow
 from ..tsl import compile_tsl
 from ..utils.arrays import first_occurrences
 from .people_search import _VisitedTracker
@@ -60,17 +62,16 @@ class DistributedSearchResult:
     elapsed: float = 0.0
 
 
-def install_search_handlers(cluster, graph, batch: bool = True,
+def install_search_handlers(cluster, graph,
                             cross_check: bool = False) -> None:
     """Register the ExpandFrontier handler on every slave.
 
     The handler is pure local work: expand the frontier nodes this slave
     owns, name-check the discovered neighbors it owns, and return both
-    the matches and the candidates belonging to other machines.  With
-    ``batch`` the expansion is one CSR decode and the name check one
-    column read; ``cross_check=True`` also replays the scalar handler
-    and raises :class:`~repro.errors.DivergenceError` if the
-    replies differ.
+    the matches and the candidates belonging to other machines.  The
+    expansion is one CSR decode and the name check one column read;
+    ``cross_check=True`` also replays the scalar handler and raises
+    :class:`~repro.errors.DivergenceError` if the replies differ.
     """
     if "Name" not in graph.graph_schema.attribute_fields:
         raise QueryError("distributed search needs a Name attribute")
@@ -111,17 +112,10 @@ def install_search_handlers(cluster, graph, batch: bool = True,
 
     def make_handler(machine_id: int):
         def handler(message, request):
-            if not batch:
-                return scalar_expand(machine_id, request)
             reply = batch_expand(machine_id, request)
             if cross_check:
-                shadow = scalar_expand(machine_id, request)
-                if reply != shadow:
-                    raise DivergenceError(
-                        f"ExpandFrontier batch handler on machine "
-                        f"{machine_id} diverges from scalar: "
-                        f"{reply!r} != {shadow!r}"
-                    )
+                shadow("algorithms.people_search_distributed.handler",
+                       reply, scalar_expand(machine_id, request))
             return reply
         return handler
 
@@ -139,8 +133,7 @@ def _merged_schema(existing, extra):
 
 
 def distributed_people_search(cluster, graph, start: int, name: str,
-                              hops: int = 3, batch: bool = True,
-                              cross_check: bool = False
+                              hops: int = 3, cross_check: bool = False
                               ) -> DistributedSearchResult:
     """Run the k-hop name search via ExpandFrontier protocol calls.
 
@@ -150,16 +143,57 @@ def distributed_people_search(cluster, graph, start: int, name: str,
     owner differs from their discoverer (mirroring the handler's local
     check).  Results are identical to the fast-path implementation.
 
-    With ``batch`` the client-side routing, dedup and name check are
-    vectorized (identical call order and replies, so the simulated clock
-    advances identically); ``cross_check=True`` also replays the scalar
-    dedup per hop and raises on divergence.
+    The client-side routing, dedup and name check are vectorized (the
+    call order and replies are those of the scalar client, so the
+    simulated clock advances identically); ``cross_check=True`` also
+    replays the scalar dedup per hop and raises on divergence.
     """
     if hops < 1:
         raise QueryError("hops must be >= 1")
-    if not batch:
-        return _client_scalar(cluster, graph, start, name, hops)
-    return _client_batch(cluster, graph, start, name, hops, cross_check)
+    client = cluster.new_client()
+    result = DistributedSearchResult()
+    visited = _VisitedTracker(start)
+    reached = [start]
+    frontier = np.asarray([start], dtype=np.int64)
+    matched: set[int] = set()
+    before = cluster.network.clock.now
+    for _ in range(hops):
+        if not len(frontier):
+            break
+        owners = graph.machine_of_batch(frontier)
+        _, first_positions = np.unique(owners, return_index=True)
+        group_machines = owners[np.sort(first_positions)]
+        candidates: list[int] = []
+        for machine_id in group_machines.tolist():
+            nodes = frontier[owners == machine_id].tolist()
+            reply = client.call(machine_id, "ExpandFrontier",
+                                {"Target": name, "Frontier": nodes})
+            result.protocol_calls += 1
+            matched.update(reply["Matches"])
+            candidates.extend(reply["Next"])
+        cand = np.asarray(candidates, dtype=np.int64)
+        new = first_occurrences(cand[visited.unseen(cand)], ordered=True,
+                                stamp=visited.stamp)
+        if cross_check:
+            seen = set(reached)
+            shadow("algorithms.people_search_distributed.dedup",
+                   new.tolist(), [n for n in candidates
+                                  if n not in seen and not seen.add(n)])
+        visited.add(new)
+        reached += new.tolist()
+        if len(new):
+            names = graph.read_field_batch(new, "Name",
+                                           cross_check=cross_check)
+            matched.update(int(node) for node, node_name
+                           in zip(new.tolist(), names)
+                           if node_name == name)
+        frontier = new
+    matched.discard(start)
+    visited_set = set(reached)
+    result.matches = sorted(m for m in matched if m in visited_set)
+    result.visited = len(visited_set) - 1
+    result.elapsed = cluster.network.clock.now - before
+    return result
 
 
 def _client_scalar(cluster, graph, start: int, name: str,
@@ -198,57 +232,5 @@ def _client_scalar(cluster, graph, start: int, name: str,
     # explored neighborhood.
     result.matches = sorted(m for m in matched if m in visited)
     result.visited = len(visited) - 1
-    result.elapsed = cluster.network.clock.now - before
-    return result
-
-
-def _client_batch(cluster, graph, start: int, name: str, hops: int,
-                  cross_check: bool) -> DistributedSearchResult:
-    client = cluster.new_client()
-    result = DistributedSearchResult()
-    visited = _VisitedTracker(start)
-    reached = [start]
-    frontier = np.asarray([start], dtype=np.int64)
-    matched: set[int] = set()
-    before = cluster.network.clock.now
-    for _ in range(hops):
-        if not len(frontier):
-            break
-        owners = graph.machine_of_batch(frontier)
-        _, first_positions = np.unique(owners, return_index=True)
-        group_machines = owners[np.sort(first_positions)]
-        candidates: list[int] = []
-        for machine_id in group_machines.tolist():
-            nodes = frontier[owners == machine_id].tolist()
-            reply = client.call(machine_id, "ExpandFrontier",
-                                {"Target": name, "Frontier": nodes})
-            result.protocol_calls += 1
-            matched.update(reply["Matches"])
-            candidates.extend(reply["Next"])
-        cand = np.asarray(candidates, dtype=np.int64)
-        new = first_occurrences(cand[visited.unseen(cand)], ordered=True,
-                                stamp=visited.stamp)
-        if cross_check:
-            seen = set(reached)
-            shadow_new = [n for n in candidates
-                          if n not in seen and not seen.add(n)]
-            if new.tolist() != shadow_new:
-                raise DivergenceError(
-                    f"distributed search batch dedup diverges from "
-                    f"scalar: {new.tolist()!r} != {shadow_new!r}"
-                )
-        visited.add(new)
-        reached += new.tolist()
-        if len(new):
-            names = graph.read_field_batch(new, "Name",
-                                           cross_check=cross_check)
-            matched.update(int(node) for node, node_name
-                           in zip(new.tolist(), names)
-                           if node_name == name)
-        frontier = new
-    matched.discard(start)
-    visited_set = set(reached)
-    result.matches = sorted(m for m in matched if m in visited_set)
-    result.visited = len(visited_set) - 1
     result.elapsed = cluster.network.clock.now - before
     return result

@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import ComputeParams
-from ..errors import DivergenceError, QueryError
+from ..errors import QueryError
 from ..net.simnet import ParallelRound, SimNetwork
+from ..oracle import shadow
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +270,6 @@ def match_subgraph(topology, labels, query: Query,
                    index: LabelIndex | None = None,
                    max_embeddings: int = 1024,
                    max_expansions: int = 2_000_000,
-                   batch: bool = True,
                    cross_check: bool = False) -> SubgraphMatchResult:
     """Find embeddings of ``query`` in the labeled data graph.
 
@@ -280,14 +280,13 @@ def match_subgraph(topology, labels, query: Query,
     access, like Trinity's live exploration), or from the label index for
     the first root.
 
-    With ``batch`` (the default) the per-level candidate prefilter —
-    label check plus adjacency to every bound anchor — runs as one
-    vectorized mask over the whole candidate array instead of a Python
-    test per candidate.  The filter is loop-invariant at each level
-    (anchor bindings and the injectivity set only change at *other*
-    depths), so the surviving candidates, their order, and all accounting
-    are identical to the scalar path; ``cross_check=True`` replays the
-    scalar filter at every level and raises
+    The per-level candidate prefilter — label check plus adjacency to
+    every bound anchor — runs as one vectorized mask over the whole
+    candidate array instead of a Python test per candidate.  The filter
+    is loop-invariant at each level (anchor bindings and the injectivity
+    set only change at *other* depths), so the surviving candidates and
+    their order are those of a per-candidate test; ``cross_check=True``
+    replays that scalar filter at every level and raises
     :class:`~repro.errors.DivergenceError` on any difference.
 
     Stops once ``max_embeddings`` are found or ``max_expansions``
@@ -344,18 +343,13 @@ def match_subgraph(topology, labels, query: Query,
             mask &= np.isin(cand, neighbors_of(mapping[a]))
         survivors = cand[mask]
         if cross_check:
-            shadow = [
+            shadow("algorithms.subgraph.prefilter", survivors.tolist(), [
                 int(c) for c in candidates
                 if int(labels[int(c)]) == wanted_label
                 and int(c) not in used
                 and all(int(c) in neighbor_set_of(mapping[a])
                         for a in anchor_nodes)
-            ]
-            if survivors.tolist() != shadow:
-                raise DivergenceError(
-                    f"subgraph batch prefilter diverges from scalar: "
-                    f"{survivors.tolist()!r} != {shadow!r}"
-                )
+            ])
         return survivors
 
     def backtrack(depth: int) -> bool:
@@ -382,18 +376,9 @@ def match_subgraph(topology, labels, query: Query,
             pivot_machine = None
         wanted_label = query.labels[qv]
         row_bytes = 8 * (depth + 1)
-        if batch:
-            candidates = _prefilter(candidates, wanted_label,
-                                    anchor_nodes)
+        candidates = _prefilter(candidates, wanted_label, anchor_nodes)
         for candidate in candidates:
             candidate = int(candidate)
-            if not batch:
-                if labels[candidate] != wanted_label or candidate in used:
-                    continue
-                # Every bound anchor must be adjacent to the candidate.
-                if not all(candidate in neighbor_set_of(mapping[a])
-                           for a in anchor_nodes):
-                    continue
             result.candidates_examined += 1
             machine = int(topology.machine[candidate])
             compute_total[0] += (

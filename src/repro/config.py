@@ -42,15 +42,12 @@ class NetworkParams:
     packing_enabled: bool = True
     """Pack small messages bound for the same machine into one transfer."""
 
-    max_packed_bytes: int = 64 * 1024
-    """Flush a packed buffer once it reaches this many bytes."""
-
     def transfer_time(self, size: int, messages: int = 1) -> float:
         """Simulated wall-clock time to move ``size`` payload bytes.
 
-        ``messages`` logical messages are carried; with packing enabled they
-        share one latency hop per ``max_packed_bytes`` flush, otherwise each
-        pays its own latency.
+        ``messages`` logical messages are carried; with packing enabled the
+        whole transfer pays one latency hop, otherwise each message pays its
+        own.
         """
         latency_part, serial_part = self.transfer_components(size, messages)
         return latency_part + serial_part
@@ -218,9 +215,6 @@ class ClusterConfig:
     network: NetworkParams = field(default_factory=NetworkParams)
     memory: MemoryParams = field(default_factory=MemoryParams)
     compute: ComputeParams = field(default_factory=ComputeParams)
-
-    seed: int = 0
-    """Seed for all randomised placement decisions (reproducibility)."""
 
     def __post_init__(self) -> None:
         if self.machines <= 0:

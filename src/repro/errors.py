@@ -19,11 +19,9 @@ class ConfigError(TrinityError):
 class DivergenceError(TrinityError, AssertionError):
     """A ``cross_check`` replay disagreed with the path it shadows.
 
-    The one error every differential check raises — the memory cloud's
-    scalar shadow, the batch-vs-scalar query replays, the serving layer's
-    sequential oracle, the BSP reference run and the bulk encoder's
-    scalar re-encode.  An :class:`AssertionError` because it reports a
-    bug in the library, never bad input.
+    Raised in one place, :func:`repro.oracle.shadow`, which every
+    differential check calls.  An :class:`AssertionError` because it
+    reports a bug in the library, never bad input.
     """
 
 

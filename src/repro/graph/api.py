@@ -11,18 +11,19 @@ frontier of node ids at once, route it through the memory cloud's
 ``bulk_get_spans`` (one vectorized hash pass, one lock acquisition per
 trunk) and decode adjacency columns CSR-style, in place, via the
 compiled decoders in :mod:`repro.tsl.batch` — k frontier nodes cost one
-batched read instead of k hash probes plus k whole-cell decodes.  Every
-batch entry point accepts ``cross_check=True``, which shadow-replays the
-scalar path and raises
-:class:`~repro.errors.DivergenceError` on any disagreement.
+batched read instead of k hash probes plus k whole-cell decodes.  The
+scalar reads are that path's reference: every batch entry point accepts
+``cross_check=True``, which replays them per node and hands both
+answers to :func:`repro.oracle.shadow`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DivergenceError, QueryError
+from ..errors import QueryError
 from ..memcloud import MemoryCloud
+from ..oracle import shadow
 from ..tsl.accessor import use_cell
 from ..tsl.batch import batch_decoder_for
 from ..tsl.layout import install_layout_policy
@@ -52,7 +53,6 @@ class Graph:
         self._m_batch_cells = obs.counter("query.batch.cells")
         self._m_batch_dedup = obs.counter("query.batch.cells_deduped")
         self._m_batch_headers = obs.counter("query.batch.degree_headers")
-        self._m_batch_checks = obs.counter("query.batch.cross_checks")
 
     # -- basic shape --------------------------------------------------------
 
@@ -133,7 +133,7 @@ class Graph:
         are released, so paged trunks stay evictable between batches.
 
         ``cross_check`` replays ``scalar(node_id)`` per input id and
-        raises :class:`DivergenceError` on any difference.
+        raises :class:`~repro.errors.DivergenceError` on any difference.
         """
         self._require_field(field_name)
         ids = np.asarray(node_ids, dtype=np.int64)
@@ -196,18 +196,14 @@ class Graph:
             if inverse is not None:
                 result = result[inverse]
         if cross_check:
-            self._m_batch_checks.inc()
             if csr:
                 values, cuts = flat.tolist(), indptr.tolist()
-                rows = (values[cuts[i]:cuts[i + 1]] for i in range(len(ids)))
+                rows = [values[cuts[i]:cuts[i + 1]] for i in range(len(ids))]
             else:
                 rows = result if dtype is None else result.tolist()
-            for node_id, row in zip(ids.tolist(), rows):
-                if row != scalar(node_id):
-                    raise DivergenceError(
-                        f"node {node_id}: batched {field_name} read "
-                        f"{row!r} diverges from the scalar path"
-                    )
+            nodes = ids.tolist()
+            shadow("graph.api.read_batch", list(zip(nodes, rows)),
+                   [(node_id, scalar(node_id)) for node_id in nodes])
         return result
 
     def outlinks_batch(self, node_ids, cross_check: bool = False
@@ -218,7 +214,7 @@ class Graph:
         ``node_ids[i]`` — one span fetch and one columnar decode for the
         whole batch.  ``cross_check=True`` replays every node through
         the scalar :meth:`outlinks` path and raises
-        :class:`DivergenceError` on any difference.
+        :class:`~repro.errors.DivergenceError` on any difference.
         """
         return self.read_field_csr(node_ids, self.graph_schema.out_field,
                                    cross_check=cross_check)

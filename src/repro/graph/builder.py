@@ -7,20 +7,16 @@ edge by edge (reallocation churn is exactly what Section 6.1's
 reservation mechanism exists to absorb; the ablation benchmark exercises
 that path separately via incremental edge insertion).
 
-Two ingest/store speeds share one semantics:
-
-* the scalar path — :meth:`~GraphBuilder.add_edge` per edge and one
-  ``cloud.put`` per node at ``finalize(bulk=False)``;
-* the batched path — :meth:`~GraphBuilder.add_edges` accepts a numpy
-  ``(m, 2)`` edge array, and ``finalize(bulk=True)`` (the default)
-  groups all buffered edges per endpoint with one stable sort per
-  direction, encodes every adjacency list as a slice of one contiguous
-  ``int64`` byte blob, and stores all nodes with ``cloud.bulk_put``.
-
-Either way edges are only *buffered* at ingest; all grouping happens at
-finalize, so the neighbor order is the arrival order in both paths and
-the finalized blobs are bit-identical — verified by
-``finalize(cross_check=True)`` and the equivalence test suite.
+Edges are only *buffered* at ingest (:meth:`~GraphBuilder.add_edges`
+takes a numpy ``(m, 2)`` array, :meth:`~GraphBuilder.add_edge` appends
+to the same stream); ``finalize()`` groups them per endpoint with one
+stable sort per direction — neighbor order is arrival order — encodes
+every adjacency list as a slice of one contiguous ``int64`` byte blob
+and stores all nodes with ``cloud.bulk_put``.  The reference is the
+scalar TSL encoder, one record and one ``node_type.encode`` per node
+(what ``finalize(bulk=False)`` stores, so tests can build a whole
+reference cloud); ``finalize(cross_check=True)`` runs both through
+:func:`repro.oracle.shadow`.
 """
 
 from __future__ import annotations
@@ -32,8 +28,9 @@ from collections import defaultdict
 
 import numpy as np
 
-from ..errors import DivergenceError, QueryError, TrunkFullError
+from ..errors import QueryError, TrunkFullError
 from ..memcloud import MemoryCloud
+from ..oracle import shadow
 from ..tsl.batch import batch_encoder_for, encode_varint_small
 from ..tsl.layout import encode_adjacency_segments, install_layout_policy
 from ..tsl.types import AdjacencyListType, LONG, ListType
@@ -61,18 +58,7 @@ def _bulk_worker_main(builder, groups, out_group, in_group, cross_check,
         for trunk_id, _indices, uids in groups:
             blobs = builder._encode_subset(uids, out_group, in_group)
             if cross_check:
-                node_type = builder.graph_schema.node_type
-                sub_out = builder._subset_group(out_group, set(uids))
-                sub_in = (builder._subset_group(in_group, set(uids))
-                          if in_group is not None else None)
-                for uid, record, blob in zip(
-                        uids, builder._records(uids, sub_out, sub_in),
-                        blobs):
-                    if node_type.encode(record) != blob:
-                        raise DivergenceError(
-                            f"bulk encoder diverged from scalar TSL "
-                            f"encoding for node {uid}"
-                        )
+                builder._shadow_encoding(uids, out_group, in_group, blobs)
             sizes = builder.cloud.trunks[trunk_id].bulk_write_fresh(
                 uids, blobs
             )
@@ -278,16 +264,7 @@ class GraphBuilder:
         if use_bulk:
             blobs = self._bulk_blobs(node_ids, out_group, in_group)
             if cross_check:
-                node_type = schema.node_type
-                for node_id, record, blob in zip(
-                        node_ids,
-                        self._records(node_ids, out_group, in_group),
-                        blobs):
-                    if node_type.encode(record) != blob:
-                        raise DivergenceError(
-                            f"bulk encoder diverged from scalar TSL "
-                            f"encoding for node {node_id}"
-                        )
+                self._shadow_encoding(node_ids, out_group, in_group, blobs)
             self.cloud.bulk_put(node_ids, blobs)
         else:
             node_type = schema.node_type
@@ -409,6 +386,16 @@ class GraphBuilder:
         sub_in = (self._subset_group(in_group, wanted)
                   if in_group is not None else None)
         return self._bulk_blobs(sub_ids, sub_out, sub_in)
+
+    def _shadow_encoding(self, node_ids, out_group, in_group,
+                         blobs) -> None:
+        """``cross_check``: every bulk blob is the scalar TSL encoding
+        of its node's record (``node_ids`` may be one trunk's subset)."""
+        encode = self.graph_schema.node_type.encode
+        records = self._records(node_ids, out_group, in_group)
+        shadow("graph.builder.finalize", list(zip(node_ids, blobs)),
+               [(node_id, encode(record))
+                for node_id, record in zip(node_ids, records)])
 
     def _parallel_eligible(self, node_ids) -> bool:
         """Can this load use the forked shared-arena fast path?

@@ -20,8 +20,9 @@ import tempfile
 import numpy as np
 
 from ..config import ClusterConfig
-from ..errors import AddressingError, DivergenceError, StaleSpanError
+from ..errors import AddressingError, StaleSpanError
 from ..obs import MetricsRegistry, MetricsReport, get_registry
+from ..oracle import shadow
 from ..utils.hashing import trunk_of, trunk_of_array
 from ..utils.sorting import stable_argsort
 from .addressing import AddressingTable
@@ -433,40 +434,31 @@ class MemoryCloud:
     def verify_shadow(self) -> None:
         """Compare every trunk against the scalar shadow replay.
 
-        Raises :class:`DivergenceError` unless stored cells are
-        bit-identical and trunk accounting (live/garbage/committed bytes,
-        wraps, defrag counters — the full :class:`TrunkStats`) matches.
+        Raises :class:`~repro.errors.DivergenceError` unless stored
+        cells are bit-identical and trunk accounting (live/garbage/
+        committed bytes, wraps, defrag counters — the full
+        :class:`TrunkStats`) matches.
         Hash-table probe counters are compared too while every bulk call
         so far used ``presize=False`` (pre-sizing legitimately changes
         probe lengths, never contents).
         """
         if self._shadow is None:
             raise AddressingError("cloud was not built with cross_check=True")
-        for trunk_id, trunk in self.trunks.items():
-            shadow_trunk = self._shadow.trunks[trunk_id]
-            mine = dict(trunk.dump_cells())
-            theirs = dict(shadow_trunk.dump_cells())
-            if mine != theirs:
-                raise DivergenceError(
-                    f"trunk {trunk_id}: stored cells diverge from the "
-                    f"scalar shadow ({len(mine)} vs {len(theirs)} cells)"
-                )
-            if trunk.stats() != shadow_trunk.stats():
-                raise DivergenceError(
-                    f"trunk {trunk_id}: accounting diverges\n"
-                    f"  bulk:   {trunk.stats()}\n"
-                    f"  scalar: {shadow_trunk.stats()}"
-                )
-            if self._shadow_probes_comparable:
-                index, shadow_index = trunk._index, shadow_trunk._index
-                if (index.probe_count != shadow_index.probe_count
-                        or index.lookup_count != shadow_index.lookup_count):
-                    raise DivergenceError(
-                        f"trunk {trunk_id}: probe counters diverge "
-                        f"({index.probe_count}/{index.lookup_count} vs "
-                        f"{shadow_index.probe_count}/"
-                        f"{shadow_index.lookup_count})"
-                    )
+        # One list entry per trunk, in trunk-id order: the index a
+        # divergence is reported at is the trunk it happened in.
+        mine = [self.trunks[t] for t in sorted(self.trunks)]
+        theirs = [self._shadow.trunks[t] for t in sorted(self.trunks)]
+        where = "memcloud.cloud.verify_shadow"
+        shadow(f"{where}.cells", [dict(t.dump_cells()) for t in mine],
+               [dict(t.dump_cells()) for t in theirs])
+        shadow(f"{where}.stats", [t.stats() for t in mine],
+               [t.stats() for t in theirs])
+        if self._shadow_probes_comparable:
+            shadow(f"{where}.probes",
+                   [(t._index.probe_count, t._index.lookup_count)
+                    for t in mine],
+                   [(t._index.probe_count, t._index.lookup_count)
+                    for t in theirs])
 
     def __len__(self) -> int:
         return sum(len(t) for t in self.trunks.values())

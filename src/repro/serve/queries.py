@@ -8,11 +8,10 @@ single bulk read against the memory cloud (see
 :mod:`repro.serve.fusion`).
 
 Each query class also knows how to run itself through the existing
-one-at-a-time library path (:meth:`ServeQuery.run_sequential`) — that is
-both the serving layer's correctness oracle (``cross_check=True`` shadow
-replays every completion through it and raises
-:class:`~repro.errors.DivergenceError` on any difference) and
-the no-optimization baseline the serving benchmark measures against.
+one-at-a-time library path (:meth:`ServeQuery.run_sequential`) — the
+serving layer's correctness oracle: ``cross_check=True`` replays every
+completion through it and hands both answers to
+:func:`repro.oracle.shadow` before the served one is published.
 
 Plans return *canonical* results — plain sorted lists/dicts that are
 order-invariant over scheduling, so a fused execution, a cached answer
@@ -28,7 +27,7 @@ import numpy as np
 
 from ..algorithms.people_search import _VisitedTracker, people_search
 from ..algorithms.subgraph import match_subgraph
-from ..errors import DivergenceError, QueryError
+from ..errors import QueryError
 from ..net.simnet import SimNetwork
 from ..tql.engine import _OPS, execute_tql
 from ..tql.parser import TqlQuery, parse_tql
@@ -76,16 +75,8 @@ class ServeQuery:
 
     def run_sequential(self, ctx):
         """The existing one-at-a-time library execution of this query,
-        in canonical form — the correctness oracle and the baseline."""
+        in canonical form — the correctness oracle."""
         raise NotImplementedError
-
-    def check(self, served, reference) -> None:
-        """Raise :class:`DivergenceError` unless served == reference."""
-        if served != reference:
-            raise DivergenceError(
-                f"{self.cls_name} {self.key()!r}: served result diverges "
-                f"from the sequential path: {served!r} != {reference!r}"
-            )
 
 
 class PeopleSearchQuery(ServeQuery):

@@ -32,9 +32,10 @@ Execution model — deterministic by construction:
 
 ``cross_check=True`` shadow-replays **every** completion — fused,
 cached, or inline — through the query's existing one-at-a-time library
-path and raises :class:`~repro.errors.DivergenceError` on any
-difference, which is how the test suite proves the optimizations change
-the speed and never the answers.
+path *before* the answer is published, counted or cached, and raises
+:class:`~repro.errors.DivergenceError` on any difference, which is how
+the test suite proves the optimizations change the speed and never the
+answers.
 
 Latency SLOs land in ``serve.latency.seconds{cls=...}`` histograms and
 queue health in ``serve.queue.depth{cls=...}`` gauges plus
@@ -52,6 +53,7 @@ from ..algorithms.subgraph import LabelIndex, assign_labels
 from ..errors import QueryError
 from ..graph.csr import CsrTopology
 from ..obs import get_registry
+from ..oracle import shadow
 from .caches import EpochLruCache
 from .fusion import FusedExecutor
 from .queries import QueryTicket, ServeQuery
@@ -285,7 +287,6 @@ class QueryServer:
         self._m_cached = self.registry.counter("serve.completed.from_cache")
         self._m_windows = self.registry.counter("serve.windows")
         self._m_mutations = self.registry.counter("serve.mutations")
-        self._m_cross_checks = self.registry.counter("serve.cross_checks")
         # Snapshot state for inline queries (subgraph matching): rebuilt
         # lazily whenever the cloud's mutation epoch moves.
         self._snapshot = None
@@ -432,9 +433,15 @@ class QueryServer:
     # -- completion --------------------------------------------------------
 
     def _complete(self, ticket: QueryTicket, result) -> None:
+        finished_at = time.perf_counter()   # serving time, not oracle time
+        if self.config.cross_check:
+            # Oracle first: an answer that fails it is never published,
+            # counted or cached.
+            shadow(f"serve.{ticket.query.cls_name}", result,
+                   ticket.query.run_sequential(self))
         ticket.result = result
         ticket.status = "done"
-        ticket.finished_at = time.perf_counter()
+        ticket.finished_at = finished_at
         cls = ticket.query.cls_name
         if cls not in self._latency:
             self._latency[cls] = self.registry.histogram(
@@ -451,10 +458,6 @@ class QueryServer:
                          if ticket.trunks is not None else None)
             self.result_cache.put(ticket.query.key(), self._current_epochs,
                                   result, footprint=footprint)
-        if self.config.cross_check:
-            self._m_cross_checks.inc()
-            reference = ticket.query.run_sequential(self)
-            ticket.query.check(result, reference)
 
     # -- mutation barrier --------------------------------------------------
 

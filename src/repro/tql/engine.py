@@ -12,16 +12,15 @@ candidate touched, adjacency scans per edge expansion, and traffic when
 the expansion crosses machines — all folded into one
 :class:`~repro.net.simnet.ParallelRound` under the spread-work model.
 
-The engine runs on the batched read path by default (``batch=True``):
-candidate sets and BFS waves are *prefetched* through
+Candidate sets and BFS waves are *prefetched* through
 ``Graph.read_field_batch`` — one span fetch plus one column decode per
 wave — into a staging dict that ``read_field`` consumes.  Costs are
 charged on first *consumption*, never at prefetch time, so
-``cells_touched``/``elapsed`` stay bit-identical to the scalar engine
-even when a LIMIT stops the search before prefetched values are used.
-``cross_check=True`` shadow-replays the scalar decode per batched read
-and re-executes the whole query on the scalar path, raising
-:class:`~repro.errors.DivergenceError` on any difference.
+``cells_touched``/``elapsed`` stay bit-identical to the same engine with
+the prefetch off (its private reference: one scalar read per value) even
+when a LIMIT stops the search before prefetched values are used.
+``cross_check=True`` runs both — per batched read and for the whole
+query — through :func:`repro.oracle.shadow`.
 """
 
 from __future__ import annotations
@@ -32,8 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import ComputeParams
-from ..errors import DivergenceError, QueryError
+from ..errors import QueryError
 from ..net.simnet import ParallelRound, SimNetwork
+from ..oracle import shadow
 from .parser import Operand, TqlQuery, parse_tql
 
 _OPS = {
@@ -62,13 +62,11 @@ def execute_tql(graph, query: TqlQuery | str,
                 network: SimNetwork | None = None,
                 params: ComputeParams | None = None,
                 max_rows: int = 10_000,
-                batch: bool = True,
                 cross_check: bool = False) -> TqlResult:
     """Run a TQL query against a :class:`~repro.graph.api.Graph`.
 
-    ``batch`` enables the vectorized prefetch path (identical results
-    and accounting); ``cross_check=True`` additionally re-executes the
-    query on the scalar path and raises
+    ``cross_check=True`` additionally re-executes the query with the
+    batched prefetch off and raises
     :class:`~repro.errors.DivergenceError` if rows, cost
     accounting or simulated time diverge.
     """
@@ -76,19 +74,14 @@ def execute_tql(graph, query: TqlQuery | str,
         query = parse_tql(query)
     network = network or SimNetwork()
     params = params or ComputeParams()
-    result = _execute(graph, query, network, params, max_rows, batch,
+    result = _execute(graph, query, network, params, max_rows, True,
                       cross_check)
-    if batch and cross_check:
-        shadow = _execute(graph, query, SimNetwork(network.params), params,
-                          max_rows, False, False)
-        for attr in ("rows", "cells_touched", "messages", "elapsed",
-                     "truncated"):
-            mine, theirs = getattr(result, attr), getattr(shadow, attr)
-            if mine != theirs:
-                raise DivergenceError(
-                    f"TQL batch path diverges from scalar on {attr}: "
-                    f"{mine!r} != {theirs!r}"
-                )
+    if cross_check:
+        reference = _execute(graph, query, SimNetwork(network.params),
+                             params, max_rows, False, False)
+        shadow("tql.engine.execute", result, reference,
+               fields=("rows", "cells_touched", "messages", "elapsed",
+                       "truncated"))
     return result
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.people_search import people_search
+from repro.config import ClusterConfig, MemoryParams
 from repro.generators import (
     FIRST_NAMES,
     erdos_renyi_edges,
@@ -11,9 +13,14 @@ from repro.generators import (
     rmat_edges,
     sample_names,
     social_edges,
+    stream_build_social_graph,
+    stream_social_edges,
 )
 from repro.generators.rmat import rmat_graph_size
 from repro.generators.social import community_edges
+from repro.memcloud import MemoryCloud
+from repro.net.simnet import SimNetwork
+from repro.obs import MetricsRegistry
 
 
 class TestRmat:
@@ -165,3 +172,65 @@ class TestNames:
 
     def test_deterministic(self):
         assert sample_names(50, seed=3) == sample_names(50, seed=3)
+
+
+class TestStreaming:
+    """The external-memory generator and the paged load it exists for."""
+
+    def test_batches_are_bounded_loop_free_and_seeded(self):
+        batches = list(stream_social_edges(600, avg_degree=8.0, seed=4,
+                                           batch_edges=256))
+        assert len(batches) > 1
+        for batch in batches:
+            assert batch.dtype == np.int64 and batch.shape[1] == 2
+            assert 0 < len(batch) <= 256
+            assert (batch[:, 0] != batch[:, 1]).all()
+            assert batch.min() >= 0 and batch.max() < 600
+        again = stream_social_edges(600, avg_degree=8.0, seed=4,
+                                    batch_edges=256)
+        assert all(np.array_equal(a, b) for a, b in zip(batches, again))
+        other = np.concatenate(list(stream_social_edges(
+            600, avg_degree=8.0, seed=5, batch_edges=256)))
+        assert not np.array_equal(np.concatenate(batches), other)
+
+    def test_parameter_validation(self):
+        with pytest.raises(ValueError):
+            next(stream_social_edges(1))
+        with pytest.raises(ValueError):
+            next(stream_social_edges(10, batch_edges=0))
+
+    def test_paged_stream_load_answers_like_resident(self):
+        """A graph streamed into a cloud that keeps two pages per trunk
+        answers the same searches as a resident cloud fed the same
+        stream — and really did fault, evict and write back."""
+        graphs, clouds = {}, {}
+        try:
+            for storage in ("resident", "paged"):
+                memory = MemoryParams(trunk_size=256 * 1024, storage=storage,
+                                      storage_page_size=512, page_budget=2)
+                clouds[storage] = MemoryCloud(
+                    ClusterConfig(machines=2, trunk_bits=4, memory=memory),
+                    MetricsRegistry())
+                graphs[storage], edges = stream_build_social_graph(
+                    clouds[storage], 1500, avg_degree=8.0, seed=42,
+                    batch_edges=1024)
+                assert edges > 1024     # more than one batch was ingested
+            assert graphs["paged"].num_edges() == \
+                graphs["resident"].num_edges()
+            for start in (0, 1, 7, 100):
+                paged, resident = (
+                    people_search(graphs[storage], start, "David", hops=3,
+                                  network=SimNetwork())
+                    for storage in ("paged", "resident"))
+                assert paged.matches == resident.matches
+                assert paged.visited == resident.visited > 0
+                assert paged.hop_times == resident.hop_times
+            snap = clouds["paged"].obs.snapshot()
+            for event in ("fault", "evict", "writeback"):
+                series = snap[f"trunk.page.{event}.total"]["series"]
+                assert sum(s["value"] for s in series) > 0, event
+            live = clouds["paged"].total_live_bytes()
+            assert live > len(clouds["paged"].trunks) * 2 * 512
+        finally:
+            for cloud in clouds.values():
+                cloud.release_arenas()

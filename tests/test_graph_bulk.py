@@ -128,6 +128,21 @@ class TestBulkFinalize:
                               cross_check=True)
         assert cloud_cells(scalar_cloud) == cloud_cells(bulk_cloud)
 
+    def test_bulk_and_scalar_loads_account_identically(self):
+        """Same cells is not the whole claim: both loads leave every
+        trunk, and so every machine, with the same allocator ledger."""
+        from repro.generators import rmat_edges
+        edges = rmat_edges(scale=8, avg_degree=6, seed=42).tolist()
+        scalar_cloud, _ = build(edges, True, bulk=False)
+        bulk_cloud, _ = build(edges, True, bulk=True, as_array=True,
+                              cross_check=True)
+        assert cloud_cells(scalar_cloud) == cloud_cells(bulk_cloud)
+        for trunk_id, trunk in bulk_cloud.trunks.items():
+            assert trunk.stats() == scalar_cloud.trunks[trunk_id].stats()
+        for machine in range(bulk_cloud.config.machines):
+            assert bulk_cloud.machine_stats(machine) == \
+                scalar_cloud.machine_stats(machine)
+
     def test_bulk_graph_is_queryable(self):
         edges = [(1, 2), (1, 3), (2, 3), (4, 1)]
         _, graph = build(edges, True, bulk=True, as_array=True)

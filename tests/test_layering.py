@@ -1,0 +1,80 @@
+"""Layering rules, checked on the syntax tree (nothing is imported).
+
+* A fast path meets its reference in one place: ``raise
+  DivergenceError`` occurs only in ``repro/oracle.py``, which itself
+  leans on nothing in ``repro`` but ``errors`` and ``obs``.
+* The reference is not a mode a caller can select: no public callable
+  under ``repro.algorithms`` or ``repro.tql`` takes a ``batch``
+  parameter.
+* The ratio-against-a-slow-sibling harnesses stay retired.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+
+
+def trees(directory: pathlib.Path):
+    for path in sorted(directory.rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def raised_name(node: ast.Raise) -> str | None:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+
+
+def test_only_the_oracle_raises_divergence_error():
+    raisers = {path.relative_to(SRC).as_posix()
+               for path, tree in trees(SRC)
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Raise) and node.exc is not None
+               and raised_name(node) == "DivergenceError"}
+    assert raisers == {"oracle.py"}
+
+
+def test_oracle_depends_on_errors_and_obs_only():
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    internal = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            internal.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[0] == "repro":
+            internal.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            internal.update(alias.name.partition(".")[2]
+                            for alias in node.names
+                            if alias.name.split(".")[0] == "repro")
+    assert internal == {"errors", "obs"}
+    public = [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    assert public == ["shadow"]
+
+
+def test_no_public_callable_selects_the_scalar_path():
+    offenders = []
+    for package in ("algorithms", "tql"):
+        for path, tree in trees(SRC / package):
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("_"):
+                    continue
+                args = node.args
+                names = [a.arg for a in (args.posonlyargs + args.args
+                                         + args.kwonlyargs)]
+                if "batch" in names:
+                    offenders.append(
+                        f"{path.relative_to(SRC)}:{node.lineno} {node.name}")
+    assert not offenders
+
+
+def test_pre_spine_harnesses_stay_retired():
+    benchmarks = ROOT / "benchmarks"
+    assert not sorted(benchmarks.glob("_perf*.py"))
+    assert not sorted((benchmarks / "results").glob("BENCH_*.json"))

@@ -25,12 +25,6 @@ class TestNetworkParams:
         assert (packed.transfer_time(size, messages)
                 < unpacked.transfer_time(size, messages))
 
-    def test_packing_flushes_large_payloads(self):
-        params = NetworkParams(packing_enabled=True, max_packed_bytes=1024)
-        one_flush = params.transfer_time(512, 1)
-        many_flushes = params.transfer_time(512 * 10, 1)
-        assert many_flushes > one_flush
-
     def test_negative_size_rejected(self):
         with pytest.raises(Exception):
             NetworkParams().transfer_time(-1)

@@ -5,15 +5,26 @@ Every batched query surface — the Graph ``*_batch`` reads, people search
 candidate prefiltering, and the landmark-oracle BFS — must agree with
 its scalar twin on seeded R-MAT graphs, across at least two machine
 counts, with ``cross_check=True`` shadow-replaying the scalar path
-inside the batched one.
+inside the batched one.  The scalar twins are private references, not
+modes: where a test wants the reference *object*, it calls the module's
+private scalar function.
 """
 
 import numpy as np
 import pytest
 
-from repro.algorithms.landmarks import evaluate_oracle, select_landmarks
-from repro.algorithms.people_search import people_search
+from repro.algorithms.landmarks import (
+    _bfs_distances_scalar,
+    _pair_distance_scalar,
+    evaluate_oracle,
+    select_landmarks,
+)
+from repro.algorithms.people_search import (
+    _people_search_scalar,
+    people_search,
+)
 from repro.algorithms.people_search_distributed import (
+    _client_scalar,
     distributed_people_search,
     install_search_handlers,
 )
@@ -25,7 +36,7 @@ from repro.algorithms.subgraph import (
     match_subgraph,
 )
 from repro.cluster import TrinityCluster
-from repro.config import ClusterConfig, MemoryParams
+from repro.config import ClusterConfig, ComputeParams, MemoryParams
 from repro.errors import CellNotFoundError, QueryError
 from repro.generators.names import sample_names
 from repro.generators.rmat import rmat_edges
@@ -35,8 +46,22 @@ from repro.graph.model import social_graph_schema
 from repro.memcloud import MemoryCloud
 from repro.net.simnet import SimNetwork
 from repro.obs import MetricsRegistry
+from repro.tql.engine import _execute, execute_tql
+from repro.tql.parser import parse_tql
 
 MACHINE_COUNTS = [2, 5]
+
+
+def scalar_people_search(graph, start, name, hops):
+    """``people_search``'s private reference: one decode per node."""
+    return _people_search_scalar(graph, start, name, hops, SimNetwork(),
+                                 ComputeParams())
+
+
+def scalar_tql(graph, tql):
+    """``execute_tql``'s private reference: the engine, prefetch off."""
+    return _execute(graph, parse_tql(tql), SimNetwork(), ComputeParams(),
+                    10_000, False, False)
 
 
 def build_rmat_named_graph(cloud, scale=8, avg_degree=6.0, seed=11):
@@ -142,10 +167,8 @@ class TestPeopleSearchBatch:
     def test_batch_equals_scalar(self, deployment, hops):
         _, graph = deployment
         batched = people_search(graph, 0, "David", hops=hops,
-                                network=SimNetwork(), batch=True,
-                                cross_check=True)
-        scalar = people_search(graph, 0, "David", hops=hops,
-                               network=SimNetwork(), batch=False)
+                                network=SimNetwork(), cross_check=True)
+        scalar = scalar_people_search(graph, 0, "David", hops)
         assert batched.matches == scalar.matches
         assert batched.visited == scalar.visited
         assert batched.messages == scalar.messages
@@ -207,10 +230,8 @@ class TestStorageTiers:
     def test_people_search_bit_identical(self, tier_deployment):
         _, _, graph = tier_deployment
         batched = people_search(graph, 0, "David", hops=3,
-                                network=SimNetwork(), batch=True,
-                                cross_check=True)
-        scalar = people_search(graph, 0, "David", hops=3,
-                               network=SimNetwork(), batch=False)
+                                network=SimNetwork(), cross_check=True)
+        scalar = scalar_people_search(graph, 0, "David", 3)
         assert batched.matches == scalar.matches
         assert batched.visited == scalar.visited
         assert batched.hop_times == scalar.hop_times
@@ -221,11 +242,10 @@ class TestStorageTiers:
         "WHERE b.Name = 'David' RETURN b",
     ])
     def test_tql_bit_identical(self, tier_deployment, tql):
-        from repro.tql.engine import execute_tql
         _, _, graph = tier_deployment
         batched = execute_tql(graph, tql, network=SimNetwork(),
-                              batch=True, cross_check=True)
-        scalar = execute_tql(graph, tql, network=SimNetwork(), batch=False)
+                              cross_check=True)
+        scalar = scalar_tql(graph, tql)
         assert batched.rows == scalar.rows
         assert batched.cells_touched == scalar.cells_touched
 
@@ -239,6 +259,60 @@ class TestStorageTiers:
         names = graph.read_field_batch(ids[:100], "Name", cross_check=True)
         assert names == [graph.attribute(int(i), "Name")
                          for i in ids[:100]]
+
+
+class TestLayoutPolicies:
+    """Raw or adaptive adjacency cells, resident or paged: one answer."""
+
+    def test_queries_agree_across_policies_and_tiers(self):
+        from repro.serve import PeopleSearchQuery, QueryServer, ServeConfig
+        signatures, live, clouds = {}, {}, []
+        try:
+            for storage in ("resident", "paged"):
+                for policy in ("raw", "adaptive"):
+                    cloud = MemoryCloud(
+                        ClusterConfig(machines=2, trunk_bits=4,
+                                      memory=MemoryParams(
+                                          trunk_size=1024 * 1024,
+                                          storage=storage,
+                                          layout_policy=policy)),
+                        MetricsRegistry())
+                    clouds.append(cloud)
+                    graph = build_rmat_named_graph(cloud, scale=9,
+                                                   avg_degree=10.0)
+                    live[storage, policy] = cloud.total_live_bytes()
+                    ids = np.asarray(graph.node_ids, dtype=np.int64)
+                    hubs = ids[np.argsort(graph.degree_batch(ids),
+                                          kind="stable")[-3:]].tolist()
+                    searches = [people_search(graph, hub, "David", hops=3,
+                                              network=SimNetwork(),
+                                              cross_check=True)
+                                for hub in hubs]
+                    tql = execute_tql(
+                        graph, f"MATCH (a = {hubs[0]}) -[Friends*1..3]-> "
+                               "(b {Name: 'David'}) RETURN b",
+                        network=SimNetwork(), cross_check=True)
+                    # Served with the hub adjacency cache on and the
+                    # result cache off, so every repeat really traverses.
+                    server = QueryServer(
+                        graph, ServeConfig(result_cache=False,
+                                           cross_check=True),
+                        registry=MetricsRegistry())
+                    tickets = [server.submit(PeopleSearchQuery(hub, "David"))
+                               for _ in range(2) for hub in hubs]
+                    server.run()
+                    signatures[storage, policy] = (
+                        hubs,
+                        [(r.matches, r.visited, r.hop_times)
+                         for r in searches],
+                        tql.rows, [t.result for t in tickets])
+            assert len({repr(sig) for sig in signatures.values()}) == 1
+            # The codecs were really in play: same cells, fewer bytes.
+            for storage in ("resident", "paged"):
+                assert live[storage, "adaptive"] < live[storage, "raw"]
+        finally:
+            for cloud in clouds:
+                cloud.release_arenas()
 
 
 class TestFailedDecodeReleasesPins:
@@ -278,14 +352,12 @@ class TestDistributedSearchBatch:
 
     def test_batch_handlers_equal_scalar(self, cluster_deployment):
         cluster, graph = cluster_deployment
-        install_search_handlers(cluster, graph, batch=True,
-                                cross_check=True)
+        # Every handler reply is checked against ``scalar_expand`` as it
+        # is made, so the scalar client below talks to verified handlers.
+        install_search_handlers(cluster, graph, cross_check=True)
         batched = distributed_people_search(cluster, graph, 0, "David",
-                                            hops=3, batch=True,
-                                            cross_check=True)
-        install_search_handlers(cluster, graph, batch=False)
-        scalar = distributed_people_search(cluster, graph, 0, "David",
-                                           hops=3, batch=False)
+                                            hops=3, cross_check=True)
+        scalar = _client_scalar(cluster, graph, 0, "David", 3)
         assert batched.matches == scalar.matches
         assert batched.visited == scalar.visited
         assert batched.protocol_calls == scalar.protocol_calls
@@ -305,12 +377,10 @@ class TestTqlBatch:
 
     @pytest.mark.parametrize("tql", QUERIES)
     def test_batch_equals_scalar(self, deployment, tql):
-        from repro.tql.engine import execute_tql
         _, graph = deployment
         batched = execute_tql(graph, tql, network=SimNetwork(),
-                              batch=True, cross_check=True)
-        scalar = execute_tql(graph, tql, network=SimNetwork(),
-                             batch=False)
+                              cross_check=True)
+        scalar = scalar_tql(graph, tql)
         assert batched.rows == scalar.rows
         assert batched.cells_touched == scalar.cells_touched
         assert batched.messages == scalar.messages
@@ -328,16 +398,24 @@ class TestSubgraphBatch:
         labels = assign_labels(topology.n, num_labels=8, seed=3)
         query = generator(topology, labels, size=5, seed=qseed)
         index = LabelIndex(topology, labels)
-        batched = match_subgraph(topology, labels, query,
+        # The scalar prefilter is replayed at every level of the checked
+        # run (the only place the two ever differed); the run without it
+        # must then be the same search, and every embedding a real one.
+        checked = match_subgraph(topology, labels, query,
                                  network=SimNetwork(), index=index,
-                                 batch=True, cross_check=True)
-        scalar = match_subgraph(topology, labels, query,
-                                network=SimNetwork(), index=index,
-                                batch=False)
-        assert batched.embeddings == scalar.embeddings
-        assert batched.candidates_examined == scalar.candidates_examined
-        assert batched.messages == scalar.messages
-        assert batched.round_times == scalar.round_times
+                                 cross_check=True)
+        plain = match_subgraph(topology, labels, query,
+                               network=SimNetwork(), index=index)
+        assert checked.embeddings == plain.embeddings
+        assert checked.candidates_examined == plain.candidates_examined
+        assert checked.messages == plain.messages
+        assert checked.round_times == plain.round_times
+        assert checked.embeddings
+        for embedding in checked.embeddings:
+            assert len(set(embedding)) == query.size
+            assert [int(labels[v]) for v in embedding] == list(query.labels)
+            assert all(embedding[b] in topology.out_neighbors(embedding[a])
+                       for a, b in query.edges)
 
 
 class TestLandmarkBatch:
@@ -346,12 +424,18 @@ class TestLandmarkBatch:
         topology = CsrTopology(graph)
         landmarks = select_landmarks(topology, 4, strategy="degree")
         batched = evaluate_oracle(topology, landmarks, pairs=40, seed=2,
-                                  batch=True, cross_check=True)
-        scalar = evaluate_oracle(topology, landmarks, pairs=40, seed=2,
-                                 batch=False)
-        assert batched.per_pair == scalar.per_pair
-        assert batched.accuracy == scalar.accuracy
-        assert batched.exact_fraction == scalar.exact_fraction
+                                  cross_check=True)
+        through = np.stack([_bfs_distances_scalar(topology, lm)
+                            for lm in landmarks])
+        scalar_pairs = [
+            (u, v, _pair_distance_scalar(topology, u, v),
+             int((through[:, u] + through[:, v]).min()))
+            for u, v, _, _ in batched.per_pair]
+        assert batched.per_pair == scalar_pairs
+        ratios = [true / estimate for _, _, true, estimate in scalar_pairs]
+        assert batched.accuracy == float(np.mean(ratios))
+        assert batched.exact_fraction == \
+            sum(r == 1.0 for r in ratios) / len(ratios)
 
 
 class TestFieldEqBatch:
@@ -673,10 +757,8 @@ class TestVisitedTracker:
         graph = builder.finalize()
         target = names[7]
         batched = people_search(graph, ids[0], target, hops=3,
-                                network=SimNetwork(), batch=True,
-                                cross_check=True)
-        scalar = people_search(graph, ids[0], target, hops=3,
-                               network=SimNetwork(), batch=False)
+                                network=SimNetwork(), cross_check=True)
+        scalar = scalar_people_search(graph, ids[0], target, 3)
         assert batched.matches == scalar.matches
         assert batched.visited == scalar.visited
         assert batched.messages == scalar.messages

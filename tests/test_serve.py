@@ -19,7 +19,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.algorithms.subgraph import generate_query_dfs
 from repro.config import ClusterConfig
-from repro.errors import QueryError
+from repro.errors import DivergenceError, QueryError
 from repro.generators.names import sample_names
 from repro.generators.rmat import rmat_edges
 from repro.graph import GraphBuilder
@@ -159,6 +159,28 @@ class TestCrossCheckSuite:
             results_before[round_no] = [t.result for t in tickets]
             server.mutate(lambda g: g.add_edge(
                 int(rng.choice(g.node_ids[:64])), max(g.node_ids) + 1))
+
+    def test_divergent_answer_is_never_published(self, deployment,
+                                                 monkeypatch):
+        """The oracle runs before anything is recorded: an answer that
+        fails it is not on the ticket, not counted, not cached."""
+        _, graph = deployment
+        server = QueryServer(graph, ServeConfig(cross_check=True),
+                             registry=MetricsRegistry())
+        query = PeopleSearchQuery(0, "David", hops=2)
+        monkeypatch.setattr(
+            PeopleSearchQuery, "run_sequential",
+            lambda self, ctx: {"matches": [-1], "visited": -1})
+        ticket = server.submit(query)
+        with pytest.raises(DivergenceError):
+            server.run()
+        assert ticket.status != "done" and ticket.result is None
+        assert server.result_cache.get(
+            query.key(), graph.cloud.epoch_vector()) is None
+        assert len(server.result_cache) == 0
+        completed = server.registry.snapshot().get("serve.completed")
+        assert not completed or \
+            sum(s["value"] for s in completed["series"]) == 0
 
 
 class TestFusion:
@@ -547,7 +569,7 @@ class TestStorageTiers:
         from repro.net.simnet import SimNetwork
         for seed, result in zip((0, 1, 2), results):
             expected = people_search(graph, seed, "David", hops=3,
-                                     network=SimNetwork(), batch=True)
+                                     network=SimNetwork())
             assert result == {"matches": sorted(expected.matches),
                               "visited": expected.visited}
 
