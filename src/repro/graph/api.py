@@ -7,11 +7,11 @@ engines build a :class:`~repro.graph.csr.CsrTopology` snapshot once and
 reuse it across supersteps, matching Trinity's memory-resident topology.
 
 Online queries get a middle road: the ``*_batch`` methods take a whole
-frontier of node ids at once, route it through the memory cloud's
-``bulk_get_spans`` (one vectorized hash pass, one lock acquisition per
-trunk) and decode adjacency columns CSR-style, in place, via the
-compiled decoders in :mod:`repro.tsl.batch` — k frontier nodes cost one
-batched read instead of k hash probes plus k whole-cell decodes.  The
+frontier of node ids at once, locate it through the memory cloud's
+``bulk_get_spans`` (two vectorized hashes and one probe pass, however
+many trunks it touches) and decode adjacency columns CSR-style, in place,
+via the compiled decoders in :mod:`repro.tsl.batch` — k frontier nodes cost
+one batched read instead of k hash probes plus k whole-cell decodes.  The
 scalar reads are that path's reference: every batch entry point accepts
 ``cross_check=True``, which replays them per node and hands both
 answers to :func:`repro.oracle.shadow`.

@@ -14,6 +14,8 @@ This package implements Section 3 ("The Memory Cloud") and Section 6.1
   defragmentation pass.
 * :mod:`~repro.memcloud.addressing` — the 2**p-slot addressing table that
   maps trunks to machines, with consistent join/leave relocation.
+* :mod:`~repro.memcloud.directory` — a mirror of every trunk's hash table,
+  on which a batched read locates its whole window in one probe pass.
 * :mod:`~repro.memcloud.cloud` — the :class:`MemoryCloud` facade combining
   all of the above into a globally addressable key-value store.
 * :mod:`~repro.memcloud.persistence` — trunk image serialisation for TFS
@@ -23,7 +25,7 @@ This package implements Section 3 ("The Memory Cloud") and Section 6.1
 from .locks import SharedSpinLock, SpinLock
 from .hashtable import TrunkHashTable
 from .arena import Arena
-from .trunk import CELL_HEADER_BYTES, MemoryTrunk, TrunkSpans, TrunkStats
+from .trunk import CELL_HEADER_BYTES, MemoryTrunk, TrunkStats
 from .addressing import AddressingTable
 from .cloud import MemoryCloud, SpanGroup
 
@@ -33,7 +35,6 @@ __all__ = [
     "TrunkHashTable",
     "Arena",
     "MemoryTrunk",
-    "TrunkSpans",
     "TrunkStats",
     "CELL_HEADER_BYTES",
     "AddressingTable",

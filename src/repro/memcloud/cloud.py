@@ -20,12 +20,13 @@ import tempfile
 import numpy as np
 
 from ..config import ClusterConfig
-from ..errors import AddressingError, StaleSpanError
+from ..errors import AddressingError, CellNotFoundError, StaleSpanError
 from ..obs import MetricsRegistry, MetricsReport, get_registry
 from ..oracle import shadow
 from ..utils.hashing import trunk_of, trunk_of_array
 from ..utils.sorting import stable_argsort
 from .addressing import AddressingTable
+from .directory import SpanDirectory
 from .hashtable import wrap_keys
 from .locks import SpinLock
 from .storage import make_trunk_storage
@@ -118,6 +119,7 @@ class MemoryCloud:
         self.trunks: dict[int, MemoryTrunk] = {}
         for trunk_id in range(self.config.trunk_count):
             self.replace_trunk(trunk_id)
+        self._directory = SpanDirectory(self.config.trunk_count, self.obs)
         self._m_bulk_put_cells = self.obs.counter("memcloud.bulk.put.cells")
         self._m_bulk_put_batches = self.obs.counter(
             "memcloud.bulk.put.batches")
@@ -298,31 +300,35 @@ class MemoryCloud:
 
     # -- bulk fast path ------------------------------------------------------
 
-    def trunk_groups(self, cell_ids):
-        """Stable ``(trunk_id, indices, uids)`` groups for a UID batch.
-
-        One vectorized hash pass routes the whole array (Figure 3's first
-        hop); the stable sort keeps each trunk's subsequence in input
-        order, so the per-trunk operation stream is exactly what a scalar
-        loop would have produced.  Every bulk operation routes with this,
-        and so does the parallel bulk loader, so its worker/coordinator
-        halves agree on every trunk's subsequence.
-        """
+    def _route(self, cell_ids) -> tuple:
+        """``(uids, outside, order, trunks, lows)``: :func:`wrap_keys` of
+        the batch; the stable order that sorts it by owning trunk (one
+        vectorized hash pass, Figure 3's first hop), so each trunk's ids
+        stay in input order, as a scalar loop would send them; the trunk
+        ids in that order, and where each trunk's run of them begins."""
         uids, outside = wrap_keys(cell_ids)
-        trunks = trunk_of_array(uids, self.config.trunk_bits)
+        trunks = trunk_of_array(uids, self.config.trunk_bits).astype(np.int64)
         order = stable_argsort(trunks)
-        sorted_trunks = trunks[order]
-        boundaries = np.flatnonzero(np.diff(sorted_trunks)) + 1
+        trunks = trunks[order]
+        cuts = np.flatnonzero(trunks[1:] != trunks[:-1]) + 1
+        return uids, outside, order, trunks, [0, *cuts.tolist()]
+
+    def trunk_groups(self, cell_ids):
+        """Stable ``(trunk_id, indices, uids)`` groups for a UID batch,
+        in trunk order (:meth:`_route`).  Every bulk write routes with
+        this, and so does the parallel bulk loader, so its worker and
+        coordinator halves agree on every trunk's subsequence.
+        """
+        uids, outside, order, trunks, lows = self._route(cell_ids)
         uid_list = uids.tolist()  # one bulk conversion to Python ints
         if outside is not None:
             # Routed like the scalar path routes them (by the wrapped
             # value) but handed on as they are, for the trunk to refuse.
             for i in outside.tolist():
                 uid_list[i] = int(cell_ids[i])
-        for group in np.split(order, boundaries):
+        for low, group in zip(lows, np.split(order, lows[1:])):
             indices = group.tolist()
-            yield int(trunks[group[0]]), indices, [uid_list[i]
-                                                   for i in indices]
+            yield int(trunks[low]), indices, [uid_list[i] for i in indices]
 
     def _bulk_store(self, cell_ids, store) -> None:
         """Route a write batch to its trunks and account for it.
@@ -399,35 +405,63 @@ class MemoryCloud:
     def bulk_get_spans(self, cell_ids) -> list[SpanGroup]:
         """Zero-copy payload spans for a batch, grouped per trunk.
 
-        Returns one :class:`SpanGroup` per trunk touched — unpacking as
-        ``(arena_view, starts, limits, positions)`` — where
-        ``arena_view[starts[i]:limits[i]]`` is the payload of
+        Returns one :class:`SpanGroup` per trunk touched, in trunk order
+        — unpacking as ``(arena_view, starts, limits, positions)`` —
+        where ``arena_view[starts[i]:limits[i]]`` is the payload of
         ``cell_ids[positions[i]]``.  Nothing is copied: the views alias
         trunk arenas and are only valid until the next write or
         defragmentation on those trunks, which is exactly the lifetime a
         query hop needs (fetch a frontier, decode it, move on).  Each
-        group records the trunk's structural epoch; decoders call
-        :meth:`SpanGroup.assert_fresh` so an interleaved mutation raises
-        :class:`~repro.errors.StaleSpanError` instead of yielding bytes
-        read from relocated cells.  Grouped per trunk like
-        :meth:`bulk_put`; lookup and metrics accounting match a scalar
-        :meth:`get` loop.
+        group records the structural epoch its cells were located at;
+        decoders call :meth:`SpanGroup.assert_fresh` so an interleaved
+        mutation raises :class:`~repro.errors.StaleSpanError` instead of
+        yielding bytes read from relocated cells.
+
+        The whole window is located in one probe pass over the cloud's
+        :class:`~repro.memcloud.directory.SpanDirectory`; a trunk touched
+        then costs a slice of the result (and, paged, the pins under
+        it).  Observably the batch is a scalar :meth:`get` loop: the same
+        probe accounting per table, and a missing cell raises for the
+        first such id in input order, before any page is pinned.
         """
-        if not len(cell_ids):
+        count = len(cell_ids)
+        if not count:
             return []
         if self._shadow is not None:
             for cell_id in cell_ids:
                 self._shadow.get(int(cell_id))
         with self._h_bulk_get.time():
-            spans = []
-            for trunk_id, indices, uids in self.trunk_groups(cell_ids):
-                trunk = self.trunks[trunk_id]
-                arena, starts, limits, epoch = trunk.bulk_get_spans(uids)
-                spans.append(SpanGroup(
-                    arena, starts, limits,
-                    np.asarray(indices, dtype=np.int64), trunk, epoch,
-                ))
-        self._m_bulk_get_cells.inc(len(cell_ids))
+            uids, outside, order, trunk_ids, lows = self._route(cell_ids)
+            touched = trunk_ids[lows].tolist()
+            with self._directory.lock:
+                epochs = self._directory.refresh(self.trunks, touched)
+                starts, limits, probes, found = self._directory.probe(
+                    uids[order], trunk_ids)
+            if outside is not None or not found.all():
+                # Fail as the get loop fails: count the lookups up to the
+                # first id in input order that names no cell (one outside
+                # [0, 2**64) never does) and raise for that id.
+                for cell_id in map(int, cell_ids):
+                    self.trunk_for(cell_id).get(cell_id)
+                # Not reached, unless the cell was put since the probe.
+                raise CellNotFoundError(
+                    int(cell_ids[int(order[~found].min())]))
+            spans: list[SpanGroup] = []
+            try:
+                for trunk_id, epoch, walked, low, high in zip(
+                        touched, epochs,
+                        np.add.reduceat(probes, lows).tolist(),
+                        lows, [*lows[1:], count]):
+                    trunk = self.trunks[trunk_id]
+                    arena, begin, end = trunk.open_spans(
+                        starts[low:high], limits[low:high], walked)
+                    spans.append(SpanGroup(arena, begin, end,
+                                           order[low:high], trunk, epoch))
+            except BaseException:
+                for group in spans:     # the pins this batch already took
+                    group.close()
+                raise
+        self._m_bulk_get_cells.inc(count)
         self._m_bulk_get_batches.inc(len(spans))
         return spans
 

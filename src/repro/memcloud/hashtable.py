@@ -8,15 +8,16 @@ claim testable, this table is a real open-addressing (linear probing)
 implementation that counts probe steps, rather than a Python ``dict``.
 
 Slots live in three numpy arrays — uint64 keys, int64 values, uint8
-states — which is the form the bulk data path wants: ``bulk_lookup``
-advances a whole trunk group one probe per round, ``bulk_insert_fresh``
-hashes a batch in one pass, ``items()`` is one ``tolist()``.  Scalar
-operations, and groups too small to amortise numpy's fixed cost, walk
+states — which is the form the bulk data path wants: ``bulk_insert_fresh``
+hashes a batch in one pass, ``items()`` is one ``tolist()``, and the
+cloud's :class:`~repro.memcloud.directory.SpanDirectory` mirrors
+:meth:`TrunkHashTable.columns` to probe a whole read window in
+vectorized rounds (no batch is looked up here).  Scalar operations walk
 the same arrays through ``memoryview``s: indexing a memoryview returns a
 plain Python int at the price of a list index, where indexing the
 ndarray would box a numpy scalar for every slot touched.  Both walks
-take the same probe sequence, so ``probe_count`` / ``lookup_count``
-never depend on which one ran.
+take the same probe sequence, and the directory adds what it walked to
+``probe_count`` / ``lookup_count``, so they never depend on which ran.
 
 Keys are UIDs in ``[0, 2**64)``.  Nothing else is ever stored, so a read
 of any other integer misses (scalar and bulk alike) and a write of one
@@ -42,13 +43,6 @@ _MASK64 = (1 << 64) - 1
 # with an odd constant decorrelates this table's slots from the trunk
 # index (without it, every key in a trunk lands in the same few slots).
 _TRUNK_SALT = 0x9E3779B97F4A7C15
-
-# Batch sizes at which numpy's fixed costs are repaid (measured on the
-# trunk groups cross-trunk fan-out leaves): one vectorized hash pass
-# beats hashing key by key from _VECTOR_MIN keys, and probing in
-# vectorized rounds beats walking the memoryviews from _ROUNDS_MIN.
-_VECTOR_MIN = 16
-_ROUNDS_MIN = 256
 
 
 def _capacity_for(entries: int) -> int:
@@ -89,8 +83,8 @@ def wrap_keys(keys) -> tuple[np.ndarray, np.ndarray | None]:
     return wrapped, np.array(outside, dtype=np.int64) if outside else None
 
 
-def _home_slots(keys: np.ndarray, mask: int) -> np.ndarray:
-    """First probe slot per key of a uint64 array."""
+def _home_slots(keys: np.ndarray, mask) -> np.ndarray:
+    """First probe slot per uint64 key (``mask``: one, or one per key)."""
     return (mix64_array(keys ^ np.uint64(_TRUNK_SALT))
             & np.uint64(mask)).astype(np.int64)
 
@@ -237,63 +231,6 @@ class TrunkHashTable:
             self._tombstones += 1
         return found
 
-    def bulk_lookup(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """Values for a batch of keys: ``(values, found_mask)``.
-
-        Read-only, so a batch is equivalent to a loop of :meth:`get`
-        calls in any order, and ``probe_count``/``lookup_count`` advance
-        by exactly that loop's totals whichever way the batch runs:
-
-        * a trunk group of up to a few hundred keys — or one holding a
-          key outside ``[0, 2**64)`` — walks the memoryviews key by key
-          (home slots from one vectorized hash pass once there are
-          enough keys to pay for it);
-        * a larger one advances all unresolved keys one slot per round
-          in numpy; a key retires when its slot is a live match (found)
-          or empty (absent), and walks past tombstones.
-        """
-        n = len(keys)
-        mask = self._mask
-        keys_arr, outside = (None, None) if n < _VECTOR_MIN else wrap_keys(keys)
-        if n < _ROUNDS_MIN or outside is not None:
-            if keys_arr is None:
-                homes = [mix64(int(key) ^ _TRUNK_SALT) & mask for key in keys]
-            else:
-                homes = _home_slots(keys_arr, mask).tolist()
-            states, slots, stored = (self._state_view, self._key_view,
-                                     self._value_view)
-            values, found, probes = [0] * n, [False] * n, n
-            # An out-of-range key is compared as it came, so it misses.
-            for i, (index, key) in enumerate(zip(homes, map(int, keys))):
-                while (state := states[index]) and not (
-                        state == _LIVE and slots[index] == key):
-                    index = (index + 1) & mask
-                    probes += 1
-                if state:
-                    values[i] = stored[index]
-                    found[i] = True
-            self.lookup_count += n
-            self.probe_count += probes
-            return (np.array(values, dtype=np.int64),
-                    np.array(found, dtype=bool))
-        values = np.zeros(n, dtype=np.int64)
-        found = np.zeros(n, dtype=bool)
-        index = _home_slots(keys_arr, mask)
-        active = np.arange(n)
-        self.lookup_count += n
-        while len(active):
-            self.probe_count += len(active)
-            slots = index[active]
-            states = self._states[slots]
-            live_match = ((states == _LIVE)
-                          & (self._keys[slots] == keys_arr[active]))
-            hits = active[live_match]
-            values[hits] = self._values[slots[live_match]]
-            found[hits] = True
-            active = active[~(live_match | (states == _EMPTY))]
-            index[active] = (index[active] + 1) & mask
-        return values, found
-
     def bulk_insert_fresh(self, keys, values) -> bool:
         """Insert a batch of fresh keys with one vectorized hash pass.
 
@@ -361,6 +298,11 @@ class TrunkHashTable:
 
     def keys(self):
         return self._keys[self._states == _LIVE].tolist()
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The slot arrays themselves, ``(keys, values, states)`` — not
+        copies: whoever mirrors them holds the owning trunk's mutex."""
+        return self._keys, self._values, self._states
 
     def _resize(self) -> None:
         capacity = self.capacity

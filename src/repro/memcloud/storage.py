@@ -21,13 +21,14 @@ the two tiers differ in its backing and in residency policy:
   controls *residency* (and therefore RSS), not visibility.
 
 Zero-copy span reads interact with eviction through **pinning**:
-``bulk_get_spans`` pins the pages under a span group so the decode that
-follows cannot fault its own input back out.  Pins are reference
-counts; they are dropped on the trunk's next structural epoch bump
-(any mutation), or by an explicit ``SpanGroup.close()``.  When a span
-batch's working set would not fit the page budget, pinning refuses and
-the trunk degrades that batch to packed *copies* — decoders see the
-same bytes either way, they just lose the zero-copy aliasing.
+a batched read (``MemoryTrunk.open_spans``) pins the pages under a span
+group so the decode that follows cannot fault its own input back out.
+Pins are reference counts; they are dropped on the trunk's next
+structural epoch bump (any mutation), or by an explicit
+``SpanGroup.close()``.  When a span batch's working set would not fit
+the page budget, pinning refuses and the trunk degrades that batch to
+packed *copies* — decoders see the same bytes either way, they just
+lose the zero-copy aliasing.
 
 Everything is observable: ``trunk.page.{fault,evict,writeback}.total``
 counters plus ``trunk.page.{resident,pinned}`` gauges per trunk, and a
@@ -123,12 +124,9 @@ class TrunkStorage:
             self._array = np.frombuffer(self.arena.buf, dtype=np.uint8)
         return self._array
 
-    def touch_spans(self, starts, limits) -> None:
-        """Account reads of the given spans (page faults for a paged
-        backing; free for a resident one)."""
-
     def pin_spans(self, starts, limits) -> bool:
-        """Pin the pages under a span batch against eviction.
+        """Account a read of the given spans (page faults for a paged
+        backing) and pin the pages under them against eviction.
 
         Returns False — and pins nothing — when the batch's page
         working set cannot be held within the page budget; the caller
@@ -341,12 +339,10 @@ class PagedStorage(TrunkStorage):
         self._g_pinned.set(len(self._pins))
         return memoryview(self.arena.buf)[start:end]
 
-    def touch_spans(self, starts, limits) -> None:
-        for page in self._span_pages(starts, limits):
-            self._touch_page(page, dirty=False)
-
     def pin_spans(self, starts, limits) -> bool:
         pages = self._span_pages(starts, limits)
+        for page in pages:      # the read itself: faults, evictions
+            self._touch_page(page, dirty=False)
         fresh = [p for p in pages if p not in self._pins]
         if len(fresh) + len(self._pins) > self._budget:
             self._m_fallback.inc()

@@ -45,7 +45,6 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -120,21 +119,6 @@ class TrunkStats:
         return self.live_bytes / self.committed_bytes
 
 
-class TrunkSpans(NamedTuple):
-    """Zero-copy payload spans plus the structural epoch they belong to.
-
-    ``arena[starts[i]:limits[i]]`` is UID ``i``'s payload.  ``epoch`` is
-    the trunk's mutation epoch at fetch time; consumers compare it against
-    :attr:`MemoryTrunk.mutation_epoch` before trusting the view (see
-    :exc:`~repro.errors.StaleSpanError`).
-    """
-
-    arena: np.ndarray
-    starts: np.ndarray
-    limits: np.ndarray
-    epoch: int
-
-
 class MemoryTrunk:
     """One memory trunk: a circular arena plus its hash table.
 
@@ -167,7 +151,6 @@ class MemoryTrunk:
         self._lock_factory = lock_factory
         self._index = TrunkHashTable()
         self._entries: list[_CellEntry | None] = []
-        self._span_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._mutation_epoch = 0
         self._free_slots: list[int] = []
         self._append_head = 0
@@ -190,8 +173,6 @@ class MemoryTrunk:
         self._m_defrag_abort = obs.counter("trunk.defrag.aborted", **label)
         self._m_reloc = obs.counter("trunk.relocations.total", **label)
         self._m_inplace = obs.counter("trunk.resize.inplace.total", **label)
-        self._m_span_fallback = obs.counter("trunk.span.copy_fallback.total",
-                                            **label)
         self._m_layout_migrated = obs.counter("trunk.layout.migrated",
                                               **label)
         self._m_layout_skipped = obs.counter("trunk.layout.skipped", **label)
@@ -495,21 +476,37 @@ class MemoryTrunk:
                                  np.cumsum(sizes + CELL_HEADER_BYTES), 0,
                                  presize=True)
 
-    def bulk_get_spans(self, uids) -> TrunkSpans:
-        """Zero-copy payload spans: ``(arena_view, starts, limits, epoch)``.
+    def span_table(self) -> tuple:
+        """``(epoch, keys, states, starts, limits)``: the hash table slot
+        for slot, as the span directory mirrors it — copies of its key
+        and state columns and, per slot, the payload span ``[start,
+        limit)`` of the cell a live slot names (other slots carry
+        whatever they last pointed at).  Taken under the mutex, so it is
+        exact for ``epoch`` and stale once :attr:`mutation_epoch` moves."""
+        with self._mutex:
+            keys, slots, states = self._index.columns()
+            # One entry at least, for an empty table's zeroed values.
+            entries = self._entries or (None,)
+            starts = np.array([0 if e is None else e.offset
+                               for e in entries], dtype=np.int64)
+            limits = np.array([0 if e is None else e.offset + e.size
+                               for e in entries], dtype=np.int64)
+            return (self._mutation_epoch, keys.copy(), states.copy(),
+                    starts[slots], limits[slots])
 
-        ``arena_view[starts[i]:limits[i]]`` is UID ``i``'s payload, read
+    def open_spans(self, starts: np.ndarray, limits: np.ndarray,
+                   probes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Zero-copy payload spans ``(arena_view, starts, limits)`` for
+        cells the span directory located on its mirror of this trunk,
+        walking ``probes`` slots: the index is charged what the same
+        ``get`` calls would have counted.
+
+        ``arena_view[starts[i]:limits[i]]`` is cell ``i``'s payload, read
         straight out of the trunk arena — nothing is copied.  The view is
         only valid until the next structural change on this trunk (a put,
-        remove, resize, or defragmentation relocates cells); it exists
-        for query execution, which decodes a frontier batch immediately
-        after fetching it.  The returned epoch lets decoders verify the
-        view is still current (:exc:`~repro.errors.StaleSpanError`).
-        Index slots resolve through one vectorized
-        :meth:`~repro.memcloud.hashtable.TrunkHashTable.bulk_lookup`
-        pass; probe accounting matches a loop of scalar :meth:`get`
-        calls, and the first missing UID in input order raises
-        :class:`CellNotFoundError` like the scalar loop would.
+        remove, resize, or defragmentation relocates cells): whoever
+        decodes it checks the epoch the cells were located at against
+        :attr:`mutation_epoch` (:exc:`~repro.errors.StaleSpanError`).
 
         On a paged trunk the pages under the spans are *pinned* against
         eviction until the next structural epoch bump (or an explicit
@@ -519,60 +516,35 @@ class MemoryTrunk:
         to packed copies — same bytes, same epoch guard, no aliasing.
         """
         with self._mutex:
-            arena, starts, limits = self._spans_locked(uids)
-            if not self._storage.pin_spans(starts, limits):
-                self._m_span_fallback.inc()
-                sizes = limits - starts
-                bounds = np.zeros(len(starts) + 1, dtype=np.int64)
-                np.cumsum(sizes, out=bounds[1:])
-                return TrunkSpans(gather_ranges(arena, starts, sizes),
-                                  bounds[:-1], bounds[1:],
-                                  self._mutation_epoch)
-            return TrunkSpans(arena, starts, limits, self._mutation_epoch)
+            self._index.lookup_count += len(starts)
+            self._index.probe_count += probes
+            arena = self._storage.as_ndarray()
+            if self._storage.pin_spans(starts, limits):
+                return arena, starts, limits
+            sizes = limits - starts
+            bounds = np.zeros(len(starts) + 1, dtype=np.int64)
+            np.cumsum(sizes, out=bounds[1:])
+            return (gather_ranges(arena, starts, sizes),
+                    bounds[:-1], bounds[1:])
 
     def release_span_pins(self) -> None:
-        """Release page pins taken by :meth:`bulk_get_spans` (no-op on
+        """Release page pins taken by :meth:`open_spans` (no-op on
         resident storage).  Consumers call this once a span group has
         been decoded; any structural mutation releases them too."""
         with self._mutex:
             self._storage.release_pins()
 
-    def _spans_locked(self, uids
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        slots, found = self._index.bulk_lookup(uids)
-        if not found.all():
-            missing = int(np.flatnonzero(~found)[0])
-            raise CellNotFoundError(int(uids[missing]))
-        offsets, sizes = self._entry_spans()
-        starts = offsets[slots]
-        limits = starts + sizes[slots]
-        self._storage.touch_spans(starts, limits)
-        return self._storage.as_ndarray(), starts, limits
-
-    def _entry_spans(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-slot (offset, size) arrays, rebuilt lazily after writes."""
-        cache = self._span_cache
-        if cache is None:
-            n = len(self._entries)
-            offsets = np.zeros(n, dtype=np.int64)
-            sizes = np.zeros(n, dtype=np.int64)
-            for slot, entry in enumerate(self._entries):
-                if entry is not None:
-                    offsets[slot] = entry.offset
-                    sizes[slot] = entry.size
-            cache = self._span_cache = (offsets, sizes)
-        return cache
-
     def _invalidate_spans(self) -> None:
-        """Drop the span cache and advance the structural epoch.
+        """Advance the structural epoch.
 
-        Called wherever cells may move, grow, or die.  Outstanding
-        zero-copy spans carry the epoch they were fetched at, so after
-        this bump their consumers refuse to decode (``StaleSpanError``)
-        instead of silently reading relocated bytes.  Span-page pins die
-        with their epoch: whatever mutated may now evict freely.
+        Called wherever cells may move, grow, or die.  The span
+        directory's mirror of this trunk and every outstanding zero-copy
+        span carry the epoch they were taken at, so after this bump the
+        mirror is recopied before its next use and the spans' consumers
+        refuse to decode (``StaleSpanError``) instead of silently reading
+        relocated bytes.  Span-page pins die with their epoch: whatever
+        mutated may now evict freely.
         """
-        self._span_cache = None
         self._mutation_epoch += 1
         self._storage.release_pins()
 
@@ -759,8 +731,8 @@ class MemoryTrunk:
         hands a state over).  Stored bytes, allocator accounting, and
         :meth:`stats` restore exactly; hash-table probe counters restart
         from zero (the index is rebuilt, not replayed).  Ends with a
-        structural epoch bump, so any span cache or page pins from the
-        pristine incarnation are dropped.
+        structural epoch bump, so any mirror of the index or page pins
+        from the pristine incarnation are dropped.
         """
         with self._mutex:
             if not self._pristine_locked():

@@ -7,6 +7,10 @@
   under ``repro.algorithms`` or ``repro.tql`` takes a ``batch``
   parameter.
 * The ratio-against-a-slow-sibling harnesses stay retired.
+* A batched read is located in one place, the cloud's span directory:
+  the per-trunk lookup it replaced stays retired, and the directory
+  leans on nothing in ``repro`` but ``errors``, ``obs``, ``utils`` and
+  the hash table it mirrors.
 """
 
 import ast
@@ -35,12 +39,16 @@ def test_only_the_oracle_raises_divergence_error():
     assert raisers == {"oracle.py"}
 
 
-def test_oracle_depends_on_errors_and_obs_only():
-    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+def internal_imports(path: pathlib.Path) -> tuple[ast.Module, set[str]]:
+    """The module's tree and the ``repro`` modules it imports from,
+    named from the package root (``memcloud.hashtable``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    package = path.relative_to(SRC).parts[:-1]
     internal = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
-            internal.add(node.module)
+            base = package[:len(package) - node.level + 1]
+            internal.add(".".join([*base, *filter(None, [node.module])]))
         elif isinstance(node, ast.ImportFrom) and \
                 (node.module or "").split(".")[0] == "repro":
             internal.add(node.module.partition(".")[2])
@@ -48,6 +56,11 @@ def test_oracle_depends_on_errors_and_obs_only():
             internal.update(alias.name.partition(".")[2]
                             for alias in node.names
                             if alias.name.split(".")[0] == "repro")
+    return tree, internal
+
+
+def test_oracle_depends_on_errors_and_obs_only():
+    tree, internal = internal_imports(SRC / "oracle.py")
     assert internal == {"errors", "obs"}
     public = [node.name for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -78,3 +91,18 @@ def test_pre_spine_harnesses_stay_retired():
     benchmarks = ROOT / "benchmarks"
     assert not sorted(benchmarks.glob("_perf*.py"))
     assert not sorted((benchmarks / "results").glob("BENCH_*.json"))
+
+
+def test_the_per_trunk_lookup_stays_retired():
+    retired = ("bulk_lookup", "_ROUNDS_MIN", "_VECTOR_MIN", "_span_cache")
+    offenders = [f"{path.relative_to(SRC)}: {name}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for name in retired
+                 if name in path.read_text(encoding="utf-8")]
+    assert not offenders
+
+
+def test_span_directory_depends_on_the_hash_table_only():
+    _, internal = internal_imports(SRC / "memcloud" / "directory.py")
+    assert internal <= {"errors", "obs", "utils", "memcloud.hashtable"}
+    assert "memcloud.hashtable" in internal

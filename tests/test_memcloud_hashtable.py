@@ -1,20 +1,29 @@
 """Tests for the per-trunk open-addressing hash table.
 
 The table has one backend (numpy slot arrays, walked through memoryviews
-on the scalar and small-group paths).  What used to be proved by running
-two backends side by side — that the probe statistics the trunk-count
+by the scalar operations).  What used to be proved by running two
+backends side by side — that the probe statistics the trunk-count
 ablation and the bulk-path shadow verification rely on are exactly those
 of textbook linear probing — is proved here against a small list-based
 reference prober that exists only in this file.
+
+A batch of keys is not looked up by the table but by the cloud's span
+directory, on its mirror of the table; ``table_lookup`` makes that
+lookup over one bare table, so the batch is held to the same reference.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import MemoryCloudError
+from repro.config import ClusterConfig
+from repro.errors import CellNotFoundError, MemoryCloudError
+from repro.memcloud import MemoryCloud
 from repro.memcloud.hashtable import _TRUNK_SALT, TrunkHashTable
+from repro.obs import MetricsRegistry
 from repro.utils.hashing import mix64
+
+from ._spans import table_lookup
 
 UID = st.integers(min_value=0, max_value=2**63 - 1)
 
@@ -268,9 +277,16 @@ class TestKeysOutsideRange:
         assert key not in table
         assert not table.has_key(key)
         assert not table.delete(key)
-        for size in (1, 20, 300):  # scalar hash, vector hash, rounds
-            values, found = table.bulk_lookup([key] * size)
-            assert not found.any() and not values.any()
+        # A batch is located on the cloud's mirror of its tables, which
+        # holds UIDs only: the id misses there as it misses here.
+        cloud = MemoryCloud(ClusterConfig(machines=1, trunk_bits=1),
+                            MetricsRegistry())
+        for stored in (0, 1, 2**64 - 1, 2**64 - 2):
+            cloud.put(stored, b"cell")
+        for size in (1, 20, 300):
+            with pytest.raises(CellNotFoundError) as raised:
+                cloud.bulk_get_spans([key] * size)
+            assert raised.value.cell_id == key
 
     @pytest.mark.parametrize("key", OUTSIDE)
     def test_writes_raise_and_store_nothing(self, key):
@@ -286,17 +302,40 @@ class TestKeysOutsideRange:
 
     @pytest.mark.parametrize("repeat", [1, 5, 60])
     def test_bulk_miss_counts_like_a_get_loop(self, repeat):
-        keys = [5, -1, 6, 2**64, 7] * repeat
+        keys = [5, 2**64 - 1, 6, 2**63, 7] * repeat
         bulk, loop = make_table(), make_table()
         for table in (bulk, loop):
             table.set(5, 1)
             table.set(7, 2)
-        values, found = bulk.bulk_lookup(keys)
+        values, found = table_lookup(bulk, keys)
         expected = [loop.get(key) for key in keys]
         assert found.tolist() == [v is not None for v in expected]
         assert values.tolist() == [v or 0 for v in expected]
         assert (bulk.probe_count, bulk.lookup_count) == (
             loop.probe_count, loop.lookup_count)
+
+    @pytest.mark.parametrize("repeat", [1, 5, 60])
+    def test_bulk_miss_outside_the_range_counts_like_a_get_loop(self,
+                                                                repeat):
+        """Where the keys of the test above used to stray outside the
+        range, the batch is the cloud's to fail: at the first such id,
+        with every table charged what the loop that fails there counts."""
+        keys = [5, 7, -1, 6, 2**64, 7] * repeat
+        bulk, loop = (MemoryCloud(ClusterConfig(machines=1, trunk_bits=1),
+                                  MetricsRegistry()) for _ in range(2))
+        for cloud in (bulk, loop):
+            for stored in (5, 7, 2**64 - 1):    # -1 wraps onto the last
+                cloud.put(stored, b"cell")
+        with pytest.raises(CellNotFoundError) as raised:
+            bulk.bulk_get_spans(keys)
+        with pytest.raises(CellNotFoundError) as looped:
+            for key in keys:
+                loop.get(key)
+        assert raised.value.cell_id == looped.value.cell_id == -1
+        for trunk_id, trunk in bulk.trunks.items():
+            other = loop.trunks[trunk_id]._index
+            assert (trunk._index.probe_count, trunk._index.lookup_count) == (
+                other.probe_count, other.lookup_count)
 
     def test_top_of_range_is_an_ordinary_key(self):
         table = make_table()
@@ -304,8 +343,8 @@ class TestKeysOutsideRange:
         table.set(0, 4)
         assert table.get(2**64 - 1) == 3 and table.get(-1) is None
         for repeat in (1, 10, 150):
-            values, found = table.bulk_lookup(
-                np.array([2**64 - 1, 0] * repeat, dtype=np.uint64))
+            values, found = table_lookup(
+                table, np.array([2**64 - 1, 0] * repeat, dtype=np.uint64))
             assert found.all() and values.tolist() == [3, 4] * repeat
         assert dict(table.items()) == {2**64 - 1: 3, 0: 4}
 
@@ -339,9 +378,9 @@ def run_program(ops):
             assert reference.get(arg) is None   # the get-miss + set pair
             reference.set(arg, step)
         elif op in ("bulk", "wide"):
-            if op == "wide":   # enough keys for the vectorized rounds
+            if op == "wide":   # a window's worth, repeats and all
                 arg = (arg * 300)[:300]
-            values, found = table.bulk_lookup(arg)
+            values, found = table_lookup(table, arg)
             expected = [reference.get(key) for key in arg]
             assert found.tolist() == [v is not None for v in expected]
             assert values[found].tolist() == [v for v in expected
@@ -387,7 +426,7 @@ class TestAgainstReferenceProber:
         assert dict(bulk.items()) == dict(loop.items())
         assert (len(bulk), bulk.capacity, bulk.lookup_count) == (
             len(loop), loop.capacity, loop.lookup_count)
-        values, found = bulk.bulk_lookup(keys)
+        values, found = table_lookup(bulk, keys)
         assert found.all() and values.tolist() == slots
 
     def test_bulk_insert_fresh_refuses_a_batch_that_could_resize(self):

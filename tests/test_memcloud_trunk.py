@@ -6,8 +6,11 @@ import pytest
 from repro.config import ClusterConfig, MemoryParams
 from repro.errors import (CellLockedError, CellNotFoundError, StaleSpanError,
                           TrunkFullError)
+from repro.memcloud.directory import SpanDirectory
 from repro.memcloud.trunk import CELL_HEADER_BYTES, MemoryTrunk
 from repro.obs import MetricsRegistry
+
+from ._spans import payloads, trunk_spans
 
 
 def make_trunk(trunk_size=64 * 1024, **kwargs) -> MemoryTrunk:
@@ -281,8 +284,9 @@ class TestPagedSpanStaleness:
             for uid in range(0, 8, 2):
                 trunk.remove(uid)
             uids = np.array([1, 3, 5, 7], dtype=np.uint64)
-            spans = trunk.bulk_get_spans(uids)
+            spans = trunk_spans(trunk, uids)
             fetched = spans.epoch
+            assert fetched == trunk.mutation_epoch
             assert trunk.defragment()
             assert trunk.mutation_epoch != fetched
         finally:
@@ -292,7 +296,7 @@ class TestPagedSpanStaleness:
         trunk = make_paged_trunk()
         try:
             trunk.put(1, b"a" * 100)
-            spans = trunk.bulk_get_spans(np.array([1], dtype=np.uint64))
+            spans = trunk_spans(trunk, np.array([1], dtype=np.uint64))
             trunk.put(2, b"b" * 100)  # any structural mutation
             assert trunk.mutation_epoch != spans.epoch
         finally:
@@ -302,7 +306,7 @@ class TestPagedSpanStaleness:
         trunk = make_paged_trunk(page_budget=16)
         try:
             trunk.put(1, b"a" * 100)
-            trunk.bulk_get_spans(np.array([1], dtype=np.uint64))
+            trunk_spans(trunk, np.array([1], dtype=np.uint64))
             assert trunk.storage.pinned_pages >= 1
             trunk.put(2, b"b" * 100)
             assert trunk.storage.pinned_pages == 0
@@ -331,16 +335,24 @@ class TestPagedSpanStaleness:
 
 
 class TestSpanCacheInvalidation:
-    """Regression: the span cache must drop on *every* path that changes
-    cell layout — not only scalar structural mutations.  Checkpoint
-    restore and the parallel-load adoption path both went around put().
+    """Regression: the span directory's mirror of a trunk must go stale
+    on *every* path that changes cell layout — not only scalar
+    structural mutations.  Checkpoint restore and the parallel-load
+    adoption path both went around put().  (The mirror replaced the
+    per-trunk span cache these tests were written for; what they hold
+    is unchanged: a read after the adoption sees the adopted layout.)
     """
 
-    def _cached_offsets(self, trunk):
-        # Prime and return the internal (offsets, sizes) cache.
-        trunk.bulk_get_spans(np.array(sorted(trunk.uids()),
-                                      dtype=np.uint64))
-        return trunk._span_cache
+    def _primed_directory(self, trunk):
+        """A directory holding a current mirror of ``trunk``, and the
+        counter of regions it has recopied."""
+        registry = MetricsRegistry()
+        directory = SpanDirectory(1, registry)
+        trunk_spans(trunk, np.array(sorted(trunk.uids()), dtype=np.uint64),
+                    directory)
+        refreshed = registry.counter("memcloud.directory.refreshed")
+        assert refreshed.value == 1
+        return directory, refreshed
 
     def test_adopt_fresh_cells_drops_span_cache(self):
         # Worker half: lays the bytes out in its own (forked) trunk.
@@ -350,10 +362,14 @@ class TestSpanCacheInvalidation:
         # here), the trunk object itself is still pristine.
         trunk = make_trunk()
         trunk.storage.write(0, worker.storage.read(0, 2 * 16 + 30))
+        directory, refreshed = self._primed_directory(trunk)
         epoch_before = trunk.mutation_epoch
         trunk.adopt_fresh_cells([1, 2], sizes)
-        assert trunk._span_cache is None
         assert trunk.mutation_epoch > epoch_before
+        spans = trunk_spans(trunk, np.array([2, 1], dtype=np.uint64),
+                            directory)
+        assert payloads(spans) == [b"b" * 20, b"a" * 10]
+        assert refreshed.value == 2 and spans.epoch == trunk.mutation_epoch
         assert trunk.get(1) == b"a" * 10 and trunk.get(2) == b"b" * 20
 
     def test_adopt_image_state_drops_span_cache_and_bumps_epoch(self):
@@ -362,10 +378,13 @@ class TestSpanCacheInvalidation:
             source.put(uid, bytes([uid]) * 50)
         state = source.freeze_image_state()
         target = make_trunk()
+        directory, refreshed = self._primed_directory(target)
         epoch_before = target.mutation_epoch
         target.adopt_image_state(state)
-        assert target._span_cache is None
         assert target.mutation_epoch > epoch_before
+        spans = trunk_spans(target, np.arange(5, dtype=np.uint64), directory)
+        assert payloads(spans) == [bytes([uid]) * 50 for uid in range(5)]
+        assert refreshed.value == 2
         assert dict(target.dump_cells()) == dict(source.dump_cells())
 
     def test_restored_index_equals_a_scalar_set_rebuild(self):

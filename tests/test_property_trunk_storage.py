@@ -25,6 +25,8 @@ from repro.memcloud.storage import make_trunk_storage
 from repro.memcloud.trunk import MemoryTrunk
 from repro.obs import MetricsRegistry
 
+from ._spans import payloads, trunk_spans
+
 TRUNK_SIZE = 2048
 PAGE_SIZE = 256          # 8 storage pages per trunk
 PAGE_BUDGET = 2          # almost nothing stays resident: constant eviction
@@ -134,11 +136,9 @@ def assert_trunks_identical(resident: MemoryTrunk, paged: MemoryTrunk,
 
 
 def span_payloads(trunk: MemoryTrunk, uids) -> list[bytes]:
-    """Every payload, copied out of the trunk's one bulk read."""
-    spans = trunk.bulk_get_spans(np.asarray(uids, dtype=np.uint64))
+    """Every payload, copied out of one batched read of the trunk."""
     try:
-        return [bytes(spans.arena[start:limit]) for start, limit
-                in zip(spans.starts.tolist(), spans.limits.tolist())]
+        return payloads(trunk_spans(trunk, np.asarray(uids, dtype=np.uint64)))
     finally:
         trunk.release_span_pins()
 
@@ -382,7 +382,7 @@ class TestEvictionChurn:
             for uid, payload in payloads.items():
                 paged.put(uid, payload)
             uids = np.arange(12, dtype=np.uint64)
-            spans = paged.bulk_get_spans(uids)
+            spans = trunk_spans(paged, uids)
             for i in range(12):
                 got = bytes(spans.arena[spans.starts[i]:spans.limits[i]])
                 assert got == payloads[i]
@@ -404,7 +404,7 @@ class TestEvictionChurn:
         try:
             paged.put(1, b"a" * 40)
             paged.put(2, b"b" * 40)
-            spans = paged.bulk_get_spans(np.array([1, 2], dtype=np.uint64))
+            spans = trunk_spans(paged, np.array([1, 2], dtype=np.uint64))
             assert paged.storage.pinned_pages >= 1
             assert spans.arena is paged.storage.as_ndarray()
             paged.release_span_pins()
