@@ -38,13 +38,10 @@ class TrinityCluster:
     def __init__(self, config: ClusterConfig | None = None,
                  schema=None, enable_buffered_log: bool = True,
                  disk_root=None, registry: MetricsRegistry | None = None,
-                 faults: FaultPlan | None = None,
-                 shared_arenas: bool = False, lock_factory=None):
+                 faults: FaultPlan | None = None):
         self.config = config or ClusterConfig()
         self.obs = registry if registry is not None else get_registry()
-        self.cloud = MemoryCloud(self.config, registry=self.obs,
-                                 shared_arenas=shared_arenas,
-                                 lock_factory=lock_factory)
+        self.cloud = MemoryCloud(self.config, registry=self.obs)
         self.network = SimNetwork(self.config.network, registry=self.obs)
         self.runtime = MessageRuntime(self.network, schema=schema)
         self.faults = (FaultInjector(faults, registry=self.obs)

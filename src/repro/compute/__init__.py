@@ -8,6 +8,9 @@
 * :mod:`~repro.compute.bsp` — the bulk-synchronous engine: supersteps,
   barriers, aggregators, halting, hub-vertex message buffering, and the
   per-superstep simulated-time accounting used by every offline benchmark.
+  Every machine's kernels run in this process, one machine after another;
+  "parallel" is what the simulated clock is charged, not how the host
+  runs them.
 * :mod:`~repro.compute.scheduler` — the bipartite-partition message
   scheduler and action scripts of Section 5.4.
 * :mod:`~repro.compute.residence` — the Type A / Type B memory-residence
@@ -20,9 +23,7 @@
 """
 
 from .vertex import BatchComputeContext, ComputeContext, VertexProgram
-from .backend import ExecutionBackend, InProcessBackend, resolve_backend
 from .bsp import BspEngine, BspResult, SuperstepReport
-from .shm import SharedMemoryBackend
 from .scheduler import ActionScript, BipartiteScheduler, SchedulerPlan
 from .action_replay import ReplayReport, replay_all
 from .residence import MemoryResidenceModel, ResidencePlan
@@ -37,10 +38,6 @@ __all__ = [
     "BspEngine",
     "BspResult",
     "SuperstepReport",
-    "ExecutionBackend",
-    "InProcessBackend",
-    "SharedMemoryBackend",
-    "resolve_backend",
     "BipartiteScheduler",
     "SchedulerPlan",
     "ActionScript",

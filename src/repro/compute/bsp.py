@@ -18,7 +18,9 @@ it crosses each link once instead of once per edge.  (For a scale-free
 graph the paper estimates that buffering the top 1% of vertices serves
 72.8% of message needs.)
 
-Two execution paths share this accounting:
+Two compute paths share this accounting, both in this process (the
+cluster's parallelism is charged on the simulated clock, never run on
+the host's cores: DESIGN.md §12):
 
 * the **per-vertex reference path**: a Python loop calling ``compute``
   with ``list`` inboxes — the semantics of record;
@@ -31,6 +33,9 @@ Two execution paths share this accounting:
 Both paths charge the simulated clock identically — same superstep
 reports, same network counters — which ``cross_check=True`` verifies by
 running the reference path against a throwaway network and comparing.
+A fast-path superstep is three steps in ``_run_fast``: reset the send
+buffers, run every machine's kernels, fold what they sent in reference
+enqueue order.
 
 Superstep semantics are deterministic and order-independent: a vertex
 runs in superstep *s* iff it is active at the barrier entering *s*;
@@ -53,7 +58,6 @@ from ..net.simnet import ParallelRound, SimNetwork
 from ..obs import MetricsRegistry, Tracer
 from ..oracle import shadow
 from ..tfs import TrinityFileSystem
-from .backend import ExecutionBackend, resolve_backend
 from .checkpoint import CheckpointManager
 from .vertex import (
     COMBINERS,
@@ -189,9 +193,7 @@ class BspEngine:
                  vectorize: bool = True,
                  cross_check: bool = False,
                  faults: FaultPlan | None = None,
-                 checkpoints: CheckpointManager | None = None,
-                 backend: str | ExecutionBackend = "in_process",
-                 workers: int | None = None):
+                 checkpoints: CheckpointManager | None = None):
         self.topology = topology
         self.network = network or SimNetwork()
         self.compute_params = compute_params or ComputeParams()
@@ -202,13 +204,6 @@ class BspEngine:
         self.cross_check = cross_check
         self.faults = faults
         self.checkpoints = checkpoints
-        #: Which ExecutionBackend runs the fast-path kernels:
-        #: "in_process" (default) or "shared_memory" (forked workers over
-        #: shm-resident state; ``workers`` caps the pool).  The reference
-        #: path and non-combiner programs always run in-process.
-        self.backend = backend
-        self.workers = workers
-        self._backend_impl: ExecutionBackend | None = None
         degrees = topology.out_degrees()
         if hub_buffering and len(degrees) and hub_fraction > 0:
             quantile = float(np.quantile(degrees, 1.0 - hub_fraction))
@@ -482,8 +477,6 @@ class BspEngine:
             self._injector = None
             self._program = None
             self._fast_mode = False
-            if self._backend_impl is not None:
-                self._backend_impl.finish_run(self)
 
     # -- per-vertex reference path ------------------------------------------
 
@@ -690,21 +683,15 @@ class BspEngine:
                           (count, count * message_bytes)))
         return items
 
-    def _reset_send_buffers(self, arrays: bool = True) -> None:
-        """Zero the per-superstep message state.
-
-        ``arrays=False`` skips the dense fold targets — backend workers
-        only *collect* deferred sends (the coordinator owns the fold), so
-        they never touch the combined/received/pair arrays.
-        """
+    def _reset_send_buffers(self) -> None:
+        """Zero the per-superstep message state."""
         self._messages = 0
-        if arrays:
-            n = self.topology.n
-            self._fs_next_combined = np.full(n, self._fs_identity,
-                                             dtype=self._fs_dtype)
-            self._fs_next_received = np.zeros(n, dtype=bool)
-            self._fs_pair_counts = np.zeros(self._fs_pair_slots,
-                                            dtype=np.int64)
+        n = self.topology.n
+        self._fs_next_combined = np.full(n, self._fs_identity,
+                                         dtype=self._fs_dtype)
+        self._fs_next_received = np.zeros(n, dtype=bool)
+        self._fs_pair_counts = np.zeros(self._fs_pair_slots,
+                                        dtype=np.int64)
         self._fs_bcast_src: list[int] = []
         self._fs_bcast_val: list = []
         self._fs_bcast_verts: list[np.ndarray] = []
@@ -719,8 +706,7 @@ class BspEngine:
                           use_batch: bool):
         """Run the fast-path kernels for the given machine ids.
 
-        The unit of work an :class:`ExecutionBackend` distributes: each
-        machine's active vertices run ``compute_batch`` (or the
+        Each machine's active vertices run ``compute_batch`` (or the
         per-vertex ``compute`` loop), collecting sends into the deferred
         buffers and aggregates/halts/value writes into engine state.
         Returns ``(ran_total, costs)`` with per-machine
@@ -773,10 +759,6 @@ class BspEngine:
         batch_ctx = BatchComputeContext(self)
         self._fs_ctx = ctx
         self._fs_batch_ctx = batch_ctx
-        if self._backend_impl is None:
-            self._backend_impl = resolve_backend(self.backend, self.workers)
-        backend = self._backend_impl
-        backend.prepare_run(self, program, use_batch)
 
         def fresh_start() -> tuple[int, np.ndarray, np.ndarray]:
             if initial_values is None:
@@ -792,10 +774,6 @@ class BspEngine:
                 for vertex in range(n):
                     ctx._bind(vertex)
                     program.init(ctx, vertex)
-            # Shared backends re-home the dense state so forked workers
-            # read and write it through the same physical pages.
-            self.values = backend.bind_values(self.values)
-            self._active = backend.bind_active(self._active)
             return (0, np.full(n, identity, dtype=dtype),
                     np.zeros(n, dtype=bool))
 
@@ -813,17 +791,13 @@ class BspEngine:
                     if state is None:
                         superstep, combined, received = fresh_start()
                     else:
-                        self.values = backend.bind_values(state["values"])
+                        self.values = state["values"]
                         self.aggregators = state["aggregators"]
                         self.aggregators_next = {}
-                        self._active = backend.bind_active(state["active"])
+                        self._active = state["active"]
                         combined = state["combined"]
                         received = state["received"]
                         superstep = state["superstep"] + 1
-                    # Workers restart too: the pool is torn down and
-                    # re-forked from the rolled-back image, proving the
-                    # fault plan replays identically under real workers.
-                    backend.on_restart(self)
                     continue
                 self._injector.begin_round(superstep)
             with self._h_wall.time(), \
@@ -832,9 +806,11 @@ class BspEngine:
                 ctx.superstep = superstep
                 batch_ctx.superstep = superstep
                 round_ = ParallelRound(self.network)
-                ran_total, machine_costs = backend.run_superstep(
-                    self, superstep, combined, received
+                self._reset_send_buffers()
+                ran_total, machine_costs = self._compute_machines(
+                    range(topo.machine_count), combined, received, use_batch
                 )
+                self._flush_deferred_sends()
                 for machine, ran_count, degree_sum in machine_costs:
                     round_.add_compute(
                         machine,
@@ -878,10 +854,6 @@ class BspEngine:
                 break
             superstep += 1
 
-        # Detach results (and the engine's own arrays) from any
-        # backend-owned shared storage before the segments go away.
-        self.values = backend.materialize(self.values)
-        self._active = backend.materialize(self._active)
         result.values = self.values
         result.aggregators = dict(self.aggregators)
         return result

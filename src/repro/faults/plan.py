@@ -18,6 +18,7 @@ retries to the simulated clock) lives in
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -142,7 +143,12 @@ class FaultPlan:
     # -- seeded hash ---------------------------------------------------------
 
     def _unit(self, kind: str, *parts) -> float:
-        """A uniform [0, 1) draw, deterministic in (seed, kind, parts)."""
+        """A uniform [0, 1) draw, deterministic in (seed, kind, parts).
+
+        The integer coordinates are hashed by value: ``repr`` of a numpy
+        integer names its type, and a draw must not depend on whether a
+        machine id came out of a ``range`` or an array."""
+        parts = tuple(map(operator.index, parts))
         digest = hashlib.blake2b(
             repr((self.seed, kind) + parts).encode("ascii"),
             digest_size=8,

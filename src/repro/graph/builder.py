@@ -21,14 +21,11 @@ reference cloud); ``finalize(cross_check=True)`` runs both through
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import traceback
 from collections import defaultdict
 
 import numpy as np
 
-from ..errors import QueryError, TrunkFullError
+from ..errors import QueryError
 from ..memcloud import MemoryCloud
 from ..oracle import shadow
 from ..tsl.batch import batch_encoder_for, encode_varint_small
@@ -40,38 +37,6 @@ from .model import GraphSchema
 
 _INT64 = np.dtype("<i8")
 _MISSING = object()
-
-_FORK = multiprocessing.get_context("fork")
-
-
-def _bulk_worker_main(builder, groups, out_group, in_group, cross_check,
-                      conn) -> None:
-    """Worker half of the parallel bulk load (runs in a forked child).
-
-    Encodes its trunks' cells and lays the bytes out through the shared
-    arenas with :meth:`MemoryTrunk.bulk_write_fresh`; all index/metric
-    state it mutates is fork-private and discarded.  Ships back the
-    per-trunk payload sizes the coordinator needs to adopt the cells.
-    """
-    try:
-        results = []
-        for trunk_id, _indices, uids in groups:
-            blobs = builder._encode_subset(uids, out_group, in_group)
-            if cross_check:
-                builder._shadow_encoding(uids, out_group, in_group, blobs)
-            sizes = builder.cloud.trunks[trunk_id].bulk_write_fresh(
-                uids, blobs
-            )
-            results.append((trunk_id, sizes.tolist()))
-        conn.send(("ok", results))
-    except TrunkFullError:
-        conn.send(("full", traceback.format_exc()))
-    except BaseException:
-        conn.send(("err", traceback.format_exc()))
-    finally:
-        conn.close()
-        os._exit(0)
-
 
 class GraphBuilder:
     """Accumulates nodes/edges, then materialises a :class:`Graph`.
@@ -221,9 +186,7 @@ class GraphBuilder:
         """Edges added so far (a running counter, not a recount)."""
         return self._edge_total
 
-    def finalize(self, bulk: bool = True, cross_check: bool = False,
-                 backend: str = "in_process",
-                 workers: int | None = None) -> Graph:
+    def finalize(self, bulk: bool = True, cross_check: bool = False) -> Graph:
         """Encode every node into its blob and store it in the cloud.
 
         ``bulk=True`` (default) encodes adjacency lists directly from the
@@ -233,15 +196,6 @@ class GraphBuilder:
         the scalar TSL encoder and asserts the blobs are bit-identical
         before anything is stored (mirroring ``BspEngine``'s paranoia
         mode).
-
-        ``backend="shared_memory"`` fans the encode+store work out to
-        forked worker processes, one trunk partition each, writing cell
-        bytes directly into the cloud's shared arenas; the coordinator
-        then adopts the cells, replaying the exact accounting of the
-        in-process bulk path.  Requires a cloud built with
-        ``shared_arenas=True`` and pristine trunks —
-        otherwise (or if a batch overflows a trunk's straight-line
-        region) it falls back to the in-process path, same results.
         """
         self._check_open()
         self._finalized = True
@@ -252,16 +206,7 @@ class GraphBuilder:
         if in_group is not None:
             nodes.update(in_group[0])
         node_ids = sorted(nodes)
-        use_bulk = bulk and self._adjacency_is_long()
-        if (use_bulk and backend == "shared_memory"
-                and self._parallel_eligible(node_ids)):
-            done = self._finalize_parallel(node_ids, out_group, in_group,
-                                           cross_check, workers)
-            if done:
-                return Graph(self.cloud, schema, node_ids)
-            # Worker reported a full trunk: nothing was adopted, the
-            # trunks are still pristine — load in-process instead.
-        if use_bulk:
+        if bulk and self._adjacency_is_long():
             blobs = self._bulk_blobs(node_ids, out_group, in_group)
             if cross_check:
                 self._shadow_encoding(node_ids, out_group, in_group, blobs)
@@ -357,129 +302,15 @@ class GraphBuilder:
             return [a + b for a, b in zip(columns[0], columns[1])]
         return [b"".join(parts) for parts in zip(*columns)]
 
-    @staticmethod
-    def _subset_group(group, wanted):
-        """Restrict a ``(keys, starts, ends, sorted_values)`` group.
-
-        Keeps only keys in ``wanted``; the value array is shared, so a
-        kept key's blob slice stays byte-identical to the full group's.
-        """
-        keys, starts, ends, sorted_values = group
-        filtered = [(k, s, e)
-                    for k, s, e in zip(keys, starts, ends) if k in wanted]
-        if filtered:
-            sub_keys, sub_starts, sub_ends = (list(t)
-                                              for t in zip(*filtered))
-        else:
-            sub_keys, sub_starts, sub_ends = [], [], []
-        return sub_keys, sub_starts, sub_ends, sorted_values
-
-    def _encode_subset(self, sub_ids, out_group, in_group) -> list[bytes]:
-        """Cell blobs for a sorted subset of the node ids.
-
-        ``trunk_groups`` preserves input order within a trunk and the
-        full id list is sorted, so each trunk's subset is itself sorted —
-        which is all ``_adjacency_column``'s searchsorted needs.
-        """
-        wanted = set(sub_ids)
-        sub_out = self._subset_group(out_group, wanted)
-        sub_in = (self._subset_group(in_group, wanted)
-                  if in_group is not None else None)
-        return self._bulk_blobs(sub_ids, sub_out, sub_in)
-
     def _shadow_encoding(self, node_ids, out_group, in_group,
                          blobs) -> None:
         """``cross_check``: every bulk blob is the scalar TSL encoding
-        of its node's record (``node_ids`` may be one trunk's subset)."""
+        of its node's record."""
         encode = self.graph_schema.node_type.encode
         records = self._records(node_ids, out_group, in_group)
         shadow("graph.builder.finalize", list(zip(node_ids, blobs)),
                [(node_id, encode(record))
                 for node_id, record in zip(node_ids, records)])
-
-    def _parallel_eligible(self, node_ids) -> bool:
-        """Can this load use the forked shared-arena fast path?
-
-        Workers lay bytes straight into the trunks' arenas from offset
-        zero, so the arenas must be mapped shared and every target trunk
-        pristine; a shadow replica would also need its own copy of every
-        write, which the workers don't produce.
-        """
-        cloud = self.cloud
-        return bool(
-            node_ids
-            and getattr(cloud, "arenas_shared", False)
-            and getattr(cloud, "_shadow", None) is None
-            and all(trunk.is_pristine for trunk in cloud.trunks.values())
-        )
-
-    def _finalize_parallel(self, node_ids, out_group, in_group,
-                           cross_check, workers) -> bool:
-        """Coordinator half of the parallel bulk load.
-
-        Partitions the trunk groups into contiguous blocks, forks one
-        worker per block (inheriting the builder and shared arenas), and
-        adopts the written cells with ``cloud.bulk_put_adopt`` once every
-        worker reports success.  Returns ``False`` — nothing stored,
-        trunks still pristine — if any worker overflows a trunk, so the
-        caller can fall back to the in-process path.
-        """
-        groups = list(self.cloud.trunk_groups(node_ids))
-        requested = workers or os.cpu_count() or 1
-        worker_count = max(1, min(requested, len(groups)))
-        blocks = [
-            [groups[i] for i in block.tolist()] for block in
-            np.array_split(np.arange(len(groups)), worker_count)
-            if len(block)
-        ]
-        procs = []
-        conns = []
-        for block in blocks:
-            parent, child = _FORK.Pipe()
-            proc = _FORK.Process(
-                target=_bulk_worker_main,
-                args=(self, block, out_group, in_group, cross_check, child),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            procs.append(proc)
-            conns.append(parent)
-        trunk_sizes: dict[int, np.ndarray] = {}
-        failure: str | None = None
-        overflow = False
-        try:
-            for worker_id, conn in enumerate(conns):
-                try:
-                    status, payload = conn.recv()
-                except (EOFError, OSError):
-                    status, payload = "err", (
-                        f"bulk-load worker {worker_id} died"
-                    )
-                if status == "ok":
-                    for trunk_id, sizes in payload:
-                        trunk_sizes[trunk_id] = np.asarray(
-                            sizes, dtype=np.int64)
-                elif status == "full" and failure is None:
-                    overflow = True
-                elif failure is None:
-                    failure = str(payload)
-        finally:
-            for conn in conns:
-                conn.close()
-            for proc in procs:
-                proc.join(timeout=5)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5)
-        if failure is not None:
-            raise QueryError(
-                f"parallel bulk load failed in a worker:\n{failure}"
-            )
-        if overflow:
-            return False
-        self.cloud.bulk_put_adopt(node_ids, trunk_sizes)
-        return True
 
     def _records(self, node_ids, out_group, in_group) -> list[dict]:
         """Python-dict records per node (scalar path and cross-check)."""

@@ -7,8 +7,8 @@ This package implements Section 3 ("The Memory Cloud") and Section 6.1
   control and physical memory pinning.
 * :mod:`~repro.memcloud.hashtable` — the per-trunk open-addressing hash
   table mapping a 64-bit UID to the cell's (offset, size) inside the trunk.
-* :mod:`~repro.memcloud.arena` — the trunk arena: one ``mmap`` (private,
-  fork-shared or file-backed) that costs RAM only where it is written.
+* :mod:`~repro.memcloud.arena` — the trunk arena: one ``mmap`` (private
+  anonymous, or file-backed) that costs RAM only where it is written.
 * :mod:`~repro.memcloud.trunk` — memory trunks: append-head/committed-tail
   circular allocation over an arena, short-lived memory reservation, and a
   defragmentation pass.
@@ -22,7 +22,7 @@ This package implements Section 3 ("The Memory Cloud") and Section 6.1
   backup and failure recovery.
 """
 
-from .locks import SharedSpinLock, SpinLock
+from .locks import SpinLock
 from .hashtable import TrunkHashTable
 from .arena import Arena
 from .trunk import CELL_HEADER_BYTES, MemoryTrunk, TrunkStats
@@ -31,7 +31,6 @@ from .cloud import MemoryCloud, SpanGroup
 
 __all__ = [
     "SpinLock",
-    "SharedSpinLock",
     "TrunkHashTable",
     "Arena",
     "MemoryTrunk",

@@ -3,20 +3,16 @@
 A :class:`MemoryTrunk` reserves one contiguous address space and treats
 it as raw bytes; everything it needs from the backing is a writable
 buffer of fixed length.  :class:`Arena` is that buffer — a single
-``mmap.mmap`` call with one of three backings the code selects:
+``mmap.mmap`` call with one of two backings:
 
 * *private anonymous* (the default): process-private bytes.  Mapping
   reserves address space only; a page costs RAM once it is first
   written — the paper's VirtualAlloc reserve/commit (§3, §6.1) — so a
   default cloud is nearly free until cells are stored.
-* *shared anonymous* (``shared=True``): the same, but forked worker
-  processes (:mod:`repro.compute.shm`, the parallel bulk load) write
-  into the coordinator's pages.  Workers get the mapping by inheriting
-  it through ``fork``; it has no name, so there is nothing to attach to,
-  unlink or leak, and the kernel frees it with its last mapper.
 * *file-backed* (``path=...``): the paged tier's page file
   (:class:`~repro.memcloud.storage.PagedStorage`), created exclusively
-  and removed again by the arena that created it.
+  and removed again by the arena that created it.  The map is shared
+  with its file, as a page file's must be.
 """
 
 from __future__ import annotations
@@ -36,25 +32,19 @@ def _remove_quietly(path: str) -> None:
 
 
 class Arena:
-    """``size`` writable bytes behind one ``mmap``.
+    """``size`` writable bytes behind one ``mmap``: anonymous and
+    process-private, or the file at ``path``."""
 
-    ``shared`` says whether a forked child's writes land in this
-    process's bytes: asked for on an anonymous arena, always true of a
-    file-backed one (the map is shared with its file).
-    """
-
-    def __init__(self, size: int, shared: bool = False,
-                 path: str | None = None):
-        self.shared = shared or path is not None
+    def __init__(self, size: int, path: str | None = None):
         self.path = path
-        # Spelled out: Python's default for an anonymous map is
-        # MAP_SHARED, and a forked child's writes into a *private* arena
-        # must not land in the parent's store.
-        flags = mmap.MAP_SHARED if self.shared else mmap.MAP_PRIVATE
         fd, self._remove = -1, None
         if path is None:
-            flags |= mmap.MAP_ANONYMOUS
+            # Spelled out: Python's default for an anonymous map is
+            # MAP_SHARED, and a forked child's writes into the arena
+            # must not land in the parent's store.
+            flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
         else:
+            flags = mmap.MAP_SHARED
             # Exclusive create: two storages on one path would read and
             # write each other's bytes, so a collision is refused before
             # anything is mapped — and what this arena removes later is

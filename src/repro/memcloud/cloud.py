@@ -28,7 +28,6 @@ from ..utils.sorting import stable_argsort
 from .addressing import AddressingTable
 from .directory import SpanDirectory
 from .hashtable import wrap_keys
-from .locks import SpinLock
 from .storage import make_trunk_storage
 from .trunk import MemoryTrunk, TrunkStats
 
@@ -82,10 +81,6 @@ class MemoryCloud:
     ----------
     config:
         Cluster shape: machine count, trunk bits, memory parameters.
-    shared_arenas:
-        Map every trunk arena shared rather than private, so forked
-        workers (the parallel bulk load) write cells in place; resident
-        storage only.
 
     Examples
     --------
@@ -98,22 +93,17 @@ class MemoryCloud:
 
     def __init__(self, config: ClusterConfig | None = None,
                  registry: MetricsRegistry | None = None,
-                 cross_check: bool = False,
-                 shared_arenas: bool = False, lock_factory=None):
+                 cross_check: bool = False):
         self.config = config or ClusterConfig()
         self.obs = registry if registry is not None else get_registry()
         self.addressing = AddressingTable(
             self.config.trunk_bits, range(self.config.machines)
         )
-        self._shared_arenas = shared_arenas
-        self._lock_factory = lock_factory or SpinLock
         # Paged clouds keep all their trunks' page files under one spill
         # directory; a private temp dir is removed with release_arenas().
-        # (Paged *and* shared is refused when the first trunk is made:
-        # make no directory for it.)
         self._spill_dir: str | None = None
         memory = self.config.memory
-        if memory.storage == "paged" and not shared_arenas:
+        if memory.storage == "paged":
             self._spill_dir = (memory.spill_dir
                                or tempfile.mkdtemp(prefix="repro-cloud-"))
         self.trunks: dict[int, MemoryTrunk] = {}
@@ -176,7 +166,7 @@ class MemoryCloud:
 
         The one place a cloud's trunks are made — at construction, when
         a trunk image is adopted, when a machine's memory is lost — so
-        every trunk gets the cloud's arena, lock and spill-file wiring.
+        every trunk gets the cloud's registry and spill-file wiring.
         Replacing a trunk has two hazards, both handled here:
 
         * Outstanding zero-copy span groups hold the *old* trunk object,
@@ -197,10 +187,9 @@ class MemoryCloud:
         memory = self.config.memory
         fresh = MemoryTrunk(
             trunk_id, memory, registry=self.obs,
-            lock_factory=self._lock_factory,
             storage=make_trunk_storage(
                 trunk_id, memory, registry=self.obs,
-                shared=self._shared_arenas, spill_dir=self._spill_dir),
+                spill_dir=self._spill_dir),
         )
         if old is not None:
             fresh.adopt_epoch(old.mutation_epoch)
@@ -315,9 +304,7 @@ class MemoryCloud:
 
     def trunk_groups(self, cell_ids):
         """Stable ``(trunk_id, indices, uids)`` groups for a UID batch,
-        in trunk order (:meth:`_route`).  Every bulk write routes with
-        this, and so does the parallel bulk loader, so its worker and
-        coordinator halves agree on every trunk's subsequence.
+        in trunk order (:meth:`_route`): how every bulk write routes.
         """
         uids, outside, order, trunks, lows = self._route(cell_ids)
         uid_list = uids.tolist()  # one bulk conversion to Python ints
@@ -329,36 +316,6 @@ class MemoryCloud:
         for low, group in zip(lows, np.split(order, lows[1:])):
             indices = group.tolist()
             yield int(trunks[low]), indices, [uid_list[i] for i in indices]
-
-    def _bulk_store(self, cell_ids, store) -> None:
-        """Route a write batch to its trunks and account for it.
-
-        ``store(trunk, indices, uids)`` runs once per trunk touched, with
-        that trunk's subsequence in input order.
-        """
-        with self._h_bulk_put.time():
-            batches = 0
-            for trunk_id, indices, uids in self.trunk_groups(cell_ids):
-                store(self.trunks[trunk_id], indices, uids)
-                batches += 1
-        self._m_bulk_put_cells.inc(len(cell_ids))
-        self._m_bulk_put_batches.inc(batches)
-
-    def bulk_put_adopt(self, cell_ids, trunk_sizes: dict) -> None:
-        """Adopt a parallel bulk load whose bytes workers already wrote.
-
-        ``trunk_sizes`` maps trunk_id -> payload sizes (input order) as
-        returned by :meth:`MemoryTrunk.bulk_write_fresh` in the workers.
-        Replays the accounting of :meth:`bulk_put` on pristine trunks —
-        same counters, same index state, same probe accounting — without
-        touching the payload bytes, which arrived through the shared
-        arenas.
-        """
-        if not len(cell_ids):
-            return
-        self._bulk_store(
-            cell_ids, lambda trunk, _indices, uids: trunk.adopt_fresh_cells(
-                uids, trunk_sizes[trunk.trunk_id]))
 
     def bulk_put(self, cell_ids, values, presize: bool = True) -> None:
         """Insert or overwrite a batch of cells along the batched path.
@@ -375,9 +332,14 @@ class MemoryCloud:
             )
         if not len(cell_ids):
             return
-        self._bulk_store(
-            cell_ids, lambda trunk, indices, uids: trunk.bulk_put(
-                uids, [values[i] for i in indices], presize=presize))
+        with self._h_bulk_put.time():
+            batches = 0
+            for trunk_id, indices, uids in self.trunk_groups(cell_ids):
+                self.trunks[trunk_id].bulk_put(
+                    uids, [values[i] for i in indices], presize=presize)
+                batches += 1
+        self._m_bulk_put_cells.inc(len(cell_ids))
+        self._m_bulk_put_batches.inc(batches)
         if self._shadow is not None:
             if presize:
                 self._shadow_probes_comparable = False
@@ -502,11 +464,6 @@ class MemoryCloud:
         """Directory holding paged trunks' page files (None if resident)."""
         return self._spill_dir
 
-    @property
-    def arenas_shared(self) -> bool:
-        """True when forked workers can write into every trunk arena."""
-        return all(t.storage.shared for t in self.trunks.values())
-
     def release_arenas(self) -> None:
         """Unmap every trunk arena and remove paged trunks' page files.
 
@@ -533,7 +490,7 @@ class MemoryCloud:
         """
         trunk = self.trunk_for(cell_id)
         lock = trunk.lock_of(cell_id)
-        lock.acquire(self.config.memory.spinlock_budget)
+        lock.acquire()
         try:
             view = trunk.get_view(cell_id)
             try:

@@ -14,7 +14,6 @@ count contention so the trunk-count ablation can report lock pressure.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 
 from ..errors import CellLockedError
@@ -34,15 +33,18 @@ class SpinLock:
     ``acquire`` spins up to ``budget`` times before raising
     :class:`CellLockedError`; an unbounded spin would deadlock the
     single-process simulation if a caller leaks a lock, so the bound doubles
-    as a bug detector.
+    as a bug detector.  The budget is the lock's own — a trunk hands its
+    cells ``SpinLock(params.spinlock_budget)`` — so every way of taking
+    the lock (``acquire()``, ``with lock:``) spins the configured bound.
     """
 
-    __slots__ = ("_flag", "contention_count", "acquire_count")
+    __slots__ = ("_flag", "_budget", "contention_count", "acquire_count")
 
-    def __init__(self) -> None:
+    def __init__(self, budget: int = 1 << 16) -> None:
         # A non-blocking threading.Lock acquire is an atomic test-and-set,
         # which is exactly the primitive a spin lock spins on.
         self._flag = threading.Lock()
+        self._budget = budget
         self.contention_count = 0
         self.acquire_count = 0
 
@@ -54,8 +56,11 @@ class SpinLock:
         """Single test-and-set attempt; True if the lock was taken."""
         return self._flag.acquire(blocking=False)
 
-    def acquire(self, budget: int = 1 << 16) -> None:
-        """Spin until acquired or the budget is exhausted."""
+    def acquire(self, budget: int | None = None) -> None:
+        """Spin until acquired or the budget (by default the lock's own)
+        is exhausted."""
+        if budget is None:
+            budget = self._budget
         self.acquire_count += 1
         _ACQUIRES.inc()
         if self.try_acquire():
@@ -74,70 +79,6 @@ class SpinLock:
         self._flag.release()
 
     def __enter__(self) -> "SpinLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.release()
-
-
-class SharedSpinLock:
-    """A :class:`SpinLock` whose flag lives in OS shared memory.
-
-    Same interface and budget semantics, but the test-and-set primitive
-    is a ``multiprocessing`` lock, so two *processes* sharing a trunk
-    arena (the shared-memory execution backend) genuinely exclude each
-    other.  The ``held`` flag is a separate shared byte: a process-local
-    mirror would claim the lock is free when a sibling process holds it.
-
-    Construct via ``MemoryTrunk(lock_factory=SharedSpinLock)`` or
-    ``MemoryCloud(lock_factory=SharedSpinLock)``.  Fork-start children
-    inherit the lock state; that is the supported topology (the backend
-    forks workers from the coordinator that created the cloud).
-    """
-
-    __slots__ = ("_flag", "_held", "contention_count", "acquire_count")
-
-    def __init__(self) -> None:
-        ctx = multiprocessing.get_context("fork")
-        self._flag = ctx.Lock()
-        # lock=False: only ever written by the flag holder.
-        self._held = ctx.Value("b", 0, lock=False)
-        self.contention_count = 0
-        self.acquire_count = 0
-
-    @property
-    def held(self) -> bool:
-        return bool(self._held.value)
-
-    def try_acquire(self) -> bool:
-        """Single test-and-set attempt; True if the lock was taken."""
-        if self._flag.acquire(block=False):
-            self._held.value = 1
-            return True
-        return False
-
-    def acquire(self, budget: int = 1 << 16) -> None:
-        """Spin until acquired or the budget is exhausted."""
-        self.acquire_count += 1
-        _ACQUIRES.inc()
-        if self.try_acquire():
-            return
-        self.contention_count += 1
-        _CONTENTION.inc()
-        for _ in range(budget):
-            if self.try_acquire():
-                return
-        _EXHAUSTED.inc()
-        raise CellLockedError(f"spin budget {budget} exhausted")
-
-    def release(self) -> None:
-        if not self._held.value:
-            raise CellLockedError("releasing a lock that is not held")
-        self._held.value = 0
-        self._flag.release()
-
-    def __enter__(self) -> "SharedSpinLock":
         self.acquire()
         return self
 

@@ -99,7 +99,6 @@ class MiniTransaction:
         self._check_open()
         self._done = True
         participants = self.participants()
-        budget = self.cloud.config.memory.spinlock_budget
         locked: list = []
         try:
             for cell_id in participants:
@@ -107,7 +106,7 @@ class MiniTransaction:
                 # locks to take.
                 if self.cloud.contains(cell_id):
                     lock = self.cloud.trunk_for(cell_id).lock_of(cell_id)
-                    lock.acquire(budget)
+                    lock.acquire()
                     locked.append(lock)
             for compare in self._compares:
                 try:

@@ -5,8 +5,7 @@ contiguous byte range; *where those bytes live* is this module's job.
 Every storage is one :class:`~repro.memcloud.arena.Arena` (one mmap);
 the two tiers differ in its backing and in residency policy:
 
-* :class:`ResidentStorage` — an anonymous arena, process-private or
-  (for the parallel backend) shared with forked workers.  All
+* :class:`ResidentStorage` — a process-private anonymous arena.  All
   operations are thin slices; ``pin_spans`` always succeeds because
   nothing can ever be evicted.
 * :class:`PagedStorage` — the out-of-core tier: the arena is a page
@@ -43,7 +42,6 @@ import tempfile
 
 import numpy as np
 
-from ..errors import ConfigError
 from ..obs import get_registry
 from .arena import Arena
 
@@ -71,12 +69,6 @@ class TrunkStorage:
     def __init__(self, arena: Arena):
         self.arena = arena
         self._array: np.ndarray | None = None
-
-    @property
-    def shared(self) -> bool:
-        """True when forked worker processes may write cells through
-        this storage on the coordinator's behalf."""
-        return self.arena.shared
 
     def __len__(self) -> int:
         return len(self.arena)
@@ -150,8 +142,8 @@ class TrunkStorage:
 
 
 class ResidentStorage(TrunkStorage):
-    """The whole trunk stays in RAM: an anonymous arena, private or
-    shared with forked workers, and no residency policy.
+    """The whole trunk stays in RAM: a private anonymous arena and no
+    residency policy.
 
     Reads and writes are plain slices, spans alias the arena buffer,
     pinning is a no-op that always succeeds.
@@ -179,8 +171,6 @@ class PagedStorage(TrunkStorage):
     """
 
     resident = False
-    #: The page table is per-process: a forked writer would go round it.
-    shared = False
     kind = "paged"
 
     def __init__(self, trunk_id: int, params, registry=None,
@@ -369,16 +359,10 @@ class PagedStorage(TrunkStorage):
 
 
 def make_trunk_storage(trunk_id: int, params, registry=None,
-                       shared: bool = False, spill_dir=None) -> TrunkStorage:
-    """Build the storage tier a trunk's params ask for.
-
-    ``shared`` asks for an arena forked workers can write into, which
-    only resident storage has; ``spill_dir`` (default: the params') is
-    where a paged trunk's page file goes.
-    """
+                       spill_dir=None) -> TrunkStorage:
+    """Build the storage tier a trunk's params ask for; ``spill_dir``
+    (default: the params') is where a paged trunk's page file goes."""
     if params.storage == "paged":
-        if shared:
-            raise ConfigError("paged storage cannot be shared")
         return PagedStorage(trunk_id, params, registry=registry,
                             spill_dir=spill_dir or params.spill_dir)
-    return ResidentStorage(Arena(params.trunk_size, shared=shared))
+    return ResidentStorage(Arena(params.trunk_size))

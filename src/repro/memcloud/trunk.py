@@ -84,11 +84,6 @@ class _CellEntry:
     # lazy creation cannot race.
     lock: SpinLock | None = None
 
-    def cell_lock(self, factory=SpinLock) -> SpinLock:
-        if self.lock is None:
-            self.lock = factory()
-        return self.lock
-
     @property
     def footprint(self) -> int:
         return CELL_HEADER_BYTES + self.reserved
@@ -124,7 +119,7 @@ class MemoryTrunk:
 
     Structural operations (allocation, index updates, defragmentation)
     are serialised by a per-trunk mutex.  This is the paper's trunk-level
-    parallelism: workers that partition the key space by trunk never
+    parallelism: threads that partition the key space by trunk never
     contend on it (Section 3's "without any overhead of locking" refers
     to cross-trunk traffic), while the per-cell spin locks handle
     fine-grained pinning within a trunk.
@@ -132,7 +127,6 @@ class MemoryTrunk:
 
     def __init__(self, trunk_id: int, params: MemoryParams | None = None,
                  registry: MetricsRegistry | None = None,
-                 lock_factory=SpinLock,
                  storage: TrunkStorage | None = None):
         self.trunk_id = trunk_id
         self.params = params or MemoryParams()
@@ -148,7 +142,6 @@ class MemoryTrunk:
                 f"storage holds {len(storage)} bytes, trunk needs "
                 f"{self.params.trunk_size}"
             )
-        self._lock_factory = lock_factory
         self._index = TrunkHashTable()
         self._entries: list[_CellEntry | None] = []
         self._mutation_epoch = 0
@@ -238,7 +231,7 @@ class MemoryTrunk:
             if entry is None:
                 self._m_layout_skipped.inc()
                 return False
-            lock = entry.cell_lock(self._lock_factory)
+            lock = self._cell_lock(entry)
             if not lock.try_acquire():
                 # An accessor is mid-mutation on this cell: its exit
                 # write supersedes whatever we encoded.  Skip, don't spin.
@@ -323,27 +316,14 @@ class MemoryTrunk:
         if count == 0:
             return 0
         uids, sizes = uids[:count], all_sizes[:count]
+        footprint_ends = footprint_ends[:count]
         start = self._append_head
-        self._lay_out_fresh(start, uids, payloads[:count], sizes)
-        self._register_fresh(uids, sizes, footprint_ends[:count], start,
-                             presize)
-        return count
-
-    def _lay_out_fresh(self, start: int, uids: list[int], payloads,
-                       sizes: np.ndarray) -> None:
-        """Write a fresh run's headers and payloads at ``start``.
-
-        The byte half of a fresh insert, and nothing else: one header
-        pre-packing pass, then the run streams through the storage tier
-        in bounded chunks — a paged backing writes pages sequentially
-        and evicts behind the cursor instead of joining the whole batch
-        in RAM.  The caller registers the run (:meth:`_register_fresh`):
-        this trunk for an in-process load, the coordinator's twin of it
-        for a parallel one.
-        """
-        for uid in (min(uids, default=0), max(uids, default=0)):
+        for uid in (min(uids), max(uids)):
             check_key(uid)
-        count = len(uids)
+        # The bytes: one header pre-packing pass, then the run streams
+        # through the storage tier in bounded chunks — a paged backing
+        # writes pages sequentially and evicts behind the cursor instead
+        # of joining the whole batch in RAM.
         headers = np.zeros(count, dtype=_HEADER_DTYPE)
         headers["uid"] = np.array(uids, dtype=np.uint64)
         headers["size"] = sizes
@@ -353,22 +333,10 @@ class MemoryTrunk:
         parts[0::2] = (header_bytes[i * CELL_HEADER_BYTES:
                                     (i + 1) * CELL_HEADER_BYTES]
                        for i in range(count))
-        parts[1::2] = payloads
+        parts[1::2] = payloads[:count]
         self._storage.write_stream(start, parts)
-
-    def _register_fresh(self, uids: list[int], sizes: np.ndarray,
-                        footprint_ends: np.ndarray, start: int,
-                        presize: bool) -> None:
-        """Index and account a fresh run already laid out at ``start``.
-
-        The accounting half of a fresh insert — head advance, page
-        commits, allocation metrics, entries, index — shared by
-        :meth:`_bulk_insert_fresh` (which wrote the bytes itself) and
-        :meth:`adopt_fresh_cells` (bytes written by a worker process
-        through the shared arena), so both produce identical entries,
-        metrics and probe accounting.
-        """
-        count = len(uids)
+        # The accounting: head advance, page commits, allocation
+        # metrics, entries, index.
         total = int(footprint_ends[-1])
         self._append_head = start + total
         self._commit_range(start, start + total)
@@ -397,6 +365,7 @@ class MemoryTrunk:
             )
             slots = list(range(base, base + count))
         self._index_fresh(uids, slots, presize)
+        return count
 
     def _index_fresh(self, uids, slots, presized: bool) -> None:
         """Index absent ``uids``: in one vectorized pass when the table
@@ -405,76 +374,6 @@ class MemoryTrunk:
         if not (presized and self._index.bulk_insert_fresh(uids, slots)):
             for uid, slot in zip(uids, slots):
                 self._index.insert_fresh(uid, slot)
-
-    # -- parallel bulk load (repro.compute.shm) ------------------------------
-
-    def _pristine_locked(self) -> bool:
-        return not (len(self._index) or self._append_head or self._wrapped)
-
-    @property
-    def is_pristine(self) -> bool:
-        """True if nothing was ever stored here — the precondition for
-        the parallel bulk-load path (fresh-run layout from offset 0)."""
-        with self._mutex:
-            return self._pristine_locked()
-
-    def bulk_write_fresh(self, uids, payloads) -> np.ndarray:
-        """Write a fresh batch's headers and payloads into the arena only.
-
-        Worker-process half of the parallel bulk load: the same
-        :meth:`_lay_out_fresh` an in-process load runs, from offset 0 of
-        an empty trunk, but no index entries, metrics, or page accounting
-        are touched — the worker's copies of those are discarded with the
-        fork, and the coordinator re-creates them authoritatively via
-        :meth:`adopt_fresh_cells`.  Returns the payload sizes the
-        coordinator needs for adoption.
-        """
-        with self._mutex:
-            if not self._pristine_locked():
-                raise ValueError(
-                    f"trunk {self.trunk_id}: bulk_write_fresh needs an "
-                    f"empty trunk"
-                )
-            uids = [int(uid) for uid in uids]
-            if len(set(uids)) != len(uids):
-                raise ValueError("bulk_write_fresh got duplicate uids")
-            sizes = np.fromiter((len(p) for p in payloads),
-                                dtype=np.int64, count=len(payloads))
-            total = int(sizes.sum()) + CELL_HEADER_BYTES * len(sizes)
-            if total > self.params.trunk_size:
-                raise TrunkFullError(
-                    f"trunk {self.trunk_id}: fresh batch of {total} bytes "
-                    f"exceeds trunk size {self.params.trunk_size}"
-                )
-            self._lay_out_fresh(0, uids, payloads, sizes)
-            self._append_head = total
-            return sizes
-
-    def adopt_fresh_cells(self, uids, sizes) -> None:
-        """Adopt cells a worker laid out through the shared arena.
-
-        Coordinator half of the parallel bulk load: the bytes are already
-        in place (written by :meth:`bulk_write_fresh` in a forked worker
-        sharing this arena), so this replays exactly the accounting side
-        of a ``bulk_put`` on an empty trunk — index presize, epoch bump,
-        then :meth:`_register_fresh`.  After adoption the trunk is
-        indistinguishable from one loaded in-process.
-        """
-        uids = [int(uid) for uid in uids]
-        if not uids:
-            return
-        with self._mutex:
-            if not self._pristine_locked():
-                raise ValueError(
-                    f"trunk {self.trunk_id}: adopt_fresh_cells needs an "
-                    f"empty trunk"
-                )
-            sizes = np.asarray(sizes, dtype=np.int64)
-            self._index.reserve(len(uids))
-            self._invalidate_spans()
-            self._register_fresh(uids, sizes,
-                                 np.cumsum(sizes + CELL_HEADER_BYTES), 0,
-                                 presize=True)
 
     def span_table(self) -> tuple:
         """``(epoch, keys, states, starts, limits)``: the hash table slot
@@ -585,10 +484,18 @@ class MemoryTrunk:
             return self._storage.view(entry.offset,
                                       entry.offset + entry.size)
 
+    def _cell_lock(self, entry: _CellEntry) -> SpinLock:
+        """The entry's lock, made on first use with the configured spin
+        budget: every site that takes it — this trunk's own ``with``
+        blocks, a pin, a mini-transaction — spins the same bound."""
+        if entry.lock is None:
+            entry.lock = SpinLock(self.params.spinlock_budget)
+        return entry.lock
+
     def lock_of(self, uid: int) -> SpinLock:
         """The spin lock associated with the cell (Section 3)."""
         with self._mutex:
-            return self._require(uid).cell_lock(self._lock_factory)
+            return self._cell_lock(self._require(uid))
 
     def remove(self, uid: int) -> None:
         """Delete a cell; its region becomes garbage until reclaimed."""
@@ -600,7 +507,7 @@ class MemoryTrunk:
 
     def _remove_locked(self, entry: _CellEntry) -> None:
         self._invalidate_spans()
-        with entry.cell_lock(self._lock_factory):
+        with self._cell_lock(entry):
             slot = self._index.get(entry.uid)
             assert slot is not None
             self._index.delete(entry.uid)
@@ -629,7 +536,7 @@ class MemoryTrunk:
             entry = self._require(uid)
             self._invalidate_spans()
             if new_size <= entry.reserved:
-                with entry.cell_lock(self._lock_factory):
+                with self._cell_lock(entry):
                     if new_size > entry.size:
                         self._storage.write(
                             entry.offset + entry.size,
@@ -735,7 +642,7 @@ class MemoryTrunk:
         from the pristine incarnation are dropped.
         """
         with self._mutex:
-            if not self._pristine_locked():
+            if len(self._index) or self._append_head or self._wrapped:
                 raise MemoryCloudError(
                     f"trunk {self.trunk_id}: adopt_image_state needs an "
                     f"empty trunk"
@@ -808,7 +715,7 @@ class MemoryTrunk:
 
     def _update(self, entry: _CellEntry, value: bytes) -> None:
         self._invalidate_spans()
-        with entry.cell_lock(self._lock_factory):
+        with self._cell_lock(entry):
             if len(value) <= entry.reserved:
                 # In-place update; shrinking only adjusts the live size and
                 # the slack stays reserved (reclaimed at next defrag).

@@ -257,77 +257,6 @@ class MetricsRegistry:
         for metric in self._metrics.values():
             metric.reset()
 
-    # -- cross-process aggregation -------------------------------------------
-    #
-    # Worker processes of the shared-memory execution backend record into
-    # their own (fork-copied) registries; at every superstep barrier they
-    # ship what changed since the previous barrier and the coordinator
-    # folds it in, so reports and benchmark metrics.json are complete
-    # under both backends.
-
-    def capture_state(self) -> dict:
-        """Plain-data snapshot of every metric, for later ``delta_since``."""
-        state: dict[tuple, object] = {}
-        for key, metric in self._metrics.items():
-            if metric.kind == "histogram":
-                state[key] = (tuple(metric.bucket_counts), metric.count,
-                              metric.total, metric.min, metric.max)
-            else:
-                state[key] = metric.value
-        return state
-
-    def delta_since(self, baseline: dict) -> dict:
-        """What changed since ``baseline`` (a ``capture_state`` result).
-
-        Returns a picklable mapping suitable for :meth:`apply_deltas`:
-        counters as increments, gauges as absolute values (last write
-        wins), histograms as component-wise increments plus their bucket
-        bounds so the receiving registry can create a matching series.
-        """
-        deltas: dict[tuple, tuple] = {}
-        for key, metric in self._metrics.items():
-            base = baseline.get(key)
-            if metric.kind == "counter":
-                increment = metric.value - (base or 0)
-                if increment:
-                    deltas[key] = ("counter", increment)
-            elif metric.kind == "gauge":
-                if base is None or metric.value != base:
-                    deltas[key] = ("gauge", metric.value)
-            else:
-                if base is None:
-                    base = ((0,) * len(metric.bucket_counts), 0, 0.0,
-                            None, None)
-                buckets, count, total, lo, hi = base
-                if metric.count == count:
-                    continue
-                bucket_inc = [n - b for n, b in
-                              zip(metric.bucket_counts, buckets)]
-                deltas[key] = ("histogram", metric.bounds, bucket_inc,
-                               metric.count - count, metric.total - total,
-                               metric.min, metric.max)
-        return deltas
-
-    def apply_deltas(self, deltas: dict) -> None:
-        """Fold another process's ``delta_since`` result into this registry."""
-        for (kind, name, label_key), payload in deltas.items():
-            labels = dict(label_key)
-            if payload[0] == "counter":
-                self.counter(name, **labels).inc(payload[1])
-            elif payload[0] == "gauge":
-                self.gauge(name, **labels).set(payload[1])
-            else:
-                _, bounds, bucket_inc, count, total, lo, hi = payload
-                hist = self.histogram(name, buckets=bounds, **labels)
-                for i, n in enumerate(bucket_inc):
-                    hist.bucket_counts[i] += n
-                hist.count += count
-                hist.total += total
-                if lo is not None and (hist.min is None or lo < hist.min):
-                    hist.min = lo
-                if hi is not None and (hist.max is None or hi > hist.max):
-                    hist.max = hi
-
     # -- sinks ---------------------------------------------------------------
 
     def attach_sink(self, sink) -> None:

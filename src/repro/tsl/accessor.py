@@ -60,7 +60,7 @@ class CellAccessor:
     def __enter__(self) -> "CellAccessor":
         trunk = self._cloud.trunk_for(self._cell_id)
         lock = trunk.lock_of(self._cell_id)
-        lock.acquire(self._cloud.config.memory.spinlock_budget)
+        lock.acquire()
         object.__setattr__(self, "_lock", lock)
         object.__setattr__(self, "_view", trunk.get_view(self._cell_id))
         object.__setattr__(self, "_entered", True)

@@ -193,9 +193,9 @@ def _segment_stats(flat: np.ndarray, starts: np.ndarray, ends: np.ndarray,
                    ) -> tuple[np.ndarray, _SegmentStats | None]:
     """Choose a layout tag per segment ``flat[starts[i]:ends[i])``.
 
-    Segments may be non-contiguous subsets of ``flat`` (the parallel
-    bulk loader restricts a shared group); every per-segment statistic
-    is a prefix-sum difference, so gaps between segments cost nothing.
+    Segments may be non-contiguous subsets of ``flat``: every
+    per-segment statistic is a prefix-sum difference, so gaps between
+    segments cost nothing.
     """
     counts = ends - starts
     n = len(counts)

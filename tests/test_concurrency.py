@@ -7,8 +7,8 @@ run actual Python threads (the GIL interleaves them finely enough to
 expose ordering bugs) against the structures.
 """
 
-import sys
 import threading
+import time
 
 import pytest
 
@@ -76,24 +76,49 @@ class TestConcurrentCloud:
 
         threads = [threading.Thread(target=pinner),
                    threading.Thread(target=updater)]
-        # The updater gives up after 2**16 spins (~6 ms), about one
-        # default GIL slice: hand the GIL round often enough that this
-        # thread always gets to release the pin first (the test failed 2
-        # runs in 25 without).
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-4)
-        try:
-            for thread in threads:
-                thread.start()
-            pinned.wait(timeout=5)
-            assert not done.is_set()  # updater is spinning behind the pin
-            release.set()
-            for thread in threads:
-                thread.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
+        for thread in threads:
+            thread.start()
+        pinned.wait(timeout=5)
+        assert not done.is_set()  # updater is spinning behind the pin
+        release.set()
+        for thread in threads:
+            thread.join(timeout=10)
         assert done.is_set()
         assert big_cloud.get(1) == b"updated"
+
+    def test_configured_budget_outlasts_a_slow_pin_holder(self):
+        """The trunk's own lock sites spin ``spinlock_budget``: a holder
+        that keeps its pin for 100 ms (many GIL slices; 2**16 spins last
+        about one) does not defeat an updater configured to wait."""
+        cloud = MemoryCloud(ClusterConfig(
+            machines=1, trunk_bits=1,
+            memory=MemoryParams(trunk_size=64 * 1024,
+                                spinlock_budget=1 << 26)))
+        cloud.put(1, b"original")
+        pinned = threading.Event()
+        errors: list[Exception] = []
+
+        def pinner():
+            with cloud.pin(1):
+                pinned.set()
+                time.sleep(0.1)
+
+        def updater():
+            pinned.wait(timeout=5)
+            try:
+                cloud.put(1, b"updated")
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=pinner),
+                   threading.Thread(target=updater)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert cloud.get(1) == b"updated"
 
     def test_concurrent_cas_increments_never_lose_updates(self, big_cloud):
         """Mini-transaction CAS loops from several threads: the final

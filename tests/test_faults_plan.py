@@ -1,5 +1,6 @@
 """Unit tests for the deterministic fault schedule and its injector."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError, MachineDownError
@@ -54,6 +55,29 @@ class TestFaultPlan:
                             == b.should_duplicate(*args))
                     assert a.delay_for(*args) == b.delay_for(*args)
         assert a.should_corrupt(11, 2) == b.should_corrupt(11, 2)
+
+    def test_draws_depend_on_values_not_on_integer_type(self):
+        """``repr(np.int64(0)) != repr(0)`` under numpy 2: a machine id
+        out of an array must draw what the same id out of a ``range``
+        draws, for every kind of fault."""
+        plan = FaultPlan(seed=1, drop_rate=0.5, duplicate_rate=0.5,
+                         delay_rate=0.5, corrupt_rate=0.5,
+                         partitions=((0, 3, {0}),))
+        queries = {
+            "drop": lambda a, b, c: plan.should_drop(a, b, c, a),
+            "duplicate": plan.should_duplicate,
+            "delay": plan.delay_for,
+            "partition": plan.is_partitioned,
+            "corrupt": plan.should_corrupt,
+        }
+        coordinates = [(0, dst, round_)
+                       for dst in range(12) for round_ in range(5)]
+        for kind, query in queries.items():
+            differing = sum(
+                query(*parts) != query(*map(np.int64, parts))
+                for parts in coordinates)
+            assert not differing, (
+                f"{kind}: {differing} of {len(coordinates)} draws differ")
 
     def test_seed_changes_the_schedule(self):
         a = FaultPlan(seed=1, drop_rate=0.5)

@@ -11,6 +11,10 @@
   the per-trunk lookup it replaced stays retired, and the directory
   leans on nothing in ``repro`` but ``errors``, ``obs``, ``utils`` and
   the hash table it mirrors.
+* There is one execution path and it runs in this process: nothing
+  under ``repro`` imports a process-starting module or forks, and no
+  public callable takes one of the parameters that used to select the
+  shared-memory fork.
 """
 
 import ast
@@ -68,22 +72,56 @@ def test_oracle_depends_on_errors_and_obs_only():
     assert public == ["shadow"]
 
 
-def test_no_public_callable_selects_the_scalar_path():
+def public_callables_taking(directory: pathlib.Path, forbidden: set[str]):
+    """``file:line name`` of every public function or method (``__init__``
+    counts: it is how a class is called) with a parameter in
+    ``forbidden``."""
     offenders = []
+    for path, tree in trees(directory):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("_") and node.name != "__init__":
+                continue
+            args = node.args
+            names = {a.arg for a in (args.posonlyargs + args.args
+                                     + args.kwonlyargs)}
+            if names & forbidden:
+                offenders.append(
+                    f"{path.relative_to(SRC)}:{node.lineno} {node.name}")
+    return offenders
+
+
+def test_no_public_callable_selects_the_scalar_path():
     for package in ("algorithms", "tql"):
-        for path, tree in trees(SRC / package):
-            for node in ast.walk(tree):
-                if not isinstance(node, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                    continue
-                if node.name.startswith("_"):
-                    continue
-                args = node.args
-                names = [a.arg for a in (args.posonlyargs + args.args
-                                         + args.kwonlyargs)]
-                if "batch" in names:
-                    offenders.append(
-                        f"{path.relative_to(SRC)}:{node.lineno} {node.name}")
+        assert not public_callables_taking(SRC / package, {"batch"})
+
+
+def test_no_public_callable_selects_another_execution_path():
+    assert not public_callables_taking(
+        SRC, {"backend", "workers", "shared_arenas", "shared",
+              "lock_factory"})
+
+
+def starts_a_process(node: ast.AST) -> bool:
+    """Imports ``multiprocessing`` or ``subprocess``, or names
+    ``os.fork`` / ``os._exit``."""
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        modules = [node.module or ""]
+    else:
+        return (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in ("fork", "_exit"))
+    return any(module.split(".")[0] in ("multiprocessing", "subprocess")
+               for module in modules)
+
+
+def test_nothing_under_src_starts_a_process():
+    offenders = [f"{path.relative_to(SRC)}:{node.lineno}"
+                 for path, tree in trees(SRC)
+                 for node in ast.walk(tree) if starts_a_process(node)]
     assert not offenders
 
 

@@ -1,9 +1,9 @@
-"""The trunk arena: one mmap, three backings, one close rule.
+"""The trunk arena: one mmap, two backings, one close rule.
 
 What every layer above relies on and a change of backing could lose:
-pages cost RAM only once written, a private arena is private across
-``fork`` while a shared one is not, a page file belongs to exactly one
-arena, and a closed arena says so.
+pages cost RAM only once written, an anonymous arena is private across
+``fork``, a page file belongs to exactly one arena, and a closed arena
+says so.
 """
 
 import os
@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.config import ClusterConfig
 from repro.errors import MemoryCloudError
-from repro.memcloud import Arena, MemoryCloud
+from repro.memcloud import Arena
 
 
 def _child_writes(arena: Arena, payload: bytes) -> None:
@@ -36,25 +35,7 @@ class TestForkSemantics:
         arena = Arena(4096)
         arena.buf[:6] = b"parent"
         _child_writes(arena, b"child!")
-        assert not arena.shared
         assert arena.buf[:6] == b"parent"
-
-    def test_shared_arena_shows_a_childs_write(self):
-        arena = Arena(4096, shared=True)
-        arena.buf[:6] = b"parent"
-        _child_writes(arena, b"child!")
-        assert arena.shared
-        assert arena.buf[:6] == b"child!"
-
-    def test_shared_arenas_have_no_name_to_leak(self):
-        """Nothing appears in /dev/shm while a shared cloud is alive, so
-        nothing can be left there by a crash."""
-        before = sorted(os.listdir("/dev/shm"))
-        cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=4),
-                            shared_arenas=True)
-        cloud.put(1, b"x")
-        assert cloud.arenas_shared
-        assert sorted(os.listdir("/dev/shm")) == before
 
 
 class TestFileBacked:
@@ -88,9 +69,8 @@ class TestFileBacked:
 
 
 class TestClose:
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_use_after_close_is_a_cloud_error(self, shared):
-        arena = Arena(4096, shared=shared)
+    def test_use_after_close_is_a_cloud_error(self):
+        arena = Arena(4096)
         arena.close()
         with pytest.raises(MemoryCloudError, match="after close"):
             arena.buf

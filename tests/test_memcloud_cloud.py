@@ -202,24 +202,6 @@ class TestArenaWiring:
     """The cloud decides how its trunks are backed, once, and every
     trunk it ever installs is backed that way."""
 
-    def test_paged_and_shared_is_refused(self):
-        from repro.errors import ConfigError
-        with pytest.raises(ConfigError, match="paged storage cannot be "
-                                              "shared"):
-            MemoryCloud(_paged_config(), shared_arenas=True)
-
-    def test_restore_keeps_shared_arenas_and_locks(self):
-        from repro.memcloud import SharedSpinLock
-        cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=2),
-                            shared_arenas=True, lock_factory=SharedSpinLock)
-        cloud.put(3, b"three")
-        trunk_id = cloud.trunk_for(3).trunk_id
-        image = persistence.trunk_to_bytes(cloud.trunks[trunk_id])
-        persistence.adopt_trunk_image(cloud, trunk_id, image)
-        assert cloud.arenas_shared
-        assert cloud.get(3) == b"three"
-        assert isinstance(cloud.trunk_for(3).lock_of(3), SharedSpinLock)
-
     def test_replace_trunk_carries_the_epoch_and_stales_old_spans(self, cloud):
         for uid in range(40):
             cloud.put(uid, b"v" * 20)

@@ -1,12 +1,11 @@
 """Tests for the spin-lock primitives."""
 
-import multiprocessing
 import threading
 
 import pytest
 
 from repro.errors import CellLockedError
-from repro.memcloud.locks import SharedSpinLock, SpinLock
+from repro.memcloud.locks import SpinLock
 
 
 class TestSpinLock:
@@ -74,74 +73,3 @@ class TestSpinLock:
         for thread in threads:
             thread.join()
         assert counter["value"] == 4 * iterations
-
-
-class TestSharedSpinLock:
-    """The process-shared variant backing the shared-memory backend.
-
-    A plain :class:`SpinLock` is process-local state: after a fork each
-    worker would spin on its *own copy* of the flag and two processes
-    could both "win" the same cell lock.  These tests prove the shared
-    variant genuinely excludes across process boundaries.
-    """
-
-    def test_same_interface_in_process(self):
-        lock = SharedSpinLock()
-        lock.acquire()
-        assert lock.held
-        assert not lock.try_acquire()
-        lock.release()
-        assert not lock.held
-        with pytest.raises(CellLockedError):
-            lock.release()
-
-    def test_budget_exhaustion_raises(self):
-        lock = SharedSpinLock()
-        lock.acquire()
-        with pytest.raises(CellLockedError):
-            lock.acquire(budget=10)
-        lock.release()
-
-    def test_two_processes_cannot_both_win(self):
-        """Exactly one of two forked workers acquires the cell lock."""
-        ctx = multiprocessing.get_context("fork")
-        lock = SharedSpinLock()
-        barrier = ctx.Barrier(2)
-        queue = ctx.Queue()
-
-        def contender(worker_id):
-            barrier.wait()  # line both workers up on the same attempt
-            won = lock.try_acquire()
-            queue.put((worker_id, won))
-
-        procs = [ctx.Process(target=contender, args=(i,)) for i in range(2)]
-        for proc in procs:
-            proc.start()
-        outcomes = dict(queue.get(timeout=10) for _ in range(2))
-        for proc in procs:
-            proc.join(timeout=10)
-        assert sorted(outcomes.values()) == [False, True]
-        # The winner exited without releasing; the parent still sees the
-        # lock held — the flag lives in shared memory, not in the child.
-        assert lock.held
-        assert not lock.try_acquire()
-
-    def test_parent_hold_visible_to_child(self):
-        """A child forked while the parent holds the lock cannot take it."""
-        ctx = multiprocessing.get_context("fork")
-        lock = SharedSpinLock()
-        queue = ctx.Queue()
-        lock.acquire()
-
-        def prober():
-            queue.put(lock.try_acquire())
-            queue.put(lock.held)
-
-        proc = ctx.Process(target=prober)
-        proc.start()
-        got_lock = queue.get(timeout=10)
-        saw_held = queue.get(timeout=10)
-        proc.join(timeout=10)
-        lock.release()
-        assert got_lock is False
-        assert saw_held is True

@@ -7,6 +7,7 @@ from repro.config import ClusterConfig, MemoryParams
 from repro.errors import (CellLockedError, CellNotFoundError, StaleSpanError,
                           TrunkFullError)
 from repro.memcloud.directory import SpanDirectory
+from repro.memcloud.locks import SpinLock
 from repro.memcloud.trunk import CELL_HEADER_BYTES, MemoryTrunk
 from repro.obs import MetricsRegistry
 
@@ -259,6 +260,43 @@ class TestLocking:
             lock.release()
 
 
+    @pytest.mark.parametrize("operation", [
+        lambda trunk: trunk.put(1, b"v2"),
+        lambda trunk: trunk.remove(1),
+        lambda trunk: trunk.resize(1, 1),
+    ], ids=["put", "remove", "resize"])
+    def test_trunk_lock_sites_spin_the_configured_budget(self, operation):
+        """``spinlock_budget`` bounds the trunk's own ``with lock:``
+        sites, not only the accessors that pass it to ``acquire``."""
+        trunk = make_trunk(spinlock_budget=1)
+        trunk.put(1, b"v1")
+        trunk.lock_of(1).acquire()
+        with pytest.raises(CellLockedError, match="spin budget 1 exhausted"):
+            operation(trunk)
+        assert trunk.get(1) == b"v1"
+
+    def test_reencode_cell_spins_the_configured_budget(self):
+        """``reencode_cell`` probes with one try_acquire and lets go
+        before ``_update`` takes the lock for real: a held cell is
+        skipped, an accessor that gets in between is spun on."""
+
+        class TakenAfterProbe(SpinLock):
+            __slots__ = ()
+
+            def release(self):
+                super().release()
+                self.try_acquire()
+
+        trunk = make_trunk(spinlock_budget=1)
+        trunk.put(1, b"v1")
+        trunk.lock_of(1).acquire()
+        assert trunk.reencode_cell(1, b"v1", b"v2") is False
+        trunk._lookup(1).lock = TakenAfterProbe(1)
+        with pytest.raises(CellLockedError, match="spin budget 1 exhausted"):
+            trunk.reencode_cell(1, b"v1", b"v2")
+        assert trunk.get(1) == b"v1"
+
+
 class TestPersistenceHooks:
     def test_dumped_cells_bulk_load(self):
         source = make_trunk()
@@ -353,24 +391,6 @@ class TestSpanCacheInvalidation:
         refreshed = registry.counter("memcloud.directory.refreshed")
         assert refreshed.value == 1
         return directory, refreshed
-
-    def test_adopt_fresh_cells_drops_span_cache(self):
-        # Worker half: lays the bytes out in its own (forked) trunk.
-        worker = make_trunk()
-        sizes = worker.bulk_write_fresh([1, 2], [b"a" * 10, b"b" * 20])
-        # Coordinator half: bytes arrive via the shared arena (copied
-        # here), the trunk object itself is still pristine.
-        trunk = make_trunk()
-        trunk.storage.write(0, worker.storage.read(0, 2 * 16 + 30))
-        directory, refreshed = self._primed_directory(trunk)
-        epoch_before = trunk.mutation_epoch
-        trunk.adopt_fresh_cells([1, 2], sizes)
-        assert trunk.mutation_epoch > epoch_before
-        spans = trunk_spans(trunk, np.array([2, 1], dtype=np.uint64),
-                            directory)
-        assert payloads(spans) == [b"b" * 20, b"a" * 10]
-        assert refreshed.value == 2 and spans.epoch == trunk.mutation_epoch
-        assert trunk.get(1) == b"a" * 10 and trunk.get(2) == b"b" * 20
 
     def test_adopt_image_state_drops_span_cache_and_bumps_epoch(self):
         source = make_trunk()

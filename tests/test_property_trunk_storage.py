@@ -4,9 +4,7 @@ The storage tier must be invisible to trunk semantics: any interleaving
 of put / bulk_put / remove / overwrite / resize / defrag — including
 ones that force wraps and constant page eviction (tiny page budget) —
 must leave a paged trunk byte-identical to a resident one, down to the
-allocator accounting and the hash table's probe-exact counters.  So must
-the arena's backing: a resident trunk over a fork-shared mapping is the
-third side of the same programs.
+allocator accounting and the hash table's probe-exact counters.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from repro.config import ClusterConfig, MemoryParams
 from repro.errors import MemoryCloudError
 from repro.memcloud import MemoryCloud, persistence
-from repro.memcloud.storage import make_trunk_storage
 from repro.memcloud.trunk import MemoryTrunk
 from repro.obs import MetricsRegistry
 
@@ -82,16 +79,6 @@ def make_pair() -> tuple[MemoryTrunk, MemoryTrunk]:
                            registry=MetricsRegistry())
     paged = MemoryTrunk(0, make_params("paged"), registry=MetricsRegistry())
     return resident, paged
-
-
-def make_shared() -> MemoryTrunk:
-    """A resident trunk whose arena is mapped shared (the parallel
-    backend's backing)."""
-    params = make_params("resident")
-    trunk = MemoryTrunk(0, params, registry=MetricsRegistry(),
-                        storage=make_trunk_storage(0, params, shared=True))
-    assert trunk.storage.shared
-    return trunk
 
 
 def run_program(trunk: MemoryTrunk, ops, reference: dict[int, bytes]) -> None:
@@ -159,25 +146,19 @@ class TestStorageEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(OPS)
     def test_interleaved_program_equivalence(self, ops):
-        """Any program leaves both tiers, and both resident backings,
-        byte- and counter-identical."""
+        """Any program leaves both tiers byte- and counter-identical."""
         resident, paged = make_pair()
-        shared = make_shared()
         try:
             ref_a: dict[int, bytes] = {}
             ref_b: dict[int, bytes] = {}
-            ref_c: dict[int, bytes] = {}
             run_program(resident, ops, ref_a)
             run_program(paged, ops, ref_b)
-            run_program(shared, ops, ref_c)
-            assert ref_a == ref_b == ref_c
+            assert ref_a == ref_b
             assert_trunks_identical(resident, paged)
-            assert_trunks_identical(resident, shared)
             live = sorted(ref_a)
             if live:
                 assert (span_payloads(resident, live)
                         == span_payloads(paged, live)
-                        == span_payloads(shared, live)
                         == [ref_a[u] for u in live])
                 for uid in live:
                     assert paged.get(uid) == ref_a[uid]
