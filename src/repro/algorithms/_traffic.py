@@ -21,50 +21,23 @@ from ..net.simnet import ParallelRound, SimNetwork
 
 
 class TrafficModel:
-    """Precomputed per-edge machine routing for one topology."""
+    """Precomputed per-vertex machine routing for one topology."""
 
     def __init__(self, topology, hub_fraction: float = 0.01,
                  hub_buffering: bool = True, message_bytes: int = 16):
         self.topology = topology
         self.message_bytes = message_bytes
         n = topology.n
-        machines = topology.machine_count
-        self.machines = machines
-        degrees = topology.out_degrees()
-        if hub_buffering and n and hub_fraction > 0:
-            quantile = float(np.quantile(degrees, 1.0 - hub_fraction))
-            self.hub_threshold = max(2.0, quantile)
-        else:
-            self.hub_threshold = float("inf")
-        self.is_hub = degrees >= self.hub_threshold
-
-        # Per-edge source vertex and machine-pair id.
-        self.edge_src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        src_machine = topology.machine[self.edge_src]
-        dst_machine = topology.machine[topology.out_indices]
-        self.edge_pair = (src_machine.astype(np.int64) * machines
-                          + dst_machine.astype(np.int64))
-
-        # Hub vertices: per-machine-pair message counts when the hub
-        # broadcasts (1 per distinct destination machine).
-        self._hub_pair_counts = np.zeros(machines * machines, dtype=np.int64)
-        self._hub_pairs_by_vertex: dict[int, np.ndarray] = {}
-        hub_vertices = np.nonzero(self.is_hub)[0]
-        for v in hub_vertices:
-            start, end = topology.out_indptr[v], topology.out_indptr[v + 1]
-            dsts = np.unique(dst_machine[start:end])
-            pairs = int(topology.machine[v]) * machines + dsts.astype(np.int64)
-            self._hub_pairs_by_vertex[int(v)] = pairs
-            np.add.at(self._hub_pair_counts, pairs, 1)
-
-        # Non-hub per-pair counts for the full-broadcast case.
-        nonhub_edges = ~self.is_hub[self.edge_src]
-        self._nonhub_pair_counts = np.bincount(
-            self.edge_pair[nonhub_edges], minlength=machines * machines
-        )
-        self._full_pair_counts = (
-            self._nonhub_pair_counts + self._hub_pair_counts
-        )
+        self.machines = topology.machine_count
+        self.hub_threshold = topology.hub_threshold(
+            hub_fraction if hub_buffering else 0.0)
+        # Per-edge source vertex (the runners gather through it).
+        self.edge_src = np.repeat(np.arange(n, dtype=np.int64),
+                                  topology.out_degrees())
+        # Messages each vertex's broadcast puts on the link to each
+        # machine: one per edge, or one per destination machine for a hub.
+        self._fanout = topology.hub_fanout(self.hub_threshold)
+        self._full_pair_counts = self.frontier_traffic(np.ones(n, dtype=bool))
 
     # -- traffic for one superstep ----------------------------------------
 
@@ -76,15 +49,7 @@ class TrafficModel:
     def frontier_traffic(self, frontier: np.ndarray) -> np.ndarray:
         """Message counts per machine pair when only ``frontier`` (bool
         mask over vertices) broadcasts (BFS, SSSP waves)."""
-        active_edges = frontier[self.edge_src]
-        nonhub = active_edges & ~self.is_hub[self.edge_src]
-        counts = np.bincount(
-            self.edge_pair[nonhub],
-            minlength=self.machines * self.machines,
-        ).astype(np.int64)
-        for v in np.nonzero(frontier & self.is_hub)[0]:
-            np.add.at(counts, self._hub_pairs_by_vertex[int(v)], 1)
-        return counts
+        return self.topology.pair_traffic(frontier, self._fanout)
 
     # -- charging a superstep ----------------------------------------------
 
@@ -126,25 +91,18 @@ class TrafficModel:
 
     def per_machine_vertices(self, mask: np.ndarray | None = None) -> np.ndarray:
         """Vertices per machine (optionally restricted to a mask)."""
-        if mask is None:
-            return np.bincount(self.topology.machine,
-                               minlength=self.machines).astype(np.int64)
-        return np.bincount(self.topology.machine[mask],
+        machine = self.topology.machine
+        return np.bincount(machine if mask is None else machine[mask],
                            minlength=self.machines).astype(np.int64)
 
     def per_machine_edges(self, mask: np.ndarray | None = None) -> np.ndarray:
         """Out-edges per machine (optionally only edges from masked
         sources)."""
-        degrees = self.topology.out_degrees()
-        if mask is None:
-            weights = degrees
-            machines = self.topology.machine
-        else:
-            weights = degrees[mask]
-            machines = self.topology.machine[mask]
-        return np.bincount(
-            machines, weights=weights, minlength=self.machines
-        ).astype(np.int64)
+        machine, degrees = self.topology.machine, self.topology.out_degrees()
+        if mask is not None:
+            machine, degrees = machine[mask], degrees[mask]
+        return np.bincount(machine, weights=degrees,
+                           minlength=self.machines).astype(np.int64)
 
     def remote_fraction(self) -> float:
         """Fraction of full-broadcast messages that cross machines."""

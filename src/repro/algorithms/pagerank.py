@@ -83,10 +83,9 @@ class PageRankProgram(VertexProgram):
             if len(senders):
                 ctx.send_to_neighbors(senders,
                                       values[senders] / degrees[has_edges])
-            # Sequential fold in vertex order: the same left-to-right
-            # float accumulation the per-vertex path produces.
-            for value in values[vertices[~has_edges]].tolist():
-                ctx.aggregate("dangling", value)
+            # One sequential fold in vertex order: the same
+            # left-to-right float accumulation the per-vertex path makes.
+            ctx.aggregate("dangling", values[vertices[~has_edges]])
         else:
             ctx.halt(vertices)
 

@@ -25,17 +25,19 @@ the host's cores: DESIGN.md §12):
 * the **per-vertex reference path**: a Python loop calling ``compute``
   with ``list`` inboxes — the semantics of record;
 * the **vectorized fast path** (programs declaring a ``combiner``):
-  inboxes become one dense numpy value array plus a received-mask, folded
-  at enqueue time; programs implementing ``compute_batch`` additionally
-  run one numpy kernel per machine slice, and machine-pair traffic is
-  tallied with ``np.bincount`` instead of per-message dict updates.
+  inboxes become one dense numpy value array plus a received-mask, and
+  programs implementing ``compute_batch`` run one numpy kernel per
+  machine slice.  Sends fold at the barrier through a **send plan** —
+  destinations, received mask and machine-pair traffic, a function of
+  the sender array alone — which is kept and re-applied while the
+  sender array repeats (DESIGN.md §8).
 
 Both paths charge the simulated clock identically — same superstep
 reports, same network counters — which ``cross_check=True`` verifies by
 running the reference path against a throwaway network and comparing.
 A fast-path superstep is three steps in ``_run_fast``: reset the send
-buffers, run every machine's kernels, fold what they sent in reference
-enqueue order.
+buffers, run every machine's kernels, then fold what they sent — one
+pass over the whole superstep, in reference enqueue order.
 
 Superstep semantics are deterministic and order-independent: a vertex
 runs in superstep *s* iff it is active at the barrier entering *s*;
@@ -110,6 +112,9 @@ class BspResult:
         }
 
 
+_FOLD_UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
+
 def _combiner_identity(combiner: str, dtype: np.dtype):
     """The fold identity: what an unreceiving vertex's combined slot
     holds (``sum([]) == 0``; min/max use the dtype's infinities)."""
@@ -121,65 +126,56 @@ def _combiner_identity(combiner: str, dtype: np.dtype):
     return dtype.type(info.max if combiner == "min" else info.min)
 
 
+@dataclass(frozen=True)
+class _SendPlan:
+    """The control-plane half of a barrier: what a superstep's sends
+    need that does not read their values.  A pure function of
+    ``(senders, hub)``, so the last one is re-applied while the sender
+    set repeats ("predictable iteration after iteration", Section 5.3)."""
+
+    senders: np.ndarray      # the plan's own copy, in compute order
+    hub: bool                # hub buffering applied to the traffic
+    degrees: np.ndarray      # out-degree per sender: values repeat by it
+    dsts: np.ndarray         # destination per edge, in enqueue order
+    received: np.ndarray     # length-n mask of ``dsts``
+    pair_counts: np.ndarray  # flattened machines x machines messages
+
+
 class _FastState:
-    """Per-topology precomputation for the vectorized path.
+    """Per-topology precomputation for the vectorized path."""
 
-    All per-edge arrays are laid out in **processing order** — machine by
-    machine, vertices ascending within a machine, edges in CSR slice
-    order — the exact order the per-vertex reference path enqueues
-    messages.  A ``sum`` combiner folded over these arrays therefore
-    reproduces the reference path's float accumulation bit for bit.
-    """
-
-    def __init__(self, topology, machine_vertices, hub_threshold: float):
+    def __init__(self, topology, hub_threshold: float):
+        self.topology = topology
         self.degrees = topology.out_degrees()
-        n = topology.n
-        self.machines = topology.machine_count
-        proc = (np.concatenate(machine_vertices).astype(np.int64)
-                if machine_vertices else np.empty(0, dtype=np.int64))
-        proc_degrees = self.degrees[proc]
-        self.p_indptr = np.zeros(len(proc) + 1, dtype=np.int64)
-        np.cumsum(proc_degrees, out=self.p_indptr[1:])
-        self.pos_of = np.zeros(n, dtype=np.int64)
-        self.pos_of[proc] = np.arange(len(proc), dtype=np.int64)
-        total = int(self.p_indptr[-1])
-        if total:
-            first = np.repeat(topology.out_indptr[proc], proc_degrees)
-            offsets = (np.arange(total, dtype=np.int64)
-                       - np.repeat(self.p_indptr[:-1], proc_degrees))
-            # Global CSR edge index of every edge, in processing order.
-            self.edge_pos = first + offsets
-        else:
-            self.edge_pos = np.empty(0, dtype=np.int64)
-        self.edge_dst = topology.out_indices[self.edge_pos]
-        edge_src = np.repeat(proc, proc_degrees)
-        machine = topology.machine
-        self.edge_pair = (machine[edge_src].astype(np.int64) * self.machines
-                          + machine[self.edge_dst].astype(np.int64))
-        self.is_hub = self.degrees >= hub_threshold
-        self._hub_pairs: dict[int, np.ndarray] = {}
-        for v in np.nonzero(self.is_hub)[0]:
-            pos = int(self.pos_of[v])
-            span = slice(self.p_indptr[pos], self.p_indptr[pos + 1])
-            self._hub_pairs[int(v)] = np.unique(self.edge_pair[span])
-
-    def hub_pairs(self, vertex: int) -> np.ndarray:
-        """Flattened machine-pair indices a hub's buffered value crosses
-        (one per distinct destination machine)."""
-        return self._hub_pairs[vertex]
+        # Messages a vertex's sends put on the link to each machine,
+        # without and with hub buffering (Section 5.4).
+        self.fanout = topology.machine_fanout
+        self.hub_fanout = topology.hub_fanout(hub_threshold)
 
     def edge_slice(self, vertices: np.ndarray) -> np.ndarray:
-        """Indices (into the processing-order edge arrays) of the
-        out-edges of ``vertices``, concatenated per vertex in order."""
+        """Positions in ``topology.out_indices`` of the out-edges of
+        ``vertices``, concatenated per vertex in order.  For vertices in
+        compute order (machine by machine, ascending within a machine)
+        that is the order the per-vertex reference path enqueues
+        messages, so a ``sum`` folded along it reproduces the reference
+        path's float accumulation bit for bit."""
         degrees = self.degrees[vertices]
-        total = int(degrees.sum())
-        if not total:
-            return np.empty(0, dtype=np.int64)
-        starts = self.p_indptr[self.pos_of[vertices]]
         running = np.cumsum(degrees)
-        offsets = (np.arange(total, dtype=np.int64)
-                   - np.repeat(running - degrees, degrees))
-        return np.repeat(starts, degrees) + offsets
+        starts = self.topology.out_indptr[vertices]
+        return (np.repeat(starts - (running - degrees), degrees)
+                + np.arange(int(degrees.sum()), dtype=np.int64))
+
+    def build_plan(self, senders: np.ndarray, hub: bool) -> _SendPlan:
+        """Derive everything ``senders``' sends need but their values."""
+        dsts = self.topology.out_indices[self.edge_slice(senders)]
+        received = np.zeros(self.topology.n, dtype=bool)
+        received[dsts] = True
+        return _SendPlan(
+            senders=senders, hub=hub, degrees=self.degrees[senders],
+            dsts=dsts, received=received,
+            pair_counts=self.topology.pair_traffic(
+                senders, self.hub_fanout if hub else self.fanout),
+        )
 
 
 class BspEngine:
@@ -204,12 +200,8 @@ class BspEngine:
         self.cross_check = cross_check
         self.faults = faults
         self.checkpoints = checkpoints
-        degrees = topology.out_degrees()
-        if hub_buffering and len(degrees) and hub_fraction > 0:
-            quantile = float(np.quantile(degrees, 1.0 - hub_fraction))
-            self.hub_threshold = max(2.0, quantile)
-        else:
-            self.hub_threshold = float("inf")
+        self.hub_threshold = topology.hub_threshold(
+            hub_fraction if hub_buffering else 0.0)
         self._machine_vertices = [
             topology.nodes_of_machine(m) for m in range(topology.machine_count)
         ]
@@ -227,6 +219,8 @@ class BspEngine:
         self._m_supersteps = self.network.obs.counter("bsp.superstep.total")
         self._m_checkpoints = self.network.obs.counter("bsp.checkpoint.total")
         self._m_restarts = self.network.obs.counter("bsp.restart.total")
+        self._m_plan_builds = self.network.obs.counter("bsp.send_plan.builds")
+        self._m_plan_reuses = self.network.obs.counter("bsp.send_plan.reuses")
         self._injector: FaultInjector | None = None
         # Mutable per-run state (set up in run()).
         self.values = []
@@ -235,6 +229,9 @@ class BspEngine:
         self._program: VertexProgram | None = None
         self._neighbor_sets: dict[int, set] = {}
         self._fast: _FastState | None = None
+        # The last send plan.  A pure function of its key: it outlives
+        # runs and rollbacks and is no part of the checkpoint image.
+        self._plan: _SendPlan | None = None
         self._fast_mode = False
 
     # -- engine hooks used by ComputeContext --------------------------------
@@ -261,7 +258,8 @@ class BspEngine:
             self._fs_single_dst.append(dst)
             self._fs_single_val.append(value)
             self._fs_single_pair.append(
-                int(machine[src]) * self._fast.machines + int(machine[dst])
+                int(machine[src]) * self.topology.machine_count
+                + int(machine[dst])
             )
             self._messages += 1
             return
@@ -324,19 +322,13 @@ class BspEngine:
         the reference path's enqueue order)."""
         combiner = self._fs_combiner
         target = self._fs_next_combined
-        if combiner == "sum":
-            if target.dtype.kind == "f":
-                # bincount accumulates sequentially in input order: the
-                # same left-fold the reference path's sum(messages) does.
-                target += np.bincount(dsts, weights=values,
-                                      minlength=len(target))
-            else:
-                np.add.at(target, dsts, values)
-        elif combiner == "min":
-            np.minimum.at(target, dsts, values)
+        if combiner == "sum" and target.dtype.kind == "f":
+            # bincount accumulates sequentially in input order: the
+            # same left-fold the reference path's sum(messages) does.
+            target += np.bincount(dsts, weights=values,
+                                  minlength=len(target))
         else:
-            np.maximum.at(target, dsts, values)
-        self._fs_next_received[dsts] = True
+            _FOLD_UFUNCS[combiner].at(target, dsts, values)
 
     def batch_send_uniform(self, vertices, values) -> None:
         """Uniform broadcast for a vertex slice (hub-eligible).
@@ -348,13 +340,17 @@ class BspEngine:
         different float association).
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        if not len(vertices):
-            return
+        values = np.asarray(values)
+        if values.shape != vertices.shape:
+            raise ComputeError(
+                f"send_to_neighbors got {values.size} values for "
+                f"{len(vertices)} vertices"
+            )
         total = int(self._fast.degrees[vertices].sum())
         if not total:
             return
         self._fs_bcast_verts.append(vertices)
-        self._fs_bcast_vals.append(np.asarray(values))
+        self._fs_bcast_vals.append(values)
         self._messages += total
 
     def batch_send_edges(self, vertices, edge_values) -> None:
@@ -605,30 +601,32 @@ class BspEngine:
 
     # -- vectorized fast path ------------------------------------------------
 
-    def _flush_broadcasts(self, senders: np.ndarray,
-                          values: np.ndarray) -> None:
-        """Fold uniform broadcasts (senders in compute order) and charge
-        their traffic, applying hub buffering where eligible."""
-        fast = self._fast
-        program = self._program
-        degrees = fast.degrees[senders]
-        edge_idx = fast.edge_slice(senders)
-        per_edge = np.repeat(values, degrees)
-        self._fold_into(fast.edge_dst[edge_idx], per_edge)
-        hub_ok = self.hub_buffering and program.uniform_messages
-        hub_mask = (fast.is_hub[senders] if hub_ok
-                    else np.zeros(len(senders), dtype=bool))
-        if hub_mask.any():
-            keep = np.repeat(~hub_mask, degrees)
-            pairs = fast.edge_pair[edge_idx[keep]]
-            for v in senders[hub_mask].tolist():
-                self._fs_pair_counts[fast.hub_pairs(v)] += 1
-        else:
-            pairs = fast.edge_pair[edge_idx]
-        if len(pairs):
-            self._fs_pair_counts += np.bincount(
-                pairs, minlength=len(self._fs_pair_counts)
-            )
+    def _send_plan(self, senders: np.ndarray, hub: bool) -> _SendPlan:
+        """The last plan if it was built from an equal sender array
+        under the same hub flag, else a fresh build — which keeps
+        ``senders``: pass the barrier's own array, never a kernel's."""
+        plan = self._plan
+        if (plan is not None and plan.hub == hub
+                and np.array_equal(plan.senders, senders)):
+            self._m_plan_reuses.inc()
+            return plan
+        self._m_plan_builds.inc()
+        self._plan = None    # free the old arrays before allocating new
+        self._plan = self._fast.build_plan(senders, hub)
+        return self._plan
+
+    def _flush_by_plan(self, senders: np.ndarray, values, *,
+                       uniform: bool) -> None:
+        """Apply the plan of ``senders`` (in compute order) to this
+        superstep's values: one per sender when ``uniform`` (a broadcast,
+        hub-buffered where eligible), else one per edge."""
+        plan = self._send_plan(senders, uniform and self.hub_buffering
+                               and self._program.uniform_messages)
+        values = np.asarray(values, dtype=self._fs_dtype)
+        self._fold_into(plan.dsts,
+                        np.repeat(values, plan.degrees) if uniform else values)
+        self._fs_next_received |= plan.received
+        self._fs_pair_counts += plan.pair_counts
 
     def _flush_deferred_sends(self) -> None:
         """Fold the sends collected this superstep, in compute order.
@@ -639,34 +637,24 @@ class BspEngine:
         mixing send kinds in one superstep would see a different — still
         deterministic — float association than the reference path; the
         shipped programs each use a single kind per superstep.)"""
-        fast = self._fast
         if self._fs_bcast_src:
-            self._flush_broadcasts(
-                np.array(self._fs_bcast_src, dtype=np.int64),
-                np.asarray(self._fs_bcast_val, dtype=self._fs_dtype),
-            )
+            self._flush_by_plan(np.array(self._fs_bcast_src, dtype=np.int64),
+                                self._fs_bcast_val, uniform=True)
         if self._fs_bcast_verts:
-            self._flush_broadcasts(
-                np.concatenate(self._fs_bcast_verts),
-                np.concatenate(self._fs_bcast_vals).astype(
-                    self._fs_dtype, copy=False
-                ),
-            )
+            self._flush_by_plan(np.concatenate(self._fs_bcast_verts),
+                                np.concatenate(self._fs_bcast_vals),
+                                uniform=True)
         if self._fs_edge_verts:
-            senders = np.concatenate(self._fs_edge_verts)
-            edge_values = np.concatenate(self._fs_edge_vals).astype(
-                self._fs_dtype, copy=False
-            )
-            edge_idx = fast.edge_slice(senders)
-            self._fold_into(fast.edge_dst[edge_idx], edge_values)
-            self._fs_pair_counts += np.bincount(
-                fast.edge_pair[edge_idx],
-                minlength=len(self._fs_pair_counts),
-            )
+            self._flush_by_plan(np.concatenate(self._fs_edge_verts),
+                                np.concatenate(self._fs_edge_vals),
+                                uniform=False)
         if self._fs_single_dst:
+            # General-model singles go to arbitrary vertices: there is no
+            # sender set to plan from.
             dsts = np.array(self._fs_single_dst, dtype=np.int64)
             values = np.asarray(self._fs_single_val, dtype=self._fs_dtype)
             self._fold_into(dsts, values)
+            self._fs_next_received[dsts] = True
             self._fs_pair_counts += np.bincount(
                 np.array(self._fs_single_pair, dtype=np.int64),
                 minlength=len(self._fs_pair_counts),
@@ -675,7 +663,7 @@ class BspEngine:
     def _fs_pair_items(self, message_bytes: int) -> list:
         """The superstep's traffic as sorted ((src, dst), (count, bytes))
         items — the flattened pair index is already lexicographic."""
-        machines = self._fast.machines
+        machines = self.topology.machine_count
         items = []
         for pair in np.nonzero(self._fs_pair_counts)[0].tolist():
             count = int(self._fs_pair_counts[pair])
@@ -690,7 +678,7 @@ class BspEngine:
         self._fs_next_combined = np.full(n, self._fs_identity,
                                          dtype=self._fs_dtype)
         self._fs_next_received = np.zeros(n, dtype=bool)
-        self._fs_pair_counts = np.zeros(self._fs_pair_slots,
+        self._fs_pair_counts = np.zeros(self.topology.machine_count ** 2,
                                         dtype=np.int64)
         self._fs_bcast_src: list[int] = []
         self._fs_bcast_val: list = []
@@ -744,16 +732,13 @@ class BspEngine:
         n = topo.n
         cost = self.compute_params
         if self._fast is None:
-            self._fast = _FastState(topo, self._machine_vertices,
-                                    self.hub_threshold)
-        fast = self._fast
+            self._fast = _FastState(topo, self.hub_threshold)
         dtype = np.dtype(program.value_dtype)
         identity = _combiner_identity(program.combiner, dtype)
         self._fast_mode = True
         self._fs_combiner = program.combiner
         self._fs_dtype = dtype
         self._fs_identity = identity
-        self._fs_pair_slots = fast.machines * fast.machines
         self._check_initial_values(initial_values, n)
         ctx = ComputeContext(self)
         batch_ctx = BatchComputeContext(self)

@@ -85,12 +85,7 @@ class BipartiteScheduler:
             raise ComputeError("hub_fraction must be in [0, 1)")
         self.topology = topology
         self.num_partitions = num_partitions
-        degrees = topology.out_degrees()
-        if hub_fraction > 0 and len(degrees):
-            quantile = float(np.quantile(degrees, 1.0 - hub_fraction))
-            self.hub_threshold = max(2.0, quantile)
-        else:
-            self.hub_threshold = float("inf")
+        self.hub_threshold = topology.hub_threshold(hub_fraction)
 
     def is_hub(self, vertex: int) -> bool:
         topo = self.topology

@@ -20,10 +20,11 @@ Two execution paths consume a program (see ``repro.compute.bsp``):
   once per active vertex with a Python list inbox — the semantics both
   paths must agree on;
 * the **vectorized fast path** activates when the program declares a
-  :attr:`VertexProgram.combiner`.  Messages are then folded at enqueue
-  time into a dense numpy value array plus a received-mask, and programs
-  that additionally implement :meth:`VertexProgram.compute_batch` run one
-  numpy kernel per machine slice instead of a Python loop.
+  :attr:`VertexProgram.combiner`.  Messages are then folded, at the
+  barrier, into a dense numpy value array plus a received-mask, and
+  programs that additionally implement
+  :meth:`VertexProgram.compute_batch` run one numpy kernel per machine
+  slice instead of a Python loop.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ class VertexProgram:
     fold of its inbox (``sum(messages)`` / ``min(messages)`` /
     ``max(messages)``), never individual messages.  The engine then
     replaces the ``list[list]`` inbox with a dense numpy value array plus
-    a received-mask and folds messages at enqueue time — the GraphD-style
-    optimisation that removes per-message Python objects entirely.
+    a received-mask and folds each superstep's messages in one pass at
+    the barrier — the GraphD-style optimisation that removes per-message
+    Python objects entirely.
     Requires numeric messages/values (see ``value_dtype``), and the
     program must initialise every vertex's value in ``init``/
     ``init_batch`` (the dense array defaults untouched vertices to zero,
@@ -224,10 +226,10 @@ class ComputeContext(_AggregatorMixin):
 class BatchComputeContext(_AggregatorMixin):
     """Vectorized view handed to :meth:`VertexProgram.compute_batch`.
 
-    All primitives take dense-index arrays; sends fold straight into the
-    engine's combined-inbox array for the next superstep, and traffic is
-    charged per machine pair with one ``np.bincount`` — no per-message
-    Python objects anywhere.
+    All primitives take dense-index arrays.  Sends are collected and
+    folded into the engine's combined-inbox array at the barrier, their
+    destinations and machine-pair traffic taken from the engine's send
+    plan — no per-message Python objects anywhere.
     """
 
     def __init__(self, engine):
@@ -255,9 +257,8 @@ class BatchComputeContext(_AggregatorMixin):
         concatenated per vertex in CSR slice order.  ``positions`` are
         global indices into ``topology.out_indices``, so per-edge state
         (e.g. SSSP weights) aligned with the CSR can be gathered."""
-        fast = self._engine._fast
-        edge_idx = fast.edge_slice(vertices)
-        return fast.edge_dst[edge_idx], fast.edge_pos[edge_idx]
+        positions = self._engine._fast.edge_slice(vertices)
+        return self._engine.topology.out_indices[positions], positions
 
     # -- messaging -----------------------------------------------------------
 
@@ -277,3 +278,17 @@ class BatchComputeContext(_AggregatorMixin):
     def halt(self, vertices: np.ndarray) -> None:
         """Vote-to-halt for every vertex in ``vertices``."""
         self._engine.halt_many(vertices)
+
+    def aggregate(self, name: str, values) -> None:
+        """Left-fold ``values`` (a scalar, or a 1-D array in vertex
+        order) onto the superstep's named sum-aggregator: bit for bit
+        what one :meth:`ComputeContext.aggregate` call per element gives,
+        because ``np.add.accumulate`` is sequential where ``ndarray.sum``
+        is pairwise.  An empty array leaves the key unset."""
+        values = np.atleast_1d(values)
+        if not len(values):
+            return
+        totals = self._engine.aggregators_next
+        totals[name] = float(np.add.accumulate(
+            np.concatenate(([totals.get(name, 0.0)], values))
+        )[-1])

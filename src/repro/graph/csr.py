@@ -10,6 +10,8 @@ snapshot while simulated costs are still charged per cell access.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ..errors import QueryError
@@ -119,3 +121,49 @@ class CsrTopology:
         the message-passing optimisations of Section 5.4 target."""
         src = np.repeat(np.arange(self.n), np.diff(self.out_indptr))
         return int(np.sum(self.machine[src] != self.machine[self.out_indices]))
+
+    def hub_threshold(self, hub_fraction: float) -> float:
+        """Out-degree from which a vertex counts as a hub (Section 5.4):
+        the top ``hub_fraction`` by out-degree, never below 2; infinite
+        (no hubs) for a zero fraction or an empty graph."""
+        if not (self.n and hub_fraction > 0):
+            return float("inf")
+        return max(2.0, float(np.quantile(self.out_degrees(),
+                                          1.0 - hub_fraction)))
+
+    @cached_property
+    def machine_fanout(self) -> np.ndarray:
+        """``(n, machines)`` table: out-edges of each vertex per
+        destination machine, in the narrowest unsigned dtype that holds
+        its largest entry.  A pure function of the (immutable) snapshot:
+        computed once, handed out read-only to the BSP engine and the
+        analytic traffic model."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64),
+                        self.out_degrees())
+        table = np.bincount(
+            src * self.machine_count + self.machine[self.out_indices],
+            minlength=self.n * self.machine_count,
+        ).reshape(self.n, self.machine_count)
+        table = table.astype(np.min_scalar_type(int(table.max(initial=0))))
+        table.flags.writeable = False
+        return table
+
+    def hub_fanout(self, threshold: float) -> np.ndarray:
+        """``machine_fanout`` with a hub's row (out-degree at or above
+        ``threshold``) cut to one message per distinct destination
+        machine: its buffered value crosses each link once."""
+        is_hub = self.out_degrees() >= threshold
+        return np.where(is_hub[:, None], self.machine_fanout > 0,
+                        self.machine_fanout)
+
+    def pair_traffic(self, senders: np.ndarray,
+                     fanout: np.ndarray) -> np.ndarray:
+        """Flattened ``machines × machines`` message counts when each of
+        ``senders`` sends its ``fanout`` row (``machine_fanout`` or a hub
+        form of it): the rows summed by source machine (``bincount``
+        adds in doubles, exact for counts below 2**53)."""
+        source = self.machine[senders]
+        return np.stack([
+            np.bincount(source, weights=column, minlength=self.machine_count)
+            for column in fanout[senders].T
+        ], axis=1).astype(np.int64).ravel()

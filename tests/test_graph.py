@@ -1,5 +1,6 @@
 """Tests for the graph data model: schemas, builder, API, CSR cache."""
 
+import numpy as np
 import pytest
 
 from repro.errors import QueryError, TslTypeError
@@ -179,6 +180,30 @@ class TestCsrTopology:
     def test_cut_edges_bounded(self, rmat_topology):
         cut = rmat_topology.cut_edges()
         assert 0 < cut < rmat_topology.num_edges
+
+    def test_machine_fanout_counts_edges_per_destination_machine(
+            self, rmat_topology):
+        topo = rmat_topology
+        fanout = topo.machine_fanout
+        assert fanout is topo.machine_fanout and not fanout.flags.writeable
+        assert fanout.shape == (topo.n, topo.machine_count)
+        src = np.repeat(np.arange(topo.n), topo.out_degrees())
+        per_edge = np.zeros(fanout.shape, dtype=np.int64)
+        np.add.at(per_edge, (src, topo.machine[topo.out_indices]), 1)
+        assert np.array_equal(fanout, per_edge)
+        # Summed by source machine over any sender set, it is the
+        # machine-pair matrix a per-edge tally gives.
+        senders = np.arange(0, topo.n, 3)
+        sent = np.isin(src, senders)
+        pairs = (topo.machine[src[sent]].astype(np.int64)
+                 * topo.machine_count
+                 + topo.machine[topo.out_indices[sent]])
+        assert np.array_equal(
+            topo.pair_traffic(senders, fanout),
+            np.bincount(pairs, minlength=topo.machine_count ** 2))
+        diagonal = topo.pair_traffic(np.arange(topo.n), fanout)[
+            ::topo.machine_count + 1]
+        assert topo.num_edges - diagonal.sum() == topo.cut_edges()
 
     def test_inlinks_disabled_raises(self, undirected_topology):
         with pytest.raises(QueryError):
