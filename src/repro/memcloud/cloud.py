@@ -305,17 +305,16 @@ class MemoryCloud:
     def trunk_groups(self, cell_ids):
         """Stable ``(trunk_id, indices, uids)`` groups for a UID batch,
         in trunk order (:meth:`_route`): how every bulk write routes.
+        ``uids`` is each trunk's slice of the uint64 id column.
         """
         uids, outside, order, trunks, lows = self._route(cell_ids)
-        uid_list = uids.tolist()  # one bulk conversion to Python ints
         if outside is not None:
             # Routed like the scalar path routes them (by the wrapped
             # value) but handed on as they are, for the trunk to refuse.
-            for i in outside.tolist():
-                uid_list[i] = int(cell_ids[i])
+            uids = uids.astype(object)
+            uids[outside] = [int(cell_ids[i]) for i in outside.tolist()]
         for low, group in zip(lows, np.split(order, lows[1:])):
-            indices = group.tolist()
-            yield int(trunks[low]), indices, [uid_list[i] for i in indices]
+            yield int(trunks[low]), group.tolist(), uids[group]
 
     def bulk_put(self, cell_ids, values, presize: bool = True) -> None:
         """Insert or overwrite a batch of cells along the batched path.

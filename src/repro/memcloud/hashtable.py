@@ -232,7 +232,9 @@ class TrunkHashTable:
         return found
 
     def bulk_insert_fresh(self, keys, values) -> bool:
-        """Insert a batch of fresh keys with one vectorized hash pass.
+        """Insert a batch of fresh keys with one vectorized hash pass:
+        an empty table is laid out whole, an occupied one takes the
+        batch's collision-free keys at once and probes for the rest.
 
         Contents-equivalent to a loop of :meth:`insert_fresh` — same
         key/value set, same ``used``/``lookup_count``, same capacity —
@@ -255,17 +257,34 @@ class TrunkHashTable:
         if int(values_arr.min()) < 0:
             raise ValueError("TrunkHashTable values must be non-negative")
         homes = _home_slots(keys_arr, self._mask)
-        # Conflict-free subset: the earliest key of the batch per home
-        # slot (one plain sort of ``home << bits | position`` and a
-        # neighbour compare), where that slot is truly empty.  Those
-        # inserts are order-independent (each lands in its own home with
-        # probe length 1), so one fancy-indexed store is exactly the
-        # sequential result.
+        # One plain sort of ``home << bits | position``: the batch by
+        # home slot, in batch order within a slot.
         bits = n.bit_length()
         packed = np.sort((homes << bits) | np.arange(n))
+        order, home = packed & ((1 << bits) - 1), packed >> bits
+        if not (self._used or self._tombstones):
+            # An empty table's layout is a function of the homes alone:
+            # inserted in that order, key i lands on max(home_i, slot of
+            # key i-1 plus one) — a running maximum of ``home - rank``.
+            # Which slots linear probing fills, and its total
+            # displacement, do not depend on insertion order.
+            rank = np.arange(n)
+            final = np.maximum.accumulate(home - rank) + rank
+            if final[-1] <= self._mask:     # no run wraps past the end
+                self._keys[final] = keys_arr[order]
+                self._values[final] = values_arr[order]
+                self._states[final] = _LIVE
+                self._used = n
+                self.lookup_count += 2 * n
+                self.probe_count += 2 * int((final - home).sum() + n)
+                return True
+        # Occupied, or wrapping: the earliest key of the batch per home
+        # slot, where that slot is empty, lands there with probe length
+        # 1 whatever the order, so one fancy-indexed store is exactly
+        # the sequential result; the rest probe one at a time.
         claimant = np.ones(n, dtype=bool)
-        claimant[1:] = (packed[1:] >> bits) != (packed[:-1] >> bits)
-        claimants = packed[claimant] & ((1 << bits) - 1)
+        claimant[1:] = home[1:] != home[:-1]
+        claimants = order[claimant]
         free = claimants[self._states[homes[claimants]] == _EMPTY]
         free_homes = homes[free]
         self._keys[free_homes] = keys_arr[free]
@@ -291,13 +310,18 @@ class TrunkHashTable:
         if capacity > self.capacity:
             self._rebuild(capacity)
 
+    def live_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, values)`` of the live slots, in slot order (copies)."""
+        live = self._states == _LIVE
+        return self._keys[live], self._values[live]
+
     def items(self):
         """(key, value) pairs in arbitrary (slot) order, as Python ints."""
-        live = self._states == _LIVE
-        return zip(self._keys[live].tolist(), self._values[live].tolist())
+        keys, values = self.live_columns()
+        return zip(keys.tolist(), values.tolist())
 
     def keys(self):
-        return self._keys[self._states == _LIVE].tolist()
+        return self.live_columns()[0].tolist()
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The slot arrays themselves, ``(keys, values, states)`` — not

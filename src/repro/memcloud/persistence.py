@@ -30,19 +30,28 @@ nothing and adopts nothing until the whole image has parsed.
 
 The checksum is what makes the file self-validating: a torn write, a
 cut or a flipped byte anywhere ends in :class:`MemoryCloudError` before
-a single field is trusted.
+a single field is trusted; an intact file is still refused unless it
+is a whole image of this trunk shape.  Header and cell table are one
+varint run, written and read as arrays.
 """
 
 from __future__ import annotations
 
 import zlib
 
+import numpy as np
+
 from ..config import MemoryParams
 from ..errors import MemoryCloudError
 from ..tfs import TrinityFileSystem
-from ..utils.varint import decode_varint, encode_varint
+from ..utils.varint import (
+    decode_varint,
+    decode_varint_run,
+    encode_varint,
+    encode_varints,
+)
 from .cloud import MemoryCloud
-from .trunk import IMAGE_STATE_FIELDS, MemoryTrunk
+from .trunk import CELL_HEADER_BYTES, IMAGE_STATE_FIELDS, MemoryTrunk
 
 _MAGIC = b"TRNK"
 _FORMAT_VERSION = 3
@@ -64,29 +73,24 @@ def trunk_to_bytes(trunk: MemoryTrunk) -> bytes:
               trunk.params.trunk_size]
     header += [int(state[field]) for field in IMAGE_STATE_FIELDS]
     header += [len(state["pages"]), *state["pages"], len(state["cells"])]
-    for cell in state["cells"]:
-        header += cell
-    parts = [_MAGIC, *map(encode_varint, header)]
+    # Header and cell table leave as one varint run: the bytes a join of
+    # ``encode_varint`` per value produces.
+    fields = np.concatenate((np.array(header, dtype=np.uint64),
+                             state["cells"].ravel()))
+    parts = [_MAGIC, encode_varints(fields)[0].tobytes()]
     for raw in state["raw"]:
         parts += (encode_varint(len(raw)), raw)
     body = b"".join(parts)
     return body + zlib.crc32(body).to_bytes(4, "little")
 
 
-def _read_varints(buf: bytes, offset: int, count: int) -> tuple[list, int]:
-    values = []
-    for _ in range(count):
-        value, offset = decode_varint(buf, offset)
-        values.append(value)
-    return values, offset
-
-
 def _parse_image(image: bytes, params: MemoryParams) -> dict:
     """The allocator state held in ``image``, checked against ``params``.
 
     Touches no trunk: every way an image can be unusable — damage, a
-    foreign version, a different trunk shape — is found here, before
-    anything is adopted.
+    foreign version, a different trunk shape, a page or a cell that does
+    not fit that shape, bytes missing or left over — is found here,
+    before anything is adopted.
     """
     if image[:4] != _MAGIC:
         raise MemoryCloudError("not a trunk image (bad magic)")
@@ -94,30 +98,57 @@ def _parse_image(image: bytes, params: MemoryParams) -> dict:
     if len(image) < 9 or zlib.crc32(body).to_bytes(4, "little") != crc:
         raise MemoryCloudError(
             "truncated or corrupt trunk image (checksum mismatch)")
+    try:
+        return _parse_body(body, params)
+    except ValueError as error:     # a varint run that stops short
+        raise MemoryCloudError(f"malformed trunk image: {error}") from error
+
+
+def _parse_body(body: bytes, params: MemoryParams) -> dict:
+    """:func:`_parse_image` past the checksum."""
+    page_size, trunk_size = params.page_size, params.trunk_size
     version, offset = decode_varint(body, 4)
     if version != _FORMAT_VERSION:
         raise MemoryCloudError(f"unsupported trunk image version {version}")
-    (_source_trunk_id, page_size, trunk_size), offset = _read_varints(
-        body, offset, 3)
-    if (page_size, trunk_size) != (params.page_size, params.trunk_size):
+    fields, offset = decode_varint_run(
+        body, offset, 3 + len(IMAGE_STATE_FIELDS) + 1)
+    _source_trunk_id, *shape = fields[:3].tolist()
+    if shape != [page_size, trunk_size]:
         raise MemoryCloudError(
-            f"trunk image shape (page {page_size}, trunk {trunk_size}) != "
-            f"configured (page {params.page_size}, trunk "
-            f"{params.trunk_size})")
-    fields, offset = _read_varints(body, offset, len(IMAGE_STATE_FIELDS))
-    state: dict = dict(zip(IMAGE_STATE_FIELDS, fields))
+            f"trunk image shape (page {shape[0]}, trunk {shape[1]}) != "
+            f"configured (page {page_size}, trunk {trunk_size})")
+    state: dict = dict(zip(IMAGE_STATE_FIELDS, fields[3:-1].tolist()))
     state["wrapped"] = bool(state["wrapped"])  # the one non-integer field
-    (page_count,), offset = _read_varints(body, offset, 1)
-    state["pages"], offset = _read_varints(body, offset, page_count)
-    (cell_count,), offset = _read_varints(body, offset, 1)
-    flat, offset = _read_varints(body, offset, 4 * cell_count)
-    # uid, offset, size, reserved per cell
-    state["cells"] = list(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
+    pages, offset = decode_varint_run(body, offset, int(fields[-1]))
+    cell_count, offset = decode_varint(body, offset)
+    cells, offset = decode_varint_run(body, offset, 4 * cell_count)
+    state["pages"] = pages.tolist()
+    state["cells"] = cells = cells.reshape(-1, 4)
+    # uid, offset, size, reserved per cell: the slot lies inside the
+    # trunk, behind its header, and holds the cell (uint64 columns: the
+    # bound is subtracted, a huge field is never added to).
+    start, size, reserved = cells[:, 1], cells[:, 2], cells[:, 3]
+    misfit = np.flatnonzero(
+        (start < CELL_HEADER_BYTES) | (start > trunk_size) | (size > reserved)
+        | (reserved > np.uint64(trunk_size) - start))
+    if len(misfit):
+        raise MemoryCloudError(
+            f"trunk image cell {cells[misfit[0]].tolist()} (uid, offset, "
+            f"size, reserved) does not fit a {trunk_size}-byte trunk")
     raw = []
-    for _ in range(page_count):
+    for page in state["pages"]:
         length, offset = decode_varint(body, offset)
+        # At most zero: the trunk has no such page.
+        expected = min(page_size, trunk_size - page * page_size)
+        if not 0 < expected == length <= len(body) - offset:
+            raise MemoryCloudError(
+                f"trunk image page {page} records {length} bytes, holds "
+                f"{min(length, len(body) - offset)}, should hold {expected}")
         raw.append(body[offset:offset + length])
         offset += length
+    if offset != len(body):
+        raise MemoryCloudError(
+            f"trunk image has {len(body) - offset} bytes after its last page")
     state["raw"] = raw
     return state
 

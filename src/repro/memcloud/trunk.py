@@ -51,8 +51,8 @@ import numpy as np
 from ..config import MemoryParams
 from ..errors import CellNotFoundError, MemoryCloudError, TrunkFullError
 from ..obs import MetricsRegistry, get_registry
-from ..utils.arrays import gather_ranges
-from .hashtable import TrunkHashTable, check_key
+from ..utils.arrays import first_occurrences, gather_ranges
+from .hashtable import TrunkHashTable, check_key, wrap_keys
 from .locks import SpinLock
 from .storage import TrunkStorage, make_trunk_storage
 
@@ -277,15 +277,17 @@ class MemoryTrunk:
             )
         if not len(uids):
             return
-        uids = [int(uid) for uid in uids]
+        keys, outside = wrap_keys(uids)
+        if outside is not None:     # refused before a byte is allocated
+            check_key(int(uids[outside[0]]))
         with self._mutex:
             if presize:
                 self._index.reserve(len(self._index) + len(uids))
-            done = self._bulk_insert_fresh(uids, payloads, presize)
+            done = self._bulk_insert_fresh(keys, payloads, presize)
             for i in range(done, len(uids)):
-                self.put(uids[i], payloads[i])
+                self.put(int(uids[i]), payloads[i])
 
-    def _bulk_insert_fresh(self, uids: list[int], payloads,
+    def _bulk_insert_fresh(self, uids: np.ndarray, payloads,
                            presize: bool) -> int:
         """Batch-lay-out the longest eligible prefix; returns cells done.
 
@@ -300,9 +302,9 @@ class MemoryTrunk:
         collided keys out in a different probe order (the pre-sized
         contract already waives probe-count equality).
         """
-        if len(set(uids)) != len(uids):
+        if len(first_occurrences(uids)) != len(uids):
             return 0
-        if len(self._index) and any(self._index.has_key(u) for u in uids):
+        if len(self._index) and any(map(self._index.has_key, uids.tolist())):
             return 0
         self._invalidate_spans()
         if self._wrapped:
@@ -318,14 +320,12 @@ class MemoryTrunk:
         uids, sizes = uids[:count], all_sizes[:count]
         footprint_ends = footprint_ends[:count]
         start = self._append_head
-        for uid in (min(uids), max(uids)):
-            check_key(uid)
         # The bytes: one header pre-packing pass, then the run streams
         # through the storage tier in bounded chunks — a paged backing
         # writes pages sequentially and evicts behind the cursor instead
         # of joining the whole batch in RAM.
         headers = np.zeros(count, dtype=_HEADER_DTYPE)
-        headers["uid"] = np.array(uids, dtype=np.uint64)
+        headers["uid"] = uids
         headers["size"] = sizes
         headers["reserved"] = sizes
         header_bytes = headers.tobytes()
@@ -345,34 +345,28 @@ class MemoryTrunk:
         # (its own header sits just below the payload).
         offsets = (start + (footprint_ends - sizes)).tolist()
         size_list = sizes.tolist()
-        if self._free_slots:
-            slots = []
-            for uid, payload_offset, size in zip(uids, offsets, size_list):
-                entry = _CellEntry(uid, payload_offset, size, size)
-                if self._free_slots:
-                    slot = self._free_slots.pop()
-                    self._entries[slot] = entry
-                else:
-                    slot = len(self._entries)
-                    self._entries.append(entry)
-                slots.append(slot)
-        else:
-            base = len(self._entries)
-            self._entries.extend(
-                _CellEntry(uid, payload_offset, size, size)
-                for uid, payload_offset, size in zip(uids, offsets,
-                                                     size_list)
-            )
-            slots = list(range(base, base + count))
+        fresh = list(map(_CellEntry, uids.tolist(), offsets, size_list,
+                         size_list))
+        # Freed slots are reused first, newest first, as the put loop
+        # reuses them; the rest of the run extends the entry list.
+        reused = self._free_slots[:-count - 1:-1]
+        del self._free_slots[len(self._free_slots) - len(reused):]
+        for slot, entry in zip(reused, fresh):
+            self._entries[slot] = entry
+        base = len(self._entries) - len(reused)
+        slots = np.arange(base, base + count)
+        slots[:len(reused)] = reused
+        self._entries.extend(fresh[len(reused):])
         self._index_fresh(uids, slots, presize)
         return count
 
     def _index_fresh(self, uids, slots, presized: bool) -> None:
-        """Index absent ``uids``: in one vectorized pass when the table
-        was pre-sized for them (probe-layout equality already waived),
-        else one exact :meth:`insert_fresh` at a time."""
+        """Index absent ``uids`` (a uint64 column) at ``slots`` (int64):
+        in one vectorized pass when the table was pre-sized for them
+        (probe-layout equality already waived), else one exact
+        :meth:`insert_fresh` at a time."""
         if not (presized and self._index.bulk_insert_fresh(uids, slots)):
-            for uid, slot in zip(uids, slots):
+            for uid, slot in zip(uids.tolist(), slots.tolist()):
                 self._index.insert_fresh(uid, slot)
 
     def span_table(self) -> tuple:
@@ -617,11 +611,15 @@ class MemoryTrunk:
             page = self.params.page_size
             size = self.params.trunk_size
             pages = sorted(self._committed_pages)
-            cells = []
-            for uid, slot in self._index.items():
-                entry = self._entries[slot]
-                assert entry is not None and entry.uid == uid
-                cells.append((uid, entry.offset, entry.size, entry.reserved))
+            # The cell table, one ``(uid, offset, size, reserved)`` row
+            # per cell in hash-slot order, filled a column at a time.
+            uids, slots = self._index.live_columns()
+            entries = [self._entries[slot] for slot in slots.tolist()]
+            cells = np.empty((len(entries), 4), dtype=np.uint64)
+            cells[:, 0] = uids
+            cells[:, 1] = [entry.offset for entry in entries]
+            cells[:, 2] = [entry.size for entry in entries]
+            cells[:, 3] = [entry.reserved for entry in entries]
             raw = [self._storage.read(p * page, min(size, (p + 1) * page))
                    for p in pages]
             state = {name: getattr(self, "_" + name)
@@ -656,10 +654,10 @@ class MemoryTrunk:
             self._g_garbage.set(self._garbage_bytes)
             cells = state["cells"]
             base = len(self._entries)
-            self._entries.extend(_CellEntry(*cell) for cell in cells)
+            self._entries.extend(map(_CellEntry, *cells.T.tolist()))
             self._index.reserve(len(cells))
-            self._index_fresh([cell[0] for cell in cells],
-                              range(base, base + len(cells)), True)
+            self._index_fresh(cells[:, 0],
+                              np.arange(base, base + len(cells)), True)
             self._index.probe_count = self._index.lookup_count = 0
             self._invalidate_spans()
             self._storage.flush()

@@ -38,6 +38,7 @@ from ..obs import get_registry
 from ..utils.arrays import gather_ranges, range_indices
 from ..utils.varint import (
     VarintBatchError,
+    decode_varint_run,
     encode_varint,
     read_varints,
 )
@@ -335,66 +336,36 @@ def _decode_delta_group(buf: np.ndarray, pos: np.ndarray,
     """Vectorized ``LAYOUT_DELTA_VARINT`` decode for one column group.
 
     One gather for every list's payload bytes, then the whole varint
-    stream is segmented by its continuation bits in one pass: per-byte
-    shift-accumulate builds the zigzag codes, and a wrap-safe segmented
-    prefix sum (uint64 cumsum minus each list's basis) undoes the
-    deltas.  Anything that does not look like our own encoder's output —
-    boundary-crossing varints, 11-byte codes, a negative reconstructed
-    id (the encoder only delta-encodes non-negative lists) — drops to
-    the scalar reference decoder.
+    stream is decoded as one run
+    (:func:`~repro.utils.varint.decode_varint_run`) into the zigzag
+    codes, and a wrap-safe segmented prefix sum (uint64 cumsum minus
+    each list's basis) undoes the deltas.  Anything that does not look
+    like our own encoder's output — boundary-crossing varints, 11-byte
+    codes, a negative reconstructed id (the encoder only delta-encodes
+    non-negative lists) — drops to the scalar reference decoder.
     """
     nbytes, payload_start = _read_varints(buf, pos, limits)
     if (payload_start + nbytes > limits).any():
         raise _ScalarFallback
-    if ((counts == 0) & (nbytes > 0)).any():
-        raise _ScalarFallback
     payload = gather_ranges(buf, payload_start, nbytes)
-    total_values = int(counts.sum())
-    if not len(payload):
-        if total_values:
-            raise _ScalarFallback
-        return np.empty(0, dtype=np.int64)
-    ends = (payload & 0x80) == 0
+    # Every list's byte range must hold exactly its count of end bytes
+    # (``< 0x80``, counted by one binary search over their sorted
+    # positions) and finish on one: that rules out a varint straddling
+    # two lists' payloads (a straddler would leave a continuation bit on
+    # some list's tail byte), so the payload is one run of varints.
+    end_positions = np.flatnonzero(payload < 0x80)
     byte_cuts = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(nbytes, out=byte_cuts[1:])
-    # Every nonempty list's last byte must be an end byte: together with
-    # the per-range start counts below this rules out any varint
-    # straddling two lists' payloads (a straddler would leave a
-    # continuation bit set on some list's tail byte).  It also pins the
-    # final payload byte as an end byte, so dropping the last entry of
-    # ``end_positions`` below yields exactly the inner varint starts.
-    tails = byte_cuts[1:][nbytes > 0] - 1
-    if not ends[tails].all():
+    if (np.diff(np.searchsorted(end_positions, byte_cuts)) != counts).any():
         raise _ScalarFallback
-    end_positions = np.flatnonzero(ends)
-    if len(end_positions) != total_values:
+    if (payload[byte_cuts[1:][nbytes > 0] - 1] >= 0x80).any():
         raise _ScalarFallback
-    varint_starts = np.empty(total_values, dtype=np.int64)
-    varint_starts[0] = 0
-    varint_starts[1:] = end_positions[:-1] + 1
-    # Every list's byte range must hold exactly its count of varints:
-    # count the varint starts inside each range with one binary search
-    # (varint_starts is sorted) instead of a payload-length prefix sum.
-    if (np.diff(np.searchsorted(varint_starts, byte_cuts))
-            != counts).any():
-        raise _ScalarFallback
-    # Shift-accumulate by byte *position* instead of per byte: pass r
-    # gathers the r-th byte of every varint long enough to have one, so
-    # the work is O(max_varint_len) vectorized passes (2-3 for graph
-    # ids) rather than per-payload-byte scatter.
-    lengths = np.diff(varint_starts, append=len(payload))
-    max_len = int(lengths.max())
-    if max_len > 10:
-        raise _ScalarFallback
-    codes = (payload[varint_starts] & 0x7F).astype(np.uint64)
-    for r in range(1, max_len):
-        idx = np.flatnonzero(lengths > r)
-        chunk = (payload[varint_starts[idx] + r] & 0x7F).astype(np.uint64)
-        if r == 9 and (chunk != 1).any():
-            # A 10th byte may only contribute bit 63; anything else
-            # exceeds uint64 and the scalar decoder owns the error.
-            raise _ScalarFallback
-        codes[idx] |= chunk << np.uint64(7 * r)
+    if not len(payload):
+        return np.empty(0, dtype=np.int64)
+    try:
+        codes, _ = decode_varint_run(payload, 0, len(end_positions))
+    except ValueError:  # an 11-byte code, or a 10th byte past bit 63
+        raise _ScalarFallback from None
     deltas = ((codes >> np.uint64(1)).astype(np.int64)
               ^ -(codes & np.uint64(1)).astype(np.int64))
     # Segmented prefix sum, wrap-safe: uint64 cumulates mod 2**64 and the

@@ -5,10 +5,12 @@ lists (the common case on power-law graphs: most nodes have few edges) cost
 one byte of framing instead of four.
 
 This module is the *single* LEB128 implementation in the tree: the scalar
-codec below and the vectorized batch forms (:func:`read_varints`,
-:func:`encode_varints`) share it, and a pinned cross-test asserts they
-agree byte for byte.  ``tsl/batch.py`` wraps :func:`read_varints` and maps
-:class:`VarintBatchError` onto its internal scalar-fallback signal.
+codec below and the three vectorized batch forms share it — one varint at
+each of many positions (:func:`read_varints`), one contiguous run of them
+(:func:`decode_varint_run`), and the encoder (:func:`encode_varints`) —
+and a pinned cross-test asserts they agree byte for byte.  ``tsl/batch.py``
+wraps :func:`read_varints` and maps :class:`VarintBatchError` onto its
+internal scalar-fallback signal.
 
 Zigzag helpers live here too: the delta-varint adjacency layout stores
 signed neighbor-id deltas as ``(d << 1) ^ (d >> 63)`` so small magnitudes
@@ -110,6 +112,39 @@ def read_varints(buf: np.ndarray, pos: np.ndarray, limits: np.ndarray
         active = active[(byte & 0x80) != 0]
         shift += 7
     return values, out_pos
+
+
+def decode_varint_run(buf, offset: int, count: int) -> tuple[np.ndarray, int]:
+    """Decode ``count`` back-to-back varints starting at ``buf[offset]``.
+
+    Returns ``(values, next_offset)``, ``values`` a uint64 array: what
+    ``count`` chained :func:`decode_varint` calls return, over the whole
+    uint64 range.  The run is cut at its end bytes (``< 0x80``) in one
+    pass and shift-accumulated by byte rank: one vectorized pass per
+    byte of the longest varint.  A run the scalar loop refuses raises
+    that loop's ``ValueError``; so does a tenth byte carrying more than
+    bit 63, which the scalar decodes to an int no uint64 can hold.
+    """
+    if not count:
+        return np.empty(0, dtype=np.uint64), offset
+    window = np.frombuffer(memoryview(buf)[offset:offset + 10 * count],
+                           dtype=np.uint8)
+    ends = np.flatnonzero(window < 0x80)[:count]
+    starts = np.zeros(len(ends), dtype=np.int64)
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts + 1
+    longest = int(lengths.max(initial=0))
+    if (len(ends) < count or longest > 10
+            or (window[starts[lengths == 10] + 9] > 1).any()):
+        for _ in range(count):      # the scalar loop's error, if it has one
+            _, offset = decode_varint(buf, offset)
+        raise ValueError("varint exceeds 64 bits")
+    values = (window[starts] & 0x7F).astype(np.uint64)
+    for rank in range(1, longest):
+        longer = np.flatnonzero(lengths > rank)
+        chunk = (window[starts[longer] + rank] & 0x7F).astype(np.uint64)
+        values[longer] |= chunk << np.uint64(7 * rank)
+    return values, offset + int(ends[-1]) + 1
 
 
 # Byte-length breakpoints: a value needs its k+1-th byte iff it is >= 2**(7k).

@@ -9,6 +9,9 @@ from repro.errors import CellNotFoundError, MemoryCloudError
 from repro.memcloud import MemoryCloud
 from repro.memcloud import persistence
 from repro.tfs import TrinityFileSystem
+from repro.utils.varint import encode_varint
+
+from ._images import checksummed, reference_image
 
 
 class TestKeyValue:
@@ -183,6 +186,106 @@ class TestPersistence:
         fresh = MemoryTrunk(0, cloud.config.memory)
         with pytest.raises(MemoryCloudError, match="truncated"):
             persistence.trunk_from_bytes(image[:-4], fresh)
+
+    @pytest.fixture
+    def loaded(self, cloud):
+        """The cloud with 300 cells, and the fullest trunk's id."""
+        for uid in range(300):
+            cloud.put(uid, bytes([uid % 251]) * 90)
+        return cloud, max(cloud.trunks, key=lambda t: len(cloud.trunks[t]))
+
+    def refused(self, cloud, trunk_id, image, match):
+        """``image`` carries a good checksum and is still turned away,
+        by the parser and before the installed trunk is touched."""
+        from repro.memcloud.trunk import MemoryTrunk
+        installed = cloud.trunks[trunk_id]
+        cells = dict(installed.dump_cells())
+        with pytest.raises(MemoryCloudError, match=match):
+            persistence._parse_image(image, cloud.config.memory)
+        with pytest.raises(MemoryCloudError, match=match):
+            persistence.adopt_trunk_image(cloud, trunk_id, image)
+        assert cloud.trunks[trunk_id] is installed
+        assert dict(installed.dump_cells()) == cells
+        fresh = MemoryTrunk(trunk_id, cloud.config.memory)
+        with pytest.raises(MemoryCloudError, match=match):
+            persistence.trunk_from_bytes(image, fresh)
+        assert len(fresh) == 0 and fresh.stats().committed_bytes == 0
+
+    def test_bytes_after_the_last_page_are_refused(self, loaded):
+        cloud, trunk_id = loaded
+        body = persistence.trunk_to_bytes(cloud.trunks[trunk_id])[:-4]
+        self.refused(cloud, trunk_id, checksummed(body + b"\0" * 8),
+                     "8 bytes after")
+
+    def test_a_short_last_page_is_refused(self, loaded):
+        cloud, trunk_id = loaded
+        page = cloud.config.memory.page_size
+        body = persistence.trunk_to_bytes(cloud.trunks[trunk_id])[:-4]
+        self.refused(cloud, trunk_id, checksummed(body[:-10]),
+                     f"holds {page - 10}, should hold {page}")
+        # ... and when the recorded length agrees with what is there
+        cut = len(body) - page - len(encode_varint(page))
+        assert body[cut:-page] == encode_varint(page)
+        short = body[:cut] + encode_varint(page - 10) + body[-page:-10]
+        self.refused(cloud, trunk_id, checksummed(short),
+                     f"records {page - 10} bytes")
+
+    def test_a_page_the_trunk_does_not_have_is_refused(self, loaded):
+        cloud, trunk_id = loaded
+        trunk = cloud.trunks[trunk_id]
+        state = trunk.freeze_image_state()
+        state["pages"][-1] = trunk.params.trunk_size // trunk.params.page_size
+        self.refused(cloud, trunk_id, reference_image(trunk, state),
+                     f"page {state['pages'][-1]} .* should hold 0")
+
+    TRUNK = 256 * 1024
+
+    @pytest.mark.parametrize("column,value,row", [
+        (1, 15, 0),                   # the header would start before 0
+        (1, TRUNK - 89, -1),          # offset + reserved past the end
+        (1, 2**64 - 40, 3),           # ... and not by wrapping the sum
+        (3, TRUNK, 0),                # reserved larger than the trunk
+        (3, 2**64 - 1, -1),
+        (2, 91, 5),                   # size > reserved
+    ])
+    def test_a_cell_outside_its_trunk_is_refused(self, loaded, column, value,
+                                                 row):
+        cloud, trunk_id = loaded
+        trunk = cloud.trunks[trunk_id]
+        assert trunk.params.trunk_size == self.TRUNK
+        state = trunk.freeze_image_state()
+        assert set(state["cells"][:, 2].tolist()) == {90}
+        state["cells"][row, column] = value
+        self.refused(cloud, trunk_id, reference_image(trunk, state),
+                     "does not fit")
+        # the last byte of the trunk is a cell's to use
+        state = trunk.freeze_image_state()
+        state["cells"][row, 1] = self.TRUNK - 90
+        persistence._parse_image(reference_image(trunk, state),
+                                 cloud.config.memory)
+
+    def test_a_table_that_stops_short_is_refused(self, loaded):
+        """Fewer varints than the header announces: the parser reports
+        it as an unusable image, not as the codec's ``ValueError``."""
+        cloud, trunk_id = loaded
+        trunk = cloud.trunks[trunk_id]
+        state = trunk.freeze_image_state()
+        whole = reference_image(trunk, state)
+        state.update(pages=[], raw=[])
+        tail = len(reference_image(trunk, state)) - 4 - 1   # the page count
+        for cut in (tail, tail - 1, tail - 40):
+            self.refused(cloud, trunk_id, checksummed(whole[:cut]),
+                         "malformed")
+
+    def test_the_intact_image_still_loads(self, loaded):
+        cloud, trunk_id = loaded
+        trunk = cloud.trunks[trunk_id]
+        cells = dict(trunk.dump_cells())
+        image = persistence.trunk_to_bytes(trunk)
+        assert image == reference_image(trunk)
+        assert persistence.adopt_trunk_image(cloud, trunk_id,
+                                             image) == len(cells)
+        assert dict(cloud.trunks[trunk_id].dump_cells()) == cells
 
     def test_backup_returns_bytes_written(self, cloud):
         cloud.put(1, b"x" * 100)

@@ -25,12 +25,12 @@ from repro.config import ClusterConfig, MemoryParams
 from repro.errors import CellNotFoundError, StaleSpanError
 from repro.memcloud import MemoryCloud, persistence
 from repro.memcloud.directory import SpanDirectory
-from repro.memcloud.hashtable import _EMPTY, _LIVE, TrunkHashTable
+from repro.memcloud.hashtable import TrunkHashTable
 from repro.obs import MetricsRegistry
 from repro.utils.hashing import trunk_of
 
 from ._spans import TableAsTrunk, locate
-from .test_memcloud_hashtable import ReferenceTable
+from .test_memcloud_hashtable import list_prober_of
 
 
 def make_cloud(storage="resident", trunk_bits=2, page_budget=2, machines=2,
@@ -41,18 +41,6 @@ def make_cloud(storage="resident", trunk_bits=2, page_budget=2, machines=2,
     return MemoryCloud(ClusterConfig(machines=machines, trunk_bits=trunk_bits,
                                      memory=memory),
                        MetricsRegistry(), **kwargs)
-
-
-def list_prober_of(table: TrunkHashTable) -> ReferenceTable:
-    """The list prober, standing on a copy of ``table``'s slots."""
-    keys, values, states = table.columns()
-    reference = ReferenceTable()
-    reference.keys = [
-        key if state == _LIVE
-        else reference.EMPTY if state == _EMPTY else reference.TOMBSTONE
-        for key, state in zip(keys.tolist(), states.tolist())]
-    reference.values = values.tolist()
-    return reference
 
 
 def probe_counters(cloud) -> list[tuple[int, int]]:

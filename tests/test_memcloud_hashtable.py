@@ -12,6 +12,10 @@ directory, on its mirror of the table; ``table_lookup`` makes that
 lookup over one bare table, so the batch is held to the same reference.
 """
 
+import random
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +23,8 @@ from hypothesis import given, settings, strategies as st
 from repro.config import ClusterConfig
 from repro.errors import CellNotFoundError, MemoryCloudError
 from repro.memcloud import MemoryCloud
-from repro.memcloud.hashtable import _TRUNK_SALT, TrunkHashTable
+from repro.memcloud.hashtable import (_EMPTY, _LIVE, _TRUNK_SALT,
+                                      TrunkHashTable)
 from repro.obs import MetricsRegistry
 from repro.utils.hashing import mix64
 
@@ -86,6 +91,18 @@ class ReferenceTable:
         self.used -= 1
         self.tombstones += 1
         return True
+
+
+def list_prober_of(table: TrunkHashTable) -> ReferenceTable:
+    """The list prober, standing on a copy of ``table``'s slots."""
+    keys, values, states = table.columns()
+    reference = ReferenceTable()
+    reference.keys = [
+        key if state == _LIVE
+        else reference.EMPTY if state == _EMPTY else reference.TOMBSTONE
+        for key, state in zip(keys.tolist(), states.tolist())]
+    reference.values = values.tolist()
+    return reference
 
 
 def assert_same_counters(table, reference):
@@ -433,3 +450,144 @@ class TestAgainstReferenceProber:
         table = make_table()
         assert not table.bulk_insert_fresh(list(range(11)), list(range(11)))
         assert len(table) == 0 and table.lookup_count == 0
+
+
+def home_of(key: int, capacity: int) -> int:
+    return mix64(key ^ _TRUNK_SALT) & (capacity - 1)
+
+
+def keys_homed_at(home: int, capacity: int, count: int) -> list[int]:
+    """``count`` distinct keys whose first probe slot is ``home``."""
+    found, key = [], 0
+    while len(found) < count:
+        if home_of(key, capacity) == home:
+            found.append(key)
+        key += 1
+    return found
+
+
+def random_keys(size: int) -> list[int]:
+    rng, keys = random.Random(size), {}
+    while len(keys) < size:
+        keys[rng.getrandbits(64)] = None
+    return list(keys)
+
+
+class TestFreshLayout:
+    """An empty table is laid out in one pass — one sort by home slot,
+    one running maximum — and is held to the ``insert_fresh`` loop, to
+    scalar ``get``, to the list prober and to the span directory."""
+
+    CAPACITY = 2048          # what reserve(1024) gives
+
+    def check(self, keys, expect_one_pass=True):
+        slots = list(range(100, 100 + len(keys)))
+        bulk, loop = make_table(), make_table()
+        for table in (bulk, loop):
+            table.reserve(len(keys))
+        no_scalar_tail = mock.patch.object(
+            TrunkHashTable, "insert_fresh", side_effect=AssertionError)
+        with no_scalar_tail if expect_one_pass else nullcontext():
+            assert bulk.bulk_insert_fresh(np.array(keys, dtype=np.uint64),
+                                          np.array(slots, dtype=np.int64))
+        for key, slot in zip(keys, slots):
+            loop.insert_fresh(key, slot)
+        # the presize contract: contents, len, capacity, lookup_count
+        assert dict(bulk.items()) == dict(loop.items()) == dict(
+            zip(keys, slots))
+        assert (len(bulk), bulk.capacity, bulk.lookup_count) == (
+            len(loop), loop.capacity, loop.lookup_count)
+        # linear probing's total displacement ignores insertion order
+        assert bulk.probe_count == loop.probe_count
+        capacity = bulk.capacity
+        column, _, states = bulk.columns()
+        where = {key: slot for slot, (key, state) in enumerate(
+            zip(column.tolist(), states.tolist())) if state == _LIVE}
+        assert len(where) == len(keys)
+        walks = {key: (where[key] - home_of(key, capacity)) % capacity + 1
+                 for key in keys}
+        wrapped = any(where[key] < home_of(key, capacity) for key in keys)
+        assert wrapped != expect_one_pass
+        # probe_count is the sum the layout charged (get-miss + set each)
+        assert bulk.probe_count == 2 * sum(walks.values())
+        # every key is one scalar get of exactly final - home + 1 probes,
+        # and the list prober walks the same slots to it
+        prober = list_prober_of(bulk)
+        for key, slot in zip(keys, slots):
+            before = bulk.probe_count
+            assert bulk.get(key) == slot
+            assert bulk.probe_count - before == walks[key]
+            before = prober.probe_count
+            assert prober.get(key) == slot
+            assert prober.probe_count - before == walks[key]
+        # ... and so does the span directory, on its mirror
+        before = bulk.probe_count
+        values, found = table_lookup(bulk, keys)
+        assert found.all() and values.tolist() == slots
+        assert bulk.probe_count - before == sum(walks.values())
+        absent = [key ^ 1 for key in keys if key ^ 1 not in where]
+        assert not table_lookup(bulk, absent)[1].any()
+        assert [prober.get(key) for key in absent] == [None] * len(absent)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 15, 16, 17, 255, 1024])
+    def test_sizes(self, size):
+        self.check(random_keys(size))
+
+    def test_every_key_sharing_one_home_slot(self):
+        self.check(keys_homed_at(700, self.CAPACITY, 1024))
+
+    def test_one_long_run_among_scattered_keys(self):
+        keys = keys_homed_at(5, self.CAPACITY, 300) + random_keys(255)
+        self.check(list(dict.fromkeys(keys)))
+
+    def test_a_run_that_ends_exactly_on_the_last_slot(self):
+        last = self.CAPACITY - 1
+        keys = (keys_homed_at(last - 3, self.CAPACITY, 3)
+                + keys_homed_at(last, self.CAPACITY, 1))
+        self.check(keys + keys_homed_at(40, self.CAPACITY, 1020))
+
+    def test_a_cluster_that_reaches_past_the_last_slot_falls_back(self):
+        last = self.CAPACITY - 1
+        keys = (keys_homed_at(last - 3, self.CAPACITY, 3)
+                + keys_homed_at(last, self.CAPACITY, 3))
+        self.check(keys + keys_homed_at(0, self.CAPACITY, 1018),
+                   expect_one_pass=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), unique=True, max_size=200))
+    def test_any_key_set_matches_the_loop(self, keys):
+        bulk, loop = make_table(), make_table()
+        for table in (bulk, loop):
+            table.reserve(len(keys))
+        assert bulk.bulk_insert_fresh(keys, list(range(len(keys))))
+        for slot, key in enumerate(keys):
+            loop.insert_fresh(key, slot)
+        assert dict(bulk.items()) == dict(loop.items())
+        assert (len(bulk), bulk.capacity, bulk.lookup_count,
+                bulk.probe_count) == (len(loop), loop.capacity,
+                                      loop.lookup_count, loop.probe_count)
+        prober = list_prober_of(bulk)
+        assert [prober.get(key) for key in keys] == list(range(len(keys)))
+
+    def test_an_occupied_table_takes_the_claimant_path(self):
+        """A live key and a real tombstone (left after the reserve, so no
+        rebuild drops it) sit where the batch wants to go."""
+        capacity = 1024
+        keys = keys_homed_at(9, capacity, 40) + random_keys(255)
+        resident, dead = keys_homed_at(9, capacity, 42)[40:]
+        bulk, loop = make_table(), make_table()
+        for table in (bulk, loop):
+            table.reserve(600)
+            assert table.capacity == capacity
+            table.set(resident, 7)
+            table.set(dead, 8)
+            table.delete(dead)
+        assert bulk.bulk_insert_fresh(keys, list(range(len(keys))))
+        for slot, key in enumerate(keys):
+            loop.insert_fresh(key, slot)
+        assert dict(bulk.items()) == dict(loop.items())
+        assert (len(bulk), bulk.capacity, bulk.lookup_count) == (
+            len(loop), loop.capacity, loop.lookup_count)
+        prober = list_prober_of(bulk)
+        assert [prober.get(key) for key in keys] == list(range(len(keys)))
+        assert prober.get(resident) == 7 and prober.get(dead) is None

@@ -430,7 +430,7 @@ class TestSpanCacheInvalidation:
         state = source.freeze_image_state()
         rebuilt = TrunkHashTable()
         rebuilt.reserve(len(state["cells"]))
-        for slot, (uid, *_rest) in enumerate(state["cells"]):
+        for slot, uid in enumerate(state["cells"][:, 0].tolist()):
             rebuilt.set(uid, slot)
         index = target._index
         assert dict(index.items()) == dict(rebuilt.items())

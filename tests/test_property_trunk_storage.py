@@ -22,6 +22,7 @@ from repro.memcloud import MemoryCloud, persistence
 from repro.memcloud.trunk import MemoryTrunk
 from repro.obs import MetricsRegistry
 
+from ._images import reference_image
 from ._spans import payloads, trunk_spans
 
 TRUNK_SIZE = 2048
@@ -134,7 +135,7 @@ def frozen_state(trunk: MemoryTrunk) -> dict:
     """Committed bytes, allocator state and the cell table (in uid order:
     the table is listed in hash-index order, which a rebuild may change)."""
     state = trunk.freeze_image_state()
-    state["cells"].sort()
+    state["cells"] = sorted(map(tuple, state["cells"].tolist()))
     return state
 
 
@@ -209,6 +210,9 @@ class TestStorageEquivalence:
             run_program(old, ops, reference)
             stats, state = old.stats(), frozen_state(old)
             image = persistence.trunk_to_bytes(old)
+            # One varint run, and still byte for byte what the per-value
+            # codec wrote (format 3): either side reads the other's.
+            assert image == reference_image(old)
             count = persistence.adopt_trunk_image(cloud, 0, image)
             fresh = cloud.trunks[0]
             assert fresh is not old and count == len(reference)

@@ -1,8 +1,8 @@
 """Tests for repro.utils.varint — including the pinned cross-test.
 
 ``utils/varint.py`` is the single LEB128 implementation in the tree:
-the vectorized batch forms (``read_varints``/``encode_varints``) and
-the scalar codec must agree byte for byte, and ``tsl/batch.py``'s
+the vectorized batch forms (``read_varints``/``decode_varint_run``/
+``encode_varints``) and the scalar codec must agree byte for byte, and ``tsl/batch.py``'s
 ``_read_varints`` must be a thin wrapper that maps
 :class:`VarintBatchError` onto its scalar-fallback signal rather than a
 second implementation.
@@ -16,6 +16,7 @@ from repro.tsl import batch as tsl_batch
 from repro.utils.varint import (
     VarintBatchError,
     decode_varint,
+    decode_varint_run,
     encode_varint,
     encode_varints,
     read_varints,
@@ -170,6 +171,102 @@ class TestScalarVectorAgreement:
                           dtype=np.uint64)
         assert varint_lengths(values).tolist() == \
             [len(encode_varint(int(v))) for v in values]
+
+
+def scalar_run(buf, offset, count):
+    """The reference: ``count`` chained ``decode_varint`` calls."""
+    values = []
+    for _ in range(count):
+        value, offset = decode_varint(buf, offset)
+        values.append(value)
+    return values, offset
+
+
+# Values drawn per encoded length, so every 1- to 10-byte code turns up.
+BY_LENGTH = st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.integers(min_value=(1 << 7 * (n - 1)) if n > 1 else 0,
+                          max_value=min(2 ** 64, 1 << 7 * n) - 1))
+
+
+class TestRunDecoderAgreement:
+    """``decode_varint_run`` is the ``decode_varint`` loop, in values,
+    in end offset and in what it refuses."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.one_of(U64, BY_LENGTH), max_size=70),
+           st.binary(max_size=12), st.binary(max_size=12))
+    def test_run_equals_the_scalar_loop(self, values, before, after):
+        blob = before + b"".join(map(encode_varint, values)) + after
+        decoded, end = decode_varint_run(blob, len(before), len(values))
+        assert decoded.dtype == np.uint64
+        assert (decoded.tolist(), end) == scalar_run(blob, len(before),
+                                                     len(values))
+        assert decoded.tolist() == values
+        assert end == len(blob) - len(after)
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 4 * 16384])
+    def test_run_lengths(self, count):
+        rng = np.random.default_rng(count)
+        values = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
+        values >>= rng.integers(0, 64, size=count).astype(np.uint64)
+        blob = encode_varints(values)[0].tobytes() + b"\x05unrelated\xff"
+        decoded, end = decode_varint_run(blob, 0, count)
+        assert np.array_equal(decoded, values)
+        assert end == len(blob) - 11
+        assert decode_varint(blob, end) == (5, end + 1)
+
+    def test_pins_and_buffer_kinds(self):
+        blob = b"".join(e for _, e in PINNED)
+        for buf in (blob, bytearray(blob), memoryview(blob),
+                    np.frombuffer(blob, dtype=np.uint8)):
+            decoded, end = decode_varint_run(buf, 0, len(PINNED))
+            assert decoded.tolist() == [v for v, _ in PINNED]
+            assert end == len(blob)
+
+    def test_an_empty_run_reads_nothing(self):
+        for offset in (0, 3, 99):       # even past the end, as the loop
+            decoded, end = decode_varint_run(b"abc", offset, 0)
+            assert (decoded.tolist(), end) == ([], offset)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(U64, min_size=1, max_size=40), st.data())
+    def test_truncation_raises_what_the_scalar_raises(self, values, data):
+        blob = b"".join(map(encode_varint, values))
+        cut = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        with pytest.raises(ValueError) as scalar:
+            scalar_run(cut, 0, len(values))
+        with pytest.raises(ValueError) as run:
+            decode_varint_run(cut, 0, len(values))
+        assert str(run.value) == str(scalar.value) == "truncated varint"
+
+    @pytest.mark.parametrize("prefix", [0, 1, 5])
+    @pytest.mark.parametrize("tail", [b"\x01", b"\x80\x01", b""])
+    def test_an_eleven_byte_code_raises_what_the_scalar_raises(self, prefix,
+                                                               tail):
+        blob = b"\x07" * prefix + b"\x80" * 10 + tail + b"\x07" * 30
+        with pytest.raises(ValueError) as scalar:
+            scalar_run(blob, 0, prefix + 2)
+        with pytest.raises(ValueError) as run:
+            decode_varint_run(blob, 0, prefix + 2)
+        assert str(run.value) == str(scalar.value)
+        # ... and it is the overlong code, not the bytes after it
+        assert "64 bits" in str(run.value)
+
+    def test_ten_continuation_bytes_at_the_end_are_truncated(self):
+        blob = b"\x01" + b"\xff" * 10
+        for decode in (scalar_run, decode_varint_run):
+            with pytest.raises(ValueError, match="truncated"):
+                decode(blob, 0, 2)
+
+    def test_a_tenth_byte_past_bit_63_is_refused(self):
+        """The scalar decodes it to an int above 2**64; no uint64 array
+        can hold that, so the run raises the scalar's overflow error."""
+        blob = b"\xff" * 9 + b"\x02"
+        assert decode_varint(blob)[0] >= 2 ** 64
+        with pytest.raises(ValueError, match="64 bits"):
+            decode_varint_run(blob, 0, 1)
+        assert decode_varint_run(b"\xff" * 9 + b"\x01", 0, 1)[0].tolist() \
+            == [2 ** 64 - 1]
 
 
 class TestBatchWrapperDelegates:
