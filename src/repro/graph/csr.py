@@ -28,22 +28,20 @@ class CsrTopology:
         self.node_ids = np.asarray(graph.node_ids, dtype=np.int64)
         self.n = len(self.node_ids)
         self.index_of = {
-            int(uid): i for i, uid in enumerate(self.node_ids)
+            uid: i for i, uid in enumerate(self.node_ids.tolist())
         }
+        order = np.argsort(self.node_ids)
         self.out_indptr, self.out_indices = self._build(
-            graph, graph.outlinks
+            graph.outlinks_batch, order
         )
         if include_inlinks and graph.directed:
             self.in_indptr, self.in_indices = self._build(
-                graph, graph.inlinks
+                graph.inlinks_batch, order
             )
         else:
             self.in_indptr = None
             self.in_indices = None
-        machines = np.empty(self.n, dtype=np.int32)
-        for i, uid in enumerate(self.node_ids):
-            machines[i] = graph.machine_of(int(uid))
-        self.machine = machines
+        self.machine = graph.machine_of_batch(self.node_ids).astype(np.int32)
         self.machine_count = graph.cloud.config.machines
 
     @classmethod
@@ -77,22 +75,17 @@ class CsrTopology:
         topo.machine_count = machines
         return topo
 
-    def _build(self, graph, neighbors_fn):
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        chunks = []
-        for i, uid in enumerate(self.node_ids):
-            neighbor_ids = neighbors_fn(int(uid))
-            indptr[i + 1] = indptr[i] + len(neighbor_ids)
-            if neighbor_ids:
-                chunks.append(np.fromiter(
-                    (self.index_of[v] for v in neighbor_ids),
-                    dtype=np.int64, count=len(neighbor_ids),
-                ))
-        if chunks:
-            indices = np.concatenate(chunks)
-        else:
-            indices = np.empty(0, dtype=np.int64)
-        return indptr, indices
+    def _build(self, neighbors_batch, order):
+        """One batched read of every node's neighbour list, the ids
+        mapped to dense indices by one ``searchsorted`` against the
+        sorted node ids (``order`` sorts them)."""
+        indptr, neighbors = neighbors_batch(self.node_ids)
+        ranked = self.node_ids[order]
+        slots = np.minimum(np.searchsorted(ranked, neighbors), self.n - 1)
+        stray = ranked[slots] != neighbors
+        if stray.any():
+            raise KeyError(int(neighbors[np.argmax(stray)]))
+        return indptr, order[slots]
 
     # -- accessors ---------------------------------------------------------
 

@@ -6,18 +6,26 @@ Every storage is one :class:`~repro.memcloud.arena.Arena` (one mmap);
 the two tiers differ in its backing and in residency policy:
 
 * :class:`ResidentStorage` — a process-private anonymous arena.  All
-  operations are thin slices; ``pin_spans`` always succeeds because
-  nothing can ever be evicted.
+  operations are thin slices; ``open_spans`` is the arena and its
+  inputs because nothing can ever be evicted.
 * :class:`PagedStorage` — the out-of-core tier: the arena is a page
   file on disk, chopped into fixed-size pages tracked by an LRU page
-  table.  At most ``page_budget`` pages are
-  *resident* (physically in RAM) at a time; touching a non-resident
-  page is a **fault**, going over budget **evicts** the least recently
-  used unpinned page (dirty pages are **written back** with ``msync``
-  first, then dropped from RAM with ``madvise(MADV_DONTNEED)``).  The
-  OS transparently refaults evicted pages from the file on the next
-  access, so correctness never depends on the page table — the table
-  controls *residency* (and therefore RSS), not visibility.
+  table.  At most ``page_budget`` pages are *resident* at a time;
+  touching a non-resident page is a **fault**, going over budget
+  **evicts** the least recently used unpinned page.  The mapping is
+  shared and file-backed, so the OS refaults an evicted page from the
+  file on the next access: the table can never lose data, it controls
+  *residency* (and therefore RSS), not visibility.
+
+Every access is one unit of page-table work, in three steps: **walk**
+the table once for all the pages the access covers (faults, LRU order,
+victims; counters and gauges settled once), **touch** the bytes, then
+**drop** the victims — ``msync`` the dirty ones, ``madvise(DONTNEED)``
+all, one call per run of adjacent pages.  Dropping last is what makes
+the budget bound what is actually mapped: an access wider than the
+budget evicts pages of its own, which dropped first would fault
+straight back in and stay.  (The kernel's fault-around maps a fault's
+neighbours, so the bound is the budget plus one such window.)
 
 Zero-copy span reads interact with eviction through **pinning**:
 a batched read (``MemoryTrunk.open_spans``) pins the pages under a span
@@ -25,9 +33,10 @@ group so the decode that follows cannot fault its own input back out.
 Pins are reference counts; they are dropped on the trunk's next
 structural epoch bump (any mutation), or by an explicit
 ``SpanGroup.close()``.  When a span batch's working set would not fit
-the page budget, pinning refuses and the trunk degrades that batch to
-packed *copies* — decoders see the same bytes either way, they just
-lose the zero-copy aliasing.
+the page budget nothing is pinned and the batch gets a private *copy*
+of its pages — whole pages end to end, as a buffer pool would read
+them, with the spans rebased into it.  Decoders see the same bytes
+either way, they just lose the zero-copy aliasing.
 
 Everything is observable: ``trunk.page.{fault,evict,writeback}.total``
 counters plus ``trunk.page.{resident,pinned}`` gauges per trunk, and a
@@ -116,15 +125,15 @@ class TrunkStorage:
             self._array = np.frombuffer(self.arena.buf, dtype=np.uint8)
         return self._array
 
-    def pin_spans(self, starts, limits) -> bool:
-        """Account a read of the given spans (page faults for a paged
-        backing) and pin the pages under them against eviction.
-
-        Returns False — and pins nothing — when the batch's page
-        working set cannot be held within the page budget; the caller
-        degrades to packed copies.
+    def open_spans(self, starts, limits):
+        """``(buffer, starts, limits)`` with ``buffer[starts[i]:limits[i]]``
+        the bytes of span ``i``: the arena and the inputs when the spans
+        can be read in place.  A paged backing accounts the read and
+        pins the spans' pages against eviction; a batch whose pages the
+        budget cannot hold gets a private copy of them instead, with
+        the spans rebased into it, and pins nothing.
         """
-        return True
+        return self.as_ndarray(), starts, limits
 
     def release_pins(self) -> None:
         """Drop every span pin (structural epoch bump / explicit close)."""
@@ -146,21 +155,15 @@ class ResidentStorage(TrunkStorage):
     residency policy.
 
     Reads and writes are plain slices, spans alias the arena buffer,
-    pinning is a no-op that always succeeds.
+    there is nothing to pin.
     """
 
     kind = "resident"
 
 
 class PagedStorage(TrunkStorage):
-    """Fixed-size-page arena backed by a page file, LRU-evicted.
-
-    The page *file* always holds the full address space; the page
-    *table* tracks which pages are resident in RAM and enforces the
-    budget by evicting (writeback + ``madvise(MADV_DONTNEED)``) the
-    least recently used unpinned page.  Because the mapping is shared
-    and file-backed, an evicted page transparently refaults from disk
-    on the next access — the table can never lose data, only residency.
+    """Fixed-size-page arena backed by a page file, LRU-evicted (the
+    module docstring has the policy).
 
     One storage = one page file, and the storage that created a file is
     the only one that ever removes it: ``trunk-<id>.pages`` under
@@ -226,134 +229,178 @@ class PagedStorage(TrunkStorage):
     def dirty_pages(self) -> int:
         return len(self._dirty)
 
-    def _touch_page(self, page: int, dirty: bool) -> None:
-        table = self._resident
-        if page in table:
-            # Refresh recency: move to the newest end.
-            del table[page]
-            table[page] = None
-        else:
-            table[page] = None
-            self._m_fault.inc()
-            self._evict_to_budget()
+    def _walk(self, pages=(), dirty: bool = False,
+              pin: bool = False) -> list[tuple[int, bool]]:
+        """Account one access to ``pages``, in order, as one unit of
+        page-table work: refresh or insert each page (a fault), evict
+        the oldest unpinned page while over budget, then mark the page
+        dirty and/or pin it as asked.  Returns the victims in eviction
+        order as ``(page, was_dirty)`` and syncs or unmaps nothing: the
+        caller touches its bytes first, then hands them to :meth:`_drop`.
+        """
+        table, pins, stale = self._resident, self._pins, self._dirty
+        budget = self._budget
+        evicted: list[tuple[int, bool]] = []
+
+        def settle() -> None:
+            while len(table) > budget:
+                for victim in table:
+                    if victim not in pins:
+                        break
+                else:   # all pinned: overrun, the pinned gauge shows why
+                    return
+                del table[victim]
+                evicted.append((victim, victim in stale))
+                stale.discard(victim)
+
+        if len(table) > budget:     # release_pins: the pins were why
+            settle()
+        faults = 0
+        for page in pages:
+            if page in table:
+                del table[page]    # refresh recency: move to the newest end
+                table[page] = None
+            else:
+                table[page] = None
+                faults += 1
+                settle()
+            if dirty:
+                stale.add(page)
+            if pin:
+                pins[page] = pins.get(page, 0) + 1
+        if faults or evicted:
+            self._m_fault.inc(faults)
+            self._m_evict.inc(len(evicted))
             self._g_resident.set(len(table))
-        if dirty:
-            self._dirty.add(page)
+        return evicted
 
-    def _touch_range(self, start: int, end: int, dirty: bool) -> None:
-        if end <= start:
+    def _drop(self, evicted) -> None:
+        """Write back the dirty ones of a walk's victims (``flush``: of
+        the dirty set) and unmap those not faulted back in since."""
+        if not evicted:
             return
-        for page in range(start // self._page, (end - 1) // self._page + 1):
-            self._touch_page(page, dirty)
-
-    def _evict_to_budget(self) -> None:
-        table = self._resident
-        while len(table) > self._budget:
-            victim = next((p for p in table if p not in self._pins), None)
-            if victim is None:
-                # Everything resident is pinned: allow the overrun, the
-                # pinned gauge shows why.
-                return
-            self._evict(victim)
-
-    def _evict(self, page: int) -> None:
-        if page in self._dirty:
-            self._writeback(page)
-            self._dirty.discard(page)
-        start, length = self._aligned_extent(page)
+        buf, table = self.arena.buf, self._resident
+        written = sorted(page for page, was_dirty in evicted if was_dirty)
+        self._by_runs(written, buf.flush)
+        self._m_writeback.inc(len(written))
         if hasattr(mmap, "MADV_DONTNEED"):
-            try:
-                self.arena.buf.madvise(mmap.MADV_DONTNEED, start, length)
-            except (OSError, ValueError):
-                pass  # residency hint only; correctness is unaffected
-        del self._resident[page]
-        self._m_evict.inc()
-        self._g_resident.set(len(self._resident))
+            self._by_runs(
+                sorted(page for page, _ in evicted if page not in table),
+                lambda *extent: buf.madvise(mmap.MADV_DONTNEED, *extent))
 
-    def _aligned_extent(self, page: int) -> tuple[int, int]:
-        """System-page-aligned (offset, length) covering a logical page.
+    def _by_runs(self, pages, call) -> None:
+        """``call(offset, length)`` once per run of adjacent pages in
+        ascending ``pages``, on the run's system-page-aligned extent.
 
         ``msync``/``madvise`` need offsets aligned to the OS page; when
-        the logical page is smaller, the aligned extent may cover
-        neighbours — they simply refault on next touch.
+        the logical page is smaller the extent may cover neighbours —
+        they simply refault on next touch.  Errors are ignored: residency
+        is a hint, and the OS syncs the shared mapping at close time.
         """
         gran = mmap.ALLOCATIONGRANULARITY
-        start = (page * self._page) // gran * gran
-        end = min(self._size, page * self._page + self._page)
-        end = min(self._size, (end + gran - 1) // gran * gran)
-        return start, end - start
+        runs: list[list[int]] = []
+        for page in pages:
+            if runs and page <= runs[-1][1] + 1:
+                runs[-1][1] = page
+            else:
+                runs.append([page, page])
+        for first, last in runs:
+            start = first * self._page // gran * gran
+            end = ((last + 1) * self._page + gran - 1) // gran * gran
+            try:
+                call(start, min(self._size, end) - start)
+            except (OSError, ValueError):
+                pass
 
-    def _writeback(self, page: int) -> None:
-        start, length = self._aligned_extent(page)
-        try:
-            self.arena.buf.flush(start, length)
-        except (OSError, ValueError):
-            pass  # the OS will sync the shared mapping at close time
-        self._m_writeback.inc()
+    def _range_pages(self, start: int, end: int) -> range:
+        if end <= start:
+            return range(0)
+        return range(start // self._page, (end - 1) // self._page + 1)
 
-    def _span_pages(self, starts, limits) -> list[int]:
-        starts = np.asarray(starts, dtype=np.int64)
-        limits = np.asarray(limits, dtype=np.int64)
+    def _span_pages(self, starts, limits) -> np.ndarray:
+        """Sorted distinct pages under the non-empty spans (the interior
+        pages of a page-crossing span included): +1 at each span's first
+        page, -1 past its last, and the pages where the running sum is
+        positive."""
         nonempty = limits > starts
-        if not nonempty.any():
-            return []
-        first = starts[nonempty] // self._page
-        last = (limits[nonempty] - 1) // self._page
-        if (first == last).all():
-            return np.unique(first).tolist()
-        pages: set[int] = set()
-        for lo, hi in zip(first.tolist(), last.tolist()):
-            pages.update(range(lo, hi + 1))
-        return sorted(pages)
+        if not nonempty.all():
+            starts, limits = starts[nonempty], limits[nonempty]
+        if not len(starts):
+            return np.empty(0, dtype=np.int64)
+        first = starts // self._page
+        last = (limits - 1) // self._page
+        low = int(first.min())
+        width = int(last.max()) - low + 2
+        cover = np.bincount(first - low, minlength=width)
+        cover -= np.bincount(last - (low - 1), minlength=width)
+        return np.flatnonzero(np.cumsum(cover)) + low
+
+    def _copy_pages(self, pages: np.ndarray, starts: np.ndarray,
+                    limits: np.ndarray):
+        """A private copy of ``pages`` (ascending, every non-empty
+        span's pages among them) end to end, and the spans rebased into
+        it: a span keeps its offset in its first page, which sits at
+        that page's rank; a page-crossing span's pages stay adjacent."""
+        page = self._page
+        buffer = self.as_ndarray().reshape(-1, page)[pages].ravel()
+        first = starts // page
+        shift = (np.searchsorted(pages, first) - first) * page
+        # an empty span may sit on no page of the batch: park it at 0
+        shift = np.where(limits > starts, shift, -starts)
+        return buffer, starts + shift, limits + shift
 
     # -- TrunkStorage API -------------------------------------------------
 
     def read(self, start: int, end: int) -> bytes:
-        self._touch_range(start, end, dirty=False)
-        return self.arena.buf[start:end]
+        evicted = self._walk(self._range_pages(start, end))
+        data = self.arena.buf[start:end]
+        self._drop(evicted)
+        return data
 
     def write(self, start: int, data) -> None:
-        n = len(data)
-        if not n:
-            return
-        self._touch_range(start, start + n, dirty=True)
-        self.arena.buf[start:start + n] = data
+        end = start + len(data)
+        evicted = self._walk(self._range_pages(start, end), dirty=True)
+        self.arena.buf[start:end] = data
+        self._drop(evicted)
 
     def view(self, start: int, end: int) -> memoryview:
         # The view is writable, so conservatively dirty its pages; they
         # stay pinned against eviction until the next epoch bump so the
         # holder of the view never races a writeback.
-        self._touch_range(start, end, dirty=True)
-        for page in self._span_pages([start], [end]):
-            self._pins[page] = self._pins.get(page, 0) + 1
-        self._g_pinned.set(len(self._pins))
-        return memoryview(self.arena.buf)[start:end]
-
-    def pin_spans(self, starts, limits) -> bool:
-        pages = self._span_pages(starts, limits)
-        for page in pages:      # the read itself: faults, evictions
-            self._touch_page(page, dirty=False)
-        fresh = [p for p in pages if p not in self._pins]
-        if len(fresh) + len(self._pins) > self._budget:
-            self._m_fallback.inc()
-            return False
+        pages = self._range_pages(start, end)
+        evicted = self._walk(pages, dirty=True)
         for page in pages:
-            self._touch_page(page, dirty=False)
             self._pins[page] = self._pins.get(page, 0) + 1
         self._g_pinned.set(len(self._pins))
-        return True
+        view = memoryview(self.arena.buf)[start:end]
+        self._drop(evicted)
+        return view
+
+    def open_spans(self, starts, limits):
+        pages = self._span_pages(starts, limits)
+        order = pages.tolist()
+        evicted = self._walk(order)     # the read itself: faults, evictions
+        pins = self._pins
+        fresh = sum(page not in pins for page in order)
+        if fresh + len(pins) > self._budget:
+            self._m_fallback.inc()
+            spans = self._copy_pages(pages, starts, limits)
+        else:
+            evicted += self._walk(order, pin=True)
+            self._g_pinned.set(len(pins))
+            spans = self.as_ndarray(), starts, limits
+        self._drop(evicted)
+        return spans
 
     def release_pins(self) -> None:
         if self._pins:
             self._pins.clear()
             self._g_pinned.set(0)
-            self._evict_to_budget()
+            self._drop(self._walk())
 
     def flush(self) -> int:
-        written = 0
-        for page in sorted(self._dirty):
-            self._writeback(page)
-            written += 1
+        written = len(self._dirty)
+        self._drop([(page, True) for page in self._dirty])
         self._dirty.clear()
         return written
 

@@ -51,7 +51,7 @@ import numpy as np
 from ..config import MemoryParams
 from ..errors import CellNotFoundError, MemoryCloudError, TrunkFullError
 from ..obs import MetricsRegistry, get_registry
-from ..utils.arrays import first_occurrences, gather_ranges
+from ..utils.arrays import first_occurrences
 from .hashtable import TrunkHashTable, check_key, wrap_keys
 from .locks import SpinLock
 from .storage import TrunkStorage, make_trunk_storage
@@ -405,20 +405,14 @@ class MemoryTrunk:
         eviction until the next structural epoch bump (or an explicit
         :meth:`release_span_pins`), so the decode that follows cannot
         fault its own input back out.  If the batch's page working set
-        exceeds the page budget, pinning refuses and the spans degrade
-        to packed copies — same bytes, same epoch guard, no aliasing.
+        exceeds the page budget, nothing is pinned and the spans come
+        back rebased into a private copy of those pages — same bytes,
+        same epoch guard, no aliasing.
         """
         with self._mutex:
             self._index.lookup_count += len(starts)
             self._index.probe_count += probes
-            arena = self._storage.as_ndarray()
-            if self._storage.pin_spans(starts, limits):
-                return arena, starts, limits
-            sizes = limits - starts
-            bounds = np.zeros(len(starts) + 1, dtype=np.int64)
-            np.cumsum(sizes, out=bounds[1:])
-            return (gather_ranges(arena, starts, sizes),
-                    bounds[:-1], bounds[1:])
+            return self._storage.open_spans(starts, limits)
 
     def release_span_pins(self) -> None:
         """Release page pins taken by :meth:`open_spans` (no-op on

@@ -215,3 +215,53 @@ class TestCsrTopology:
         graph = builder.finalize()
         topo = CsrTopology(graph)
         assert len(topo.out_neighbors(0)) == 0
+
+    @staticmethod
+    def scalar_build(graph, neighbors_fn):
+        """The snapshot one ``outlinks(uid)`` call and one dict lookup
+        per neighbour at a time: the reference for the batch build."""
+        index_of = {uid: i for i, uid in enumerate(graph.node_ids)}
+        indptr, indices = [0], []
+        for uid in graph.node_ids:
+            indices += [index_of[v] for v in neighbors_fn(uid)]
+            indptr.append(len(indices))
+        return np.array(indptr), np.array(indices, dtype=np.int64)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_batch_build_equals_the_scalar_build(self, cloud, directed):
+        rng = np.random.default_rng(11)
+        builder = GraphBuilder(cloud, plain_graph_schema(directed=directed))
+        ids = rng.permutation(400)[:120] * 1_000_003    # far apart
+        for src, dst in rng.integers(0, len(ids), size=(600, 2)):
+            builder.add_edge(int(ids[src]), int(ids[dst]))
+        builder.add_node(7)     # isolated
+        graph = builder.finalize()
+        graph.add_node(5)       # a later node: the ids are not ascending
+        graph.add_edge(5, int(ids[3]))
+        graph.add_edge(int(ids[9]), 5)
+        assert list(graph.node_ids) != sorted(graph.node_ids)
+        topo = CsrTopology(graph, include_inlinks=True)
+        indptr, indices = self.scalar_build(graph, graph.outlinks)
+        assert np.array_equal(topo.out_indptr, indptr)
+        assert np.array_equal(topo.out_indices, indices)
+        if directed:
+            indptr, indices = self.scalar_build(graph, graph.inlinks)
+            assert np.array_equal(topo.in_indptr, indptr)
+            assert np.array_equal(topo.in_indices, indices)
+        else:
+            assert topo.in_indices is None
+        assert topo.machine.dtype == np.int32
+        assert topo.machine.tolist() == [
+            graph.machine_of(uid) for uid in graph.node_ids]
+        assert topo.index_of == {
+            uid: i for i, uid in enumerate(graph.node_ids)}
+
+    def test_neighbor_that_is_not_a_node_raises_keyerror_naming_it(
+            self, cloud):
+        builder = GraphBuilder(cloud, plain_graph_schema(directed=True))
+        builder.add_edges([(1, 2), (2, 3), (3, 4), (4, 1)])
+        graph = builder.finalize()
+        graph.node_ids.remove(3)    # 2 -> 3 now points outside the snapshot
+        with pytest.raises(KeyError) as raised:
+            CsrTopology(graph)
+        assert raised.value.args == (3,)
