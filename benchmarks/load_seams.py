@@ -6,6 +6,7 @@ One cycle is what the spine's ``load_restore`` workload times (R-MAT,
 degree 8, seed 42, 16 trunks of 1 MiB, real TFS files in a temporary
 directory): ``GraphBuilder`` bulk load, ``CheckpointManager.save_cloud``,
 ``load_cloud``.  Inside them the script wraps ``finalize`` and its parts,
+``MemoryTrunk._bulk_insert_fresh`` (the trunk half of ``bulk_put``),
 ``MemoryTrunk._index_fresh`` (charged to whichever phase called it),
 ``trunk_to_bytes`` / ``freeze_image_state`` / ``tfs.write``, and
 ``_parse_image`` / ``adopt_image_state`` — no profiler.  ``--src`` points
@@ -65,6 +66,7 @@ def main() -> None:
     timed(graph_builder, "encode_adjacency_segments",
           "load.finalize.blobs.adjacency")
     timed(MemoryCloud, "bulk_put", "load.finalize.bulk_put")
+    timed(MemoryTrunk, "_bulk_insert_fresh", "load.finalize.bulk_put.fresh")
     timed(MemoryTrunk, "_index_fresh", "index_fresh")
     timed(persistence, "trunk_to_bytes", "save.trunk_to_bytes")
     timed(MemoryTrunk, "freeze_image_state", "save.trunk_to_bytes.freeze")

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import ComputeParams
-from ..errors import ComputeError, RecoveryError
+from ..errors import ComputeError
 from ..faults import FaultInjector, FaultPlan
 from ..net.simnet import ParallelRound, SimNetwork
 from ..obs import MetricsRegistry, Tracer
@@ -228,6 +228,7 @@ class BspEngine:
         self.aggregators_next: dict[str, float] = {}
         self._program: VertexProgram | None = None
         self._neighbor_sets: dict[int, set] = {}
+        self._state_tag: int | None = None     # newest image this run wrote
         self._fast: _FastState | None = None
         # The last send plan.  A pure function of its key: it outlives
         # runs and rollbacks and is no part of the checkpoint image.
@@ -401,14 +402,12 @@ class BspEngine:
     # -- checkpoint-restart helpers ------------------------------------------
 
     def _latest_state(self) -> dict | None:
-        """The newest engine-state image, or None (restart from scratch)."""
-        if self.checkpoints is None:
+        """The newest engine-state image this run wrote, or None (restart
+        from scratch).  A manager reused across runs still holds the
+        earlier runs' images: resuming one would replay another run."""
+        if self._state_tag is None:
             return None
-        try:
-            _tag, state = self.checkpoints.latest_state()
-        except RecoveryError:
-            return None
-        return state
+        return self.checkpoints.load_state(self._state_tag)
 
     def _save_state(self, superstep: int, state: dict) -> None:
         """Checkpoint an engine image if the interval says so."""
@@ -417,6 +416,7 @@ class BspEngine:
             return
         state["superstep"] = superstep
         self.checkpoints.save_state(superstep, state)
+        self._state_tag = superstep
         self._m_checkpoints.inc()
 
     # -- main loop ---------------------------------------------------------
@@ -449,6 +449,7 @@ class BspEngine:
             )
         self._program = program
         self._neighbor_sets = {}
+        self._state_tag = None
         # A fresh injector per run: crash events re-arm, hash tokens
         # restart, so the same (plan, workload) replays the same faults.
         prior_faults = self.network.faults

@@ -111,17 +111,6 @@ class CheckpointManager:
         """Restore one engine-state image."""
         return pickle.loads(self.tfs.read(self._state_path(tag)))
 
-    def state_tags(self) -> list[int]:
-        """Available engine-state image tags, ascending."""
-        return self._tags_with_suffix(".state")
-
-    def latest_state(self) -> tuple[int, dict]:
-        """Restore the newest engine-state image: (tag, state)."""
-        tags = self.state_tags()
-        if not tags:
-            raise RecoveryError(f"no state images for job {self.job!r}")
-        return tags[-1], self.load_state(tags[-1])
-
     # -- memory-cloud images (page files, not pickles) -----------------------
 
     def _trunk_path(self, tag: int, trunk_id: int) -> str:

@@ -21,8 +21,6 @@ reference cloud); ``finalize(cross_check=True)`` runs both through
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from ..errors import QueryError
@@ -62,7 +60,8 @@ class GraphBuilder:
             cloud.config.memory.resolved_layout_policy())
         self._chunks: list[np.ndarray] = []   # (m, 2) int64, arrival order
         self._loose: list[tuple[int, int]] = []  # add_edge buffer
-        self._attributes: dict[int, dict] = defaultdict(dict)
+        self._attributes: dict[int, dict] = {}
+        self._attribute_names = frozenset(graph_schema.attribute_fields)
         self._explicit_nodes: set[int] = set()
         self._edge_total = 0
         self._finalized = False
@@ -72,13 +71,19 @@ class GraphBuilder:
         self._check_open()
         self._explicit_nodes.add(node_id)
         if attributes:
-            unknown = set(attributes) - set(self.graph_schema.attribute_fields)
-            if unknown:
+            if not self._attribute_names.issuperset(attributes):
+                unknown = set(attributes) - self._attribute_names
                 raise QueryError(
                     f"unknown attributes for "
                     f"{self.graph_schema.cell_name}: {sorted(unknown)}"
                 )
-            self._attributes[node_id].update(attributes)
+            # ``attributes`` is this call's own dict: keep it, merging
+            # only when the node was declared before.
+            known = self._attributes.get(node_id)
+            if known is None:
+                self._attributes[node_id] = attributes
+            else:
+                known.update(attributes)
 
     def add_edge(self, src: int, dst: int) -> None:
         """Add one edge; endpoints are auto-created.

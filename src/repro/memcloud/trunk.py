@@ -29,6 +29,13 @@ Every cell carries a 16-byte in-arena header (UID, live size, reserved
 size), matching the 16 bytes/cell the paper's memory model in Section 5.4
 charges for "storing and accessing the UID".
 
+The hash table maps a UID to a *slot* of the trunk's cell table, which is
+three int64 columns — payload offset, live size, reserved size — with no
+per-cell object (the paper's "(offset, size) hash table per trunk").  A
+free slot is all zeros (no live payload starts at offset 0: its header
+does), so column sums are live totals.  Cell spin locks live in a dict
+keyed by slot, made on first use and dropped when the slot is freed.
+
 The layout invariant the allocator maintains: every byte circularly inside
 ``[committed_tail, append_head)`` is either part of a live cell footprint
 or counted in ``garbage_bytes`` (the end gap included once wrapped); every
@@ -68,25 +75,6 @@ IMAGE_STATE_FIELDS = (
     "garbage_bytes", "defrag_passes", "defrag_aborts", "relocations",
     "wraps", "tail_advances", "inplace_resizes",
 )
-
-
-@dataclass(slots=True)
-class _CellEntry:
-    """In-index record for one cell: where its payload lives."""
-
-    uid: int
-    offset: int      # payload offset (header is at offset - 16)
-    size: int        # live payload bytes
-    reserved: int    # payload capacity (>= size)
-    # Created on first use: an OS lock object per cell is the single
-    # largest constant in bulk loading, and freshly loaded cells are
-    # never contended.  Every access runs under the trunk mutex, so the
-    # lazy creation cannot race.
-    lock: SpinLock | None = None
-
-    @property
-    def footprint(self) -> int:
-        return CELL_HEADER_BYTES + self.reserved
 
 
 @dataclass(frozen=True)
@@ -143,7 +131,13 @@ class MemoryTrunk:
                 f"{self.params.trunk_size}"
             )
         self._index = TrunkHashTable()
-        self._entries: list[_CellEntry | None] = []
+        self._slot_count = 0           # slots ever handed out (live or free)
+        self._grow_table(16)
+        # Cell locks by slot, made on first use (an OS lock object per
+        # cell is the single largest constant in bulk loading, and freshly
+        # loaded cells are never contended) and dropped with the slot.
+        # Every access runs under the trunk mutex, so neither can race.
+        self._locks: dict[int, SpinLock] = {}
         self._mutation_epoch = 0
         self._free_slots: list[int] = []
         self._append_head = 0
@@ -199,18 +193,18 @@ class MemoryTrunk:
     def put(self, uid: int, value: bytes) -> None:
         """Insert or replace the cell ``uid`` with ``value``."""
         with self._mutex:
-            entry = self._lookup(uid)
-            if entry is None:
+            slot = self._index.get(uid)
+            if slot is None:
                 self._insert(uid, value)
             else:
-                self._update(entry, value)
+                self._update(uid, slot, value)
 
     def get(self, uid: int) -> bytes:
         """Return a copy of the cell's payload."""
         with self._mutex:
-            entry = self._require(uid)
-            return self._storage.read(entry.offset,
-                                      entry.offset + entry.size)
+            slot = self._require(uid)
+            offset = self._offset_view[slot]
+            return self._storage.read(offset, offset + self._size_view[slot])
 
     def reencode_cell(self, uid: int, expected: bytes,
                       replacement: bytes) -> bool:
@@ -227,11 +221,11 @@ class MemoryTrunk:
         simply retries on a later pass.
         """
         with self._mutex:
-            entry = self._lookup(uid)
-            if entry is None:
+            slot = self._index.get(uid)
+            if slot is None:
                 self._m_layout_skipped.inc()
                 return False
-            lock = self._cell_lock(entry)
+            lock = self._cell_lock(slot)
             if not lock.try_acquire():
                 # An accessor is mid-mutation on this cell: its exit
                 # write supersedes whatever we encoded.  Skip, don't spin.
@@ -240,13 +234,13 @@ class MemoryTrunk:
             # Safe to release before _update re-acquires: handing out a
             # cell lock requires this mutex (lock_of), which we hold.
             lock.release()
-            current = self._storage.read(entry.offset,
-                                         entry.offset + entry.size)
+            offset = self._offset_view[slot]
+            size_before = self._size_view[slot]
+            current = self._storage.read(offset, offset + size_before)
             if bytes(current) != bytes(expected):
                 self._m_layout_skipped.inc()
                 return False
-            size_before = entry.size
-            self._update(entry, replacement)
+            self._update(uid, slot, replacement)
             self._m_layout_migrated.inc()
             self._m_layout_before.inc(size_before)
             self._m_layout_after.inc(len(replacement))
@@ -318,12 +312,37 @@ class MemoryTrunk:
         if count == 0:
             return 0
         uids, sizes = uids[:count], all_sizes[:count]
-        footprint_ends = footprint_ends[:count]
         start = self._append_head
-        # The bytes: one header pre-packing pass, then the run streams
-        # through the storage tier in bounded chunks — a paged backing
-        # writes pages sequentially and evicts behind the cursor instead
-        # of joining the whole batch in RAM.
+        offsets = self._write_run(start, uids, sizes, payloads[:count])
+        # The accounting: head advance, page commits, allocation
+        # metrics, table, index.
+        total = int(footprint_ends[count - 1])
+        self._append_head = start + total
+        self._commit_range(start, start + total)
+        self._m_alloc.inc(count)
+        # Freed slots are reused first, newest first, as the put loop
+        # reuses them; the rest of the run extends the table.
+        reused = self._free_slots[:-count - 1:-1]
+        del self._free_slots[len(self._free_slots) - len(reused):]
+        base = self._append_slots(count - len(reused)) - len(reused)
+        slots = np.arange(base, base + count)
+        slots[:len(reused)] = reused
+        self._offsets[slots] = offsets
+        self._sizes[slots] = self._reserved[slots] = sizes
+        self._index_fresh(uids, slots, presize)
+        return count
+
+    def _write_run(self, start: int, uids, sizes: np.ndarray,
+                   payloads) -> np.ndarray:
+        """Lay cells out back to back from ``start``, each reserving
+        exactly its payload; returns their payload offsets.
+
+        One header pre-packing pass, then the run streams through the
+        storage tier in bounded chunks — a paged backing writes pages
+        sequentially and evicts behind the cursor instead of joining the
+        whole run in RAM.
+        """
+        count = len(sizes)
         headers = np.zeros(count, dtype=_HEADER_DTYPE)
         headers["uid"] = uids
         headers["size"] = sizes
@@ -333,32 +352,11 @@ class MemoryTrunk:
         parts[0::2] = (header_bytes[i * CELL_HEADER_BYTES:
                                     (i + 1) * CELL_HEADER_BYTES]
                        for i in range(count))
-        parts[1::2] = payloads[:count]
+        parts[1::2] = payloads
         self._storage.write_stream(start, parts)
-        # The accounting: head advance, page commits, allocation
-        # metrics, entries, index.
-        total = int(footprint_ends[-1])
-        self._append_head = start + total
-        self._commit_range(start, start + total)
-        self._m_alloc.inc(count)
-        # Payload offset of cell i = start + footprint_ends[i] - size_i
-        # (its own header sits just below the payload).
-        offsets = (start + (footprint_ends - sizes)).tolist()
-        size_list = sizes.tolist()
-        fresh = list(map(_CellEntry, uids.tolist(), offsets, size_list,
-                         size_list))
-        # Freed slots are reused first, newest first, as the put loop
-        # reuses them; the rest of the run extends the entry list.
-        reused = self._free_slots[:-count - 1:-1]
-        del self._free_slots[len(self._free_slots) - len(reused):]
-        for slot, entry in zip(reused, fresh):
-            self._entries[slot] = entry
-        base = len(self._entries) - len(reused)
-        slots = np.arange(base, base + count)
-        slots[:len(reused)] = reused
-        self._entries.extend(fresh[len(reused):])
-        self._index_fresh(uids, slots, presize)
-        return count
+        # Cell i's payload starts past every earlier footprint and its
+        # own header.
+        return start + np.cumsum(sizes + CELL_HEADER_BYTES) - sizes
 
     def _index_fresh(self, uids, slots, presized: bool) -> None:
         """Index absent ``uids`` (a uint64 column) at ``slots`` (int64):
@@ -378,14 +376,9 @@ class MemoryTrunk:
         exact for ``epoch`` and stale once :attr:`mutation_epoch` moves."""
         with self._mutex:
             keys, slots, states = self._index.columns()
-            # One entry at least, for an empty table's zeroed values.
-            entries = self._entries or (None,)
-            starts = np.array([0 if e is None else e.offset
-                               for e in entries], dtype=np.int64)
-            limits = np.array([0 if e is None else e.offset + e.size
-                               for e in entries], dtype=np.int64)
+            starts = self._offsets[slots]
             return (self._mutation_epoch, keys.copy(), states.copy(),
-                    starts[slots], limits[slots])
+                    starts, starts + self._sizes[slots])
 
     def open_spans(self, starts: np.ndarray, limits: np.ndarray,
                    probes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -468,17 +461,18 @@ class MemoryTrunk:
         wrap this in a context manager that takes the lock.
         """
         with self._mutex:
-            entry = self._require(uid)
-            return self._storage.view(entry.offset,
-                                      entry.offset + entry.size)
+            slot = self._require(uid)
+            offset = self._offset_view[slot]
+            return self._storage.view(offset, offset + self._size_view[slot])
 
-    def _cell_lock(self, entry: _CellEntry) -> SpinLock:
-        """The entry's lock, made on first use with the configured spin
+    def _cell_lock(self, slot: int) -> SpinLock:
+        """The slot's lock, made on first use with the configured spin
         budget: every site that takes it — this trunk's own ``with``
         blocks, a pin, a mini-transaction — spins the same bound."""
-        if entry.lock is None:
-            entry.lock = SpinLock(self.params.spinlock_budget)
-        return entry.lock
+        lock = self._locks.get(slot)
+        if lock is None:
+            lock = self._locks[slot] = SpinLock(self.params.spinlock_budget)
+        return lock
 
     def lock_of(self, uid: int) -> SpinLock:
         """The spin lock associated with the cell (Section 3)."""
@@ -488,26 +482,31 @@ class MemoryTrunk:
     def remove(self, uid: int) -> None:
         """Delete a cell; its region becomes garbage until reclaimed."""
         with self._mutex:
-            entry = self._require(uid)
-            self._remove_locked(entry)
+            slot = self._require(uid)
+            self._invalidate_spans()
+            with self._cell_lock(slot):
+                self._free_slot(uid, slot)
         # defrag trigger outside is fine; re-enter via mutex
         self._maybe_defrag()
 
-    def _remove_locked(self, entry: _CellEntry) -> None:
-        self._invalidate_spans()
-        with self._cell_lock(entry):
-            slot = self._index.get(entry.uid)
-            assert slot is not None
-            self._index.delete(entry.uid)
-            self._entries[slot] = None
-            self._free_slots.append(slot)
-            self._garbage_bytes += entry.footprint
-            self._g_garbage.set(self._garbage_bytes)
+    def _free_slot(self, uid: int, slot: int) -> None:
+        """Unindex a cell: its footprint becomes garbage, its slot is
+        zeroed for reuse and its lock (held by the caller) is dropped."""
+        # A removal charges the index one more lookup than it needs; the
+        # probe counters (and the trunk-count figure on them) count it.
+        self._index.get(uid)
+        self._index.delete(uid)
+        self._garbage_bytes += CELL_HEADER_BYTES + self._reserved_view[slot]
+        self._g_garbage.set(self._garbage_bytes)
+        self._offset_view[slot] = self._size_view[slot] = 0
+        self._reserved_view[slot] = 0
+        self._free_slots.append(slot)
+        del self._locks[slot]
 
     def size_of(self, uid: int) -> int:
         """Live payload size of the cell in bytes."""
         with self._mutex:
-            return self._require(uid).size
+            return self._size_view[self._require(uid)]
 
     def resize(self, uid: int, new_size: int, fill: int = 0) -> None:
         """Grow or shrink a cell in place where possible.
@@ -521,43 +520,38 @@ class MemoryTrunk:
         if new_size < 0:
             raise ValueError("cell size cannot be negative")
         with self._mutex:
-            entry = self._require(uid)
+            slot = self._require(uid)
             self._invalidate_spans()
-            if new_size <= entry.reserved:
-                with self._cell_lock(entry):
-                    if new_size > entry.size:
+            offset, size = self._offset_view[slot], self._size_view[slot]
+            reserved = self._reserved_view[slot]
+            if new_size <= reserved:
+                with self._cell_lock(slot):
+                    if new_size > size:
                         self._storage.write(
-                            entry.offset + entry.size,
-                            bytes([fill]) * (new_size - entry.size),
-                        )
-                    entry.size = new_size
-                    self._write_header(
-                        entry.offset - CELL_HEADER_BYTES,
-                        entry.uid, entry.size, entry.reserved,
-                    )
+                            offset + size, bytes([fill]) * (new_size - size))
+                    self._size_view[slot] = new_size
+                    self._write_header(offset - CELL_HEADER_BYTES, uid,
+                                       new_size, reserved)
                 self._inplace_resizes += 1
                 self._m_inplace.inc()
                 return
             # Outgrew the reservation: one payload copy, then relocate.
-            grown = (
-                self._storage.read(entry.offset, entry.offset + entry.size)
-                + bytes([fill]) * (new_size - entry.size)
-            )
-            self._update(entry, grown)
+            grown = (self._storage.read(offset, offset + size)
+                     + bytes([fill]) * (new_size - size))
+            self._update(uid, slot, grown)
 
     def stats(self) -> TrunkStats:
         with self._mutex:
             return self._stats_locked()
 
     def _stats_locked(self) -> TrunkStats:
-        live = sum(
-            CELL_HEADER_BYTES + e.size for e in self._entries if e is not None
-        )
-        reserved = sum(e.footprint for e in self._entries if e is not None)
+        # Free slots are zeroed, so the column sums are the live cells'.
+        count, used = len(self._index), self._slot_count
+        headers = CELL_HEADER_BYTES * count
         stats = TrunkStats(
-            cell_count=len(self._index),
-            live_bytes=live,
-            reserved_bytes=reserved,
+            cell_count=count,
+            live_bytes=headers + int(self._sizes[:used].sum()),
+            reserved_bytes=headers + int(self._reserved[:used].sum()),
             garbage_bytes=self._garbage_bytes,
             committed_bytes=len(self._committed_pages) * self.params.page_size,
             trunk_size=self.params.trunk_size,
@@ -581,14 +575,12 @@ class MemoryTrunk:
     def dump_cells(self):
         """Return (uid, payload bytes) for every live cell (snapshot)."""
         with self._mutex:
-            out = []
-            for uid, slot in self._index.items():
-                entry = self._entries[slot]
-                assert entry is not None and entry.uid == uid
-                out.append((uid, self._storage.read(
-                    entry.offset, entry.offset + entry.size
-                )))
-            return out
+            uids, slots = self._index.live_columns()
+            starts = self._offsets[slots]
+            limits = starts + self._sizes[slots]
+            read = self._storage.read
+            return [(uid, read(start, limit)) for uid, start, limit
+                    in zip(uids.tolist(), starts.tolist(), limits.tolist())]
 
     def freeze_image_state(self) -> dict:
         """Full-fidelity allocator snapshot for page-image persistence.
@@ -608,12 +600,11 @@ class MemoryTrunk:
             # The cell table, one ``(uid, offset, size, reserved)`` row
             # per cell in hash-slot order, filled a column at a time.
             uids, slots = self._index.live_columns()
-            entries = [self._entries[slot] for slot in slots.tolist()]
-            cells = np.empty((len(entries), 4), dtype=np.uint64)
+            cells = np.empty((len(slots), 4), dtype=np.uint64)
             cells[:, 0] = uids
-            cells[:, 1] = [entry.offset for entry in entries]
-            cells[:, 2] = [entry.size for entry in entries]
-            cells[:, 3] = [entry.reserved for entry in entries]
+            cells[:, 1] = self._offsets[slots]
+            cells[:, 2] = self._sizes[slots]
+            cells[:, 3] = self._reserved[slots]
             raw = [self._storage.read(p * page, min(size, (p + 1) * page))
                    for p in pages]
             state = {name: getattr(self, "_" + name)
@@ -647,11 +638,14 @@ class MemoryTrunk:
                 setattr(self, "_" + name, state[name])
             self._g_garbage.set(self._garbage_bytes)
             cells = state["cells"]
-            base = len(self._entries)
-            self._entries.extend(map(_CellEntry, *cells.T.tolist()))
+            base = self._append_slots(len(cells))
+            fresh = slice(base, base + len(cells))
+            self._offsets[fresh] = cells[:, 1]
+            self._sizes[fresh] = cells[:, 2]
+            self._reserved[fresh] = cells[:, 3]
             self._index.reserve(len(cells))
-            self._index_fresh(cells[:, 0],
-                              np.arange(base, base + len(cells)), True)
+            self._index_fresh(cells[:, 0], np.arange(fresh.start, fresh.stop),
+                              True)
             self._index.probe_count = self._index.lookup_count = 0
             self._invalidate_spans()
             self._storage.flush()
@@ -671,19 +665,34 @@ class MemoryTrunk:
 
     # -- allocation internals --------------------------------------------
 
-    def _lookup(self, uid: int) -> _CellEntry | None:
+    def _require(self, uid: int) -> int:
+        """The cell's slot in the table."""
         slot = self._index.get(uid)
         if slot is None:
-            return None
-        entry = self._entries[slot]
-        assert entry is not None
-        return entry
-
-    def _require(self, uid: int) -> _CellEntry:
-        entry = self._lookup(uid)
-        if entry is None:
             raise CellNotFoundError(uid)
-        return entry
+        return slot
+
+    def _grow_table(self, capacity: int) -> None:
+        """Reallocate the table's columns with room for ``capacity``
+        slots.  Scalar paths index them through ``memoryview``s, which
+        hand back plain ints (as :class:`TrunkHashTable` does)."""
+        used = self._slot_count
+        columns = []
+        for name in ("_offsets", "_sizes", "_reserved"):
+            column = np.zeros(capacity, dtype=np.int64)
+            if used:
+                column[:used] = getattr(self, name)[:used]
+            setattr(self, name, column)
+            columns.append(memoryview(column))
+        self._offset_view, self._size_view, self._reserved_view = columns
+
+    def _append_slots(self, count: int) -> int:
+        """Hand out ``count`` never-used slots; returns the first."""
+        first = self._slot_count
+        if first + count > len(self._offsets):
+            self._grow_table(1 << (first + count - 1).bit_length())
+        self._slot_count = first + count
+        return first
 
     def _insert(self, uid: int, value: bytes, reserve: bool = False) -> None:
         check_key(uid)  # before any byte is allocated for it
@@ -694,41 +703,34 @@ class MemoryTrunk:
                 reserved, int(len(value) * self.params.reservation_factor)
             )
         offset = self._allocate(CELL_HEADER_BYTES + reserved)
-        payload_offset = offset + CELL_HEADER_BYTES
         self._write_cell(offset, uid, value, reserved)
-        entry = _CellEntry(uid, payload_offset, len(value), reserved)
         if self._free_slots:
             slot = self._free_slots.pop()
-            self._entries[slot] = entry
         else:
-            slot = len(self._entries)
-            self._entries.append(entry)
+            slot = self._append_slots(1)
+        self._offset_view[slot] = offset + CELL_HEADER_BYTES
+        self._size_view[slot] = len(value)
+        self._reserved_view[slot] = reserved
         self._index.set(uid, slot)
 
-    def _update(self, entry: _CellEntry, value: bytes) -> None:
+    def _update(self, uid: int, slot: int, value: bytes) -> None:
         self._invalidate_spans()
-        with self._cell_lock(entry):
-            if len(value) <= entry.reserved:
+        with self._cell_lock(slot):
+            reserved = self._reserved_view[slot]
+            if len(value) <= reserved:
                 # In-place update; shrinking only adjusts the live size and
                 # the slack stays reserved (reclaimed at next defrag).
-                self._storage.write(entry.offset, value)
-                entry.size = len(value)
-                self._write_header(
-                    entry.offset - CELL_HEADER_BYTES,
-                    entry.uid, entry.size, entry.reserved,
-                )
+                offset = self._offset_view[slot]
+                self._storage.write(offset, value)
+                self._size_view[slot] = len(value)
+                self._write_header(offset - CELL_HEADER_BYTES, uid,
+                                   len(value), reserved)
                 return
             # Outgrew the slot: relocate with a short-lived reservation.
             self._relocations += 1
             self._m_reloc.inc()
-            self._garbage_bytes += entry.footprint
-            self._g_garbage.set(self._garbage_bytes)
-            slot = self._index.get(entry.uid)
-            assert slot is not None
-            self._index.delete(entry.uid)
-            self._entries[slot] = None
-            self._free_slots.append(slot)
-        self._insert(entry.uid, value, reserve=True)
+            self._free_slot(uid, slot)
+        self._insert(uid, value, reserve=True)
         self._maybe_defrag()
 
     def _allocate(self, footprint: int) -> int:
@@ -796,8 +798,7 @@ class MemoryTrunk:
         with self._mutex:
             size = self.params.trunk_size
             old_tail = self._committed_tail
-            live = [e for e in self._entries if e is not None]
-            if not live:
+            if not len(self._index):
                 reclaimed = self._garbage_bytes
                 self._append_head = 0
                 self._committed_tail = 0
@@ -809,14 +810,11 @@ class MemoryTrunk:
                     self._tail_advances += 1
                     self._m_tail.inc(reclaimed)
                 return reclaimed
-
-            def circ(start: int) -> int:
-                """Circular distance of a cell start from the old tail."""
-                if start >= old_tail:
-                    return start - old_tail
-                return start + size - old_tail
-
-            advanced = min(circ(e.offset - CELL_HEADER_BYTES) for e in live)
+            # The nearest live cell start, circularly, from the old tail
+            # (a free slot's zero offset is no cell's).
+            offsets = self._offsets[:self._slot_count]
+            starts = offsets[offsets > 0] - CELL_HEADER_BYTES
+            advanced = int(((starts - old_tail) % size).min())
             if advanced == 0:
                 return 0
             new_tail = (old_tail + advanced) % size
@@ -878,30 +876,26 @@ class MemoryTrunk:
 
     def _defragment_locked(self) -> bool:
         self._invalidate_spans()
-        live = [e for e in self._entries if e is not None]
-        if any(e.lock is not None and e.lock.held for e in live):
+        # Only a cell whose lock was ever handed out can be pinned.
+        if any(lock.held for lock in self._locks.values()):
             self._defrag_aborts += 1
             self._m_defrag_abort.inc()
             return False
         # Order by current circular position from the committed tail so
         # relative order (and therefore locality) is preserved.
-        def circular_key(entry: _CellEntry) -> int:
-            start = entry.offset - CELL_HEADER_BYTES
-            if start >= self._committed_tail:
-                return start
-            return start + self.params.trunk_size
-
-        live.sort(key=circular_key)
-        images = [
-            (e, self._storage.read(e.offset, e.offset + e.size))
-            for e in live
-        ]
-        cursor = 0
-        for entry, payload in images:
-            entry.reserved = entry.size            # reclaim reservation
-            self._write_cell(cursor, entry.uid, payload, entry.reserved)
-            entry.offset = cursor + CELL_HEADER_BYTES
-            cursor += CELL_HEADER_BYTES + entry.reserved
+        uids, slots = self._index.live_columns()
+        offsets = self._offsets[slots]
+        order = np.argsort((offsets - CELL_HEADER_BYTES - self._committed_tail)
+                           % self.params.trunk_size)
+        uids, slots, offsets = uids[order], slots[order], offsets[order]
+        sizes = self._sizes[slots]
+        read = self._storage.read
+        payloads = [read(start, limit) for start, limit
+                    in zip(offsets.tolist(), (offsets + sizes).tolist())]
+        # Slide them together, each reserving exactly its payload.
+        self._offsets[slots] = self._write_run(0, uids, sizes, payloads)
+        self._reserved[slots] = sizes
+        cursor = CELL_HEADER_BYTES * len(sizes) + int(sizes.sum())
         self._committed_tail = 0
         self._append_head = cursor
         self._wrapped = False

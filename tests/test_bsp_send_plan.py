@@ -238,11 +238,12 @@ def test_rollback_with_a_plan_cached_from_a_later_superstep(
     engine = make_engine(
         topology, cross_check=True,
         faults=FaultPlan(seed=SEED, crashes=((3, SEED % MACHINES),)),
+        checkpoints=(CheckpointManager(TrinityFileSystem(), every=2)
+                     if checkpointed else None),
     )
-    for _ in range(2):      # the second run starts from the first's plan
-        if checkpointed:    # images are per job: a fresh store per run
-            engine.checkpoints = CheckpointManager(TrinityFileSystem(),
-                                                   every=2)
+    # The second run starts from the first's plan (and from a store that
+    # still holds the first's images, which it must not resume).
+    for _ in range(2):
         before = plan_counts(engine)
         chaos = engine.run(make_program())
         assert chaos.restarts == 1

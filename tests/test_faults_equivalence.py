@@ -131,6 +131,24 @@ def test_crash_without_checkpoints_restarts_from_scratch(topology):
     assert registry.counter("bsp.checkpoint.total").value == 0
 
 
+def test_reused_checkpoint_manager_resumes_only_its_own_run(topology):
+    """One manager across two runs: a crash in the second rolls back to
+    the second run's image, never to the first run's newer ones (tags 5,
+    7 and 9 here, against the second run's 1)."""
+    baseline, _ = run(topology, PageRankProgram(iterations=6))
+    registry = MetricsRegistry()
+    checkpoints = CheckpointManager(TrinityFileSystem(), every=2)
+    engine = BspEngine(topology, network=SimNetwork(registry=registry),
+                       cross_check=True, checkpoints=checkpoints)
+    engine.run(PageRankProgram(iterations=10))
+    engine.faults = FaultPlan(seed=SEED, crashes=((3, SEED % MACHINES),))
+    chaos = engine.run(PageRankProgram(iterations=6))
+    assert chaos.restarts == 1
+    assert_bit_identical(baseline, chaos)
+    assert [report.superstep for report in chaos.supersteps][:5] == [
+        0, 1, 2, 2, 3]       # resumed after its own superstep 1
+
+
 def test_drops_only_change_time_not_values(topology):
     baseline, _ = run(topology, PageRankProgram(iterations=8))
     chaos, _ = run(topology, PageRankProgram(iterations=8),

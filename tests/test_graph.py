@@ -93,6 +93,20 @@ class TestBuilder:
         with pytest.raises(QueryError, match="unknown attributes"):
             builder.add_node(1, Age=30)
 
+    def test_repeated_node_merges_attributes(self, cloud):
+        builder = GraphBuilder(cloud, social_graph_schema())
+        builder.add_node(1, Name="David")
+        builder.add_node(1)                 # no attributes: nothing lost
+        builder.add_node(2)
+        builder.add_node(2, Name="Eve")     # attributes after a bare call
+        builder.add_node(1, Name="Dave")    # a repeat overrides
+        with pytest.raises(QueryError, match=(
+                r"unknown attributes for Person: \['Age', 'Zip'\]")):
+            builder.add_node(2, Name="Mallory", Zip=1, Age=30)
+        graph = builder.finalize()
+        assert graph.attribute(1, "Name") == "Dave"
+        assert graph.attribute(2, "Name") == "Eve"  # a refused call stores nothing
+
     def test_counts(self, cloud):
         builder = GraphBuilder(cloud, plain_graph_schema(directed=True))
         builder.add_edges([(0, 1), (1, 2), (2, 0)])

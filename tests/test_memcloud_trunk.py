@@ -291,7 +291,7 @@ class TestLocking:
         trunk.put(1, b"v1")
         trunk.lock_of(1).acquire()
         assert trunk.reencode_cell(1, b"v1", b"v2") is False
-        trunk._lookup(1).lock = TakenAfterProbe(1)
+        trunk._locks[trunk._require(1)] = TakenAfterProbe(1)
         with pytest.raises(CellLockedError, match="spin budget 1 exhausted"):
             trunk.reencode_cell(1, b"v1", b"v2")
         assert trunk.get(1) == b"v1"

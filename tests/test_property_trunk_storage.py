@@ -10,11 +10,12 @@ allocator accounting and the hash table's probe-exact counters.
 from __future__ import annotations
 
 import dataclasses
+import struct
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import ClusterConfig, MemoryParams
 from repro.errors import MemoryCloudError
@@ -33,18 +34,22 @@ SMALL_UID = st.integers(min_value=0, max_value=23)
 PAYLOAD = st.binary(max_size=48)
 
 # One "program": an interleaved list of trunk operations.
-OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("put"), SMALL_UID, PAYLOAD),
-        st.tuples(st.just("remove"), SMALL_UID),
-        st.tuples(st.just("bulk"),
-                  st.lists(st.tuples(SMALL_UID, PAYLOAD), max_size=12)),
-        st.tuples(st.just("resize"), SMALL_UID,
-                  st.integers(min_value=0, max_value=96)),
-        st.tuples(st.just("defrag")),
-    ),
+OP = st.one_of(
+    st.tuples(st.just("put"), SMALL_UID, PAYLOAD),
+    st.tuples(st.just("remove"), SMALL_UID),
+    st.tuples(st.just("bulk"),
+              st.lists(st.tuples(SMALL_UID, PAYLOAD), max_size=12)),
+    st.tuples(st.just("resize"), SMALL_UID,
+              st.integers(min_value=0, max_value=96)),
+    st.tuples(st.just("defrag")),
+)
+OPS = st.lists(OP, max_size=40)
+# The same, plus a defragmentation attempted while one cell's lock is held.
+PINNED_OPS = st.lists(
+    st.one_of(OP, st.tuples(st.just("pinned_defrag"), SMALL_UID)),
     max_size=40,
 )
+_HEADER = struct.Struct("<QII")     # the in-arena cell header
 
 
 def _churn_program() -> list[tuple]:
@@ -143,6 +148,52 @@ def close_paged(paged: MemoryTrunk) -> None:
     paged.storage.close()
 
 
+def spans_of_cells(trunk: MemoryTrunk) -> dict[int, tuple[int, int]]:
+    """uid → payload span ``[start, limit)`` of every live cell, as
+    :meth:`MemoryTrunk.span_table` lists them."""
+    epoch, keys, states, starts, limits = trunk.span_table()
+    assert epoch == trunk.mutation_epoch
+    live = states == 1
+    return dict(zip(keys[live].tolist(),
+                    zip(starts[live].tolist(), limits[live].tolist())))
+
+
+def assert_table_contract(trunk: MemoryTrunk, reference: dict) -> None:
+    """The cell table against the arena and the scalar reads.
+
+    Every span ``span_table`` lists holds what ``get`` returns, behind a
+    header naming the cell; ``stats()`` is a from-scratch recount of
+    those headers; and the used region ``[tail, head)`` is disjoint live
+    footprints plus exactly the garbage.
+    """
+    spans = spans_of_cells(trunk)
+    assert sorted(spans) == sorted(reference)
+    tail = trunk._committed_tail
+    live = reserved = 0
+    footprints = []         # (circular distance from the tail, bytes)
+    for uid, (start, limit) in spans.items():
+        assert (bytes(trunk.storage.read(start, limit)) == trunk.get(uid)
+                == reference[uid])
+        header = _HEADER.unpack(trunk.storage.read(start - _HEADER.size,
+                                                   start))
+        assert header[:2] == (uid, limit - start) and header[1] <= header[2]
+        live += _HEADER.size + header[1]
+        reserved += _HEADER.size + header[2]
+        footprints.append(((start - _HEADER.size - tail) % TRUNK_SIZE,
+                           _HEADER.size + header[2]))
+    stats = trunk.stats()
+    assert (stats.cell_count, stats.live_bytes, stats.reserved_bytes) == (
+        len(spans), live, reserved)
+    used = trunk._append_head - tail
+    if trunk._wrapped:
+        used += TRUNK_SIZE
+    end = 0
+    for position, size in sorted(footprints):
+        assert end <= position
+        end = position + size
+    assert end <= used == reserved + stats.garbage_bytes
+
+
 class TestStorageEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(OPS)
@@ -225,6 +276,79 @@ class TestStorageEquivalence:
             assert fresh.get(99) == b"after-restore"
         finally:
             cloud.release_arenas()
+
+
+@pytest.mark.parametrize("storage", ["resident", "paged"])
+class TestCellTableContract:
+    """What a trunk's cell table promises, after every step of a program:
+    spans, stats and the used region agree with the arena
+    (:func:`assert_table_contract`); a cell's lock survives in-place
+    updates and defragmentation and is new after a relocation or a
+    re-insert; and defragmentation aborts exactly when a lock is held."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(PINNED_OPS)
+    # Relocations into the slot they freed, a re-insert, a pinned pass.
+    @example([("put", 2, b"a"), ("put", 2, b"b" * 40), ("resize", 2, 96),
+              ("remove", 2), ("put", 2, b"c"), ("pinned_defrag", 2)])
+    def test_table_contract_after_every_op(self, storage, ops):
+        trunk = MemoryTrunk(0, make_params(storage),
+                            registry=MetricsRegistry())
+        try:
+            reference: dict[int, bytes] = {}
+            retired: dict = {}      # the last lock of a removed cell
+            for op in ops:
+                # Half the cells have had their lock handed out, half not.
+                locks = {uid: trunk.lock_of(uid) for uid in reference
+                         if uid % 2 == 0}
+                before = trunk.stats()
+                pinned = op[0] == "pinned_defrag" and op[1] in reference
+                if op[0] == "pinned_defrag":
+                    self._pinned_defrag(trunk, op[1], reference)
+                else:
+                    run_program(trunk, [op], reference)
+                after = trunk.stats()
+                assert after.defrag_aborts == before.defrag_aborts + pinned
+                if op[0] in ("defrag", "pinned_defrag") and not pinned:
+                    assert after.defrag_passes == before.defrag_passes + 1
+                assert_table_contract(trunk, reference)
+                self._check_locks(trunk, op, locks, reference,
+                                  after.relocations - before.relocations)
+                # A re-inserted cell does not inherit its old lock, even
+                # when it lands in the slot the removal freed.
+                retired.update((uid, lock) for uid, lock in locks.items()
+                               if uid not in reference)
+                for uid in [uid for uid in retired if uid in reference]:
+                    assert trunk.lock_of(uid) is not retired.pop(uid)
+        finally:
+            trunk.storage.close()
+
+    @staticmethod
+    def _pinned_defrag(trunk, uid, reference) -> None:
+        if uid not in reference:        # nothing held: the pass runs
+            assert trunk.defragment()
+            return
+        spans = spans_of_cells(trunk)
+        with trunk.lock_of(uid):
+            assert not trunk.defragment()
+        assert spans_of_cells(trunk) == spans       # nothing moved
+
+    @staticmethod
+    def _check_locks(trunk, op, locks, reference, relocated) -> None:
+        if op[0] == "bulk":
+            touched = {uid for uid, _ in op[1]}
+        elif op[0] in ("put", "remove", "resize"):
+            touched = {op[1]}
+        else:
+            touched = set()
+        for uid, lock in locks.items():
+            if uid not in reference:    # removed: its lock went with it
+                continue
+            same = trunk.lock_of(uid) is lock
+            if uid not in touched or not relocated:
+                assert same
+            elif op[0] != "bulk":       # the one cell the op relocated
+                assert not same
 
 
 @pytest.mark.parametrize("storage", ["resident", "paged"])
