@@ -4,20 +4,26 @@
 
 Runs the spine's ``serve_cold_paged`` workload in this process (its
 graph, its request stream, four resident pages per trunk; block 0 is a
-warm-up, the next ``--blocks`` are timed) and wraps
-``MemoryTrunk.open_spans`` and, inside it, the page computation
-(``PagedStorage._span_pages``), the page-table walk and the drop of its
-victims (``_walk`` / ``_drop``; at a checkout that still evicts inside
-``pin_spans`` the two cannot be told apart and are ``pin_spans`` minus
-the page computation) and the over-budget fallback copy
-(``_copy_pages``, or the ``gather_ranges`` the trunk module used to
-call) — no profiler.  ``--src`` points at another checkout's ``src`` so
-a parent commit can be timed by the same script; a seam that checkout
-lacks is left out.  Then one sparse batch — a 30-byte cell on each of
-64 pages, adjacent and every other page — is copied both ways on the
-same input, so the page copy's worst shape reads beside the
-byte-granular gather's.  This is the source of the seam table in
-DESIGN.md §14, not a benchmark the driver runs.
+warm-up, the next ``--blocks`` are timed) and wraps the batched read's
+seams — no profiler:
+
+* ``MemoryCloud.bulk_get_spans``, the whole span fetch;
+* ``MemoryTrunk.open_spans``, one trunk's share of it, and inside that
+  the page computation (``PagedStorage.span_pages``), the page-table
+  walk and the drop of its victims (``_walk`` / ``_drop``) and the copy
+  of the pages: ``PagedStorage.open_spans`` less its walk and drop, at
+  a checkout whose every paged read copies into one read-wide buffer;
+  the over-budget fallback ``_copy_pages`` at one that pinned or copied;
+* ``BatchStructDecoder._decode``, the columnar decode, with its calls per
+  block: one per read when a read's trunks share one buffer, one per
+  trunk touched when they do not;
+* ``Graph._read_batch``, the whole batched read those sit in, and
+  ``SpanGroup.close`` at a checkout that still released span pins.
+
+``--src`` points at another checkout's ``src`` so a parent commit can be
+timed by the same script; a seam that checkout lacks is left out.  This
+is the source of the seam table in DESIGN.md §14, not part of the
+benchmark spine.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ import argparse
 import pathlib
 import sys
 import time
-import timeit
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -41,20 +46,18 @@ def main() -> None:
     sys.path.insert(0, str(HERE / "spine"))
     sys.path.insert(0, args.src)
 
-    import numpy as np
-
-    from repro.config import MemoryParams
+    from repro.graph.api import Graph
+    from repro.memcloud import cloud as cloud_module
     from repro.memcloud import trunk as trunk_module
     from repro.memcloud.storage import PagedStorage
-    from repro.obs import MetricsRegistry
-    from repro.utils.arrays import gather_ranges
+    from repro.tsl.batch import BatchStructDecoder
     from workloads import WORKLOADS
 
     totals: dict[str, float] = {}
     calls: dict[str, int] = {}
 
     def timed(owner, name: str, key: str) -> None:
-        inner = getattr(owner, name, None)
+        inner = owner.__dict__.get(name)
         if inner is None:
             return
 
@@ -68,13 +71,18 @@ def main() -> None:
                 calls[key] = calls.get(key, 0) + 1
         setattr(owner, name, wrapper)
 
+    timed(Graph, "_read_batch", "read")
+    timed(cloud_module.SpanGroup, "close", "close")
+    timed(cloud_module.MemoryCloud, "bulk_get_spans", "span fetch")
     timed(trunk_module.MemoryTrunk, "open_spans", "open_spans")
-    timed(PagedStorage, "pin_spans", "pin_spans")
+    timed(PagedStorage, "span_pages", "pages")
     timed(PagedStorage, "_span_pages", "pages")
     timed(PagedStorage, "_walk", "walk")
     timed(PagedStorage, "_drop", "drop")
     timed(PagedStorage, "_copy_pages", "copy")
-    timed(trunk_module, "gather_ranges", "copy")
+    if "_copy_pages" not in PagedStorage.__dict__:
+        timed(PagedStorage, "open_spans", "storage")
+    timed(BatchStructDecoder, "_decode", "decode")
 
     workload = WORKLOADS["serve_cold_paged"](args.seed, args.smoke)
     workload.setup()
@@ -87,54 +95,21 @@ def main() -> None:
     finally:
         workload.teardown()
 
-    if "pin_spans" in totals:
-        totals["walk + drop"] = totals.pop("pin_spans") - totals["pages"]
-    else:
-        totals["walk + drop"] = totals["walk"] + totals["drop"]
+    totals["walk + drop"] = totals["walk"] + totals["drop"]
+    if "storage" in totals:     # the copy is what the read adds to its walk
+        totals["copy"] = totals.pop("storage") - totals["walk + drop"]
     block_ms = sum(walls) / args.blocks * 1e3
     print(f"serve_cold_paged seed {args.seed}: {workload.nodes} nodes, "
           f"{workload.edges} edges; mean ms per block over {args.blocks} "
           f"(after block 0): {block_ms:.1f}")
-    for key in ("open_spans", "pages", "walk", "drop", "walk + drop",
-                "copy"):
+    for key in ("read", "span fetch", "open_spans", "pages", "walk", "drop",
+                "walk + drop", "copy", "decode", "close"):
         if key in totals:
             per_block = totals[key] / args.blocks * 1e3
             count = (f"{calls[key] / args.blocks:8.0f} calls"
                      if key in calls else "")
             print(f"  {key:12s} {per_block:7.1f}  "
                   f"({per_block / block_ms:4.0%}) {count}")
-
-    # The sparse batch: the page copy moves whole pages to serve 30
-    # bytes of each, the gather moves 30 bytes through an 8-byte index.
-    params = MemoryParams(trunk_size=1 << 20, storage="paged", page_budget=4)
-    storage = PagedStorage(0, params, registry=MetricsRegistry())
-    try:
-        page = params.storage_page_size
-        arena = storage.as_ndarray()
-        arena[:] = np.arange(len(arena), dtype=np.uint8)
-        copy_pages = getattr(storage, "_copy_pages", None)
-        for label, stride in (("adjacent", 1), ("every other", 2)):
-            starts = np.arange(64, dtype=np.int64) * (stride * page) + 100
-            limits = starts + 30
-            sizes = limits - starts
-            line = f"sparse, 64 pages {label:11s}"
-            gathered = clock(lambda: gather_ranges(arena, starts, sizes))
-            line += f"  gather_ranges {gathered:6.1f} us"
-            if copy_pages is not None:
-                pages = storage._span_pages(starts, limits)
-                copied = clock(lambda: copy_pages(pages, starts, limits))
-                line += (f"  page copy {copied:6.1f} us "
-                         f"({len(copy_pages(pages, starts, limits)[0])} B)")
-            print(line)
-        del arena
-    finally:
-        storage.close()
-
-
-def clock(function, repeats: int = 200) -> float:
-    """Best-of-5 mean microseconds of ``function()`` over ``repeats``."""
-    best = min(timeit.repeat(function, number=repeats, repeat=5))
-    return best / repeats * 1e6
 
 
 if __name__ == "__main__":

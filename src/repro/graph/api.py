@@ -111,12 +111,14 @@ class Graph:
                     cross_check: bool, dtype=None, csr: bool = False):
         """The one batched read behind every ``*_batch`` method.
 
-        Fetches the frontier as zero-copy spans — one group per trunk,
-        the cell bytes are never copied — runs
-        ``decode(arena, starts, limits, field_name)`` on each group, and
-        scatters the per-trunk results to input order: an ndarray of
+        Fetches the frontier as spans — one group per trunk — runs
+        ``decode(arena, starts, limits, field_name)`` once per buffer,
+        and scatters the results to input order: an ndarray of
         ``dtype``, a plain list when ``dtype`` is None, or ``(indptr,
-        flat)`` with ``flat`` of ``dtype`` when ``csr``.
+        flat)`` with ``flat`` of ``dtype`` when ``csr``.  A resident
+        trunk's group is zero-copy spans of its own arena, decoded on
+        its own; a paged read's groups all share one read-wide copy of
+        their pages, decoded once however many trunks it touches.
 
         Repeated node ids are deduplicated *before* hashing and routing:
         fused multi-query frontiers overlap heavily, and a duplicate
@@ -129,8 +131,6 @@ class Graph:
         a defrag, a remove, a resize) the arena views may have read
         moved bytes, so the answer is
         :class:`~repro.errors.StaleSpanError`, never silent garbage.
-        Whatever decode or that check raises, every group's page pins
-        are released, so paged trunks stay evictable between batches.
 
         ``cross_check`` replays ``scalar(node_id)`` per input id and
         raises :class:`~repro.errors.DivergenceError` on any difference.
@@ -152,15 +152,15 @@ class Graph:
                 unique, inverse = ids, None
             else:
                 self._m_batch_dedup.inc(len(ids) - len(unique))
-        groups = self.cloud.bulk_get_spans(unique)
-        try:
-            parts = [(idx, decode(arena, starts, limits, field_name))
-                     for arena, starts, limits, idx in groups]
-            for group in groups:
-                group.assert_fresh()
-        finally:
-            for group in groups:
-                group.close()
+        groups = reads = self.cloud.bulk_get_spans(unique)
+        if len(groups) > 1 and groups[0].arena is groups[-1].arena:
+            # A paged read: its groups share one buffer, decoded once.
+            arenas, *columns = zip(*groups)
+            reads = [(arenas[0], *map(np.concatenate, columns))]
+        parts = [(idx, decode(arena, starts, limits, field_name))
+                 for arena, starts, limits, idx in reads]
+        for group in groups:
+            group.assert_fresh()
         m = len(unique)
         if csr:
             counts = np.zeros(m, dtype=np.int64)

@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import os
 import tempfile
+from itertools import repeat
 
 import numpy as np
 
@@ -33,12 +34,14 @@ from .trunk import MemoryTrunk, TrunkStats
 
 
 class SpanGroup:
-    """One trunk's zero-copy spans plus the machinery to detect staleness.
+    """One trunk's spans plus the machinery to detect staleness.
 
     Iterates as the legacy ``(arena, starts, limits, positions)`` 4-tuple
     so existing decoders keep unpacking it; additionally carries the trunk
     and the structural epoch at fetch time so consumers can
-    :meth:`assert_fresh` right before (or after) decoding.
+    :meth:`assert_fresh` right before (or after) decoding.  ``arena`` is
+    the trunk's own arena when resident, and on a paged cloud the one
+    buffer every group of the read shares.
     """
 
     __slots__ = ("arena", "starts", "limits", "positions", "trunk", "epoch")
@@ -64,14 +67,6 @@ class SpanGroup:
         current = self.trunk.mutation_epoch
         if current != self.epoch:
             raise StaleSpanError(self.trunk.trunk_id, self.epoch, current)
-
-    def close(self) -> None:
-        """Release the page pins backing these spans (no-op for resident
-        trunks).  Consumers call this once decoding is done; an epoch
-        bump on the trunk releases the pins anyway, but read-heavy
-        workloads may go many batches between mutations and paged trunks
-        must not accumulate pinned (unevictable) pages across them."""
-        self.trunk.release_span_pins()
 
 
 class MemoryCloud:
@@ -351,39 +346,39 @@ class MemoryCloud:
         over :meth:`bulk_get_spans` (same lookups, same accounting)."""
         out: list = [None] * len(cell_ids)
         groups = self.bulk_get_spans(cell_ids)
-        try:
-            for arena, starts, limits, positions in groups:
-                for i, lo, hi in zip(positions.tolist(), starts.tolist(),
-                                     limits.tolist()):
-                    out[i] = arena[lo:hi].tobytes()
-            for group in groups:
-                group.assert_fresh()
-        finally:
-            for group in groups:
-                group.close()
+        for arena, starts, limits, positions in groups:
+            for i, lo, hi in zip(positions.tolist(), starts.tolist(),
+                                 limits.tolist()):
+                out[i] = arena[lo:hi].tobytes()
+        for group in groups:
+            group.assert_fresh()
         return out
 
     def bulk_get_spans(self, cell_ids) -> list[SpanGroup]:
-        """Zero-copy payload spans for a batch, grouped per trunk.
+        """Payload spans for a batch, grouped per trunk.
 
         Returns one :class:`SpanGroup` per trunk touched, in trunk order
-        — unpacking as ``(arena_view, starts, limits, positions)`` —
-        where ``arena_view[starts[i]:limits[i]]`` is the payload of
-        ``cell_ids[positions[i]]``.  Nothing is copied: the views alias
-        trunk arenas and are only valid until the next write or
-        defragmentation on those trunks, which is exactly the lifetime a
-        query hop needs (fetch a frontier, decode it, move on).  Each
-        group records the structural epoch its cells were located at;
-        decoders call :meth:`SpanGroup.assert_fresh` so an interleaved
-        mutation raises :class:`~repro.errors.StaleSpanError` instead of
-        yielding bytes read from relocated cells.
+        — unpacking as ``(arena, starts, limits, positions)`` — where
+        ``arena[starts[i]:limits[i]]`` is the payload of
+        ``cell_ids[positions[i]]``.  On resident trunks nothing is
+        copied: the views alias trunk arenas and are only valid until the
+        next write or defragmentation on those trunks, which is exactly
+        the lifetime a query hop needs (fetch a frontier, decode it, move
+        on).  On a paged cloud every touched trunk's pages land in **one
+        read-wide buffer**, each trunk in its own rows of it, so every
+        group's ``arena`` is that one buffer and the read decodes once.
+        Each group records the structural epoch its cells were located
+        at; decoders call :meth:`SpanGroup.assert_fresh` so an
+        interleaved mutation raises :class:`~repro.errors.StaleSpanError`
+        instead of yielding bytes read from relocated cells.
 
         The whole window is located in one probe pass over the cloud's
         :class:`~repro.memcloud.directory.SpanDirectory`; a trunk touched
-        then costs a slice of the result (and, paged, the pins under
-        it).  Observably the batch is a scalar :meth:`get` loop: the same
-        probe accounting per table, and a missing cell raises for the
-        first such id in input order, before any page is pinned.
+        then costs a slice of the result (and, paged, one walk, copy and
+        drop of its pages).  Observably the batch is a scalar :meth:`get`
+        loop: the same probe accounting per table, and a missing cell
+        raises for the first such id in input order, before any page is
+        touched.
         """
         count = len(cell_ids)
         if not count:
@@ -407,21 +402,29 @@ class MemoryCloud:
                 # Not reached, unless the cell was put since the probe.
                 raise CellNotFoundError(
                     int(cell_ids[int(order[~found].min())]))
+            highs = [*lows[1:], count]
+            # resident: read in place, no pages and no buffer
+            pages, rows, buffer = repeat(None), repeat(0), None
+            memory = self.config.memory
+            if memory.storage == "paged":
+                # Size one buffer for every trunk's pages, then each
+                # trunk fills its own rows of it under its own mutex.
+                pages = [self.trunks[trunk_id].storage.span_pages(
+                             starts[low:high], limits[low:high])
+                         for trunk_id, low, high in zip(touched, lows, highs)]
+                rows = np.cumsum([0, *map(len, pages)]).tolist()
+                buffer = np.empty(rows[-1] * memory.storage_page_size,
+                                  dtype=np.uint8)
             spans: list[SpanGroup] = []
-            try:
-                for trunk_id, epoch, walked, low, high in zip(
-                        touched, epochs,
-                        np.add.reduceat(probes, lows).tolist(),
-                        lows, [*lows[1:], count]):
-                    trunk = self.trunks[trunk_id]
-                    arena, begin, end = trunk.open_spans(
-                        starts[low:high], limits[low:high], walked)
-                    spans.append(SpanGroup(arena, begin, end,
-                                           order[low:high], trunk, epoch))
-            except BaseException:
-                for group in spans:     # the pins this batch already took
-                    group.close()
-                raise
+            for trunk_id, epoch, walked, low, high, batch, at in zip(
+                    touched, epochs, np.add.reduceat(probes, lows).tolist(),
+                    lows, highs, pages, rows):
+                trunk = self.trunks[trunk_id]
+                arena, begin, end = trunk.open_spans(
+                    starts[low:high], limits[low:high], walked, batch,
+                    buffer, at)
+                spans.append(SpanGroup(arena, begin, end, order[low:high],
+                                       trunk, epoch))
         self._m_bulk_get_cells.inc(count)
         self._m_bulk_get_batches.inc(len(spans))
         return spans

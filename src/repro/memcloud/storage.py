@@ -27,20 +27,18 @@ budget evicts pages of its own, which dropped first would fault
 straight back in and stay.  (The kernel's fault-around maps a fault's
 neighbours, so the bound is the budget plus one such window.)
 
-Zero-copy span reads interact with eviction through **pinning**:
-a batched read (``MemoryTrunk.open_spans``) pins the pages under a span
-group so the decode that follows cannot fault its own input back out.
-Pins are reference counts; they are dropped on the trunk's next
-structural epoch bump (any mutation), or by an explicit
-``SpanGroup.close()``.  When a span batch's working set would not fit
-the page budget nothing is pinned and the batch gets a private *copy*
-of its pages — whole pages end to end, as a buffer pool would read
-them, with the spans rebased into it.  Decoders see the same bytes
-either way, they just lose the zero-copy aliasing.
+A batched read (``MemoryTrunk.open_spans``) copies: the pages under
+its spans land in rows of a caller's buffer — whole pages end to end,
+as a buffer pool would read them, with the spans rebased into it — in
+one walk, one copy and one drop.  The cloud sizes one such buffer for
+every paged trunk a read touches, so the read decodes once.  Nothing of
+it aliases the mapping, so nothing needs to stay resident for it.  Only
+a writable ``view`` (``MemoryCloud.pin``) pins its pages, as reference
+counts dropped on the trunk's next structural epoch bump (any
+mutation).
 
 Everything is observable: ``trunk.page.{fault,evict,writeback}.total``
-counters plus ``trunk.page.{resident,pinned}`` gauges per trunk, and a
-``trunk.page.span_fallback.total`` counter for degraded span batches.
+counters plus ``trunk.page.{resident,pinned}`` gauges per trunk.
 """
 
 from __future__ import annotations
@@ -125,18 +123,16 @@ class TrunkStorage:
             self._array = np.frombuffer(self.arena.buf, dtype=np.uint8)
         return self._array
 
-    def open_spans(self, starts, limits):
+    def open_spans(self, starts, limits, pages=None, buffer=None, at=0):
         """``(buffer, starts, limits)`` with ``buffer[starts[i]:limits[i]]``
         the bytes of span ``i``: the arena and the inputs when the spans
-        can be read in place.  A paged backing accounts the read and
-        pins the spans' pages against eviction; a batch whose pages the
-        budget cannot hold gets a private copy of them instead, with
-        the spans rebased into it, and pins nothing.
+        can be read in place.  A paged backing copies the spans' pages
+        into ``buffer`` instead and rebases the spans into it.
         """
         return self.as_ndarray(), starts, limits
 
     def release_pins(self) -> None:
-        """Drop every span pin (structural epoch bump / explicit close)."""
+        """Drop every view pin (structural epoch bump)."""
 
     def flush(self) -> int:
         """Write dirty pages back to the backing file; returns pages
@@ -202,8 +198,6 @@ class PagedStorage(TrunkStorage):
         self._m_fault = obs.counter("trunk.page.fault.total", **label)
         self._m_evict = obs.counter("trunk.page.evict.total", **label)
         self._m_writeback = obs.counter("trunk.page.writeback.total", **label)
-        self._m_fallback = obs.counter("trunk.page.span_fallback.total",
-                                       **label)
         self._g_resident = obs.gauge("trunk.page.resident", **label)
         self._g_pinned = obs.gauge("trunk.page.pinned", **label)
 
@@ -229,14 +223,13 @@ class PagedStorage(TrunkStorage):
     def dirty_pages(self) -> int:
         return len(self._dirty)
 
-    def _walk(self, pages=(), dirty: bool = False,
-              pin: bool = False) -> list[tuple[int, bool]]:
+    def _walk(self, pages=(), dirty: bool = False) -> list[tuple[int, bool]]:
         """Account one access to ``pages``, in order, as one unit of
         page-table work: refresh or insert each page (a fault), evict
         the oldest unpinned page while over budget, then mark the page
-        dirty and/or pin it as asked.  Returns the victims in eviction
-        order as ``(page, was_dirty)`` and syncs or unmaps nothing: the
-        caller touches its bytes first, then hands them to :meth:`_drop`.
+        dirty if asked.  Returns the victims in eviction order as
+        ``(page, was_dirty)`` and syncs or unmaps nothing: the caller
+        touches its bytes first, then hands them to :meth:`_drop`.
         """
         table, pins, stale = self._resident, self._pins, self._dirty
         budget = self._budget
@@ -266,8 +259,6 @@ class PagedStorage(TrunkStorage):
                 settle()
             if dirty:
                 stale.add(page)
-            if pin:
-                pins[page] = pins.get(page, 0) + 1
         if faults or evicted:
             self._m_fault.inc(faults)
             self._m_evict.inc(len(evicted))
@@ -317,7 +308,7 @@ class PagedStorage(TrunkStorage):
             return range(0)
         return range(start // self._page, (end - 1) // self._page + 1)
 
-    def _span_pages(self, starts, limits) -> np.ndarray:
+    def span_pages(self, starts, limits) -> np.ndarray:
         """Sorted distinct pages under the non-empty spans (the interior
         pages of a page-crossing span included): +1 at each span's first
         page, -1 past its last, and the pages where the running sum is
@@ -334,20 +325,6 @@ class PagedStorage(TrunkStorage):
         cover = np.bincount(first - low, minlength=width)
         cover -= np.bincount(last - (low - 1), minlength=width)
         return np.flatnonzero(np.cumsum(cover)) + low
-
-    def _copy_pages(self, pages: np.ndarray, starts: np.ndarray,
-                    limits: np.ndarray):
-        """A private copy of ``pages`` (ascending, every non-empty
-        span's pages among them) end to end, and the spans rebased into
-        it: a span keeps its offset in its first page, which sits at
-        that page's rank; a page-crossing span's pages stay adjacent."""
-        page = self._page
-        buffer = self.as_ndarray().reshape(-1, page)[pages].ravel()
-        first = starts // page
-        shift = (np.searchsorted(pages, first) - first) * page
-        # an empty span may sit on no page of the batch: park it at 0
-        shift = np.where(limits > starts, shift, -starts)
-        return buffer, starts + shift, limits + shift
 
     # -- TrunkStorage API -------------------------------------------------
 
@@ -376,21 +353,30 @@ class PagedStorage(TrunkStorage):
         self._drop(evicted)
         return view
 
-    def open_spans(self, starts, limits):
-        pages = self._span_pages(starts, limits)
-        order = pages.tolist()
-        evicted = self._walk(order)     # the read itself: faults, evictions
-        pins = self._pins
-        fresh = sum(page not in pins for page in order)
-        if fresh + len(pins) > self._budget:
-            self._m_fallback.inc()
-            spans = self._copy_pages(pages, starts, limits)
-        else:
-            evicted += self._walk(order, pin=True)
-            self._g_pinned.set(len(pins))
-            spans = self.as_ndarray(), starts, limits
+    def open_spans(self, starts, limits, pages=None, buffer=None, at=0):
+        """Copy ``pages`` (:meth:`span_pages` of the spans) end to end
+        into rows ``at`` onward of ``buffer`` (a flat ``uint8`` array of
+        whole pages; a fresh one of its own when None) in one walk, one
+        copy and one drop, and rebase the spans into it: a span keeps
+        its offset in its first page, which sits at that page's row; a
+        page-crossing span's pages stay adjacent."""
+        page = self._page
+        if pages is None:
+            pages = self.span_pages(starts, limits)
+        if buffer is None:
+            buffer = np.empty(len(pages) * page, dtype=np.uint8)
+        rows = buffer[at * page:(at + len(pages)) * page].reshape(-1, page)
+        evicted = self._walk(pages.tolist())
+        # "clip" (the pages are in range) lets take write into ``rows``
+        # directly; the default mode copies through a temporary
+        np.take(self.as_ndarray().reshape(-1, page), pages, axis=0,
+                out=rows, mode="clip")
         self._drop(evicted)
-        return spans
+        first = starts // page
+        shift = (np.searchsorted(pages, first) + at - first) * page
+        # an empty span may sit on no page of the batch: park it at 0
+        shift = np.where(limits > starts, shift, -starts)
+        return buffer, starts + shift, limits + shift
 
     def release_pins(self) -> None:
         if self._pins:

@@ -381,49 +381,41 @@ class MemoryTrunk:
                     starts, starts + self._sizes[slots])
 
     def open_spans(self, starts: np.ndarray, limits: np.ndarray,
-                   probes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Zero-copy payload spans ``(arena_view, starts, limits)`` for
-        cells the span directory located on its mirror of this trunk,
-        walking ``probes`` slots: the index is charged what the same
-        ``get`` calls would have counted.
+                   probes: int, pages=None, buffer=None, at: int = 0
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Payload spans ``(buffer, starts, limits)`` for cells the span
+        directory located on its mirror of this trunk, walking ``probes``
+        slots: the index is charged what the same ``get`` calls would
+        have counted.
 
-        ``arena_view[starts[i]:limits[i]]`` is cell ``i``'s payload, read
-        straight out of the trunk arena — nothing is copied.  The view is
-        only valid until the next structural change on this trunk (a put,
-        remove, resize, or defragmentation relocates cells): whoever
-        decodes it checks the epoch the cells were located at against
-        :attr:`mutation_epoch` (:exc:`~repro.errors.StaleSpanError`).
-
-        On a paged trunk the pages under the spans are *pinned* against
-        eviction until the next structural epoch bump (or an explicit
-        :meth:`release_span_pins`), so the decode that follows cannot
-        fault its own input back out.  If the batch's page working set
-        exceeds the page budget, nothing is pinned and the spans come
-        back rebased into a private copy of those pages — same bytes,
-        same epoch guard, no aliasing.
+        ``buffer[starts[i]:limits[i]]`` is cell ``i``'s payload.  A
+        resident trunk reads in place: the buffer is its arena, nothing
+        is copied, and the spans are only valid until the next structural
+        change on this trunk (a put, remove, resize, or defragmentation
+        relocates cells).  A paged trunk copies the pages under the spans
+        into rows ``at`` onward of ``buffer`` (``pages`` is
+        :meth:`~repro.memcloud.storage.PagedStorage.span_pages` of the
+        spans; both default to the spans' own) and rebases the spans
+        into it.  Either way whoever decodes checks the epoch the cells
+        were located at against :attr:`mutation_epoch`
+        (:exc:`~repro.errors.StaleSpanError`).
         """
         with self._mutex:
             self._index.lookup_count += len(starts)
             self._index.probe_count += probes
-            return self._storage.open_spans(starts, limits)
-
-    def release_span_pins(self) -> None:
-        """Release page pins taken by :meth:`open_spans` (no-op on
-        resident storage).  Consumers call this once a span group has
-        been decoded; any structural mutation releases them too."""
-        with self._mutex:
-            self._storage.release_pins()
+            return self._storage.open_spans(starts, limits, pages, buffer,
+                                            at)
 
     def _invalidate_spans(self) -> None:
         """Advance the structural epoch.
 
         Called wherever cells may move, grow, or die.  The span
-        directory's mirror of this trunk and every outstanding zero-copy
-        span carry the epoch they were taken at, so after this bump the
-        mirror is recopied before its next use and the spans' consumers
-        refuse to decode (``StaleSpanError``) instead of silently reading
-        relocated bytes.  Span-page pins die with their epoch: whatever
-        mutated may now evict freely.
+        directory's mirror of this trunk and every outstanding span carry
+        the epoch they were taken at, so after this bump the mirror is
+        recopied before its next use and the spans' consumers refuse to
+        decode (``StaleSpanError``) instead of silently reading relocated
+        bytes.  View pins die with their epoch: whatever mutated may now
+        evict freely.
         """
         self._mutation_epoch += 1
         self._storage.release_pins()

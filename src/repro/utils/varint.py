@@ -155,7 +155,10 @@ def varint_lengths(values: np.ndarray) -> np.ndarray:
     """Encoded byte length per value of a ``uint64`` array."""
     values = np.ascontiguousarray(values, dtype=np.uint64)
     lengths = np.ones(len(values), dtype=np.int64)
+    top = values.max(initial=0)
     for step in _LENGTH_STEPS:
+        if step > top:      # no value needs this byte or any later one
+            break
         lengths += values >= step
     return lengths
 
@@ -167,17 +170,20 @@ def encode_varints(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     per-value byte counts.  Byte-identical to ``b"".join(encode_varint(v)
     for v in values)`` for every representable value (the full uint64
     range, ten bytes max) — pinned by the varint cross-test.
+
+    Written one byte rank at a time: every value's first byte, then the
+    second byte of the values that still need one, and so on — one
+    vectorized pass per byte of the longest varint, shrinking with it.
     """
     values = np.ascontiguousarray(values, dtype=np.uint64)
     lengths = varint_lengths(values)
-    total = int(lengths.sum())
-    if not total:
-        return np.empty(0, dtype=np.uint8), lengths
-    starts = np.zeros(len(values), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    owner = np.repeat(np.arange(len(values)), lengths)
-    rank = np.arange(total, dtype=np.int64) - starts[owner]
-    chunk = (values[owner] >> (rank.astype(np.uint64) * np.uint64(7)))
-    stream = (chunk & np.uint64(0x7F)).astype(np.uint8)
-    stream[rank < lengths[owner] - 1] |= 0x80
+    stream = np.empty(int(lengths.sum()), dtype=np.uint8)
+    cursor = np.cumsum(lengths) - lengths       # each value's next byte
+    rest = values
+    while len(rest):
+        more = rest > np.uint64(0x7F)
+        stream[cursor] = (rest & np.uint64(0x7F)).astype(np.uint8) | (
+            more.view(np.uint8) << 7)
+        cursor = cursor[more] + 1
+        rest = rest[more] >> np.uint64(7)
     return stream, lengths

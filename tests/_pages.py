@@ -22,7 +22,6 @@ class PageTableModel:
         self.victims: list[int] = []        # every eviction, in order
         self.faults = 0
         self.writebacks = 0
-        self.fallbacks = 0
 
     @property
     def evictions(self) -> int:
@@ -84,19 +83,11 @@ class PageTableModel:
         for page in self.span_pages([start], [end]):
             self.pins[page] = self.pins.get(page, 0) + 1
 
-    def open_spans(self, starts, limits) -> bool:
-        """True when the batch was pinned, False when it fell back."""
-        pages = self.span_pages(starts, limits)
-        for page in pages:
+    def open_spans(self, starts, limits) -> None:
+        """A batched read: its pages are read once, in order, and
+        copied out; nothing is pinned."""
+        for page in self.span_pages(starts, limits):
             self._touch_page(page, dirty=False)
-        fresh = [p for p in pages if p not in self.pins]
-        if len(fresh) + len(self.pins) > self.budget:
-            self.fallbacks += 1
-            return False
-        for page in pages:
-            self._touch_page(page, dirty=False)
-            self.pins[page] = self.pins.get(page, 0) + 1
-        return True
 
     def release_pins(self) -> None:
         if self.pins:

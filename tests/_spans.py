@@ -37,7 +37,7 @@ def trunk_spans(trunk, uids, directory: SpanDirectory | None = None
     """One batched read of a standalone trunk, as the one span group the
     cloud would make of it: located in a directory (a throwaway one
     unless given), charged to the trunk's index, opened by the trunk —
-    pins, fallback and all."""
+    a paged trunk copies its pages into a buffer of its own."""
     if directory is None:
         directory = SpanDirectory(1, MetricsRegistry())
     starts, limits, probes, found, epoch = locate(directory, trunk, uids)

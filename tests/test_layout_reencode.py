@@ -159,8 +159,6 @@ class TestSpanInvalidation:
         with pytest.raises(StaleSpanError):
             for group in groups:
                 group.assert_fresh()
-        for group in groups:
-            group.close()
         # A re-fetch observes the migrated layout and decodes cleanly.
         snapshot(graph)
 

@@ -88,13 +88,16 @@ class TestClose:
             arena.buf
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status (Linux)")
 def test_default_cloud_commits_on_touch():
     """256 x 4 MiB of trunks are reserved, not zero-filled: a default
     cloud holding 1,000 small cells stays far below its 1 GiB of address
-    space.  Measured in a fresh interpreter so ``ru_maxrss`` is this
-    program's own (an eager arena peaks above 1,000 MiB here)."""
+    space.  Measured in a fresh interpreter by its own ``VmHWM`` (an
+    eager arena peaks above 1,000 MiB here).  Not ``ru_maxrss``: Linux
+    carries that across fork + exec, so the child would report the test
+    runner's peak whenever it is the larger."""
     program = textwrap.dedent("""
-        import resource
         from repro.config import ClusterConfig
         from repro.memcloud import MemoryCloud
         cloud = MemoryCloud(ClusterConfig())
@@ -102,7 +105,10 @@ def test_default_cloud_commits_on_touch():
         for uid in range(1000):
             cloud.put(uid, b"cell" * 8)
         assert cloud.get(999) == b"cell" * 8
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+        with open("/proc/self/status") as status:
+            [peak_kb] = [line.split()[1] for line in status
+                         if line.startswith("VmHWM:")]
+        print(int(peak_kb) // 1024)
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -57,19 +57,21 @@ def pinned_pages(cloud) -> list[int]:
 
 def copy_out(groups, count) -> list[bytes]:
     """Every payload of one batched read, in input order; the read is
-    checked fresh after the copy and closed whatever happens."""
+    checked fresh after the copy."""
     out: list = [None] * count
-    try:
-        for arena, starts, limits, positions in groups:
-            for i, lo, hi in zip(positions.tolist(), starts.tolist(),
-                                 limits.tolist()):
-                out[i] = arena[lo:hi].tobytes()
-        for group in groups:
-            group.assert_fresh()
-    finally:
-        for group in groups:
-            group.close()
+    for arena, starts, limits, positions in groups:
+        for i, lo, hi in zip(positions.tolist(), starts.tolist(),
+                             limits.tolist()):
+            out[i] = arena[lo:hi].tobytes()
+    for group in groups:
+        group.assert_fresh()
     return out
+
+
+def page_faults(cloud) -> list[int]:
+    """Faults per trunk of a paged cloud so far."""
+    return [cloud.trunks[t].storage._m_fault.value
+            for t in sorted(cloud.trunks)]
 
 
 class TestFailedBatch:
@@ -79,7 +81,8 @@ class TestFailedBatch:
     def test_failed_paged_batch_leaves_no_page_pinned(self):
         """Pins used to be taken trunk by trunk as the batch was looked
         up, so a miss in the last trunk left the earlier trunks' pages
-        pinned, with no span group to close."""
+        pinned, with no span group to close.  A paged read now pins
+        nothing at all, and a failed one touches no page."""
         cloud = make_cloud("paged", trunk_bits=3, page_budget=4)
         try:
             live = list(range(40))
@@ -88,32 +91,41 @@ class TestFailedBatch:
             missing = next(uid for uid in range(1000, 2000)
                            if trunk_of(uid, 3) == 7)
             assert len(set(cloud.trunks_of_array(live).tolist())) == 8
+            faults = page_faults(cloud)
             with pytest.raises(CellNotFoundError) as raised:
                 cloud.bulk_get_spans(live + [missing])
             assert raised.value.cell_id == missing
             assert pinned_pages(cloud) == [0] * 8
-            groups = cloud.bulk_get_spans(live)     # and a good one pins
-            assert sum(pinned_pages(cloud)) > 0
+            assert page_faults(cloud) == faults
+            groups = cloud.bulk_get_spans(live)     # and a good one
+            assert pinned_pages(cloud) == [0] * 8
+            [buffer] = {id(group.arena): group.arena
+                        for group in groups}.values()
+            for trunk in cloud.trunks.values():
+                assert not np.shares_memory(buffer,
+                                            trunk.storage.as_ndarray())
             assert copy_out(groups, 40) == [bytes([uid]) * 100
                                             for uid in live]
-            assert pinned_pages(cloud) == [0] * 8
         finally:
             cloud.release_arenas()
 
-    def test_a_failing_pin_step_releases_the_pins_already_taken(self):
+    def test_a_failing_copy_step_leaves_no_page_pinned(self):
         cloud = make_cloud("paged", trunk_bits=3, page_budget=4)
         try:
             live = list(range(40))
             for uid in live:
                 cloud.put(uid, bytes([uid]) * 100)
 
-            def broken(starts, limits, probes):
+            def broken(*args):
                 raise OSError("page file went away")
 
             cloud.trunks[5].open_spans = broken
             with pytest.raises(OSError, match="went away"):
                 cloud.bulk_get_spans(live)
             assert pinned_pages(cloud) == [0] * 8
+            del cloud.trunks[5].open_spans
+            assert copy_out(cloud.bulk_get_spans(live), 40) == [
+                bytes([uid]) * 100 for uid in live]
         finally:
             cloud.release_arenas()
 
@@ -163,6 +175,35 @@ class TestFailedBatch:
             for uid in batch:
                 looped.get(uid)
         assert probe_counters(batched) == probe_counters(looped)
+
+
+class TestViewPins:
+    """Only a ``cloud.pin`` view pins pages; a batched read copies and
+    pins nothing."""
+
+    def test_a_batched_read_keeps_a_views_pin(self):
+        """A batched read used to end by dropping every pin on its
+        trunks, a live ``cloud.pin`` view's included.  The view's page
+        stays pinned across the read and goes at the next epoch bump."""
+        cloud = make_cloud("paged", trunk_bits=1, page_budget=4, machines=1)
+        try:
+            same = [uid for uid in range(40) if trunk_of(uid, 1) == 0]
+            for uid in same:
+                cloud.put(uid, bytes([uid]) * 100)
+            pinned, others = same[0], same[1:3]
+            storage = cloud.trunk_for(pinned).storage
+            with cloud.pin(pinned) as view:
+                held = storage.pinned_pages
+                assert held >= 1
+                assert cloud.bulk_get(others) == [bytes([uid]) * 100
+                                                  for uid in others]
+                assert storage.pinned_pages == held
+                assert bytes(view) == bytes([pinned]) * 100
+            assert storage.pinned_pages == held
+            cloud.note_cell_write(pinned)
+            assert storage.pinned_pages == 0
+        finally:
+            cloud.release_arenas()
 
 
 class TestRegions:
@@ -388,7 +429,7 @@ class SpanDirectoryMachine(RuleBasedStateMachine):
 
 
 class PagedSpanDirectoryMachine(SpanDirectoryMachine):
-    STORAGE = "paged"       # two resident pages a trunk: pins and fallbacks
+    STORAGE = "paged"       # two resident pages a trunk: reads are copies
 
 
 TestSpanDirectoryMachine = SpanDirectoryMachine.TestCase

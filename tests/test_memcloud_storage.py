@@ -2,8 +2,8 @@
 
 ``PagedStorage`` accounts a multi-page access as one unit of page-table
 work.  These tests hold that walk to the per-page chain it replaced
-(``tests/_pages.py``), hold the page arithmetic and the whole-page
-fallback copy to their slow references, and pin what the ordering buys:
+(``tests/_pages.py``), hold the page arithmetic and a batched read's
+whole-page copy to their slow references, and pin what the ordering buys:
 the page budget bounds what is *mapped*, and a page written inside a
 batch wider than the budget is written back with its new bytes.
 """
@@ -111,14 +111,13 @@ class Harness:
             bounds = [clip(span, self.size) for span in op[1]]
             starts = np.array([b[0] for b in bounds], dtype=np.int64)
             limits = np.array([b[1] for b in bounds], dtype=np.int64)
-            pinned = model.open_spans(starts.tolist(), limits.tolist())
+            model.open_spans(starts.tolist(), limits.tolist())
             buffer, lo, hi = storage.open_spans(starts, limits)
             for (start, end), a, b in zip(bounds, lo.tolist(), hi.tolist()):
                 assert bytes(buffer[a:b]) == bytes(shadow[start:end])
-            assert np.shares_memory(buffer, storage.as_ndarray()) == pinned
-            if not pinned:
-                pages = model.span_pages(starts.tolist(), limits.tolist())
-                assert len(buffer) == len(pages) * PAGE
+            assert not np.shares_memory(buffer, storage.as_ndarray())
+            pages = model.span_pages(starts.tolist(), limits.tolist())
+            assert len(buffer) == len(pages) * PAGE
         elif kind == "release":
             model.release_pins()
             storage.release_pins()
@@ -135,7 +134,6 @@ class Harness:
         assert storage._m_fault.value == model.faults
         assert storage._m_evict.value == model.evictions
         assert storage._m_writeback.value == model.writebacks
-        assert storage._m_fallback.value == model.fallbacks
         assert storage._g_resident.value == len(model.order)
         assert storage._g_pinned.value == len(model.pins)
 
@@ -164,8 +162,8 @@ class TestBatchWalkAgainstPerPageChain:
             harness.step(("view", (2, 0, PAGE)))
             assert list(harness.storage._resident) == [0, 1, 2]
             harness.step(("open_spans", [(5, 0, 10), (6, 0, 10)]))
-            assert harness.storage._m_fallback.value == 1
             assert list(harness.storage._resident) == [0, 1, 2]
+            assert harness.victims[-2:] == [5, 6]
             harness.step(("release",))
             assert list(harness.storage._resident) == [1, 2]
         finally:
@@ -196,8 +194,8 @@ class TestSpanPages:
             starts = [b[0] for b in bounds]
             limits = [b[1] for b in bounds]
             reference = PageTableModel(PAGE, 2).span_pages(starts, limits)
-            pages = storage._span_pages(np.array(starts, dtype=np.int64),
-                                        np.array(limits, dtype=np.int64))
+            pages = storage.span_pages(np.array(starts, dtype=np.int64),
+                                       np.array(limits, dtype=np.int64))
             assert pages.tolist() == reference
         finally:
             storage.close()
@@ -206,7 +204,7 @@ class TestSpanPages:
         storage = make_storage(16, 2)
         try:
             def pages(starts, limits):
-                return storage._span_pages(
+                return storage.span_pages(
                     np.array(starts, dtype=np.int64),
                     np.array(limits, dtype=np.int64)).tolist()
             assert pages([PAGE - 1, 9 * PAGE],
@@ -218,7 +216,7 @@ class TestSpanPages:
             storage.close()
 
 
-# -- the over-budget fallback copies whole pages ------------------------------
+# -- a batched read copies whole pages ------------------------------------------
 
 class TestPageCopy:
 
@@ -248,19 +246,28 @@ class TestPageCopy:
                 limits = starts + np.array([20, 2 * page, 2, 0, page])
             order = np.random.default_rng(6).permutation(len(starts))
             starts, limits = starts[order], limits[order]
-            before = storage._m_fallback.value
-            buffer, lo, hi = storage.open_spans(starts, limits)
-            assert storage._m_fallback.value == before + 1
-            assert storage.pinned_pages == 0
-            pages = storage._span_pages(starts, limits)
-            assert len(buffer) == len(pages) * page
-            assert not np.shares_memory(buffer, storage.as_ndarray())
+            pages = storage.span_pages(starts, limits)
             packed = gather_ranges(expected, starts, limits - starts)
-            assert np.array_equal(gather_ranges(buffer, lo, hi - lo), packed)
-            for a, b, start, limit in zip(lo.tolist(), hi.tolist(),
-                                          starts.tolist(), limits.tolist()):
-                assert 0 <= a <= b <= len(buffer)
-                assert np.array_equal(buffer[a:b], expected[start:limit])
+            # On its own, and into rows 3.. of a read-wide buffer whose
+            # other rows belong to other trunks and must stay as they are.
+            shared = np.full((len(pages) + 5) * page, 0xAB, dtype=np.uint8)
+            for buffer, lo, hi in (
+                    storage.open_spans(starts, limits),
+                    storage.open_spans(starts, limits, pages, shared, 3)):
+                assert storage.pinned_pages == 0
+                assert not np.shares_memory(buffer, storage.as_ndarray())
+                assert np.array_equal(gather_ranges(buffer, lo, hi - lo),
+                                      packed)
+                for a, b, start, limit in zip(lo.tolist(), hi.tolist(),
+                                              starts.tolist(),
+                                              limits.tolist()):
+                    assert 0 <= a <= b <= len(buffer)
+                    assert np.array_equal(buffer[a:b], expected[start:limit])
+            assert buffer is shared
+            assert len(storage.open_spans(starts, limits)[0]) == (
+                len(pages) * page)
+            assert (shared[:3 * page] == 0xAB).all()
+            assert (shared[(len(pages) + 3) * page:] == 0xAB).all()
         finally:
             storage.close()
 

@@ -340,12 +340,19 @@ class TestPagedSpanStaleness:
         finally:
             trunk.storage.close()
 
-    def test_mutation_releases_span_pins(self):
+    def test_mutation_releases_view_pins(self):
+        """A span read copies and pins nothing; a view's pins stay
+        across it and go with the next structural mutation."""
         trunk = make_paged_trunk(page_budget=16)
         try:
             trunk.put(1, b"a" * 100)
+            spans = trunk_spans(trunk, np.array([1], dtype=np.uint64))
+            assert trunk.storage.pinned_pages == 0
+            assert payloads(spans) == [b"a" * 100]
+            with trunk.get_view(1):
+                assert trunk.storage.pinned_pages >= 1
             trunk_spans(trunk, np.array([1], dtype=np.uint64))
-            assert trunk.storage.pinned_pages >= 1
+            assert trunk.storage.pinned_pages >= 1     # still the view's
             trunk.put(2, b"b" * 100)
             assert trunk.storage.pinned_pages == 0
         finally:

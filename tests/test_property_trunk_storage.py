@@ -130,10 +130,7 @@ def assert_trunks_identical(resident: MemoryTrunk, paged: MemoryTrunk,
 
 def span_payloads(trunk: MemoryTrunk, uids) -> list[bytes]:
     """Every payload, copied out of one batched read of the trunk."""
-    try:
-        return payloads(trunk_spans(trunk, np.asarray(uids, dtype=np.uint64)))
-    finally:
-        trunk.release_span_pins()
+    return payloads(trunk_spans(trunk, np.asarray(uids, dtype=np.uint64)))
 
 
 def frozen_state(trunk: MemoryTrunk) -> dict:
@@ -220,11 +217,8 @@ class TestStorageEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(SMALL_UID, PAYLOAD), min_size=1, max_size=20))
     def test_spans_byte_identical(self, pairs):
-        """Span reads materialize the same bytes on both tiers.
-
-        Under a 2-page budget most batches exceed the pinnable working
-        set, so the paged trunk degrades them to packed copies — the
-        bytes must not care.
+        """Span reads materialize the same bytes on both tiers: in place
+        on the resident trunk, a copy of whole pages on the paged one.
         """
         resident, paged = make_pair()
         try:
@@ -482,30 +476,32 @@ class TestEvictionChurn:
         finally:
             close_paged(paged)
 
-    def test_over_budget_span_batch_falls_back_to_copies(self):
-        """A span batch wider than the budget degrades, never fails."""
-        registry = MetricsRegistry()
-        paged = MemoryTrunk(0, make_params("paged"), registry=registry)
+    def test_over_budget_span_batch_is_a_private_copy(self):
+        """A span batch wider than the budget reads, never fails, and
+        evicts as it goes: the budget still holds afterwards."""
+        paged = MemoryTrunk(0, make_params("paged"),
+                            registry=MetricsRegistry())
         try:
             payloads = {uid: bytes([uid]) * 120 for uid in range(12)}
             for uid, payload in payloads.items():
                 paged.put(uid, payload)
             uids = np.arange(12, dtype=np.uint64)
+            evictions = paged.storage._m_evict.value
             spans = trunk_spans(paged, uids)
             for i in range(12):
                 got = bytes(spans.arena[spans.starts[i]:spans.limits[i]])
                 assert got == payloads[i]
-            snap = registry.snapshot()
-            fallbacks = sum(
-                s["value"]
-                for s in snap["trunk.page.span_fallback.total"]["series"])
-            assert fallbacks >= 1
+            assert not np.shares_memory(spans.arena,
+                                        paged.storage.as_ndarray())
+            assert paged.storage._m_evict.value > evictions
+            assert paged.storage.resident_pages <= PAGE_BUDGET
             assert paged.storage.pinned_pages == 0
         finally:
             close_paged(paged)
 
-    def test_small_span_batch_pins_zero_copy(self):
-        """A batch that fits the budget aliases the mapping (no copy)."""
+    def test_small_span_batch_is_a_private_copy_too(self):
+        """A batch the budget could hold is copied all the same: whole
+        pages, nothing pinned, nothing aliasing the mapping."""
         params = MemoryParams(trunk_size=TRUNK_SIZE, page_size=128,
                               storage="paged", storage_page_size=PAGE_SIZE,
                               page_budget=8)
@@ -514,9 +510,10 @@ class TestEvictionChurn:
             paged.put(1, b"a" * 40)
             paged.put(2, b"b" * 40)
             spans = trunk_spans(paged, np.array([1, 2], dtype=np.uint64))
-            assert paged.storage.pinned_pages >= 1
-            assert spans.arena is paged.storage.as_ndarray()
-            paged.release_span_pins()
+            assert payloads(spans) == [b"a" * 40, b"b" * 40]
+            assert len(spans.arena) == PAGE_SIZE
+            assert not np.shares_memory(spans.arena,
+                                        paged.storage.as_ndarray())
             assert paged.storage.pinned_pages == 0
         finally:
             close_paged(paged)

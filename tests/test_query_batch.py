@@ -318,8 +318,8 @@ class TestLayoutPolicies:
 class TestFailedDecodeReleasesPins:
     def test_corrupt_cell_leaves_no_page_pinned(self):
         """A decode that raises between the span fetch and the freshness
-        check must still end the span lifetime: pins left behind stay
-        until the next read or write of that trunk."""
+        check leaves nothing behind: a paged read copies its pages and
+        pins none, so there is no span lifetime to end."""
         memory = MemoryParams(trunk_size=256 * 1024, storage="paged",
                               storage_page_size=512, page_budget=64)
         cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=2,
@@ -338,6 +338,49 @@ class TestFailedDecodeReleasesPins:
                 [0] * len(touched)
         finally:
             cloud.release_arenas()
+
+
+class TestOneDecodePerRead:
+    def test_a_paged_read_decodes_once_and_equals_its_resident_twin(
+            self, monkeypatch):
+        """Every paged trunk a read touches lands in one buffer, so the
+        read is one decode however many trunks it spans; a resident read
+        still decodes each trunk's arena in place.  The answers agree,
+        and each is cross-checked against the scalar reads."""
+        answers, calls = {}, {}
+        for storage in ("resident", "paged"):
+            memory = MemoryParams(trunk_size=256 * 1024, storage=storage,
+                                  storage_page_size=512, page_budget=2)
+            cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=3,
+                                              memory=memory),
+                                MetricsRegistry())
+            try:
+                graph = build_rmat_named_graph(cloud, scale=7)
+                ids = np.asarray(graph.node_ids[::3], dtype=np.int64)
+                trunks = len(set(cloud.trunks_of_array(ids).tolist()))
+                assert trunks >= 2
+                decoder, counted = graph._decoder, []
+                for name in ("decode_list_csr_spans", "field_counts_spans",
+                             "decode_column_spans"):
+                    def spy(*args, inner=getattr(decoder, name), name=name):
+                        counted.append(name)
+                        return inner(*args)
+                    monkeypatch.setattr(decoder, name, spy)
+                indptr, flat = graph.outlinks_batch(ids, cross_check=True)
+                degrees = graph.degree_batch(ids, cross_check=True)
+                names = graph.read_field_batch(ids, "Name", cross_check=True)
+                monkeypatch.undo()
+                answers[storage] = (indptr.tolist(), flat.tolist(),
+                                    degrees.tolist(), names)
+                calls[storage] = counted
+            finally:
+                cloud.release_arenas()
+        assert answers["paged"] == answers["resident"]
+        reads = ["decode_list_csr_spans", "field_counts_spans",
+                 "decode_column_spans"]
+        assert calls["paged"] == reads
+        assert calls["resident"] == [name for name in reads
+                                     for _ in range(trunks)]
 
 
 class TestDistributedSearchBatch:
