@@ -5,15 +5,18 @@
 One cycle is what the spine's ``load_restore`` workload times (R-MAT,
 degree 8, seed 42, 16 trunks of 1 MiB, real TFS files in a temporary
 directory): ``GraphBuilder`` bulk load, ``CheckpointManager.save_cloud``,
-``load_cloud``.  Inside them the script wraps ``finalize`` and its parts,
-``MemoryTrunk._bulk_insert_fresh`` (the trunk half of ``bulk_put``),
-``MemoryTrunk._index_fresh`` (charged to whichever phase called it),
-``trunk_to_bytes`` / ``freeze_image_state`` / ``tfs.write``, and
-``_parse_image`` / ``adopt_image_state`` — no profiler.  ``--src`` points
-at another checkout's ``src`` so a parent commit can be timed by the same
-script; a seam that checkout lacks is left out.  Means over ``--cycles``
-cycles after one warm-up cycle; this is the source of the table in
-DESIGN.md §10, not a benchmark the driver runs.
+``load_cloud``.  Inside them the script wraps ``finalize`` and its parts
+— the grouping, the cell encode (its field columns, the adjacency
+columns among them, and the interleave of the columns into cells),
+``MemoryTrunk._bulk_insert_fresh`` (the trunk half of ``bulk_put``) and
+its run write — ``MemoryTrunk._index_fresh`` (charged to whichever phase
+called it), ``trunk_to_bytes`` / ``freeze_image_state`` / ``tfs.write``,
+and ``_parse_image`` / ``adopt_image_state`` — no profiler.  ``--src``
+points at another checkout's ``src`` so a parent commit can be timed by
+the same script; a seam that checkout lacks is left out, and a seam
+whose owner was renamed is looked up under both names.  Means over
+``--cycles`` cycles after one warm-up cycle; this is the source of the
+table in DESIGN.md §10, not part of the spine benchmark.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ def main() -> None:
     from repro.memcloud.trunk import MemoryTrunk
     from repro.obs import MetricsRegistry
     from repro.tfs import TrinityFileSystem
+    from repro.tsl import batch
 
     totals: dict[str, float] = {}
 
@@ -62,11 +66,19 @@ def main() -> None:
 
     timed(GraphBuilder, "finalize", "load.finalize")
     timed(GraphBuilder, "_grouped_directions", "load.finalize.group")
-    timed(GraphBuilder, "_bulk_blobs", "load.finalize.blobs")
+    # The cells: one bytes per cell per field, joined (before), or the
+    # field columns and their interleave into one packed batch.
+    timed(GraphBuilder, "_bulk_blobs", "load.finalize.cells")
+    timed(GraphBuilder, "_encode", "load.finalize.cells")
+    timed(batch._FieldPlan, "encode_column", "load.finalize.cells.columns")
     timed(graph_builder, "encode_adjacency_segments",
-          "load.finalize.blobs.adjacency")
+          "load.finalize.cells.columns.adjacency")
+    timed(batch, "encode_adjacency_segments",
+          "load.finalize.cells.columns.adjacency")
+    timed(batch, "assemble_cells", "load.finalize.cells.interleave")
     timed(MemoryCloud, "bulk_put", "load.finalize.bulk_put")
     timed(MemoryTrunk, "_bulk_insert_fresh", "load.finalize.bulk_put.fresh")
+    timed(MemoryTrunk, "_write_run", "load.finalize.bulk_put.fresh.run")
     timed(MemoryTrunk, "_index_fresh", "index_fresh")
     timed(persistence, "trunk_to_bytes", "save.trunk_to_bytes")
     timed(MemoryTrunk, "freeze_image_state", "save.trunk_to_bytes.freeze")

@@ -20,7 +20,8 @@ edges from every chunk.
 batch stream, which is how a paged cloud (``MemoryParams.storage=
 "paged"``) loads a graph bigger than its page budget: each batch is
 ingested and released before the next is drawn, and the bulk finalize
-streams cell bytes through ``TrunkStorage.write_stream`` page by page.
+writes each trunk's run of cells through its storage in bounded chunks
+(``MemoryTrunk._write_run``), page by page.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ Edges are only *buffered* at ingest (:meth:`~GraphBuilder.add_edges`
 takes a numpy ``(m, 2)`` array, :meth:`~GraphBuilder.add_edge` appends
 to the same stream); ``finalize()`` groups them per endpoint with one
 stable sort per direction — neighbor order is arrival order — encodes
-every adjacency list as a slice of one contiguous ``int64`` byte blob
-and stores all nodes with ``cloud.bulk_put``.  The reference is the
+the cells a field at a time straight into one packed batch (every
+adjacency list a segment of the grouped edge array; no ``bytes`` per
+cell) and stores it with one ``cloud.bulk_put``.  The reference is the
 scalar TSL encoder, one record and one ``node_type.encode`` per node
 (what ``finalize(bulk=False)`` stores, so tests can build a whole
 reference cloud); ``finalize(cross_check=True)`` runs both through
@@ -21,20 +22,20 @@ reference cloud); ``finalize(cross_check=True)`` runs both through
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from ..errors import QueryError
 from ..memcloud import MemoryCloud
 from ..oracle import shadow
-from ..tsl.batch import batch_encoder_for, encode_varint_small
-from ..tsl.layout import encode_adjacency_segments, install_layout_policy
-from ..tsl.types import AdjacencyListType, LONG, ListType
+from ..tsl.batch import batch_encoder_for
+from ..tsl.layout import install_layout_policy
+from ..utils.arrays import SpanBatch, first_occurrences
 from ..utils.sorting import stable_argsort
 from .api import Graph
 from .model import GraphSchema
 
-_INT64 = np.dtype("<i8")
-_MISSING = object()
 
 class GraphBuilder:
     """Accumulates nodes/edges, then materialises a :class:`Graph`.
@@ -67,7 +68,8 @@ class GraphBuilder:
         self._finalized = False
 
     def add_node(self, node_id: int, **attributes) -> None:
-        """Declare a node, optionally with attribute values."""
+        """Declare a node, optionally with attribute values.  The id is
+        checked at :meth:`finalize`, with every other id, in one pass."""
         self._check_open()
         self._explicit_nodes.add(node_id)
         if attributes:
@@ -98,12 +100,12 @@ class GraphBuilder:
     def add_edges(self, edges) -> None:
         """Add edges from an iterable of (src, dst) pairs or a numpy array.
 
-        An ``(m, 2)`` integer array (or anything cleanly convertible to
-        one) is buffered as-is — the vectorized grouping at finalize
-        produces neighbor lists in exactly the order a scalar
-        :meth:`add_edge` loop would have appended, including the
-        interleaved mirror entries of undirected schemas, so the
-        finalized blobs are bit-identical.
+        An ``(m, 2)`` array (or anything numpy reads as one) is buffered
+        as-is — the vectorized grouping at finalize produces neighbor
+        lists in exactly the order a scalar :meth:`add_edge` loop would
+        have appended, including the interleaved mirror entries of
+        undirected schemas, so the finalized blobs are bit-identical.
+        Ids are checked at :meth:`finalize`.
         """
         self._check_open()
         if not isinstance(edges, np.ndarray):
@@ -111,8 +113,8 @@ class GraphBuilder:
             if not edges:
                 return
             try:
-                array = np.asarray(edges, dtype=np.int64)
-            except (ValueError, TypeError, OverflowError):
+                array = np.asarray(edges)
+            except (ValueError, TypeError):
                 array = None
             if array is None or array.ndim != 2 or array.shape[1] != 2:
                 for src, dst in edges:
@@ -126,22 +128,23 @@ class GraphBuilder:
         if not len(edges):
             return
         self._flush_loose()
-        self._chunks.append(edges.astype(np.int64, copy=False))
+        self._chunks.append(edges)
         self._edge_total += len(edges)
 
     def _flush_loose(self) -> None:
         if self._loose:
-            chunk = np.asarray(self._loose, dtype=np.int64).reshape(-1, 2)
-            self._chunks.append(chunk)
+            self._chunks.append(np.asarray(self._loose).reshape(-1, 2))
             self._loose = []
 
     def _all_edges(self) -> np.ndarray | None:
-        """Every buffered edge, arrival order, as one (m, 2) array."""
+        """Every buffered edge, arrival order, as one (m, 2) int64 array;
+        :exc:`QueryError` if an id is not one a cell can have."""
         self._flush_loose()
         if not self._chunks:
             return None
-        if len(self._chunks) > 1:
-            self._chunks = [np.concatenate(self._chunks)]
+        checked = [_node_ids(chunk, "edge") for chunk in self._chunks]
+        self._chunks = [checked[0] if len(checked) == 1
+                        else np.concatenate(checked)]
         return self._chunks[0]
 
     @staticmethod
@@ -153,17 +156,16 @@ class GraphBuilder:
         """
         order = stable_argsort(keys)
         sorted_keys = keys[order]
-        sorted_values = values[order]
-        boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
+        boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
         starts = np.concatenate(([0], boundaries))
         ends = np.append(boundaries, len(sorted_keys))
-        return (sorted_keys[starts].tolist(), starts.tolist(),
-                ends.tolist(), sorted_values)
+        return sorted_keys[starts], starts, ends, values[order]
 
     def _grouped_directions(self, edges: np.ndarray | None):
         """(out_group, in_group_or_None) for the buffered edges."""
         if edges is None:
-            empty = ([], [], [], np.empty(0, dtype=np.int64))
+            empty = np.empty(0, dtype=np.int64)
+            empty = (empty, empty, empty, empty)
             return empty, (empty if self.graph_schema.directed else None)
         if self.graph_schema.directed:
             return (self._group(edges[:, 0], edges[:, 1]),
@@ -177,14 +179,15 @@ class GraphBuilder:
 
     @property
     def node_count(self) -> int:
-        return len(self._node_set())
+        return len(self._nodes(*self._grouped_directions(self._all_edges())))
 
-    def _node_set(self) -> set[int]:
-        nodes = set(self._explicit_nodes)
-        edges = self._all_edges()
-        if edges is not None:
-            nodes.update(np.unique(edges).tolist())
-        return nodes
+    def _nodes(self, out_group, in_group) -> np.ndarray:
+        """Every node id, ascending: the declared ones and the edges'."""
+        keys = [_node_ids(np.asarray(list(self._explicit_nodes)), "node"),
+                out_group[0]]
+        if in_group is not None:
+            keys.append(in_group[0])
+        return first_occurrences(np.concatenate(keys))
 
     @property
     def edge_count(self) -> int:
@@ -194,143 +197,88 @@ class GraphBuilder:
     def finalize(self, bulk: bool = True, cross_check: bool = False) -> Graph:
         """Encode every node into its blob and store it in the cloud.
 
-        ``bulk=True`` (default) encodes adjacency lists directly from the
-        grouped edge arrays — one contiguous byte blob per direction,
-        sliced per node — and stores everything with ``cloud.bulk_put``.
+        ``bulk=True`` (default) encodes the cells a field at a time —
+        adjacency lists straight from the grouped edge arrays — into one
+        packed batch and stores it with ``cloud.bulk_put``.
         ``cross_check=True`` additionally re-encodes every node through
         the scalar TSL encoder and asserts the blobs are bit-identical
         before anything is stored (mirroring ``BspEngine``'s paranoia
-        mode).
+        mode).  An id no cell can have — not an integer, or outside
+        ``[0, 2**63)`` — is a :exc:`QueryError` before anything is
+        encoded, and the builder stays open.
         """
         self._check_open()
+        out_group, in_group = self._grouped_directions(self._all_edges())
+        node_ids = self._nodes(out_group, in_group)
         self._finalized = True
         schema = self.graph_schema
-        out_group, in_group = self._grouped_directions(self._all_edges())
-        nodes = set(self._explicit_nodes)
-        nodes.update(out_group[0])
-        if in_group is not None:
-            nodes.update(in_group[0])
-        node_ids = sorted(nodes)
-        if bulk and self._adjacency_is_long():
-            blobs = self._bulk_blobs(node_ids, out_group, in_group)
+        if bulk:
+            # Cells in the order the cloud routes them, trunk by trunk
+            # (ids ascending within one), so every trunk's run of the
+            # batch is one slice of its buffer.
+            route = stable_argsort(self.cloud.trunks_of_array(node_ids))
+            ids = node_ids[route]
+            cells = self._encode(node_ids, route, out_group, in_group)
             if cross_check:
-                self._shadow_encoding(node_ids, out_group, in_group, blobs)
-            self.cloud.bulk_put(node_ids, blobs)
+                self._shadow_encoding(ids, out_group, in_group, cells)
+            self.cloud.bulk_put(ids, cells)
         else:
             node_type = schema.node_type
             records = self._records(node_ids, out_group, in_group)
-            if bulk:
-                # Adjacency type without an int64 twin: still batch the
-                # store, encoding through the compiled column encoder.
-                blobs = batch_encoder_for(node_type).encode_many(records)
-                self.cloud.bulk_put(node_ids, blobs)
-            else:
-                for node_id, record in zip(node_ids, records):
-                    self.cloud.put(node_id, node_type.encode(record))
-        return Graph(self.cloud, schema, node_ids)
+            for node_id, record in zip(node_ids.tolist(), records):
+                self.cloud.put(node_id, node_type.encode(record))
+        return Graph(self.cloud, schema, node_ids.tolist())
 
-    def _adjacency_is_long(self) -> bool:
+    def _encode(self, node_ids: np.ndarray, route: np.ndarray, out_group,
+                in_group) -> SpanBatch:
+        """Every node's cell, in ``node_ids[route]`` order, as one packed
+        batch: the adjacency fields as segments of the grouped edge
+        arrays, the attributes as value lists, encoded a field at a
+        time."""
         schema = self.graph_schema
-        fields = dict(schema.node_type.fields)
-        for name in filter(None, (schema.out_field, schema.in_field)):
-            tsl_type = fields.get(name)
-            if not (isinstance(tsl_type, ListType)
-                    and tsl_type.element is LONG):
-                return False
-        return True
-
-    @staticmethod
-    def _adjacency_column(group, ids_arr: np.ndarray, empty: bytes,
-                          tsl_type: ListType) -> list[bytes]:
-        """Encoded ``List<long>`` blobs, one per node in ``ids_arr`` order.
-
-        Adjacency-typed fields route through the vectorized segment
-        encoder — the same chooser and payload generator the scalar TSL
-        encoder delegates to, so bulk and scalar blobs are bit-identical
-        across every layout mix by construction.  Plain ``List<long>``
-        fields keep the original one-``tobytes`` slicing.  Nodes with no
-        neighbors in this direction get the empty-list encoding either
-        way (``b"\\x00"`` is both formats' empty header).
-        """
-        keys, starts, ends, sorted_values = group
-        column = [empty] * len(ids_arr)
-        if not keys:
-            return column
-        positions = np.searchsorted(
-            ids_arr, np.asarray(keys, dtype=np.int64)).tolist()
-        if isinstance(tsl_type, AdjacencyListType):
-            encoded = encode_adjacency_segments(
-                sorted_values.astype(_INT64, copy=False),
-                np.asarray(starts, dtype=np.int64),
-                np.asarray(ends, dtype=np.int64),
-                tsl_type.policy,
-            )
-            for position, blob in zip(positions, encoded):
-                column[position] = blob
-            return column
-        blob = sorted_values.astype(_INT64, copy=False).tobytes()
-        for position, start, end in zip(positions, starts, ends):
-            column[position] = (encode_varint_small(end - start)
-                                + blob[8 * start:8 * end])
-        return column
-
-    def _bulk_blobs(self, node_ids, out_group, in_group) -> list[bytes]:
-        """Assemble every node's cell blob in schema field order."""
-        schema = self.graph_schema
-        empty = encode_varint_small(0)
-        ids_arr = np.fromiter(node_ids, dtype=np.int64, count=len(node_ids))
-        attributes = self._attributes
-        missing = _MISSING
-        columns: list[list[bytes]] = []
+        rows = None
+        order = route.tolist()
+        columns = []
         for name, tsl_type in schema.node_type.fields:
-            if name == schema.out_field:
-                columns.append(
-                    self._adjacency_column(out_group, ids_arr, empty,
-                                           tsl_type))
-            elif name == schema.in_field:
-                columns.append(
-                    self._adjacency_column(in_group, ids_arr, empty,
-                                           tsl_type))
-            else:
-                encode = tsl_type.encode
-                default_blob = encode(tsl_type.default())
-                column = []
-                for node_id in node_ids:
-                    attrs = attributes.get(node_id)
-                    value = attrs.get(name, missing) if attrs else missing
-                    column.append(default_blob if value is missing
-                                  else encode(value))
-                columns.append(column)
-        if len(columns) == 1:
-            return columns[0]
-        if len(columns) == 2:
-            return [a + b for a, b in zip(columns[0], columns[1])]
-        return [b"".join(parts) for parts in zip(*columns)]
+            if name in (schema.out_field, schema.in_field):
+                group = out_group if name == schema.out_field else in_group
+                columns.append(_segments(group, node_ids, route))
+                continue
+            if rows is None:
+                # Read in id order, the order the dicts were filled in,
+                # then permuted: a routed walk of them misses cache.
+                rows = list(map(self._attributes.get, node_ids.tolist(),
+                                repeat(_NONE)))
+            default = tsl_type.default()
+            values = [row.get(name, default) for row in rows]
+            columns.append([values[i] for i in order])
+        return batch_encoder_for(schema.node_type).encode_columns(
+            columns, len(order))
 
-    def _shadow_encoding(self, node_ids, out_group, in_group,
-                         blobs) -> None:
+    def _shadow_encoding(self, ids, out_group, in_group, cells) -> None:
         """``cross_check``: every bulk blob is the scalar TSL encoding
         of its node's record."""
         encode = self.graph_schema.node_type.encode
-        records = self._records(node_ids, out_group, in_group)
-        shadow("graph.builder.finalize", list(zip(node_ids, blobs)),
+        records = self._records(ids, out_group, in_group)
+        id_list = ids.tolist()
+        shadow("graph.builder.finalize", list(zip(id_list, cells.blobs())),
                [(node_id, encode(record))
-                for node_id, record in zip(node_ids, records)])
+                for node_id, record in zip(id_list, records)])
 
-    def _records(self, node_ids, out_group, in_group) -> list[dict]:
+    def _records(self, ids, out_group, in_group) -> list[dict]:
         """Python-dict records per node (scalar path and cross-check)."""
         schema = self.graph_schema
 
         def as_lists(group):
             keys, starts, ends, sorted_values = group
             values = sorted_values.tolist()
-            return {key: values[start:end]
-                    for key, start, end in zip(keys, starts, ends)}
+            return {key: values[start:end] for key, start, end
+                    in zip(keys.tolist(), starts.tolist(), ends.tolist())}
 
         out_lists = as_lists(out_group)
         in_lists = as_lists(in_group) if in_group is not None else None
         records = []
-        for node_id in node_ids:
+        for node_id in ids.tolist():
             record = dict(self._attributes.get(node_id, ()))
             record[schema.out_field] = out_lists.get(node_id, [])
             if schema.in_field is not None:
@@ -341,3 +289,29 @@ class GraphBuilder:
     def _check_open(self) -> None:
         if self._finalized:
             raise QueryError("GraphBuilder already finalized")
+
+
+_NONE: dict = {}
+
+
+def _node_ids(ids: np.ndarray, what: str) -> np.ndarray:
+    """``ids`` as int64 if each is an id a node can have — an integer in
+    ``[0, 2**63)``, a cell key a ``List<long>`` holds — else
+    :exc:`QueryError`: one vectorized pass, no work per id."""
+    if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0
+                     or ids.max() > np.iinfo(np.int64).max):
+        raise QueryError(f"{what} ids must be integers in [0, 2**63)")
+    return ids.astype(np.int64, copy=False)
+
+
+def _segments(group, node_ids: np.ndarray, route: np.ndarray) -> SpanBatch:
+    """One direction's grouped lists as segments in ``node_ids[route]``
+    order (``node_ids`` ascending; a node with no list in that direction
+    gets an empty segment)."""
+    keys, starts, ends, values = group
+    at = np.searchsorted(node_ids, keys)
+    first = np.zeros(len(node_ids), dtype=np.int64)
+    last = np.zeros(len(node_ids), dtype=np.int64)
+    first[at] = starts
+    last[at] = ends
+    return SpanBatch(values, first[route], last[route])

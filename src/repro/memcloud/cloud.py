@@ -24,6 +24,7 @@ from ..config import ClusterConfig
 from ..errors import AddressingError, CellNotFoundError, StaleSpanError
 from ..obs import MetricsRegistry, MetricsReport, get_registry
 from ..oracle import shadow
+from ..utils.arrays import SpanBatch, as_span_batch
 from ..utils.hashing import trunk_of, trunk_of_array
 from ..utils.sorting import stable_argsort
 from .addressing import AddressingTable
@@ -297,47 +298,45 @@ class MemoryCloud:
         cuts = np.flatnonzero(trunks[1:] != trunks[:-1]) + 1
         return uids, outside, order, trunks, [0, *cuts.tolist()]
 
-    def trunk_groups(self, cell_ids):
-        """Stable ``(trunk_id, indices, uids)`` groups for a UID batch,
-        in trunk order (:meth:`_route`): how every bulk write routes.
-        ``uids`` is each trunk's slice of the uint64 id column.
-        """
-        uids, outside, order, trunks, lows = self._route(cell_ids)
-        if outside is not None:
-            # Routed like the scalar path routes them (by the wrapped
-            # value) but handed on as they are, for the trunk to refuse.
-            uids = uids.astype(object)
-            uids[outside] = [int(cell_ids[i]) for i in outside.tolist()]
-        for low, group in zip(lows, np.split(order, lows[1:])):
-            yield int(trunks[low]), group.tolist(), uids[group]
-
     def bulk_put(self, cell_ids, values, presize: bool = True) -> None:
         """Insert or overwrite a batch of cells along the batched path.
 
-        Routes the whole UID array to its trunks with one vectorized hash
-        pass, then hands each trunk its subsequence (input order
-        preserved) via :meth:`MemoryTrunk.bulk_put`.  Equivalent to a
-        scalar :meth:`put` loop: same stored bytes and trunk accounting,
-        and bit-identical probe counters when ``presize=False``.
+        ``values`` is a :class:`~repro.utils.arrays.SpanBatch` or a
+        sequence of blobs (packed once).  Routes the whole UID array to
+        its trunks with one vectorized hash pass, then hands each trunk
+        its subsequence (input order preserved) as spans of the one
+        buffer via :meth:`MemoryTrunk.bulk_put`.  Equivalent to a scalar
+        :meth:`put` loop: same stored bytes and trunk accounting, and
+        bit-identical probe counters when ``presize=False``.
         """
-        if len(cell_ids) != len(values):
+        cells = as_span_batch(values)
+        if len(cell_ids) != len(cells.starts):
             raise ValueError(
-                f"bulk_put got {len(cell_ids)} uids but {len(values)} values"
+                f"bulk_put got {len(cell_ids)} uids but "
+                f"{len(cells.starts)} values"
             )
         if not len(cell_ids):
             return
         with self._h_bulk_put.time():
-            batches = 0
-            for trunk_id, indices, uids in self.trunk_groups(cell_ids):
-                self.trunks[trunk_id].bulk_put(
-                    uids, [values[i] for i in indices], presize=presize)
-                batches += 1
+            uids, outside, order, trunks, lows = self._route(cell_ids)
+            if outside is not None:
+                # Routed like the scalar path routes them (by the wrapped
+                # value) but handed on as they are, for the trunk to refuse.
+                uids = uids.astype(object)
+                uids[outside] = [int(cell_ids[i]) for i in outside.tolist()]
+            uids = uids[order]
+            starts, limits = cells.starts[order], cells.limits[order]
+            for low, high in zip(lows, [*lows[1:], len(order)]):
+                run = SpanBatch(cells.buffer, starts[low:high],
+                                limits[low:high])
+                self.trunks[int(trunks[low])].bulk_put(
+                    uids[low:high], run, presize=presize)
         self._m_bulk_put_cells.inc(len(cell_ids))
-        self._m_bulk_put_batches.inc(batches)
+        self._m_bulk_put_batches.inc(len(lows))
         if self._shadow is not None:
             if presize:
                 self._shadow_probes_comparable = False
-            for cell_id, value in zip(cell_ids, values):
+            for cell_id, value in zip(cell_ids, cells.blobs()):
                 self._shadow.put(int(cell_id), value)
             self.verify_shadow()
 

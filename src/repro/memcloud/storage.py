@@ -52,9 +52,10 @@ import numpy as np
 from ..obs import get_registry
 from .arena import Arena
 
-# Bulk fresh writes are streamed through the storage in chunks of this
-# many bytes, so a bigger-than-RAM load never joins the whole batch
-# into one Python bytes object.
+# A trunk writes a fresh run through its storage in chunks of at most
+# this many bytes (``MemoryTrunk._write_run``): a bigger-than-RAM load
+# never builds its whole run in RAM, and a paged trunk walks, copies and
+# drops once per chunk.
 WRITE_CHUNK_BYTES = 1 << 20
 
 
@@ -87,31 +88,6 @@ class TrunkStorage:
     def write(self, start: int, data) -> None:
         """Write ``data`` at ``start``."""
         self.arena.buf[start:start + len(data)] = data
-
-    def write_stream(self, start: int, parts) -> int:
-        """Write an iterable of byte chunks contiguously from ``start``.
-
-        Joins at most :data:`WRITE_CHUNK_BYTES` at a time so a huge
-        fresh batch streams through a paged backing sequentially instead
-        of materialising one giant join.  Returns bytes written.
-        """
-        cursor = start
-        pending: list[bytes] = []
-        pending_len = 0
-        for part in parts:
-            if not len(part):
-                continue
-            pending.append(part)
-            pending_len += len(part)
-            if pending_len >= WRITE_CHUNK_BYTES:
-                self.write(cursor, b"".join(pending))
-                cursor += pending_len
-                pending = []
-                pending_len = 0
-        if pending_len:
-            self.write(cursor, b"".join(pending))
-            cursor += pending_len
-        return cursor - start
 
     def view(self, start: int, end: int) -> memoryview:
         """Writable zero-copy view of ``[start, end)`` (cell pinning)."""

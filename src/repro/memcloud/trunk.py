@@ -58,10 +58,17 @@ import numpy as np
 from ..config import MemoryParams
 from ..errors import CellNotFoundError, MemoryCloudError, TrunkFullError
 from ..obs import MetricsRegistry, get_registry
-from ..utils.arrays import first_occurrences
+from ..utils.arrays import (
+    SpanBatch,
+    as_span_batch,
+    first_occurrences,
+    gather_ranges,
+    interleave,
+    pack_blobs,
+)
 from .hashtable import TrunkHashTable, check_key, wrap_keys
 from .locks import SpinLock
-from .storage import TrunkStorage, make_trunk_storage
+from .storage import WRITE_CHUNK_BYTES, TrunkStorage, make_trunk_storage
 
 CELL_HEADER_BYTES = 16
 _HEADER = struct.Struct("<QII")  # uid, live size, reserved size
@@ -251,13 +258,14 @@ class MemoryTrunk:
     def bulk_put(self, uids, payloads, presize: bool = True) -> None:
         """Insert or replace a batch of cells under one lock acquisition.
 
-        Semantically identical to calling :meth:`put` once per pair in
-        order — same stored bytes, same garbage/committed accounting, and
-        (with ``presize=False``) bit-identical hash-table probe counters.
-        The fast path lays a run of fresh cells out with one header
-        pre-packing pass and a single arena write; batches that overwrite
-        existing cells, repeat a UID, or need to wrap fall back to the
-        scalar code path cell by cell (still under the single lock).
+        ``payloads`` is a :class:`~repro.utils.arrays.SpanBatch` or a
+        sequence of blobs (packed once).  Semantically identical to
+        calling :meth:`put` once per pair in order — same stored bytes,
+        same garbage/committed accounting, and (with ``presize=False``)
+        bit-identical hash-table probe counters.  The fast path lays a
+        run of fresh cells out at the head (:meth:`_write_run`); batches
+        that overwrite existing cells, repeat a UID, or need to wrap fall
+        back to the scalar code path cell by cell (still under the lock).
 
         ``presize`` grows the index up front so the batch never resizes
         incrementally; because probe lengths depend on table capacity at
@@ -265,9 +273,11 @@ class MemoryTrunk:
         an incrementally-grown one (contents and all trunk accounting do
         not).
         """
-        if len(uids) != len(payloads):
+        cells = as_span_batch(payloads)
+        if len(uids) != len(cells.starts):
             raise ValueError(
-                f"bulk_put got {len(uids)} uids but {len(payloads)} payloads"
+                f"bulk_put got {len(uids)} uids but {len(cells.starts)} "
+                f"payloads"
             )
         if not len(uids):
             return
@@ -277,11 +287,12 @@ class MemoryTrunk:
         with self._mutex:
             if presize:
                 self._index.reserve(len(self._index) + len(uids))
-            done = self._bulk_insert_fresh(keys, payloads, presize)
+            done = self._bulk_insert_fresh(keys, cells, presize)
+            buffer, starts, limits = cells
             for i in range(done, len(uids)):
-                self.put(int(uids[i]), payloads[i])
+                self.put(int(uids[i]), buffer[starts[i]:limits[i]].tobytes())
 
-    def _bulk_insert_fresh(self, uids: np.ndarray, payloads,
+    def _bulk_insert_fresh(self, uids: np.ndarray, cells: SpanBatch,
                            presize: bool) -> int:
         """Batch-lay-out the longest eligible prefix; returns cells done.
 
@@ -289,7 +300,7 @@ class MemoryTrunk:
         present, and the prefix fits the straight-line region at the
         append head (no wrap, no tail advance, no defrag) — in that
         regime the scalar path would perform exactly these pointer-bump
-        allocations, so one concatenated arena write is equivalent.
+        allocations, so one run laid out at the head is equivalent.
 
         ``presize`` additionally allows the index update to go through
         the hash table's vectorized batch insert, which is free to lay
@@ -305,15 +316,15 @@ class MemoryTrunk:
             available = self._committed_tail - self._append_head
         else:
             available = self.params.trunk_size - self._append_head
-        all_sizes = np.fromiter((len(p) for p in payloads),
-                                dtype=np.int64, count=len(payloads))
+        all_sizes = cells.limits - cells.starts
         footprint_ends = np.cumsum(all_sizes + CELL_HEADER_BYTES)
         count = int(np.searchsorted(footprint_ends, available, side="right"))
         if count == 0:
             return 0
         uids, sizes = uids[:count], all_sizes[:count]
         start = self._append_head
-        offsets = self._write_run(start, uids, sizes, payloads[:count])
+        offsets = self._write_run(start, uids, cells.buffer,
+                                  cells.starts[:count], sizes)
         # The accounting: head advance, page commits, allocation
         # metrics, table, index.
         total = int(footprint_ends[count - 1])
@@ -332,31 +343,46 @@ class MemoryTrunk:
         self._index_fresh(uids, slots, presize)
         return count
 
-    def _write_run(self, start: int, uids, sizes: np.ndarray,
-                   payloads) -> np.ndarray:
+    def _write_run(self, start: int, uids, buffer: np.ndarray,
+                   starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """Lay cells out back to back from ``start``, each reserving
-        exactly its payload; returns their payload offsets.
+        exactly its payload (``sizes[i]`` bytes of ``buffer`` from
+        ``starts[i]``); returns their payload offsets.
 
-        One header pre-packing pass, then the run streams through the
-        storage tier in bounded chunks — a paged backing writes pages
-        sequentially and evicts behind the cursor instead of joining the
-        whole run in RAM.
+        One header pre-packing pass, then chunks of at most
+        ``WRITE_CHUNK_BYTES``: each one interleave of its headers with its
+        payloads (a slice of ``buffer`` if they lie back to back there)
+        and one storage write — one walk, copy and drop on a paged trunk,
+        so a bigger-than-RAM load maps no more than the page budget.
         """
         count = len(sizes)
         headers = np.zeros(count, dtype=_HEADER_DTYPE)
         headers["uid"] = uids
         headers["size"] = sizes
         headers["reserved"] = sizes
-        header_bytes = headers.tobytes()
-        parts = [b""] * (2 * count)
-        parts[0::2] = (header_bytes[i * CELL_HEADER_BYTES:
-                                    (i + 1) * CELL_HEADER_BYTES]
-                       for i in range(count))
-        parts[1::2] = payloads
-        self._storage.write_stream(start, parts)
+        header_bytes = headers.view(np.uint8)
+        ends = np.cumsum(sizes + CELL_HEADER_BYTES)
+        limits = starts + sizes
+        in_place = bool((starts[1:] == limits[:-1]).all())
+        low = 0
+        while low < count:
+            written = int(ends[low - 1]) if low else 0
+            high = max(low + 1, int(np.searchsorted(
+                ends, written + WRITE_CHUNK_BYTES, side="right")))
+            if in_place:
+                payloads = buffer[starts[low]:limits[high - 1]]
+            else:
+                payloads = gather_ranges(buffer, starts[low:high],
+                                         sizes[low:high])
+            pieces = np.full((high - low, 2), CELL_HEADER_BYTES)
+            pieces[:, 1] = sizes[low:high]
+            self._storage.write(start + written, interleave(
+                (header_bytes[low * CELL_HEADER_BYTES:
+                              high * CELL_HEADER_BYTES], payloads), pieces))
+            low = high
         # Cell i's payload starts past every earlier footprint and its
         # own header.
-        return start + np.cumsum(sizes + CELL_HEADER_BYTES) - sizes
+        return start + ends - sizes
 
     def _index_fresh(self, uids, slots, presized: bool) -> None:
         """Index absent ``uids`` (a uint64 column) at ``slots`` (int64):
@@ -882,10 +908,11 @@ class MemoryTrunk:
         uids, slots, offsets = uids[order], slots[order], offsets[order]
         sizes = self._sizes[slots]
         read = self._storage.read
-        payloads = [read(start, limit) for start, limit
-                    in zip(offsets.tolist(), (offsets + sizes).tolist())]
+        live = pack_blobs([read(start, limit) for start, limit in zip(
+            offsets.tolist(), (offsets + sizes).tolist())])
         # Slide them together, each reserving exactly its payload.
-        self._offsets[slots] = self._write_run(0, uids, sizes, payloads)
+        self._offsets[slots] = self._write_run(0, uids, live.buffer,
+                                               live.starts, sizes)
         self._reserved[slots] = sizes
         cursor = CELL_HEADER_BYTES * len(sizes) + int(sizes.sum())
         self._committed_tail = 0

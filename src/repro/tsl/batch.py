@@ -4,10 +4,9 @@
 node — per-field dict lookups, per-element ``struct.pack`` calls.  For a
 bulk load that is the dominant cost after edge ingest.  This module
 compiles a :class:`~repro.tsl.types.StructType` into a *batch encoder*
-once per node type; encoding then runs column-at-a-time, with a numpy
-fast path for the layout that dominates graph cells: ``List<primitive>``
-adjacency fields, which become one ``np.asarray(...).tobytes()`` per node
-instead of one ``struct.pack`` per element.
+once per node type; encoding then runs column-at-a-time into the packed
+form: a column is one buffer plus a size per record, and the cells are
+one interleave of the columns — no ``bytes`` per cell on the way.
 
 The fast path is **bit-identical** to the scalar encoder: numpy's C casts
 match the scalar casters (``int()`` truncation toward zero, IEEE float
@@ -17,8 +16,9 @@ equivalence is test-pinned by a hypothesis suite.
 
 The read direction mirrors it: :class:`BatchStructDecoder` decodes one
 field across a batch of cell blobs column-at-a-time.  A batch has one
-form — spans ``(buffer, starts, limits)`` over a single byte buffer,
-which is what the trunks hand out; :func:`pack_blobs` adapts a
+form on both sides — spans ``(buffer, starts, limits)`` over a single
+byte buffer (:class:`~repro.utils.arrays.SpanBatch`), which is what the
+encoder writes and the trunks hand out; :func:`pack_blobs` adapts a
 ``list[bytes]`` to it.  ``List<primitive>`` fields come back CSR-style —
 one ``(indptr, flat_values)`` pair built from a single gather of the
 element bytes, instead of one Python list (and one ``struct.unpack`` per
@@ -35,11 +35,17 @@ import numpy as np
 
 from ..errors import SchemaMismatchError
 from ..obs import get_registry
-from ..utils.arrays import gather_ranges, range_indices
+from ..utils.arrays import (
+    SpanBatch,
+    gather_ranges,
+    interleave,
+    pack_blobs,
+    range_indices,
+)
 from ..utils.varint import (
     VarintBatchError,
     decode_varint_run,
-    encode_varint,
+    encode_varints,
     read_varints,
 )
 from .layout import (
@@ -76,15 +82,17 @@ _NUMPY_DTYPES = {
     id(LONG): np.dtype("<i8"),
     id(DOUBLE): np.dtype("<f8"),
 }
-
-# Lengths below 128 encode as a single varint byte; precomputing them
-# skips an encode_varint call per list in the hot column loop.
-_VARINT_SMALL = [encode_varint(i) for i in range(128)]
+_INT64 = _NUMPY_DTYPES[id(LONG)]
 
 
-def encode_varint_small(n: int) -> bytes:
-    """``encode_varint`` with the single-byte range precomputed."""
-    return _VARINT_SMALL[n] if n < 128 else encode_varint(n)
+def _prefixed(prefixes: np.ndarray, data: np.ndarray,
+              data_sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(buffer, sizes)`` of records that are each a varint — one of
+    ``prefixes`` — then their ``data_sizes[i]`` bytes of ``data``."""
+    varints, varint_sizes = encode_varints(prefixes)
+    return (interleave((varints, data),
+                       np.stack((varint_sizes, data_sizes), axis=1)),
+            varint_sizes + data_sizes)
 
 
 class _FieldPlan:
@@ -93,98 +101,78 @@ class _FieldPlan:
     def __init__(self, name: str, tsl_type: TslType):
         self.name = name
         self.tsl_type = tsl_type
-        self._dtype = None
         self._adjacency = isinstance(tsl_type, AdjacencyListType)
-        if isinstance(tsl_type, ListType) and not self._adjacency:
-            self._dtype = _NUMPY_DTYPES.get(id(tsl_type.element))
+        self._dtype = (_NUMPY_DTYPES.get(id(tsl_type.element))
+                       if isinstance(tsl_type, ListType) else None)
 
-    def encode_column(self, values: list) -> list[bytes]:
-        if self._adjacency:
-            return self._encode_adjacency_column(values)
-        if self._dtype is None:
-            encode = self.tsl_type.encode
-            return [encode(value) for value in values]
-        column = self._encode_column_flat(values)
-        if column is not None:
-            return column
-        out = []
-        dtype = self._dtype
-        scalar_encode = self.tsl_type.encode
-        for value in values:
-            if type(value) in (list, tuple):
-                try:
-                    array = np.asarray(value, dtype=dtype)
-                except (ValueError, TypeError, OverflowError):
-                    # Let the scalar path produce the canonical result
-                    # (or the canonical SchemaMismatchError).
-                    out.append(scalar_encode(value))
-                    continue
-                if array.ndim != 1:
-                    # Nested sequences: the scalar element caster decides
-                    # whether that is encodable (it usually raises).
-                    out.append(scalar_encode(value))
-                    continue
-                out.append(encode_varint(len(value)) + array.tobytes())
-            else:
-                out.append(scalar_encode(value))
-        return out
+    def encode_column(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """The field of every record as ``(buffer, sizes)``: record
+        ``i``'s encoding is the next ``sizes[i]`` bytes of ``buffer``.
 
-    def _encode_column_flat(self, values: list) -> list[bytes] | None:
-        """Whole-column conversion: one numpy cast for every element.
-
-        Concatenates all lists, converts once, then slices the resulting
-        byte blob per record — byte-for-byte the same output as one
-        conversion per list.  Returns ``None`` (caller falls back to the
-        per-value path, which in turn falls back per value to the scalar
-        encoder) whenever anything is irregular: a non-list value, a
-        nested sequence (it survives one level of chaining but yields a
-        2-D array), or an element the dtype rejects.
+        ``values`` is a list in record order or, for a ``List<long>``
+        field, a :class:`~repro.utils.arrays.SpanBatch` of its elements.
+        A list column with a numpy element twin is one cast, a string
+        column one utf-8 encode per value, and either one varint run of
+        lengths; anything irregular takes the scalar encoder per value
+        (the canonical bytes, or error).
         """
+        if isinstance(values, SpanBatch) and self._dtype != _INT64:
+            values = [values.buffer[lo:hi].tolist() for lo, hi
+                      in zip(values.starts.tolist(), values.limits.tolist())]
+        lists = values
+        if not isinstance(lists, SpanBatch) and self._dtype is not None:
+            lists = self._cast(values)
+        if isinstance(lists, SpanBatch):
+            flat, starts, limits = lists
+            if self._adjacency:
+                return encode_adjacency_segments(flat, starts, limits,
+                                                 self.tsl_type.policy)
+            counts = limits - starts
+            data = flat[range_indices(starts, counts)].view(np.uint8)
+            return _prefixed(counts, data, counts * self._dtype.itemsize)
+        if self.tsl_type is STRING:
+            try:
+                raw = list(map(str.encode, values))
+            except TypeError:       # not a str: the scalar error below
+                raw = None
+            if raw is not None:
+                lengths = np.fromiter(map(len, raw), dtype=np.int64,
+                                      count=len(raw))
+                return _prefixed(lengths, np.frombuffer(
+                    b"".join(raw), dtype=np.uint8), lengths)
+        encode = self.tsl_type.encode
+        batch = pack_blobs([encode(value) for value in values])
+        return batch.buffer, batch.limits - batch.starts
+
+    def _cast(self, values: list) -> SpanBatch | None:
+        """Every list of the column in one numpy cast, as spans of the
+        flat result; ``None`` if anything is irregular (a non-list value,
+        a nested sequence — it survives one level of chaining but yields
+        a 2-D array — or an element the dtype rejects)."""
         if not all(type(value) in (list, tuple) for value in values):
             return None
-        lengths = [len(value) for value in values]
+        lengths = np.fromiter(map(len, values), dtype=np.int64,
+                              count=len(values))
         try:
             flat = np.asarray(list(chain.from_iterable(values)),
                               dtype=self._dtype)
         except (ValueError, TypeError, OverflowError):
             return None
-        if flat.ndim != 1 or len(flat) != sum(lengths):
+        if flat.ndim != 1 or len(flat) != int(lengths.sum()):
             return None
-        blob = flat.tobytes()
-        itemsize = self._dtype.itemsize
-        small = _VARINT_SMALL
-        out = []
-        position = 0
-        for length in lengths:
-            nbytes = length * itemsize
-            prefix = small[length] if length < 128 else encode_varint(length)
-            out.append(prefix + blob[position:position + nbytes])
-            position += nbytes
-        return out
+        return SpanBatch.of_sizes(flat, lengths)
 
-    def _encode_adjacency_column(self, values: list) -> list[bytes]:
-        """Whole-column adjacency encode through the segment codec.
 
-        One numpy cast + one :func:`encode_adjacency_segments` call for
-        the column; anything irregular falls back per column to the
-        scalar type encoder, which applies the same policy bit for bit
-        (both run the same single chooser) or raises the canonical error.
-        """
-        scalar_encode = self.tsl_type.encode
-        if not all(type(value) in (list, tuple) for value in values):
-            return [scalar_encode(value) for value in values]
-        lengths = [len(value) for value in values]
-        try:
-            flat = np.asarray(list(chain.from_iterable(values)),
-                              dtype=np.dtype("<i8"))
-        except (ValueError, TypeError, OverflowError):
-            return [scalar_encode(value) for value in values]
-        if flat.ndim != 1 or len(flat) != sum(lengths):
-            return [scalar_encode(value) for value in values]
-        indptr = np.zeros(len(values) + 1, dtype=np.int64)
-        np.cumsum(np.asarray(lengths, dtype=np.int64), out=indptr[1:])
-        return encode_adjacency_segments(flat, indptr[:-1], indptr[1:],
-                                         self.tsl_type.policy)
+def assemble_cells(columns, count: int) -> SpanBatch:
+    """Cell ``i`` is every column's piece ``i``, in column order: the
+    field columns ``(buffer, sizes)`` of :meth:`_FieldPlan.encode_column`
+    interleaved into one buffer of cells."""
+    sizes = np.empty((count, len(columns)), dtype=np.int64)
+    for k, (_, column_sizes) in enumerate(columns):
+        sizes[:, k] = column_sizes
+    return SpanBatch.of_sizes(
+        interleave([buffer for buffer, _ in columns], sizes),
+        sizes.sum(axis=1))
 
 
 class BatchStructEncoder:
@@ -197,32 +185,29 @@ class BatchStructEncoder:
             for name, tsl_type in struct_type.fields
         ]
 
-    def encode_many(self, records: list[dict]) -> list[bytes]:
-        """Encode a batch of records; ≡ ``[struct.encode(r) for r in records]``.
+    def encode_many(self, records: list[dict]) -> SpanBatch:
+        """Encode a batch of records; the batch's blobs are
+        ``[struct.encode(r) for r in records]``.
 
         Missing fields take the field default, exactly like the scalar
         encoder; unknown fields raise through the scalar validator.
         """
-        if not records:
-            return []
         known = {plan.name for plan in self._plans}
-        for record in records:
-            unknown = set(record) - known
-            if unknown:
-                # Defer to the scalar encoder for its canonical error.
-                return [self.struct_type.encode(r) for r in records]
-        columns = []
-        for plan in self._plans:
-            default = plan.tsl_type.default
-            column = [record.get(plan.name, _MISSING) for record in records]
-            for i, value in enumerate(column):
-                if value is _MISSING:
-                    column[i] = default()
-            columns.append(plan.encode_column(column))
-        return [b"".join(parts) for parts in zip(*columns)]
+        if not all(map(known.issuperset, records)):
+            for record in records:    # the scalar encoder's first error
+                self.struct_type.encode(record)
+        columns = [[record[plan.name] if plan.name in record
+                    else plan.tsl_type.default() for record in records]
+                   for plan in self._plans]
+        return self.encode_columns(columns, len(records))
 
+    def encode_columns(self, columns, count: int) -> SpanBatch:
+        """Encode ``count`` records given a field at a time: ``columns[k]``
+        is the struct's ``k``-th field for every record, in record order
+        (what :meth:`_FieldPlan.encode_column` takes)."""
+        return assemble_cells([plan.encode_column(column) for plan, column
+                               in zip(self._plans, columns)], count)
 
-_MISSING = object()
 
 _ENCODER_CACHE: dict[int, BatchStructEncoder] = {}
 
@@ -259,24 +244,6 @@ class _ScalarFallback(Exception):
     reruns the per-blob scalar path, which either succeeds or produces
     the canonical exception.
     """
-
-
-def pack_blobs(blobs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate ``list[bytes]`` into one span batch.
-
-    Returns ``(buffer, starts, limits)`` with blob ``i`` at
-    ``buffer[starts[i]:limits[i]]`` — the form every decoder entry point
-    takes.  This is the adapter for callers at the edge that hold blobs
-    rather than trunk spans; storage hands out spans directly.
-    """
-    buf = np.frombuffer(b"".join(blobs), dtype=np.uint8)
-    bounds = np.zeros(len(blobs) + 1, dtype=np.int64)
-    np.cumsum(
-        np.fromiter((len(b) for b in blobs), dtype=np.int64,
-                    count=len(blobs)),
-        out=bounds[1:],
-    )
-    return buf, bounds[:-1], bounds[1:]
 
 
 def _read_varints(buf: np.ndarray, pos: np.ndarray, limits: np.ndarray
@@ -502,9 +469,8 @@ class BatchStructDecoder:
                 return vector(buf, starts, limits, field_name, *extra)
             except _ScalarFallback:
                 get_registry().counter("tsl.batch.fallback", op=op).inc()
-        blobs = [buf[lo:hi].tobytes()
-                 for lo, hi in zip(starts.tolist(), limits.tolist())]
-        return scalar(blobs, field_name, *extra)
+        return scalar(SpanBatch(buf, starts, limits).blobs(), field_name,
+                      *extra)
 
     def field_counts_spans(self, buf: np.ndarray, starts: np.ndarray,
                            limits: np.ndarray, field_name: str) -> np.ndarray:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SchemaMismatchError
-from ..utils.arrays import range_indices
+from ..utils.arrays import interleave, range_indices
 from ..utils.varint import (
     decode_varint,
     encode_varint,
@@ -262,13 +262,21 @@ def _segment_stats(flat: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 def encode_adjacency_segments(flat: np.ndarray, starts: np.ndarray,
                               ends: np.ndarray,
                               policy: LayoutPolicy | None = None
-                              ) -> list[bytes]:
-    """Encode many neighbor lists at once, one adjacency blob each.
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Encode many neighbor lists at once: ``(buffer, sizes)``.
 
     ``flat[starts[i]:ends[i])`` is list ``i``; the segments may share
-    one buffer non-contiguously.  This is the single source of truth for
-    layout selection *and* payload bytes: the scalar type encoder calls
-    it with one segment, so both paths are bit-identical by construction.
+    one buffer non-contiguously and come in any order.  The encoded
+    lists lie back to back in ``buffer``, list ``i`` in ``sizes[i]``
+    bytes.  This is the single source of truth for layout selection
+    *and* payload bytes: the scalar type encoder calls it with one
+    segment, so both paths are bit-identical by construction.
+
+    Each list is two pieces — its varints (the header; then a delta
+    list's payload length, or a bitmap list's base and length) and its
+    payload — and each kind of piece is made for every list at once: one
+    varint run, the raw lists' elements in one gather, one delta stream,
+    one bitmap.  One :func:`~repro.utils.arrays.interleave` lays them out.
     """
     policy = policy or DEFAULT_LAYOUT_POLICY
     flat = np.ascontiguousarray(flat, dtype=_INT64)
@@ -276,57 +284,49 @@ def encode_adjacency_segments(flat: np.ndarray, starts: np.ndarray,
     ends = np.asarray(ends, dtype=np.int64)
     tags, stats = _segment_stats(flat, starts, ends, policy)
     counts = ends - starts
-    headers, header_lens = encode_varints(
-        ((counts << 2) | tags).astype(np.uint64))
-    header_bytes = headers.tobytes()
-    header_cuts = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(header_lens, out=header_cuts[1:])
-    hc = header_cuts.tolist()
-    blobs: list[bytes | None] = [None] * len(counts)
-
-    raw_idx = np.flatnonzero(tags == LAYOUT_RAW)
-    if len(raw_idx):
-        raw_blob = flat.tobytes()
-        for i, s, e in zip(raw_idx.tolist(), starts[raw_idx].tolist(),
-                           ends[raw_idx].tolist()):
-            blobs[i] = header_bytes[hc[i]:hc[i + 1]] + raw_blob[8 * s:8 * e]
-
-    delta_idx = np.flatnonzero(tags == LAYOUT_DELTA_VARINT)
-    if len(delta_idx):
-        elements = range_indices(starts[delta_idx], counts[delta_idx])
-        stream, _ = encode_varints(stats.zigzag[elements])
-        stream_bytes = stream.tobytes()
-        nbytes = stats.delta_nbytes[delta_idx]
-        cuts = np.zeros(len(delta_idx) + 1, dtype=np.int64)
-        np.cumsum(nbytes, out=cuts[1:])
-        sc = cuts.tolist()
-        for j, i in enumerate(delta_idx.tolist()):
-            payload = stream_bytes[sc[j]:sc[j + 1]]
-            blobs[i] = (header_bytes[hc[i]:hc[i + 1]]
-                        + encode_varint(len(payload)) + payload)
-
-    bitmap_idx = np.flatnonzero(tags == LAYOUT_BITMAP)
-    if len(bitmap_idx):
-        nbytes = stats.bitmap_nbytes[bitmap_idx]
-        byte_cuts = np.zeros(len(bitmap_idx) + 1, dtype=np.int64)
-        np.cumsum(nbytes, out=byte_cuts[1:])
-        elements = range_indices(starts[bitmap_idx], counts[bitmap_idx])
-        relative = (flat[elements]
-                    - np.repeat(stats.firsts[bitmap_idx],
-                                counts[bitmap_idx]))
-        bit_positions = relative + np.repeat(8 * byte_cuts[:-1],
-                                             counts[bitmap_idx])
-        bits = np.zeros(int(byte_cuts[-1]) * 8, dtype=np.uint8)
+    n = len(counts)
+    raw = np.flatnonzero(tags == LAYOUT_RAW)
+    delta = np.flatnonzero(tags == LAYOUT_DELTA_VARINT)
+    bitmap = np.flatnonzero(tags == LAYOUT_BITMAP)
+    # list i's varints are values[first[i]:first[i] + per_list[i]]
+    per_list = np.ones(n, dtype=np.int64)
+    per_list[delta] = 2
+    per_list[bitmap] = 3
+    first = np.cumsum(per_list) - per_list
+    values = np.empty(int(per_list.sum()), dtype=np.uint64)
+    values[first] = (counts << 2) | tags
+    payload_sizes = counts * 8
+    raw_bytes = delta_stream = bitmap_bytes = None
+    if len(raw):
+        raw_bytes = flat[range_indices(starts[raw],
+                                       counts[raw])].view(np.uint8)
+    if len(delta):
+        nbytes = stats.delta_nbytes[delta]
+        values[first[delta] + 1] = nbytes
+        payload_sizes[delta] = nbytes
+        elements = range_indices(starts[delta], counts[delta])
+        delta_stream, _ = encode_varints(stats.zigzag[elements])
+    if len(bitmap):
+        nbytes = stats.bitmap_nbytes[bitmap]
+        bases = stats.firsts[bitmap]
+        values[first[bitmap] + 1] = bases
+        values[first[bitmap] + 2] = nbytes
+        payload_sizes[bitmap] = nbytes
+        byte_starts = np.cumsum(nbytes) - nbytes
+        elements = range_indices(starts[bitmap], counts[bitmap])
+        bit_positions = flat[elements] + np.repeat(
+            8 * byte_starts - bases, counts[bitmap])
+        bits = np.zeros(int(nbytes.sum()) * 8, dtype=np.uint8)
         bits[bit_positions] = 1
-        packed = np.packbits(bits, bitorder="little").tobytes()
-        bc = byte_cuts.tolist()
-        bases = stats.firsts[bitmap_idx].tolist()
-        nb = nbytes.tolist()
-        for j, i in enumerate(bitmap_idx.tolist()):
-            blobs[i] = (header_bytes[hc[i]:hc[i + 1]]
-                        + encode_varint(bases[j]) + encode_varint(nb[j])
-                        + packed[bc[j]:bc[j + 1]])
-    return blobs
+        bitmap_bytes = np.packbits(bits, bitorder="little")
+    varints, varint_lens = encode_varints(values)
+    # list i: its varints, then its payload from its layout's source
+    pieces = np.zeros((n, 4), dtype=np.int64)
+    pieces[:, 0] = np.add.reduceat(varint_lens, first)
+    pieces[np.arange(n), 1 + tags] = payload_sizes
+    buffer = interleave((varints, raw_bytes, delta_stream, bitmap_bytes),
+                        pieces)
+    return buffer, pieces.sum(axis=1)
 
 
 def encode_adjacency(values: np.ndarray,
@@ -342,9 +342,10 @@ def encode_adjacency(values: np.ndarray,
     if count < policy.min_consider_degree:
         arr = np.ascontiguousarray(values, dtype=_INT64)
         return encode_varint(count << 2) + arr.tobytes()
-    return encode_adjacency_segments(
+    buffer, _ = encode_adjacency_segments(
         values, np.array([0], dtype=np.int64),
-        np.array([count], dtype=np.int64), policy)[0]
+        np.array([count], dtype=np.int64), policy)
+    return buffer.tobytes()
 
 
 def encode_adjacency_with_tag(values, tag: int) -> bytes | None:

@@ -2,7 +2,62 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+
+
+class SpanBatch(NamedTuple):
+    """Spans of one array: item ``i`` is ``buffer[starts[i]:limits[i]]``.
+
+    A batch of cells is one ``uint8`` buffer in this form on both sides
+    of the cloud — what the encoders write and the trunks hand out — and
+    a column of lists is one flat array of their elements."""
+
+    buffer: np.ndarray
+    starts: np.ndarray
+    limits: np.ndarray
+
+    @classmethod
+    def of_sizes(cls, buffer: np.ndarray, sizes: np.ndarray) -> "SpanBatch":
+        """Items laid back to back in ``buffer``, ``sizes[i]`` each."""
+        bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        return cls(buffer, bounds[:-1], bounds[1:])
+
+    def blobs(self) -> list[bytes]:
+        """One ``bytes`` per item (reference and fallback paths only)."""
+        return [self.buffer[lo:hi].tobytes()
+                for lo, hi in zip(self.starts.tolist(), self.limits.tolist())]
+
+
+def pack_blobs(blobs) -> SpanBatch:
+    """Concatenate ``list[bytes]`` into one span batch: the adapter for
+    callers that hold blobs, not a batch."""
+    data = np.frombuffer(b"".join(blobs), dtype=np.uint8)
+    return SpanBatch.of_sizes(data, np.fromiter(
+        map(len, blobs), dtype=np.int64, count=len(blobs)))
+
+
+def as_span_batch(values) -> SpanBatch:
+    """``values`` as a :class:`SpanBatch`: a batch passes through, a
+    sequence of blobs is packed once."""
+    return values if isinstance(values, SpanBatch) else pack_blobs(values)
+
+
+def interleave(sources, sizes: np.ndarray) -> np.ndarray:
+    """Rows of pieces, back to back: row ``i`` is the next ``sizes[i, k]``
+    bytes of ``sources[k]`` for each ``k`` in turn (``None``: no bytes).
+    A byte-wide owner array and one masked store per source place them:
+    no index array as wide as the output, no slice per piece."""
+    rows, width = sizes.shape
+    out = np.empty(int(sizes.sum()), dtype=np.uint8)
+    labels = np.arange(width, dtype=np.min_scalar_type(max(width - 1, 0)))
+    owner = np.repeat(np.tile(labels, rows), sizes.ravel())
+    for k, source in enumerate(sources):
+        if source is not None and len(source):
+            out[owner == k] = source
+    return out
 
 
 def range_indices(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -182,6 +182,71 @@ class TestBulkFinalize:
             builder.finalize()
 
 
+class TestIdsCheckedAtFinalize:
+    """An id no cell can have — not an integer, or outside [0, 2**63) —
+    is one ``QueryError`` at finalize, before anything is encoded or
+    stored, and the builder stays open."""
+
+    def refused(self, builder, cloud):
+        with pytest.raises(QueryError, match="ids must"):
+            builder.finalize()
+        assert len(cloud) == 0
+        builder.add_node(7)     # still open
+        with pytest.raises(QueryError, match="ids must"):
+            builder.finalize()  # and still refusing, not "finalized"
+
+    def builder(self, directed=True):
+        cloud = make_cloud()
+        return GraphBuilder(cloud, plain_graph_schema(directed)), cloud
+
+    def test_float_endpoints_are_not_truncated(self):
+        builder, cloud = self.builder()
+        builder.add_edge(1.7, 2.2)
+        self.refused(builder, cloud)
+
+    def test_float_edge_array_is_not_truncated(self):
+        builder, cloud = self.builder()
+        builder.add_edges(np.asarray([(1.0, 2.0), (3.5, 4.0)]))
+        self.refused(builder, cloud)
+
+    def test_float_pairs_are_not_truncated(self):
+        builder, cloud = self.builder()
+        builder.add_edges([(1, 2), (3.5, 4)])
+        self.refused(builder, cloud)
+
+    def test_uint64_edge_array_does_not_wrap_negative(self):
+        builder, cloud = self.builder()
+        builder.add_edges(np.asarray([(1, 2**63 + 5)], dtype=np.uint64))
+        self.refused(builder, cloud)
+
+    @pytest.mark.parametrize("node", [2**63, 2**63 + 5, -2**63 - 1, "7"])
+    def test_declared_id_no_cell_can_have(self, node):
+        builder, cloud = self.builder()
+        builder.add_edge(1, 2)
+        builder.add_node(node)
+        self.refused(builder, cloud)
+
+    def test_negative_declared_id_stores_nothing(self):
+        cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=3),
+                            MetricsRegistry())
+        builder = GraphBuilder(cloud, plain_graph_schema(directed=True))
+        builder.add_edges(np.arange(200).reshape(100, 2))
+        builder.add_node(-5)
+        self.refused(builder, cloud)
+
+    def test_negative_endpoint(self):
+        builder, cloud = self.builder(directed=False)
+        builder.add_edge(-1, 3)
+        self.refused(builder, cloud)
+
+    def test_largest_id_is_stored(self):
+        builder, cloud = self.builder()
+        builder.add_edge(0, 2**63 - 1)
+        graph = builder.finalize(cross_check=True)
+        assert graph.outlinks(0) == [2**63 - 1]
+        assert graph.node_ids == [0, 2**63 - 1]
+
+
 LONG_LIST = st.lists(
     st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=30)
 
@@ -193,7 +258,7 @@ class TestBatchEncoder:
         node_type = plain_graph_schema(directed=True).node_type
         records = [{"Outlinks": out, "Inlinks": in_} for out, in_ in rows]
         batch = batch_encoder_for(node_type).encode_many(records)
-        assert batch == [node_type.encode(r) for r in records]
+        assert batch.blobs() == [node_type.encode(r) for r in records]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.text(max_size=12), LONG_LIST),
@@ -203,12 +268,13 @@ class TestBatchEncoder:
         records = [{"Name": name, "Friends": friends}
                    for name, friends in rows]
         batch = batch_encoder_for(node_type).encode_many(records)
-        assert batch == [node_type.encode(r) for r in records]
+        assert batch.blobs() == [node_type.encode(r) for r in records]
 
     def test_missing_fields_take_defaults(self):
         node_type = plain_graph_schema(directed=True).node_type
         batch = batch_encoder_for(node_type).encode_many([{}])
-        assert batch == [node_type.encode({"Outlinks": [], "Inlinks": []})]
+        assert batch.blobs() == [
+            node_type.encode({"Outlinks": [], "Inlinks": []})]
 
     def test_unknown_field_raises_canonical_error(self):
         node_type = plain_graph_schema(directed=True).node_type
@@ -235,11 +301,11 @@ class TestBatchEncoder:
         node_type = plain_graph_schema(directed=True).node_type
         record = {"Outlinks": [3.7, -3.7], "Inlinks": []}
         batch = batch_encoder_for(node_type).encode_many([record])
-        assert batch == [node_type.encode(record)]
+        assert batch.blobs() == [node_type.encode(record)]
 
     def test_empty_batch(self):
         node_type = plain_graph_schema(directed=True).node_type
-        assert batch_encoder_for(node_type).encode_many([]) == []
+        assert batch_encoder_for(node_type).encode_many([]).blobs() == []
 
     def test_encoder_cached_per_type(self):
         node_type = plain_graph_schema(directed=True).node_type
@@ -257,5 +323,5 @@ class TestBatchEncoder:
         node_type = plain_graph_schema(directed=True).node_type
         encoder = BatchStructEncoder(node_type)
         records = [{"Outlinks": [1], "Inlinks": [2, 3]}]
-        assert encoder.encode_many(records) == [
+        assert encoder.encode_many(records).blobs() == [
             node_type.encode(records[0])]

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import MemoryParams
 from repro.memcloud.storage import WRITE_CHUNK_BYTES, PagedStorage
-from repro.memcloud.trunk import MemoryTrunk
+from repro.memcloud.trunk import CELL_HEADER_BYTES, MemoryTrunk
 from repro.obs import MetricsRegistry
 from repro.utils.arrays import gather_ranges
 
@@ -371,21 +371,30 @@ class TestWalkAccessDrop:
             storage.close()
 
     def test_a_streamed_chunk_costs_one_msync_and_one_madvise(self):
+        # A trunk's fresh run of two chunks' worth of cells reaches the
+        # page file as two writes, each one walk, one copy and one drop.
         page = self.PAGE
-        chunk_pages = WRITE_CHUNK_BYTES // page
-        storage = make_storage(2 * chunk_pages, budget=4, page=page)
+        footprint = 1024        # a chunk holds a whole number of cells
+        count = 2 * WRITE_CHUNK_BYTES // footprint
+        params = MemoryParams(trunk_size=2 * WRITE_CHUNK_BYTES,
+                              page_size=page, storage="paged",
+                              storage_page_size=page, page_budget=4)
+        trunk = MemoryTrunk(0, params, registry=MetricsRegistry())
+        storage = trunk.storage
         try:
             log = record(storage)
-            part = b"y" * 1000
-            parts = [part] * (2 * WRITE_CHUNK_BYTES // len(part))
-            written = storage.write_stream(0, parts)
-            assert written == len(part) * len(parts)
+            payload = b"y" * (footprint - CELL_HEADER_BYTES)
+            trunk.bulk_put(list(range(count)), [payload] * count)
             writes = [entry for entry in log if entry[0] == "write"]
             syncs = [entry for entry in log if entry[0] == "msync"]
             drops = [entry for entry in log if entry[0] == "madvise"]
-            assert len(writes) == len(syncs) == len(drops) == 2
-            assert storage._m_fault.value == -(-written // page)
+            assert writes == [("write", 0, WRITE_CHUNK_BYTES),
+                              ("write", WRITE_CHUNK_BYTES,
+                               2 * WRITE_CHUNK_BYTES)]
+            assert len(syncs) == len(drops) == 2
+            assert storage._m_fault.value == 2 * WRITE_CHUNK_BYTES // page
             assert storage.resident_pages == 4
+            assert trunk.get(count - 1) == payload
         finally:
             storage.close()
 

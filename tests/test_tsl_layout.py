@@ -28,9 +28,17 @@ from repro.tsl.layout import (
     encode_adjacency_segments,
     resolve_layout_policy,
 )
+from repro.utils.arrays import SpanBatch
 from repro.utils.varint import decode_varint
 
 LOW = LayoutPolicy(delta_min_degree=2, bitmap_min_degree=2)
+
+
+def segment_blobs(flat, starts, ends, policy) -> list[bytes]:
+    """``encode_adjacency_segments`` cut into one blob per list."""
+    buffer, sizes = encode_adjacency_segments(flat, starts, ends, policy)
+    assert len(buffer) == sizes.sum()
+    return SpanBatch.of_sizes(buffer, sizes).blobs()
 
 
 def stored_tag(blob: bytes) -> int:
@@ -225,8 +233,7 @@ class TestSegmentEncoder:
         cuts = np.sort(rng.choice(np.arange(1, 500), 19, replace=False))
         starts = np.concatenate(([0], cuts))
         ends = np.append(cuts, 500)
-        blobs = encode_adjacency_segments(flat, starts, ends,
-                                          DEFAULT_LAYOUT_POLICY)
+        blobs = segment_blobs(flat, starts, ends, DEFAULT_LAYOUT_POLICY)
         for blob, s, e in zip(blobs, starts, ends):
             assert blob == encode_adjacency(flat[s:e], DEFAULT_LAYOUT_POLICY)
 
@@ -240,8 +247,7 @@ class TestSegmentEncoder:
         ])
         starts = np.array([0, 150], dtype=np.int64)
         ends = np.array([100, len(flat)], dtype=np.int64)
-        blobs = encode_adjacency_segments(flat, starts, ends,
-                                          DEFAULT_LAYOUT_POLICY)
+        blobs = segment_blobs(flat, starts, ends, DEFAULT_LAYOUT_POLICY)
         assert stored_tag(blobs[0]) == LAYOUT_BITMAP
         assert stored_tag(blobs[1]) == LAYOUT_DELTA_VARINT
         adj = AdjacencyListType()
@@ -252,7 +258,7 @@ class TestSegmentEncoder:
         flat = np.arange(10)
         starts = np.array([0, 5, 5], dtype=np.int64)
         ends = np.array([5, 5, 10], dtype=np.int64)
-        blobs = encode_adjacency_segments(flat, starts, ends, LOW)
+        blobs = segment_blobs(flat, starts, ends, LOW)
         assert blobs[1] == b"\x00"
         adj = AdjacencyListType()
         assert adj.decode(blobs[0], 0)[0] == [0, 1, 2, 3, 4]
