@@ -13,7 +13,13 @@ headline.
 
 from repro.algorithms import pagerank
 from repro.algorithms.validation import validate_pagerank
-from repro.config import ComputeParams
+from repro.config import (
+    BARRIER_COST,
+    CELL_ACCESS_COST,
+    EDGE_SCAN_COST,
+    THREADS_PER_MACHINE,
+    VERTEX_COMPUTE_COST,
+)
 from repro.generators import rmat_edges
 from repro.net import SimNetwork
 
@@ -47,20 +53,19 @@ def model_paper_scale(machines: int = 8) -> float:
     """
     vertices = 1_000_000_000
     edges = 13 * vertices
-    cost = ComputeParams()
     per_machine_vertices = vertices / machines
     per_machine_edges = edges / machines
     compute = (
         per_machine_vertices
-        * (cost.vertex_compute_cost + cost.cell_access_cost)
-        + per_machine_edges * cost.edge_scan_cost
-    ) / cost.threads_per_machine
+        * (VERTEX_COMPUTE_COST + CELL_ACCESS_COST)
+        + per_machine_edges * EDGE_SCAN_COST
+    ) / THREADS_PER_MACHINE
     remote_fraction = 1.0 - 1.0 / machines
     hub_saving = 0.7
     wire_messages = per_machine_edges * remote_fraction * (1 - hub_saving)
     comm = IPOIB.transfer_time(int(wire_messages * 16),
                                int(wire_messages))
-    return compute + comm + cost.barrier_cost
+    return compute + comm + BARRIER_COST
 
 
 def test_fig12b_pagerank(benchmark):

@@ -24,7 +24,7 @@ model), :mod:`repro.compute` (BSP/async engines), :mod:`repro.algorithms`
 (PBGL/Giraph comparators), :mod:`repro.tfs` (persistence).
 """
 
-from .config import ClusterConfig, ComputeParams, MemoryParams, NetworkParams
+from .config import ClusterConfig, MemoryParams, NetworkParams
 from .errors import TrinityError
 from .faults import FaultPlan
 from .memcloud import MemoryCloud
@@ -37,7 +37,6 @@ __all__ = [
     "ClusterConfig",
     "NetworkParams",
     "MemoryParams",
-    "ComputeParams",
     "TrinityError",
     "FaultPlan",
     "MemoryCloud",

@@ -16,7 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import ComputeParams
+from ..config import (
+    BARRIER_COST,
+    CELL_ACCESS_COST,
+    EDGE_SCAN_COST,
+    THREADS_PER_MACHINE,
+    VERTEX_COMPUTE_COST,
+)
 from ..net.simnet import ParallelRound, SimNetwork
 
 
@@ -53,7 +59,7 @@ class TrafficModel:
 
     # -- charging a superstep ----------------------------------------------
 
-    def charge_superstep(self, network: SimNetwork, params: ComputeParams,
+    def charge_superstep(self, network: SimNetwork,
                          active_per_machine: np.ndarray,
                          edges_per_machine: np.ndarray,
                          pair_counts: np.ndarray) -> float:
@@ -68,8 +74,8 @@ class TrafficModel:
         for machine in range(self.machines):
             compute = (
                 float(active_per_machine[machine])
-                * (params.vertex_compute_cost + params.cell_access_cost)
-                + float(edges_per_machine[machine]) * params.edge_scan_cost
+                * (VERTEX_COMPUTE_COST + CELL_ACCESS_COST)
+                + float(edges_per_machine[machine]) * EDGE_SCAN_COST
             )
             if compute:
                 round_.add_compute(machine, compute)
@@ -78,9 +84,9 @@ class TrafficModel:
             src, dst = divmod(int(pair), self.machines)
             count = int(pair_counts[pair])
             round_.add_message(src, dst, count * self.message_bytes, count)
-        elapsed = round_.finish(parallelism=params.threads_per_machine)
-        network.clock.advance(params.barrier_cost)
-        elapsed += params.barrier_cost
+        elapsed = round_.finish(parallelism=THREADS_PER_MACHINE)
+        network.clock.advance(BARRIER_COST)
+        elapsed += BARRIER_COST
         # Same superstep series the vertex engine records, so a snapshot
         # looks identical whichever execution path produced the run.
         network.obs.counter("bsp.superstep.total").inc()

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ComputeParams
 from ..errors import ComputeError
 from ..net.simnet import SimNetwork
 from ..compute.vertex import VertexProgram
@@ -98,7 +97,6 @@ class BfsRun:
 
 
 def bfs(topology, root: int, network: SimNetwork | None = None,
-        params: ComputeParams | None = None,
         traffic: TrafficModel | None = None,
         hub_buffering: bool = True) -> BfsRun:
     """Level-synchronous BFS from dense vertex ``root``.
@@ -112,7 +110,6 @@ def bfs(topology, root: int, network: SimNetwork | None = None,
     if not 0 <= root < n:
         raise ComputeError(f"root {root} out of range [0, {n})")
     network = network or SimNetwork()
-    params = params or ComputeParams()
     traffic = traffic or TrafficModel(
         topology, hub_buffering=hub_buffering, message_bytes=12
     )
@@ -142,7 +139,7 @@ def bfs(topology, root: int, network: SimNetwork | None = None,
         active = traffic.per_machine_vertices(frontier)
         edges = traffic.per_machine_edges(frontier)
         elapsed = traffic.charge_superstep(
-            network, params, active, edges, pair_counts
+            network, active, edges, pair_counts
         )
         run.level_times.append(elapsed)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ComputeParams
+from ..config import CELL_ACCESS_COST, EDGE_SCAN_COST, THREADS_PER_MACHINE
 from ..errors import QueryError
 from ..oracle import shadow
 
@@ -52,14 +52,13 @@ class SelectionCost:
             self.per_machine_units.get(machine, 0) + units
         )
 
-    def elapsed(self, params: ComputeParams | None = None) -> float:
-        params = params or ComputeParams()
-        unit_cost = params.cell_access_cost + params.edge_scan_cost
+    def elapsed(self) -> float:
+        unit_cost = CELL_ACCESS_COST + EDGE_SCAN_COST
         if self.strategy == "local-betweenness" and self.per_machine_units:
             units = max(self.per_machine_units.values())
         else:
             units = self.traversal_units
-        return units * unit_cost / params.threads_per_machine
+        return units * unit_cost / THREADS_PER_MACHINE
 
 
 def brandes_betweenness(indptr: np.ndarray, indices: np.ndarray,

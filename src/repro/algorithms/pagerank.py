@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ComputeParams
 from ..errors import ComputeError
 from ..net.simnet import SimNetwork
 from ..compute.vertex import VertexProgram
@@ -110,7 +109,6 @@ class PageRankRun:
 
 def pagerank(topology, damping: float = 0.85, iterations: int = 10,
              network: SimNetwork | None = None,
-             params: ComputeParams | None = None,
              traffic: TrafficModel | None = None,
              hub_buffering: bool = True) -> PageRankRun:
     """Vectorised PageRank with per-superstep simulated-time accounting.
@@ -122,7 +120,6 @@ def pagerank(topology, damping: float = 0.85, iterations: int = 10,
     if iterations < 1:
         raise ComputeError("iterations must be >= 1")
     network = network or SimNetwork()
-    params = params or ComputeParams()
     traffic = traffic or TrafficModel(topology, hub_buffering=hub_buffering)
 
     n = topology.n
@@ -146,7 +143,7 @@ def pagerank(topology, damping: float = 0.85, iterations: int = 10,
         ranks = ((1.0 - damping) / n
                  + damping * (incoming + dangling_mass / n))
         elapsed = traffic.charge_superstep(
-            network, params, active, edges, pair_counts
+            network, active, edges, pair_counts
         )
         run.iteration_times.append(elapsed)
     run.ranks = ranks
@@ -156,7 +153,6 @@ def pagerank(topology, damping: float = 0.85, iterations: int = 10,
 def pagerank_async(topology, damping: float = 0.85,
                    tolerance: float = 1e-10,
                    network: SimNetwork | None = None,
-                   params: ComputeParams | None = None,
                    engine=None, max_updates: int = 5_000_000):
     """Asynchronous delta-PageRank (the GraphChi-style model, Section 5.3).
 
@@ -174,8 +170,7 @@ def pagerank_async(topology, damping: float = 0.85,
 
     n = topology.n
     if engine is None:
-        engine = AsyncEngine(topology, network=network,
-                             compute_params=params)
+        engine = AsyncEngine(topology, network=network)
     # Push-method invariant: x = ranks + (I - dM)^-1 residual, so ranks
     # start at zero and the whole teleport mass sits in the residual.
     base = (1.0 - damping) / n

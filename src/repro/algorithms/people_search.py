@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ComputeParams
+from ..config import CELL_ACCESS_COST, EDGE_SCAN_COST, THREADS_PER_MACHINE
 from ..errors import QueryError
 from ..net.simnet import ParallelRound, SimNetwork
 from ..oracle import shadow
@@ -108,7 +108,6 @@ class PeopleSearchResult:
 
 def people_search(graph, start: int, name: str, hops: int = 3,
                   network: SimNetwork | None = None,
-                  params: ComputeParams | None = None,
                   cross_check: bool = False) -> PeopleSearchResult:
     """Find all nodes named ``name`` within ``hops`` of ``start``.
 
@@ -123,12 +122,11 @@ def people_search(graph, start: int, name: str, hops: int = 3,
     if "Name" not in graph.graph_schema.attribute_fields:
         raise QueryError("people_search needs a graph with a Name attribute")
     network = network or SimNetwork()
-    params = params or ComputeParams()
     result = _people_search_batch(graph, start, name, hops, network,
-                                  params, cross_check)
+                                  cross_check)
     if cross_check:
         reference = _people_search_scalar(
-            graph, start, name, hops, SimNetwork(network.params), params,
+            graph, start, name, hops, SimNetwork(network.params),
         )
         shadow("algorithms.people_search", result, reference,
                fields=("matches", "visited", "messages", "hop_times"))
@@ -136,8 +134,7 @@ def people_search(graph, start: int, name: str, hops: int = 3,
 
 
 def _people_search_scalar(graph, start: int, name: str, hops: int,
-                          network: SimNetwork,
-                          params: ComputeParams) -> PeopleSearchResult:
+                          network: SimNetwork) -> PeopleSearchResult:
     result = PeopleSearchResult(start=start, name=name, hops=hops)
     visited = {start}
     frontier = [start]
@@ -167,8 +164,8 @@ def _people_search_scalar(graph, start: int, name: str, hops: int,
             # Expansion: one cell access per frontier node + its edges.
             round_.add_compute(
                 machine,
-                len(nodes) * params.cell_access_cost
-                + edges_scanned * params.edge_scan_cost,
+                len(nodes) * CELL_ACCESS_COST
+                + edges_scanned * EDGE_SCAN_COST,
             )
 
         # Each delivered node is name-checked on its own machine (a cell
@@ -179,14 +176,14 @@ def _people_search_scalar(graph, start: int, name: str, hops: int,
             if graph.attribute(node, "Name") == name:
                 result.matches.append(node)
         for machine, checks in checks_by_machine.items():
-            round_.add_compute(machine, checks * params.cell_access_cost)
+            round_.add_compute(machine, checks * CELL_ACCESS_COST)
 
         for (src, dst), count in delivery.items():
             round_.add_message(src, dst, count * _FRONTIER_ID_BYTES, count)
             result.messages += count
 
         result.hop_times.append(
-            round_.finish(parallelism=params.threads_per_machine)
+            round_.finish(parallelism=THREADS_PER_MACHINE)
         )
         frontier = next_frontier
     result.visited = len(visited) - 1
@@ -195,7 +192,7 @@ def _people_search_scalar(graph, start: int, name: str, hops: int,
 
 
 def _people_search_batch(graph, start: int, name: str, hops: int,
-                         network: SimNetwork, params: ComputeParams,
+                         network: SimNetwork,
                          cross_check: bool) -> PeopleSearchResult:
     """Vectorized frontier expansion; bit-identical accounting.
 
@@ -246,8 +243,8 @@ def _people_search_batch(graph, start: int, name: str, hops: int,
                 new_groups.append(new)
             round_.add_compute(
                 machine,
-                len(nodes) * params.cell_access_cost
-                + edges_scanned * params.edge_scan_cost,
+                len(nodes) * CELL_ACCESS_COST
+                + edges_scanned * EDGE_SCAN_COST,
             )
 
         next_frontier = (np.concatenate(new_groups) if new_groups
@@ -257,7 +254,7 @@ def _people_search_batch(graph, start: int, name: str, hops: int,
             checks = np.bincount(check_machines)
             for machine in np.flatnonzero(checks).tolist():
                 round_.add_compute(
-                    machine, int(checks[machine]) * params.cell_access_cost)
+                    machine, int(checks[machine]) * CELL_ACCESS_COST)
             hits = graph.field_eq_batch(next_frontier, "Name", name,
                                         cross_check=cross_check)
             result.matches.extend(next_frontier[hits].tolist())
@@ -267,7 +264,7 @@ def _people_search_batch(graph, start: int, name: str, hops: int,
             result.messages += count
 
         result.hop_times.append(
-            round_.finish(parallelism=params.threads_per_machine)
+            round_.finish(parallelism=THREADS_PER_MACHINE)
         )
         frontier = next_frontier
     result.visited = visited.count - 1

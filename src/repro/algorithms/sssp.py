@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ComputeParams
 from ..errors import ComputeError
 from ..net.simnet import SimNetwork
 from ..compute.vertex import VertexProgram
@@ -129,7 +128,6 @@ class SsspRun:
 
 def sssp(topology, root: int, edge_weights: np.ndarray | None = None,
          network: SimNetwork | None = None,
-         params: ComputeParams | None = None,
          traffic: TrafficModel | None = None) -> SsspRun:
     """Vectorised frontier Bellman-Ford.
 
@@ -141,7 +139,6 @@ def sssp(topology, root: int, edge_weights: np.ndarray | None = None,
     if not 0 <= root < n:
         raise ComputeError(f"root {root} out of range [0, {n})")
     network = network or SimNetwork()
-    params = params or ComputeParams()
     traffic = traffic or TrafficModel(topology)
     edge_src = traffic.edge_src
     edge_dst = topology.out_indices
@@ -173,7 +170,7 @@ def sssp(topology, root: int, edge_weights: np.ndarray | None = None,
         distances = new_distances
 
         elapsed = traffic.charge_superstep(
-            network, params, active, edges, pair_counts
+            network, active, edges, pair_counts
         )
         run.iteration_times.append(elapsed)
     run.distances = distances

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ComputeParams
+from ..config import CELL_ACCESS_COST, EDGE_SCAN_COST, THREADS_PER_MACHINE
 from ..errors import QueryError
 from ..net.simnet import ParallelRound, SimNetwork
 from ..oracle import shadow
@@ -266,7 +266,6 @@ def matching_order(query: Query, stwigs: list[STwig]) -> list[int]:
 
 def match_subgraph(topology, labels, query: Query,
                    network: SimNetwork | None = None,
-                   params: ComputeParams | None = None,
                    index: LabelIndex | None = None,
                    max_embeddings: int = 1024,
                    max_expansions: int = 2_000_000,
@@ -294,7 +293,6 @@ def match_subgraph(topology, labels, query: Query,
     queries want the first page of answers, not an exhaustive census.
     """
     network = network or SimNetwork()
-    params = params or ComputeParams()
     index = index or LabelIndex(topology, labels)
     labels = index.labels
     result = SubgraphMatchResult(query=query)
@@ -382,8 +380,8 @@ def match_subgraph(topology, labels, query: Query,
             result.candidates_examined += 1
             machine = int(topology.machine[candidate])
             compute_total[0] += (
-                params.cell_access_cost
-                + len(neighbors_of(candidate)) * params.edge_scan_cost
+                CELL_ACCESS_COST
+                + len(neighbors_of(candidate)) * EDGE_SCAN_COST
             )
             if pivot_machine is not None and machine != pivot_machine:
                 remote_traffic[0] += 1
@@ -421,7 +419,7 @@ def match_subgraph(topology, labels, query: Query,
                         max(1, remote_traffic[0] // pairs),
                     )
     result.round_times.append(
-        round_.finish(parallelism=params.threads_per_machine)
+        round_.finish(parallelism=THREADS_PER_MACHINE)
     )
     result.embeddings.sort()
     return result

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ComputeParams
 from ..net.simnet import SimNetwork
 from ..compute.vertex import VertexProgram
 from ._traffic import TrafficModel
@@ -64,8 +63,7 @@ class TriangleRun:
     elapsed: float = 0.0
 
 
-def count_triangles(topology, network: SimNetwork | None = None,
-                    params: ComputeParams | None = None) -> TriangleRun:
+def count_triangles(topology, network: SimNetwork | None = None) -> TriangleRun:
     """Vectorised triangle count over a symmetric (undirected) CSR.
 
     Classic merge-intersection on sorted higher-id adjacency; traffic is
@@ -73,7 +71,6 @@ def count_triangles(topology, network: SimNetwork | None = None,
     higher-id endpoints.
     """
     network = network or SimNetwork()
-    params = params or ComputeParams()
     n = topology.n
     # Sorted, deduplicated higher-id adjacency per vertex.
     higher: list[np.ndarray] = []
@@ -97,6 +94,6 @@ def count_triangles(topology, network: SimNetwork | None = None,
     active = traffic.per_machine_vertices()
     edges = traffic.per_machine_edges()
     elapsed = traffic.charge_superstep(
-        network, params, active, edges, pair_counts
+        network, active, edges, pair_counts
     )
     return TriangleRun(count=total, per_vertex=per_vertex, elapsed=elapsed)

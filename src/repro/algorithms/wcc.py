@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ComputeParams
 from ..net.simnet import SimNetwork
 from ..compute.vertex import VertexProgram
 from ._traffic import TrafficModel
@@ -69,7 +68,6 @@ class WccRun:
 
 
 def wcc(topology, network: SimNetwork | None = None,
-        params: ComputeParams | None = None,
         traffic: TrafficModel | None = None) -> WccRun:
     """Vectorised HashMin over the symmetrised edge set.
 
@@ -78,7 +76,6 @@ def wcc(topology, network: SimNetwork | None = None,
     like the vertex engine would.
     """
     network = network or SimNetwork()
-    params = params or ComputeParams()
     traffic = traffic or TrafficModel(topology)
     n = topology.n
     edge_src = traffic.edge_src
@@ -98,7 +95,7 @@ def wcc(topology, network: SimNetwork | None = None,
         changed = new_labels < labels
         labels = new_labels
         elapsed = traffic.charge_superstep(
-            network, params, active, edges, pair_counts
+            network, active, edges, pair_counts
         )
         run.iteration_times.append(elapsed)
     run.labels = labels

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import ComputeParams
+from ..config import CELL_ACCESS_COST, EDGE_SCAN_COST, THREADS_PER_MACHINE
 
 _OPS_PER_SECOND = 1e9       # a generous single-core rate for index builds
 _BYTES_PER_LABEL_ENTRY = 16
@@ -75,7 +75,6 @@ def trinity_label_index_cost(vertices: int) -> IndexCost:
 
 
 def exploration_query_cost(candidates: int, avg_degree: float,
-                           params: ComputeParams | None = None,
                            machines: int = 8) -> float:
     """Per-query cost of index-free exploration (seconds, simulated).
 
@@ -83,8 +82,5 @@ def exploration_query_cost(candidates: int, avg_degree: float,
     work spreads over the cluster (Section 5.2's "fast random access and
     parallel computing").
     """
-    params = params or ComputeParams()
-    per_candidate = (params.cell_access_cost
-                     + avg_degree * params.edge_scan_cost)
-    return (candidates * per_candidate
-            / (machines * params.threads_per_machine))
+    per_candidate = CELL_ACCESS_COST + avg_degree * EDGE_SCAN_COST
+    return candidates * per_candidate / (machines * THREADS_PER_MACHINE)

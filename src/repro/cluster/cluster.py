@@ -42,7 +42,7 @@ class TrinityCluster:
         self.config = config or ClusterConfig()
         self.obs = registry if registry is not None else get_registry()
         self.cloud = MemoryCloud(self.config, registry=self.obs)
-        self.network = SimNetwork(self.config.network, registry=self.obs)
+        self.network = SimNetwork(registry=self.obs)
         self.runtime = MessageRuntime(self.network, schema=schema)
         self.faults = (FaultInjector(faults, registry=self.obs)
                        if faults is not None else None)

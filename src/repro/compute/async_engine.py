@@ -20,7 +20,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..config import ComputeParams
+from ..config import (
+    CELL_ACCESS_COST,
+    EDGE_SCAN_COST,
+    THREADS_PER_MACHINE,
+    VERTEX_COMPUTE_COST,
+)
 from ..errors import ComputeError
 from ..net.simnet import ParallelRound, SimNetwork
 from ..obs import Tracer
@@ -44,12 +49,10 @@ class AsyncEngine:
     """Barrier-free vertex processing with quiescence detection."""
 
     def __init__(self, topology, network: SimNetwork | None = None,
-                 compute_params: ComputeParams | None = None,
                  checkpoints: CheckpointManager | None = None,
                  interrupt_every: int = 0):
         self.topology = topology
         self.network = network or SimNetwork()
-        self.compute_params = compute_params or ComputeParams()
         self.checkpoints = checkpoints
         self.interrupt_every = interrupt_every
         self.detector = SafraDetector(topology.machine_count)
@@ -87,7 +90,6 @@ class AsyncEngine:
             self.detector.set_active(machine, bool(queue))
 
         result = AsyncResult(values=values)
-        cost = self.compute_params
         since_interrupt = 0
         while result.updates < max_updates:
             # One "slice": every machine drains a bounded chunk of its
@@ -112,9 +114,9 @@ class AsyncEngine:
                     progressed = True
                     degree = int(topo.out_indptr[vertex + 1]
                                  - topo.out_indptr[vertex])
-                    compute_seconds += (cost.vertex_compute_cost
-                                        + cost.cell_access_cost
-                                        + degree * cost.edge_scan_cost)
+                    compute_seconds += (VERTEX_COMPUTE_COST
+                                        + CELL_ACCESS_COST
+                                        + degree * EDGE_SCAN_COST)
                     for other in wake:
                         other = int(other)
                         other_machine = int(topo.machine[other])
@@ -132,7 +134,7 @@ class AsyncEngine:
                 with self.tracer.span("async.slice",
                                       updates=slice_updates):
                     result.elapsed += slice_round.finish(
-                        parallelism=cost.threads_per_machine
+                        parallelism=THREADS_PER_MACHINE
                     )
                 self._m_slices.inc()
                 self._m_updates.inc(slice_updates)

@@ -53,7 +53,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ComputeParams
+from ..config import (
+    BARRIER_COST,
+    CELL_ACCESS_COST,
+    EDGE_SCAN_COST,
+    THREADS_PER_MACHINE,
+    VERTEX_COMPUTE_COST,
+)
 from ..errors import ComputeError
 from ..faults import FaultInjector, FaultPlan
 from ..net.simnet import ParallelRound, SimNetwork
@@ -182,20 +188,16 @@ class BspEngine:
     """Executes vertex programs superstep by superstep."""
 
     def __init__(self, topology, network: SimNetwork | None = None,
-                 compute_params: ComputeParams | None = None,
                  hub_buffering: bool = True,
                  hub_fraction: float = 0.01,
-                 validate_restrictive: bool = False,
                  vectorize: bool = True,
                  cross_check: bool = False,
                  faults: FaultPlan | None = None,
                  checkpoints: CheckpointManager | None = None):
         self.topology = topology
         self.network = network or SimNetwork()
-        self.compute_params = compute_params or ComputeParams()
         self.hub_buffering = hub_buffering
         self.hub_fraction = hub_fraction
-        self.validate_restrictive = validate_restrictive
         self.vectorize = vectorize
         self.cross_check = cross_check
         self.faults = faults
@@ -252,7 +254,9 @@ class BspEngine:
         """Route one message (general-model path)."""
         program = self._program
         assert program is not None
-        if program.restrictive and self.validate_restrictive:
+        if program.restrictive and self.cross_check:
+            # A cross-checked run also holds a restrictive program to
+            # its word: every point-to-point send goes to an out-neighbor.
             self._check_restrictive(src, dst)
         machine = self.topology.machine
         if self._fast_mode:
@@ -379,7 +383,6 @@ class BspEngine:
         """Feed the superstep's traffic (sorted by machine pair, so both
         paths hit the float accumulators in the same order) and finish
         the round.  Returns (elapsed, remote_transfers, wire_bytes)."""
-        cost = self.compute_params
         remote_transfers = 0
         wire_bytes = 0
         for (src_machine, dst_machine), (count, size) in pair_items:
@@ -387,9 +390,9 @@ class BspEngine:
             if src_machine != dst_machine:
                 remote_transfers += count
                 wire_bytes += size
-        elapsed = round_.finish(parallelism=cost.threads_per_machine)
-        elapsed += cost.barrier_cost
-        self.network.clock.advance(cost.barrier_cost)
+        elapsed = round_.finish(parallelism=THREADS_PER_MACHINE)
+        elapsed += BARRIER_COST
+        self.network.clock.advance(BARRIER_COST)
         return elapsed, remote_transfers, wire_bytes
 
     def _check_initial_values(self, initial_values, n: int) -> None:
@@ -438,7 +441,9 @@ class BspEngine:
         ``cross_check=True`` the per-vertex reference path is executed
         as well (against a throwaway network) and any divergence in
         values or accounting raises
-        :class:`~repro.errors.DivergenceError`.
+        :class:`~repro.errors.DivergenceError`; on either path it also
+        raises :class:`~repro.errors.ComputeError` when a restrictive
+        program sends to a vertex that is not an out-neighbor.
         """
         if max_supersteps < 1:
             raise ComputeError("max_supersteps must be >= 1")
@@ -500,8 +505,7 @@ class BspEngine:
 
         superstep, inbox = fresh_start()
         result = BspResult(values=self.values)
-        cost = self.compute_params
-        per_vertex_cost = cost.vertex_compute_cost + cost.cell_access_cost
+        per_vertex_cost = VERTEX_COMPUTE_COST + CELL_ACCESS_COST
         while superstep < max_supersteps:
             if self._injector is not None:
                 if self._injector.take_crashes(superstep):
@@ -551,7 +555,7 @@ class BspEngine:
                     round_.add_compute(
                         machine,
                         ran_here * per_vertex_cost
-                        + degree_sum * cost.edge_scan_cost,
+                        + degree_sum * EDGE_SCAN_COST,
                     )
                     ran += ran_here
 
@@ -731,7 +735,6 @@ class BspEngine:
                   initial_values, on_superstep, use_batch: bool) -> BspResult:
         topo = self.topology
         n = topo.n
-        cost = self.compute_params
         if self._fast is None:
             self._fast = _FastState(topo, self.hub_threshold)
         dtype = np.dtype(program.value_dtype)
@@ -765,7 +768,7 @@ class BspEngine:
 
         superstep, combined, received = fresh_start()
         result = BspResult(values=self.values)
-        per_vertex_cost = cost.vertex_compute_cost + cost.cell_access_cost
+        per_vertex_cost = VERTEX_COMPUTE_COST + CELL_ACCESS_COST
         while superstep < max_supersteps:
             if self._injector is not None:
                 if self._injector.take_crashes(superstep):
@@ -801,7 +804,7 @@ class BspEngine:
                     round_.add_compute(
                         machine,
                         ran_count * per_vertex_cost
-                        + degree_sum * cost.edge_scan_cost,
+                        + degree_sum * EDGE_SCAN_COST,
                     )
                 elapsed, remote_transfers, wire_bytes = self._charge_round(
                     round_, self._fs_pair_items(program.message_bytes)
@@ -865,10 +868,10 @@ class BspEngine:
             self.topology,
             network=SimNetwork(params=self.network.params,
                                registry=MetricsRegistry()),
-            compute_params=self.compute_params,
             hub_buffering=self.hub_buffering,
             hub_fraction=self.hub_fraction,
-            validate_restrictive=self.validate_restrictive,
+            # unvectorized, so this only arms the restrictive-send check
+            cross_check=True,
             vectorize=False,
             faults=self.faults,
             checkpoints=reference_checkpoints,

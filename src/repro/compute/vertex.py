@@ -47,8 +47,9 @@ class VertexProgram:
 
     restrictive: bool = True
     """True if vertices only message their out-neighbors (Trinity's model).
-    The engine verifies this at runtime and raises on violations, since
-    the message-scheduling optimisations are only sound under it."""
+    A cross-checked engine (``cross_check=True``) verifies this at
+    runtime and raises on violations, since the message-scheduling
+    optimisations are only sound under it."""
 
     uniform_messages: bool = False
     """True if, within one superstep, a vertex sends the *same* value to

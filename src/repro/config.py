@@ -1,19 +1,61 @@
 """Configuration objects shared across the Trinity reproduction.
 
-The paper's cluster is parameterised by the number of machines ``m``, the
-number of memory trunks ``2**p`` (Section 3), and the network fabric
-(Section 7 lists both an IPoIB and a gigabit adapter).  The simulation keeps
-all of those knobs explicit so benchmarks can sweep them the way the paper's
-evaluation does.
+The paper's evaluation varies the number of machines ``m``, the number of
+memory trunks ``2**p`` (Section 3) and the network fabric (Section 7 lists
+both an IPoIB and a gigabit adapter); those stay settable so benchmarks can
+sweep them the way the paper does.  It never varies the CPU, so the
+per-machine compute cost model is a set of module constants below, not a
+config object.
 
 All times are seconds and all sizes are bytes unless stated otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+
+# -- compute cost model ------------------------------------------------------
+#
+# These constants determine only the *simulated* times reported by
+# benchmarks; algorithm results are computed for real.  They are calibrated
+# so that a 13-degree power-law graph reproduces the paper's headline
+# numbers (3-hop people search < 100 ms on 8 machines; one PageRank
+# superstep on a 1B-node graph < 60 s on 8 machines).
+
+CELL_ACCESS_COST = 1.0e-7
+"""Simulated time to hash a UID and touch its cell in a trunk."""
+
+EDGE_SCAN_COST = 6e-9
+"""Simulated time per adjacency-list entry scanned."""
+
+VERTEX_COMPUTE_COST = 1.5e-8
+"""Simulated per-vertex user-code cost in a BSP superstep."""
+
+THREADS_PER_MACHINE = 24
+"""Hardware parallelism per machine (paper: 2 CPUs x 12 threads)."""
+
+BARRIER_COST = 1e-3
+"""Synchronisation cost per BSP barrier."""
+
+PER_MESSAGE_OVERHEAD = 5e-8
+"""CPU cost of handling one logical message.  Deliberately small: Trinity
+packs small messages into shared transfers (Section 4.2), so the marginal
+per-message work is a ~16-byte memcpy plus amortised dispatch (~50 ns) —
+contrast with the ~4 us two-sided handshake the PBGL/MPI cost model charges
+per message."""
+
+
+def _require_ints(config) -> None:
+    """Fields declared ``int`` must hold one: a float or a bool passes the
+    range checks and then fails deep inside the memory cloud."""
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        if spec.type == "int" and (not isinstance(value, int)
+                                   or isinstance(value, bool)):
+            raise ConfigError(
+                f"{spec.name} must be an int, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -22,8 +64,8 @@ class NetworkParams:
 
     The defaults approximate the paper's gigabit-Ethernet deployment: ~100 us
     one-way latency including the software stack, 1 Gbps payload bandwidth,
-    and a small fixed per-message CPU overhead that message packing (Section
-    4.2) exists to amortise.
+    and the small fixed per-message CPU overhead (``PER_MESSAGE_OVERHEAD``)
+    that message packing (Section 4.2) exists to amortise.
     """
 
     latency: float = 100e-6
@@ -32,15 +74,14 @@ class NetworkParams:
     bandwidth: float = 125e6
     """Payload bytes per second (1 Gbps = 125 MB/s)."""
 
-    per_message_overhead: float = 5e-8
-    """CPU cost of handling one logical message.  Deliberately small:
-    Trinity packs small messages into shared transfers (Section 4.2), so
-    the marginal per-message work is a ~16-byte memcpy plus amortised
-    dispatch (~50 ns) — contrast with the ~4 us two-sided handshake the
-    PBGL/MPI cost model charges per message."""
-
     packing_enabled: bool = True
     """Pack small messages bound for the same machine into one transfer."""
+
+    def __post_init__(self) -> None:
+        if not self.bandwidth > 0:
+            raise ConfigError("bandwidth must be positive")
+        if not self.latency >= 0:
+            raise ConfigError("latency must be non-negative")
 
     def transfer_time(self, size: int, messages: int = 1) -> float:
         """Simulated wall-clock time to move ``size`` payload bytes.
@@ -65,7 +106,7 @@ class NetworkParams:
         if size < 0:
             raise ConfigError(f"negative transfer size: {size}")
         wire = size / self.bandwidth
-        overhead = messages * self.per_message_overhead
+        overhead = messages * PER_MESSAGE_OVERHEAD
         if self.packing_enabled:
             # Packed buffers stream: one latency to first byte, then
             # wire-limited.
@@ -86,7 +127,9 @@ class MemoryParams:
     paper, reserving is free: a trunk costs RAM only for the pages written."""
 
     page_size: int = 4096
-    """Commit granularity: pages are committed as the append head advances."""
+    """A trunk's one page size: pages are committed as the append head
+    advances, and the ``"paged"`` storage tier faults, evicts and writes
+    back in the same pages."""
 
     defrag_trigger_ratio: float = 0.25
     """Run the defragmentation daemon once this fraction of committed bytes
@@ -107,11 +150,6 @@ class MemoryParams:
     most ``page_budget`` pages of it resident — graphs bigger than RAM
     load and serve at the cost of page faults (Section 3's 10^9-node
     claims need exactly this spill tier)."""
-
-    storage_page_size: int = 4096
-    """Paging granularity of the ``"paged"`` storage tier (bytes).
-    Independent of ``page_size``, which is the *commit* accounting
-    granularity shared by both tiers."""
 
     page_budget: int = 64
     """Maximum RAM-resident pages per paged trunk.  Touching more pages
@@ -135,19 +173,13 @@ class MemoryParams:
     binds that schema to a cloud built with these params."""
 
     def __post_init__(self) -> None:
+        _require_ints(self)
         if self.trunk_size <= 0:
             raise ConfigError("trunk_size must be positive")
         if self.storage not in ("resident", "paged"):
             raise ConfigError(
                 f"storage must be 'resident' or 'paged', "
                 f"got {self.storage!r}"
-            )
-        if self.storage_page_size <= 0:
-            raise ConfigError("storage_page_size must be positive")
-        if self.storage == "paged" and self.trunk_size % self.storage_page_size:
-            raise ConfigError(
-                "trunk_size must be a multiple of storage_page_size "
-                "when storage='paged'"
             )
         if self.page_budget < 1:
             raise ConfigError("page_budget must be >= 1")
@@ -169,33 +201,6 @@ class MemoryParams:
 
 
 @dataclass(frozen=True)
-class ComputeParams:
-    """Per-machine compute cost model used by the simulated clock.
-
-    These constants determine only the *simulated* times reported by
-    benchmarks; algorithm results are computed for real.  The defaults are
-    calibrated so that a 13-degree power-law graph reproduces the paper's
-    headline numbers (3-hop people search < 100 ms on 8 machines; one
-    PageRank superstep on a 1B-node graph < 60 s on 8 machines).
-    """
-
-    cell_access_cost: float = 1.0e-7
-    """Simulated time to hash a UID and touch its cell in a trunk."""
-
-    edge_scan_cost: float = 6e-9
-    """Simulated time per adjacency-list entry scanned."""
-
-    vertex_compute_cost: float = 1.5e-8
-    """Simulated per-vertex user-code cost in a BSP superstep."""
-
-    threads_per_machine: int = 24
-    """Hardware parallelism per machine (paper: 2 CPUs x 12 threads)."""
-
-    barrier_cost: float = 1e-3
-    """Synchronisation cost per BSP barrier."""
-
-
-@dataclass(frozen=True)
 class ClusterConfig:
     """Top-level description of a simulated Trinity cluster."""
 
@@ -212,11 +217,10 @@ class ClusterConfig:
     replication: int = 2
     """TFS replication factor for persisted trunks."""
 
-    network: NetworkParams = field(default_factory=NetworkParams)
     memory: MemoryParams = field(default_factory=MemoryParams)
-    compute: ComputeParams = field(default_factory=ComputeParams)
 
     def __post_init__(self) -> None:
+        _require_ints(self)
         if self.machines <= 0:
             raise ConfigError("machines must be positive")
         if not 1 <= self.trunk_bits <= 24:

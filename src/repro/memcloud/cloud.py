@@ -412,7 +412,7 @@ class MemoryCloud:
                              starts[low:high], limits[low:high])
                          for trunk_id, low, high in zip(touched, lows, highs)]
                 rows = np.cumsum([0, *map(len, pages)]).tolist()
-                buffer = np.empty(rows[-1] * memory.storage_page_size,
+                buffer = np.empty(rows[-1] * memory.page_size,
                                   dtype=np.uint8)
             spans: list[SpanGroup] = []
             for trunk_id, epoch, walked, low, high, batch, at in zip(

@@ -152,7 +152,7 @@ class PagedStorage(TrunkStorage):
                  spill_dir=None):
         self.trunk_id = trunk_id
         self._size = params.trunk_size
-        self._page = params.storage_page_size
+        self._page = params.page_size
         self._budget = max(1, params.page_budget)
         if spill_dir is not None:
             os.makedirs(spill_dir, exist_ok=True)

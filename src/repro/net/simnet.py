@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from ..config import NetworkParams
+from ..config import PER_MESSAGE_OVERHEAD, NetworkParams
 from ..obs import Counter, MetricsRegistry, get_registry
 
 # Skew can't go below 1 (max/mean); resolve the interesting 1x-10x band.
@@ -103,7 +103,7 @@ class SimNetwork:
             # in the per-machine sent-bytes series (traffic skew would be
             # polluted by co-located message volume).
             self.counters.local_messages += messages
-            return messages * self.params.per_message_overhead
+            return messages * PER_MESSAGE_OVERHEAD
         self.machine_sent(src).inc(size)
         self.counters.transfers += 1
         return self.params.transfer_time(size, messages)
@@ -128,9 +128,9 @@ class ParallelRound:
     Example — one hop of a query wave::
 
         wave = ParallelRound(network)
-        wave.add_compute(machine, cells_touched * cost.cell_access_cost)
+        wave.add_compute(machine, cells_touched * CELL_ACCESS_COST)
         wave.add_message(machine, remote_machine, payload_bytes)
-        elapsed = wave.finish(parallelism=cost.threads_per_machine)
+        elapsed = wave.finish(parallelism=THREADS_PER_MACHINE)
     """
 
     def __init__(self, network: SimNetwork):
@@ -194,7 +194,7 @@ class ParallelRound:
                 if dst == machine:
                     # Local delivery: per-message handling only, and no
                     # contribution to the wire-bytes skew series.
-                    serial_send += count * params.per_message_overhead
+                    serial_send += count * PER_MESSAGE_OVERHEAD
                     continue
                 machine_bytes += size
                 remote_pairs.append((machine, dst, size, count))

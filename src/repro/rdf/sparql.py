@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from ..config import ComputeParams
+from ..config import CELL_ACCESS_COST, EDGE_SCAN_COST, THREADS_PER_MACHINE
 from ..errors import QueryError
 from ..net.simnet import ParallelRound, SimNetwork
 from .store import RdfStore
@@ -110,13 +110,11 @@ def _selectivity(store: RdfStore, pattern: TriplePattern,
 
 def execute_sparql(store: RdfStore, query: SparqlQuery | str,
                    network: SimNetwork | None = None,
-                   params: ComputeParams | None = None,
                    max_rows: int = 100_000) -> SparqlResult:
     """Run a BGP query against the store with cost accounting."""
     if isinstance(query, str):
         query = parse_sparql(query)
     network = network or SimNetwork()
-    params = params or ComputeParams()
     result = SparqlResult(query=query)
 
     remaining = list(query.patterns)
@@ -126,8 +124,7 @@ def execute_sparql(store: RdfStore, query: SparqlQuery | str,
         remaining.sort(key=lambda p: _selectivity(store, p, bound))
         pattern = remaining.pop(0)
         bindings = _apply_pattern(
-            store, pattern, bindings, bound, result, network, params,
-            max_rows,
+            store, pattern, bindings, bound, result, network, max_rows,
         )
         bound |= pattern.variables()
         if not bindings:
@@ -151,7 +148,7 @@ def _resolve(store: RdfStore, term: str, binding: dict) -> int | None:
 
 
 def _apply_pattern(store, pattern, bindings, bound, result, network,
-                   params, max_rows):
+                   max_rows):
     round_ = ParallelRound(network)
     compute: dict[int, float] = defaultdict(float)
     remote_traffic = [0, 0]  # messages, bytes crossing machines
@@ -165,8 +162,8 @@ def _apply_pattern(store, pattern, bindings, bound, result, network,
         if subject is not None:
             machine = store.machine_of(subject)
             candidates = store.out(subject, pattern.predicate)
-            compute[machine] += (params.cell_access_cost
-                                 + len(candidates) * params.edge_scan_cost)
+            compute[machine] += (CELL_ACCESS_COST
+                                 + len(candidates) * EDGE_SCAN_COST)
             for candidate in candidates:
                 if obj is not None:
                     if candidate == obj:
@@ -183,8 +180,8 @@ def _apply_pattern(store, pattern, bindings, bound, result, network,
         elif obj is not None:
             machine = store.machine_of(obj)
             candidates = store.incoming(obj, pattern.predicate)
-            compute[machine] += (params.cell_access_cost
-                                 + len(candidates) * params.edge_scan_cost)
+            compute[machine] += (CELL_ACCESS_COST
+                                 + len(candidates) * EDGE_SCAN_COST)
             for candidate in candidates:
                 extended = dict(binding)
                 extended[pattern.subject] = candidate
@@ -202,8 +199,8 @@ def _apply_pattern(store, pattern, bindings, bound, result, network,
             for subject_id in range(store.resource_count):
                 machine = store.machine_of(subject_id)
                 targets = store.out(subject_id, pattern.predicate)
-                compute[machine] += (params.cell_access_cost
-                                     + len(targets) * params.edge_scan_cost)
+                compute[machine] += (CELL_ACCESS_COST
+                                     + len(targets) * EDGE_SCAN_COST)
                 for candidate in targets:
                     extended = dict(binding)
                     extended[pattern.subject] = subject_id
@@ -235,6 +232,6 @@ def _apply_pattern(store, pattern, bindings, bound, result, network,
                         max(1, remote_traffic[0] // pairs),
                     )
     result.round_times.append(
-        round_.finish(parallelism=params.threads_per_machine)
+        round_.finish(parallelism=THREADS_PER_MACHINE)
     )
     return out

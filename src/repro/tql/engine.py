@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ComputeParams
+from ..config import CELL_ACCESS_COST, EDGE_SCAN_COST, THREADS_PER_MACHINE
 from ..errors import QueryError
 from ..net.simnet import ParallelRound, SimNetwork
 from ..oracle import shadow
@@ -60,7 +60,6 @@ class TqlResult:
 
 def execute_tql(graph, query: TqlQuery | str,
                 network: SimNetwork | None = None,
-                params: ComputeParams | None = None,
                 max_rows: int = 10_000,
                 cross_check: bool = False) -> TqlResult:
     """Run a TQL query against a :class:`~repro.graph.api.Graph`.
@@ -73,21 +72,18 @@ def execute_tql(graph, query: TqlQuery | str,
     if isinstance(query, str):
         query = parse_tql(query)
     network = network or SimNetwork()
-    params = params or ComputeParams()
-    result = _execute(graph, query, network, params, max_rows, True,
-                      cross_check)
+    result = _execute(graph, query, network, max_rows, True, cross_check)
     if cross_check:
         reference = _execute(graph, query, SimNetwork(network.params),
-                             params, max_rows, False, False)
+                             max_rows, False, False)
         shadow("tql.engine.execute", result, reference,
                fields=("rows", "cells_touched", "messages", "elapsed",
                        "truncated"))
     return result
 
 
-def _execute(graph, query: TqlQuery, network: SimNetwork,
-             params: ComputeParams, max_rows: int, batch: bool,
-             cross_check: bool) -> TqlResult:
+def _execute(graph, query: TqlQuery, network: SimNetwork, max_rows: int,
+             batch: bool, cross_check: bool) -> TqlResult:
     result = TqlResult(query=query)
     limit = query.limit if query.limit is not None else max_rows
 
@@ -108,7 +104,7 @@ def _execute(graph, query: TqlQuery, network: SimNetwork,
                 field_cache[key] = prefetched.pop(key)
             else:
                 field_cache[key] = graph.read_field(node_id, field_name)
-            compute[0] += params.cell_access_cost
+            compute[0] += CELL_ACCESS_COST
             result.cells_touched += 1
         return field_cache[key]
 
@@ -227,10 +223,10 @@ def _execute(graph, query: TqlQuery, network: SimNetwork,
             schema = graph.graph_schema
             if edge.field == schema.out_field and schema.in_field:
                 targets = graph.inlinks(node_id)
-                compute[0] += params.cell_access_cost
+                compute[0] += CELL_ACCESS_COST
             elif schema.in_field and edge.field == schema.in_field:
                 targets = graph.outlinks(node_id)
-                compute[0] += params.cell_access_cost
+                compute[0] += CELL_ACCESS_COST
             else:
                 # Undirected field: the list is symmetric already.
                 targets = read_field(node_id, edge.field)
@@ -238,7 +234,7 @@ def _execute(graph, query: TqlQuery, network: SimNetwork,
             raise QueryError(
                 f"field {edge.field!r} is not an adjacency list"
             )
-        compute[0] += len(targets) * params.edge_scan_cost
+        compute[0] += len(targets) * EDGE_SCAN_COST
         return targets
 
     def backtrack(index: int, binding: dict) -> bool:
@@ -306,6 +302,6 @@ def _execute(graph, query: TqlQuery, network: SimNetwork,
                 if src != dst:
                     round_.add_message(src, dst, remote[1] // pairs,
                                        max(1, remote[0] // pairs))
-    result.elapsed = round_.finish(parallelism=params.threads_per_machine)
+    result.elapsed = round_.finish(parallelism=THREADS_PER_MACHINE)
     result.rows.sort()
     return result

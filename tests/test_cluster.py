@@ -246,7 +246,7 @@ class TestRecovery:
         cluster = TrinityCluster(ClusterConfig(
             machines=2, trunk_bits=2, memory=MemoryParams(
                 trunk_size=64 * 1024, storage="paged",
-                storage_page_size=1024, page_budget=4)))
+                page_size=1024, page_budget=4)))
         cloud = cluster.cloud
         try:
             client = cluster.new_client()

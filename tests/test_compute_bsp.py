@@ -93,7 +93,7 @@ class TestEngineBasics:
         assert result.values[0] == rmat_topology.n
 
     def test_restrictive_violation_detected(self, rmat_topology):
-        engine = BspEngine(rmat_topology, validate_restrictive=True)
+        engine = BspEngine(rmat_topology, cross_check=True)
 
         class Cheater(VertexProgram):
             restrictive = True
@@ -105,6 +105,27 @@ class TestEngineBasics:
 
         # Vertex 1 messaging an arbitrary far vertex: almost surely not a
         # neighbor in the fixture graph.
+        far = (1 + 101) % rmat_topology.n
+        if far in set(rmat_topology.out_neighbors(1).tolist()):
+            pytest.skip("fixture graph happens to contain the edge")
+        with pytest.raises(ComputeError, match="non-neighbor"):
+            engine.run(Cheater(), max_supersteps=2)
+
+    def test_restrictive_violation_detected_on_fast_path(self,
+                                                         rmat_topology):
+        # A combiner sends the run down the vectorized path; the
+        # cross-checked engine holds it to the same rule.
+        engine = BspEngine(rmat_topology, cross_check=True)
+
+        class Cheater(VertexProgram):
+            restrictive = True
+            combiner = "sum"
+
+            def compute(self, ctx, vertex, messages):
+                if ctx.superstep == 0 and vertex == 1:
+                    ctx.send((vertex + 101) % ctx.num_vertices, 1.0)
+                ctx.vote_to_halt()
+
         far = (1 + 101) % rmat_topology.n
         if far in set(rmat_topology.out_neighbors(1).tolist()):
             pytest.skip("fixture graph happens to contain the edge")

@@ -5,7 +5,6 @@ import pytest
 from repro import errors
 from repro.config import (
     ClusterConfig,
-    ComputeParams,
     ConfigError,
     MemoryParams,
     NetworkParams,
@@ -28,6 +27,9 @@ class TestClusterConfig:
         dict(trunk_bits=30),
         dict(proxies=-1),
         dict(replication=0),
+        dict(machines=2.5),
+        dict(trunk_bits=4.0),
+        dict(machines=True),
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -47,6 +49,8 @@ class TestMemoryParams:
         dict(defrag_trigger_ratio=0.0),
         dict(defrag_trigger_ratio=1.5),
         dict(reservation_factor=0.5),
+        dict(trunk_size=float(1 << 20)),
+        dict(page_budget=True),
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -74,11 +78,14 @@ class TestNetworkParams:
         with pytest.raises(ConfigError):
             NetworkParams().transfer_time(-5)
 
-
-class TestComputeParams:
-    def test_defaults(self):
-        params = ComputeParams()
-        assert params.threads_per_machine == 24  # 2 CPUs x 12 threads
+    @pytest.mark.parametrize("kwargs", [
+        dict(bandwidth=0),
+        dict(bandwidth=-1),
+        dict(latency=-1.0),
+    ])
+    def test_invalid_values_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            NetworkParams(**kwargs)
 
 
 class TestErrorHierarchy:

@@ -207,7 +207,7 @@ class TestStreaming:
         try:
             for storage in ("resident", "paged"):
                 memory = MemoryParams(trunk_size=256 * 1024, storage=storage,
-                                      storage_page_size=512, page_budget=2)
+                                      page_size=512, page_budget=2)
                 clouds[storage] = MemoryCloud(
                     ClusterConfig(machines=2, trunk_bits=4, memory=memory),
                     MetricsRegistry())

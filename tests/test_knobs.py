@@ -12,17 +12,14 @@ import dataclasses
 import pathlib
 import re
 
-from repro.config import (
-    ClusterConfig,
-    ComputeParams,
-    MemoryParams,
-    NetworkParams,
-)
+from repro.config import ClusterConfig, MemoryParams, NetworkParams
 from repro.serve import ServeConfig
 
 DESIGN = pathlib.Path(__file__).resolve().parents[1] / "DESIGN.md"
-CONFIGS = (ServeConfig, MemoryParams, NetworkParams, ComputeParams,
-           ClusterConfig)
+CONFIGS = (ServeConfig, MemoryParams, NetworkParams, ClusterConfig)
+#: The ledger only shrinks without review: raising this is the decision
+#: to add an option, made where a reviewer sees it.
+KNOB_CEILING = 28
 #: ``| `Config` | `knob` | default | who |``
 ROW = re.compile(r"^\| `(\w+)` \| `(\w+)` \| [^|]+ \| [^|]+ \|$", re.M)
 
@@ -47,3 +44,7 @@ def test_knob_count_stated_in_design():
     text = DESIGN.read_text(encoding="utf-8")
     stated = re.search(r"\*\*(\d+) knobs\*\*", text)
     assert stated and int(stated.group(1)) == len(documented_knobs())
+
+
+def test_knob_count_is_a_ratchet():
+    assert len(documented_knobs()) <= KNOB_CEILING

@@ -297,7 +297,7 @@ class TestPersistence:
 
 def _paged_config(spill_dir=None) -> ClusterConfig:
     return ClusterConfig(machines=2, trunk_bits=2, memory=MemoryParams(
-        trunk_size=64 * 1024, storage="paged", storage_page_size=1024,
+        trunk_size=64 * 1024, storage="paged", page_size=1024,
         page_budget=4, spill_dir=spill_dir))
 
 

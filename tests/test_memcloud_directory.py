@@ -35,9 +35,8 @@ from .test_memcloud_hashtable import list_prober_of
 
 def make_cloud(storage="resident", trunk_bits=2, page_budget=2, machines=2,
                **kwargs):
-    memory = MemoryParams(trunk_size=128 * 1024, page_size=1024,
-                          storage=storage, storage_page_size=512,
-                          page_budget=page_budget)
+    memory = MemoryParams(trunk_size=128 * 1024, page_size=512,
+                          storage=storage, page_budget=page_budget)
     return MemoryCloud(ClusterConfig(machines=machines, trunk_bits=trunk_bits,
                                      memory=memory),
                        MetricsRegistry(), **kwargs)

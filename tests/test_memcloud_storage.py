@@ -32,8 +32,7 @@ OS_PAGE = mmap.ALLOCATIONGRANULARITY    # msync/madvise extents align to it
 
 def make_storage(pages: int, budget: int, page: int = PAGE) -> PagedStorage:
     params = MemoryParams(trunk_size=pages * page, page_size=page,
-                          storage="paged", storage_page_size=page,
-                          page_budget=budget)
+                          storage="paged", page_budget=budget)
     return PagedStorage(0, params, registry=MetricsRegistry())
 
 
@@ -378,7 +377,7 @@ class TestWalkAccessDrop:
         count = 2 * WRITE_CHUNK_BYTES // footprint
         params = MemoryParams(trunk_size=2 * WRITE_CHUNK_BYTES,
                               page_size=page, storage="paged",
-                              storage_page_size=page, page_budget=4)
+                              page_budget=4)
         trunk = MemoryTrunk(0, params, registry=MetricsRegistry())
         storage = trunk.storage
         try:
@@ -437,7 +436,7 @@ def test_the_page_budget_bounds_what_is_mapped():
     # before the access that faulted them straight back in.  The bound
     # is the budget plus the kernel's fault-around window, not exact.
     params = MemoryParams(trunk_size=1 << 20, storage="paged",
-                          storage_page_size=4096, page_budget=4)
+                          page_size=4096, page_budget=4)
     trunk = MemoryTrunk(0, params, registry=MetricsRegistry())
     try:
         path = trunk.storage.arena.path

@@ -20,10 +20,9 @@ def make_trunk(trunk_size=64 * 1024, **kwargs) -> MemoryTrunk:
 
 
 def make_paged_trunk(trunk_size=64 * 1024, page_budget=4,
-                     storage_page_size=1024, **kwargs) -> MemoryTrunk:
+                     **kwargs) -> MemoryTrunk:
     params = MemoryParams(trunk_size=trunk_size, page_size=1024,
-                          storage="paged", page_budget=page_budget,
-                          storage_page_size=storage_page_size, **kwargs)
+                          storage="paged", page_budget=page_budget, **kwargs)
     return MemoryTrunk(0, params, registry=MetricsRegistry())
 
 
@@ -361,7 +360,7 @@ class TestPagedSpanStaleness:
     def test_cloud_span_group_raises_after_paged_defrag(self):
         from repro.memcloud.cloud import MemoryCloud
         cfg = ClusterConfig(machines=2, trunk_bits=2, memory=MemoryParams(
-            trunk_size=64 * 1024, storage="paged", storage_page_size=1024,
+            trunk_size=64 * 1024, storage="paged", page_size=1024,
             page_budget=4))
         cloud = MemoryCloud(cfg, MetricsRegistry())
         try:
@@ -476,7 +475,7 @@ class TestSpanCacheInvalidation:
         from repro.memcloud.cloud import MemoryCloud
         from repro.tfs import TrinityFileSystem
         cfg = ClusterConfig(machines=2, trunk_bits=2, memory=MemoryParams(
-            trunk_size=64 * 1024, storage="paged", storage_page_size=1024,
+            trunk_size=64 * 1024, storage="paged", page_size=1024,
             page_budget=4))
         cloud = MemoryCloud(cfg, MetricsRegistry())
         try:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import NetworkParams
+from repro.config import PER_MESSAGE_OVERHEAD, NetworkParams
 from repro.errors import MachineDownError, ProtocolError
 from repro.net import Message, MessageRuntime, ParallelRound, SimNetwork
 from repro.tsl import compile_tsl
@@ -11,11 +11,14 @@ from repro.tsl import compile_tsl
 class TestNetworkParams:
     def test_transfer_time_components(self):
         params = NetworkParams(latency=1e-4, bandwidth=1e8,
-                               per_message_overhead=1e-6,
                                packing_enabled=False)
         # 1 message, 1e6 bytes: latency + bytes/bw + overhead
         assert params.transfer_time(10**6) == pytest.approx(
-            1e-4 + 0.01 + 1e-6
+            1e-4 + 0.01 + PER_MESSAGE_OVERHEAD
+        )
+        # unpacked, every message pays a latency and its overhead
+        assert params.transfer_time(10**6, messages=3) == pytest.approx(
+            3 * 1e-4 + 0.01 + 3 * PER_MESSAGE_OVERHEAD
         )
 
     def test_packing_shares_latency(self):

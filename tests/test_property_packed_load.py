@@ -178,8 +178,7 @@ CONFIGS = {
     # and the rest falls back to put)
     "wrapping": MemoryParams(trunk_size=2048, page_size=128),
     "paged": MemoryParams(trunk_size=64 * 1024, page_size=512,
-                          storage="paged", storage_page_size=512,
-                          page_budget=2),
+                          storage="paged", page_budget=2),
 }
 UID = st.integers(min_value=0, max_value=23)
 PAYLOAD = st.binary(max_size=60)

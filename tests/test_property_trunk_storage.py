@@ -27,7 +27,7 @@ from ._images import reference_image
 from ._spans import payloads, trunk_spans
 
 TRUNK_SIZE = 2048
-PAGE_SIZE = 256          # 8 storage pages per trunk
+PAGE_SIZE = 256          # 8 pages per trunk
 PAGE_BUDGET = 2          # almost nothing stays resident: constant eviction
 
 SMALL_UID = st.integers(min_value=0, max_value=23)
@@ -75,8 +75,8 @@ CHURN = _churn_program()
 
 def make_params(storage: str) -> MemoryParams:
     return MemoryParams(
-        trunk_size=TRUNK_SIZE, page_size=128, storage=storage,
-        storage_page_size=PAGE_SIZE, page_budget=PAGE_BUDGET,
+        trunk_size=TRUNK_SIZE, page_size=PAGE_SIZE, storage=storage,
+        page_budget=PAGE_BUDGET,
     )
 
 
@@ -406,7 +406,7 @@ class TestDamagedImage:
 
     def test_foreign_shape_and_used_target_rejected(self, storage):
         source, target = self._cloud(storage), self._cloud(
-            storage, page_size=256)
+            storage, page_size=PAGE_SIZE // 2)
         try:
             source.trunks[0].put(1, b"from-source")
             target.trunks[0].put(2, b"kept")
@@ -502,9 +502,8 @@ class TestEvictionChurn:
     def test_small_span_batch_is_a_private_copy_too(self):
         """A batch the budget could hold is copied all the same: whole
         pages, nothing pinned, nothing aliasing the mapping."""
-        params = MemoryParams(trunk_size=TRUNK_SIZE, page_size=128,
-                              storage="paged", storage_page_size=PAGE_SIZE,
-                              page_budget=8)
+        params = MemoryParams(trunk_size=TRUNK_SIZE, page_size=PAGE_SIZE,
+                              storage="paged", page_budget=8)
         paged = MemoryTrunk(0, params, registry=MetricsRegistry())
         try:
             paged.put(1, b"a" * 40)
@@ -523,8 +522,7 @@ class TestConfigValidation:
     def test_paged_needs_aligned_trunk_size(self):
         from repro.errors import ConfigError
         with pytest.raises(ConfigError):
-            MemoryParams(trunk_size=1000, storage="paged",
-                         storage_page_size=256)
+            MemoryParams(trunk_size=1000, storage="paged", page_size=256)
 
     def test_unknown_storage_rejected(self):
         from repro.errors import ConfigError

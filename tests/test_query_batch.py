@@ -36,7 +36,7 @@ from repro.algorithms.subgraph import (
     match_subgraph,
 )
 from repro.cluster import TrinityCluster
-from repro.config import ClusterConfig, ComputeParams, MemoryParams
+from repro.config import ClusterConfig, MemoryParams
 from repro.errors import CellNotFoundError, QueryError
 from repro.generators.names import sample_names
 from repro.generators.rmat import rmat_edges
@@ -54,14 +54,13 @@ MACHINE_COUNTS = [2, 5]
 
 def scalar_people_search(graph, start, name, hops):
     """``people_search``'s private reference: one decode per node."""
-    return _people_search_scalar(graph, start, name, hops, SimNetwork(),
-                                 ComputeParams())
+    return _people_search_scalar(graph, start, name, hops, SimNetwork())
 
 
 def scalar_tql(graph, tql):
     """``execute_tql``'s private reference: the engine, prefetch off."""
-    return _execute(graph, parse_tql(tql), SimNetwork(), ComputeParams(),
-                    10_000, False, False)
+    return _execute(graph, parse_tql(tql), SimNetwork(), 10_000, False,
+                    False)
 
 
 def build_rmat_named_graph(cloud, scale=8, avg_degree=6.0, seed=11):
@@ -200,7 +199,7 @@ class TestStorageTiers:
     def tier_deployment(self, request):
         memory = MemoryParams(trunk_size=256 * 1024,
                               storage=request.param,
-                              storage_page_size=512, page_budget=2)
+                              page_size=512, page_budget=2)
         cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=4,
                                           memory=memory),
                             MetricsRegistry(), cross_check=True)
@@ -321,7 +320,7 @@ class TestFailedDecodeReleasesPins:
         check leaves nothing behind: a paged read copies its pages and
         pins none, so there is no span lifetime to end."""
         memory = MemoryParams(trunk_size=256 * 1024, storage="paged",
-                              storage_page_size=512, page_budget=64)
+                              page_size=512, page_budget=64)
         cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=2,
                                           memory=memory), MetricsRegistry())
         try:
@@ -350,7 +349,7 @@ class TestOneDecodePerRead:
         answers, calls = {}, {}
         for storage in ("resident", "paged"):
             memory = MemoryParams(trunk_size=256 * 1024, storage=storage,
-                                  storage_page_size=512, page_budget=2)
+                                  page_size=512, page_budget=2)
             cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=3,
                                               memory=memory),
                                 MetricsRegistry())

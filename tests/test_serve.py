@@ -542,7 +542,7 @@ class TestStorageTiers:
         from repro.config import MemoryParams
         memory = MemoryParams(trunk_size=256 * 1024,
                               storage=request.param,
-                              storage_page_size=512, page_budget=2)
+                              page_size=512, page_budget=2)
         cloud, graph = build_graph(machines=2, memory=memory)
         yield request.param, cloud, graph
         cloud.release_arenas()
@@ -718,7 +718,7 @@ class TestNewFusedShapes:
         from repro.config import MemoryParams
         memory = (None if request.param == "resident" else
                   MemoryParams(trunk_size=256 * 1024, storage="paged",
-                               storage_page_size=512, page_budget=2))
+                               page_size=512, page_budget=2))
         cloud, graph = build_graph(machines=2, scale=7, memory=memory,
                                    directed=True)
         yield request.param, cloud, graph
