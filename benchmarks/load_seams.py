@@ -11,7 +11,11 @@ columns among them, and the interleave of the columns into cells),
 ``MemoryTrunk._bulk_insert_fresh`` (the trunk half of ``bulk_put``) and
 its run write — ``MemoryTrunk._index_fresh`` (charged to whichever phase
 called it), ``trunk_to_bytes`` / ``freeze_image_state`` / ``tfs.write``,
-and ``_parse_image`` / ``adopt_image_state`` — no profiler.  ``--src``
+the TFS commit split into its block files (``DataNode.store``, as
+``save.tfs_blocks``) and its namenode manifest (``_save_manifest``, as
+``save.tfs_manifest``: once per save since the group commit, once per
+trunk image before it, where it ran inside ``tfs.write``), and
+``_parse_image`` / ``adopt_image_state`` — no profiler.  ``--src``
 points at another checkout's ``src`` so a parent commit can be timed by
 the same script; a seam that checkout lacks is left out, and a seam
 whose owner was renamed is looked up under both names.  Means over
@@ -46,7 +50,7 @@ def main() -> None:
     from repro.memcloud import MemoryCloud, persistence
     from repro.memcloud.trunk import MemoryTrunk
     from repro.obs import MetricsRegistry
-    from repro.tfs import TrinityFileSystem
+    from repro.tfs import DataNode, TrinityFileSystem
     from repro.tsl import batch
 
     totals: dict[str, float] = {}
@@ -83,6 +87,8 @@ def main() -> None:
     timed(persistence, "trunk_to_bytes", "save.trunk_to_bytes")
     timed(MemoryTrunk, "freeze_image_state", "save.trunk_to_bytes.freeze")
     timed(TrinityFileSystem, "write", "save.tfs_write")
+    timed(TrinityFileSystem, "_save_manifest", "save.tfs_manifest")
+    timed(DataNode, "store", "save.tfs_blocks")
     timed(persistence, "_parse_image", "restore.parse_image")
     timed(MemoryTrunk, "adopt_image_state", "restore.adopt_image_state")
 

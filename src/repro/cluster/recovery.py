@@ -244,10 +244,11 @@ class RecoveryCoordinator:
                     cluster.cloud.put(record.cell_id, record.value)
                     replayed += 1
             if replayed:
-                for trunk_id in failed_trunks:
-                    persistence.backup_trunk(
-                        cluster.cloud, trunk_id, cluster.tfs
-                    )
+                with cluster.tfs.batch():
+                    for trunk_id in failed_trunks:
+                        persistence.backup_trunk(
+                            cluster.cloud, trunk_id, cluster.tfs
+                        )
             cluster.buffered_log.truncate(failed_id)
             cluster.buffered_log.drop_holder(failed_id)
             # The failed machine may have been buffering other origins'

@@ -45,13 +45,14 @@ class CheckpointManager:
     def _state_path(self, tag: int) -> str:
         return f"/trinity/checkpoints/{self.job}/{tag:08d}.state"
 
-    def _tags_with_suffix(self, suffix: str) -> list[int]:
+    def _tag_files(self) -> dict[int, list[str]]:
+        """Every committed file of this job, by tag."""
         prefix = f"/trinity/checkpoints/{self.job}/"
-        out = []
+        out: dict[int, list[str]] = {}
         for path in self.tfs.list_files(prefix):
-            if path.endswith(suffix):
-                out.append(int(path[len(prefix):].split(".")[0]))
-        return sorted(out)
+            out.setdefault(int(path[len(prefix):].split(".")[0]),
+                           []).append(path)
+        return out
 
     def maybe_checkpoint(self, superstep: int, values) -> bool:
         """BSP hook: checkpoint every ``every`` supersteps; True if saved."""
@@ -79,7 +80,8 @@ class CheckpointManager:
 
     def tags(self) -> list[int]:
         """Available JSON checkpoint tags, ascending."""
-        return self._tags_with_suffix(".ckpt")
+        return sorted(tag for tag, paths in self._tag_files().items()
+                      if self._path(tag) in paths)
 
     def load(self, tag: int) -> tuple[list, dict]:
         """Restore one checkpoint: (values, metadata)."""
@@ -124,37 +126,43 @@ class CheckpointManager:
         (:mod:`repro.memcloud.persistence`) — committed pages verbatim
         plus allocator state, the same on both storage tiers; a paged
         trunk writes its dirty pages back first.  Nothing is pickled —
-        the images are the same format machine recovery uses.
+        the images are the same format machine recovery uses.  The
+        images are one TFS commit: the tag appears whole when the last
+        is written, or — if any trunk fails — not at all.
         """
         total = 0
-        for trunk_id, trunk in cloud.trunks.items():
-            image = trunk_persistence.trunk_to_bytes(trunk)
-            self.tfs.write(self._trunk_path(tag, trunk_id), image)
-            total += len(image)
+        with self.tfs.batch():
+            for trunk_id, trunk in cloud.trunks.items():
+                image = trunk_persistence.trunk_to_bytes(trunk)
+                self.tfs.write(self._trunk_path(tag, trunk_id), image)
+                total += len(image)
         self.saved += 1
         return total
 
     def load_cloud(self, tag: int, cloud) -> int:
         """Restore every trunk of a cloud from a checkpoint tag.
 
-        Trunks are replaced wholesale through
-        :func:`repro.memcloud.persistence.adopt_trunk_image`, which
+        All or nothing: every trunk's image is read and checked before
+        any trunk is replaced, so a missing image
+        (:class:`~repro.errors.BlockNotFoundError`) or an unusable one
+        (:class:`~repro.errors.MemoryCloudError`) leaves the cloud as it
+        was.  Trunks are replaced wholesale through
+        :func:`repro.memcloud.persistence.adopt_trunk_images`, which
         carries each trunk's mutation epoch forward so outstanding spans
         and serving-layer caches stamped before the restore can never
         validate against the restored state.  Returns cells restored.
         """
-        cells = 0
-        for trunk_id in list(cloud.trunks):
-            image = self.tfs.read(self._trunk_path(tag, trunk_id))
-            cells += trunk_persistence.adopt_trunk_image(
-                cloud, trunk_id, image)
-        return cells
+        return trunk_persistence.adopt_trunk_images(cloud, {
+            trunk_id: self.tfs.read(self._trunk_path(tag, trunk_id))
+            for trunk_id in cloud.trunks})
 
     def prune(self, keep: int = 2) -> int:
-        """Drop all but the newest ``keep`` checkpoints; returns removed."""
-        tags = self.tags()
-        removed = 0
-        for tag in tags[:-keep] if keep else tags:
-            self.tfs.delete(self._path(tag))
-            removed += 1
-        return removed
+        """Drop every file of all but the newest ``keep`` tags, in one
+        commit; returns the number of tags removed."""
+        tag_files = self._tag_files()
+        pruned = sorted(tag_files)[:-keep] if keep else sorted(tag_files)
+        with self.tfs.batch():
+            for tag in pruned:
+                for path in tag_files[tag]:
+                    self.tfs.delete(path)
+        return len(pruned)

@@ -177,10 +177,11 @@ def backup_trunk(cloud: MemoryCloud, trunk_id: int,
 
 
 def backup_all(cloud: MemoryCloud, tfs: TrinityFileSystem) -> int:
-    """Back every trunk up to TFS; returns total image bytes written."""
-    return sum(
-        backup_trunk(cloud, trunk_id, tfs) for trunk_id in cloud.trunks
-    )
+    """Back every trunk up to TFS in one commit; returns image bytes."""
+    with tfs.batch():
+        return sum(
+            backup_trunk(cloud, trunk_id, tfs) for trunk_id in cloud.trunks
+        )
 
 
 def restore_trunk(cloud: MemoryCloud, trunk_id: int,
@@ -196,14 +197,21 @@ def restore_trunk(cloud: MemoryCloud, trunk_id: int,
 
 def adopt_trunk_image(cloud: MemoryCloud, trunk_id: int,
                       image: bytes) -> int:
-    """Replace ``cloud``'s trunk with one rebuilt from ``image``.
+    """Replace ``cloud``'s trunk with one rebuilt from ``image``."""
+    return adopt_trunk_images(cloud, {trunk_id: image})
 
-    The image is parsed and checked in full first: an unusable image
-    raises :class:`MemoryCloudError` and leaves the current trunk
+
+def adopt_trunk_images(cloud: MemoryCloud, images: dict[int, bytes]) -> int:
+    """Replace each ``cloud`` trunk in ``images`` with its image's rebuild.
+
+    Every image is parsed and checked in full first: one unusable image
+    raises :class:`MemoryCloudError` and leaves every current trunk
     installed and readable.  The replacement itself — old spans going
     stale, the page file changing hands, the epoch carried forward — is
-    :meth:`MemoryCloud.replace_trunk`.
+    :meth:`MemoryCloud.replace_trunk`.  Returns cells restored.
     """
-    state = _parse_image(image, cloud.config.memory)
-    cloud.replace_trunk(trunk_id).adopt_image_state(state)
-    return len(state["cells"])
+    states = {trunk_id: _parse_image(image, cloud.config.memory)
+              for trunk_id, image in images.items()}
+    for trunk_id, state in states.items():
+        cloud.replace_trunk(trunk_id).adopt_image_state(state)
+    return sum(len(state["cells"]) for state in states.values())

@@ -12,6 +12,15 @@ Design (mirroring HDFS, which the paper cites as TFS's model):
   and addressing-table snapshots are always written whole.
 * Reads succeed as long as *any* replica of every block survives; losing all
   replicas of some block raises :class:`BlockNotFoundError`.
+* Namespace changes are group-committed: inside ``with tfs.batch():``
+  block data goes to the datanodes at once, while new files, their block
+  locations and the drop of replaced versions are staged and published
+  together when the outermost batch exits — one manifest write, through a
+  temp file and ``os.replace``.  A ``write`` or ``delete`` outside a batch
+  is a batch of one.  An exception inside a batch drops its staged blocks
+  and leaves the namespace as it was; a process that dies inside one
+  leaves block files no manifest references, which the next
+  :class:`TrinityFileSystem` on the same ``disk_root`` deletes.
 
 The failure-recovery path of Section 6.2 ("reload the memory trunks it owns
 from the TFS to other alive machines") is exercised through this module.
@@ -19,7 +28,11 @@ from the TFS to other alive machines") is exercised through this module.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import json
+import os
+import pathlib
 from dataclasses import dataclass, field
 
 from ..errors import BlockNotFoundError, TfsError
@@ -33,6 +46,16 @@ class FileInfo:
     size: int
     block_ids: list[int] = field(default_factory=list)
     version: int = 1
+
+
+@dataclass
+class _Staged:
+    """The namespace changes of an open batch, not yet visible."""
+
+    #: path -> its new version, or None where the batch deletes it
+    files: dict[str, FileInfo | None] = field(default_factory=dict)
+    #: holders of every block the batch stored and still references
+    locations: dict[int, list[int]] = field(default_factory=dict)
 
 
 class DataNode:
@@ -53,7 +76,6 @@ class DataNode:
         self._blocks: dict[int, bytes] = {}
         self._disk_dir = None
         if disk_root is not None:
-            import pathlib
             self._disk_dir = pathlib.Path(disk_root) / f"node-{node_id}"
             self._disk_dir.mkdir(parents=True, exist_ok=True)
             for block_file in self._disk_dir.glob("*.blk"):
@@ -133,8 +155,70 @@ class TrinityFileSystem:
         self._block_locations: dict[int, list[int]] = {}
         self._next_block_id = itertools.count()
         self._placement_cursor = 0
+        self._staged: _Staged | None = None
         if disk_root is not None:
             self._load_manifest()
+            self._drop_orphans()
+
+    # -- group commit -------------------------------------------------------
+
+    @contextlib.contextmanager
+    def batch(self):
+        """Make every ``write`` and ``delete`` inside one commit.
+
+        Blocks are stored as each call runs; the namespace changes are
+        published — and the manifest written — once, when the outermost
+        batch exits.  Until then reads see the committed namespace.  An
+        exception inside drops the staged blocks and commits nothing.  A
+        nested batch joins the one around it.
+        """
+        if self._staged is not None:
+            yield
+            return
+        self._staged = staged = _Staged()
+        try:
+            yield
+            self._save_manifest(staged)     # the commit point
+        except BaseException:
+            self._drop_blocks(staged.locations)
+            raise
+        finally:
+            self._staged = None
+        self._publish(staged)
+
+    def _publish(self, staged: _Staged) -> None:
+        """Make a committed batch visible and free what it replaced."""
+        replaced = {}
+        for path, info in staged.files.items():
+            old = self._files.pop(path, None)
+            if old is not None:
+                for block_id in old.block_ids:
+                    replaced[block_id] = self._block_locations.pop(block_id,
+                                                                    [])
+            if info is not None:
+                self._files[path] = info
+        self._block_locations.update(staged.locations)
+        self._drop_blocks(replaced)
+
+    def _drop_blocks(self, locations: dict[int, list[int]]) -> None:
+        for block_id, holders in locations.items():
+            for node_id in holders:
+                self.nodes[node_id].drop(block_id)
+
+    def _stage(self, path: str, info: FileInfo | None) -> None:
+        """Record ``path``'s next version (None: deleted) in the batch."""
+        staged = self._staged
+        earlier = staged.files.get(path)
+        if earlier is not None:     # superseded inside the batch: never seen
+            self._drop_blocks({block_id: staged.locations.pop(block_id)
+                               for block_id in earlier.block_ids})
+        staged.files[path] = info
+
+    def _current(self, path: str) -> FileInfo | None:
+        """``path`` as the open batch has left it so far."""
+        if path in self._staged.files:
+            return self._staged.files[path]
+        return self._files.get(path)
 
     # -- namespace ----------------------------------------------------------
 
@@ -152,14 +236,10 @@ class TrinityFileSystem:
             raise BlockNotFoundError(path) from None
 
     def delete(self, path: str) -> None:
-        """Remove a file and free its blocks on every replica."""
-        info = self._files.pop(path, None)
-        if info is None:
-            return
-        for block_id in info.block_ids:
-            for node_id in self._block_locations.pop(block_id, []):
-                self.nodes[node_id].drop(block_id)
-        self._save_manifest()
+        """Remove a file; its blocks are freed when the batch commits."""
+        with self.batch():
+            if self._current(path) is not None:
+                self._stage(path, None)
 
     # -- I/O ----------------------------------------------------------------
 
@@ -167,34 +247,32 @@ class TrinityFileSystem:
         """Write ``payload`` to ``path``, replacing any previous version.
 
         The write is atomic at the namespace level: the old version remains
-        readable until the new one is fully replicated.
+        readable until the batch holding the new one commits.
         """
-        live = [n for n in self.nodes if n.alive]
-        if len(live) < self.replication:
-            raise TfsError(
-                f"only {len(live)} datanodes alive, need {self.replication}"
-            )
-        block_ids: list[int] = []
-        new_locations: dict[int, list[int]] = {}
-        for start in range(0, max(len(payload), 1), self.block_size):
-            chunk = payload[start:start + self.block_size]
-            block_id = next(self._next_block_id)
-            holders = self._pick_nodes(live)
-            for node in holders:
-                node.store(block_id, chunk)
-            block_ids.append(block_id)
-            new_locations[block_id] = [n.node_id for n in holders]
-
-        old = self._files.get(path)
-        version = old.version + 1 if old else 1
-        self._files[path] = FileInfo(path, len(payload), block_ids, version)
-        self._block_locations.update(new_locations)
-        if old:
-            for block_id in old.block_ids:
-                for node_id in self._block_locations.pop(block_id, []):
-                    self.nodes[node_id].drop(block_id)
-        self._save_manifest()
-        return self._files[path]
+        with self.batch():
+            live = [n for n in self.nodes if n.alive]
+            if len(live) < self.replication:
+                raise TfsError(
+                    f"only {len(live)} datanodes alive, need "
+                    f"{self.replication}")
+            locations: dict[int, list[int]] = {}
+            try:
+                for start in range(0, max(len(payload), 1), self.block_size):
+                    chunk = payload[start:start + self.block_size]
+                    block_id = next(self._next_block_id)
+                    locations[block_id] = holders = []
+                    for node in self._pick_nodes(live):
+                        node.store(block_id, chunk)
+                        holders.append(node.node_id)
+            except BaseException:   # a batch that goes on must not hold them
+                self._drop_blocks(locations)
+                raise
+            self._staged.locations.update(locations)
+            old = self._current(path)
+            info = FileInfo(path, len(payload), list(locations),
+                            old.version + 1 if old else 1)
+            self._stage(path, info)
+        return info
 
     def read(self, path: str) -> bytes:
         """Reassemble a file from any surviving replica of each block."""
@@ -244,32 +322,38 @@ class TrinityFileSystem:
 
     # -- on-disk namespace manifest -------------------------------------
 
-    def _manifest_path(self):
-        import pathlib
+    def _manifest_path(self) -> pathlib.Path:
         return pathlib.Path(self.disk_root) / "namenode.json"
 
-    def _save_manifest(self) -> None:
+    def _save_manifest(self, staged: _Staged) -> None:
+        """Write the namespace as it is once ``staged`` is published.
+
+        The temp file plus ``os.replace`` is what makes a batch one
+        commit: a crash leaves either the old manifest or the new one.
+        """
         if self.disk_root is None:
             return
-        import json
-        document = {
-            "files": {
-                path: {"size": info.size, "blocks": info.block_ids,
-                       "version": info.version}
-                for path, info in self._files.items()
-            },
-            "locations": {
-                str(block): holders
-                for block, holders in self._block_locations.items()
-            },
-        }
-        self._manifest_path().write_text(json.dumps(document))
+        files = {**self._files, **staged.files}
+        document = {"files": {}, "locations": {}}
+        for path, info in files.items():
+            if info is None:
+                continue
+            document["files"][path] = {"size": info.size,
+                                       "blocks": info.block_ids,
+                                       "version": info.version}
+            for block_id in info.block_ids:
+                document["locations"][str(block_id)] = (
+                    staged.locations.get(block_id)
+                    or self._block_locations[block_id])
+        manifest = self._manifest_path()
+        temp = manifest.with_suffix(".tmp")
+        temp.write_text(json.dumps(document))
+        os.replace(temp, manifest)
 
     def _load_manifest(self) -> None:
         manifest = self._manifest_path()
         if not manifest.exists():
             return
-        import json
         document = json.loads(manifest.read_text())
         for path, meta in document["files"].items():
             self._files[path] = FileInfo(
@@ -281,6 +365,19 @@ class TrinityFileSystem:
         }
         highest = max(self._block_locations, default=-1)
         self._next_block_id = itertools.count(highest + 1)
+
+    def _drop_orphans(self) -> None:
+        """Delete every block the manifest does not place on its node.
+
+        These are the blocks of a batch that never committed: a process
+        that died between storing them and the manifest's ``os.replace``.
+        """
+        for node in self.nodes:
+            for block_id in list(node._blocks):
+                if node.node_id not in self._block_locations.get(block_id,
+                                                                 ()):
+                    node.drop(block_id)
+        self._manifest_path().with_suffix(".tmp").unlink(missing_ok=True)
 
     # -- maintenance --------------------------------------------------------
 
@@ -311,6 +408,8 @@ class TrinityFileSystem:
                 alive_holders.append(node.node_id)
                 copies += 1
             self._block_locations[block_id] = alive_holders
+        if copies:      # the new holders are namespace state too
+            self._save_manifest(_Staged())
         return copies
 
     @property

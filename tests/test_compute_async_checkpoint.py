@@ -119,6 +119,35 @@ class TestCheckpointManager:
         assert removed == 4
         assert manager.tags() == [4, 5]
 
+    def test_prune_drops_every_file_of_a_tag_in_one_commit(self, manager):
+        from unittest import mock
+
+        from repro.config import ClusterConfig, MemoryParams
+        from repro.memcloud import MemoryCloud
+        from repro.obs import MetricsRegistry
+        cloud = MemoryCloud(ClusterConfig(
+            machines=2, trunk_bits=2,
+            memory=MemoryParams(trunk_size=64 * 1024)), MetricsRegistry())
+        cloud.put(7, b"seven")
+        for tag in range(6):
+            manager.save(tag, [tag])
+            manager.save_state(tag, {"superstep": tag})
+            manager.save_cloud(tag, cloud)
+        with mock.patch.object(
+                TrinityFileSystem, "_save_manifest", autospec=True,
+                side_effect=TrinityFileSystem._save_manifest) as commits:
+            assert manager.prune(keep=2) == 4
+        assert commits.call_count == 1
+        prefix = "/trinity/checkpoints/test/"
+        left = {path[len(prefix):len(prefix) + 8]
+                for path in manager.tfs.list_files()}
+        assert left == {"00000004", "00000005"}
+        assert len(manager.tfs.list_files()) == 2 * (2 + len(cloud.trunks))
+        assert manager.tags() == [4, 5]
+        # one block per file, two replicas each: nothing leaked
+        assert sum(node.block_count for node in manager.tfs.nodes) == (
+            2 * len(manager.tfs.list_files()))
+
     def test_unserialisable_values_rejected(self, manager):
         with pytest.raises(RecoveryError, match="JSON"):
             manager.save(0, [object()])

@@ -51,6 +51,46 @@ class TestDiskBackedTfs:
         assert reopened.read("/a") == b"first"
         assert reopened.read("/b") == b"fresh block ids"
 
+    def test_a_crashed_commit_leaves_nothing_behind(self, tmp_path):
+        tfs = TrinityFileSystem(datanodes=3, replication=2,
+                                block_size=64, disk_root=tmp_path)
+        kept = bytes(range(256)) * 2
+        tfs.write("/kept", kept)
+        tfs.write("/replaced", b"old version")
+        committed = set(tmp_path.glob("node-*/*.blk"))
+        batch = tfs.batch()
+        batch.__enter__()
+        tfs.write("/replaced", b"new version, never committed" * 5)
+        tfs.write("/fresh", b"x" * 300)
+        tfs.delete("/kept")
+        assert set(tmp_path.glob("node-*/*.blk")) > committed
+
+        # the process dies here: the batch never exits
+        reopened = TrinityFileSystem(datanodes=3, replication=2,
+                                     block_size=64, disk_root=tmp_path)
+        assert reopened.list_files() == ["/kept", "/replaced"]
+        assert reopened.read("/kept") == kept
+        assert reopened.read("/replaced") == b"old version"
+        assert set(tmp_path.glob("node-*/*.blk")) == committed
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_re_replicated_copies_survive_reopen(self, tmp_path):
+        tfs = TrinityFileSystem(datanodes=3, replication=2,
+                                block_size=64, disk_root=tmp_path)
+        tfs.write("/r", b"block" * 40)
+        tfs.nodes[0].fail()
+        assert tfs.re_replicate() > 0
+        placed = {block_id: sorted(holders) for block_id, holders
+                  in tfs._block_locations.items()}
+        reopened = TrinityFileSystem(datanodes=3, replication=2,
+                                     block_size=64, disk_root=tmp_path)
+        # the new holders were committed, so no copy is taken for an orphan
+        assert {block_id: sorted(holders) for block_id, holders
+                in reopened._block_locations.items()} == placed
+        assert sum(node.block_count for node in reopened.nodes) == (
+            2 * len(placed))
+        assert reopened.read("/r") == b"block" * 40
+
     def test_whole_memory_cloud_survives_restart(self, tmp_path):
         """End to end: trunk images written before 'shutdown' restore a
         brand-new cloud in a brand-new 'process'."""
