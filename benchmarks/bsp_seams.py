@@ -4,14 +4,18 @@
 
 Times ``BspEngine.run`` for the four shipped programs on the spine's
 graph (R-MAT, degree 8, seed 42, 4 machines) and, inside it,
-``_compute_machines`` (the kernels), ``_flush_deferred_sends`` (the
+``_compute_machines`` (the kernels), ``_open_block`` plus
+``_close_block`` (``blocks``: building each machine's block and writing
+a gathered one back, inside the kernels), ``_flush_deferred_sends`` (the
 barrier), ``_FastState.build_plan`` and ``_fold_into`` (both inside the
 flush), by wrapping the methods — no profiler, which misreads this code
-(DESIGN.md §12).  ``--src`` points at another checkout's ``src`` so a
-parent commit can be timed by the same script; a seam that checkout
-lacks is left out.  Means over ``--runs`` runs after one warm-up run;
-this is the source of the tables in DESIGN.md §12, not a benchmark the
-driver runs.
+(DESIGN.md §12).  PageRank also prints Medges/s as the spine counts it
+(ten supersteps of sends over every edge per run).  ``--src`` points at
+another checkout's ``src`` so a parent commit can be timed by the same
+script: a seam is looked up under every name it has had, and one that
+checkout lacks is left out.  Means over ``--runs`` runs after one
+warm-up run; this is the source of the tables in DESIGN.md §12, not a
+benchmark the driver runs.
 """
 
 from __future__ import annotations
@@ -41,24 +45,28 @@ def main() -> None:
 
     totals: dict[str, float] = {}
 
-    def timed(owner, name: str, key: str) -> None:
-        inner = getattr(owner, name, None)
-        if inner is None:
-            return
+    def timed(owner, key: str, *names: str) -> None:
+        """Add the time spent in each of ``names`` that ``owner`` has
+        (a seam's current and former names, or its parts) to ``key``."""
+        for name in names:
+            inner = getattr(owner, name, None)
+            if inner is None:
+                continue
 
-        def wrapper(*call_args, **call_kwargs):
-            start = time.perf_counter()
-            try:
-                return inner(*call_args, **call_kwargs)
-            finally:
-                totals[key] = (totals.get(key, 0.0)
-                               + time.perf_counter() - start)
-        setattr(owner, name, wrapper)
+            def wrapper(*call_args, _inner=inner, **call_kwargs):
+                start = time.perf_counter()
+                try:
+                    return _inner(*call_args, **call_kwargs)
+                finally:
+                    totals[key] = (totals.get(key, 0.0)
+                                   + time.perf_counter() - start)
+            setattr(owner, name, wrapper)
 
-    timed(bsp.BspEngine, "_compute_machines", "kernels")
-    timed(bsp.BspEngine, "_flush_deferred_sends", "flush")
-    timed(bsp.BspEngine, "_fold_into", "fold")
-    timed(bsp._FastState, "build_plan", "plan_build")
+    timed(bsp.BspEngine, "kernels", "_compute_machines")
+    timed(bsp.BspEngine, "blocks", "_open_block", "_close_block")
+    timed(bsp.BspEngine, "flush", "_flush_deferred_sends")
+    timed(bsp.BspEngine, "fold", "_fold_into")
+    timed(bsp._FastState, "plan_build", "build_plan")
 
     edges = rmat_edges(args.scale, avg_degree=8, seed=42)
     topology = CsrTopology.from_arrays(edges, machines=4,
@@ -87,6 +95,9 @@ def main() -> None:
             for key, seconds in sorted(totals.items()))
         print(f"{name:9s} {result.superstep_count:2d} supersteps  "
               f"run {wall:6.1f}  {parts}")
+        if name == "pagerank":
+            print(f"{'':9s} {10 * topology.num_edges / wall / 1e3:.1f} "
+                  f"Medges/s")
 
 
 if __name__ == "__main__":

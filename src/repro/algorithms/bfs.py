@@ -41,9 +41,9 @@ class BfsProgram(VertexProgram):
     def init(self, ctx, vertex: int) -> None:
         ctx.set_value(vertex, 0 if vertex == self.root else UNREACHED)
 
-    def init_batch(self, ctx) -> None:
-        ctx.values[:] = UNREACHED
-        ctx.values[self.root] = 0
+    def init_batch(self, ctx, block) -> None:
+        block.values[:] = UNREACHED
+        block.values[block.ids == self.root] = 0
 
     def compute(self, ctx, vertex: int, messages: list) -> None:
         if ctx.superstep == 0:
@@ -57,22 +57,18 @@ class BfsProgram(VertexProgram):
             ctx.send_to_neighbors(level + 1)
         ctx.vote_to_halt()
 
-    def compute_batch(self, ctx, vertices, combined, received) -> None:
-        values = ctx.values
+    def compute_batch(self, ctx, block) -> None:
         if ctx.superstep == 0:
-            roots = vertices[vertices == self.root]
-            if len(roots):
-                ctx.send_to_neighbors(roots,
-                                      np.ones(len(roots), dtype=np.int64))
-            ctx.halt(vertices)
+            roots = block.ids == self.root
+            block.send_to_neighbors(
+                roots, np.ones(np.count_nonzero(roots), dtype=np.int64))
+            block.halt()
             return
-        fresh = received & (values[vertices] == UNREACHED)
-        discovered = vertices[fresh]
-        if len(discovered):
-            levels = combined[fresh]
-            values[discovered] = levels
-            ctx.send_to_neighbors(discovered, levels + 1)
-        ctx.halt(vertices)
+        fresh = block.received & (block.values == UNREACHED)
+        levels = block.combined[fresh]
+        block.values[fresh] = levels
+        block.send_to_neighbors(fresh, levels + 1)
+        block.halt()
 
 
 @dataclass

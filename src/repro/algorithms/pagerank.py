@@ -50,8 +50,8 @@ class PageRankProgram(VertexProgram):
     def init(self, ctx, vertex: int) -> None:
         ctx.set_value(vertex, 1.0 / ctx.num_vertices)
 
-    def init_batch(self, ctx) -> None:
-        ctx.values[:] = 1.0 / ctx.num_vertices
+    def init_batch(self, ctx, block) -> None:
+        block.values[:] = 1.0 / ctx.num_vertices
 
     def compute(self, ctx, vertex: int, messages: list) -> None:
         n = ctx.num_vertices
@@ -68,25 +68,23 @@ class PageRankProgram(VertexProgram):
         else:
             ctx.vote_to_halt()
 
-    def compute_batch(self, ctx, vertices, combined, received) -> None:
+    def compute_batch(self, ctx, block) -> None:
         n = ctx.num_vertices
-        values = ctx.values
+        values = block.values
         if ctx.superstep > 0:
             dangling = ctx.aggregated("dangling") / n
-            values[vertices] = ((1.0 - self.damping) / n
-                                + self.damping * (combined + dangling))
+            values[:] = ((1.0 - self.damping) / n
+                         + self.damping * (block.combined + dangling))
         if ctx.superstep < self.iterations:
-            degrees = ctx.out_degrees(vertices)
-            has_edges = degrees > 0
-            senders = vertices[has_edges]
-            if len(senders):
-                ctx.send_to_neighbors(senders,
-                                      values[senders] / degrees[has_edges])
+            degrees = block.degrees
+            # The whole block broadcasts: a vertex without out-edges
+            # sends to nobody, so its share (divided by 1) is never read.
+            block.send_to_neighbors(None, values / np.maximum(degrees, 1))
             # One sequential fold in vertex order: the same
             # left-to-right float accumulation the per-vertex path makes.
-            ctx.aggregate("dangling", values[vertices[~has_edges]])
+            ctx.aggregate("dangling", values[degrees == 0])
         else:
-            ctx.halt(vertices)
+            block.halt()
 
 
 @dataclass

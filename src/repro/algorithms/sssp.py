@@ -68,9 +68,9 @@ class SsspProgram(VertexProgram):
     def init(self, ctx, vertex: int) -> None:
         ctx.set_value(vertex, 0.0 if vertex == self.root else INFINITY)
 
-    def init_batch(self, ctx) -> None:
-        ctx.values[:] = INFINITY
-        ctx.values[self.root] = 0.0
+    def init_batch(self, ctx, block) -> None:
+        block.values[:] = INFINITY
+        block.values[block.ids == self.root] = 0.0
 
     def compute(self, ctx, vertex: int, messages: list) -> None:
         best = min(messages) if messages else INFINITY
@@ -92,24 +92,21 @@ class SsspProgram(VertexProgram):
                     ctx.send(dst, ctx.value + weight)
         ctx.vote_to_halt()
 
-    def compute_batch(self, ctx, vertices, combined, received) -> None:
-        values = ctx.values
-        improved = combined < values[vertices]
-        updated = vertices[improved]
-        values[updated] = combined[improved]
+    def compute_batch(self, ctx, block) -> None:
+        values = block.values
+        improved = block.combined < values
+        values[improved] = block.combined[improved]
         if ctx.superstep == 0:
-            improved = improved | (vertices == self.root)
-        senders = vertices[improved]
-        if len(senders):
-            degrees = ctx.out_degrees(senders)
-            _, positions = ctx.out_edges(senders)
-            distances = np.repeat(values[senders], degrees)
+            improved |= block.ids == self.root
+        if improved.any():
+            distances = np.repeat(values[improved], block.degrees[improved])
             if self.edge_weights is not None:
+                _, positions = block.out_edges(improved)
                 messages = distances + self.edge_weights[positions]
             else:
                 messages = distances + 1.0
-            ctx.send_along_edges(senders, messages)
-        ctx.halt(vertices)
+            block.send_along_edges(improved, messages)
+        block.halt()
 
 
 @dataclass

@@ -31,8 +31,8 @@ class WccProgram(VertexProgram):
     def init(self, ctx, vertex: int) -> None:
         ctx.set_value(vertex, vertex)
 
-    def init_batch(self, ctx) -> None:
-        ctx.values[:] = np.arange(ctx.num_vertices, dtype=np.int64)
+    def init_batch(self, ctx, block) -> None:
+        block.values[:] = block.ids
 
     def compute(self, ctx, vertex: int, messages: list) -> None:
         best = min(messages) if messages else ctx.value
@@ -42,15 +42,15 @@ class WccProgram(VertexProgram):
             ctx.send_to_neighbors(ctx.value)
         ctx.vote_to_halt()
 
-    def compute_batch(self, ctx, vertices, combined, received) -> None:
-        values = ctx.values
-        better = received & (combined < values[vertices])
-        improved = vertices[better]
-        values[improved] = combined[better]
-        senders = vertices if ctx.superstep == 0 else improved
-        if len(senders):
-            ctx.send_to_neighbors(senders, values[senders])
-        ctx.halt(vertices)
+    def compute_batch(self, ctx, block) -> None:
+        values = block.values
+        better = block.received & (block.combined < values)
+        values[better] = block.combined[better]
+        if ctx.superstep == 0:
+            block.send_to_neighbors(None, values)
+        else:
+            block.send_to_neighbors(better, values[better])
+        block.halt()
 
 
 @dataclass

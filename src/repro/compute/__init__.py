@@ -8,7 +8,8 @@
 * :mod:`~repro.compute.bsp` — the bulk-synchronous engine: supersteps,
   barriers, aggregators, halting, hub-vertex message buffering, and the
   per-superstep simulated-time accounting used by every offline benchmark.
-  Every machine's kernels run in this process, one machine after another;
+  Every machine's kernels run in this process, one machine after another,
+  each on its machine's slice of the engine's compute-ordered state;
   "parallel" is what the simulated clock is charged, not how the host
   runs them.
 * :mod:`~repro.compute.scheduler` — the bipartite-partition message
@@ -22,7 +23,12 @@
 * :mod:`~repro.compute.checkpoint` — BSP checkpointing to TFS.
 """
 
-from .vertex import BatchComputeContext, ComputeContext, VertexProgram
+from .vertex import (
+    BatchComputeContext,
+    ComputeContext,
+    MachineBlock,
+    VertexProgram,
+)
 from .bsp import BspEngine, BspResult, SuperstepReport
 from .scheduler import ActionScript, BipartiteScheduler, SchedulerPlan
 from .action_replay import ReplayReport, replay_all
@@ -35,6 +41,7 @@ __all__ = [
     "VertexProgram",
     "ComputeContext",
     "BatchComputeContext",
+    "MachineBlock",
     "BspEngine",
     "BspResult",
     "SuperstepReport",

@@ -27,10 +27,16 @@ the host's cores: DESIGN.md §12):
 * the **vectorized fast path** (programs declaring a ``combiner``):
   inboxes become one dense numpy value array plus a received-mask, and
   programs implementing ``compute_batch`` run one numpy kernel per
-  machine slice.  Sends fold at the barrier through a **send plan** —
-  destinations, received mask and machine-pair traffic, a function of
-  the sender array alone — which is kept and re-applied while the
-  sender array repeats (DESIGN.md §8).
+  machine on a :class:`~repro.compute.vertex.MachineBlock`.  Vertex
+  state is kept in **compute order** — machine by machine, ascending
+  dense id within a machine, the order the reference path runs — so
+  machine *m* is one slice of every state array and a wholly active
+  machine's block is views, not gathers.  Sends fold at the barrier
+  through a **send plan** — destinations, received mask and
+  machine-pair traffic, a function of the sender array alone — which is
+  kept and re-applied while the sender array repeats (DESIGN.md §8).
+  Results, ``initial_values`` and ``on_superstep`` see dense-id order;
+  only the engine's own state is renumbered.
 
 Both paths charge the simulated clock identically — same superstep
 reports, same network counters — which ``cross_check=True`` verifies by
@@ -71,7 +77,9 @@ from .vertex import (
     COMBINERS,
     BatchComputeContext,
     ComputeContext,
+    MachineBlock,
     VertexProgram,
+    csr_slices,
 )
 
 
@@ -139,48 +147,62 @@ class _SendPlan:
     ``(senders, hub)``, so the last one is re-applied while the sender
     set repeats ("predictable iteration after iteration", Section 5.3)."""
 
-    senders: np.ndarray      # the plan's own copy, in compute order
+    senders: np.ndarray      # the plan's own copy: positions, ascending
     hub: bool                # hub buffering applied to the traffic
     degrees: np.ndarray      # out-degree per sender: values repeat by it
-    dsts: np.ndarray         # destination per edge, in enqueue order
+    dsts: np.ndarray         # destination position per edge, enqueue order
     received: np.ndarray     # length-n mask of ``dsts``
     pair_counts: np.ndarray  # flattened machines x machines messages
 
 
 class _FastState:
-    """Per-topology precomputation for the vectorized path."""
+    """Per-topology precomputation for the vectorized path: the compute
+    order and the out-CSR renumbered into it.
+
+    Position ``p`` holds dense vertex ``order[p]``; ``rank`` inverts it.
+    Vertices sort by machine, stably, so machine ``m`` is the positions
+    ``[bounds[m], bounds[m + 1])`` and, within it, positions ascend in
+    dense-id order — the order the reference path runs and enqueues, so
+    a fold along the renumbered edges adds in the same order."""
 
     def __init__(self, topology, hub_threshold: float):
         self.topology = topology
-        self.degrees = topology.out_degrees()
+        n = topology.n
+        self.order = np.argsort(topology.machine, kind="stable")
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[self.order] = np.arange(n, dtype=np.int64)
+        self.bounds = [0] + np.cumsum(np.bincount(
+            topology.machine, minlength=topology.machine_count)).tolist()
+        self.degrees = topology.out_degrees()[self.order]
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=self.indptr[1:])
+        # Every edge's destination as a position, edges in compute order.
+        self.dsts = self.rank[topology.out_indices[csr_slices(
+            topology.out_indptr[self.order], self.degrees)]]
+        for array in (self.order, self.rank, self.degrees, self.dsts):
+            array.flags.writeable = False    # blocks hand out views
         # Messages a vertex's sends put on the link to each machine,
-        # without and with hub buffering (Section 5.4).
+        # without and with hub buffering (Section 5.4), by dense id.
         self.fanout = topology.machine_fanout
         self.hub_fanout = topology.hub_fanout(hub_threshold)
 
-    def edge_slice(self, vertices: np.ndarray) -> np.ndarray:
-        """Positions in ``topology.out_indices`` of the out-edges of
-        ``vertices``, concatenated per vertex in order.  For vertices in
-        compute order (machine by machine, ascending within a machine)
-        that is the order the per-vertex reference path enqueues
-        messages, so a ``sum`` folded along it reproduces the reference
-        path's float accumulation bit for bit."""
-        degrees = self.degrees[vertices]
-        running = np.cumsum(degrees)
-        starts = self.topology.out_indptr[vertices]
-        return (np.repeat(starts - (running - degrees), degrees)
-                + np.arange(int(degrees.sum()), dtype=np.int64))
-
     def build_plan(self, senders: np.ndarray, hub: bool) -> _SendPlan:
-        """Derive everything ``senders``' sends need but their values."""
-        dsts = self.topology.out_indices[self.edge_slice(senders)]
+        """Derive everything ``senders``' sends need but their values.
+
+        ``dsts`` follows the senders' out-edges sender by sender: for
+        ascending positions that is the order the reference path
+        enqueues messages, so a ``sum`` folded along it reproduces the
+        reference path's float accumulation bit for bit."""
+        dsts = self.dsts[csr_slices(self.indptr[senders],
+                                    self.degrees[senders])]
         received = np.zeros(self.topology.n, dtype=bool)
         received[dsts] = True
         return _SendPlan(
             senders=senders, hub=hub, degrees=self.degrees[senders],
             dsts=dsts, received=received,
             pair_counts=self.topology.pair_traffic(
-                senders, self.hub_fanout if hub else self.fanout),
+                self.order[senders],
+                self.hub_fanout if hub else self.fanout),
         )
 
 
@@ -204,9 +226,6 @@ class BspEngine:
         self.checkpoints = checkpoints
         self.hub_threshold = topology.hub_threshold(
             hub_fraction if hub_buffering else 0.0)
-        self._machine_vertices = [
-            topology.nodes_of_machine(m) for m in range(topology.machine_count)
-        ]
         # Spans are stamped with the *simulated* clock, so a superstep
         # span's duration is the simulated seconds the barrier round took.
         self.tracer = Tracer(clock=lambda: self.network.clock.now,
@@ -260,7 +279,7 @@ class BspEngine:
             self._check_restrictive(src, dst)
         machine = self.topology.machine
         if self._fast_mode:
-            self._fs_single_dst.append(dst)
+            self._fs_single_dst.append(self.slot_of(dst))
             self._fs_single_val.append(value)
             self._fs_single_pair.append(
                 int(machine[src]) * self.topology.machine_count
@@ -281,10 +300,11 @@ class BspEngine:
         program = self._program
         assert program is not None
         if self._fast_mode:
-            degree = int(self._fast.degrees[src])
+            slot = self.slot_of(src)
+            degree = int(self._fast.degrees[slot])
             if not degree:
                 return
-            self._fs_bcast_src.append(src)
+            self._fs_bcast_src.append(slot)
             self._fs_bcast_val.append(value)
             self._messages += degree
             return
@@ -313,13 +333,32 @@ class BspEngine:
                 entry[0] += int(count)
                 entry[1] += int(count) * program.message_bytes
 
-    def halt(self, vertex: int) -> None:
-        self._active[vertex] = False
+    def halt(self, slot: int) -> None:
+        """Deactivate the vertex at ``slot`` of the state arrays."""
+        self._active[slot] = False
 
-    # -- engine hooks used by BatchComputeContext ---------------------------
+    def slot_of(self, vertex: int) -> int:
+        """Where dense ``vertex`` sits in the state arrays: itself on the
+        reference path, its compute-order position on the fast path."""
+        return int(self._fast.rank[vertex]) if self._fast_mode else vertex
 
-    def halt_many(self, vertices) -> None:
-        self._active[np.asarray(vertices, dtype=np.int64)] = False
+    # -- engine hooks used by MachineBlock -----------------------------------
+
+    def defer_sends(self, uniform: bool, senders: np.ndarray,
+                    values: np.ndarray, total: int) -> None:
+        """Collect one block's sends (``senders`` as positions, one value
+        each when ``uniform``, else one per out-edge) for the barrier.
+
+        Deferred: all of the superstep's sends fold in one pass over the
+        concatenated edge list, so a ``sum`` combiner left-folds in the
+        exact reference enqueue order (a per-call fold would add
+        machine-local partial sums, which is a different float
+        association)."""
+        if not total:
+            return
+        (self._fs_bcast if uniform else self._fs_edge).append(
+            (senders, values))
+        self._messages += total
 
     def _fold_into(self, dsts: np.ndarray, values: np.ndarray) -> None:
         """Fold per-edge message values into next superstep's combined
@@ -334,48 +373,6 @@ class BspEngine:
                                   minlength=len(target))
         else:
             _FOLD_UFUNCS[combiner].at(target, dsts, values)
-
-    def batch_send_uniform(self, vertices, values) -> None:
-        """Uniform broadcast for a vertex slice (hub-eligible).
-
-        Deferred until the barrier: all of the superstep's broadcasts
-        fold in one pass over the concatenated edge list, so a ``sum``
-        combiner left-folds in the exact reference enqueue order (a
-        per-call fold would add machine-local partial sums, which is a
-        different float association).
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        values = np.asarray(values)
-        if values.shape != vertices.shape:
-            raise ComputeError(
-                f"send_to_neighbors got {values.size} values for "
-                f"{len(vertices)} vertices"
-            )
-        total = int(self._fast.degrees[vertices].sum())
-        if not total:
-            return
-        self._fs_bcast_verts.append(vertices)
-        self._fs_bcast_vals.append(values)
-        self._messages += total
-
-    def batch_send_edges(self, vertices, edge_values) -> None:
-        """Per-edge sends for a vertex slice (non-uniform: no hub opt).
-
-        Deferred like :meth:`batch_send_uniform`.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        edge_values = np.asarray(edge_values)
-        total = int(self._fast.degrees[vertices].sum())
-        if len(edge_values) != total:
-            raise ComputeError(
-                f"send_along_edges got {len(edge_values)} values for "
-                f"{total} edges"
-            )
-        if not total:
-            return
-        self._fs_edge_verts.append(vertices)
-        self._fs_edge_vals.append(edge_values)
-        self._messages += total
 
     # -- shared accounting ---------------------------------------------------
 
@@ -489,6 +486,8 @@ class BspEngine:
         self._fast_mode = False
         self._check_initial_values(initial_values, n)
         ctx = ComputeContext(self)
+        machine_vertices = [topo.nodes_of_machine(m)
+                            for m in range(topo.machine_count)]
 
         def fresh_start() -> tuple[int, list]:
             if initial_values is None:
@@ -539,7 +538,7 @@ class BspEngine:
 
                 round_ = ParallelRound(self.network)
                 ran = 0
-                for machine, vertices in enumerate(self._machine_vertices):
+                for machine, vertices in enumerate(machine_vertices):
                     ran_here = 0
                     degree_sum = 0
                     for vertex in vertices:
@@ -645,14 +644,12 @@ class BspEngine:
         if self._fs_bcast_src:
             self._flush_by_plan(np.array(self._fs_bcast_src, dtype=np.int64),
                                 self._fs_bcast_val, uniform=True)
-        if self._fs_bcast_verts:
-            self._flush_by_plan(np.concatenate(self._fs_bcast_verts),
-                                np.concatenate(self._fs_bcast_vals),
-                                uniform=True)
-        if self._fs_edge_verts:
-            self._flush_by_plan(np.concatenate(self._fs_edge_verts),
-                                np.concatenate(self._fs_edge_vals),
-                                uniform=False)
+        for sends, uniform in ((self._fs_bcast, True),
+                               (self._fs_edge, False)):
+            if sends:
+                senders, values = zip(*sends)
+                self._flush_by_plan(np.concatenate(senders),
+                                    np.concatenate(values), uniform=uniform)
         if self._fs_single_dst:
             # General-model singles go to arbitrary vertices: there is no
             # sender set to plan from.
@@ -687,46 +684,63 @@ class BspEngine:
                                         dtype=np.int64)
         self._fs_bcast_src: list[int] = []
         self._fs_bcast_val: list = []
-        self._fs_bcast_verts: list[np.ndarray] = []
-        self._fs_bcast_vals: list[np.ndarray] = []
-        self._fs_edge_verts: list[np.ndarray] = []
-        self._fs_edge_vals: list[np.ndarray] = []
+        # (sender positions, values) per block, by send kind
+        self._fs_bcast: list[tuple[np.ndarray, np.ndarray]] = []
+        self._fs_edge: list[tuple[np.ndarray, np.ndarray]] = []
         self._fs_single_dst: list[int] = []
         self._fs_single_val: list = []
         self._fs_single_pair: list[int] = []
+
+    def _open_block(self, machine: int, combined: np.ndarray,
+                    received: np.ndarray) -> MachineBlock | None:
+        """The block of ``machine``'s active vertices, or None if none is:
+        views of its slice when all of them are, else gathers."""
+        lo, hi = self._fast.bounds[machine], self._fast.bounds[machine + 1]
+        active = self._active[lo:hi]
+        count = int(np.count_nonzero(active))
+        if not count:
+            return None
+        where = (slice(lo, hi) if count == hi - lo
+                 else lo + np.flatnonzero(active))
+        return MachineBlock(self, where, combined, received)
+
+    def _close_block(self, block: MachineBlock) -> None:
+        """Write a gathered block's values back (a view wrote through)."""
+        if not isinstance(block._where, slice):
+            self.values[block._where] = block.values
 
     def _compute_machines(self, machines, combined, received,
                           use_batch: bool):
         """Run the fast-path kernels for the given machine ids.
 
-        Each machine's active vertices run ``compute_batch`` (or the
-        per-vertex ``compute`` loop), collecting sends into the deferred
-        buffers and aggregates/halts/value writes into engine state.
-        Returns ``(ran_total, costs)`` with per-machine
-        ``(machine, ran_count, degree_sum)`` tuples in iteration order.
+        Each machine's active vertices run ``compute_batch`` on their
+        block (or the per-vertex ``compute`` loop, bound to id and
+        position), collecting sends into the deferred buffers and
+        aggregates/halts/value writes into engine state.  Returns
+        ``(ran_total, costs)`` with per-machine ``(machine, ran_count,
+        degree_sum)`` tuples in iteration order.
         """
         program = self._program
-        fast = self._fast
         ctx = self._fs_ctx
         batch_ctx = self._fs_batch_ctx
         ran_total = 0
         costs = []
         for machine in machines:
-            vertices = self._machine_vertices[machine]
-            ran = vertices[self._active[vertices]]
-            ran_count = len(ran)
-            degree_sum = 0
-            if ran_count:
+            block = self._open_block(machine, combined, received)
+            ran_count = degree_sum = 0
+            if block is not None:
                 if use_batch:
-                    program.compute_batch(batch_ctx, ran, combined[ran],
-                                          received[ran])
+                    program.compute_batch(batch_ctx, block)
+                    self._close_block(block)
                 else:
-                    for vertex in ran.tolist():
-                        ctx._bind(vertex)
-                        messages = ([combined[vertex]]
-                                    if received[vertex] else [])
+                    slots = block._positions(None).tolist()
+                    for slot, vertex in zip(slots, block.ids.tolist()):
+                        ctx._bind(vertex, slot)
+                        messages = ([combined[slot]]
+                                    if received[slot] else [])
                         program.compute(ctx, vertex, messages)
-                degree_sum = int(fast.degrees[ran].sum())
+                ran_count = len(block)
+                degree_sum = int(block.degrees.sum())
             costs.append((machine, ran_count, degree_sum))
             ran_total += ran_count
         return ran_total, costs
@@ -737,6 +751,7 @@ class BspEngine:
         n = topo.n
         if self._fast is None:
             self._fast = _FastState(topo, self.hub_threshold)
+        fast = self._fast
         dtype = np.dtype(program.value_dtype)
         identity = _combiner_identity(program.combiner, dtype)
         self._fast_mode = True
@@ -753,18 +768,24 @@ class BspEngine:
             if initial_values is None:
                 self.values = np.zeros(n, dtype=dtype)
             else:
-                self.values = np.array(initial_values, dtype=dtype)
+                self.values = np.asarray(initial_values, dtype=dtype)[
+                    fast.order]
             self.aggregators = {}
             self.aggregators_next = {}
             self._active = np.ones(n, dtype=bool)
+            combined = np.full(n, identity, dtype=dtype)
+            received = np.zeros(n, dtype=bool)
             if type(program).init_batch is not VertexProgram.init_batch:
-                program.init_batch(batch_ctx)
+                for machine in range(topo.machine_count):
+                    block = self._open_block(machine, combined, received)
+                    if block is not None:
+                        program.init_batch(batch_ctx, block)
+                        self._close_block(block)
             else:
-                for vertex in range(n):
-                    ctx._bind(vertex)
+                for vertex, slot in enumerate(fast.rank.tolist()):
+                    ctx._bind(vertex, slot)
                     program.init(ctx, vertex)
-            return (0, np.full(n, identity, dtype=dtype),
-                    np.zeros(n, dtype=bool))
+            return 0, combined, received
 
         superstep, combined, received = fresh_start()
         result = BspResult(values=self.values)
@@ -829,7 +850,8 @@ class BspEngine:
                 message_bytes=wire_bytes,
             ))
             if on_superstep is not None:
-                on_superstep(superstep, self.values)
+                on_superstep(superstep, self.values[fast.rank])
+            # The image stays in compute order: only this engine reads it.
             self._save_state(superstep, {
                 "values": self.values,
                 "active": self._active,
@@ -843,7 +865,7 @@ class BspEngine:
                 break
             superstep += 1
 
-        result.values = self.values
+        result.values = self.values[fast.rank]
         result.aggregators = dict(self.aggregators)
         return result
 

@@ -23,8 +23,12 @@ Two execution paths consume a program (see ``repro.compute.bsp``):
   :attr:`VertexProgram.combiner`.  Messages are then folded, at the
   barrier, into a dense numpy value array plus a received-mask, and
   programs that additionally implement
-  :meth:`VertexProgram.compute_batch` run one numpy kernel per machine
-  slice instead of a Python loop.
+  :meth:`VertexProgram.compute_batch` run one numpy kernel per machine.
+  Each kernel call gets a :class:`MachineBlock`: the machine's running
+  vertices with their values, folded inboxes and out-degrees, plus the
+  sends and halts that reach those vertices only.  The engine keeps its
+  vertex state in compute order (machine by machine), so when a whole
+  machine runs, the block's arrays are views of that machine's slice.
 """
 
 from __future__ import annotations
@@ -84,12 +88,14 @@ class VertexProgram:
     def init(self, ctx: "ComputeContext", vertex: int) -> None:
         """Called for every vertex before superstep 0."""
 
-    def init_batch(self, ctx: "BatchComputeContext") -> None:
-        """Vectorized initialisation: fill ``ctx.values`` in one shot.
+    def init_batch(self, ctx: "BatchComputeContext",
+                   block: "MachineBlock") -> None:
+        """Vectorized initialisation of one machine: fill ``block.values``.
 
-        Optional.  When overridden, the fast path calls it once instead
-        of looping :meth:`init` over every vertex.  Must leave values
-        identical to what the per-vertex :meth:`init` loop would."""
+        Optional.  When overridden, the fast path calls it once per
+        machine instead of looping :meth:`init` over every vertex.  Must
+        leave values identical to what the per-vertex :meth:`init` loop
+        would."""
         raise NotImplementedError
 
     def compute(self, ctx: "ComputeContext", vertex: int,
@@ -98,19 +104,17 @@ class VertexProgram:
         raise NotImplementedError
 
     def compute_batch(self, ctx: "BatchComputeContext",
-                      vertices: np.ndarray, combined: np.ndarray,
-                      received: np.ndarray) -> None:
-        """Vectorized superstep kernel over one machine's vertex slice.
+                      block: "MachineBlock") -> None:
+        """Vectorized superstep kernel over one machine's running vertices.
 
-        Optional; requires ``combiner``.  ``vertices`` holds the dense
-        indices (ascending) of the machine's vertices that ran this
-        superstep, ``combined[i]`` the folded inbox of ``vertices[i]``
-        (the combiner's identity where nothing arrived) and
-        ``received[i]`` whether any message arrived.  The kernel reads
-        and writes ``ctx.values``, sends with the batch primitives, and
-        must only halt vertices from its own slice.  Semantics must match
-        :meth:`compute` exactly — the engine's ``cross_check`` flag and
-        the equivalence tests enforce it."""
+        Optional; requires ``combiner``.  ``block`` holds the vertices of
+        one machine that run this superstep (see :class:`MachineBlock`):
+        their ids, values (writable), folded inboxes (the combiner's
+        identity where nothing arrived), received flags and out-degrees.
+        The kernel reads and writes ``block.values``, sends and halts
+        through the block, and aggregates through ``ctx``.  Semantics
+        must match :meth:`compute` exactly — the engine's ``cross_check``
+        flag and the equivalence tests enforce it."""
         raise NotImplementedError
 
     @property
@@ -145,12 +149,16 @@ class ComputeContext(_AggregatorMixin):
     """Per-superstep view handed to :meth:`VertexProgram.compute`.
 
     Created by the engine; exposes topology, messaging and aggregation.
-    The context is bound to one vertex at a time via ``_current``.
+    The context is bound to one vertex at a time: ``_current`` is its
+    dense id, ``_slot`` its index into the engine's state arrays (the
+    same on the reference path; its compute-order position on the fast
+    path).
     """
 
     def __init__(self, engine):
         self._engine = engine
         self._current = -1
+        self._slot = -1
         self.superstep = 0
 
     # -- topology ------------------------------------------------------------
@@ -183,19 +191,19 @@ class ComputeContext(_AggregatorMixin):
     # -- state ---------------------------------------------------------------
 
     def get_value(self, vertex: int):
-        return self._engine.values[vertex]
+        return self._engine.values[self._engine.slot_of(vertex)]
 
     def set_value(self, vertex: int, value) -> None:
-        self._engine.values[vertex] = value
+        self._engine.values[self._engine.slot_of(vertex)] = value
 
     @property
     def value(self):
         """Value of the vertex currently being computed."""
-        return self._engine.values[self._current]
+        return self._engine.values[self._slot]
 
     @value.setter
     def value(self, new_value) -> None:
-        self._engine.values[self._current] = new_value
+        self._engine.values[self._slot] = new_value
 
     # -- messaging ---------------------------------------------------------
 
@@ -214,71 +222,29 @@ class ComputeContext(_AggregatorMixin):
 
     def vote_to_halt(self) -> None:
         """Deactivate the current vertex until a message wakes it."""
-        self._engine.halt(self._current)
+        self._engine.halt(self._slot)
 
     # -- internal ------------------------------------------------------------
 
-    def _bind(self, vertex: int) -> None:
+    def _bind(self, vertex: int, slot: int | None = None) -> None:
         if vertex < 0 or vertex >= self._engine.topology.n:
             raise ComputeError(f"vertex index {vertex} out of range")
         self._current = vertex
+        self._slot = vertex if slot is None else slot
 
 
 class BatchComputeContext(_AggregatorMixin):
-    """Vectorized view handed to :meth:`VertexProgram.compute_batch`.
-
-    All primitives take dense-index arrays.  Sends are collected and
-    folded into the engine's combined-inbox array at the barrier, their
-    destinations and machine-pair traffic taken from the engine's send
-    plan — no per-message Python objects anywhere.
-    """
+    """Superstep-wide view handed to the batch kernels with each
+    :class:`MachineBlock`: the superstep, the vertex count and the
+    aggregators.  Everything that touches vertices is on the block."""
 
     def __init__(self, engine):
         self._engine = engine
         self.superstep = 0
 
-    # -- topology ------------------------------------------------------------
-
     @property
     def num_vertices(self) -> int:
         return self._engine.topology.n
-
-    @property
-    def values(self) -> np.ndarray:
-        """The engine's dense value array (mutable, length ``n``)."""
-        return self._engine.values
-
-    def out_degrees(self, vertices: np.ndarray) -> np.ndarray:
-        """Out-degree of each vertex in ``vertices``."""
-        return self._engine._fast.degrees[vertices]
-
-    def out_edges(self, vertices: np.ndarray) -> tuple[np.ndarray,
-                                                       np.ndarray]:
-        """``(dst, positions)`` for the out-edges of ``vertices``,
-        concatenated per vertex in CSR slice order.  ``positions`` are
-        global indices into ``topology.out_indices``, so per-edge state
-        (e.g. SSSP weights) aligned with the CSR can be gathered."""
-        positions = self._engine._fast.edge_slice(vertices)
-        return self._engine.topology.out_indices[positions], positions
-
-    # -- messaging -----------------------------------------------------------
-
-    def send_to_neighbors(self, vertices: np.ndarray,
-                          values: np.ndarray) -> None:
-        """Each ``vertices[i]`` broadcasts ``values[i]`` to all its
-        out-neighbors (uniform — eligible for hub buffering)."""
-        self._engine.batch_send_uniform(vertices, values)
-
-    def send_along_edges(self, vertices: np.ndarray,
-                         edge_values: np.ndarray) -> None:
-        """Per-edge sends: ``edge_values`` aligns with the concatenated
-        out-edges of ``vertices`` (the order :meth:`out_edges` returns).
-        Non-uniform, so hub buffering does not apply."""
-        self._engine.batch_send_edges(vertices, edge_values)
-
-    def halt(self, vertices: np.ndarray) -> None:
-        """Vote-to-halt for every vertex in ``vertices``."""
-        self._engine.halt_many(vertices)
 
     def aggregate(self, name: str, values) -> None:
         """Left-fold ``values`` (a scalar, or a 1-D array in vertex
@@ -293,3 +259,121 @@ class BatchComputeContext(_AggregatorMixin):
         totals[name] = float(np.add.accumulate(
             np.concatenate(([totals.get(name, 0.0)], values))
         )[-1])
+
+
+class MachineBlock:
+    """One machine's running vertices, handed to
+    :meth:`VertexProgram.init_batch` and :meth:`VertexProgram.compute_batch`.
+
+    ``ids`` are the dense ids of the machine's vertices that run this
+    superstep, ascending; ``values`` (writable), ``combined``,
+    ``received`` and ``degrees`` (out-degrees) align with them.  When
+    the whole machine runs, the five arrays are views of the machine's
+    slice of the engine's compute-ordered state; otherwise they are
+    gathers, and the engine writes ``values`` back after the kernel.
+
+    Sends and halts take ``mask``, a boolean array over the block
+    (``None``: every vertex in it), so a kernel can reach no vertex of
+    another machine.  Sends read their values at the call and fold at
+    the barrier in compute order — the reference path's enqueue order.
+    """
+
+    def __init__(self, engine, where, combined, received):
+        fast = engine._fast
+        self._engine = engine
+        self._where = where     # a slice (the whole machine) or positions
+        self.ids = fast.order[where]
+        self.values = engine.values[where]
+        self.combined = combined[where]
+        self.received = received[where]
+        self.degrees = fast.degrees[where]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _mask(self, mask) -> np.ndarray:
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != self.ids.shape:
+            raise ComputeError(
+                f"a block mask must be a boolean array of length "
+                f"{len(self.ids)}, got {mask.dtype} {mask.shape}"
+            )
+        return mask
+
+    def _positions(self, mask) -> np.ndarray:
+        """Compute-order positions of the masked vertices."""
+        where = self._where
+        if mask is None:
+            if isinstance(where, slice):
+                return np.arange(where.start, where.stop, dtype=np.int64)
+            return where
+        mask = self._mask(mask)
+        if isinstance(where, slice):
+            return where.start + np.flatnonzero(mask)
+        return where[mask]
+
+    def _edge_total(self, mask) -> int:
+        return int(self.degrees.sum() if mask is None
+                   else np.dot(self.degrees, mask))
+
+    def _own(self, values) -> np.ndarray:
+        """``values`` as an array the kernel cannot change after the
+        call: a view of the block's state is copied."""
+        values = np.asarray(values)
+        return values.copy() if np.may_share_memory(values,
+                                                    self.values) else values
+
+    def send_to_neighbors(self, mask, values) -> None:
+        """Each masked vertex broadcasts its entry of ``values`` (one per
+        masked vertex, in block order) to all its out-neighbors (uniform
+        — eligible for hub buffering)."""
+        senders = self._positions(mask)
+        values = self._own(values)
+        if values.shape != senders.shape:
+            raise ComputeError(
+                f"send_to_neighbors got {values.size} values for "
+                f"{len(senders)} vertices"
+            )
+        self._engine.defer_sends(True, senders, values,
+                                 self._edge_total(mask))
+
+    def send_along_edges(self, mask, edge_values) -> None:
+        """Per-edge sends: ``edge_values`` aligns with the concatenated
+        out-edges of the masked vertices (the order :meth:`out_edges`
+        returns).  Non-uniform, so hub buffering does not apply."""
+        senders = self._positions(mask)
+        edge_values = self._own(edge_values)
+        total = self._edge_total(mask)
+        if len(edge_values) != total:
+            raise ComputeError(
+                f"send_along_edges got {len(edge_values)} values for "
+                f"{total} edges"
+            )
+        self._engine.defer_sends(False, senders, edge_values, total)
+
+    def out_edges(self, mask) -> tuple[np.ndarray, np.ndarray]:
+        """``(dst, positions)`` for the out-edges of the masked vertices,
+        concatenated per vertex in CSR slice order: destination dense ids
+        and indices into ``topology.out_indices``, so per-edge state
+        aligned with the CSR (e.g. SSSP weights) can be gathered."""
+        ids, counts = self.ids, self.degrees
+        if mask is not None:
+            mask = self._mask(mask)
+            ids, counts = ids[mask], counts[mask]
+        topology = self._engine.topology
+        positions = csr_slices(topology.out_indptr[ids], counts)
+        return topology.out_indices[positions], positions
+
+    def halt(self, mask=None) -> None:
+        """Vote-to-halt for the masked vertices (all of them by default)."""
+        self._engine._active[self._where if mask is None
+                             else self._positions(mask)] = False
+
+
+def csr_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Indices of the CSR slices ``[starts[i], starts[i] + counts[i])``,
+    concatenated in order."""
+    running = np.cumsum(counts)
+    return (np.repeat(starts - (running - counts), counts)
+            + np.arange(int(running[-1]) if len(running) else 0,
+                        dtype=np.int64))

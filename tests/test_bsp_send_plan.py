@@ -125,8 +125,8 @@ class ScriptedBroadcast(VertexProgram):
     def init(self, ctx, vertex):
         ctx.set_value(vertex, 0)
 
-    def init_batch(self, ctx):
-        ctx.values[:] = 0
+    def init_batch(self, ctx, block):
+        block.values[:] = 0
 
     def compute(self, ctx, vertex, messages):
         if messages:
@@ -138,14 +138,14 @@ class ScriptedBroadcast(VertexProgram):
         else:
             ctx.vote_to_halt()
 
-    def compute_batch(self, ctx, vertices, combined, received):
-        ctx.values[vertices[received]] = combined[received]
+    def compute_batch(self, ctx, block):
+        block.values[block.received] = block.combined[block.received]
         if ctx.superstep < len(self.script):
             sends, values = self.script[ctx.superstep]
-            senders = vertices[sends[vertices]]
-            ctx.send_to_neighbors(senders, values[senders])
+            senders = sends[block.ids]
+            block.send_to_neighbors(senders, values[block.ids[senders]])
         else:
-            ctx.halt(vertices)
+            block.halt()
 
 
 SMALL = rmat_topology(6, 4)
@@ -298,20 +298,20 @@ def test_pagerank_aggregates_once_per_machine_slice(topology, monkeypatch):
 
 class MisalignedWcc(WccProgram):
     """HashMin whose superstep-0 kernel call ``i`` (machine ``i``) passes
-    ``len(vertices) + skew[i]`` values."""
+    ``len(block) + skew[i]`` values for the whole block."""
 
     def __init__(self, skew):
         self.skew = list(skew)
 
-    def compute_batch(self, ctx, vertices, combined, received):
-        values = ctx.values[vertices]
+    def compute_batch(self, ctx, block):
+        values = block.values
         skew = self.skew.pop(0) if self.skew else 0
         if skew < 0:
             values = values[:skew]
         elif skew > 0:
             values = np.append(values, np.zeros(skew, dtype=values.dtype))
-        ctx.send_to_neighbors(vertices, values)
-        ctx.halt(vertices)
+        block.send_to_neighbors(None, values)
+        block.halt()
 
 
 def test_short_broadcast_values_raise_at_the_call(topology):

@@ -122,9 +122,9 @@ def test_cross_check_accepts_consistent_program(er_topology):
 
 def test_cross_check_rejects_divergent_kernel(er_topology):
     class Broken(PageRankProgram):
-        def compute_batch(self, ctx, vertices, combined, received):
-            super().compute_batch(ctx, vertices, combined, received)
-            ctx.values[vertices[0]] += 1e-9  # diverge slightly
+        def compute_batch(self, ctx, block):
+            super().compute_batch(ctx, block)
+            block.values[0] += 1e-9  # diverge slightly
 
     engine = BspEngine(er_topology,
                        network=SimNetwork(registry=MetricsRegistry()),
