@@ -11,10 +11,12 @@ Online (latency-bound, exploration-based):
 Offline (throughput-bound, vertex-centric):
 
 * :mod:`~repro.algorithms.pagerank`, :mod:`~repro.algorithms.bfs`,
-  :mod:`~repro.algorithms.sssp`, :mod:`~repro.algorithms.wcc` — each with
-  a :class:`~repro.compute.vertex.VertexProgram` (the reference semantics)
-  and a vectorised runner whose per-superstep costs follow the same
-  traffic model (Figure 12).
+  :mod:`~repro.algorithms.sssp`, :mod:`~repro.algorithms.wcc`,
+  :mod:`~repro.algorithms.triangles` — each one
+  :class:`~repro.compute.vertex.VertexProgram`, and an entry point
+  (``pagerank``, ``bfs``, ``sssp``, ``wcc``, ``count_triangles``) that
+  runs it on the :class:`~repro.compute.bsp.BspEngine` and reports the
+  answer with each superstep's simulated time (Figure 12).
 * :mod:`~repro.algorithms.partitioning` — multi-level graph partitioning
   (Section 5.3's "billion-node partitioning" workload).
 """

@@ -1,7 +1,7 @@
 """Breadth-first search (Fig 12c, Fig 13; Graph 500's kernel).
 
-:class:`BfsProgram` gives the vertex-centric reference; :func:`bfs` is
-the vectorised level-synchronous runner whose per-level costs follow the
+:class:`BfsProgram` is the vertex program; :func:`bfs` runs it on the
+BSP engine, one superstep per level.  Per-level costs follow the
 frontier (only frontier vertices compute and send — the level structure
 is what makes BFS cheaper than PageRank per superstep but latency-bound
 on diameter).
@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..compute.bsp import BspEngine
+from ..compute.vertex import VertexProgram
 from ..errors import ComputeError
 from ..net.simnet import SimNetwork
-from ..compute.vertex import VertexProgram
-from ._traffic import TrafficModel
 
 UNREACHED = -1
 
@@ -73,7 +73,8 @@ class BfsProgram(VertexProgram):
 
 @dataclass
 class BfsRun:
-    """Result of a vectorised BFS."""
+    """Result of a :func:`bfs` run: levels and each superstep's
+    simulated time."""
 
     levels: np.ndarray
     level_times: list[float] = field(default_factory=list)
@@ -93,55 +94,23 @@ class BfsRun:
 
 
 def bfs(topology, root: int, network: SimNetwork | None = None,
-        traffic: TrafficModel | None = None,
         hub_buffering: bool = True) -> BfsRun:
-    """Level-synchronous BFS from dense vertex ``root``.
+    """Level-synchronous BFS from dense vertex ``root``:
+    :class:`BfsProgram` on a :class:`BspEngine`.
 
-    Each level is one BSP superstep: the frontier scans its adjacency and
-    messages undiscovered neighbors; cost is charged per level from the
-    actual frontier (so early small levels are cheap and the big middle
-    levels dominate, the classic BFS cost profile).
+    Each level is one superstep: only the frontier scans its adjacency
+    and sends, so early small levels are cheap and the big middle levels
+    dominate, the classic BFS cost profile.
     """
     n = topology.n
     if not 0 <= root < n:
         raise ComputeError(f"root {root} out of range [0, {n})")
-    network = network or SimNetwork()
-    traffic = traffic or TrafficModel(
-        topology, hub_buffering=hub_buffering, message_bytes=12
+    engine = BspEngine(topology, network=network,
+                       hub_buffering=hub_buffering)
+    # Superstep d sets and sends level d < n; the superstep after the
+    # last level sends nothing, so the run quiesces within n + 1.
+    result = engine.run(BfsProgram(root), max_supersteps=n + 1)
+    return BfsRun(
+        levels=result.values,
+        level_times=[step.elapsed for step in result.supersteps],
     )
-
-    levels = np.full(n, UNREACHED, dtype=np.int64)
-    levels[root] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[root] = True
-    run = BfsRun(levels=levels)
-
-    level = 0
-    while frontier.any():
-        # Discover the next frontier from the current one.
-        frontier_idx = np.nonzero(frontier)[0]
-        starts = topology.out_indptr[frontier_idx]
-        ends = topology.out_indptr[frontier_idx + 1]
-        total = int((ends - starts).sum())
-        if total:
-            gather = np.concatenate([
-                topology.out_indices[s:e] for s, e in zip(starts, ends)
-            ]) if len(frontier_idx) else np.empty(0, dtype=np.int64)
-            fresh = np.unique(gather[levels[gather] == UNREACHED])
-        else:
-            fresh = np.empty(0, dtype=np.int64)
-
-        pair_counts = traffic.frontier_traffic(frontier)
-        active = traffic.per_machine_vertices(frontier)
-        edges = traffic.per_machine_edges(frontier)
-        elapsed = traffic.charge_superstep(
-            network, active, edges, pair_counts
-        )
-        run.level_times.append(elapsed)
-
-        level += 1
-        levels[fresh] = level
-        frontier = np.zeros(n, dtype=bool)
-        frontier[fresh] = True
-    run.levels = levels
-    return run

@@ -1,12 +1,9 @@
 """PageRank: the paper's flagship offline analytics workload (Fig 12b).
 
-Two implementations with identical semantics:
-
-* :class:`PageRankProgram` — a restrictive, uniform-message vertex program
-  for the BSP engine (reference semantics; used by tests and small runs).
-* :func:`pagerank` — a vectorised runner for benchmark scales, charging
-  each superstep through the shared :class:`~repro.algorithms._traffic.
-  TrafficModel` so the simulated times match the engine's accounting.
+:class:`PageRankProgram` is a restrictive, uniform-message vertex
+program; :func:`pagerank` runs it on the BSP engine and reports the
+ranks with each superstep's simulated time.  :func:`pagerank_async` is
+the asynchronous (delta) formulation on the async engine.
 
 Dangling vertices redistribute their rank mass uniformly, the standard
 formulation (and what makes the rank vector a probability distribution,
@@ -19,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..compute.bsp import BspEngine
+from ..compute.vertex import VertexProgram
 from ..errors import ComputeError
 from ..net.simnet import SimNetwork
-from ..compute.vertex import VertexProgram
-from ._traffic import TrafficModel
 
 
 class PageRankProgram(VertexProgram):
@@ -89,7 +86,8 @@ class PageRankProgram(VertexProgram):
 
 @dataclass
 class PageRankRun:
-    """Result of a vectorised PageRank run."""
+    """Result of a :func:`pagerank` run: the ranks and each superstep's
+    simulated time (``iterations`` broadcasts, then the final apply)."""
 
     ranks: np.ndarray
     iteration_times: list[float] = field(default_factory=list)
@@ -107,45 +105,26 @@ class PageRankRun:
 
 def pagerank(topology, damping: float = 0.85, iterations: int = 10,
              network: SimNetwork | None = None,
-             traffic: TrafficModel | None = None,
              hub_buffering: bool = True) -> PageRankRun:
-    """Vectorised PageRank with per-superstep simulated-time accounting.
+    """PageRank: :class:`PageRankProgram` on a :class:`BspEngine`, with
+    the simulated time of every superstep.
 
-    Because PageRank's communication is a full broadcast every superstep,
-    the traffic matrix is computed once and reused — exactly the
-    "predictable iteration after iteration" property Section 5.3 exploits.
+    PageRank's communication is a full broadcast every superstep, so the
+    engine builds one send plan and re-applies it — the "predictable
+    iteration after iteration" property Section 5.3 exploits.
     """
     if iterations < 1:
         raise ComputeError("iterations must be >= 1")
-    network = network or SimNetwork()
-    traffic = traffic or TrafficModel(topology, hub_buffering=hub_buffering)
-
-    n = topology.n
-    degrees = topology.out_degrees().astype(np.float64)
-    dangling_mask = degrees == 0
-    edge_src = traffic.edge_src
-    edge_dst = topology.out_indices
-
-    ranks = np.full(n, 1.0 / n)
-    pair_counts = traffic.full_broadcast_traffic()
-    active = traffic.per_machine_vertices()
-    edges = traffic.per_machine_edges()
-
-    run = PageRankRun(ranks=ranks)
-    for _ in range(iterations):
-        contribution = np.where(dangling_mask, 0.0, ranks / np.maximum(degrees, 1.0))
-        incoming = np.bincount(
-            edge_dst, weights=contribution[edge_src], minlength=n
-        )
-        dangling_mass = float(ranks[dangling_mask].sum())
-        ranks = ((1.0 - damping) / n
-                 + damping * (incoming + dangling_mass / n))
-        elapsed = traffic.charge_superstep(
-            network, active, edges, pair_counts
-        )
-        run.iteration_times.append(elapsed)
-    run.ranks = ranks
-    return run
+    engine = BspEngine(topology, network=network,
+                       hub_buffering=hub_buffering)
+    # Supersteps 0 .. iterations - 1 broadcast; superstep ``iterations``
+    # applies the last sums and halts every vertex.
+    result = engine.run(PageRankProgram(damping, iterations),
+                        max_supersteps=iterations + 1)
+    return PageRankRun(
+        ranks=result.values,
+        iteration_times=[step.elapsed for step in result.supersteps],
+    )
 
 
 def pagerank_async(topology, damping: float = 0.85,
@@ -199,6 +178,6 @@ def pagerank_async(topology, damping: float = 0.85,
                         max_updates=max_updates)
     # Delta-PageRank computes the unnormalised fixed point
     # r = (1-d)/n + d A r; normalise to a distribution like the
-    # synchronous runner reports.
+    # synchronous run reports.
     total = ranks.sum()
     return ranks / total, result

@@ -1,8 +1,8 @@
 """Single-source shortest paths — the paper's second canonical
 restrictive workload ("PageRank and shortest path", Section 5.3).
 
-:class:`SsspProgram` is the classic Pregel SSSP; :func:`sssp` is a
-vectorised frontier (Bellman-Ford) runner over optionally weighted edges.
+:class:`SsspProgram` is the classic Pregel SSSP (Bellman-Ford waves over
+optionally weighted edges); :func:`sssp` runs it on the BSP engine.
 With unit weights it degenerates to BFS, which the tests exploit for
 cross-validation.
 """
@@ -13,26 +13,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..compute.bsp import BspEngine
+from ..compute.vertex import VertexProgram
 from ..errors import ComputeError
 from ..net.simnet import SimNetwork
-from ..compute.vertex import VertexProgram
-from ._traffic import TrafficModel
 
 INFINITY = float("inf")
 
 
 class SsspProgram(VertexProgram):
-    """Vertex-centric SSSP with per-edge weight lookup.
+    """Vertex-centric SSSP (Bellman-Ford waves).
 
-    Weights come in one of two forms (mutually exclusive):
-
-    * ``weights`` — a dict mapping (src, dst) dense pairs to edge weight,
-      missing pairs defaulting to 1; general but unvectorizable, so such
-      instances veto the batch kernel (:attr:`batch_eligible`) and run
-      per-vertex (still on the combined-inbox fast path);
-    * ``edge_weights`` — an array aligned with ``topology.out_indices``
-      (one weight per directed edge in CSR order), which the batch kernel
-      gathers directly.
+    ``edge_weights`` aligns with ``topology.out_indices`` (one weight per
+    directed edge, in CSR order); ``None`` means unit weights.  Negative
+    weights are rejected: the waves assume monotone relaxation.
 
     Not uniform-message (each neighbor gets dist + its own edge weight),
     so hub buffering does not apply — an intentional contrast with
@@ -43,15 +37,8 @@ class SsspProgram(VertexProgram):
     uniform_messages = False
     combiner = "min"
 
-    def __init__(self, root: int, weights: dict | None = None,
-                 edge_weights: np.ndarray | None = None):
-        if weights and edge_weights is not None:
-            raise ComputeError(
-                "pass either a weights dict or an edge_weights array, "
-                "not both"
-            )
+    def __init__(self, root: int, edge_weights: np.ndarray | None = None):
         self.root = root
-        self.weights = weights or {}
         if edge_weights is not None:
             edge_weights = np.asarray(edge_weights, dtype=np.float64)
             if (edge_weights < 0).any():
@@ -59,11 +46,6 @@ class SsspProgram(VertexProgram):
                     "negative edge weights are not supported"
                 )
         self.edge_weights = edge_weights
-
-    @property
-    def batch_eligible(self) -> bool:
-        # A (src, dst) -> weight dict cannot be gathered vectorially.
-        return not self.weights
 
     def init(self, ctx, vertex: int) -> None:
         ctx.set_value(vertex, 0.0 if vertex == self.root else INFINITY)
@@ -80,16 +62,11 @@ class SsspProgram(VertexProgram):
         if ctx.superstep == 0 and vertex == self.root:
             improved = True
         if improved:
-            if self.edge_weights is not None:
-                start, _ = ctx.out_edge_range()
-                for offset, dst in enumerate(ctx.out_neighbors()):
-                    ctx.send(int(dst), ctx.value
-                             + float(self.edge_weights[start + offset]))
-            else:
-                for dst in ctx.out_neighbors():
-                    dst = int(dst)
-                    weight = self.weights.get((vertex, dst), 1.0)
-                    ctx.send(dst, ctx.value + weight)
+            start, _ = ctx.out_edge_range()
+            for offset, dst in enumerate(ctx.out_neighbors()):
+                weight = (1.0 if self.edge_weights is None
+                          else float(self.edge_weights[start + offset]))
+                ctx.send(int(dst), ctx.value + weight)
         ctx.vote_to_halt()
 
     def compute_batch(self, ctx, block) -> None:
@@ -111,6 +88,9 @@ class SsspProgram(VertexProgram):
 
 @dataclass
 class SsspRun:
+    """Result of an :func:`sssp` run: distances (``inf`` where
+    unreached) and each superstep's simulated time."""
+
     distances: np.ndarray
     iteration_times: list[float] = field(default_factory=list)
 
@@ -124,51 +104,26 @@ class SsspRun:
 
 
 def sssp(topology, root: int, edge_weights: np.ndarray | None = None,
-         network: SimNetwork | None = None,
-         traffic: TrafficModel | None = None) -> SsspRun:
-    """Vectorised frontier Bellman-Ford.
+         network: SimNetwork | None = None) -> SsspRun:
+    """Shortest distances from dense vertex ``root``:
+    :class:`SsspProgram` on a :class:`BspEngine`.
 
     ``edge_weights`` aligns with ``topology.out_indices`` (one weight per
     directed edge); ``None`` means unit weights.  Negative weights are
-    rejected — the frontier schedule assumes monotone relaxation.
+    rejected.
     """
     n = topology.n
     if not 0 <= root < n:
         raise ComputeError(f"root {root} out of range [0, {n})")
-    network = network or SimNetwork()
-    traffic = traffic or TrafficModel(topology)
-    edge_src = traffic.edge_src
-    edge_dst = topology.out_indices
-    if edge_weights is None:
-        edge_weights = np.ones(len(edge_dst))
-    else:
-        edge_weights = np.asarray(edge_weights, dtype=np.float64)
-        if len(edge_weights) != len(edge_dst):
-            raise ComputeError("edge_weights must align with out_indices")
-        if (edge_weights < 0).any():
-            raise ComputeError("negative edge weights are not supported")
-
-    distances = np.full(n, INFINITY)
-    distances[root] = 0.0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[root] = True
-    run = SsspRun(distances=distances)
-
-    while frontier.any():
-        pair_counts = traffic.frontier_traffic(frontier)
-        active = traffic.per_machine_vertices(frontier)
-        edges = traffic.per_machine_edges(frontier)
-
-        relax = frontier[edge_src]
-        candidates = distances[edge_src[relax]] + edge_weights[relax]
-        new_distances = distances.copy()
-        np.minimum.at(new_distances, edge_dst[relax], candidates)
-        frontier = new_distances < distances
-        distances = new_distances
-
-        elapsed = traffic.charge_superstep(
-            network, active, edges, pair_counts
-        )
-        run.iteration_times.append(elapsed)
-    run.distances = distances
-    return run
+    if edge_weights is not None and len(edge_weights) != topology.num_edges:
+        raise ComputeError("edge_weights must align with out_indices")
+    program = SsspProgram(root, edge_weights=edge_weights)
+    # With non-negative weights a distance improves only along a simple
+    # path, of fewer than n edges: the last improvement is sent by
+    # superstep n - 1 and superstep n sends nothing.
+    result = BspEngine(topology, network=network).run(
+        program, max_supersteps=n + 1)
+    return SsspRun(
+        distances=result.values,
+        iteration_times=[step.elapsed for step in result.supersteps],
+    )

@@ -3,9 +3,10 @@
 Along with PageRank and shortest paths, triangle counting is one of the
 well-known algorithms expressible in the restrictive model (each vertex
 talks only to its neighbors): every vertex sends its neighbor list to
-its higher-id neighbors, which intersect it with their own.  The
-vectorised runner uses the standard ordered-adjacency merge over the CSR
-snapshot with the same traffic accounting.
+its higher-id neighbors, which intersect it with their own.
+:func:`count_triangles` runs :class:`TriangleProgram` on the BSP engine;
+it has no combiner (a vertex reads each neighbor set), so it takes the
+engine's per-vertex path.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..net.simnet import SimNetwork
+from ..compute.bsp import BspEngine
 from ..compute.vertex import VertexProgram
-from ._traffic import TrafficModel
+from ..net.simnet import SimNetwork
 
 
 class TriangleProgram(VertexProgram):
@@ -52,9 +53,6 @@ class TriangleProgram(VertexProgram):
                 ctx.aggregate("triangles", float(found))
         ctx.vote_to_halt()
 
-    def after_superstep(self, ctx) -> None:
-        pass
-
 
 @dataclass
 class TriangleRun:
@@ -64,36 +62,15 @@ class TriangleRun:
 
 
 def count_triangles(topology, network: SimNetwork | None = None) -> TriangleRun:
-    """Vectorised triangle count over a symmetric (undirected) CSR.
+    """Triangle count over a symmetric (undirected) CSR:
+    :class:`TriangleProgram` on a :class:`BspEngine`.
 
-    Classic merge-intersection on sorted higher-id adjacency; traffic is
-    charged as one superstep of neighbor-set exchange along the edges to
-    higher-id endpoints.
+    ``per_vertex`` credits each triangle to its middle vertex.
     """
-    network = network or SimNetwork()
-    n = topology.n
-    # Sorted, deduplicated higher-id adjacency per vertex.
-    higher: list[np.ndarray] = []
-    for vertex in range(n):
-        neighbors = np.unique(topology.out_neighbors(vertex))
-        higher.append(neighbors[neighbors > vertex])
-
-    per_vertex = np.zeros(n, dtype=np.int64)
-    total = 0
-    for u in range(n):
-        adjacency_u = higher[u]
-        set_u = set(adjacency_u.tolist())
-        for v in adjacency_u:
-            common = set_u.intersection(higher[int(v)].tolist())
-            if common:
-                per_vertex[int(v)] += len(common)
-                total += len(common)
-
-    traffic = TrafficModel(topology, hub_buffering=True)
-    pair_counts = traffic.full_broadcast_traffic()
-    active = traffic.per_machine_vertices()
-    edges = traffic.per_machine_edges()
-    elapsed = traffic.charge_superstep(
-        network, active, edges, pair_counts
-    )
-    return TriangleRun(count=total, per_vertex=per_vertex, elapsed=elapsed)
+    # Superstep 0 sends the neighbor sets; superstep 1 intersects them
+    # and sends nothing.
+    result = BspEngine(topology, network=network).run(
+        TriangleProgram(), max_supersteps=2)
+    per_vertex = np.asarray(result.values, dtype=np.int64)
+    return TriangleRun(count=int(per_vertex.sum()), per_vertex=per_vertex,
+                       elapsed=result.elapsed)

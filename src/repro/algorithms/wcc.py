@@ -1,8 +1,11 @@
 """Weakly connected components via HashMin label propagation.
 
 A standard restrictive vertex-centric workload: every vertex repeatedly
-adopts the minimum component label among itself and its (in+out)
-neighbors.  Convergence takes O(component diameter) supersteps.
+adopts the minimum component label among itself and its neighbors.
+:class:`WccProgram` follows out-edges only; :func:`wcc` runs it on a
+symmetric snapshot (every edge in both directions), which makes the
+result weak connectivity on a directed graph.  Convergence takes
+O(component diameter) supersteps.
 """
 
 from __future__ import annotations
@@ -11,16 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..net.simnet import SimNetwork
+from ..compute.bsp import BspEngine
 from ..compute.vertex import VertexProgram
-from ._traffic import TrafficModel
+from ..graph.csr import CsrTopology
+from ..net.simnet import SimNetwork
 
 
 class WccProgram(VertexProgram):
     """Vertex-centric HashMin components (value = min label seen).
 
-    Declares the ``min`` combiner; :meth:`compute_batch` is the
-    vectorized kernel with identical semantics.
+    Labels travel along out-edges only, so the components are weak ones
+    only on a symmetric topology (each edge in both directions; see
+    :func:`wcc`).  Declares the ``min`` combiner; :meth:`compute_batch`
+    is the vectorized kernel with identical semantics.
     """
 
     restrictive = True
@@ -55,6 +61,10 @@ class WccProgram(VertexProgram):
 
 @dataclass
 class WccRun:
+    """Result of a :func:`wcc` run: each vertex's component label (the
+    smallest dense id in its component) and each superstep's simulated
+    time."""
+
     labels: np.ndarray
     iteration_times: list[float] = field(default_factory=list)
 
@@ -67,36 +77,32 @@ class WccRun:
         return int(len(np.unique(self.labels)))
 
 
-def wcc(topology, network: SimNetwork | None = None,
-        traffic: TrafficModel | None = None) -> WccRun:
-    """Vectorised HashMin over the symmetrised edge set.
+def wcc(topology, network: SimNetwork | None = None) -> WccRun:
+    """Weakly connected components: :class:`WccProgram` on a
+    :class:`BspEngine` over ``topology`` with every edge in both
+    directions, so direction is ignored."""
+    symmetric = _both_directions(topology)
+    # A label crosses one edge a superstep: the last change lands by
+    # superstep n - 1 and the superstep after it sends nothing.
+    result = BspEngine(symmetric, network=network).run(
+        WccProgram(), max_supersteps=topology.n + 1)
+    return WccRun(
+        labels=result.values,
+        iteration_times=[step.elapsed for step in result.supersteps],
+    )
 
-    Direction is ignored (weak connectivity), so each directed edge
-    propagates labels both ways; traffic is charged per active frontier
-    like the vertex engine would.
-    """
-    network = network or SimNetwork()
-    traffic = traffic or TrafficModel(topology)
-    n = topology.n
-    edge_src = traffic.edge_src
-    edge_dst = topology.out_indices
 
-    labels = np.arange(n, dtype=np.int64)
-    changed = np.ones(n, dtype=bool)
-    run = WccRun(labels=labels)
-    while changed.any():
-        pair_counts = traffic.frontier_traffic(changed)
-        active = traffic.per_machine_vertices(changed)
-        edges = traffic.per_machine_edges(changed)
-        # Propagate both directions (weak connectivity).
-        new_labels = labels.copy()
-        np.minimum.at(new_labels, edge_dst, labels[edge_src])
-        np.minimum.at(new_labels, edge_src, labels[edge_dst])
-        changed = new_labels < labels
-        labels = new_labels
-        elapsed = traffic.charge_superstep(
-            network, active, edges, pair_counts
-        )
-        run.iteration_times.append(elapsed)
-    run.labels = labels
-    return run
+def _both_directions(topology) -> CsrTopology:
+    """``topology`` with each edge also reversed: the same vertices, ids
+    and placement."""
+    src = np.repeat(np.arange(topology.n, dtype=np.int64),
+                    topology.out_degrees())
+    dst = topology.out_indices
+    symmetric = CsrTopology.from_arrays(
+        np.stack([np.concatenate([src, dst]), np.concatenate([dst, src])],
+                 axis=1),
+        machines=topology.machine_count, num_nodes=topology.n)
+    symmetric.node_ids = topology.node_ids
+    symmetric.index_of = topology.index_of
+    symmetric.machine = topology.machine
+    return symmetric

@@ -22,12 +22,15 @@ Two compute paths share this accounting, both in this process (the
 cluster's parallelism is charged on the simulated clock, never run on
 the host's cores: DESIGN.md §12):
 
-* the **per-vertex reference path**: a Python loop calling ``compute``
-  with ``list`` inboxes — the semantics of record;
-* the **vectorized fast path** (programs declaring a ``combiner``):
-  inboxes become one dense numpy value array plus a received-mask, and
-  programs implementing ``compute_batch`` run one numpy kernel per
-  machine on a :class:`~repro.compute.vertex.MachineBlock`.  Vertex
+* the **per-vertex reference path** (``_run_reference``): a Python loop
+  calling ``compute`` with ``list`` inboxes — the semantics of record,
+  and the path of every program without both batch kernels;
+* the **vectorized fast path** (``_run_fast``), for programs declaring a
+  ``combiner`` and implementing both ``init_batch`` and
+  ``compute_batch``: inboxes become one dense numpy value array plus a
+  received-mask, and each kernel runs once per machine on a
+  :class:`~repro.compute.vertex.MachineBlock`.  It has no per-vertex
+  loop.  Vertex
   state is kept in **compute order** — machine by machine, ascending
   dense id within a machine, the order the reference path runs — so
   machine *m* is one slice of every state array and a wholly active
@@ -138,6 +141,14 @@ def _combiner_identity(combiner: str, dtype: np.dtype):
         return dtype.type(np.inf if combiner == "min" else -np.inf)
     info = np.iinfo(dtype)
     return dtype.type(info.max if combiner == "min" else info.min)
+
+
+def _has_kernels(program: VertexProgram) -> bool:
+    """Whether ``program`` overrides both batch kernels — what the fast
+    path runs; every other program takes the reference path."""
+    kind = type(program)
+    return (kind.init_batch is not VertexProgram.init_batch
+            and kind.compute_batch is not VertexProgram.compute_batch)
 
 
 @dataclass(frozen=True)
@@ -254,7 +265,6 @@ class BspEngine:
         # The last send plan.  A pure function of its key: it outlives
         # runs and rollbacks and is no part of the checkpoint image.
         self._plan: _SendPlan | None = None
-        self._fast_mode = False
 
     # -- engine hooks used by ComputeContext --------------------------------
 
@@ -277,37 +287,20 @@ class BspEngine:
             # A cross-checked run also holds a restrictive program to
             # its word: every point-to-point send goes to an out-neighbor.
             self._check_restrictive(src, dst)
-        machine = self.topology.machine
-        if self._fast_mode:
-            self._fs_single_dst.append(self.slot_of(dst))
-            self._fs_single_val.append(value)
-            self._fs_single_pair.append(
-                int(machine[src]) * self.topology.machine_count
-                + int(machine[dst])
-            )
-            self._messages += 1
-            return
         self._next_inbox[dst].append(value)
         self._woken[dst] = True
         self._messages += 1
         # One dict lookup per message, not two.
+        machine = self.topology.machine
         entry = self._traffic[(int(machine[src]), int(machine[dst]))]
         entry[0] += 1
         entry[1] += program.message_bytes
 
     def enqueue_to_neighbors(self, src: int, value) -> None:
-        """Broadcast to out-neighbors (restrictive fast path)."""
+        """Broadcast to out-neighbors (restrictive model; hub-buffered
+        where eligible)."""
         program = self._program
         assert program is not None
-        if self._fast_mode:
-            slot = self.slot_of(src)
-            degree = int(self._fast.degrees[slot])
-            if not degree:
-                return
-            self._fs_bcast_src.append(slot)
-            self._fs_bcast_val.append(value)
-            self._messages += degree
-            return
         neighbors = self.topology.out_neighbors(src)
         if not len(neighbors):
             return
@@ -333,14 +326,9 @@ class BspEngine:
                 entry[0] += int(count)
                 entry[1] += int(count) * program.message_bytes
 
-    def halt(self, slot: int) -> None:
-        """Deactivate the vertex at ``slot`` of the state arrays."""
-        self._active[slot] = False
-
-    def slot_of(self, vertex: int) -> int:
-        """Where dense ``vertex`` sits in the state arrays: itself on the
-        reference path, its compute-order position on the fast path."""
-        return int(self._fast.rank[vertex]) if self._fast_mode else vertex
+    def halt(self, vertex: int) -> None:
+        """Deactivate ``vertex`` until a message wakes it."""
+        self._active[vertex] = False
 
     # -- engine hooks used by MachineBlock -----------------------------------
 
@@ -433,14 +421,16 @@ class BspEngine:
         synchronous computation, we make check points every a few
         supersteps") hooks in here.
 
-        Programs declaring a ``combiner`` run on the vectorized fast
+        Programs declaring a ``combiner`` and both batch kernels
+        (``init_batch``, ``compute_batch``) run on the vectorized fast
         path when ``vectorize`` is on (the default); with
         ``cross_check=True`` the per-vertex reference path is executed
         as well (against a throwaway network) and any divergence in
         values or accounting raises
-        :class:`~repro.errors.DivergenceError`; on either path it also
-        raises :class:`~repro.errors.ComputeError` when a restrictive
-        program sends to a vertex that is not an out-neighbor.
+        :class:`~repro.errors.DivergenceError`; it also raises
+        :class:`~repro.errors.ComputeError` when a restrictive program
+        sends to a vertex that is not an out-neighbor (a kernel's block
+        can only send to out-neighbors).
         """
         if max_supersteps < 1:
             raise ComputeError("max_supersteps must be >= 1")
@@ -461,12 +451,11 @@ class BspEngine:
             self.network.faults = self._injector
         try:
             if not (self.vectorize and combiner is not None
-                    and self.topology.n):
+                    and self.topology.n and _has_kernels(program)):
                 return self._run_reference(program, max_supersteps,
                                            initial_values, on_superstep)
             result = self._run_fast(program, max_supersteps, initial_values,
-                                    on_superstep,
-                                    use_batch=program.batch_eligible)
+                                    on_superstep)
             if self.cross_check:
                 self._run_cross_check(program, max_supersteps,
                                       initial_values, result)
@@ -475,7 +464,6 @@ class BspEngine:
             self.network.faults = prior_faults
             self._injector = None
             self._program = None
-            self._fast_mode = False
 
     # -- per-vertex reference path ------------------------------------------
 
@@ -483,7 +471,6 @@ class BspEngine:
                        initial_values, on_superstep) -> BspResult:
         topo = self.topology
         n = topo.n
-        self._fast_mode = False
         self._check_initial_values(initial_values, n)
         ctx = ComputeContext(self)
         machine_vertices = [topo.nodes_of_machine(m)
@@ -637,30 +624,16 @@ class BspEngine:
 
         One fold pass per send kind over the full superstep reproduces
         the reference enqueue order exactly: broadcasts first, then
-        per-edge sends, then general-model singles.  (A ``sum`` program
-        mixing send kinds in one superstep would see a different — still
-        deterministic — float association than the reference path; the
-        shipped programs each use a single kind per superstep.)"""
-        if self._fs_bcast_src:
-            self._flush_by_plan(np.array(self._fs_bcast_src, dtype=np.int64),
-                                self._fs_bcast_val, uniform=True)
+        per-edge sends.  (A ``sum`` program mixing send kinds in one
+        superstep would see a different — still deterministic — float
+        association than the reference path; the shipped programs each
+        use a single kind per superstep.)"""
         for sends, uniform in ((self._fs_bcast, True),
                                (self._fs_edge, False)):
             if sends:
                 senders, values = zip(*sends)
                 self._flush_by_plan(np.concatenate(senders),
                                     np.concatenate(values), uniform=uniform)
-        if self._fs_single_dst:
-            # General-model singles go to arbitrary vertices: there is no
-            # sender set to plan from.
-            dsts = np.array(self._fs_single_dst, dtype=np.int64)
-            values = np.asarray(self._fs_single_val, dtype=self._fs_dtype)
-            self._fold_into(dsts, values)
-            self._fs_next_received[dsts] = True
-            self._fs_pair_counts += np.bincount(
-                np.array(self._fs_single_pair, dtype=np.int64),
-                minlength=len(self._fs_pair_counts),
-            )
 
     def _fs_pair_items(self, message_bytes: int) -> list:
         """The superstep's traffic as sorted ((src, dst), (count, bytes))
@@ -682,14 +655,9 @@ class BspEngine:
         self._fs_next_received = np.zeros(n, dtype=bool)
         self._fs_pair_counts = np.zeros(self.topology.machine_count ** 2,
                                         dtype=np.int64)
-        self._fs_bcast_src: list[int] = []
-        self._fs_bcast_val: list = []
         # (sender positions, values) per block, by send kind
         self._fs_bcast: list[tuple[np.ndarray, np.ndarray]] = []
         self._fs_edge: list[tuple[np.ndarray, np.ndarray]] = []
-        self._fs_single_dst: list[int] = []
-        self._fs_single_val: list = []
-        self._fs_single_pair: list[int] = []
 
     def _open_block(self, machine: int, combined: np.ndarray,
                     received: np.ndarray) -> MachineBlock | None:
@@ -709,19 +677,15 @@ class BspEngine:
         if not isinstance(block._where, slice):
             self.values[block._where] = block.values
 
-    def _compute_machines(self, machines, combined, received,
-                          use_batch: bool):
-        """Run the fast-path kernels for the given machine ids.
+    def _compute_machines(self, machines, combined, received):
+        """Run ``compute_batch`` on each given machine's block.
 
-        Each machine's active vertices run ``compute_batch`` on their
-        block (or the per-vertex ``compute`` loop, bound to id and
-        position), collecting sends into the deferred buffers and
-        aggregates/halts/value writes into engine state.  Returns
-        ``(ran_total, costs)`` with per-machine ``(machine, ran_count,
-        degree_sum)`` tuples in iteration order.
+        Sends collect into the deferred buffers; aggregates, halts and
+        value writes land in engine state.  Returns ``(ran_total,
+        costs)`` with per-machine ``(machine, ran_count, degree_sum)``
+        tuples in iteration order.
         """
         program = self._program
-        ctx = self._fs_ctx
         batch_ctx = self._fs_batch_ctx
         ran_total = 0
         costs = []
@@ -729,16 +693,8 @@ class BspEngine:
             block = self._open_block(machine, combined, received)
             ran_count = degree_sum = 0
             if block is not None:
-                if use_batch:
-                    program.compute_batch(batch_ctx, block)
-                    self._close_block(block)
-                else:
-                    slots = block._positions(None).tolist()
-                    for slot, vertex in zip(slots, block.ids.tolist()):
-                        ctx._bind(vertex, slot)
-                        messages = ([combined[slot]]
-                                    if received[slot] else [])
-                        program.compute(ctx, vertex, messages)
+                program.compute_batch(batch_ctx, block)
+                self._close_block(block)
                 ran_count = len(block)
                 degree_sum = int(block.degrees.sum())
             costs.append((machine, ran_count, degree_sum))
@@ -746,7 +702,7 @@ class BspEngine:
         return ran_total, costs
 
     def _run_fast(self, program: VertexProgram, max_supersteps: int,
-                  initial_values, on_superstep, use_batch: bool) -> BspResult:
+                  initial_values, on_superstep) -> BspResult:
         topo = self.topology
         n = topo.n
         if self._fast is None:
@@ -754,14 +710,11 @@ class BspEngine:
         fast = self._fast
         dtype = np.dtype(program.value_dtype)
         identity = _combiner_identity(program.combiner, dtype)
-        self._fast_mode = True
         self._fs_combiner = program.combiner
         self._fs_dtype = dtype
         self._fs_identity = identity
         self._check_initial_values(initial_values, n)
-        ctx = ComputeContext(self)
         batch_ctx = BatchComputeContext(self)
-        self._fs_ctx = ctx
         self._fs_batch_ctx = batch_ctx
 
         def fresh_start() -> tuple[int, np.ndarray, np.ndarray]:
@@ -775,16 +728,11 @@ class BspEngine:
             self._active = np.ones(n, dtype=bool)
             combined = np.full(n, identity, dtype=dtype)
             received = np.zeros(n, dtype=bool)
-            if type(program).init_batch is not VertexProgram.init_batch:
-                for machine in range(topo.machine_count):
-                    block = self._open_block(machine, combined, received)
-                    if block is not None:
-                        program.init_batch(batch_ctx, block)
-                        self._close_block(block)
-            else:
-                for vertex, slot in enumerate(fast.rank.tolist()):
-                    ctx._bind(vertex, slot)
-                    program.init(ctx, vertex)
+            for machine in range(topo.machine_count):
+                block = self._open_block(machine, combined, received)
+                if block is not None:
+                    program.init_batch(batch_ctx, block)
+                    self._close_block(block)
             return 0, combined, received
 
         superstep, combined, received = fresh_start()
@@ -813,12 +761,11 @@ class BspEngine:
             with self._h_wall.time(), \
                     self.tracer.span("bsp.superstep",
                                      superstep=superstep) as span:
-                ctx.superstep = superstep
                 batch_ctx.superstep = superstep
                 round_ = ParallelRound(self.network)
                 self._reset_send_buffers()
                 ran_total, machine_costs = self._compute_machines(
-                    range(topo.machine_count), combined, received, use_batch
+                    range(topo.machine_count), combined, received
                 )
                 self._flush_deferred_sends()
                 for machine, ran_count, degree_sum in machine_costs:
@@ -839,7 +786,7 @@ class BspEngine:
             self._active |= self._fs_next_received
             self.aggregators = self.aggregators_next
             self.aggregators_next = {}
-            program.after_superstep(batch_ctx if use_batch else ctx)
+            program.after_superstep(batch_ctx)
 
             result.supersteps.append(SuperstepReport(
                 superstep=superstep,

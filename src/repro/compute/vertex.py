@@ -19,11 +19,12 @@ Two execution paths consume a program (see ``repro.compute.bsp``):
 * the **per-vertex reference path** calls :meth:`VertexProgram.compute`
   once per active vertex with a Python list inbox — the semantics both
   paths must agree on;
-* the **vectorized fast path** activates when the program declares a
-  :attr:`VertexProgram.combiner`.  Messages are then folded, at the
-  barrier, into a dense numpy value array plus a received-mask, and
-  programs that additionally implement
-  :meth:`VertexProgram.compute_batch` run one numpy kernel per machine.
+* the **vectorized fast path** runs a program that declares a
+  :attr:`VertexProgram.combiner` and implements both
+  :meth:`VertexProgram.init_batch` and :meth:`VertexProgram.compute_batch`
+  (any other program takes the reference path).  Messages are folded,
+  at the barrier, into a dense numpy value array plus a received-mask,
+  and each kernel runs once per machine.
   Each kernel call gets a :class:`MachineBlock`: the machine's running
   vertices with their values, folded inboxes and out-degrees, plus the
   sends and halts that reach those vertices only.  The engine keeps its
@@ -75,9 +76,10 @@ class VertexProgram:
     the barrier — the GraphD-style optimisation that removes per-message
     Python objects entirely.
     Requires numeric messages/values (see ``value_dtype``), and the
-    program must initialise every vertex's value in ``init``/
+    program must initialise every vertex's value in ``init`` and
     ``init_batch`` (the dense array defaults untouched vertices to zero,
-    where the reference path would leave ``None``)."""
+    where the reference path would leave ``None``).  Only programs that
+    also implement both batch kernels run on the fast path."""
 
     value_dtype = np.float64
     """Numpy dtype for the dense value/combined arrays used by the
@@ -92,8 +94,9 @@ class VertexProgram:
                    block: "MachineBlock") -> None:
         """Vectorized initialisation of one machine: fill ``block.values``.
 
-        Optional.  When overridden, the fast path calls it once per
-        machine instead of looping :meth:`init` over every vertex.  Must
+        Optional; the fast path needs it and :meth:`compute_batch` both.
+        Called once per machine before superstep 0, with ``block.values``
+        holding the caller's ``initial_values`` (zeros by default).  Must
         leave values identical to what the per-vertex :meth:`init` loop
         would."""
         raise NotImplementedError
@@ -107,8 +110,9 @@ class VertexProgram:
                       block: "MachineBlock") -> None:
         """Vectorized superstep kernel over one machine's running vertices.
 
-        Optional; requires ``combiner``.  ``block`` holds the vertices of
-        one machine that run this superstep (see :class:`MachineBlock`):
+        Optional; requires ``combiner`` and :meth:`init_batch`.
+        ``block`` holds the vertices of one machine that run this
+        superstep (see :class:`MachineBlock`):
         their ids, values (writable), folded inboxes (the combiner's
         identity where nothing arrived), received flags and out-degrees.
         The kernel reads and writes ``block.values``, sends and halts
@@ -116,14 +120,6 @@ class VertexProgram:
         must match :meth:`compute` exactly — the engine's ``cross_check``
         flag and the equivalence tests enforce it."""
         raise NotImplementedError
-
-    @property
-    def batch_eligible(self) -> bool:
-        """Whether the engine may use :meth:`compute_batch` for this
-        program instance.  Defaults to "the subclass overrides it";
-        programs can veto per-instance (e.g. SSSP with a weights mapping
-        the kernel cannot vectorize)."""
-        return type(self).compute_batch is not VertexProgram.compute_batch
 
     def after_superstep(self, ctx) -> None:
         """Called once per superstep after the barrier (aggregation etc.)."""
@@ -149,16 +145,13 @@ class ComputeContext(_AggregatorMixin):
     """Per-superstep view handed to :meth:`VertexProgram.compute`.
 
     Created by the engine; exposes topology, messaging and aggregation.
-    The context is bound to one vertex at a time: ``_current`` is its
-    dense id, ``_slot`` its index into the engine's state arrays (the
-    same on the reference path; its compute-order position on the fast
-    path).
+    The context is bound to one vertex at a time, ``_current``, a dense
+    id.
     """
 
     def __init__(self, engine):
         self._engine = engine
         self._current = -1
-        self._slot = -1
         self.superstep = 0
 
     # -- topology ------------------------------------------------------------
@@ -191,19 +184,19 @@ class ComputeContext(_AggregatorMixin):
     # -- state ---------------------------------------------------------------
 
     def get_value(self, vertex: int):
-        return self._engine.values[self._engine.slot_of(vertex)]
+        return self._engine.values[vertex]
 
     def set_value(self, vertex: int, value) -> None:
-        self._engine.values[self._engine.slot_of(vertex)] = value
+        self._engine.values[vertex] = value
 
     @property
     def value(self):
         """Value of the vertex currently being computed."""
-        return self._engine.values[self._slot]
+        return self._engine.values[self._current]
 
     @value.setter
     def value(self, new_value) -> None:
-        self._engine.values[self._slot] = new_value
+        self._engine.values[self._current] = new_value
 
     # -- messaging ---------------------------------------------------------
 
@@ -222,15 +215,14 @@ class ComputeContext(_AggregatorMixin):
 
     def vote_to_halt(self) -> None:
         """Deactivate the current vertex until a message wakes it."""
-        self._engine.halt(self._slot)
+        self._engine.halt(self._current)
 
     # -- internal ------------------------------------------------------------
 
-    def _bind(self, vertex: int, slot: int | None = None) -> None:
+    def _bind(self, vertex: int) -> None:
         if vertex < 0 or vertex >= self._engine.topology.n:
             raise ComputeError(f"vertex index {vertex} out of range")
         self._current = vertex
-        self._slot = vertex if slot is None else slot
 
 
 class BatchComputeContext(_AggregatorMixin):

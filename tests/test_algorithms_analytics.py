@@ -1,7 +1,8 @@
 """Tests for offline analytics: PageRank, BFS, SSSP, WCC.
 
-Cross-validates three ways: vectorised runner vs networkx reference vs
-the vertex-centric BSP engine.
+Each entry point is one BSP engine run of its vertex program.  The
+answers are checked against networkx, and a cross-checked engine run of
+the same program holds the kernel path to the per-vertex reference path.
 """
 
 import numpy as np
@@ -11,9 +12,18 @@ from repro.algorithms import (
     BfsProgram, PageRankProgram, SsspProgram, WccProgram,
     bfs, pagerank, sssp, wcc,
 )
-from repro.algorithms._traffic import TrafficModel
 from repro.compute import BspEngine
 from repro.errors import ComputeError
+from repro.net import SimNetwork
+from repro.obs import MetricsRegistry
+
+
+def recorded_pagerank(topology, iterations):
+    """A :func:`pagerank` run and its private network's per-superstep
+    message histogram."""
+    network = SimNetwork(registry=MetricsRegistry())
+    run = pagerank(topology, iterations=iterations, network=network)
+    return run, network.obs.histogram("bsp.superstep.messages")
 
 
 class TestPageRank:
@@ -33,25 +43,35 @@ class TestPageRank:
         assert np.abs(ours - theirs).max() < 1e-6
 
     def test_vertex_engine_agrees_with_vectorised(self, rmat_topology):
-        vectorised = pagerank(rmat_topology, iterations=10)
-        engine = BspEngine(rmat_topology)
-        program = PageRankProgram(iterations=10)
-        result = engine.run(program, max_supersteps=12)
-        engine_ranks = np.array(result.values)
-        assert np.abs(engine_ranks - vectorised.ranks).max() < 1e-9
+        # A cross-checked run also runs the per-vertex reference path and
+        # requires bit-identical ranks and accounting.
+        run = pagerank(rmat_topology, iterations=10)
+        engine = BspEngine(rmat_topology, cross_check=True)
+        result = engine.run(PageRankProgram(iterations=10),
+                            max_supersteps=12)
+        assert np.array_equal(result.values, run.ranks)
+        assert [step.elapsed for step in result.supersteps] == (
+            run.iteration_times)
 
     def test_iteration_times_recorded(self, rmat_topology):
-        run = pagerank(rmat_topology, iterations=7)
-        assert len(run.iteration_times) == 7
+        run, messages = recorded_pagerank(rmat_topology, iterations=7)
+        # Seven broadcasts, then the final apply, which sends nothing.
+        assert len(run.iteration_times) == 8
+        assert messages.count == 8
+        assert messages.total == 7 * rmat_topology.num_edges
+        assert messages.min == 0
         assert run.time_per_iteration > 0
         assert run.elapsed == pytest.approx(sum(run.iteration_times))
 
     def test_constant_traffic_per_iteration(self, rmat_topology):
-        run = pagerank(rmat_topology, iterations=5)
-        # Full-broadcast pattern: every iteration costs the same.
-        assert max(run.iteration_times) == pytest.approx(
-            min(run.iteration_times)
-        )
+        run, messages = recorded_pagerank(rmat_topology, iterations=5)
+        # Full-broadcast pattern: every iteration costs the same; the
+        # final apply has no messages to pay for.
+        broadcasts, final = run.iteration_times[:5], run.iteration_times[5]
+        assert len(run.iteration_times) == 6
+        assert max(broadcasts) == pytest.approx(min(broadcasts))
+        assert messages.min == 0
+        assert final < min(broadcasts)
 
     def test_dangling_mass_redistributed(self, cloud):
         from repro.graph import CsrTopology, GraphBuilder, plain_graph_schema
@@ -85,10 +105,12 @@ class TestBfs:
             assert run.levels[vertex] == reference.get(vertex, -1)
 
     def test_vertex_engine_agrees(self, rmat_topology):
-        vectorised = bfs(rmat_topology, 0)
-        engine = BspEngine(rmat_topology)
+        run = bfs(rmat_topology, 0)
+        engine = BspEngine(rmat_topology, cross_check=True)
         result = engine.run(BfsProgram(0), max_supersteps=60)
-        assert np.array_equal(np.array(result.values), vectorised.levels)
+        assert np.array_equal(result.values, run.levels)
+        assert [step.elapsed for step in result.supersteps] == (
+            run.level_times)
 
     def test_root_level_zero(self, rmat_topology):
         run = bfs(rmat_topology, 5)
@@ -149,12 +171,10 @@ class TestSssp:
             assert run.distances[vertex] == pytest.approx(expected)
 
     def test_vertex_engine_agrees(self, rmat_topology):
-        engine = BspEngine(rmat_topology)
+        engine = BspEngine(rmat_topology, cross_check=True)
         result = engine.run(SsspProgram(0), max_supersteps=80)
-        vectorised = sssp(rmat_topology, 0)
-        assert np.allclose(
-            np.array(result.values), vectorised.distances, equal_nan=False,
-        )
+        run = sssp(rmat_topology, 0)
+        assert np.array_equal(result.values, run.distances)
 
     def test_negative_weights_rejected(self, rmat_topology):
         weights = np.full(rmat_topology.num_edges, -1.0)
@@ -180,7 +200,7 @@ class TestWcc:
 
     def test_vertex_engine_agrees_on_undirected(self, undirected_topology):
         run = wcc(undirected_topology)
-        engine = BspEngine(undirected_topology)
+        engine = BspEngine(undirected_topology, cross_check=True)
         result = engine.run(WccProgram(), max_supersteps=80)
         # On an undirected (symmetrised) topology the vertex program's
         # out-neighbor propagation equals weak connectivity.
@@ -207,30 +227,33 @@ class TestWcc:
 
 
 class TestTrafficModel:
+    """A superstep's wire traffic is the topology's per-vertex fan-out
+    rows summed by machine pair (``CsrTopology.pair_traffic``)."""
+
+    @staticmethod
+    def full(topology, fanout):
+        return topology.pair_traffic(np.arange(topology.n), fanout)
+
     def test_full_broadcast_counts_every_edge_at_most_once(self,
                                                            rmat_topology):
-        model = TrafficModel(rmat_topology, hub_buffering=False)
-        counts = model.full_broadcast_traffic()
+        counts = self.full(rmat_topology, rmat_topology.machine_fanout)
         assert counts.sum() == rmat_topology.num_edges
 
     def test_hub_buffering_reduces_counts(self, rmat_topology):
-        plain = TrafficModel(rmat_topology, hub_buffering=False)
-        buffered = TrafficModel(rmat_topology, hub_buffering=True,
-                                hub_fraction=0.02)
-        assert (buffered.full_broadcast_traffic().sum()
-                < plain.full_broadcast_traffic().sum())
+        plain = self.full(rmat_topology, rmat_topology.machine_fanout)
+        buffered = self.full(rmat_topology, rmat_topology.hub_fanout(
+            rmat_topology.hub_threshold(0.02)))
+        assert buffered.sum() < plain.sum()
 
     def test_frontier_traffic_subset_of_full(self, rmat_topology):
-        model = TrafficModel(rmat_topology, hub_buffering=False)
-        frontier = np.zeros(rmat_topology.n, dtype=bool)
-        frontier[:50] = True
-        partial = model.frontier_traffic(frontier)
-        full = model.full_broadcast_traffic()
-        assert (partial <= full).all()
+        fanout = rmat_topology.machine_fanout
+        partial = rmat_topology.pair_traffic(np.arange(50), fanout)
+        assert (partial <= self.full(rmat_topology, fanout)).all()
 
     def test_agrees_with_bsp_engine_accounting(self, rmat_topology):
-        """The analytic traffic model and the message-routing engine must
-        count the same number of wire messages for a full broadcast."""
+        """The fan-out table and the per-vertex path's message routing
+        must count the same number of wire messages for a full
+        broadcast."""
         from repro.compute import VertexProgram
 
         class Broadcast(VertexProgram):
@@ -245,14 +268,15 @@ class TestTrafficModel:
         engine = BspEngine(rmat_topology, hub_buffering=True,
                            hub_fraction=0.02)
         result = engine.run(Broadcast(), max_supersteps=3)
-        model = TrafficModel(rmat_topology, hub_buffering=True,
-                             hub_fraction=0.02)
-        counts = model.full_broadcast_traffic().reshape(
+        counts = self.full(rmat_topology, rmat_topology.hub_fanout(
+            rmat_topology.hub_threshold(0.02))).reshape(
             rmat_topology.machine_count, rmat_topology.machine_count
         )
         remote = int(counts.sum() - np.trace(counts))
         assert result.supersteps[0].remote_transfers == remote
 
     def test_remote_fraction_in_unit_range(self, rmat_topology):
-        model = TrafficModel(rmat_topology)
-        assert 0.0 < model.remote_fraction() < 1.0
+        machines = rmat_topology.machine_count
+        counts = self.full(rmat_topology, rmat_topology.machine_fanout
+                           ).reshape(machines, machines)
+        assert 0.0 < 1.0 - np.trace(counts) / counts.sum() < 1.0

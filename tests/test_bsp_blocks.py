@@ -34,7 +34,7 @@ class Probe(VertexProgram):
     choices depend on ``block.ids``, it sends along edges with per-edge
     weights, halts half of its vertices each superstep (so later blocks
     are gathers) and sums an aggregator.  Its values start from the
-    caller's ``initial_values``, through the per-vertex ``init``."""
+    caller's ``initial_values``, plus the vertex id."""
 
     restrictive = True
     uniform_messages = False
@@ -46,6 +46,9 @@ class Probe(VertexProgram):
 
     def init(self, ctx, vertex):
         ctx.set_value(vertex, ctx.get_value(vertex) + vertex)
+
+    def init_batch(self, ctx, block):
+        block.values += block.ids
 
     def compute(self, ctx, vertex, messages):
         if messages:
@@ -77,10 +80,11 @@ class Probe(VertexProgram):
 
 
 class ScalarProbe(Probe):
-    """:class:`Probe` without its kernel: the fast path's per-vertex
-    loop over the combined inbox."""
+    """:class:`Probe` without its kernels: a combiner program that takes
+    the reference path on a vectorizing engine too."""
 
-    batch_eligible = False
+    init_batch = VertexProgram.init_batch
+    compute_batch = VertexProgram.compute_batch
 
 
 def placed_topology(edges, n: int, placement,
@@ -241,6 +245,9 @@ def test_a_send_reads_its_values_at_the_call():
 
         def init(self, ctx, vertex):
             ctx.set_value(vertex, 1.0 + vertex)
+
+        def init_batch(self, ctx, block):
+            block.values[:] = 1.0 + block.ids
 
         def compute(self, ctx, vertex, messages):
             ctx.value = ctx.value + sum(messages)

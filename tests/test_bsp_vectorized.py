@@ -90,16 +90,22 @@ def test_weighted_sssp_equivalence(rmat_topology):
     _assert_equivalent(fast, reference)
 
 
-def test_dict_weight_sssp_vetoes_batch_but_still_vectorizes(er_topology):
-    """A (src, dst) weights dict can't be gathered vectorially: the
-    instance falls back to per-vertex compute over the combined inbox,
-    which must still match the reference path exactly."""
-    weights = {(0, int(d)): 3.0 for d in er_topology.out_neighbors(0)}
-    assert not SsspProgram(root=0, weights=weights).batch_eligible
-    fast, reference = _run_both(
-        er_topology, lambda: SsspProgram(root=0, weights=weights)
-    )
-    _assert_equivalent(fast, reference)
+def test_a_program_without_both_kernels_takes_the_reference_path(
+        er_topology):
+    """The fast path runs kernels only: a combiner program missing
+    ``init_batch`` runs per vertex, with plain-list values, and gives the
+    kernel path's answer."""
+
+    class NoInitKernel(BfsProgram):
+        init_batch = VertexProgram.init_batch
+
+    engine = BspEngine(er_topology,
+                       network=SimNetwork(registry=MetricsRegistry()))
+    result = engine.run(NoInitKernel(root=0))
+    assert isinstance(result.values, list)
+    fast, _ = _run_both(er_topology, lambda: BfsProgram(root=0))
+    assert isinstance(fast.values, np.ndarray)
+    _assert_equivalent(fast, result)
 
 
 def test_pagerank_dangling_aggregator_matches(er_topology):

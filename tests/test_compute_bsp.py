@@ -111,10 +111,11 @@ class TestEngineBasics:
         with pytest.raises(ComputeError, match="non-neighbor"):
             engine.run(Cheater(), max_supersteps=2)
 
-    def test_restrictive_violation_detected_on_fast_path(self,
-                                                         rmat_topology):
-        # A combiner sends the run down the vectorized path; the
-        # cross-checked engine holds it to the same rule.
+    def test_restrictive_violation_detected_with_a_combiner(self,
+                                                            rmat_topology):
+        # A combiner without batch kernels runs per vertex on a
+        # vectorizing engine too; the cross-checked engine holds it to
+        # the same rule.
         engine = BspEngine(rmat_topology, cross_check=True)
 
         class Cheater(VertexProgram):

@@ -32,10 +32,22 @@ class TestTriangles:
         assert run.count == expected
 
     def test_vertex_program_agrees(self, triangle_topology):
-        vectorised = count_triangles(triangle_topology)
-        engine = BspEngine(triangle_topology)
+        # A cross-checked run holds every send to an out-neighbor; the
+        # per-vertex counts must equal a merge over sorted higher-id
+        # adjacency, each triangle credited to its middle vertex.
+        engine = BspEngine(triangle_topology, cross_check=True)
         result = engine.run(TriangleProgram(), max_supersteps=4)
-        assert result.aggregators.get("triangles", 0.0) == vectorised.count
+        higher = []
+        for vertex in range(triangle_topology.n):
+            neighbors = set(triangle_topology.out_neighbors(vertex).tolist())
+            higher.append({v for v in neighbors if v > vertex})
+        expected = [0] * triangle_topology.n
+        for low in range(triangle_topology.n):
+            for middle in higher[low]:
+                expected[middle] += len(higher[low] & higher[middle])
+        assert result.values == expected
+        assert result.aggregators.get("triangles", 0.0) == sum(expected)
+        assert count_triangles(triangle_topology).count == sum(expected)
 
     def test_per_vertex_sums_to_total(self, triangle_topology):
         run = count_triangles(triangle_topology)
