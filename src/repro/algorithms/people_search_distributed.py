@@ -19,8 +19,8 @@ scalar dedup beside every hop (:func:`repro.oracle.shadow`);
 ``_client_scalar``, the whole per-node client, is what tests compare with.
 
 Used by the integration tests to prove the fast-path implementation and
-the protocol implementation agree, and by the examples to show the TSL
-protocol workflow end to end.
+the protocol implementation agree.  No example, figure bench or spine
+workload runs it (DESIGN.md §19's reach table).
 """
 
 from __future__ import annotations

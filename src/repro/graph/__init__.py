@@ -30,7 +30,6 @@ from .model import (
 from .builder import GraphBuilder
 from .api import Graph
 from .csr import CsrTopology
-from .reencode import LayoutReencoder, ReencodeReport
 from .weighted import WeightedGraph, WeightedGraphBuilder, weighted_graph_schema
 from .rich import HyperGraph, HyperGraphBuilder, RichGraph, RichGraphBuilder
 
@@ -43,8 +42,6 @@ __all__ = [
     "GraphBuilder",
     "Graph",
     "CsrTopology",
-    "LayoutReencoder",
-    "ReencodeReport",
     "WeightedGraph",
     "WeightedGraphBuilder",
     "weighted_graph_schema",

@@ -212,21 +212,6 @@ class MemoryCloud:
         if self._shadow is not None:
             self._shadow.remove(cell_id)
 
-    def reencode_cell(self, cell_id: int, expected: bytes,
-                      replacement: bytes) -> bool:
-        """Compare-and-swap a cell's bytes through its trunk's CAS.
-
-        The layout re-encoder's write primitive: applied only if the cell
-        still byte-equals ``expected`` and is not locked by an accessor.
-        A shadow replica (if any) mirrors the swap only when the primary
-        applied it, so both stay byte-identical.
-        """
-        applied = self.trunk_for(cell_id).reencode_cell(
-            cell_id, expected, replacement)
-        if applied and self._shadow is not None:
-            self._shadow.put(cell_id, replacement)
-        return applied
-
     def contains(self, cell_id: int) -> bool:
         if self._shadow is not None:
             self._shadow.contains(cell_id)
@@ -271,9 +256,13 @@ class MemoryCloud:
 
     def note_cell_write(self, cell_id: int) -> None:
         """Bump the owning trunk's epoch after an in-place arena write
-        (the cell-accessor fixed-field path, which never calls put)."""
-        self.trunk_for(cell_id).touch()
+        (the cell-accessor fixed-field path, which never calls put).  A
+        shadow replica gets the same bytes written in place."""
+        trunk = self.trunk_for(cell_id)
+        trunk.touch()
         if self._shadow is not None:
+            with self._shadow.pin(cell_id) as view:
+                view[:] = trunk.get(cell_id)
             self._shadow.note_cell_write(cell_id)
 
     __contains__ = contains

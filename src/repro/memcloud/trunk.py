@@ -167,13 +167,6 @@ class MemoryTrunk:
         self._m_defrag_abort = obs.counter("trunk.defrag.aborted", **label)
         self._m_reloc = obs.counter("trunk.relocations.total", **label)
         self._m_inplace = obs.counter("trunk.resize.inplace.total", **label)
-        self._m_layout_migrated = obs.counter("trunk.layout.migrated",
-                                              **label)
-        self._m_layout_skipped = obs.counter("trunk.layout.skipped", **label)
-        self._m_layout_before = obs.counter("trunk.layout.bytes_before",
-                                            **label)
-        self._m_layout_after = obs.counter("trunk.layout.bytes_after",
-                                           **label)
         self._g_garbage = obs.gauge("trunk.garbage.bytes", **label)
         self._g_util = obs.gauge("trunk.utilization", **label)
 
@@ -212,46 +205,6 @@ class MemoryTrunk:
             slot = self._require(uid)
             offset = self._offset_view[slot]
             return self._storage.read(offset, offset + self._size_view[slot])
-
-    def reencode_cell(self, uid: int, expected: bytes,
-                      replacement: bytes) -> bool:
-        """Compare-and-swap a cell's bytes (the layout re-encoder's CAS).
-
-        Replaces the cell's payload with ``replacement`` only if it still
-        byte-equals ``expected`` *and* no accessor currently holds its
-        spin lock.  The swap goes through the normal :meth:`_update`
-        mutation path, so the mutation epoch bumps, outstanding zero-copy
-        spans go stale, and epoch-keyed serve caches invalidate — a
-        migrated cell can never serve a stale answer.  Returns whether
-        the swap was applied; a ``False`` means the cell changed (or is
-        busy) since the caller encoded ``replacement``, and the caller
-        simply retries on a later pass.
-        """
-        with self._mutex:
-            slot = self._index.get(uid)
-            if slot is None:
-                self._m_layout_skipped.inc()
-                return False
-            lock = self._cell_lock(slot)
-            if not lock.try_acquire():
-                # An accessor is mid-mutation on this cell: its exit
-                # write supersedes whatever we encoded.  Skip, don't spin.
-                self._m_layout_skipped.inc()
-                return False
-            # Safe to release before _update re-acquires: handing out a
-            # cell lock requires this mutex (lock_of), which we hold.
-            lock.release()
-            offset = self._offset_view[slot]
-            size_before = self._size_view[slot]
-            current = self._storage.read(offset, offset + size_before)
-            if bytes(current) != bytes(expected):
-                self._m_layout_skipped.inc()
-                return False
-            self._update(uid, slot, replacement)
-            self._m_layout_migrated.inc()
-            self._m_layout_before.inc(size_before)
-            self._m_layout_after.inc(len(replacement))
-            return True
 
     # -- bulk fast path ------------------------------------------------------
 

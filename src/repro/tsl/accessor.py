@@ -24,10 +24,14 @@ Usage mirrors the paper's ``using(var cell = UseMyCellAccessor(cellId))``::
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import CellNotFoundError, TslTypeError
 from ..utils.varint import decode_varint, encode_varint
-from .layout import LAYOUT_RAW
+from .layout import LAYOUT_RAW, encode_adjacency
 from .types import AdjacencyListType, ListType, StructType, TslType
+
+_INT64 = np.dtype("<i8")
 
 _INTERNALS = frozenset({
     "_cloud", "_cell_id", "_struct", "_lock", "_view", "_buf", "_dirty",
@@ -187,14 +191,14 @@ class ListAccessor:
     operations (append, assignment of variable-size elements) go through
     the parent accessor's rebuild path.
 
-    Adjacency fields add a layout dimension: a cell stored under
-    ``LAYOUT_RAW`` keeps every in-place fast path below, while a cell
-    whose list is delta- or bitmap-encoded decodes through the codec and
-    rewrites the whole field on mutation — *preserving* its stored
-    layout when the new contents remain eligible (falling back to raw
-    otherwise), never re-running the policy.  Observed degree therefore
-    drifts across policy boundaries without the bytes following; the
-    layout re-encoder daemon is what migrates such cells later.
+    An adjacency field's writes choose its layout.  While a raw list's
+    result stays shorter than its policy's ``min_consider_degree`` the
+    policy can only say raw, so the raw splice and in-place paths below
+    serve it.  Any other write takes the list as one int64 array,
+    applies the change and encodes the result once under the type's
+    policy (:func:`~repro.tsl.layout.encode_adjacency`, the encoder of
+    the bulk load and of :meth:`CellAccessor.set`).  A cell's stored
+    layout is therefore its policy's choice as of its last write.
     """
 
     def __init__(self, parent: CellAccessor, field_name: str,
@@ -244,12 +248,28 @@ class ListAccessor:
         values, _ = self._type.decode(buf, start)
         return values
 
-    def _rewrite(self, values: list, tag: int) -> None:
-        """Re-encode the whole field, keeping ``tag`` while eligible."""
-        encoded = self._type.encode_with_layout(values, tag)
-        if encoded is None:
-            encoded = self._type.encode_with_layout(values, LAYOUT_RAW)
-        self._parent._splice_field(self._field, self._type, encoded)
+    def _keeps_raw(self, tag: int, result_count: int) -> bool:
+        """Whether a write leaving ``result_count`` elements stays on the
+        raw paths: always for a plain list; for an adjacency list only
+        while it is stored raw and too short for a codec."""
+        if not isinstance(self._type, AdjacencyListType):
+            return True
+        return (tag == LAYOUT_RAW
+                and result_count < self._type.policy.min_consider_degree)
+
+    def _as_array(self, buf, count: int, data_start: int,
+                  tag: int) -> np.ndarray:
+        """The adjacency list as one writable int64 array."""
+        if tag == LAYOUT_RAW:
+            return np.frombuffer(buf[data_start:data_start + 8 * count],
+                                 dtype=_INT64).copy()
+        return np.asarray(self._decoded(), dtype=_INT64)
+
+    def _encode(self, values: np.ndarray) -> None:
+        """Store the adjacency list as ``values`` under its policy."""
+        self._parent._splice_field(
+            self._field, self._type,
+            encode_adjacency(values, self._type.policy))
 
     def __getitem__(self, index: int):
         buf, count, data_start, tag = self._bounds()
@@ -261,14 +281,12 @@ class ListAccessor:
 
     def __setitem__(self, index: int, value) -> None:
         buf, count, data_start, tag = self._bounds()
-        if tag != LAYOUT_RAW:
-            # Encode first so type errors surface exactly as they would on
-            # the raw path, then round-trip to the canonical Python value.
+        if not self._keeps_raw(tag, count):
+            index = self._normalize_index(index, count)
             encoded_element = self._type.element.encode(value)
-            values = self._decoded()
-            values[self._normalize_index(index, count)] = (
-                self._type.element.decode(encoded_element, 0)[0])
-            self._rewrite(values, tag)
+            values = self._as_array(buf, count, data_start, tag)
+            values[index] = np.frombuffer(encoded_element, dtype=_INT64)[0]
+            self._encode(values)
             return
         offset = self._element_offset(buf, index, count, data_start)
         element = self._type.element
@@ -300,10 +318,10 @@ class ListAccessor:
     def append(self, value) -> None:
         buf, count, data_start, tag = self._bounds()
         encoded_element = self._type.element.encode(value)
-        if tag != LAYOUT_RAW:
-            values = self._decoded()
-            values.append(self._type.element.decode(encoded_element, 0)[0])
-            self._rewrite(values, tag)
+        if not self._keeps_raw(tag, count + 1):
+            values = self._as_array(buf, count, data_start, tag)
+            self._encode(np.append(
+                values, np.frombuffer(encoded_element, dtype=_INT64)))
             return
         start = self._parent._offset_of(self._field)
         end = self._type.skip(buf, start)

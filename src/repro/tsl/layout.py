@@ -29,7 +29,10 @@ Tag 3 is reserved and decodes to a :class:`SchemaMismatchError`.
 Selection is deterministic and *shared*: the scalar encoder is a
 single-list call into the same vectorized segment encoder the bulk
 loader uses, so ``cross_check=True`` holds bit-identically across every
-layout mix by construction.  Ties in exact encoded size prefer the lower
+layout mix by construction.  Every write goes through it — the bulk
+load, a whole-field ``set`` and the accessor's ``append`` and
+``__setitem__`` — so a cell's stored layout is its policy's choice as
+of that cell's last write.  Ties in exact encoded size prefer the lower
 tag.  The segment encoder takes its lists back to back — one flat array
 and a count per list — so every per-list statistic is one ``reduceat``
 over the non-empty lists' starts.
@@ -337,46 +340,6 @@ def encode_adjacency(values: np.ndarray,
         values, np.array([count], dtype=np.int64), policy)
     return b"".join(source.tobytes() for source in sources
                     if source is not None)
-
-
-def encode_adjacency_with_tag(values, tag: int) -> bytes | None:
-    """Encode one list under a *forced* layout; ``None`` if ineligible.
-
-    Structural eligibility only (no degree thresholds): the accessor's
-    mutation path uses this to preserve a cell's stored layout across
-    appends and element writes — which is exactly how observed degree
-    drifts across a policy boundary without the bytes following, the
-    drift the re-encoder daemon exists to repair.
-    """
-    arr = np.ascontiguousarray(list(values), dtype=_INT64)
-    count = len(arr)
-    header = encode_varint((count << 2) | tag)
-    if tag == LAYOUT_RAW:
-        return header + arr.tobytes()
-    if tag == LAYOUT_DELTA_VARINT:
-        if count and int(arr.min()) < 0:
-            return None
-        deltas = np.empty(count, dtype=np.int64)
-        if count:
-            deltas[0] = arr[0]
-            np.subtract(arr[1:], arr[:-1], out=deltas[1:])
-        zigzag = ((deltas << 1) ^ (deltas >> 63)).view(np.uint64)
-        stream, _ = encode_varints(zigzag)
-        payload = stream.tobytes()
-        return header + encode_varint(len(payload)) + payload
-    if tag == LAYOUT_BITMAP:
-        if not count or int(arr[0]) < 0:
-            return None
-        if count > 1 and not bool(np.all(np.diff(arr) > 0)):
-            return None
-        base = int(arr[0])
-        span = int(arr[-1]) - base + 1
-        nbytes = (span + 7) // 8
-        bits = np.zeros(nbytes * 8, dtype=np.uint8)
-        bits[arr - base] = 1
-        payload = np.packbits(bits, bitorder="little").tobytes()
-        return header + encode_varint(base) + encode_varint(nbytes) + payload
-    raise ValueError(f"unknown adjacency layout tag {tag}")
 
 
 # ---------------------------------------------------------------------------

@@ -262,11 +262,6 @@ class AdjacencyListType(ListType):
         header, _ = decode_varint(buf, offset)
         return header & 3
 
-    def encode_with_layout(self, value, tag: int) -> bytes | None:
-        """Re-encode under a forced tag; ``None`` when ineligible."""
-        from . import layout
-        return layout.encode_adjacency_with_tag(value, tag)
-
 
 class BitArrayType(TslType):
     """``BitArray``: varint bit count + packed little-endian bit bytes."""

@@ -1,22 +1,33 @@
-"""Tests for the background layout re-encoder (graph/reencode.py).
+"""Layout re-encoding on write: a cell's adjacency is encoded under the
+policy installed on its schema whenever the cell is written.
 
-The invariants under test: a migration goes through the trunk's normal
-mutation path (epoch bump → span invalidation → cache invalidation), so
-concurrent serving can observe a ``StaleSpanError`` and retry but never
-a stale or wrong answer; migrations are CAS-guarded so a racing writer
-wins; and layout tags survive a checkpoint on both storage tiers.
+Nothing re-encodes a cell in the background.  A cell whose tag is not
+the current policy's choice (written under another policy, or restored
+from a checkpoint taken under one) keeps its tag until its next write,
+and that write re-chooses.  The invariants under test: such a write goes
+through the normal mutation path (epoch bump, span invalidation) and
+answers bit-identically, concurrent cross-checked readers see a correct
+answer or a ``StaleSpanError`` and never a wrong one, and layout tags
+survive a checkpoint on both storage tiers.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.config import ClusterConfig, MemoryParams
 from repro.errors import StaleSpanError
-from repro.graph import Graph, GraphBuilder, LayoutReencoder, plain_graph_schema
+from repro.graph import Graph, GraphBuilder, plain_graph_schema
 from repro.memcloud import MemoryCloud
 from repro.memcloud.persistence import adopt_trunk_image, trunk_to_bytes
 from repro.tsl import LAYOUT_DELTA_VARINT, LAYOUT_RAW
-from repro.tsl.layout import DEFAULT_LAYOUT_POLICY, RAW_ONLY_POLICY
+from repro.tsl.layout import (
+    DEFAULT_LAYOUT_POLICY,
+    RAW_ONLY_POLICY,
+    install_layout_policy,
+)
 
 
 def build_graph(policy="raw", storage="resident", nodes=60, seed=7):
@@ -46,41 +57,60 @@ def snapshot(graph):
     return node_ids, indptr.tolist(), flat.tolist()
 
 
+def blobs(graph):
+    return {uid: graph.cloud.get(uid) for uid in graph.node_ids}
+
+
+def rewrite_pass(graph, policy, node_ids=None):
+    """Install ``policy`` on the schema, then write every cell's
+    adjacency fields back with their own contents."""
+    node_type = graph.graph_schema.node_type
+    install_layout_policy(node_type, policy)
+    for uid in (graph.node_ids if node_ids is None else node_ids):
+        with graph.use_node(uid) as cell:
+            for name in ("Outlinks", "Inlinks"):
+                cell.set(name, cell.read(name))
+
+
 class TestMigration:
     def test_migrates_raw_graph_to_adaptive(self):
         graph = build_graph(policy="raw")
         before = snapshot(graph)
+        bytes_before = sum(map(len, blobs(graph).values()))
         epoch_before = graph.cloud.mutation_epoch()
-        report = LayoutReencoder(graph, policy=DEFAULT_LAYOUT_POLICY).run_pass()
-        assert report.migrated > 0
-        assert report.bytes_saved > 0
-        assert all(src == LAYOUT_RAW for src, _ in report.retagged)
+        rewrite_pass(graph, DEFAULT_LAYOUT_POLICY)
+        tags = {uid: out_tag(graph, uid) for uid in graph.node_ids}
+        assert set(tags.values()) != {LAYOUT_RAW}
+        for uid, tag in tags.items():
+            assert tag == DEFAULT_LAYOUT_POLICY.choose(graph.outlinks(uid))
+        assert sum(map(len, blobs(graph).values())) < bytes_before
         assert graph.cloud.mutation_epoch() > epoch_before
         assert snapshot(graph) == before  # bit-identical answers
 
     def test_second_pass_is_idempotent(self):
+        """A write's bytes are a function of the list and the policy:
+        writing the same contents again stores the same bytes."""
         graph = build_graph(policy="raw")
-        reencoder = LayoutReencoder(graph, policy=DEFAULT_LAYOUT_POLICY)
-        assert reencoder.run_pass().migrated > 0
-        again = reencoder.run_pass()
-        assert again.migrated == 0 and again.candidates == 0
+        rewrite_pass(graph, DEFAULT_LAYOUT_POLICY)
+        first = blobs(graph)
+        rewrite_pass(graph, DEFAULT_LAYOUT_POLICY)
+        assert blobs(graph) == first
 
     def test_rollback_to_raw(self):
         graph = build_graph(policy="adaptive")
         assert any(out_tag(graph, uid) != LAYOUT_RAW
                    for uid in graph.node_ids)
         before = snapshot(graph)
-        report = LayoutReencoder(graph, policy=RAW_ONLY_POLICY).run_pass()
-        assert report.migrated > 0
-        assert report.bytes_saved < 0  # rolling back costs bytes
+        bytes_before = sum(map(len, blobs(graph).values()))
+        rewrite_pass(graph, RAW_ONLY_POLICY)
+        assert sum(map(len, blobs(graph).values())) > bytes_before
         assert all(out_tag(graph, uid) == LAYOUT_RAW
                    for uid in graph.node_ids)
         assert snapshot(graph) == before
 
-    def test_accessor_drift_gets_repaired(self):
-        """A cell that grows past the policy threshold via add_edge keeps
-        its raw layout (the accessor never re-runs the policy) until the
-        re-encoder migrates it."""
+    def test_accessor_growth_rechooses_layout(self):
+        """A cell that grows past the policy threshold via add_edge is
+        re-encoded by the append that crosses it: no drift to repair."""
         cloud = MemoryCloud(ClusterConfig(
             machines=1, memory=MemoryParams(layout_policy="adaptive")))
         builder = GraphBuilder(cloud, plain_graph_schema(directed=True))
@@ -88,61 +118,13 @@ class TestMigration:
         graph = builder.finalize()
         assert out_tag(graph, 1) == LAYOUT_RAW
         rng = np.random.default_rng(3)
-        for dst in rng.integers(0, 10 ** 5, 64):
-            graph.add_edge(1, int(dst))
-        assert out_tag(graph, 1) == LAYOUT_RAW  # drift: still raw
-        report = LayoutReencoder(graph).run_pass()
-        assert report.migrated >= 1
+        expected = [2]
+        for dst in rng.integers(0, 10 ** 5, 64).tolist():
+            graph.add_edge(1, dst)
+            expected.append(dst)
+            assert out_tag(graph, 1) == DEFAULT_LAYOUT_POLICY.choose(expected)
         assert out_tag(graph, 1) == LAYOUT_DELTA_VARINT
-        assert graph.outlinks(1)[0] == 2
-        assert len(graph.outlinks(1)) == 65
-
-    def test_metrics_counters_advance(self):
-        graph = build_graph(policy="raw")
-        obs = graph.cloud.obs
-        LayoutReencoder(graph, policy=DEFAULT_LAYOUT_POLICY).run_pass()
-        totals = {}
-        for trunk_id in graph.cloud.trunks:
-            for name in ("trunk.layout.migrated", "trunk.layout.skipped",
-                         "trunk.layout.bytes_before",
-                         "trunk.layout.bytes_after"):
-                value = obs.counter(name, trunk=trunk_id).value
-                totals[name] = totals.get(name, 0) + value
-        assert totals["trunk.layout.migrated"] > 0
-        assert totals["trunk.layout.bytes_before"] > \
-            totals["trunk.layout.bytes_after"]
-
-
-class TestCasGuards:
-    def test_cas_skips_on_concurrent_write(self):
-        graph = build_graph(policy="raw", nodes=10)
-        cloud = graph.cloud
-        uid = sorted(graph.node_ids)[0]
-        expected = cloud.get(uid)
-        # Another writer lands between the re-encoder's read and its CAS.
-        cloud.put(uid, expected)  # same bytes object, new epoch — applies
-        assert cloud.reencode_cell(uid, expected, expected)
-        cloud.put(uid, expected + b"")
-        assert not cloud.reencode_cell(uid, b"different", expected)
-
-    def test_cas_skips_missing_cell(self):
-        graph = build_graph(policy="raw", nodes=10)
-        assert not graph.cloud.reencode_cell(2 ** 50, b"x", b"y")
-
-    def test_skip_leaves_cell_for_next_pass(self):
-        graph = build_graph(policy="raw", nodes=10)
-        reencoder = LayoutReencoder(graph, policy=DEFAULT_LAYOUT_POLICY)
-        uid = reencoder.scan()[0]
-        expected = graph.cloud.get(uid)
-        # Mutate after the scan: this uid's CAS must skip, not clobber.
-        graph.add_edge(uid, 99999)
-        report = reencoder.migrate(uid)
-        assert report.migrated + report.skipped == report.candidates
-        # Next pass sees the post-mutation bytes and succeeds.
-        report = reencoder.migrate(uid)
-        if report.candidates:
-            assert report.migrated == 1
-        assert 99999 in graph.outlinks(uid)
+        assert graph.outlinks(1) == expected
 
 
 class TestSpanInvalidation:
@@ -153,29 +135,43 @@ class TestSpanInvalidation:
         uids = np.asarray(sorted(graph.node_ids), dtype=np.int64)
         groups = cloud.bulk_get_spans(uids)
         for group in groups:
-            group.assert_fresh()  # nothing migrated yet
-        report = LayoutReencoder(graph, policy=DEFAULT_LAYOUT_POLICY).run_pass()
-        assert report.migrated > 0
+            group.assert_fresh()  # nothing written yet
+        rewrite_pass(graph, DEFAULT_LAYOUT_POLICY)
         with pytest.raises(StaleSpanError):
             for group in groups:
                 group.assert_fresh()
-        # A re-fetch observes the migrated layout and decodes cleanly.
+        # A re-fetch observes the new layouts and decodes cleanly.
         snapshot(graph)
 
 
 class TestConcurrentServe:
-    def test_daemon_migrates_under_query_traffic(self):
-        """The daemon migrates cells while queries run with cross_check
-        on: every answer is either correct or a StaleSpanError retry —
-        never silently wrong."""
+    def test_rewrites_under_query_traffic(self):
+        """A writer thread re-encodes cells (raw to adaptive and back)
+        while queries run with cross_check on: every answer is either
+        correct or a StaleSpanError retry, never silently wrong."""
         graph = build_graph(policy="raw", nodes=80, seed=19)
         expected = {uid: graph.outlinks(uid) for uid in graph.node_ids}
         node_ids = sorted(expected)
-        reencoder = LayoutReencoder(graph, policy=DEFAULT_LAYOUT_POLICY)
-        errors = []
-        stale_retries = 0
+        done = threading.Event()
+        failures = []
+        passes = []
 
-        reencoder.start(interval=0.0)
+        def writer():
+            try:
+                policies = (DEFAULT_LAYOUT_POLICY, RAW_ONLY_POLICY)
+                while not done.is_set():
+                    step = len(passes)
+                    rewrite_pass(graph, policies[step % 2],
+                                 node_ids[step % 8::8])
+                    passes.append(step)
+            except Exception as exc:  # surfaced by the main thread
+                failures.append(exc)
+
+        errors = []
+        thread = threading.Thread(target=writer)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave reads and writes finely
+        thread.start()
         try:
             for round_no in range(30):
                 batch = node_ids[(round_no * 7) % len(node_ids):][:16] \
@@ -186,7 +182,7 @@ class TestConcurrentServe:
                             batch, cross_check=True)
                         break
                     except StaleSpanError:
-                        stale_retries += 1
+                        pass
                 else:
                     errors.append(f"round {round_no}: spans never settled")
                     continue
@@ -196,28 +192,24 @@ class TestConcurrentServe:
                     if values[bounds[i]:bounds[i + 1]] != expected[uid]:
                         errors.append(f"node {uid}: wrong answer")
         finally:
-            report = reencoder.stop()
+            done.set()
+            thread.join(timeout=60)
+            sys.setswitchinterval(switch_interval)
 
+        assert not thread.is_alive()
+        assert not failures, failures
         assert not errors, errors
-        assert report.migrated > 0
-        # The migrated graph serves the same answers as before.
+        assert passes  # the writer did run beside the readers
         assert {uid: graph.outlinks(uid) for uid in graph.node_ids} == expected
-
-    def test_daemon_start_stop_lifecycle(self):
-        graph = build_graph(policy="raw", nodes=10)
-        reencoder = LayoutReencoder(graph, policy=DEFAULT_LAYOUT_POLICY)
-        reencoder.start(interval=0.01)
-        with pytest.raises(RuntimeError):
-            reencoder.start()
-        report = reencoder.stop()
-        assert report.migrated > 0
-        # stop() after stop() returns the same accumulated report.
-        assert reencoder.stop().migrated == report.migrated
 
 
 class TestCheckpointRoundTrip:
     def _tags(self, graph):
         return {uid: out_tag(graph, uid) for uid in graph.node_ids}
+
+    def _images(self, graph):
+        return {trunk_id: trunk_to_bytes(trunk)
+                for trunk_id, trunk in graph.cloud.trunks.items()}
 
     @pytest.mark.parametrize("storage", ["resident", "paged"])
     def test_layout_tags_survive_checkpoint(self, storage):
@@ -225,39 +217,46 @@ class TestCheckpointRoundTrip:
         tags_before = self._tags(graph)
         assert set(tags_before.values()) != {LAYOUT_RAW}
         before = snapshot(graph)
-        images = {trunk_id: trunk_to_bytes(trunk)
-                  for trunk_id, trunk in graph.cloud.trunks.items()}
-        for trunk_id, image in images.items():
+        for trunk_id, image in self._images(graph).items():
             adopt_trunk_image(graph.cloud, trunk_id, image)
         assert self._tags(graph) == tags_before
         assert snapshot(graph) == before
 
+    def _restore_into_raw_cloud(self, source):
+        target_cloud = MemoryCloud(ClusterConfig(
+            machines=2, memory=MemoryParams(layout_policy="raw")))
+        for trunk_id, image in self._images(source).items():
+            adopt_trunk_image(target_cloud, trunk_id, image)
+        return Graph(target_cloud, plain_graph_schema(directed=True),
+                     node_ids=sorted(source.node_ids))
+
     def test_restore_into_raw_policy_cloud_keeps_tags(self):
         """Layout tags live inside the cell bytes: restoring onto a
         cloud configured with a different policy must not rewrite them
-        (the policy only governs *new* encodes)."""
+        (the policy only governs *new* writes)."""
         source = build_graph(policy="adaptive", nodes=30)
-        tags_before = self._tags(source)
-        before = snapshot(source)
-        images = {trunk_id: trunk_to_bytes(trunk)
-                  for trunk_id, trunk in source.cloud.trunks.items()}
-        target_cloud = MemoryCloud(ClusterConfig(
-            machines=2, memory=MemoryParams(layout_policy="raw")))
-        for trunk_id, image in images.items():
-            adopt_trunk_image(target_cloud, trunk_id, image)
-        target = Graph(target_cloud, plain_graph_schema(directed=True),
-                       node_ids=sorted(source.node_ids))
-        assert self._tags(target) == tags_before
-        assert snapshot(target) == before
+        target = self._restore_into_raw_cloud(source)
+        assert self._tags(target) == self._tags(source)
+        assert snapshot(target) == snapshot(source)
+
+    def test_next_write_after_restore_rechooses_tag(self):
+        source = build_graph(policy="adaptive", nodes=30)
+        target = self._restore_into_raw_cloud(source)
+        uid, dst, other = [node for node in sorted(source.node_ids)
+                           if out_tag(source, node) != LAYOUT_RAW][:3]
+        expected = source.outlinks(uid) + [dst]
+        target.add_edge(uid, dst)
+        assert out_tag(target, uid) == LAYOUT_RAW
+        assert target.outlinks(uid) == expected
+        # A cell not written keeps the tag it was restored with.
+        assert out_tag(target, other) == out_tag(source, other)
 
     def test_migrated_graph_checkpoints_cleanly(self):
         graph = build_graph(policy="raw", nodes=30)
-        LayoutReencoder(graph, policy=DEFAULT_LAYOUT_POLICY).run_pass()
+        rewrite_pass(graph, DEFAULT_LAYOUT_POLICY)
         tags_before = self._tags(graph)
         before = snapshot(graph)
-        images = {trunk_id: trunk_to_bytes(trunk)
-                  for trunk_id, trunk in graph.cloud.trunks.items()}
-        for trunk_id, image in images.items():
+        for trunk_id, image in self._images(graph).items():
             adopt_trunk_image(graph.cloud, trunk_id, image)
         assert self._tags(graph) == tags_before
         assert snapshot(graph) == before

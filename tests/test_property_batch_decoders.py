@@ -180,6 +180,8 @@ from repro.tsl import (  # noqa: E402
 )
 from repro.utils.varint import decode_varint  # noqa: E402
 
+from ._layouts import encode_as  # noqa: E402
+
 # Thresholds low enough that hypothesis-sized lists actually exercise the
 # codecs instead of short-circuiting to raw.
 LOW_POLICY = LayoutPolicy(delta_min_degree=2, bitmap_min_degree=2)
@@ -384,9 +386,8 @@ class TestAdjacencyCanonicalErrors:
     batch path as from the scalar path — never a wrong answer."""
 
     def _corrupt_cases(self):
-        adj = ADJ.field_type("Out")
-        delta = adj.encode_with_layout(list(range(16)), LAYOUT_DELTA_VARINT)
-        bitmap = adj.encode_with_layout(list(range(8, 72)), LAYOUT_BITMAP)
+        delta = encode_as(list(range(16)), LAYOUT_DELTA_VARINT)
+        bitmap = encode_as(list(range(8, 72)), LAYOUT_BITMAP)
         cleared = bytearray(bitmap)
         cleared[-1] &= 0x7F  # popcount no longer matches the count header
         return [

@@ -48,6 +48,7 @@ from repro.net.simnet import SimNetwork
 from repro.obs import MetricsRegistry
 from repro.tql.engine import _execute, execute_tql
 from repro.tql.parser import parse_tql
+from repro.tsl.layout import LAYOUT_DELTA_VARINT, LAYOUT_RAW
 
 MACHINE_COUNTS = [2, 5]
 
@@ -619,17 +620,25 @@ class TestMutationEpoch:
             for trunk in g.cloud.trunks.values():
                 trunk.defragment()
 
-        def layout_migration(g):
-            from repro.graph import LayoutReencoder
-            from repro.tsl.layout import DEFAULT_LAYOUT_POLICY, \
-                RAW_ONLY_POLICY
-            # Roll codec cells back to raw (the adaptive-built graph has
-            # some); if a previous run already did, migrate forward again.
-            report = LayoutReencoder(g, policy=RAW_ONLY_POLICY).run_pass()
-            if not report.migrated:
-                report = LayoutReencoder(
-                    g, policy=DEFAULT_LAYOUT_POLICY).run_pass()
-            assert report.migrated >= 1, "no cell had layout drift"
+        def friends_tag(g, uid):
+            node_type = g.graph_schema.node_type
+            blob = g.cloud.get(uid)
+            return node_type.field_type("Friends").stored_layout(
+                blob, node_type.field_offset(blob, "Friends"))
+
+        def layout_crossing_append(g):
+            # A raw list one short of delta_min_degree: the append that
+            # crosses it stores the policy's new choice, delta.
+            grown = max(g.node_ids) + 2
+            g.add_node(grown, Name="Grown")
+            with g.use_node(grown) as cell:
+                cell.set("Friends", [10 ** 6 + 3 * i for i in range(7)])
+            assert friends_tag(g, grown) == LAYOUT_RAW
+            before = g.cloud.mutation_epoch()
+            with g.use_node(grown) as cell:
+                cell.get("Friends").append(10 ** 6 + 21)
+            assert friends_tag(g, grown) == LAYOUT_DELTA_VARINT
+            assert g.cloud.mutation_epoch() > before
 
         mutations = [
             ("add_edge", lambda g: g.add_edge(node, max(g.node_ids) + 1)),
@@ -639,7 +648,7 @@ class TestMutationEpoch:
             ("remove", remove_blob),
             ("in_place_list_write", in_place_list_write),
             ("splice_attribute", splice_attribute),
-            ("layout_migration", layout_migration),
+            ("layout_crossing_append", layout_crossing_append),
             ("defragment", defrag),
         ]
         for label, mutate in mutations:
@@ -649,13 +658,10 @@ class TestMutationEpoch:
             assert after > before, f"{label} did not bump mutation_epoch"
 
     def test_random_mutation_sequences_are_monotonic(self):
-        from repro.graph import LayoutReencoder
-        from repro.tsl.layout import DEFAULT_LAYOUT_POLICY, RAW_ONLY_POLICY
         cloud, graph = self._fresh()
         rng = np.random.default_rng(17)
         nodes = graph.node_ids[:64]
         last = cloud.mutation_epoch()
-        toward_raw = True
         for step in range(60):
             kind = int(rng.integers(0, 5))
             if kind == 0:
@@ -672,17 +678,12 @@ class TestMutationEpoch:
                 graph.cloud.put(int(rng.choice(nodes)),
                                 graph.cloud.get(int(rng.choice(nodes))))
             elif kind == 3:
-                # Layout migration as a mutation kind: swing the whole
-                # graph between raw and adaptive so each pass has work.
-                policy = RAW_ONLY_POLICY if toward_raw \
-                    else DEFAULT_LAYOUT_POLICY
-                toward_raw = not toward_raw
-                report = LayoutReencoder(graph, policy=policy).run_pass()
-                if not report.migrated:
-                    # Nothing drifted this direction: epoch must still
-                    # advance for the assertion, via a plain rewrite.
-                    node = int(rng.choice(nodes))
-                    graph.cloud.put(node, graph.cloud.get(node))
+                # A whole-field write whose length swings across the
+                # policy's delta threshold, so the layout changes too.
+                length = 4 if step % 2 else 16
+                with graph.use_node(int(rng.choice(nodes))) as cell:
+                    cell.set("Friends",
+                             sorted(rng.choice(nodes, length).tolist()))
             else:
                 with graph.use_node(int(rng.choice(nodes))) as cell:
                     cell.Name = f"renamed-{step}"

@@ -1,9 +1,10 @@
 """Unit tests for the adaptive adjacency layouts (tsl/layout.py).
 
 Covers the policy chooser, all three codecs' round trips and canonical
-errors, forced-layout encoding, segment/scalar bit-identity, the
-accessor's layout-preserving mutation path, and the ``MemoryParams``
-layout knob.
+errors, layouts forged through single-codec policies, segment/scalar
+bit-identity, the accessor's writes choosing the layout (with a
+hypothesis property over random write sequences on both storage tiers),
+and the ``MemoryParams`` layout knob.
 """
 
 import numpy as np
@@ -31,6 +32,8 @@ from repro.tsl.layout import (
 )
 from repro.utils.arrays import SpanBatch, interleave
 from repro.utils.varint import decode_varint
+
+from ._layouts import encode_as
 
 LOW = LayoutPolicy(delta_min_degree=2, bitmap_min_degree=2)
 
@@ -163,30 +166,27 @@ class TestRoundTrips:
 
 
 class TestForcedLayouts:
+    """A layout forged through the one encoder (``tests/_layouts.py``):
+    a single-codec policy picks its codec exactly when the list is
+    eligible for it."""
+
     def test_force_each_layout_round_trips(self):
         adj = AdjacencyListType()
         values = list(range(50, 60))
         for tag in (LAYOUT_RAW, LAYOUT_DELTA_VARINT, LAYOUT_BITMAP):
-            blob = adj.encode_with_layout(values, tag)
+            blob = encode_as(values, tag)
             assert blob is not None
             assert stored_tag(blob) == tag
             assert adj.decode(blob, 0)[0] == values
 
     def test_delta_rejects_negatives(self):
-        adj = AdjacencyListType()
-        assert adj.encode_with_layout([-1, 2], LAYOUT_DELTA_VARINT) is None
+        assert encode_as([-1, 2], LAYOUT_DELTA_VARINT) is None
 
     def test_bitmap_rejects_unsorted_duplicates_empty(self):
-        adj = AdjacencyListType()
-        assert adj.encode_with_layout([3, 1], LAYOUT_BITMAP) is None
-        assert adj.encode_with_layout([3, 3], LAYOUT_BITMAP) is None
-        assert adj.encode_with_layout([], LAYOUT_BITMAP) is None
-        assert adj.encode_with_layout([-2, 5], LAYOUT_BITMAP) is None
-
-    def test_unknown_tag_raises(self):
-        adj = AdjacencyListType()
-        with pytest.raises(ValueError):
-            adj.encode_with_layout([1], 3)
+        assert encode_as([3, 1], LAYOUT_BITMAP) is None
+        assert encode_as([3, 3], LAYOUT_BITMAP) is None
+        assert encode_as([], LAYOUT_BITMAP) is None
+        assert encode_as([-2, 5], LAYOUT_BITMAP) is None
 
 
 class TestCanonicalErrors:
@@ -198,13 +198,13 @@ class TestCanonicalErrors:
 
     def test_truncated_delta_payload(self):
         adj = AdjacencyListType()
-        blob = adj.encode_with_layout(list(range(20)), LAYOUT_DELTA_VARINT)
+        blob = encode_as(list(range(20)), LAYOUT_DELTA_VARINT)
         with pytest.raises(SchemaMismatchError):
             adj.decode(blob[:-3], 0)
 
     def test_delta_payload_trailing_bytes(self):
         adj = AdjacencyListType()
-        good = adj.encode_with_layout([4, 5], LAYOUT_DELTA_VARINT)
+        good = encode_as([4, 5], LAYOUT_DELTA_VARINT)
         # Header says 2 values; payload length claims one extra byte.
         header, pos = decode_varint(good, 0)
         nbytes, payload_start = decode_varint(good, pos)
@@ -215,15 +215,14 @@ class TestCanonicalErrors:
 
     def test_bitmap_popcount_mismatch(self):
         adj = AdjacencyListType()
-        blob = bytearray(adj.encode_with_layout(list(range(8, 16)),
-                                                LAYOUT_BITMAP))
+        blob = bytearray(encode_as(list(range(8, 16)), LAYOUT_BITMAP))
         blob[-1] &= 0x7F  # clear one set bit; count header now lies
         with pytest.raises(SchemaMismatchError, match="popcount"):
             adj.decode(bytes(blob), 0)
 
     def test_bitmap_truncated(self):
         adj = AdjacencyListType()
-        blob = adj.encode_with_layout(list(range(64)), LAYOUT_BITMAP)
+        blob = encode_as(list(range(64)), LAYOUT_BITMAP)
         with pytest.raises(SchemaMismatchError, match="too short"):
             adj.decode(blob[:-2], 0)
 
@@ -310,6 +309,9 @@ class TestSegmentEncoder:
 
 
 class TestAccessorLayoutPreservation:
+    """An accessor write stores what the policy chooses for the result:
+    the tag survives a write exactly when the policy still picks it."""
+
     def _graph(self, policy="adaptive", edges=None):
         cloud = MemoryCloud(ClusterConfig(
             machines=2, memory=MemoryParams(layout_policy=policy)))
@@ -330,16 +332,23 @@ class TestAccessorLayoutPreservation:
         graph = self._graph(edges=edges)
         assert self._tag_of(graph, 1) == LAYOUT_DELTA_VARINT
         graph.add_edge(1, 99999999)
+        expected = [dst for _, dst in edges] + [99999999]
+        assert DEFAULT_LAYOUT_POLICY.choose(expected) == LAYOUT_DELTA_VARINT
         assert self._tag_of(graph, 1) == LAYOUT_DELTA_VARINT
-        assert graph.outlinks(1) == [dst for _, dst in edges] + [99999999]
+        assert graph.outlinks(1) == expected
 
-    def test_append_breaking_bitmap_falls_back_to_raw(self):
+    def test_append_breaking_bitmap_rechooses_layout(self):
+        """An out-of-order append makes the bitmap ineligible; the write
+        stores the policy's next choice, delta, which is smaller than
+        raw."""
         edges = [(1, v) for v in range(1000, 1100)]
         graph = self._graph(edges=edges)
         assert self._tag_of(graph, 1) == LAYOUT_BITMAP
         graph.add_edge(1, 500)  # smaller than every neighbor: not ascending
-        assert self._tag_of(graph, 1) == LAYOUT_RAW
-        assert graph.outlinks(1) == list(range(1000, 1100)) + [500]
+        expected = list(range(1000, 1100)) + [500]
+        assert DEFAULT_LAYOUT_POLICY.choose(expected) == LAYOUT_DELTA_VARINT
+        assert self._tag_of(graph, 1) == LAYOUT_DELTA_VARINT
+        assert graph.outlinks(1) == expected
 
     def test_setitem_on_codec_cell(self):
         edges = [(1, v) for v in range(1000, 1100)]
@@ -348,7 +357,8 @@ class TestAccessorLayoutPreservation:
             cell.get("Outlinks")[0] = 999
         expected = [999] + list(range(1001, 1100))
         assert graph.outlinks(1) == expected
-        # Still ascending, so the bitmap tag survived the rewrite.
+        # Still ascending and dense: the policy still picks the bitmap.
+        assert DEFAULT_LAYOUT_POLICY.choose(expected) == LAYOUT_BITMAP
         assert self._tag_of(graph, 1) == LAYOUT_BITMAP
 
     def test_raw_policy_cloud_stores_raw_everywhere(self):
@@ -370,6 +380,93 @@ class TestAccessorLayoutPreservation:
             assert friends[-1] == expected[-1]
             with pytest.raises(IndexError, match="out of range"):
                 friends[len(expected)]
+
+
+_NODES = 3
+_FIELDS = ("Outlinks", "Inlinks")
+_node = st.integers(0, _NODES - 1)
+_field = st.sampled_from(_FIELDS)
+_id = st.one_of(st.integers(0, 80), st.integers(0, 2 ** 40),
+                st.integers(-3, -1))
+_whole_list = st.one_of(
+    st.lists(_id, max_size=40),
+    st.lists(st.integers(0, 80), min_size=5, max_size=7),  # near delta's 8
+    st.lists(st.integers(0, 120), max_size=60, unique=True).map(sorted),
+    st.builds(lambda base, n: list(range(base, base + n)),
+              st.integers(0, 100), st.integers(0, 70)))
+_write = st.one_of(
+    st.tuples(st.just("add_edge"), _node, _node),
+    st.tuples(st.just("append"), _node, _field, _id),
+    st.tuples(st.just("setitem"), _node, _field, st.integers(0, 10 ** 6),
+              _id),
+    st.tuples(st.just("set"), _node, _field, _whole_list))
+
+
+class TestWritesChooseLayout:
+    """After any sequence of adjacency writes, every stored list is its
+    policy's choice for its contents, and decodes to a plain-list
+    model of those writes."""
+
+    @pytest.mark.parametrize("storage", ["resident", "paged"])
+    @pytest.mark.parametrize("policy", [DEFAULT_LAYOUT_POLICY, LOW,
+                                        RAW_ONLY_POLICY],
+                             ids=["adaptive", "low", "raw"])
+    @settings(max_examples=60, deadline=None)
+    @given(writes=st.lists(_write, min_size=1, max_size=30))
+    def test_stored_layout_is_the_policys_choice(self, storage, policy,
+                                                  writes):
+        cloud = MemoryCloud(ClusterConfig(
+            machines=2, trunk_bits=2, memory=MemoryParams(
+                storage=storage, layout_policy=policy, page_size=512,
+                page_budget=2)), cross_check=True)
+        try:
+            builder = GraphBuilder(cloud, plain_graph_schema(directed=True))
+            for node in range(_NODES):
+                builder.add_node(node)
+            graph = builder.finalize()
+            model = {(node, name): [] for node in range(_NODES)
+                     for name in _FIELDS}
+            for write in writes:
+                self._apply(graph, model, write)
+                self._check(graph, model, policy)
+            cloud.verify_shadow()
+        finally:
+            cloud.release_arenas()
+
+    @staticmethod
+    def _apply(graph, model, write) -> None:
+        kind, node, *args = write
+        if kind == "add_edge":
+            (dst,) = args
+            graph.add_edge(node, dst)
+            model[node, "Outlinks"].append(dst)
+            model[dst, "Inlinks"].append(node)
+            return
+        name = args[0]
+        values = model[node, name]
+        with graph.use_node(node) as cell:
+            if kind == "append":
+                cell.get(name).append(args[1])
+                values.append(args[1])
+            elif kind == "setitem" and values:
+                # an odd draw indexes from the end
+                index = args[1] % len(values) - len(values) * (args[1] & 1)
+                cell.get(name)[index] = args[2]
+                values[index] = args[2]
+            elif kind == "set":
+                cell.set(name, args[1])
+                model[node, name] = list(args[1])
+
+    @staticmethod
+    def _check(graph, model, policy) -> None:
+        node_type = graph.graph_schema.node_type
+        for (node, name), values in model.items():
+            blob = graph.cloud.get(node)
+            offset = node_type.field_offset(blob, name)
+            adjacency = node_type.field_type(name)
+            assert adjacency.stored_layout(blob, offset) == \
+                policy.choose(values), (node, name, values)
+            assert adjacency.decode(blob, offset)[0] == values
 
 
 class TestConfigKnob:
