@@ -44,7 +44,7 @@ def run_ablation():
     stats = {}
     for name, program in (("restrictive", RestrictivePush()),
                           ("general", GeneralPush())):
-        engine = BspEngine(topology, hub_buffering=True, hub_fraction=0.01)
+        engine = BspEngine(topology)
         result = engine.run(program, max_supersteps=3)
         first = result.supersteps[0]
         stats[name] = first

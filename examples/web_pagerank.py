@@ -45,7 +45,7 @@ def main() -> None:
     # --- vertex-centric engine (the programming model) -------------------
     # PageRankProgram declares combiner="sum" and both batch kernels, so
     # this runs on the vectorized fast path by default.
-    engine = BspEngine(topology, hub_buffering=True)
+    engine = BspEngine(topology)
     start = time.perf_counter()
     result = engine.run(PageRankProgram(iterations=ITERATIONS),
                         max_supersteps=ITERATIONS + 1)
@@ -61,8 +61,7 @@ def main() -> None:
 
     # The per-vertex reference path: same values bit-for-bit, same
     # simulated accounting, interpreter-bound wall clock.
-    reference_engine = BspEngine(topology, hub_buffering=True,
-                                 vectorize=False)
+    reference_engine = BspEngine(topology, vectorize=False)
     start = time.perf_counter()
     reference = reference_engine.run(PageRankProgram(iterations=ITERATIONS),
                                      max_supersteps=ITERATIONS + 1)

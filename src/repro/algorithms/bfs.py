@@ -93,8 +93,7 @@ class BfsRun:
         return int((self.levels >= 0).sum())
 
 
-def bfs(topology, root: int, network: SimNetwork | None = None,
-        hub_buffering: bool = True) -> BfsRun:
+def bfs(topology, root: int, network: SimNetwork | None = None) -> BfsRun:
     """Level-synchronous BFS from dense vertex ``root``:
     :class:`BfsProgram` on a :class:`BspEngine`.
 
@@ -105,8 +104,7 @@ def bfs(topology, root: int, network: SimNetwork | None = None,
     n = topology.n
     if not 0 <= root < n:
         raise ComputeError(f"root {root} out of range [0, {n})")
-    engine = BspEngine(topology, network=network,
-                       hub_buffering=hub_buffering)
+    engine = BspEngine(topology, network=network)
     # Superstep d sets and sends level d < n; the superstep after the
     # last level sends nothing, so the run quiesces within n + 1.
     result = engine.run(BfsProgram(root), max_supersteps=n + 1)

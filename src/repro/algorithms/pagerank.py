@@ -104,8 +104,7 @@ class PageRankRun:
 
 
 def pagerank(topology, damping: float = 0.85, iterations: int = 10,
-             network: SimNetwork | None = None,
-             hub_buffering: bool = True) -> PageRankRun:
+             network: SimNetwork | None = None) -> PageRankRun:
     """PageRank: :class:`PageRankProgram` on a :class:`BspEngine`, with
     the simulated time of every superstep.
 
@@ -115,8 +114,7 @@ def pagerank(topology, damping: float = 0.85, iterations: int = 10,
     """
     if iterations < 1:
         raise ComputeError("iterations must be >= 1")
-    engine = BspEngine(topology, network=network,
-                       hub_buffering=hub_buffering)
+    engine = BspEngine(topology, network=network)
     # Supersteps 0 .. iterations - 1 broadcast; superstep ``iterations``
     # applies the last sums and halts every vertex.
     result = engine.run(PageRankProgram(damping, iterations),

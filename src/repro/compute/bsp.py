@@ -12,41 +12,43 @@ each superstep would cost on the paper's cluster:
 * a barrier per superstep.
 
 The **hub-vertex optimisation** of Section 5.4 is implemented in message
-accounting: for restrictive programs with uniform messages, a hub vertex's
-value is buffered at each destination machine for the whole superstep, so
-it crosses each link once instead of once per edge.  (For a scale-free
-graph the paper estimates that buffering the top 1% of vertices serves
-72.8% of message needs.)
+accounting: for restrictive programs with uniform messages, a hub vertex
+(the top :data:`HUB_FRACTION` by out-degree) has its value buffered at
+each destination machine for the whole superstep, so it crosses each
+link once instead of once per edge.  (For a scale-free graph the paper
+estimates that buffering the top 1% of vertices serves 72.8% of message
+needs.)
 
-Two compute paths share this accounting, both in this process (the
-cluster's parallelism is charged on the simulated clock, never run on
-the host's cores: DESIGN.md §12):
+One loop, two ways to compute a superstep.  :meth:`BspEngine._run` is
+the superstep loop — crash rollback and replay, checkpoint cadence,
+barrier wake, aggregators, reports, the ``on_superstep`` hook and
+termination — and a path object supplies only the compute, both in
+this process (the cluster's parallelism is charged on the simulated
+clock, never run on the host's cores: DESIGN.md §12):
 
-* the **per-vertex reference path** (``_run_reference``): a Python loop
-  calling ``compute`` with ``list`` inboxes — the semantics of record,
-  and the path of every program without both batch kernels;
-* the **vectorized fast path** (``_run_fast``), for programs declaring a
-  ``combiner`` and implementing both ``init_batch`` and
+* the **per-vertex reference path** (:class:`_ReferencePath`): a Python
+  loop calling ``compute`` with ``list`` inboxes — the semantics of
+  record, and the path of every program without both batch kernels;
+* the **vectorized fast path** (:class:`_FastPath`), for programs
+  declaring a ``combiner`` and implementing both ``init_batch`` and
   ``compute_batch``: inboxes become one dense numpy value array plus a
   received-mask, and each kernel runs once per machine on a
   :class:`~repro.compute.vertex.MachineBlock`.  It has no per-vertex
-  loop.  Vertex
-  state is kept in **compute order** — machine by machine, ascending
-  dense id within a machine, the order the reference path runs — so
-  machine *m* is one slice of every state array and a wholly active
-  machine's block is views, not gathers.  Sends fold at the barrier
+  loop.  Vertex state is kept in **compute order** — machine by machine,
+  ascending dense id within a machine, the order the reference path
+  runs — so machine *m* is one slice of every state array and a wholly
+  active machine's block is views, not gathers.  A superstep resets the
+  send buffers, runs every machine's kernels, then folds what they sent
   through a **send plan** — destinations, received mask and
   machine-pair traffic, a function of the sender array alone — which is
   kept and re-applied while the sender array repeats (DESIGN.md §8).
   Results, ``initial_values`` and ``on_superstep`` see dense-id order;
   only the engine's own state is renumbered.
 
-Both paths charge the simulated clock identically — same superstep
-reports, same network counters — which ``cross_check=True`` verifies by
-running the reference path against a throwaway network and comparing.
-A fast-path superstep is three steps in ``_run_fast``: reset the send
-buffers, run every machine's kernels, then fold what they sent — one
-pass over the whole superstep, in reference enqueue order.
+Both paths add a superstep's messages into one machine-pair ledger, so
+they charge the simulated clock identically — same superstep reports,
+same network counters — which ``cross_check=True`` verifies by running
+the reference path against a throwaway network and comparing.
 
 Superstep semantics are deterministic and order-independent: a vertex
 runs in superstep *s* iff it is active at the barrier entering *s*;
@@ -57,7 +59,6 @@ of which machine processed first).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,7 +130,11 @@ class BspResult:
         }
 
 
+#: The hub share of Section 5.4: the top 1 % of vertices by out-degree.
+HUB_FRACTION = 0.01
+
 _FOLD_UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+_PER_VERTEX_COST = VERTEX_COMPUTE_COST + CELL_ACCESS_COST
 
 
 def _combiner_identity(combiner: str, dtype: np.dtype):
@@ -141,6 +146,14 @@ def _combiner_identity(combiner: str, dtype: np.dtype):
         return dtype.type(np.inf if combiner == "min" else -np.inf)
     info = np.iinfo(dtype)
     return dtype.type(info.max if combiner == "min" else info.min)
+
+
+def _charge_compute(round_: ParallelRound, machine: int, ran: int,
+                    degree_sum: int) -> None:
+    """Charge ``machine`` for the vertices it ran and the adjacency
+    entries they scanned — the same integer counts on both paths."""
+    round_.add_compute(machine,
+                       ran * _PER_VERTEX_COST + degree_sum * EDGE_SCAN_COST)
 
 
 def _has_kernels(program: VertexProgram) -> bool:
@@ -217,26 +230,120 @@ class _FastState:
         )
 
 
+class _ReferencePath:
+    """How the reference path computes a superstep: ``compute`` per
+    running vertex, machine by machine in ascending id, with ``list``
+    inboxes.  The carry is next superstep's inboxes."""
+
+    def __init__(self, engine: "BspEngine", program: VertexProgram):
+        self.engine = engine
+        self.program = program
+        self.ctx = ComputeContext(engine)
+        topology = engine.topology
+        self.machine_vertices = [topology.nodes_of_machine(m).tolist()
+                                 for m in range(topology.machine_count)]
+
+    def start(self, initial_values) -> list:
+        engine, ctx = self.engine, self.ctx
+        n = engine.topology.n
+        engine.values = ([None] * n if initial_values is None
+                         else list(initial_values))
+        for vertex in range(n):
+            ctx._bind(vertex)
+            self.program.init(ctx, vertex)
+        return [[] for _ in range(n)]
+
+    def step(self, inbox: list, round_: ParallelRound) -> tuple[int, list]:
+        engine, ctx, program = self.engine, self.ctx, self.program
+        indptr = engine.topology.out_indptr
+        active = engine._active
+        engine._next_inbox = [[] for _ in range(engine.topology.n)]
+        ran = 0
+        for machine, vertices in enumerate(self.machine_vertices):
+            ran_here = degree_sum = 0
+            for vertex in vertices:
+                messages = inbox[vertex]
+                if not active[vertex] and not messages:
+                    continue
+                ctx._bind(vertex)
+                program.compute(ctx, vertex, messages)
+                ran_here += 1
+                degree_sum += int(indptr[vertex + 1] - indptr[vertex])
+            _charge_compute(round_, machine, ran_here, degree_sum)
+            ran += ran_here
+        return ran, engine._next_inbox
+
+    @staticmethod
+    def public(values: list) -> list:
+        """A snapshot: the engine keeps writing into its own list."""
+        return list(values)
+
+
+class _FastPath:
+    """How the vectorized path computes a superstep: reset the send
+    buffers, run every machine's kernels on its block, then fold what
+    they sent.  The carry is ``(combined, received)``, in compute order
+    like the rest of the engine's state."""
+
+    def __init__(self, engine: "BspEngine", program: VertexProgram):
+        if engine._fast is None:
+            engine._fast = _FastState(engine.topology, engine.hub_threshold)
+        self.engine = engine
+        self.program = program
+        self.fast = engine._fast
+        dtype = np.dtype(program.value_dtype)
+        engine._fs_combiner = program.combiner
+        engine._fs_dtype = dtype
+        engine._fs_identity = _combiner_identity(program.combiner, dtype)
+        self.ctx = engine._fs_batch_ctx = BatchComputeContext(engine)
+
+    def start(self, initial_values) -> tuple[np.ndarray, np.ndarray]:
+        engine = self.engine
+        n, dtype = engine.topology.n, engine._fs_dtype
+        if initial_values is None:
+            engine.values = np.zeros(n, dtype=dtype)
+        else:
+            engine.values = np.asarray(initial_values,
+                                       dtype=dtype)[self.fast.order]
+        combined = np.full(n, engine._fs_identity, dtype=dtype)
+        received = np.zeros(n, dtype=bool)
+        for machine in range(engine.topology.machine_count):
+            block = engine._open_block(machine, combined, received)
+            if block is not None:
+                self.program.init_batch(self.ctx, block)
+                engine._close_block(block)
+        return combined, received
+
+    def step(self, carry, round_: ParallelRound):
+        engine = self.engine
+        engine._reset_send_buffers()
+        ran, costs = engine._compute_machines(
+            range(engine.topology.machine_count), *carry)
+        engine._flush_deferred_sends()
+        for machine, ran_count, degree_sum in costs:
+            _charge_compute(round_, machine, ran_count, degree_sum)
+        return ran, (engine._fs_next_combined, engine._woken)
+
+    def public(self, values: np.ndarray) -> np.ndarray:
+        """Dense-id order, a fresh array."""
+        return values[self.fast.rank]
+
+
 class BspEngine:
     """Executes vertex programs superstep by superstep."""
 
     def __init__(self, topology, network: SimNetwork | None = None,
-                 hub_buffering: bool = True,
-                 hub_fraction: float = 0.01,
                  vectorize: bool = True,
                  cross_check: bool = False,
                  faults: FaultPlan | None = None,
                  checkpoints: CheckpointManager | None = None):
         self.topology = topology
         self.network = network or SimNetwork()
-        self.hub_buffering = hub_buffering
-        self.hub_fraction = hub_fraction
         self.vectorize = vectorize
         self.cross_check = cross_check
         self.faults = faults
         self.checkpoints = checkpoints
-        self.hub_threshold = topology.hub_threshold(
-            hub_fraction if hub_buffering else 0.0)
+        self.hub_threshold = topology.hub_threshold(HUB_FRACTION)
         # Spans are stamped with the *simulated* clock, so a superstep
         # span's duration is the simulated seconds the barrier round took.
         self.tracer = Tracer(clock=lambda: self.network.clock.now,
@@ -290,11 +397,9 @@ class BspEngine:
         self._next_inbox[dst].append(value)
         self._woken[dst] = True
         self._messages += 1
-        # One dict lookup per message, not two.
         machine = self.topology.machine
-        entry = self._traffic[(int(machine[src]), int(machine[dst]))]
-        entry[0] += 1
-        entry[1] += program.message_bytes
+        self._pair_counts[machine[src] * self.topology.machine_count
+                          + machine[dst]] += 1
 
     def enqueue_to_neighbors(self, src: int, value) -> None:
         """Broadcast to out-neighbors (restrictive model; hub-buffered
@@ -308,23 +413,17 @@ class BspEngine:
             self._next_inbox[dst].append(value)
         self._woken[neighbors] = True
         self._messages += len(neighbors)
+        machines = self.topology.machine_count
         src_machine = int(self.topology.machine[src])
+        row = self._pair_counts[src_machine * machines:
+                                (src_machine + 1) * machines]
         dst_machines = self.topology.machine[neighbors]
-        is_hub = (self.hub_buffering and program.uniform_messages
-                  and len(neighbors) >= self.hub_threshold)
-        if is_hub:
+        if program.uniform_messages and len(neighbors) >= self.hub_threshold:
             # The hub's value is shipped once per destination machine and
             # buffered there for the superstep.
-            for dst_machine in np.unique(dst_machines):
-                entry = self._traffic[(src_machine, int(dst_machine))]
-                entry[0] += 1
-                entry[1] += program.message_bytes
+            row[np.unique(dst_machines)] += 1
         else:
-            machines, counts = np.unique(dst_machines, return_counts=True)
-            for dst_machine, count in zip(machines, counts):
-                entry = self._traffic[(src_machine, int(dst_machine))]
-                entry[0] += int(count)
-                entry[1] += int(count) * program.message_bytes
+            row += np.bincount(dst_machines, minlength=machines)
 
     def halt(self, vertex: int) -> None:
         """Deactivate ``vertex`` until a message wakes it."""
@@ -364,13 +463,19 @@ class BspEngine:
 
     # -- shared accounting ---------------------------------------------------
 
-    def _charge_round(self, round_: ParallelRound, pair_items):
-        """Feed the superstep's traffic (sorted by machine pair, so both
-        paths hit the float accumulators in the same order) and finish
-        the round.  Returns (elapsed, remote_transfers, wire_bytes)."""
+    def _charge_round(self, round_: ParallelRound, message_bytes: int):
+        """Feed the superstep's traffic ledger to ``round_`` and finish
+        it.  Pairs go in flattened-index order, i.e. sorted by (source,
+        destination) machine, so the float accumulators add in one order
+        whichever path filled the ledger.  Returns (elapsed,
+        remote_transfers, wire_bytes)."""
+        machines = self.topology.machine_count
         remote_transfers = 0
         wire_bytes = 0
-        for (src_machine, dst_machine), (count, size) in pair_items:
+        for pair in np.flatnonzero(self._pair_counts).tolist():
+            count = int(self._pair_counts[pair])
+            src_machine, dst_machine = divmod(pair, machines)
+            size = count * message_bytes
             round_.add_message(src_machine, dst_machine, size, count)
             if src_machine != dst_machine:
                 remote_transfers += count
@@ -379,13 +484,6 @@ class BspEngine:
         elapsed += BARRIER_COST
         self.network.clock.advance(BARRIER_COST)
         return elapsed, remote_transfers, wire_bytes
-
-    def _check_initial_values(self, initial_values, n: int) -> None:
-        if initial_values is not None and len(initial_values) != n:
-            raise ComputeError(
-                f"initial_values has {len(initial_values)} entries "
-                f"for {n} vertices"
-            )
 
     # -- checkpoint-restart helpers ------------------------------------------
 
@@ -417,9 +515,10 @@ class BspEngine:
         messages are in flight — Pregel-style termination.
 
         ``on_superstep(superstep, values)``, if given, runs after each
-        barrier; the checkpointing of Section 6.2 ("for BSP based
-        synchronous computation, we make check points every a few
-        supersteps") hooks in here.
+        barrier with a snapshot of the values in dense-id order; the
+        checkpointing of Section 6.2 ("for BSP based synchronous
+        computation, we make check points every a few supersteps")
+        hooks in here.
 
         Programs declaring a ``combiner`` and both batch kernels
         (``init_batch``, ``compute_batch``) run on the vectorized fast
@@ -452,10 +551,10 @@ class BspEngine:
         try:
             if not (self.vectorize and combiner is not None
                     and self.topology.n and _has_kernels(program)):
-                return self._run_reference(program, max_supersteps,
-                                           initial_values, on_superstep)
-            result = self._run_fast(program, max_supersteps, initial_values,
-                                    on_superstep)
+                return self._run(program, max_supersteps, initial_values,
+                                 on_superstep, _ReferencePath(self, program))
+            result = self._run(program, max_supersteps, initial_values,
+                               on_superstep, _FastPath(self, program))
             if self.cross_check:
                 self._run_cross_check(program, max_supersteps,
                                       initial_values, result)
@@ -465,33 +564,26 @@ class BspEngine:
             self._injector = None
             self._program = None
 
-    # -- per-vertex reference path ------------------------------------------
-
-    def _run_reference(self, program: VertexProgram, max_supersteps: int,
-                       initial_values, on_superstep) -> BspResult:
+    def _run(self, program: VertexProgram, max_supersteps: int,
+             initial_values, on_superstep, path) -> BspResult:
+        """The superstep loop both paths share; ``path`` only computes."""
         topo = self.topology
         n = topo.n
-        self._check_initial_values(initial_values, n)
-        ctx = ComputeContext(self)
-        machine_vertices = [topo.nodes_of_machine(m)
-                            for m in range(topo.machine_count)]
+        if initial_values is not None and len(initial_values) != n:
+            raise ComputeError(
+                f"initial_values has {len(initial_values)} entries "
+                f"for {n} vertices"
+            )
 
-        def fresh_start() -> tuple[int, list]:
-            if initial_values is None:
-                self.values = [None] * n
-            else:
-                self.values = list(initial_values)
+        def fresh_start():
             self.aggregators = {}
             self.aggregators_next = {}
             self._active = np.ones(n, dtype=bool)
-            for vertex in range(n):
-                ctx._bind(vertex)
-                program.init(ctx, vertex)
-            return 0, [[] for _ in range(n)]
+            return 0, path.start(initial_values)
 
-        superstep, inbox = fresh_start()
-        result = BspResult(values=self.values)
-        per_vertex_cost = VERTEX_COMPUTE_COST + CELL_ACCESS_COST
+        superstep, carry = fresh_start()
+        ctx = path.ctx
+        result = BspResult(values=None)
         while superstep < max_supersteps:
             if self._injector is not None:
                 if self._injector.take_crashes(superstep):
@@ -504,13 +596,13 @@ class BspEngine:
                     result.restarts += 1
                     state = self._latest_state()
                     if state is None:
-                        superstep, inbox = fresh_start()
+                        superstep, carry = fresh_start()
                     else:
                         self.values = state["values"]
                         self.aggregators = state["aggregators"]
                         self.aggregators_next = {}
                         self._active = state["active"]
-                        inbox = state["inbox"]
+                        carry = state["carry"]
                         superstep = state["superstep"] + 1
                     continue
                 self._injector.begin_round(superstep)
@@ -518,36 +610,14 @@ class BspEngine:
                     self.tracer.span("bsp.superstep",
                                      superstep=superstep) as span:
                 ctx.superstep = superstep
-                self._next_inbox = [[] for _ in range(n)]
                 self._messages = 0
-                self._traffic = defaultdict(lambda: [0, 0])
                 self._woken = np.zeros(n, dtype=bool)
-
+                self._pair_counts = np.zeros(topo.machine_count ** 2,
+                                             dtype=np.int64)
                 round_ = ParallelRound(self.network)
-                ran = 0
-                for machine, vertices in enumerate(machine_vertices):
-                    ran_here = 0
-                    degree_sum = 0
-                    for vertex in vertices:
-                        vertex = int(vertex)
-                        messages = inbox[vertex]
-                        if not self._active[vertex] and not messages:
-                            continue
-                        ctx._bind(vertex)
-                        program.compute(ctx, vertex, messages)
-                        ran_here += 1
-                        degree_sum += int(topo.out_indptr[vertex + 1]
-                                          - topo.out_indptr[vertex])
-                    round_.add_compute(
-                        machine,
-                        ran_here * per_vertex_cost
-                        + degree_sum * EDGE_SCAN_COST,
-                    )
-                    ran += ran_here
-
+                ran, carry = path.step(carry, round_)
                 elapsed, remote_transfers, wire_bytes = self._charge_round(
-                    round_, sorted(self._traffic.items())
-                )
+                    round_, program.message_bytes)
                 span.set(active=ran, messages=self._messages,
                          remote_transfers=remote_transfers)
             self._m_supersteps.inc()
@@ -562,7 +632,6 @@ class BspEngine:
             self._active |= self._woken
             self.aggregators = self.aggregators_next
             self.aggregators_next = {}
-            ctx.superstep = superstep
             program.after_superstep(ctx)
 
             result.supersteps.append(SuperstepReport(
@@ -574,19 +643,20 @@ class BspEngine:
                 message_bytes=wire_bytes,
             ))
             if on_superstep is not None:
-                on_superstep(superstep, self.values)
+                on_superstep(superstep, path.public(self.values))
+            # The image is the engine's own state (compute order on the
+            # fast path): only this engine reads it.
             self._save_state(superstep, {
                 "values": self.values,
                 "active": self._active,
-                "inbox": self._next_inbox,
+                "carry": carry,
                 "aggregators": self.aggregators,
             })
-            inbox = self._next_inbox
             if self._messages == 0 and not self._active.any():
                 break
             superstep += 1
 
-        result.values = self.values
+        result.values = path.public(self.values)
         result.aggregators = dict(self.aggregators)
         return result
 
@@ -611,13 +681,13 @@ class BspEngine:
         """Apply the plan of ``senders`` (in compute order) to this
         superstep's values: one per sender when ``uniform`` (a broadcast,
         hub-buffered where eligible), else one per edge."""
-        plan = self._send_plan(senders, uniform and self.hub_buffering
-                               and self._program.uniform_messages)
+        plan = self._send_plan(senders,
+                               uniform and self._program.uniform_messages)
         values = np.asarray(values, dtype=self._fs_dtype)
         self._fold_into(plan.dsts,
                         np.repeat(values, plan.degrees) if uniform else values)
-        self._fs_next_received |= plan.received
-        self._fs_pair_counts += plan.pair_counts
+        self._woken |= plan.received
+        self._pair_counts += plan.pair_counts
 
     def _flush_deferred_sends(self) -> None:
         """Fold the sends collected this superstep, in compute order.
@@ -635,26 +705,10 @@ class BspEngine:
                 self._flush_by_plan(np.concatenate(senders),
                                     np.concatenate(values), uniform=uniform)
 
-    def _fs_pair_items(self, message_bytes: int) -> list:
-        """The superstep's traffic as sorted ((src, dst), (count, bytes))
-        items — the flattened pair index is already lexicographic."""
-        machines = self.topology.machine_count
-        items = []
-        for pair in np.nonzero(self._fs_pair_counts)[0].tolist():
-            count = int(self._fs_pair_counts[pair])
-            items.append((divmod(pair, machines),
-                          (count, count * message_bytes)))
-        return items
-
     def _reset_send_buffers(self) -> None:
-        """Zero the per-superstep message state."""
-        self._messages = 0
-        n = self.topology.n
-        self._fs_next_combined = np.full(n, self._fs_identity,
+        """Start next superstep's combined inbox and the deferred sends."""
+        self._fs_next_combined = np.full(self.topology.n, self._fs_identity,
                                          dtype=self._fs_dtype)
-        self._fs_next_received = np.zeros(n, dtype=bool)
-        self._fs_pair_counts = np.zeros(self.topology.machine_count ** 2,
-                                        dtype=np.int64)
         # (sender positions, values) per block, by send kind
         self._fs_bcast: list[tuple[np.ndarray, np.ndarray]] = []
         self._fs_edge: list[tuple[np.ndarray, np.ndarray]] = []
@@ -701,121 +755,6 @@ class BspEngine:
             ran_total += ran_count
         return ran_total, costs
 
-    def _run_fast(self, program: VertexProgram, max_supersteps: int,
-                  initial_values, on_superstep) -> BspResult:
-        topo = self.topology
-        n = topo.n
-        if self._fast is None:
-            self._fast = _FastState(topo, self.hub_threshold)
-        fast = self._fast
-        dtype = np.dtype(program.value_dtype)
-        identity = _combiner_identity(program.combiner, dtype)
-        self._fs_combiner = program.combiner
-        self._fs_dtype = dtype
-        self._fs_identity = identity
-        self._check_initial_values(initial_values, n)
-        batch_ctx = BatchComputeContext(self)
-        self._fs_batch_ctx = batch_ctx
-
-        def fresh_start() -> tuple[int, np.ndarray, np.ndarray]:
-            if initial_values is None:
-                self.values = np.zeros(n, dtype=dtype)
-            else:
-                self.values = np.asarray(initial_values, dtype=dtype)[
-                    fast.order]
-            self.aggregators = {}
-            self.aggregators_next = {}
-            self._active = np.ones(n, dtype=bool)
-            combined = np.full(n, identity, dtype=dtype)
-            received = np.zeros(n, dtype=bool)
-            for machine in range(topo.machine_count):
-                block = self._open_block(machine, combined, received)
-                if block is not None:
-                    program.init_batch(batch_ctx, block)
-                    self._close_block(block)
-            return 0, combined, received
-
-        superstep, combined, received = fresh_start()
-        result = BspResult(values=self.values)
-        per_vertex_cost = VERTEX_COMPUTE_COST + CELL_ACCESS_COST
-        while superstep < max_supersteps:
-            if self._injector is not None:
-                if self._injector.take_crashes(superstep):
-                    # Same rollback-and-replay as the reference path; the
-                    # pickled image round-trips the numpy arrays exactly.
-                    self._m_restarts.inc()
-                    result.restarts += 1
-                    state = self._latest_state()
-                    if state is None:
-                        superstep, combined, received = fresh_start()
-                    else:
-                        self.values = state["values"]
-                        self.aggregators = state["aggregators"]
-                        self.aggregators_next = {}
-                        self._active = state["active"]
-                        combined = state["combined"]
-                        received = state["received"]
-                        superstep = state["superstep"] + 1
-                    continue
-                self._injector.begin_round(superstep)
-            with self._h_wall.time(), \
-                    self.tracer.span("bsp.superstep",
-                                     superstep=superstep) as span:
-                batch_ctx.superstep = superstep
-                round_ = ParallelRound(self.network)
-                self._reset_send_buffers()
-                ran_total, machine_costs = self._compute_machines(
-                    range(topo.machine_count), combined, received
-                )
-                self._flush_deferred_sends()
-                for machine, ran_count, degree_sum in machine_costs:
-                    round_.add_compute(
-                        machine,
-                        ran_count * per_vertex_cost
-                        + degree_sum * EDGE_SCAN_COST,
-                    )
-                elapsed, remote_transfers, wire_bytes = self._charge_round(
-                    round_, self._fs_pair_items(program.message_bytes)
-                )
-                span.set(active=ran_total, messages=self._messages,
-                         remote_transfers=remote_transfers)
-            self._m_supersteps.inc()
-            self._h_messages.observe(self._messages)
-            self._g_queue.set(self._messages)
-
-            self._active |= self._fs_next_received
-            self.aggregators = self.aggregators_next
-            self.aggregators_next = {}
-            program.after_superstep(batch_ctx)
-
-            result.supersteps.append(SuperstepReport(
-                superstep=superstep,
-                elapsed=elapsed,
-                active_vertices=ran_total,
-                messages=self._messages,
-                remote_transfers=remote_transfers,
-                message_bytes=wire_bytes,
-            ))
-            if on_superstep is not None:
-                on_superstep(superstep, self.values[fast.rank])
-            # The image stays in compute order: only this engine reads it.
-            self._save_state(superstep, {
-                "values": self.values,
-                "active": self._active,
-                "combined": self._fs_next_combined,
-                "received": self._fs_next_received,
-                "aggregators": self.aggregators,
-            })
-            combined = self._fs_next_combined
-            received = self._fs_next_received
-            if self._messages == 0 and not self._active.any():
-                break
-            superstep += 1
-
-        result.values = self.values[fast.rank]
-        result.aggregators = dict(self.aggregators)
-        return result
-
     # -- cross-check ---------------------------------------------------------
 
     def _run_cross_check(self, program: VertexProgram, max_supersteps: int,
@@ -837,8 +776,6 @@ class BspEngine:
             self.topology,
             network=SimNetwork(params=self.network.params,
                                registry=MetricsRegistry()),
-            hub_buffering=self.hub_buffering,
-            hub_fraction=self.hub_fraction,
             # unvectorized, so this only arms the restrictive-send check
             cross_check=True,
             vectorize=False,

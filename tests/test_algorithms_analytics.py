@@ -13,6 +13,7 @@ from repro.algorithms import (
     bfs, pagerank, sssp, wcc,
 )
 from repro.compute import BspEngine
+from repro.compute.bsp import HUB_FRACTION
 from repro.errors import ComputeError
 from repro.net import SimNetwork
 from repro.obs import MetricsRegistry
@@ -88,10 +89,24 @@ class TestPageRank:
             pagerank(rmat_topology, iterations=0)
 
     def test_hub_buffering_cheaper(self, rmat_topology):
-        fast = pagerank(rmat_topology, iterations=3, hub_buffering=True)
-        slow = pagerank(rmat_topology, iterations=3, hub_buffering=False)
-        assert fast.elapsed <= slow.elapsed
-        assert np.abs(fast.ranks - slow.ranks).max() < 1e-12
+        """Every broadcast superstep puts the hub-buffered fan-out on the
+        wire, which is fewer messages than one per cut edge."""
+        result = BspEngine(rmat_topology).run(PageRankProgram(iterations=3))
+        machines = rmat_topology.machine_count
+
+        def remote(fanout) -> int:
+            counts = rmat_topology.pair_traffic(
+                np.arange(rmat_topology.n), fanout
+            ).reshape(machines, machines)
+            return int(counts.sum() - np.trace(counts))
+
+        buffered = remote(rmat_topology.hub_fanout(
+            rmat_topology.hub_threshold(HUB_FRACTION)))
+        assert buffered < remote(rmat_topology.machine_fanout)
+        assert [step.remote_transfers for step in result.supersteps] == [
+            buffered] * 3 + [0]
+        assert np.array_equal(result.values,
+                              pagerank(rmat_topology, iterations=3).ranks)
 
 
 class TestBfs:
@@ -265,11 +280,10 @@ class TestTrafficModel:
                     ctx.send_to_neighbors(1.0)
                 ctx.vote_to_halt()
 
-        engine = BspEngine(rmat_topology, hub_buffering=True,
-                           hub_fraction=0.02)
+        engine = BspEngine(rmat_topology)
         result = engine.run(Broadcast(), max_supersteps=3)
         counts = self.full(rmat_topology, rmat_topology.hub_fanout(
-            rmat_topology.hub_threshold(0.02))).reshape(
+            rmat_topology.hub_threshold(HUB_FRACTION))).reshape(
             rmat_topology.machine_count, rmat_topology.machine_count
         )
         remote = int(counts.sum() - np.trace(counts))

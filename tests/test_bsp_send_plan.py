@@ -76,31 +76,36 @@ def assert_same_run(left, right):
 
 # -- one engine, many programs ----------------------------------------------
 
+class UnbufferedPageRank(PageRankProgram):
+    """PageRank's sends without the uniform-message promise, so no hub
+    is buffered: the same sender array under the other hub flag."""
+
+    uniform_messages = False
+
+
 def test_programs_back_to_back_on_one_engine(topology):
     """Whatever plan the previous program left behind, every run equals
     the reference path (``cross_check``) and a fresh engine's run."""
     weights = np.random.default_rng(3).uniform(
         0.5, 4.0, size=topology.num_edges)
     sequence = [
-        (lambda: PageRankProgram(iterations=10), True),
-        (lambda: SsspProgram(root=0, edge_weights=weights), True),
-        (lambda: WccProgram(), True),
-        (lambda: PageRankProgram(iterations=10), False),
-        (lambda: BfsProgram(root=0), True),
-        (lambda: PageRankProgram(iterations=10), True),
-        # The same senders as the run before under the other hub flag:
-        # the flag is part of the key.
-        (lambda: PageRankProgram(iterations=10), False),
+        lambda: PageRankProgram(iterations=10),
+        lambda: SsspProgram(root=0, edge_weights=weights),
+        lambda: WccProgram(),
+        lambda: UnbufferedPageRank(iterations=10),
+        lambda: BfsProgram(root=0),
+        lambda: PageRankProgram(iterations=10),
+        # The same senders as the run before without hub buffering: the
+        # hub flag is part of the key.
+        lambda: UnbufferedPageRank(iterations=10),
     ]
     engine = make_engine(topology, cross_check=True)
-    for make_program, hub_buffering in sequence:
-        engine.hub_buffering = hub_buffering
-        fresh = make_engine(topology, hub_buffering=hub_buffering)
+    for make_program in sequence:
         assert_same_run(engine.run(make_program()),
-                        fresh.run(make_program()))
+                        make_engine(topology).run(make_program()))
     builds, reuses = plan_counts(engine)
-    # Four PageRanks, each after another program or a flag flip evicted
-    # its plan: one build and nine reuses apiece at the least.
+    # Four PageRanks, each after another program or a hub-flag flip
+    # evicted its plan: one build and nine reuses apiece at the least.
     assert builds >= 4 and reuses >= 36
 
 
@@ -162,8 +167,8 @@ def barrier_states(engine, program):
 
     def snapshot(_superstep, _values):
         states.append((engine._fs_next_combined.copy(),
-                       engine._fs_next_received.copy(),
-                       engine._fs_pair_counts.copy()))
+                       engine._woken.copy(),
+                       engine._pair_counts.copy()))
     return engine.run(program, on_superstep=snapshot), states
 
 

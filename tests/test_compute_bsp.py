@@ -1,7 +1,9 @@
 """Tests for the BSP vertex engine."""
 
+import numpy as np
 import pytest
 
+from repro.algorithms import PageRankProgram
 from repro.compute import BspEngine, VertexProgram
 from repro.errors import ComputeError
 
@@ -168,6 +170,26 @@ class TestEngineBasics:
         assert seen == list(range(len(seen)))
         assert seen  # ran at least once
 
+    @pytest.mark.parametrize("vectorize", [True, False],
+                             ids=["fast", "reference"])
+    def test_on_superstep_gets_a_snapshot(self, rmat_topology, vectorize):
+        """What the hook keeps stays that superstep's values, whatever
+        the engine writes afterwards, and both paths hand it the same
+        values superstep by superstep."""
+        def collect(vectorize):
+            kept = []
+            BspEngine(rmat_topology, vectorize=vectorize).run(
+                PageRankProgram(iterations=4),
+                on_superstep=lambda _step, values: kept.append(values))
+            return [np.asarray(values, dtype=np.float64) for values in kept]
+
+        kept, reference = collect(vectorize), collect(False)
+        assert len(kept) == len(reference) == 5
+        for values, expected in zip(kept, reference):
+            assert np.array_equal(values, expected)
+        # Successive supersteps differ: no two snapshots are one object.
+        assert not np.array_equal(kept[0], kept[1])
+
 
 class TestAccounting:
     def test_superstep_reports_present(self, rmat_topology):
@@ -182,20 +204,26 @@ class TestAccounting:
             sum(r.elapsed for r in result.supersteps)
         )
 
+    @staticmethod
+    def unbuffered_remote(topology) -> int:
+        """Wire messages of a full broadcast with no hub buffered: one
+        per cut edge, from the topology's fan-out table."""
+        machines = topology.machine_count
+        counts = topology.pair_traffic(
+            np.arange(topology.n), topology.machine_fanout
+        ).reshape(machines, machines)
+        return int(counts.sum() - np.trace(counts))
+
     def test_hub_buffering_reduces_wire_messages(self, rmat_topology):
-        buffered = BspEngine(rmat_topology, hub_buffering=True,
-                             hub_fraction=0.02)
-        plain = BspEngine(rmat_topology, hub_buffering=False)
-        res_buffered = buffered.run(NeighborSumProgram(), max_supersteps=5)
-        res_plain = plain.run(NeighborSumProgram(), max_supersteps=5)
-        # Same results...
-        assert res_buffered.values == res_plain.values
-        # ...but fewer charged wire transfers on the scale-free graph.
-        assert (res_buffered.supersteps[0].remote_transfers
-                < res_plain.supersteps[0].remote_transfers)
+        result = BspEngine(rmat_topology).run(NeighborSumProgram(),
+                                              max_supersteps=5)
+        # Fewer charged wire transfers on the scale-free graph than one
+        # message per cut edge.
+        assert (result.supersteps[0].remote_transfers
+                < self.unbuffered_remote(rmat_topology))
 
     def test_hub_buffering_requires_uniform_messages(self, rmat_topology):
-        engine = BspEngine(rmat_topology, hub_buffering=True)
+        engine = BspEngine(rmat_topology)
 
         class NonUniform(NeighborSumProgram):
             uniform_messages = False
@@ -204,6 +232,9 @@ class TestAccounting:
         res_nonuniform = engine.run(NonUniform(), max_supersteps=5)
         assert (res_uniform.supersteps[0].remote_transfers
                 <= res_nonuniform.supersteps[0].remote_transfers)
+        # Without the uniform promise no hub is buffered.
+        assert (res_nonuniform.supersteps[0].remote_transfers
+                == self.unbuffered_remote(rmat_topology))
 
     def test_value_by_node_mapping(self, rmat_topology):
         engine = BspEngine(rmat_topology)

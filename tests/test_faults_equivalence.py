@@ -6,6 +6,9 @@ messages and partitions the network — and the final vertex values must
 be **bit-identical**.  Each faulted run also executes with
 ``cross_check=True``, so the per-vertex reference path replays the same
 chaos and must agree with the vectorized path superstep by superstep.
+Both paths share one superstep loop, so rollback and replay are
+checked here against the fault-free run, for a kernel program and for
+one without a combiner (whose carry is list inboxes).
 
 The CI fault matrix re-runs this module over a grid of seeds and cluster
 sizes via the ``FAULTS_SEED`` / ``FAULTS_MACHINES`` environment
@@ -19,7 +22,7 @@ import pytest
 
 from repro.algorithms import BfsProgram, PageRankProgram, SsspProgram
 from repro.algorithms.wcc import WccProgram
-from repro.compute import BspEngine, CheckpointManager
+from repro.compute import BspEngine, CheckpointManager, VertexProgram
 from repro.config import ClusterConfig
 from repro.faults import FaultPlan
 from repro.generators import rmat_edges
@@ -114,6 +117,42 @@ def test_wcc_bit_identical_under_chaos(topology):
     chaos, registry = run(topology, WccProgram(), faults=chaos_plan())
     assert_bit_identical(baseline, chaos)
     assert registry.counter("faults.crash.total").value >= 1
+
+
+class NeighborAverage(VertexProgram):
+    """No combiner, so it runs on the per-vertex path: every superstep
+    each vertex averages its value with what arrived and re-sends it,
+    for ``rounds`` supersteps, then halts."""
+
+    restrictive = True
+    uniform_messages = True
+
+    def __init__(self, rounds: int = 6):
+        self.rounds = rounds
+
+    def init(self, ctx, vertex):
+        ctx.set_value(vertex, float(vertex % 7))
+
+    def compute(self, ctx, vertex, messages):
+        ctx.value = (ctx.value + sum(messages)) / (1 + len(messages))
+        if ctx.superstep < self.rounds:
+            ctx.send_to_neighbors(ctx.value)
+        else:
+            ctx.vote_to_halt()
+
+
+def test_program_without_combiner_bit_identical_under_chaos(topology):
+    baseline, _ = run(topology, NeighborAverage())
+    chaos, registry = run(topology, NeighborAverage(), faults=chaos_plan())
+    assert baseline.superstep_count >= 5
+    assert_bit_identical(baseline, chaos)
+    assert chaos.restarts >= 1
+    assert registry.counter("bsp.checkpoint.total").value >= 1
+    # The crash entering superstep 2 resumed from the image written after
+    # superstep 1 — its list inboxes round-tripped through the pickle —
+    # so no superstep ran twice.
+    assert [report.superstep for report in chaos.supersteps] == list(
+        range(baseline.superstep_count))
 
 
 def test_crash_without_checkpoints_restarts_from_scratch(topology):
