@@ -14,9 +14,11 @@ seams — no profiler:
   of the pages: ``PagedStorage.open_spans`` less its walk and drop, at
   a checkout whose every paged read copies into one read-wide buffer;
   the over-budget fallback ``_copy_pages`` at one that pinned or copied;
-* ``BatchStructDecoder._decode``, the columnar decode, with its calls per
-  block: one per read when a read's trunks share one buffer, one per
-  trunk touched when they do not;
+* the columnar decode — ``BatchStructDecoder``'s four span entry
+  points, an outer one only when one calls another (``_decode`` at a
+  checkout that routed them through it) — with its calls per block: one
+  per read when a read's trunks share one buffer, one per trunk touched
+  when they do not;
 * ``Graph._read_batch``, the whole batched read those sit in, and
   ``SpanGroup.close`` at a checkout that still released span pins.
 
@@ -55,6 +57,7 @@ def main() -> None:
 
     totals: dict[str, float] = {}
     calls: dict[str, int] = {}
+    running: set[str] = set()
 
     def timed(owner, name: str, key: str) -> None:
         inner = owner.__dict__.get(name)
@@ -62,10 +65,14 @@ def main() -> None:
             return
 
         def wrapper(*call_args, **call_kwargs):
+            if key in running:      # nested in a seam of the same key
+                return inner(*call_args, **call_kwargs)
+            running.add(key)
             start = time.perf_counter()
             try:
                 return inner(*call_args, **call_kwargs)
             finally:
+                running.discard(key)
                 totals[key] = (totals.get(key, 0.0)
                                + time.perf_counter() - start)
                 calls[key] = calls.get(key, 0) + 1
@@ -82,7 +89,11 @@ def main() -> None:
     timed(PagedStorage, "_copy_pages", "copy")
     if "_copy_pages" not in PagedStorage.__dict__:
         timed(PagedStorage, "open_spans", "storage")
-    timed(BatchStructDecoder, "_decode", "decode")
+    decode_seams = (("_decode",) if "_decode" in BatchStructDecoder.__dict__
+                    else ("field_counts_spans", "decode_list_csr_spans",
+                          "decode_column_spans", "string_eq_spans"))
+    for name in decode_seams:
+        timed(BatchStructDecoder, name, "decode")
 
     workload = WORKLOADS["serve_cold_paged"](args.seed, args.smoke)
     workload.setup()

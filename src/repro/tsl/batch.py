@@ -29,12 +29,13 @@ instead of O(degree).
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..errors import SchemaMismatchError
+from ..errors import SchemaMismatchError, TslTypeError
 from ..obs import get_registry
 from ..utils.arrays import (
     SpanBatch,
@@ -44,7 +45,6 @@ from ..utils.arrays import (
     range_indices,
 )
 from ..utils.varint import (
-    VarintBatchError,
     decode_varint_run,
     encode_varints,
     read_varints,
@@ -254,84 +254,97 @@ _DECODE_DTYPES = dict(_NUMPY_DTYPES)
 _DECODE_DTYPES[id(FLOAT)] = np.dtype("<f4")
 
 
-class _ScalarFallback(Exception):
-    """Internal: the vectorized path cannot handle this batch.
-
-    Raised when a layout is not vectorizable (variable-size elements in
-    the skip chain) or when the input looks malformed — the caller
-    reruns the per-blob scalar path, which either succeeds or produces
-    the canonical exception.
-    """
-
-
-def _read_varints(buf: np.ndarray, pos: np.ndarray, limits: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """One LEB128 varint per position via the shared vectorized codec.
-
-    Thin wrapper over :func:`repro.utils.varint.read_varints` (the single
-    LEB128 implementation in the tree) that maps its
-    :class:`VarintBatchError` onto :class:`_ScalarFallback` so the scalar
-    path can produce the canonical result or error.
-    """
-    try:
-        return read_varints(buf, pos, limits)
-    except VarintBatchError:
-        raise _ScalarFallback from None
+def _advance(pos: np.ndarray, counts: np.ndarray, width: int,
+             limits: np.ndarray) -> np.ndarray:
+    """``pos + counts * width`` for positions at or before ``limits``.  A
+    count above ``limits`` (no span holds that many bytes) is cut to it:
+    the result still lands past the span's end, where the next read
+    raises what the scalar decoder raises, instead of wrapping int64."""
+    counts = np.minimum(counts, limits)
+    return pos + (counts if width == 1 else counts * width)
 
 
-def _read_adjacency_headers(buf: np.ndarray, pos: np.ndarray,
-                            limits: np.ndarray
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(counts, tags, payload_positions)`` for an adjacency column.
+def _require_room(counts: np.ndarray, width: int, pos: np.ndarray,
+                  limits: np.ndarray, what: str) -> None:
+    """The scalar decoder's error unless every span holds ``counts *
+    width`` bytes after ``pos`` (checked without forming the product)."""
+    room = limits - pos
+    if (counts > (room if width == 1 else room // width)).any():
+        raise SchemaMismatchError(f"blob too short for {what}")
 
-    Reserved tag 3 drops to the scalar path, which raises the canonical
-    :class:`SchemaMismatchError` for it.
-    """
-    headers, payload = _read_varints(buf, pos, limits)
+
+def _skip_list(buf: np.ndarray, pos: np.ndarray, limits: np.ndarray,
+               width: int) -> np.ndarray:
+    """Column-at-a-time ``skip`` of a varint count followed by ``width``
+    bytes per element: a string (``width`` 1) or a ``List<fixed>``."""
+    counts, pos = read_varints(buf, pos, limits)
+    return _advance(pos, counts, width, limits)
+
+
+def _adjacency_headers(buf: np.ndarray, pos: np.ndarray, limits: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(counts, tags, payload_positions)`` for an adjacency column."""
+    headers, payload = read_varints(buf, pos, limits)
     tags = headers & 3
-    if np.any(tags == 3):
-        raise _ScalarFallback
+    if (tags == 3).any():
+        raise SchemaMismatchError("unknown adjacency layout tag 3")
     return headers >> 2, tags, payload
 
 
-def _skip_adjacency_vec(buf: np.ndarray, pos: np.ndarray,
-                        limits: np.ndarray) -> np.ndarray:
-    """Vectorized ``AdjacencyListType.skip`` across one blob column."""
-    counts, tags, payload = _read_adjacency_headers(buf, pos, limits)
-    out = np.empty_like(payload)
-    raw = tags == LAYOUT_RAW
-    out[raw] = payload[raw] + counts[raw] * 8
+def _skip_adjacency(buf: np.ndarray, pos: np.ndarray,
+                    limits: np.ndarray) -> np.ndarray:
+    """Column-at-a-time ``AdjacencyListType.skip``."""
+    counts, tags, payload = _adjacency_headers(buf, pos, limits)
+    out = _advance(payload, counts, 8, limits)   # raw; the others below
     delta = np.flatnonzero(tags == LAYOUT_DELTA_VARINT)
     if len(delta):
-        nbytes, after = _read_varints(buf, payload[delta], limits[delta])
-        out[delta] = after + nbytes
+        out[delta] = _skip_list(buf, payload[delta], limits[delta], 1)
     bitmap = np.flatnonzero(tags == LAYOUT_BITMAP)
     if len(bitmap):
-        _, after = _read_varints(buf, payload[bitmap], limits[bitmap])
-        nbytes, after = _read_varints(buf, after, limits[bitmap])
-        out[bitmap] = after + nbytes
-    if np.any(out > limits):
-        raise _ScalarFallback  # scalar skip/decode raises the canonical error
+        bitmap_limits = limits[bitmap]
+        _, after = read_varints(buf, payload[bitmap], bitmap_limits)
+        out[bitmap] = _skip_list(buf, after, bitmap_limits, 1)
     return out
+
+
+def _skip_step(tsl_type: TslType):
+    """``tsl_type.skip`` as one column-at-a-time step ``(buf, pos,
+    limits) -> pos``, or ``None`` for a type with none (a nested list, a
+    ``List<string>``, a variable-size struct)."""
+    size = tsl_type.fixed_size
+    if size is not None:
+        return lambda buf, pos, limits: pos + size
+    if tsl_type is STRING:
+        return partial(_skip_list, width=1)
+    if isinstance(tsl_type, AdjacencyListType):
+        return _skip_adjacency
+    if (isinstance(tsl_type, ListType)
+            and tsl_type.element.fixed_size is not None):
+        return partial(_skip_list, width=tsl_type.element.fixed_size)
+    return None
+
+
+def _gather_elements(buf: np.ndarray, pos: np.ndarray, limits: np.ndarray,
+                     counts: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The ``counts[i]`` packed ``dtype`` elements at each ``pos[i]``, back
+    to back: one gather and a dtype view."""
+    _require_room(counts, dtype.itemsize, pos, limits, f"{dtype} elements")
+    return gather_ranges(buf, pos, counts * dtype.itemsize).view(dtype)
 
 
 def _decode_delta_group(buf: np.ndarray, pos: np.ndarray,
                         limits: np.ndarray, counts: np.ndarray
                         ) -> np.ndarray:
-    """Vectorized ``LAYOUT_DELTA_VARINT`` decode for one column group.
+    """``LAYOUT_DELTA_VARINT`` lists, back to back.
 
     One gather for every list's payload bytes, then the whole varint
     stream is decoded as one run
     (:func:`~repro.utils.varint.decode_varint_run`) into the zigzag
     codes, and a wrap-safe segmented prefix sum (uint64 cumsum minus
-    each list's basis) undoes the deltas.  Anything that does not look
-    like our own encoder's output — boundary-crossing varints, 11-byte
-    codes, a negative reconstructed id (the encoder only delta-encodes
-    non-negative lists) — drops to the scalar reference decoder.
+    each list's basis) undoes the deltas.
     """
-    nbytes, payload_start = _read_varints(buf, pos, limits)
-    if (payload_start + nbytes > limits).any():
-        raise _ScalarFallback
+    nbytes, payload_start = read_varints(buf, pos, limits)
+    _require_room(nbytes, 1, payload_start, limits, "adjacency delta payload")
     payload = gather_ranges(buf, payload_start, nbytes)
     # Every list's byte range must hold exactly its count of end bytes
     # (``< 0x80``, counted by one binary search over their sorted
@@ -341,129 +354,168 @@ def _decode_delta_group(buf: np.ndarray, pos: np.ndarray,
     end_positions = np.flatnonzero(payload < 0x80)
     byte_cuts = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(nbytes, out=byte_cuts[1:])
-    if (np.diff(np.searchsorted(end_positions, byte_cuts)) != counts).any():
-        raise _ScalarFallback
-    if (payload[byte_cuts[1:][nbytes > 0] - 1] >= 0x80).any():
-        raise _ScalarFallback
-    if not len(payload):
-        return np.empty(0, dtype=np.int64)
+    if ((np.diff(np.searchsorted(end_positions, byte_cuts)) != counts).any()
+            or (payload[byte_cuts[1:][nbytes > 0] - 1] >= 0x80).any()):
+        raise SchemaMismatchError("corrupt adjacency delta payload")
     try:
         codes, _ = decode_varint_run(payload, 0, len(end_positions))
     except ValueError:  # an 11-byte code, or a 10th byte past bit 63
-        raise _ScalarFallback from None
+        raise SchemaMismatchError("corrupt adjacency delta payload") from None
     deltas = ((codes >> np.uint64(1)).astype(np.int64)
               ^ -(codes & np.uint64(1)).astype(np.int64))
-    # Segmented prefix sum, wrap-safe: uint64 cumulates mod 2**64 and the
-    # per-list basis subtraction recovers the exact value whenever it
-    # fits in int64 (guaranteed for encoder output: ids are >= 0).
     running = np.cumsum(deltas.view(np.uint64))
     basis = np.concatenate((np.zeros(1, dtype=np.uint64), running))
     value_cuts = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=value_cuts[1:])
     values = (running - np.repeat(basis[value_cuts[:-1]], counts)
-              ).astype(np.int64)
-    if int(values.min()) < 0:
-        raise _ScalarFallback
+              ).view(np.int64)
+    # The uint64 sums are exact wherever every prefix stays inside int64,
+    # which none can leave unless the group's length times its largest
+    # |delta| reaches 2**63.  Otherwise the first prefix that left it is
+    # where the scalar decoder raises: an add whose result's sign differs
+    # from both operands' signs.
+    if len(codes) * ((int(codes.max(initial=0)) >> 1) + 1) >= 2 ** 63:
+        previous = values - deltas          # 0 at each list's head
+        if (((previous ^ values) & (deltas ^ values)) < 0).any():
+            raise SchemaMismatchError(
+                "adjacency delta payload overflows int64")
     return values
 
 
 def _decode_bitmap_group(buf: np.ndarray, pos: np.ndarray,
                          limits: np.ndarray, counts: np.ndarray
                          ) -> np.ndarray:
-    """Vectorized ``LAYOUT_BITMAP`` decode for one column group.
+    """``LAYOUT_BITMAP`` lists, back to back.
 
     One gather for all bitmap bytes, one ``np.unpackbits``, and one
     ``searchsorted`` to map every set bit back to its list; ids come out
     ascending per list, which is the stored order for any
-    bitmap-eligible list.  Popcount mismatches drop to the scalar
-    reference decoder for the canonical error.
+    bitmap-eligible list.
     """
-    bases, after = _read_varints(buf, pos, limits)
-    nbytes, payload_start = _read_varints(buf, after, limits)
-    if np.any(payload_start + nbytes > limits):
-        raise _ScalarFallback
-    payload = gather_ranges(buf, payload_start, nbytes)
-    bits = np.unpackbits(payload, bitorder="little")
-    set_positions = np.flatnonzero(bits)
-    if len(set_positions) != int(counts.sum()):
-        raise _ScalarFallback
+    bases, after = read_varints(buf, pos, limits)
+    nbytes, payload_start = read_varints(buf, after, limits)
+    _require_room(nbytes, 1, payload_start, limits,
+                  "adjacency bitmap payload")
+    set_positions = np.flatnonzero(np.unpackbits(
+        gather_ranges(buf, payload_start, nbytes), bitorder="little"))
     bit_cuts = 8 * np.cumsum(nbytes)
     owner = np.searchsorted(bit_cuts, set_positions, side="right")
-    if np.any(np.bincount(owner, minlength=len(counts)) != counts):
-        raise _ScalarFallback
-    bit_starts = np.concatenate((np.zeros(1, dtype=np.int64),
-                                 bit_cuts))[owner]
-    values = bases[owner] + (set_positions - bit_starts)
-    if np.any(values < bases[owner]):
-        raise _ScalarFallback  # int64 wrap: scalar owns the error
+    if (np.bincount(owner, minlength=len(counts)) != counts).any():
+        raise SchemaMismatchError("adjacency bitmap popcount != header count")
+    bit_starts = np.concatenate((np.zeros(1, dtype=np.int64), bit_cuts))
+    firsts = bases[owner]
+    values = firsts + (set_positions - bit_starts[owner])
+    if (values < firsts).any():
+        raise SchemaMismatchError("adjacency bitmap payload overflows int64")
     return values
+
+
+_GROUP_DECODERS = {
+    LAYOUT_RAW: partial(_gather_elements, dtype=_INT64),
+    LAYOUT_DELTA_VARINT: _decode_delta_group,
+    LAYOUT_BITMAP: _decode_bitmap_group,
+}
+
+
+def _decode_adjacency_csr(buf: np.ndarray, pos: np.ndarray,
+                          limits: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Columnar adjacency decode, dispatched per layout group.
+
+    The column is partitioned by header tag; each group decodes with its
+    own codec and scatters into one flat CSR output, so a frontier
+    mixing raw tails, delta hubs and bitmap hubs still costs O(groups)
+    numpy passes.  Each group decoder checks its lists' counts against
+    their payloads before anything is sized by them.
+    """
+    counts, tags, payload = _adjacency_headers(buf, pos, limits)
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    # A homogeneous column needs no scatter: the group decoder's output
+    # already is the flat CSR.
+    first = int(tags[0]) if len(tags) else LAYOUT_RAW
+    if (tags == first).all():
+        flat = _GROUP_DECODERS[first](buf, payload, limits, counts)
+        np.cumsum(counts, out=indptr[1:])
+        return indptr, flat
+    groups = []
+    for tag, decode in _GROUP_DECODERS.items():
+        group = np.flatnonzero(tags == tag)
+        if len(group):
+            groups.append((group, decode(buf, payload[group], limits[group],
+                                         counts[group])))
+    np.cumsum(counts, out=indptr[1:])
+    flat = np.empty(int(indptr[-1]), dtype=np.int64)
+    for group, values in groups:
+        flat[range_indices(indptr[group], counts[group])] = values
+    return indptr, flat
+
+
+class _FieldRead(NamedTuple):
+    """How :class:`BatchStructDecoder` reaches and reads one field."""
+
+    tsl_type: TslType
+    base: int
+    """Bytes of fixed-size fields before the first variable-size one."""
+    skips: tuple | None
+    """One column-at-a-time step per later predecessor; ``None`` when
+    one has no such step and the field is located per blob."""
+    column: Callable
+    """The field's :meth:`BatchStructDecoder.decode_column_spans`."""
 
 
 class BatchStructDecoder:
     """Column-at-a-time field decoder for one struct type.
 
-    Field location is compiled once: the run of fixed-size predecessors
-    before each field collapses to a static byte offset, and only the
-    variable-size predecessors (strings, lists) are skipped per blob.
+    Each field's plan is compiled once.  The run of fixed-size
+    predecessors before it is a static byte offset, and every later
+    predecessor is one column-at-a-time skip: an add for a fixed size,
+    one vectorized varint pass for a string, a ``List<fixed>`` or an
+    adjacency list.  A predecessor without one (a nested list, a
+    ``List<string>``, a variable-size struct) makes the plan locate the
+    field per blob, by ``StructType.field_offset`` over each span's own
+    bytes; a field type without a column decoder (``List<string>``,
+    ``List<float>``, ``BitArray``, a struct) is read per blob by its
+    ``TslType.decode``.  Either per-blob step counts one
+    ``tsl.batch.fallback{op}`` per batch.
+
+    Malformed input raises where it is found, with the exception class
+    the scalar decoder raises on that blob (DESIGN.md §10).
     """
 
     def __init__(self, struct_type: StructType):
         self.struct_type = struct_type
-        self._locators: dict[str, tuple[int, tuple[TslType, ...]]] = {}
-        fixed_prefix = 0
-        variable: list[TslType] = []
+        self._plans: dict[str, _FieldRead] = {}
+        base, skips = 0, ()
         for name, tsl_type in struct_type.fields:
-            self._locators[name] = (fixed_prefix, tuple(variable))
-            if tsl_type.fixed_size is not None and not variable:
-                fixed_prefix += tsl_type.fixed_size
-            else:
-                variable.append(tsl_type)
+            self._plans[name] = _FieldRead(tsl_type, base, skips,
+                                           self._column_step(tsl_type))
+            if skips == () and tsl_type.fixed_size is not None:
+                base += tsl_type.fixed_size
+            elif skips is not None:
+                skip = _skip_step(tsl_type)
+                skips = None if skip is None else skips + (skip,)
 
-    def field_type(self, field_name: str) -> TslType:
-        return self.struct_type.field_type(field_name)
+    def _column_step(self, tsl_type: TslType) -> Callable:
+        if (isinstance(tsl_type, ListType)
+                and id(tsl_type.element) in _NUMPY_DTYPES):
+            return self._list_column
+        if tsl_type is STRING:
+            return self._string_column
+        dtype = _DECODE_DTYPES.get(id(tsl_type))
+        if dtype is not None:
+            return partial(self._fixed_column, dtype=dtype)
+        return self._blob_column
 
-    def _offset_in(self, blob, field_name: str) -> int:
-        """Byte offset of ``field_name`` inside one cell blob."""
-        offset, variable = self._locator(field_name)
-        for tsl_type in variable:
-            offset = tsl_type.skip(blob, offset)
-        return offset
-
-    def _locator(self, field_name: str) -> tuple[int, tuple[TslType, ...]]:
+    def _plan(self, field_name: str) -> _FieldRead:
         try:
-            return self._locators[field_name]
+            return self._plans[field_name]
         except KeyError:
-            raise SchemaMismatchError(
+            raise TslTypeError(
                 f"{self.struct_type.name} has no field {field_name!r}"
             ) from None
 
-    def _field_positions(self, buf: np.ndarray, starts: np.ndarray,
-                         limits: np.ndarray, field_name: str) -> np.ndarray:
-        """Absolute field offsets for every blob span in a batch.
-
-        The whole skip chain runs column-at-a-time: fixed-size
-        predecessors are one vectorized add, strings and
-        ``List<fixed-size>`` predecessors are one vectorized varint pass
-        plus an add.  Any other variable-size predecessor (nested lists,
-        ``List<string>``) raises :class:`_ScalarFallback`.
-        """
-        base, variable = self._locator(field_name)
-        pos = starts + base
-        for tsl_type in variable:
-            if tsl_type.fixed_size is not None:
-                pos = pos + tsl_type.fixed_size
-            elif tsl_type is STRING:
-                lengths, pos = _read_varints(buf, pos, limits)
-                pos = pos + lengths
-            elif isinstance(tsl_type, AdjacencyListType):
-                pos = _skip_adjacency_vec(buf, pos, limits)
-            elif (isinstance(tsl_type, ListType)
-                  and tsl_type.element.fixed_size is not None):
-                counts, pos = _read_varints(buf, pos, limits)
-                pos = pos + counts * tsl_type.element.fixed_size
-            else:
-                raise _ScalarFallback
-        return pos
+    def field_type(self, field_name: str) -> TslType:
+        return self._plan(field_name).tsl_type
 
     def csr_dtype(self, field_name: str) -> np.dtype | None:
         """The numpy element dtype when the field has a CSR fast path."""
@@ -472,23 +524,31 @@ class BatchStructDecoder:
             return _NUMPY_DTYPES.get(id(tsl_type.element))
         return None
 
-    def _decode(self, op: str, vector, scalar, buf: np.ndarray,
-                starts: np.ndarray, limits: np.ndarray, field_name: str,
-                *extra):
-        """``vector`` over the spans, or its per-blob scalar reference.
+    @staticmethod
+    def _blobs(op: str, buf: np.ndarray, starts: np.ndarray,
+               limits: np.ndarray) -> list[bytes]:
+        """The spans as ``bytes`` for a per-blob step, counted as
+        ``tsl.batch.fallback{op}``."""
+        get_registry().counter("tsl.batch.fallback", op=op).inc()
+        return SpanBatch(buf, starts, limits).blobs()
 
-        The one place a :class:`_ScalarFallback` is caught (and counted,
-        as ``tsl.batch.fallback{op}``): the spans are sliced to ``bytes``
-        once and go straight to the scalar loop, which either succeeds or
-        raises the canonical error.  An empty batch takes the same loop.
-        """
-        if len(starts):
-            try:
-                return vector(buf, starts, limits, field_name, *extra)
-            except _ScalarFallback:
-                get_registry().counter("tsl.batch.fallback", op=op).inc()
-        return scalar(SpanBatch(buf, starts, limits).blobs(), field_name,
-                      *extra)
+    def _positions(self, op: str, buf: np.ndarray, starts: np.ndarray,
+                   limits: np.ndarray, field_name: str) -> np.ndarray:
+        """Absolute offsets of ``field_name`` in every span, by its plan."""
+        plan = self._plans[field_name]
+        if plan.skips is None:
+            # A corrupt length can put the field far past its blob (past
+            # int64, even); at the blob's end the next read raises the
+            # same error.
+            offset = self.struct_type.field_offset
+            return starts + np.fromiter(
+                (min(offset(blob, field_name), len(blob))
+                 for blob in self._blobs(op, buf, starts, limits)),
+                dtype=np.int64, count=len(starts))
+        pos = starts + plan.base
+        for skip in plan.skips:
+            pos = skip(buf, pos, limits)
+        return pos
 
     def field_counts_spans(self, buf: np.ndarray, starts: np.ndarray,
                            limits: np.ndarray, field_name: str) -> np.ndarray:
@@ -502,26 +562,10 @@ class BatchStructDecoder:
             raise SchemaMismatchError(
                 f"{field_name!r} is {tsl_type.name}, not a List field"
             )
-        return self._decode("counts", self._field_counts_vec,
-                            self._field_counts_scalar, buf, starts, limits,
-                            field_name)
-
-    def _field_counts_scalar(self, blobs: list[bytes],
-                             field_name: str) -> np.ndarray:
-        counts = np.empty(len(blobs), dtype=np.int64)
-        offset_in = self._offset_in
-        decode_count = self.field_type(field_name).decode_count
-        for i, blob in enumerate(blobs):
-            counts[i], _ = decode_count(blob, offset_in(blob, field_name))
-        return counts
-
-    def _field_counts_vec(self, buf, starts, limits,
-                          field_name: str) -> np.ndarray:
-        pos = self._field_positions(buf, starts, limits, field_name)
-        if isinstance(self.field_type(field_name), AdjacencyListType):
-            counts, _, _ = _read_adjacency_headers(buf, pos, limits)
-            return counts
-        counts, _ = _read_varints(buf, pos, limits)
+        pos = self._positions("counts", buf, starts, limits, field_name)
+        counts, _ = read_varints(buf, pos, limits)
+        if isinstance(tsl_type, AdjacencyListType):
+            return counts >> 2
         return counts
 
     def decode_list_csr_spans(self, buf: np.ndarray, starts: np.ndarray,
@@ -542,138 +586,35 @@ class BatchStructDecoder:
             raise SchemaMismatchError(
                 f"{field_name!r} has no numpy-decodable element type"
             )
-        return self._decode("csr", self._decode_list_csr_vec,
-                            self._decode_list_csr_scalar, buf, starts,
-                            limits, field_name, dtype)
-
-    def _decode_list_csr_scalar(self, blobs: list[bytes], field_name: str,
-                                dtype: np.dtype
-                                ) -> tuple[np.ndarray, np.ndarray]:
-        lists = self._decode_column_scalar(blobs, field_name)
-        indptr = np.zeros(len(lists) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, lists), dtype=np.int64,
-                              count=len(lists)), out=indptr[1:])
-        flat = np.fromiter(chain.from_iterable(lists), dtype=dtype,
-                           count=int(indptr[-1]))
-        return indptr, flat
-
-    def _decode_list_csr_vec(self, buf, starts, limits, field_name: str,
-                             dtype: np.dtype
-                             ) -> tuple[np.ndarray, np.ndarray]:
+        pos = self._positions("csr", buf, starts, limits, field_name)
         if isinstance(self.field_type(field_name), AdjacencyListType):
-            return self._decode_adjacency_csr_vec(buf, starts, limits,
-                                                  field_name)
-        itemsize = dtype.itemsize
-        pos = self._field_positions(buf, starts, limits, field_name)
-        counts, data_start = _read_varints(buf, pos, limits)
-        nbytes = counts * itemsize
-        short = data_start + nbytes > limits
-        if np.any(short):
-            bad = int(np.flatnonzero(short)[0])
-            raise SchemaMismatchError(
-                f"blob too short for {field_name!r} "
-                f"({int(counts[bad])} x {itemsize}-byte elements)"
-            )
+            return _decode_adjacency_csr(buf, pos, limits)
+        counts, data_start = read_varints(buf, pos, limits)
+        flat = _gather_elements(buf, data_start, limits, counts, dtype)
         indptr = np.zeros(len(starts) + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return indptr, gather_ranges(buf, data_start, nbytes).view(dtype)
-
-    def _decode_adjacency_csr_vec(self, buf, starts, limits,
-                                  field_name: str
-                                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar adjacency decode, dispatched per layout group.
-
-        The column is partitioned by header tag; each group decodes with
-        its own vectorized codec and scatters into one flat CSR output,
-        so a frontier mixing raw tails, delta hubs and bitmap hubs still
-        costs O(groups) numpy passes.  Any structural anomaly drops to
-        :class:`_ScalarFallback` — the per-blob scalar decoders are the
-        canonical reference for both values and errors.
-        """
-        pos = self._field_positions(buf, starts, limits, field_name)
-        counts, tags, payload = _read_adjacency_headers(buf, pos, limits)
-        indptr = np.zeros(len(starts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        # Single-tag fast paths: a homogeneous column needs no per-group
-        # scatter — the group decoder's output already is the flat CSR.
-        first = int(tags[0])
-        if (tags == first).all():
-            if first == LAYOUT_RAW:
-                nbytes = counts * 8
-                if (payload + nbytes > limits).any():
-                    raise _ScalarFallback
-                return indptr, gather_ranges(buf, payload,
-                                             nbytes).view(np.int64)
-            if first == LAYOUT_DELTA_VARINT:
-                return indptr, _decode_delta_group(buf, payload, limits,
-                                                   counts)
-            if first == LAYOUT_BITMAP:
-                return indptr, _decode_bitmap_group(buf, payload, limits,
-                                                    counts)
-            raise _ScalarFallback  # reserved tag: scalar owns the error
-        flat = np.empty(int(indptr[-1]), dtype=np.int64)
-        raw = np.flatnonzero(tags == LAYOUT_RAW)
-        if len(raw):
-            nbytes = counts[raw] * 8
-            if np.any(payload[raw] + nbytes > limits[raw]):
-                raise _ScalarFallback
-            values = gather_ranges(buf, payload[raw], nbytes).view(np.int64)
-            flat[range_indices(indptr[raw], counts[raw])] = values
-        delta = np.flatnonzero(tags == LAYOUT_DELTA_VARINT)
-        if len(delta):
-            values = _decode_delta_group(buf, payload[delta], limits[delta],
-                                         counts[delta])
-            flat[range_indices(indptr[delta], counts[delta])] = values
-        bitmap = np.flatnonzero(tags == LAYOUT_BITMAP)
-        if len(bitmap):
-            values = _decode_bitmap_group(buf, payload[bitmap],
-                                          limits[bitmap], counts[bitmap])
-            flat[range_indices(indptr[bitmap], counts[bitmap])] = values
         return indptr, flat
 
     def decode_column_spans(self, buf: np.ndarray, starts: np.ndarray,
                             limits: np.ndarray, field_name: str) -> list:
         """Per-blob Python values for any field, CSR-accelerated when
         possible; elementwise equal to scalar ``decode`` per blob."""
-        if self.csr_dtype(field_name) is not None:
-            indptr, flat = self.decode_list_csr_spans(buf, starts, limits,
-                                                      field_name)
-            values = flat.tolist()
-            cuts = indptr.tolist()
-            return [values[cuts[i]:cuts[i + 1]]
-                    for i in range(len(starts))]
-        return self._decode("column", self._decode_column_vec,
-                            self._decode_column_scalar, buf, starts, limits,
-                            field_name)
+        column = self._plan(field_name).column
+        return column(buf, starts, limits, field_name)
 
-    def _decode_column_scalar(self, blobs: list[bytes],
-                              field_name: str) -> list:
-        """The canonical reference, for values and for errors: the
-        scalar type decoder, once per blob, whatever the layout."""
-        decode = self.field_type(field_name).decode
-        offset_in = self._offset_in
-        return [decode(blob, offset_in(blob, field_name))[0]
-                for blob in blobs]
+    def _list_column(self, buf, starts, limits, field_name: str) -> list:
+        indptr, flat = self.decode_list_csr_spans(buf, starts, limits,
+                                                  field_name)
+        values = flat.tolist()
+        cuts = indptr.tolist()
+        return [values[cuts[i]:cuts[i + 1]] for i in range(len(starts))]
 
-    def _decode_column_vec(self, buf, starts, limits,
-                           field_name: str) -> list:
-        tsl_type = self.field_type(field_name)
-        if tsl_type is STRING:
-            return self._decode_string_column(buf, starts, limits,
-                                              field_name)
-        dtype = _DECODE_DTYPES.get(id(tsl_type))
-        if dtype is None:
-            raise _ScalarFallback
-        return self._decode_fixed_column(buf, starts, limits, field_name,
-                                         dtype)
-
-    def _decode_string_column(self, buf, starts, limits, field_name: str
-                              ) -> list[str]:
+    def _string_column(self, buf, starts, limits, field_name: str
+                       ) -> list[str]:
         """One vectorized varint pass + one gather for a string column."""
-        pos = self._field_positions(buf, starts, limits, field_name)
-        lengths, data_start = _read_varints(buf, pos, limits)
-        if np.any(data_start + lengths > limits):
-            raise SchemaMismatchError("blob too short for string")
+        pos = self._positions("column", buf, starts, limits, field_name)
+        lengths, data_start = read_varints(buf, pos, limits)
+        _require_room(lengths, 1, data_start, limits, "string")
         raw = gather_ranges(buf, data_start, lengths).tobytes()
         offsets = np.zeros(len(starts) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
@@ -681,15 +622,23 @@ class BatchStructDecoder:
         return [raw[cuts[i]:cuts[i + 1]].decode("utf-8")
                 for i in range(len(starts))]
 
-    def _decode_fixed_column(self, buf, starts, limits, field_name: str,
-                             dtype: np.dtype) -> list:
+    def _fixed_column(self, buf, starts, limits, field_name: str,
+                      dtype: np.dtype) -> list:
         """One gather for a fixed-width primitive column."""
-        pos = self._field_positions(buf, starts, limits, field_name)
+        pos = self._positions("column", buf, starts, limits, field_name)
         size = dtype.itemsize
-        if np.any(pos + size > limits):
-            raise _ScalarFallback  # scalar decode raises the canonical error
+        if (limits - pos < size).any():
+            raise SchemaMismatchError(f"blob too short for {dtype}")
         positions = (pos[:, None] + np.arange(size)).ravel()
         return buf[positions].view(dtype).tolist()
+
+    def _blob_column(self, buf, starts, limits, field_name: str) -> list:
+        """Per blob, by the field type's own decoder: the plan's step for
+        a type without a column decoder."""
+        decode = self.field_type(field_name).decode
+        offset = self.struct_type.field_offset
+        return [decode(blob, offset(blob, field_name))[0]
+                for blob in self._blobs("column", buf, starts, limits)]
 
     def string_eq_spans(self, buf: np.ndarray, starts: np.ndarray,
                         limits: np.ndarray, field_name: str,
@@ -698,9 +647,11 @@ class BatchStructDecoder:
 
         Length mismatches are rejected by the varint headers alone; only
         equal-length candidates get a byte compare — one fancy-index
-        gather for the whole batch.  Equivalent to decoding the column
-        and comparing, because utf-8 encoding is injective (and a
-        non-``str`` value equals no string).
+        gather for the whole batch.  Equal to decoding the column and
+        comparing (utf-8 encoding is injective, and a non-``str`` value
+        equals no string), with one exception: a stored string that is
+        not valid utf-8 compares unequal here, where decoding it raises
+        ``UnicodeDecodeError`` — its bytes are never decoded.
         """
         if self.field_type(field_name) is not STRING:
             return np.asarray(
@@ -710,22 +661,10 @@ class BatchStructDecoder:
                 dtype=bool)
         if not isinstance(value, str):
             return np.zeros(len(starts), dtype=bool)
-        return self._decode("string_eq", self._string_eq_vec,
-                            self._string_eq_scalar, buf, starts, limits,
-                            field_name, value)
-
-    def _string_eq_scalar(self, blobs: list[bytes], field_name: str,
-                          value: str) -> np.ndarray:
-        column = self._decode_column_scalar(blobs, field_name)
-        return np.asarray([v == value for v in column], dtype=bool)
-
-    def _string_eq_vec(self, buf, starts, limits, field_name: str,
-                       value: str) -> np.ndarray:
         needle = np.frombuffer(value.encode("utf-8"), dtype=np.uint8)
-        pos = self._field_positions(buf, starts, limits, field_name)
-        lengths, data_start = _read_varints(buf, pos, limits)
-        if np.any(data_start + lengths > limits):
-            raise SchemaMismatchError("blob too short for string")
+        pos = self._positions("string_eq", buf, starts, limits, field_name)
+        lengths, data_start = read_varints(buf, pos, limits)
+        _require_room(lengths, 1, data_start, limits, "string")
         hits = lengths == len(needle)
         candidates = np.flatnonzero(hits)
         if len(candidates) and len(needle):

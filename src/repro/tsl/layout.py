@@ -46,7 +46,7 @@ import numpy as np
 
 from ..errors import SchemaMismatchError
 from ..utils.varint import (
-    decode_varint,
+    decode_int64_varint,
     encode_varint,
     encode_varints,
     varint_lengths,
@@ -349,7 +349,7 @@ def encode_adjacency(values: np.ndarray,
 
 def decode_delta_payload(buf, offset: int, count: int) -> tuple[list, int]:
     """Decode a ``LAYOUT_DELTA_VARINT`` payload into a Python list."""
-    nbytes, pos = decode_varint(buf, offset)
+    nbytes, pos = decode_int64_varint(buf, offset)
     end = pos + nbytes
     if end > len(buf):
         raise SchemaMismatchError("blob too short for adjacency delta payload")
@@ -367,6 +367,8 @@ def decode_delta_payload(buf, offset: int, count: int) -> tuple[list, int]:
             if not byte & 0x80:
                 break
             shift += 7
+        if code >> 64:      # a zigzag code is 64 bits
+            raise SchemaMismatchError("corrupt adjacency delta payload")
         delta = (code >> 1) ^ -(code & 1)
         previous = delta if index == 0 else previous + delta
         if not -(2 ** 63) <= previous < 2 ** 63:
@@ -380,8 +382,8 @@ def decode_delta_payload(buf, offset: int, count: int) -> tuple[list, int]:
 
 def decode_bitmap_payload(buf, offset: int, count: int) -> tuple[list, int]:
     """Decode a ``LAYOUT_BITMAP`` payload into an ascending Python list."""
-    base, pos = decode_varint(buf, offset)
-    nbytes, pos = decode_varint(buf, pos)
+    base, pos = decode_int64_varint(buf, offset)
+    nbytes, pos = decode_int64_varint(buf, pos)
     end = pos + nbytes
     if end > len(buf):
         raise SchemaMismatchError(
@@ -399,4 +401,6 @@ def decode_bitmap_payload(buf, offset: int, count: int) -> tuple[list, int]:
         raise SchemaMismatchError(
             f"adjacency bitmap popcount {len(values)} != header count {count}"
         )
+    if values and values[-1] >= 2 ** 63:
+        raise SchemaMismatchError("adjacency bitmap payload overflows int64")
     return values, end

@@ -24,7 +24,7 @@ from __future__ import annotations
 import struct
 
 from ..errors import SchemaMismatchError, TslTypeError
-from ..utils.varint import decode_varint, encode_varint
+from ..utils.varint import decode_int64_varint, encode_varint
 
 
 class TslType:
@@ -76,7 +76,7 @@ class PrimitiveType(TslType):
     def decode(self, buf, offset: int):
         try:
             (value,) = self._struct.unpack_from(buf, offset)
-        except struct.error as exc:
+        except (struct.error, OverflowError) as exc:  # short, or past ssize_t
             raise SchemaMismatchError(f"blob too short for {self.name}: {exc}")
         return value, offset + self.fixed_size
 
@@ -114,14 +114,14 @@ class StringType(TslType):
         return encode_varint(len(raw)) + raw
 
     def decode(self, buf, offset: int):
-        length, offset = decode_varint(buf, offset)
+        length, offset = decode_int64_varint(buf, offset)
         end = offset + length
         if end > len(buf):
             raise SchemaMismatchError("blob too short for string")
         return bytes(buf[offset:end]).decode("utf-8"), end
 
     def skip(self, buf, offset: int) -> int:
-        length, offset = decode_varint(buf, offset)
+        length, offset = decode_int64_varint(buf, offset)
         return offset + length
 
     def default(self) -> str:
@@ -150,7 +150,7 @@ class ListType(TslType):
         return b"".join(parts)
 
     def decode(self, buf, offset: int):
-        count, offset = decode_varint(buf, offset)
+        count, offset = decode_int64_varint(buf, offset)
         items = []
         for _ in range(count):
             item, offset = self.element.decode(buf, offset)
@@ -158,7 +158,7 @@ class ListType(TslType):
         return items, offset
 
     def skip(self, buf, offset: int) -> int:
-        count, offset = decode_varint(buf, offset)
+        count, offset = decode_int64_varint(buf, offset)
         element_size = self.element.fixed_size
         if element_size is not None:
             return offset + count * element_size
@@ -168,7 +168,7 @@ class ListType(TslType):
 
     def decode_count(self, buf, offset: int) -> tuple[int, int]:
         """``(element_count, payload_offset)`` from the header alone."""
-        return decode_varint(buf, offset)
+        return decode_int64_varint(buf, offset)
 
     def default(self) -> list:
         return []
@@ -220,7 +220,7 @@ class AdjacencyListType(ListType):
 
     def decode(self, buf, offset: int):
         from . import layout
-        header, offset = decode_varint(buf, offset)
+        header, offset = decode_int64_varint(buf, offset)
         tag = header & 3
         count = header >> 2
         if tag == layout.LAYOUT_RAW:
@@ -238,28 +238,28 @@ class AdjacencyListType(ListType):
         )
 
     def skip(self, buf, offset: int) -> int:
-        header, offset = decode_varint(buf, offset)
+        header, offset = decode_int64_varint(buf, offset)
         tag = header & 3
         if tag == 0:
             return offset + (header >> 2) * 8
         if tag == 1:
-            nbytes, offset = decode_varint(buf, offset)
+            nbytes, offset = decode_int64_varint(buf, offset)
             return offset + nbytes
         if tag == 2:
-            _, offset = decode_varint(buf, offset)
-            nbytes, offset = decode_varint(buf, offset)
+            _, offset = decode_int64_varint(buf, offset)
+            nbytes, offset = decode_int64_varint(buf, offset)
             return offset + nbytes
         raise SchemaMismatchError(
             f"unknown adjacency layout tag {tag} in {self.name}"
         )
 
     def decode_count(self, buf, offset: int) -> tuple[int, int]:
-        header, offset = decode_varint(buf, offset)
+        header, offset = decode_int64_varint(buf, offset)
         return header >> 2, offset
 
     def stored_layout(self, buf, offset: int) -> int:
         """The layout tag a stored adjacency field currently uses."""
-        header, _ = decode_varint(buf, offset)
+        header, _ = decode_int64_varint(buf, offset)
         return header & 3
 
 
@@ -278,7 +278,7 @@ class BitArrayType(TslType):
         return encode_varint(len(bits)) + bytes(packed)
 
     def decode(self, buf, offset: int):
-        count, offset = decode_varint(buf, offset)
+        count, offset = decode_int64_varint(buf, offset)
         nbytes = (count + 7) // 8
         end = offset + nbytes
         if end > len(buf):
@@ -289,7 +289,7 @@ class BitArrayType(TslType):
         return bits, end
 
     def skip(self, buf, offset: int) -> int:
-        count, offset = decode_varint(buf, offset)
+        count, offset = decode_int64_varint(buf, offset)
         return offset + (count + 7) // 8
 
     def default(self) -> list:

@@ -8,9 +8,10 @@ This module is the *single* LEB128 implementation in the tree: the scalar
 codec below and the three vectorized batch forms share it — one varint at
 each of many positions (:func:`read_varints`), one contiguous run of them
 (:func:`decode_varint_run`), and the encoder (:func:`encode_varints`) —
-and a pinned cross-test asserts they agree byte for byte.  ``tsl/batch.py``
-wraps :func:`read_varints` and maps :class:`VarintBatchError` onto its
-internal scalar-fallback signal.
+and a pinned cross-test asserts they agree byte for byte.  A TSL blob's
+varints are lengths, counts, headers and ids, all int64: its decoders
+read them with :func:`decode_int64_varint` and, column-at-a-time,
+:func:`read_varints`, which refuse one at or above ``2**63`` the same way.
 
 Zigzag helpers live here too: the delta-varint adjacency layout stores
 signed neighbor-id deltas as ``(d << 1) ^ (d >> 63)`` so small magnitudes
@@ -21,14 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-class VarintBatchError(ValueError):
-    """The vectorized decoder cannot mirror the scalar codec here.
-
-    Raised on a truncated varint or one needing a 10th byte (which can
-    exceed ``int64``); callers rerun the scalar path, which produces the
-    canonical value or the canonical error.
-    """
+from ..errors import SchemaMismatchError
 
 
 def encode_varint(value: int) -> bytes:
@@ -68,6 +62,17 @@ def decode_varint(buf, offset: int = 0) -> tuple[int, int]:
         shift += 7
 
 
+def decode_int64_varint(buf, offset: int = 0) -> tuple[int, int]:
+    """:func:`decode_varint` for a varint that must be an int64; one at or
+    above ``2**63`` raises :class:`~repro.errors.SchemaMismatchError`."""
+    if offset < len(buf) and buf[offset] < 0x80:    # most lengths and headers
+        return buf[offset], offset + 1
+    value, offset = decode_varint(buf, offset)
+    if value >> 63:
+        raise SchemaMismatchError(f"varint {value} overflows int64")
+    return value, offset
+
+
 def zigzag_encode(value: int) -> int:
     """Map a signed 64-bit integer onto an unsigned zigzag code."""
     return ((value << 1) ^ (value >> 63)) & 0xFFFFFFFFFFFFFFFF
@@ -84,29 +89,32 @@ def read_varints(buf: np.ndarray, pos: np.ndarray, limits: np.ndarray
 
     ``buf`` is a ``uint8`` array; ``pos[i]`` is where varint ``i`` starts
     and ``limits[i]`` is the first byte it must not read.  Returns
-    ``(values, next_positions)`` as int64 arrays, mirroring
-    :func:`decode_varint` bit for bit for every value below ``2**63``;
-    anything suspicious (a read past its limit, a varint needing the 10th
-    byte) raises :class:`VarintBatchError` so the scalar path can produce
-    the canonical result or error.
+    ``(values, next_positions)`` as int64 arrays: what
+    :func:`decode_int64_varint` returns at each position, and where it
+    raises, its exception — :func:`decode_varint`'s ``ValueError`` for a
+    varint cut by its limit or longer than ten bytes, and
+    :class:`~repro.errors.SchemaMismatchError` for one at or above
+    ``2**63``.
     """
     # Fast path: decode every first byte in one shot — on power-law
     # graphs most headers and deltas are single-byte varints, so the
     # loop below frequently never runs.
     if (pos >= limits).any():
-        raise VarintBatchError("truncated varint")
+        raise ValueError("truncated varint")
     byte = buf[pos].astype(np.int64)
     values = byte & 0x7F
     out_pos = pos + 1
     active = np.flatnonzero(byte & 0x80)
     shift = 7
     while len(active):
-        if shift > 56:  # 10-byte varints can exceed int64; let scalar decide
-            raise VarintBatchError("varint needs a 10th byte")
         cursor = out_pos[active]
         if (cursor >= limits[active]).any():
-            raise VarintBatchError("truncated varint")
+            raise ValueError("truncated varint")
+        if shift > 63:
+            raise ValueError("varint exceeds 64 bits")
         byte = buf[cursor].astype(np.int64)
+        if shift == 63 and ((byte > 0) & (byte < 0x80)).any():
+            raise SchemaMismatchError("varint overflows int64")
         values[active] |= (byte & 0x7F) << shift
         out_pos[active] = cursor + 1
         active = active[(byte & 0x80) != 0]

@@ -462,3 +462,259 @@ class TestAdjacencyThroughStorageTiers:
                                                 cross_check=True)
             results.append((node_ids, indptr.tolist(), flat.tolist()))
         assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# Corrupt input: each op answers what the scalar decoder answers per blob,
+# or raises the exception class it raises.
+# ---------------------------------------------------------------------------
+
+from repro.utils.varint import encode_varint, zigzag_encode  # noqa: E402
+
+MIXED = StructType("Mixed", [
+    ("Age", INT),                       # the fixed prefix
+    ("Name", STRING),
+    ("Score", DOUBLE),                  # fixed, after a variable field
+    ("Ids", ListType(SHORT)),
+    ("Out", AdjacencyListType(policy=LOW_POLICY)),
+    ("Title", STRING),
+    ("Tags", ListType(STRING)),         # every later field: located per blob
+    ("In", AdjacencyListType(policy=LOW_POLICY)),
+    ("Nick", STRING),
+    ("Rank", LONG),
+])
+_NEIGHBORS = st.one_of(_ARBITRARY, _ARRIVAL, _ASCENDING)
+MIXED_RECORDS = st.lists(
+    st.fixed_dictionaries({
+        "Age": I32,
+        "Name": st.text(max_size=6),
+        "Score": st.floats(width=64),
+        "Ids": st.lists(I16, max_size=5),
+        "Out": _NEIGHBORS,
+        "Title": st.text(max_size=6),
+        "Tags": st.lists(st.text(max_size=3), max_size=3),
+        "In": _NEIGHBORS,
+        "Nick": st.text(max_size=6),
+        "Rank": I64,
+    }),
+    min_size=1, max_size=6,
+)
+# Patches beside arbitrary bytes: varints at, just below and past 2**63.
+_PATCHES = st.one_of(
+    st.binary(min_size=1, max_size=10),
+    st.sampled_from([b"\xff" * 9 + b"\x00", b"\xff" * 9 + b"\x01",
+                     b"\x80" * 9 + b"\x04", b"\x80" * 10 + b"\x01"]),
+)
+
+
+@st.composite
+def corrupted_batches(draw):
+    """A batch of ``MIXED`` blobs with one of them truncated, overwritten
+    in place or flipped in one bit."""
+    records = draw(MIXED_RECORDS)
+    blobs = [MIXED.encode(record) for record in records]
+    victim = draw(st.integers(0, len(blobs) - 1))
+    blob = bytearray(blobs[victim])
+    at = draw(st.integers(0, len(blob) - 1))
+    kind = draw(st.sampled_from(["truncate", "overwrite", "flip"]))
+    if kind == "truncate":
+        del blob[at:]
+    elif kind == "overwrite":
+        patch = draw(_PATCHES)[:len(blob) - at]
+        blob[at:at + len(patch)] = patch
+    else:
+        blob[at] ^= 1 << draw(st.integers(0, 7))
+    blobs[victim] = bytes(blob)
+    return records, blobs
+
+
+def outcome(call):
+    """``("ok", repr(answer))`` or ``("raised", exception class)``; repr
+    so that a NaN read back from corrupt bytes equals itself."""
+    try:
+        return "ok", repr(call())
+    except Exception as exc:    # the class is the answer
+        return "raised", type(exc)
+
+
+def scalar_count(struct_type, blob, field_name):
+    field_type = struct_type.field_type(field_name)
+    offset = struct_type.field_offset(blob, field_name)
+    return field_type.decode_count(blob, offset)[0]
+
+
+class TestCorruptBlobsMatchScalar:
+    """One corrupt blob in a batch: counts, CSR, column and string
+    equality each give the per-blob scalar answer or raise its exception
+    class, over every vectorized predecessor and past a ``List<string>``
+    one (whose followers are located per blob)."""
+
+    LISTS = ["Ids", "Out", "Tags", "In"]
+    CSR = ["Ids", "Out", "In"]
+    STRINGS = ["Name", "Title", "Nick"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(corrupted_batches())
+    def test_every_op_matches_scalar(self, case):
+        records, blobs = case
+        decoder = batch_decoder_for(MIXED)
+        spans = pack_blobs(blobs)
+
+        def csr(field_name):
+            indptr, flat = decoder.decode_list_csr_spans(*spans, field_name)
+            return [flat[indptr[i]:indptr[i + 1]].tolist()
+                    for i in range(len(blobs))]
+
+        for field_name in self.LISTS:
+            assert outcome(lambda: decoder.field_counts_spans(
+                *spans, field_name).tolist()) == outcome(
+                lambda: [scalar_count(MIXED, b, field_name) for b in blobs])
+        for field_name in self.CSR:
+            assert outcome(lambda: csr(field_name)) == outcome(
+                lambda: [scalar_decode(MIXED, b, field_name) for b in blobs])
+        for field_name in MIXED.field_names():
+            assert outcome(lambda: decoder.decode_column_spans(
+                *spans, field_name)) == outcome(
+                lambda: [scalar_decode(MIXED, b, field_name) for b in blobs])
+        for field_name in self.STRINGS + ["Age"]:
+            value = records[0][field_name]
+            assert outcome(lambda: decoder.string_eq_spans(
+                *spans, field_name, value).tolist()) == outcome(
+                lambda: [self._scalar_eq(b, field_name, value)
+                         for b in blobs])
+
+    @staticmethod
+    def _scalar_eq(blob, field_name, value):
+        """Decode, then compare — except that a string that is not valid
+        utf-8 equals nothing: ``string_eq_spans`` compares bytes and never
+        decodes them."""
+        try:
+            return scalar_decode(MIXED, blob, field_name) == value
+        except UnicodeDecodeError:
+            return False
+
+    def test_invalid_utf8_compares_unequal_where_decoding_raises(self):
+        decoder = batch_decoder_for(MIXED)
+        good = MIXED.encode({"Name": "ab", "Nick": "ab"})
+        at = good.index(b"ab")
+        bad = good[:at] + b"\xff\xfe" + good[at + 2:]
+        for blob in (good, bad):        # Name is decoded whole in the bad one
+            assert scalar_decode(MIXED, blob, "Nick") == "ab"
+        with pytest.raises(UnicodeDecodeError):
+            scalar_decode(MIXED, bad, "Name")
+        with pytest.raises(UnicodeDecodeError):
+            column_of(decoder, [good, bad], "Name")
+        assert decoder.string_eq_spans(*pack_blobs([good, bad]), "Name",
+                                       "ab").tolist() == [True, False]
+
+
+def _adjacency_out(tag: int, count: int, *varints: int,
+                   payload: bytes = b"") -> bytes:
+    """An ``Out`` field written by hand: header, varints, payload."""
+    return b"".join(encode_varint(v) for v in ((count << 2) | tag,
+                                               *varints)) + payload
+
+
+def _blob_with_out(out_bytes: bytes) -> bytes:
+    good = ADJ.encode({"Name": "x", "Out": []})
+    return good[:ADJ.field_offset(good, "Out")] + out_bytes
+
+
+class TestVarintsPastInt64:
+    """A varint at or above 2**63 is no TSL value: every path raises
+    ``SchemaMismatchError`` for it (the batch path once leaked numpy's
+    ``OverflowError`` packing it into int64)."""
+
+    BITMAP_BASE = _blob_with_out(
+        _adjacency_out(LAYOUT_BITMAP, 1, 2 ** 63, 1, payload=b"\x01"))
+    HEADER = _blob_with_out(encode_varint(2 ** 65))
+
+    def test_bitmap_base(self):
+        decoder = batch_decoder_for(ADJ)
+        with pytest.raises(SchemaMismatchError):
+            scalar_decode(ADJ, self.BITMAP_BASE, "Out")
+        with pytest.raises(SchemaMismatchError):
+            csr_of(decoder, [self.BITMAP_BASE], "Out")
+        with pytest.raises(SchemaMismatchError):
+            column_of(decoder, [self.BITMAP_BASE], "Out")
+
+    def test_adjacency_header(self):
+        decoder = batch_decoder_for(ADJ)
+        with pytest.raises(SchemaMismatchError):
+            scalar_count(ADJ, self.HEADER, "Out")
+        with pytest.raises(SchemaMismatchError):
+            counts_of(decoder, [self.HEADER], "Out")
+
+    def test_a_field_located_past_int64(self):
+        """A length just below 2**63 puts the next field past what an
+        offset can hold: a short blob on both paths (the scalar decoder
+        once leaked ``struct``'s ``OverflowError``)."""
+        struct = StructType("Far", [("Name", STRING), ("Rank", LONG)])
+        blob = b"\xff" * 8 + b"\x7f" + b"\x00" * 8
+        with pytest.raises(SchemaMismatchError):
+            scalar_decode(struct, blob, "Rank")
+        with pytest.raises(SchemaMismatchError):
+            column_of(batch_decoder_for(struct), [blob], "Rank")
+
+    def test_bitmap_ids_past_int64(self):
+        """A base below 2**63 whose set bits reach past it."""
+        blob = _blob_with_out(_adjacency_out(
+            LAYOUT_BITMAP, 8, 2 ** 63 - 4, 1, payload=b"\xff"))
+        decoder = batch_decoder_for(ADJ)
+        with pytest.raises(SchemaMismatchError, match="overflows int64"):
+            scalar_decode(ADJ, blob, "Out")
+        with pytest.raises(SchemaMismatchError, match="overflows int64"):
+            csr_of(decoder, [blob], "Out")
+
+
+def _delta_out(values) -> bytes:
+    """A delta-varint ``Out`` field for ``values``, whatever their sign."""
+    deltas = [values[0]] + [b - a for a, b in zip(values, values[1:])]
+    payload = b"".join(encode_varint(zigzag_encode(d)) for d in deltas)
+    return _adjacency_out(LAYOUT_DELTA_VARINT, len(values), len(payload),
+                          payload=payload)
+
+
+class TestDeltaStreams:
+    """Delta payloads the encoder never writes decode exactly as the
+    scalar decoder decodes them, or fail where it fails."""
+
+    ORDINARY = _blob_with_out(_delta_out([10, 900, 14, 2 ** 40]))
+
+    @pytest.mark.parametrize("values", [
+        [-5, 3, -1000, 7],
+        [-(2 ** 62), 2 ** 62 - 1, -1],
+        [-(2 ** 63), -1, 2 ** 62],
+        [2 ** 62, -(2 ** 62), -(2 ** 63)],
+    ])
+    def test_negative_ids_decode_as_the_scalar_does(self, values):
+        blobs = [self.ORDINARY, _blob_with_out(_delta_out(values))]
+        assert scalar_decode(ADJ, blobs[1], "Out") == values
+        decoder = batch_decoder_for(ADJ)
+        indptr, flat = csr_of(decoder, blobs, "Out")
+        assert flat[indptr[1]:].tolist() == values
+        assert column_of(decoder, blobs, "Out") == \
+            [scalar_decode(ADJ, b, "Out") for b in blobs]
+
+    @pytest.mark.parametrize("deltas", [
+        [2 ** 62, 2 ** 62],                         # the second id
+        [5, 2 ** 62, 2 ** 62, 1],                   # partway through
+        [-(2 ** 62), -(2 ** 62), -(2 ** 62)],       # -2**63 fits; below not
+    ])
+    def test_int64_overflow_raises_from_both_paths(self, deltas):
+        payload = b"".join(encode_varint(zigzag_encode(d)) for d in deltas)
+        blob = _blob_with_out(_adjacency_out(
+            LAYOUT_DELTA_VARINT, len(deltas), len(payload), payload=payload))
+        with pytest.raises(SchemaMismatchError, match="overflows int64"):
+            scalar_decode(ADJ, blob, "Out")
+        with pytest.raises(SchemaMismatchError, match="overflows int64"):
+            csr_of(batch_decoder_for(ADJ), [self.ORDINARY, blob], "Out")
+
+    def test_a_code_past_64_bits_is_corrupt_on_both_paths(self):
+        code = b"\x80" * 9 + b"\x02"                # 2**64 in ten bytes
+        blob = _blob_with_out(_adjacency_out(
+            LAYOUT_DELTA_VARINT, 2, len(code) + 1, payload=b"\x04" + code))
+        with pytest.raises(SchemaMismatchError, match="corrupt"):
+            scalar_decode(ADJ, blob, "Out")
+        with pytest.raises(SchemaMismatchError, match="corrupt"):
+            csr_of(batch_decoder_for(ADJ), [blob], "Out")

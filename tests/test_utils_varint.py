@@ -2,19 +2,18 @@
 
 ``utils/varint.py`` is the single LEB128 implementation in the tree:
 the vectorized batch forms (``read_varints``/``decode_varint_run``/
-``encode_varints``) and the scalar codec must agree byte for byte, and ``tsl/batch.py``'s
-``_read_varints`` must be a thin wrapper that maps
-:class:`VarintBatchError` onto its scalar-fallback signal rather than a
-second implementation.
+``encode_varints``) and the scalar codec must agree byte for byte.
+``read_varints`` is what the batch decoders read TSL varints with, so
+it raises what ``decode_int64_varint`` raises, where it raises it.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tsl import batch as tsl_batch
+from repro.errors import SchemaMismatchError
 from repro.utils.varint import (
-    VarintBatchError,
+    decode_int64_varint,
     decode_varint,
     decode_varint_run,
     encode_varint,
@@ -125,7 +124,7 @@ class TestPinnedVectors:
 
     def test_vector_decode_matches_pins(self):
         """read_varints agrees with the pins for values below 2**63
-        (int64-representable; larger ones defer to the scalar path)."""
+        (int64-representable; larger ones raise, see below)."""
         small = [(v, e) for v, e in PINNED if v < 2 ** 63]
         blob = b"".join(e for _, e in small)
         buf = np.frombuffer(blob, dtype=np.uint8)
@@ -269,37 +268,55 @@ class TestRunDecoderAgreement:
             == [2 ** 64 - 1]
 
 
-class TestBatchWrapperDelegates:
-    """tsl/batch._read_varints is a wrapper, not a reimplementation."""
+def read_one(blob: bytes, limit: int | None = None):
+    """``read_varints`` at offset 0 of ``blob``, up to ``limit``."""
+    return read_varints(np.frombuffer(blob, dtype=np.uint8),
+                        np.zeros(1, dtype=np.int64),
+                        np.array([len(blob) if limit is None else limit]))
 
-    def test_same_values_on_valid_input(self):
-        blob = b"".join(encode_varint(v) for v in [5, 300, 0, 2 ** 40])
-        buf = np.frombuffer(blob, dtype=np.uint8)
-        starts = np.array([0, 1, 3, 4], dtype=np.int64)
-        limits = np.full(4, len(blob), dtype=np.int64)
-        via_utils = read_varints(buf, starts, limits)
-        via_batch = tsl_batch._read_varints(buf, starts, limits)
-        assert via_batch[0].tolist() == via_utils[0].tolist()
-        assert via_batch[1].tolist() == via_utils[1].tolist()
 
-    def test_truncated_maps_to_scalar_fallback(self):
-        buf = np.frombuffer(b"\x80", dtype=np.uint8)  # continuation, no end
-        starts = np.array([0], dtype=np.int64)
-        limits = np.array([1], dtype=np.int64)
-        with pytest.raises(VarintBatchError):
-            read_varints(buf, starts, limits)
-        with pytest.raises(tsl_batch._ScalarFallback):
-            tsl_batch._read_varints(buf, starts, limits)
+class TestReadVarintsContract:
+    """``read_varints`` raises ``decode_varint``'s error where it raises
+    one, decodes what it decodes below 2**63, and refuses the rest as
+    ``decode_int64_varint`` does."""
 
-    def test_tenth_byte_maps_to_scalar_fallback(self):
-        blob = encode_varint(2 ** 64 - 1)  # ten bytes
-        buf = np.frombuffer(blob, dtype=np.uint8)
-        starts = np.array([0], dtype=np.int64)
-        limits = np.array([len(blob)], dtype=np.int64)
-        with pytest.raises(VarintBatchError):
-            read_varints(buf, starts, limits)
-        with pytest.raises(tsl_batch._ScalarFallback):
-            tsl_batch._read_varints(buf, starts, limits)
+    @pytest.mark.parametrize("blob,limit", [
+        (b"\x80", None),               # the buffer ends mid-varint
+        (b"\x80\x01", 1),              # its span's limit does
+        (b"\xff" * 10, None),          # ten continuation bytes
+    ])
+    def test_truncated_varint_raises_decode_varints_message(self, blob,
+                                                            limit):
+        with pytest.raises(ValueError) as scalar:
+            decode_varint(blob[:limit])
+        with pytest.raises(ValueError) as batch:
+            read_one(blob, limit)
+        assert str(batch.value) == str(scalar.value) == "truncated varint"
+
+    @pytest.mark.parametrize("blob", [
+        b"\xff" * 9 + b"\x00",                # 2**63 - 1 in ten bytes
+        b"\x85" + b"\x80" * 8 + b"\x00",       # 5 in ten bytes
+    ])
+    def test_non_minimal_ten_byte_varint_decodes_as_decode_varint(self,
+                                                                  blob):
+        values, ends = read_one(blob + b"\x07")
+        assert (values.tolist()[0], ends.tolist()[0]) == decode_varint(blob)
+
+    @pytest.mark.parametrize("value", [2 ** 63, 2 ** 64 - 1, 2 ** 70 - 1])
+    def test_a_varint_past_int64_is_a_schema_mismatch(self, value):
+        blob = encode_varint(value)
+        assert decode_varint(blob) == (value, len(blob))
+        with pytest.raises(SchemaMismatchError):
+            decode_int64_varint(blob)
+        with pytest.raises(SchemaMismatchError):
+            read_one(blob)
+
+    def test_an_eleven_byte_varint_raises_what_decode_varint_raises(self):
+        blob = b"\x80" * 10 + b"\x01"
+        with pytest.raises(ValueError, match="64 bits"):
+            decode_varint(blob)
+        with pytest.raises(ValueError, match="64 bits"):
+            read_one(blob)
 
 
 class TestZigzag:
