@@ -17,8 +17,6 @@ Offline (throughput-bound, vertex-centric):
   (``pagerank``, ``bfs``, ``sssp``, ``wcc``, ``count_triangles``) that
   runs it on the :class:`~repro.compute.bsp.BspEngine` and reports the
   answer with each superstep's simulated time (Figure 12).
-* :mod:`~repro.algorithms.partitioning` — multi-level graph partitioning
-  (Section 5.3's "billion-node partitioning" workload).
 """
 
 from .pagerank import PageRankProgram, PageRankRun, pagerank, pagerank_async
@@ -39,7 +37,6 @@ from .landmarks import (
     evaluate_oracle,
     select_landmarks,
 )
-from .partitioning import PartitioningResult, edge_cut, hash_partition, multilevel_partition
 
 __all__ = [
     "PageRankProgram",
@@ -66,8 +63,4 @@ __all__ = [
     "OracleEvaluation",
     "select_landmarks",
     "evaluate_oracle",
-    "PartitioningResult",
-    "multilevel_partition",
-    "hash_partition",
-    "edge_cut",
 ]

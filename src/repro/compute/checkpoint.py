@@ -159,6 +159,8 @@ class CheckpointManager:
     def prune(self, keep: int = 2) -> int:
         """Drop every file of all but the newest ``keep`` tags, in one
         commit; returns the number of tags removed."""
+        if keep < 0:
+            raise RecoveryError("prune must keep >= 0 tags")
         tag_files = self._tag_files()
         pruned = sorted(tag_files)[:-keep] if keep else sorted(tag_files)
         with self.tfs.batch():

@@ -344,10 +344,6 @@ class Graph:
             record[schema.in_field] = []
         self.cloud.put(node_id, self._node_type.encode(record))
         self.node_ids.append(node_id)
-        cached = getattr(self, "_node_set_cache", None)
-        if cached is not None:
-            cached.add(node_id)
-        self._machine_partition_cache = None
 
     def add_edge(self, src: int, dst: int) -> None:
         """Insert one edge into the live graph via cell accessors.
@@ -367,7 +363,6 @@ class Graph:
         else:
             with self.use_node(dst) as cell:
                 cell.get(schema.out_field).append(src)
-        self._machine_partition_cache = None
 
     # -- placement ---------------------------------------------------------
 
@@ -376,28 +371,17 @@ class Graph:
         return self.cloud.machine_of(node_id)
 
     def nodes_on(self, machine_id: int) -> list[int]:
-        """Node ids hosted by one machine (ascending).
-
-        Cached per machine alongside ``_node_set_cache``; both caches
-        are invalidated by :meth:`add_node`/:meth:`add_edge`.
-        """
-        cache = getattr(self, "_machine_partition_cache", None)
-        if cache is None:
-            cache = {}
-            self._machine_partition_cache = cache
-        nodes = cache.get(machine_id)
-        if nodes is None:
-            nodes = sorted(
-                uid for uid in self.cloud.cells_on(machine_id)
-                if self.cloud.contains(uid) and uid in self._node_set()
-            )
-            cache[machine_id] = nodes
-        return list(nodes)
+        """Node ids hosted by one machine (ascending); empty for a
+        machine the addressing table no longer names."""
+        return sorted(self.partition().get(machine_id, []))
 
     def partition(self) -> dict[int, list[int]]:
-        """machine id → node ids, for the whole graph."""
+        """machine id → node ids, for the whole graph, keyed by the
+        machines the addressing table names now: one
+        :meth:`machine_of_batch` pass, so it follows recovery and
+        joins."""
         machines: dict[int, list[int]] = {
-            m: [] for m in range(self.cloud.config.machines)
+            m: [] for m in self.cloud.addressing.machines()
         }
         if self.node_ids:
             owners = self.machine_of_batch(
@@ -405,10 +389,3 @@ class Graph:
             for node_id, machine in zip(self.node_ids, owners):
                 machines[machine].append(node_id)
         return machines
-
-    def _node_set(self) -> set[int]:
-        cached = getattr(self, "_node_set_cache", None)
-        if cached is None:
-            cached = set(self.node_ids)
-            self._node_set_cache = cached
-        return cached

@@ -1,18 +1,14 @@
-"""Tests for the distance oracle and multi-level partitioning."""
+"""Tests for the landmark distance oracle: Brandes betweenness, the
+three landmark selection strategies and the oracle's accuracy
+(Section 5.5, Figure 8b)."""
 
 import numpy as np
 import pytest
 
 from repro.config import ClusterConfig
-from repro.algorithms import (
-    edge_cut,
-    evaluate_oracle,
-    hash_partition,
-    multilevel_partition,
-    select_landmarks,
-)
+from repro.algorithms import evaluate_oracle, select_landmarks
 from repro.algorithms.landmarks import brandes_betweenness
-from repro.errors import ComputeError, QueryError
+from repro.errors import QueryError
 from repro.generators.social import community_edges
 from repro.graph import CsrTopology, GraphBuilder, plain_graph_schema
 from repro.memcloud import MemoryCloud
@@ -142,63 +138,3 @@ class TestOracle:
                                      seed=4).accuracy
         assert acc_global >= acc_degree - 0.01
 
-
-class TestPartitioning:
-    def make_csr(self, edges, n):
-        sym = np.vstack([edges, edges[:, ::-1]])
-        order = np.lexsort((sym[:, 1], sym[:, 0]))
-        sym = sym[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, sym[:, 0] + 1, 1)
-        return np.cumsum(indptr), sym[:, 1].astype(np.int64)
-
-    @pytest.fixture(scope="class")
-    def csr(self):
-        edges = community_edges(1000, communities=8, avg_degree=8,
-                                seed=11)
-        return self.make_csr(edges, 1000)
-
-    def test_assignment_covers_all_nodes(self, csr):
-        indptr, indices = csr
-        result = multilevel_partition(indptr, indices, parts=4, seed=0)
-        assert len(result.assignment) == 1000
-        assert set(np.unique(result.assignment)) <= set(range(4))
-
-    def test_balance_within_tolerance(self, csr):
-        indptr, indices = csr
-        result = multilevel_partition(indptr, indices, parts=4, seed=0)
-        assert result.balance <= 1.3
-
-    def test_beats_hash_partition(self, csr):
-        """The paper's quality claim: multi-level cut far below random."""
-        indptr, indices = csr
-        multilevel = multilevel_partition(indptr, indices, parts=4, seed=0)
-        random_cut = edge_cut(indptr, indices,
-                              hash_partition(1000, 4, seed=0))
-        assert multilevel.cut < 0.7 * random_cut
-
-    def test_cut_metric_consistency(self, csr):
-        indptr, indices = csr
-        result = multilevel_partition(indptr, indices, parts=4, seed=0)
-        assert result.cut == edge_cut(indptr, indices, result.assignment)
-
-    def test_history_monotone_levels(self, csr):
-        indptr, indices = csr
-        result = multilevel_partition(indptr, indices, parts=4, seed=0)
-        assert result.levels >= 1
-        sizes = [n for n, _ in result.history]
-        assert sizes == sorted(sizes)  # coarsest first
-
-    def test_validation(self, csr):
-        indptr, indices = csr
-        with pytest.raises(ComputeError):
-            multilevel_partition(indptr, indices, parts=1)
-        with pytest.raises(ComputeError):
-            multilevel_partition(np.zeros(3, dtype=np.int64),
-                                 np.empty(0, dtype=np.int64), parts=4)
-
-    def test_deterministic_for_seed(self, csr):
-        indptr, indices = csr
-        first = multilevel_partition(indptr, indices, parts=4, seed=7)
-        second = multilevel_partition(indptr, indices, parts=4, seed=7)
-        assert np.array_equal(first.assignment, second.assignment)

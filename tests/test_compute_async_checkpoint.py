@@ -119,6 +119,13 @@ class TestCheckpointManager:
         assert removed == 4
         assert manager.tags() == [4, 5]
 
+    def test_prune_rejects_negative_keep(self, manager):
+        for tag in range(5):
+            manager.save(tag, [tag])
+        with pytest.raises(RecoveryError, match=">= 0"):
+            manager.prune(keep=-1)
+        assert manager.tags() == [0, 1, 2, 3, 4]
+
     def test_prune_drops_every_file_of_a_tag_in_one_commit(self, manager):
         from unittest import mock
 

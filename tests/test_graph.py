@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.cluster import TrinityCluster
+from repro.config import ClusterConfig
 from repro.errors import QueryError, TslTypeError
 from repro.graph import (
     CsrTopology,
@@ -13,6 +15,7 @@ from repro.graph import (
     social_graph_schema,
     struct_edge_schema,
 )
+from repro.obs import MetricsRegistry
 from repro.tsl import compile_tsl
 
 
@@ -163,6 +166,49 @@ class TestGraphApi:
     def test_attribute_on_plain_schema_rejected(self, graph):
         with pytest.raises(QueryError):
             graph.attribute(0, "Name")
+
+
+class TestPlacementFollowsAddressing:
+    """``nodes_on``/``partition`` read the addressing table as it is now:
+    after recovery moves a dead machine's trunks, and after a join."""
+
+    @pytest.fixture
+    def deployment(self):
+        cluster = TrinityCluster(ClusterConfig(machines=4, trunk_bits=5),
+                                 registry=MetricsRegistry())
+        builder = GraphBuilder(cluster.cloud, plain_graph_schema())
+        builder.add_edges([(i, (i + 1) % 200) for i in range(200)])
+        graph = builder.finalize()
+        cluster.backup_to_tfs()
+        for machine in range(4):
+            graph.nodes_on(machine)  # placement read before the change
+        return cluster, graph
+
+    @staticmethod
+    def assert_placement_current(graph):
+        machines = graph.cloud.addressing.machines()
+        partition = graph.partition()
+        assert sorted(partition) == machines
+        seen = []
+        for machine in machines:
+            nodes = graph.nodes_on(machine)
+            assert nodes == sorted(partition[machine])
+            assert all(graph.machine_of(node) == machine for node in nodes)
+            seen.extend(nodes)
+        assert sorted(seen) == sorted(graph.node_ids)
+
+    def test_after_recovery(self, deployment):
+        cluster, graph = deployment
+        cluster.fail_machine(2)
+        cluster.report_failure(2)
+        assert graph.nodes_on(2) == []
+        self.assert_placement_current(graph)
+
+    def test_after_add_machine(self, deployment):
+        cluster, graph = deployment
+        new_id = cluster.add_machine()
+        assert graph.nodes_on(new_id)
+        self.assert_placement_current(graph)
 
 
 class TestCsrTopology:
