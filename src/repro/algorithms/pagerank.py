@@ -148,17 +148,16 @@ def pagerank_async(topology, damping: float = 0.85,
         engine = AsyncEngine(topology, network=network)
     # Push-method invariant: x = ranks + (I - dM)^-1 residual, so ranks
     # start at zero and the whole teleport mass sits in the residual.
+    # A vertex's value is (rank, residual): the engine's state is the
+    # whole state, so a rollback restores it.
     base = (1.0 - damping) / n
-    ranks = np.zeros(n)
-    residual = np.full(n, base)
     degrees = topology.out_degrees()
 
     def update(values, vertex, topo):
-        delta = residual[vertex]
+        rank, delta = values[vertex]
         if delta <= tolerance:
             return ()
-        residual[vertex] = 0.0
-        ranks[vertex] += delta
+        values[vertex] = (rank + delta, 0.0)
         degree = degrees[vertex]
         if not degree:
             return ()
@@ -166,16 +165,17 @@ def pagerank_async(topology, damping: float = 0.85,
         wake = []
         for neighbor in topo.out_neighbors(vertex):
             neighbor = int(neighbor)
-            before = residual[neighbor]
-            residual[neighbor] = before + share
-            if before <= tolerance < residual[neighbor]:
+            other, before = values[neighbor]
+            values[neighbor] = (other, before + share)
+            if before <= tolerance < before + share:
                 wake.append(neighbor)
         return wake
 
-    result = engine.run(update, [0.0] * n, range(n),
+    result = engine.run(update, [(0.0, base)] * n, range(n),
                         max_updates=max_updates)
     # Delta-PageRank computes the unnormalised fixed point
     # r = (1-d)/n + d A r; normalise to a distribution like the
     # synchronous run reports.
+    ranks = np.array([rank for rank, _ in result.values])
     total = ranks.sum()
     return ranks / total, result

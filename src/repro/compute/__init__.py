@@ -19,8 +19,10 @@
 * :mod:`~repro.compute.termination` — Safra's termination-detection
   algorithm, used to snapshot asynchronous computations (Section 6.2).
 * :mod:`~repro.compute.async_engine` — asynchronous (GraphChi-style)
-  vertex computation with periodic-interruption snapshots.
-* :mod:`~repro.compute.checkpoint` — BSP checkpointing to TFS.
+  vertex computation: its slices run as rounds of the BSP loop, which
+  snapshots them and rolls back to a snapshot after a crash.
+* :mod:`~repro.compute.checkpoint` — engine images and cloud images in
+  TFS.
 """
 
 from .vertex import (

@@ -2,17 +2,19 @@
 
 In the asynchronous model a vertex "can perform computation just based on
 partially updated information from its incoming links" — no supersteps,
-no barriers.  Trinity supports it alongside BSP ("Trinity can adopt any
-computation model"), and Section 6.2 describes its snapshot protocol:
-issue a periodic interruption, let vertices finish the job in hand, run
-Safra's termination detection, and write a snapshot once the system is
-quiescent.
+no barriers.  Section 6.2 describes its snapshot protocol: interrupt,
+let vertices finish the job in hand, run Safra's termination detection,
+and snapshot once the system is quiescent.
 
-The engine maintains per-machine work queues; an update function examines
-the current (possibly stale-free, since we process sequentially) values
-and returns the vertices to reschedule.  Cross-machine reschedules are
-messages: they are charged to the simulated network and tracked by the
-Safra detector.
+Each machine has a work queue; an update function mutates the values and
+returns the vertices to reschedule.  Cross-machine reschedules are
+messages, charged to the simulated network and counted by the Safra
+detector.  The rounds run in the one loop, ``BspEngine._run``:
+:class:`_AsyncPath` supplies one slice per round, the stop test and a
+barrier cost of zero.  A round boundary is quiescent — every machine has
+finished its job in hand and every wake is already in its destination's
+queue — so the loop's checkpoint cadence writes the snapshot there, and
+a crash rolls back to it as a BSP run does.
 """
 
 from __future__ import annotations
@@ -20,17 +22,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..config import (
-    CELL_ACCESS_COST,
-    EDGE_SCAN_COST,
-    THREADS_PER_MACHINE,
-    VERTEX_COMPUTE_COST,
-)
 from ..errors import ComputeError
+from ..faults import FaultPlan
 from ..net.simnet import ParallelRound, SimNetwork
-from ..obs import Tracer
+from .bsp import BspEngine, _charge_compute, _Path
 from .checkpoint import CheckpointManager
 from .termination import SafraDetector
+from .vertex import ComputeContext, VertexProgram
+
+#: Updates one machine drains from its queue in one slice.
+SLICE_UPDATES = 256
 
 
 @dataclass
@@ -40,24 +41,100 @@ class AsyncResult:
     values: list
     updates: int = 0          # vertex update executions
     messages: int = 0         # cross-machine reschedules
-    snapshots: list[int] = field(default_factory=list)
+    snapshots: list[int] = field(default_factory=list)   # imaged rounds
     elapsed: float = 0.0      # simulated seconds
     terminated: bool = False  # Safra-certified quiescence
+    restarts: int = 0         # rollbacks forced by injected crashes
 
 
-class AsyncEngine:
+class _AsyncPath(_Path):
+    """How the asynchronous model computes a round: one slice, in which
+    each machine drains up to :data:`SLICE_UPDATES` updates from its
+    queue.  The carry is ``(queues, queued, updates, messages)``."""
+
+    barrier_cost = 0.0    # machines overlap; no barrier semantics
+
+    def __init__(self, engine: "AsyncEngine", update_fn, frontier,
+                 max_updates: int):
+        # The loop reads a program's message size and after-round hook:
+        # the base class's are 16 bytes and nothing.
+        super().__init__(engine, VertexProgram())
+        self.ctx = ComputeContext(engine)
+        self.update_fn = update_fn
+        self.frontier = frontier
+        self.max_updates = max_updates
+        self.terminated = False
+
+    def start(self, initial_values):
+        engine = self.engine
+        topo = engine.topology
+        engine.values = list(initial_values)
+        self.detector = SafraDetector(topo.machine_count)
+        queues = [deque() for _ in range(topo.machine_count)]
+        queued = [False] * topo.n
+        for vertex in self.frontier:
+            if not queued[vertex]:
+                queued[vertex] = True
+                queues[int(topo.machine[vertex])].append(vertex)
+        return queues, queued, 0, 0
+
+    def step(self, carry, round_: ParallelRound):
+        queues, queued, updates, messages = carry
+        engine, detector = self.engine, self.detector
+        topo, values = engine.topology, engine.values
+        machines = topo.machine_count
+        engine._h_queue.observe(sum(len(q) for q in queues))
+        ran = 0
+        for machine, queue in enumerate(queues):
+            budget = min(len(queue), SLICE_UPDATES,
+                         self.max_updates - updates - ran)
+            degree_sum = 0
+            for _ in range(budget):
+                vertex = queue.popleft()
+                queued[vertex] = False
+                wake = self.update_fn(values, vertex, topo)
+                degree_sum += int(topo.out_indptr[vertex + 1]
+                                  - topo.out_indptr[vertex])
+                for other in wake:
+                    other = int(other)
+                    other_machine = int(topo.machine[other])
+                    if other_machine != machine:
+                        engine._messages += 1
+                        engine._pair_counts[machine * machines
+                                            + other_machine] += 1
+                        detector.record_send(machine)
+                        detector.record_receive(other_machine)
+                    if not queued[other]:
+                        queued[other] = True
+                        queues[other_machine].append(other)
+            _charge_compute(round_, machine, budget, degree_sum)
+            ran += budget
+        # The slice boundary: every machine has finished its job in hand.
+        for machine in range(machines):
+            detector.set_active(machine, False)
+        if ran:
+            engine._m_slices.inc()
+            engine._m_updates.inc(ran)
+        return ran, (queues, queued, updates + ran,
+                     messages + engine._messages)
+
+    def halted(self, carry) -> bool:
+        """The update budget is spent, or the queues are empty and
+        Safra's probe certifies it.  A failed probe whitens the ring, so
+        the next round — empty — probes again."""
+        queues, _, self.updates, self.messages = carry
+        self.terminated = not any(queues) and self.detector.probe()
+        return self.terminated or self.updates >= self.max_updates
+
+
+class AsyncEngine(BspEngine):
     """Barrier-free vertex processing with quiescence detection."""
 
     def __init__(self, topology, network: SimNetwork | None = None,
                  checkpoints: CheckpointManager | None = None,
-                 interrupt_every: int = 0):
-        self.topology = topology
-        self.network = network or SimNetwork()
-        self.checkpoints = checkpoints
-        self.interrupt_every = interrupt_every
-        self.detector = SafraDetector(topology.machine_count)
-        self.tracer = Tracer(clock=lambda: self.network.clock.now,
-                             registry=self.network.obs)
+                 faults: FaultPlan | None = None):
+        super().__init__(topology, network=network, faults=faults,
+                         checkpoints=checkpoints)
         self._h_queue = self.network.obs.histogram("async.slice.queue_depth")
         self._m_updates = self.network.obs.counter("async.updates.total")
         self._m_slices = self.network.obs.counter("async.slice.total")
@@ -70,95 +147,20 @@ class AsyncEngine:
         ``values`` for ``vertex`` and returns dense indices to reschedule
         (typically the neighbors whose inputs changed).  A vertex is only
         queued once per pending wake-up, like GraphChi's selective
-        scheduling.
+        scheduling.  Everything a rollback must restore lives in
+        ``values``.
         """
-        topo = self.topology
-        n = topo.n
-        if len(initial_values) != n:
-            raise ComputeError("initial_values length != vertex count")
-        values = list(initial_values)
-        queues: list[deque[int]] = [
-            deque() for _ in range(topo.machine_count)
-        ]
-        queued = [False] * n
-        for vertex in frontier:
-            vertex = int(vertex)
-            if not queued[vertex]:
-                queued[vertex] = True
-                queues[int(topo.machine[vertex])].append(vertex)
-        for machine, queue in enumerate(queues):
-            self.detector.set_active(machine, bool(queue))
-
-        result = AsyncResult(values=values)
-        since_interrupt = 0
-        while result.updates < max_updates:
-            # One "slice": every machine drains a bounded chunk of its
-            # queue concurrently; the slice is the unit of simulated
-            # parallel time (machines genuinely overlap in the async
-            # model, there is just no barrier semantics attached).
-            self._h_queue.observe(sum(len(q) for q in queues))
-            slice_round = ParallelRound(self.network)
-            progressed = False
-            slice_updates = 0
-            for machine, queue in enumerate(queues):
-                budget = min(len(queue), 256,
-                             max_updates - result.updates)
-                compute_seconds = 0.0
-                for _ in range(budget):
-                    vertex = queue.popleft()
-                    queued[vertex] = False
-                    wake = update_fn(values, vertex, topo)
-                    result.updates += 1
-                    slice_updates += 1
-                    since_interrupt += 1
-                    progressed = True
-                    degree = int(topo.out_indptr[vertex + 1]
-                                 - topo.out_indptr[vertex])
-                    compute_seconds += (VERTEX_COMPUTE_COST
-                                        + CELL_ACCESS_COST
-                                        + degree * EDGE_SCAN_COST)
-                    for other in wake:
-                        other = int(other)
-                        other_machine = int(topo.machine[other])
-                        if other_machine != machine:
-                            result.messages += 1
-                            self.detector.record_send(machine)
-                            self.detector.record_receive(other_machine)
-                            slice_round.add_message(machine, other_machine, 16)
-                        if not queued[other]:
-                            queued[other] = True
-                            queues[other_machine].append(other)
-                if compute_seconds:
-                    slice_round.add_compute(machine, compute_seconds)
-            if progressed:
-                with self.tracer.span("async.slice",
-                                      updates=slice_updates):
-                    result.elapsed += slice_round.finish(
-                        parallelism=THREADS_PER_MACHINE
-                    )
-                self._m_slices.inc()
-                self._m_updates.inc(slice_updates)
-
-            # At a slice boundary every machine has finished its job in
-            # hand — the state the paper's interruption signal drives the
-            # system into.
-            for machine in range(topo.machine_count):
-                self.detector.set_active(machine, False)
-
-            interrupt_due = (self.interrupt_every
-                             and since_interrupt >= self.interrupt_every)
-            if interrupt_due and self.detector.probe():
-                # System has ceased (no job running, no message in
-                # flight): write the snapshot, then resume.
-                since_interrupt = 0
-                if self.checkpoints is not None:
-                    self.checkpoints.save(result.updates, values)
-                result.snapshots.append(result.updates)
-
-            if not any(queues):
-                result.terminated = self.detector.probe()
-                if result.terminated:
-                    break
-            if not progressed:
-                break
-        return result
+        n = self.topology.n
+        if max_updates < 1:
+            raise ComputeError("max_updates must be >= 1")
+        frontier = [int(vertex) for vertex in frontier]
+        if any(not 0 <= vertex < n for vertex in frontier):
+            raise ComputeError(f"frontier names a vertex outside [0, {n})")
+        path = _AsyncPath(self, update_fn, frontier, max_updates)
+        # Every round but a final empty one runs an update.
+        result = self._run(path, max_updates + 1, initial_values)
+        return AsyncResult(
+            values=result.values, updates=path.updates,
+            messages=path.messages, snapshots=list(self._images),
+            elapsed=result.elapsed, terminated=path.terminated,
+            restarts=result.restarts)

@@ -19,12 +19,15 @@ link once instead of once per edge.  (For a scale-free graph the paper
 estimates that buffering the top 1% of vertices serves 72.8% of message
 needs.)
 
-One loop, two ways to compute a superstep.  :meth:`BspEngine._run` is
-the superstep loop — crash rollback and replay, checkpoint cadence,
-barrier wake, aggregators, reports, the ``on_superstep`` hook and
-termination — and a path object supplies only the compute, both in
-this process (the cluster's parallelism is charged on the simulated
-clock, never run on the host's cores: DESIGN.md §12):
+One loop, three ways to compute a round.  :meth:`BspEngine._run` is
+the round loop — crash rollback and replay, checkpoint cadence,
+barrier wake, aggregators, reports, the ``on_superstep`` hook — and a
+path object supplies the compute, its stop test (``halted``) and what a
+barrier costs (``barrier_cost``), all in this process (the cluster's
+parallelism is charged on the simulated clock, never run on the host's
+cores: DESIGN.md §12).  The asynchronous model's slices are the third
+path (:mod:`repro.compute.async_engine`); the two BSP paths share
+Pregel's stop test and one barrier per superstep (:class:`_Path`):
 
 * the **per-vertex reference path** (:class:`_ReferencePath`): a Python
   loop calling ``compute`` with ``list`` inboxes — the semantics of
@@ -230,14 +233,33 @@ class _FastState:
         )
 
 
-class _ReferencePath:
+class _Path:
+    """What a path supplies beside its compute: Pregel's stop test, one
+    barrier per superstep, and results as a fresh list."""
+
+    barrier_cost = BARRIER_COST
+
+    def __init__(self, engine: "BspEngine", program: VertexProgram):
+        self.engine = engine
+        self.program = program
+
+    def halted(self, carry) -> bool:
+        """Every vertex voted to halt and no message is in flight."""
+        return self.engine._messages == 0 and not self.engine._active.any()
+
+    @staticmethod
+    def public(values: list) -> list:
+        """A snapshot: the engine keeps writing into its own list."""
+        return list(values)
+
+
+class _ReferencePath(_Path):
     """How the reference path computes a superstep: ``compute`` per
     running vertex, machine by machine in ascending id, with ``list``
     inboxes.  The carry is next superstep's inboxes."""
 
     def __init__(self, engine: "BspEngine", program: VertexProgram):
-        self.engine = engine
-        self.program = program
+        super().__init__(engine, program)
         self.ctx = ComputeContext(engine)
         topology = engine.topology
         self.machine_vertices = [topology.nodes_of_machine(m).tolist()
@@ -273,13 +295,8 @@ class _ReferencePath:
             ran += ran_here
         return ran, engine._next_inbox
 
-    @staticmethod
-    def public(values: list) -> list:
-        """A snapshot: the engine keeps writing into its own list."""
-        return list(values)
 
-
-class _FastPath:
+class _FastPath(_Path):
     """How the vectorized path computes a superstep: reset the send
     buffers, run every machine's kernels on its block, then fold what
     they sent.  The carry is ``(combined, received)``, in compute order
@@ -288,8 +305,7 @@ class _FastPath:
     def __init__(self, engine: "BspEngine", program: VertexProgram):
         if engine._fast is None:
             engine._fast = _FastState(engine.topology, engine.hub_threshold)
-        self.engine = engine
-        self.program = program
+        super().__init__(engine, program)
         self.fast = engine._fast
         dtype = np.dtype(program.value_dtype)
         engine._fs_combiner = program.combiner
@@ -367,7 +383,7 @@ class BspEngine:
         self.aggregators_next: dict[str, float] = {}
         self._program: VertexProgram | None = None
         self._neighbor_sets: dict[int, set] = {}
-        self._state_tag: int | None = None     # newest image this run wrote
+        self._images: list[int] = []     # tags of the images this run wrote
         self._fast: _FastState | None = None
         # The last send plan.  A pure function of its key: it outlives
         # runs and rollbacks and is no part of the checkpoint image.
@@ -463,12 +479,13 @@ class BspEngine:
 
     # -- shared accounting ---------------------------------------------------
 
-    def _charge_round(self, round_: ParallelRound, message_bytes: int):
-        """Feed the superstep's traffic ledger to ``round_`` and finish
-        it.  Pairs go in flattened-index order, i.e. sorted by (source,
-        destination) machine, so the float accumulators add in one order
-        whichever path filled the ledger.  Returns (elapsed,
-        remote_transfers, wire_bytes)."""
+    def _charge_round(self, round_: ParallelRound, message_bytes: int,
+                      barrier_cost: float):
+        """Feed the superstep's traffic ledger to ``round_``, finish it
+        and charge the barrier.  Pairs go in flattened-index order, i.e.
+        sorted by (source, destination) machine, so the float
+        accumulators add in one order whichever path filled the ledger.
+        Returns (elapsed, remote_transfers, wire_bytes)."""
         machines = self.topology.machine_count
         remote_transfers = 0
         wire_bytes = 0
@@ -481,8 +498,8 @@ class BspEngine:
                 remote_transfers += count
                 wire_bytes += size
         elapsed = round_.finish(parallelism=THREADS_PER_MACHINE)
-        elapsed += BARRIER_COST
-        self.network.clock.advance(BARRIER_COST)
+        elapsed += barrier_cost
+        self.network.clock.advance(barrier_cost)
         return elapsed, remote_transfers, wire_bytes
 
     # -- checkpoint-restart helpers ------------------------------------------
@@ -491,9 +508,9 @@ class BspEngine:
         """The newest engine-state image this run wrote, or None (restart
         from scratch).  A manager reused across runs still holds the
         earlier runs' images: resuming one would replay another run."""
-        if self._state_tag is None:
+        if not self._images:
             return None
-        return self.checkpoints.load_state(self._state_tag)
+        return self.checkpoints.load_state(self._images[-1])
 
     def _save_state(self, superstep: int, state: dict) -> None:
         """Checkpoint an engine image if the interval says so."""
@@ -502,7 +519,7 @@ class BspEngine:
             return
         state["superstep"] = superstep
         self.checkpoints.save_state(superstep, state)
-        self._state_tag = superstep
+        self._images.append(superstep)
         self._m_checkpoints.inc()
 
     # -- main loop ---------------------------------------------------------
@@ -538,35 +555,21 @@ class BspEngine:
             raise ComputeError(
                 f"unknown combiner {combiner!r}; expected one of {COMBINERS}"
             )
-        self._program = program
-        self._neighbor_sets = {}
-        self._state_tag = None
-        # A fresh injector per run: crash events re-arm, hash tokens
-        # restart, so the same (plan, workload) replays the same faults.
-        prior_faults = self.network.faults
-        if self.faults is not None:
-            self._injector = FaultInjector(self.faults,
-                                           registry=self.network.obs)
-            self.network.faults = self._injector
-        try:
-            if not (self.vectorize and combiner is not None
-                    and self.topology.n and _has_kernels(program)):
-                return self._run(program, max_supersteps, initial_values,
-                                 on_superstep, _ReferencePath(self, program))
-            result = self._run(program, max_supersteps, initial_values,
-                               on_superstep, _FastPath(self, program))
-            if self.cross_check:
-                self._run_cross_check(program, max_supersteps,
-                                      initial_values, result)
-            return result
-        finally:
-            self.network.faults = prior_faults
-            self._injector = None
-            self._program = None
+        if not (self.vectorize and combiner is not None
+                and self.topology.n and _has_kernels(program)):
+            return self._run(_ReferencePath(self, program), max_supersteps,
+                             initial_values, on_superstep)
+        result = self._run(_FastPath(self, program), max_supersteps,
+                           initial_values, on_superstep)
+        if self.cross_check:
+            self._run_cross_check(program, max_supersteps, initial_values,
+                                  result)
+        return result
 
-    def _run(self, program: VertexProgram, max_supersteps: int,
-             initial_values, on_superstep, path) -> BspResult:
-        """The superstep loop both paths share; ``path`` only computes."""
+    def _run(self, path: _Path, max_supersteps: int, initial_values,
+             on_superstep=None) -> BspResult:
+        """The round loop every path shares; ``path`` computes a round,
+        says when to stop and what a barrier costs."""
         topo = self.topology
         n = topo.n
         if initial_values is not None and len(initial_values) != n:
@@ -574,6 +577,16 @@ class BspEngine:
                 f"initial_values has {len(initial_values)} entries "
                 f"for {n} vertices"
             )
+        program = self._program = path.program
+        self._neighbor_sets = {}
+        self._images = []
+        # A fresh injector per run: crash events re-arm, hash tokens
+        # restart, so the same (plan, workload) replays the same faults.
+        prior_faults = self.network.faults
+        if self.faults is not None:
+            self._injector = FaultInjector(self.faults,
+                                           registry=self.network.obs)
+            self.network.faults = self._injector
 
         def fresh_start():
             self.aggregators = {}
@@ -581,80 +594,87 @@ class BspEngine:
             self._active = np.ones(n, dtype=bool)
             return 0, path.start(initial_values)
 
-        superstep, carry = fresh_start()
-        ctx = path.ctx
-        result = BspResult(values=None)
-        while superstep < max_supersteps:
-            if self._injector is not None:
-                if self._injector.take_crashes(superstep):
-                    # A machine died entering this superstep: roll back
-                    # to the last checkpoint image (or superstep 0) and
-                    # replay.  Replayed supersteps recharge the clock —
-                    # that is the cost of recovery — but recompute the
-                    # same values, so results stay bit-identical.
-                    self._m_restarts.inc()
-                    result.restarts += 1
-                    state = self._latest_state()
-                    if state is None:
-                        superstep, carry = fresh_start()
-                    else:
-                        self.values = state["values"]
-                        self.aggregators = state["aggregators"]
-                        self.aggregators_next = {}
-                        self._active = state["active"]
-                        carry = state["carry"]
-                        superstep = state["superstep"] + 1
-                    continue
-                self._injector.begin_round(superstep)
-            with self._h_wall.time(), \
-                    self.tracer.span("bsp.superstep",
-                                     superstep=superstep) as span:
-                ctx.superstep = superstep
-                self._messages = 0
-                self._woken = np.zeros(n, dtype=bool)
-                self._pair_counts = np.zeros(topo.machine_count ** 2,
-                                             dtype=np.int64)
-                round_ = ParallelRound(self.network)
-                ran, carry = path.step(carry, round_)
-                elapsed, remote_transfers, wire_bytes = self._charge_round(
-                    round_, program.message_bytes)
-                span.set(active=ran, messages=self._messages,
-                         remote_transfers=remote_transfers)
-            self._m_supersteps.inc()
-            self._h_messages.observe(self._messages)
-            # Depth of the inter-superstep message queue about to be
-            # consumed by the next barrier.
-            self._g_queue.set(self._messages)
+        try:
+            superstep, carry = fresh_start()
+            ctx = path.ctx
+            result = BspResult(values=None)
+            while superstep < max_supersteps:
+                if self._injector is not None:
+                    if self._injector.take_crashes(superstep):
+                        # A machine died entering this superstep: roll
+                        # back to the last checkpoint image (or superstep
+                        # 0) and replay.  Replayed supersteps recharge
+                        # the clock — that is the cost of recovery — but
+                        # recompute the same values, so results stay
+                        # bit-identical.
+                        self._m_restarts.inc()
+                        result.restarts += 1
+                        state = self._latest_state()
+                        if state is None:
+                            superstep, carry = fresh_start()
+                        else:
+                            self.values = state["values"]
+                            self.aggregators = state["aggregators"]
+                            self.aggregators_next = {}
+                            self._active = state["active"]
+                            carry = state["carry"]
+                            superstep = state["superstep"] + 1
+                        continue
+                    self._injector.begin_round(superstep)
+                with self._h_wall.time(), \
+                        self.tracer.span("bsp.superstep",
+                                         superstep=superstep) as span:
+                    ctx.superstep = superstep
+                    self._messages = 0
+                    self._woken = np.zeros(n, dtype=bool)
+                    self._pair_counts = np.zeros(topo.machine_count ** 2,
+                                                 dtype=np.int64)
+                    round_ = ParallelRound(self.network)
+                    ran, carry = path.step(carry, round_)
+                    elapsed, remote_transfers, wire_bytes = \
+                        self._charge_round(round_, program.message_bytes,
+                                           path.barrier_cost)
+                    span.set(active=ran, messages=self._messages,
+                             remote_transfers=remote_transfers)
+                self._m_supersteps.inc()
+                self._h_messages.observe(self._messages)
+                # Depth of the inter-superstep message queue about to be
+                # consumed by the next barrier.
+                self._g_queue.set(self._messages)
 
-            # Barrier wake: message receipt reactivates the destination
-            # at the barrier, after all halts — deterministic regardless
-            # of machine processing order.
-            self._active |= self._woken
-            self.aggregators = self.aggregators_next
-            self.aggregators_next = {}
-            program.after_superstep(ctx)
+                # Barrier wake: message receipt reactivates the
+                # destination at the barrier, after all halts —
+                # deterministic regardless of machine processing order.
+                self._active |= self._woken
+                self.aggregators = self.aggregators_next
+                self.aggregators_next = {}
+                program.after_superstep(ctx)
 
-            result.supersteps.append(SuperstepReport(
-                superstep=superstep,
-                elapsed=elapsed,
-                active_vertices=ran,
-                messages=self._messages,
-                remote_transfers=remote_transfers,
-                message_bytes=wire_bytes,
-            ))
-            if on_superstep is not None:
-                on_superstep(superstep, path.public(self.values))
-            # The image is the engine's own state (compute order on the
-            # fast path): only this engine reads it.
-            self._save_state(superstep, {
-                "values": self.values,
-                "active": self._active,
-                "carry": carry,
-                "aggregators": self.aggregators,
-            })
-            if self._messages == 0 and not self._active.any():
-                break
-            superstep += 1
+                result.supersteps.append(SuperstepReport(
+                    superstep=superstep,
+                    elapsed=elapsed,
+                    active_vertices=ran,
+                    messages=self._messages,
+                    remote_transfers=remote_transfers,
+                    message_bytes=wire_bytes,
+                ))
+                if on_superstep is not None:
+                    on_superstep(superstep, path.public(self.values))
+                # The image is the engine's own state (compute order on
+                # the fast path): only this engine reads it.
+                self._save_state(superstep, {
+                    "values": self.values,
+                    "active": self._active,
+                    "carry": carry,
+                    "aggregators": self.aggregators,
+                })
+                if path.halted(carry):
+                    break
+                superstep += 1
+        finally:
+            self.network.faults = prior_faults
+            self._injector = None
+            self._program = None
 
         result.values = path.public(self.values)
         result.aggregators = dict(self.aggregators)

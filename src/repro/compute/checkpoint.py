@@ -3,23 +3,17 @@
 "For BSP based synchronous computation, we make check points every a few
 supersteps.  These check points are written to the persistent file system
 for future failure recovery."  Asynchronous computations instead write
-*snapshots* after a Safra-certified quiescent interruption; both use the
-same manager.
-
-Checkpoint payloads are JSON (vertex values are numbers, strings, lists
-or null), which keeps images portable and diffable.
-
-For checkpoint-*restart* — resuming a BSP job after an injected machine
-crash with bit-identical semantics — JSON is not enough: the engine's
-state includes numpy arrays (values, active mask, combined inbox) whose
-dtypes must round-trip exactly.  ``save_state``/``load_state`` keep
-pickled full-fidelity engine images next to the JSON value vectors
-(``.state`` beside ``.ckpt``).
+*snapshots* at a quiescent interruption.  Both are one format, written
+by the one round loop (:meth:`repro.compute.bsp.BspEngine._run`) every
+``every`` rounds and read back by it after a crash: a pickled engine
+image, whose numpy arrays (values, active mask, combined inbox) and
+queues round-trip exactly, so a restart resumes the computation
+bit-identically.  Memory-cloud checkpoints are trunk page images, not
+pickles.
 """
 
 from __future__ import annotations
 
-import json
 import pickle
 
 from ..errors import RecoveryError
@@ -28,7 +22,7 @@ from ..tfs import TrinityFileSystem
 
 
 class CheckpointManager:
-    """Writes and restores value-vector checkpoints in TFS."""
+    """Writes and restores engine images and cloud images in TFS."""
 
     def __init__(self, tfs: TrinityFileSystem, job: str = "job",
                  every: int = 5):
@@ -38,9 +32,6 @@ class CheckpointManager:
         self.job = job
         self.every = every
         self.saved = 0
-
-    def _path(self, tag: int) -> str:
-        return f"/trinity/checkpoints/{self.job}/{tag:08d}.ckpt"
 
     def _state_path(self, tag: int) -> str:
         return f"/trinity/checkpoints/{self.job}/{tag:08d}.state"
@@ -54,58 +45,15 @@ class CheckpointManager:
                            []).append(path)
         return out
 
-    def maybe_checkpoint(self, superstep: int, values) -> bool:
-        """BSP hook: checkpoint every ``every`` supersteps; True if saved."""
-        if (superstep + 1) % self.every:
-            return False
-        self.save(superstep, values)
-        return True
-
-    def save(self, tag: int, values, metadata: dict | None = None) -> None:
-        """Persist a value vector under an integer tag."""
-        document = {
-            "job": self.job,
-            "tag": tag,
-            "metadata": metadata or {},
-            "values": list(values),
-        }
-        try:
-            payload = json.dumps(document).encode("utf-8")
-        except TypeError as exc:
-            raise RecoveryError(
-                f"checkpoint values are not JSON-serialisable: {exc}"
-            ) from None
-        self.tfs.write(self._path(tag), payload)
-        self.saved += 1
-
     def tags(self) -> list[int]:
-        """Available JSON checkpoint tags, ascending."""
+        """Tags that hold an engine image, ascending."""
         return sorted(tag for tag, paths in self._tag_files().items()
-                      if self._path(tag) in paths)
+                      if self._state_path(tag) in paths)
 
-    def load(self, tag: int) -> tuple[list, dict]:
-        """Restore one checkpoint: (values, metadata)."""
-        document = json.loads(self.tfs.read(self._path(tag)).decode("utf-8"))
-        return document["values"], document["metadata"]
-
-    def load_latest(self) -> tuple[int, list, dict]:
-        """Restore the newest checkpoint: (tag, values, metadata)."""
-        tags = self.tags()
-        if not tags:
-            raise RecoveryError(f"no checkpoints for job {self.job!r}")
-        tag = tags[-1]
-        values, metadata = self.load(tag)
-        return tag, values, metadata
-
-    # -- full-fidelity engine images (checkpoint-restart) --------------------
+    # -- engine images (checkpoint-restart) ----------------------------------
 
     def save_state(self, tag: int, state: dict) -> None:
-        """Persist a pickled engine-state image under an integer tag.
-
-        Unlike :meth:`save`, the payload is a full-fidelity pickle —
-        numpy arrays, dtypes and inbox structures round-trip exactly, so
-        a restart resumes the computation bit-identically.
-        """
+        """Persist a pickled engine-state image under an integer tag."""
         self.tfs.write(self._state_path(tag), pickle.dumps(state))
         self.saved += 1
 

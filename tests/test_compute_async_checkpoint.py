@@ -3,6 +3,7 @@
 import pytest
 
 from repro.compute import AsyncEngine, CheckpointManager
+from repro.config import BARRIER_COST
 from repro.errors import ComputeError, RecoveryError
 from repro.tfs import TrinityFileSystem
 
@@ -43,6 +44,14 @@ class TestAsyncEngine:
         assert result.updates > 0
         assert result.elapsed > 0
 
+    def test_rounds_charge_no_barrier(self, rmat_topology):
+        """A slice is a round of the one loop, but machines overlap in
+        the async model: the loop charges it no barrier."""
+        values = [INF] * rmat_topology.n
+        values[0] = 0
+        result = AsyncEngine(rmat_topology).run(bfs_relax, values, [0])
+        assert 0 < result.elapsed < BARRIER_COST
+
     def test_update_budget_respected(self, rmat_topology):
         values = [INF] * rmat_topology.n
         values[0] = 0
@@ -59,14 +68,14 @@ class TestAsyncEngine:
 
     def test_snapshots_written_at_interruptions(self, rmat_topology):
         tfs = TrinityFileSystem(datanodes=3, replication=2)
-        manager = CheckpointManager(tfs, job="async-bfs")
+        manager = CheckpointManager(tfs, job="async-bfs", every=2)
         values = [INF] * rmat_topology.n
         values[0] = 0
-        engine = AsyncEngine(rmat_topology, checkpoints=manager,
-                             interrupt_every=100)
+        engine = AsyncEngine(rmat_topology, checkpoints=manager)
         result = engine.run(bfs_relax, values, [0])
         assert result.snapshots
         assert manager.saved == len(result.snapshots)
+        assert manager.tags() == result.snapshots
 
     def test_empty_frontier_terminates_immediately(self, rmat_topology):
         values = [INF] * rmat_topology.n
@@ -78,6 +87,24 @@ class TestAsyncEngine:
         with pytest.raises(ComputeError):
             AsyncEngine(rmat_topology).run(bfs_relax, [1, 2], [0])
 
+    @pytest.mark.parametrize("frontier, max_updates", [
+        (lambda n: [-1], 10), (lambda n: [n], 10),
+        (lambda n: [0], -5), (lambda n: [0], 0),
+    ], ids=["vertex-minus-one", "vertex-n", "negative-budget", "no-budget"])
+    def test_bad_input_rejected_before_any_update(self, rmat_topology,
+                                                  frontier, max_updates):
+        n = rmat_topology.n
+        ran = []
+
+        def update(values, vertex, topo):
+            ran.append(vertex)
+            return ()
+
+        with pytest.raises(ComputeError):
+            AsyncEngine(rmat_topology).run(update, [0] * n, frontier(n),
+                                           max_updates=max_updates)
+        assert ran == []
+
 
 class TestCheckpointManager:
     @pytest.fixture
@@ -87,41 +114,16 @@ class TestCheckpointManager:
             job="test", every=3,
         )
 
-    def test_save_load_roundtrip(self, manager):
-        manager.save(5, [1.0, 2.0, None], metadata={"superstep": 5})
-        values, metadata = manager.load(5)
-        assert values == [1.0, 2.0, None]
-        assert metadata == {"superstep": 5}
-
-    def test_load_latest(self, manager):
-        manager.save(1, [1])
-        manager.save(9, [9])
-        manager.save(4, [4])
-        tag, values, _ = manager.load_latest()
-        assert tag == 9
-        assert values == [9]
-
-    def test_load_latest_empty_raises(self, manager):
-        with pytest.raises(RecoveryError):
-            manager.load_latest()
-
-    def test_maybe_checkpoint_interval(self, manager):
-        saved = [manager.maybe_checkpoint(step, [step])
-                 for step in range(9)]
-        # every=3: saves after supersteps 2, 5, 8.
-        assert saved == [False, False, True] * 3
-        assert manager.tags() == [2, 5, 8]
-
     def test_prune_keeps_newest(self, manager):
         for tag in range(6):
-            manager.save(tag, [tag])
+            manager.save_state(tag, {"superstep": tag})
         removed = manager.prune(keep=2)
         assert removed == 4
         assert manager.tags() == [4, 5]
 
     def test_prune_rejects_negative_keep(self, manager):
         for tag in range(5):
-            manager.save(tag, [tag])
+            manager.save_state(tag, {"superstep": tag})
         with pytest.raises(RecoveryError, match=">= 0"):
             manager.prune(keep=-1)
         assert manager.tags() == [0, 1, 2, 3, 4]
@@ -137,7 +139,6 @@ class TestCheckpointManager:
             memory=MemoryParams(trunk_size=64 * 1024)), MetricsRegistry())
         cloud.put(7, b"seven")
         for tag in range(6):
-            manager.save(tag, [tag])
             manager.save_state(tag, {"superstep": tag})
             manager.save_cloud(tag, cloud)
         with mock.patch.object(
@@ -149,17 +150,15 @@ class TestCheckpointManager:
         left = {path[len(prefix):len(prefix) + 8]
                 for path in manager.tfs.list_files()}
         assert left == {"00000004", "00000005"}
-        assert len(manager.tfs.list_files()) == 2 * (2 + len(cloud.trunks))
+        assert len(manager.tfs.list_files()) == 2 * (1 + len(cloud.trunks))
         assert manager.tags() == [4, 5]
         # one block per file, two replicas each: nothing leaked
         assert sum(node.block_count for node in manager.tfs.nodes) == (
             2 * len(manager.tfs.list_files()))
 
-    def test_unserialisable_values_rejected(self, manager):
-        with pytest.raises(RecoveryError, match="JSON"):
-            manager.save(0, [object()])
-
     def test_bsp_integration(self, rmat_topology):
+        """The engine images a run every ``every`` supersteps, and an
+        image restores a whole value vector."""
         from repro.compute import BspEngine, VertexProgram
 
         class Count(VertexProgram):
@@ -168,20 +167,18 @@ class TestCheckpointManager:
 
             def compute(self, ctx, v, messages):
                 ctx.value = ctx.value + 1
-                if ctx.superstep >= 6:
-                    ctx.vote_to_halt()
 
         manager = CheckpointManager(
             TrinityFileSystem(datanodes=3, replication=2),
-            job="bsp", every=2,
+            job="bsp", every=3,
         )
-        engine = BspEngine(rmat_topology)
-        engine.run(Count(), max_supersteps=8,
-                   on_superstep=manager.maybe_checkpoint)
-        assert manager.tags()  # checkpoints were written
-        # Restoring the latest checkpoint gives a consistent value vector.
-        _, values, _ = manager.load_latest()
+        BspEngine(rmat_topology, checkpoints=manager).run(
+            Count(), max_supersteps=9)
+        # every=3: images after supersteps 2, 5, 8.
+        assert manager.tags() == [2, 5, 8]
+        values = manager.load_state(8)["values"]
         assert len(values) == rmat_topology.n
+        assert set(values) == {9}
 
     def test_interval_validated(self):
         with pytest.raises(RecoveryError):

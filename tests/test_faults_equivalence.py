@@ -20,9 +20,19 @@ import os
 import numpy as np
 import pytest
 
-from repro.algorithms import BfsProgram, PageRankProgram, SsspProgram
+from repro.algorithms import (
+    BfsProgram,
+    PageRankProgram,
+    SsspProgram,
+    pagerank_async,
+)
 from repro.algorithms.wcc import WccProgram
-from repro.compute import BspEngine, CheckpointManager, VertexProgram
+from repro.compute import (
+    AsyncEngine,
+    BspEngine,
+    CheckpointManager,
+    VertexProgram,
+)
 from repro.config import ClusterConfig
 from repro.faults import FaultPlan
 from repro.generators import rmat_edges
@@ -153,6 +163,25 @@ def test_program_without_combiner_bit_identical_under_chaos(topology):
     # so no superstep ran twice.
     assert [report.superstep for report in chaos.supersteps] == list(
         range(baseline.superstep_count))
+
+
+def test_pagerank_async_bit_identical_under_chaos(topology):
+    """The asynchronous model's rounds run in the same loop: a crash
+    rolls back to the last snapshot, and the replay changes nothing."""
+    baseline, base_result = pagerank_async(topology, tolerance=1e-8)
+    registry = MetricsRegistry()
+    chaos, chaos_result = pagerank_async(topology, tolerance=1e-8, engine=(
+        AsyncEngine(topology, network=SimNetwork(registry=registry),
+                    faults=chaos_plan(),
+                    checkpoints=CheckpointManager(TrinityFileSystem(),
+                                                  every=2))))
+    assert chaos.dtype == baseline.dtype
+    assert np.array_equal(chaos, baseline)
+    assert chaos_result.updates == base_result.updates
+    assert chaos_result.messages == base_result.messages
+    assert chaos_result.terminated
+    assert chaos_result.restarts >= 1
+    assert registry.counter("faults.crash.total").value >= 1
 
 
 def test_crash_without_checkpoints_restarts_from_scratch(topology):

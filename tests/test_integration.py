@@ -117,14 +117,14 @@ class TestAnalyticsOverCluster:
         topo = CsrTopology(builder.finalize())
 
         manager = CheckpointManager(cluster.tfs, job="pr", every=3)
-        engine = BspEngine(topo)
-        engine.run(PageRankProgram(iterations=9), max_supersteps=11,
-                   on_superstep=manager.maybe_checkpoint)
-        # "Crash" after superstep 5: restore the checkpoint written then.
-        tag, values, _ = manager.load_latest()
+        engine = BspEngine(topo, checkpoints=manager)
+        engine.run(PageRankProgram(iterations=9), max_supersteps=11)
+        # "Crash" after superstep 5: restore the newest engine image.
+        tag = manager.tags()[-1]
         assert tag >= 5
+        values = manager.load_state(tag)["values"]
         assert len(values) == topo.n
-        # The checkpoint is a consistent value vector (sums to ~1).
+        # The image holds a consistent value vector (sums to ~1).
         assert sum(values) == pytest.approx(1.0, abs=1e-6)
 
 
