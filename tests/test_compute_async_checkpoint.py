@@ -156,9 +156,8 @@ class TestCheckpointManager:
         assert sum(node.block_count for node in manager.tfs.nodes) == (
             2 * len(manager.tfs.list_files()))
 
-    def test_bsp_integration(self, rmat_topology):
-        """The engine images a run every ``every`` supersteps, and an
-        image restores a whole value vector."""
+    @staticmethod
+    def _run_count(topology, every, supersteps):
         from repro.compute import BspEngine, VertexProgram
 
         class Count(VertexProgram):
@@ -170,15 +169,26 @@ class TestCheckpointManager:
 
         manager = CheckpointManager(
             TrinityFileSystem(datanodes=3, replication=2),
-            job="bsp", every=3,
+            job="bsp", every=every,
         )
-        BspEngine(rmat_topology, checkpoints=manager).run(
-            Count(), max_supersteps=9)
+        BspEngine(topology, checkpoints=manager).run(
+            Count(), max_supersteps=supersteps)
+        return manager
+
+    def test_maybe_checkpoint_interval(self, rmat_topology):
+        """The engine images a run every ``every`` supersteps."""
+        manager = self._run_count(rmat_topology, every=3, supersteps=9)
         # every=3: images after supersteps 2, 5, 8.
         assert manager.tags() == [2, 5, 8]
-        values = manager.load_state(8)["values"]
+        assert manager.saved == 3
+
+    def test_bsp_integration(self, rmat_topology):
+        """An engine image restores a whole value vector."""
+        manager = self._run_count(rmat_topology, every=2, supersteps=8)
+        assert manager.tags() == [1, 3, 5, 7]
+        values = manager.load_state(7)["values"]
         assert len(values) == rmat_topology.n
-        assert set(values) == {9}
+        assert set(values) == {8}
 
     def test_interval_validated(self):
         with pytest.raises(RecoveryError):
