@@ -36,6 +36,7 @@ from ..oracle import shadow
 from ..utils.arrays import first_occurrences
 
 _FRONTIER_ID_BYTES = 9   # 8-byte cell id + 1-byte hop tag
+_DENSE_SPAN = 4          # ``discover`` marks a span < 4x its multiset
 
 
 class _VisitedTracker:
@@ -49,6 +50,8 @@ class _VisitedTracker:
     representation (``stamp`` is None from then on) the first time an id
     is negative or too large.  Both representations answer ``unseen``
     identically, so the switch is invisible to the search.
+    ``discover`` answers and marks a whole hop in one call, by a bool
+    mark over the multiset's own span when that span is dense.
     """
 
     _MASK_CAP = 1 << 26  # 256 MiB of stamps at most, committed lazily
@@ -63,21 +66,41 @@ class _VisitedTracker:
             self.stamp = None
             self._sorted = np.asarray([start], dtype=np.int64)
 
+    def _fit(self, ids: np.ndarray) -> tuple[int, int]:
+        """``(min, max)`` of ``ids`` (``(0, -1)`` if empty), after
+        growing ``stamp`` over them or switching to the sorted form."""
+        lo, hi = (int(ids.min()), int(ids.max())) if len(ids) else (0, -1)
+        if self.stamp is not None and (lo < 0 or hi >= self._MASK_CAP):
+            self._sorted = np.flatnonzero(self.stamp)
+            self.stamp = None
+        elif self.stamp is not None and hi >= len(self.stamp):
+            grown = np.zeros(max(hi + 1, 2 * len(self.stamp)),
+                             dtype=np.int32)
+            grown[:len(self.stamp)] = self.stamp
+            self.stamp = grown
+        return lo, hi
+
     def unseen(self, ids: np.ndarray) -> np.ndarray:
         """Not-yet-visited flag per id (duplicates all flagged)."""
-        if self.stamp is not None and len(ids):
-            lo, hi = int(ids.min()), int(ids.max())
-            if lo < 0 or hi >= self._MASK_CAP:
-                self._sorted = np.flatnonzero(self.stamp)
-                self.stamp = None
-            elif hi >= len(self.stamp):
-                grown = np.zeros(max(hi + 1, 2 * len(self.stamp)),
-                                 dtype=np.int32)
-                grown[:len(self.stamp)] = self.stamp
-                self.stamp = grown
+        self._fit(ids)
         if self.stamp is not None:
             return self.stamp[ids] == 0
         return ~np.isin(ids, self._sorted)
+
+    def discover(self, ids: np.ndarray) -> np.ndarray:
+        """The distinct unseen ``ids``, ascending, now marked seen."""
+        lo, hi = self._fit(ids)
+        if self.stamp is None:
+            new = np.setdiff1d(ids, self._sorted)
+        elif hi - lo < _DENSE_SPAN * len(ids):
+            mark = np.zeros(hi - lo + 1, dtype=bool)
+            mark[ids - lo] = True
+            mark &= self.stamp[lo:hi + 1] == 0
+            new = lo + np.flatnonzero(mark)
+        else:
+            new = first_occurrences(ids[self.stamp[ids] == 0])
+        self.add(new)
+        return new
 
     def add(self, new: np.ndarray) -> None:
         """Record ids (must be duplicate-free and all unseen)."""

@@ -108,14 +108,16 @@ class FusedExecutor:
         else:  # pragma: no cover — BatchOp validates kinds
             raise QueryError(f"unknown batch op kind {kind!r}")
         if self.footprints:
-            # One vectorized owner pass for the whole group, sliced back
-            # per op — every kind's dependency set is exactly the trunks
-            # owning the ids it read.
-            trunks = self.graph.cloud.trunks_of_array(ids)
+            # One vectorized owner pass for the whole group, scattered
+            # into an (op x trunk) table — every kind's dependency set is
+            # exactly the trunks owning the ids it read.
+            table = np.zeros((len(group_ops),
+                              self.graph.cloud.config.trunk_count), bool)
+            table[np.repeat(np.arange(len(group_ops)), np.diff(offsets)),
+                  self.graph.cloud.trunks_of_array(ids)] = True
             for op_index, position in enumerate(positions):
-                lo, hi = offsets[op_index], offsets[op_index + 1]
                 foots[position] = frozenset(
-                    np.unique(trunks[lo:hi]).tolist())
+                    np.flatnonzero(table[op_index]).tolist())
 
     def _adjacency(self, ids: np.ndarray, kind: str,
                    epochs) -> tuple[np.ndarray, np.ndarray]:

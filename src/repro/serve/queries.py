@@ -31,7 +31,6 @@ from ..errors import QueryError
 from ..net.simnet import SimNetwork
 from ..tql.engine import _OPS, execute_tql
 from ..tql.parser import TqlQuery, parse_tql
-from ..utils.arrays import first_occurrences
 
 #: Batch-read kinds a plan may yield.  ``outlinks``/``inlinks`` answer
 #: with a CSR ``(indptr, flat)`` pair over the op's ids; ``field_eq``
@@ -110,10 +109,9 @@ class PeopleSearchQuery(ServeQuery):
                 break
             indptr, flat = yield BatchOp("outlinks", frontier)
             del indptr
-            new = first_occurrences(flat[visited.unseen(flat)])
+            new = visited.discover(flat)
             if not len(new):
                 break
-            visited.add(new)
             hits = yield BatchOp("field_eq", new, field="Name",
                                  value=self.name)
             matches.extend(new[hits].tolist())
@@ -154,10 +152,9 @@ class LandmarkBfsQuery(ServeQuery):
             if not len(frontier):
                 break
             _indptr, flat = yield BatchOp("outlinks", frontier)
-            new = first_occurrences(flat[visited.unseen(flat)])
+            new = visited.discover(flat)
             if not len(new):
                 break
-            visited.add(new)
             levels.append(len(new))
             frontier = new
         return {"levels": levels, "reached": visited.count - 1}
@@ -302,10 +299,9 @@ class TqlServeQuery(ServeQuery):
             if not len(frontier):
                 break
             _indptr, flat = yield BatchOp(op_kind, frontier)
-            new = first_occurrences(flat[visited.unseen(flat)])
+            new = visited.discover(flat)
             if not len(new):
                 break
-            visited.add(new)
             if depth >= edge.min_hops:
                 candidates.append(new)
             frontier = new

@@ -29,6 +29,7 @@ from repro.obs import MetricsRegistry
 from repro.serve import (
     BatchOp,
     EpochLruCache,
+    FusedExecutor,
     LandmarkBfsQuery,
     PeopleSearchQuery,
     QueryServer,
@@ -38,6 +39,7 @@ from repro.serve import (
     TqlServeQuery,
     WeightedFairQueue,
 )
+from repro.utils.hashing import trunk_of
 
 MACHINE_COUNTS = [2, 5]
 
@@ -875,3 +877,72 @@ class TestEpochVectorProperty:
                 assert ticket.trunks, "fused read must record trunks"
                 model[query.key()] = (frozenset(ticket.trunks),
                                       graph.cloud.epoch_vector())
+
+
+class TestHugeIds:
+    """Node ids past any dense visited mask (2**52 on): the served plans
+    take the tracker's sorted representation and still answer like the
+    sequential path."""
+
+    def test_served_plans_on_sparse_huge_ids(self):
+        cloud = MemoryCloud(ClusterConfig(machines=3, trunk_bits=5),
+                            MetricsRegistry())
+        base = 2**52
+        ids = [base + 17 * k for k in range(40)]
+        names = sample_names(len(ids), seed=9)
+        builder = GraphBuilder(cloud, social_graph_schema())
+        for node_id, name in zip(ids, names):
+            builder.add_node(node_id, Name=name)
+        rng = np.random.default_rng(4)
+        builder.add_edges(sorted({
+            (ids[int(a)], ids[int(b)])
+            for a, b in rng.integers(0, len(ids), size=(160, 2)) if a != b}))
+        graph = builder.finalize()
+        reach = TqlServeQuery(f"MATCH (a = {ids[0]}) -[Friends*1..3]-> "
+                              f"(b {{Name: '{names[7]}'}}) RETURN b")
+        assert reach.fusible(graph)
+        server = QueryServer(graph, ServeConfig(cross_check=True),
+                             registry=MetricsRegistry())
+        tickets = [server.submit(query) for query in (
+            PeopleSearchQuery(ids[0], names[7], hops=3),
+            LandmarkBfsQuery(ids[0], max_hops=4), reach)]
+        server.run()
+        for ticket in tickets:
+            assert ticket.status == "done" and ticket.windows >= 1
+            assert ticket.result == ticket.query.run_sequential(server)
+        assert tickets[0].result["visited"] > 0
+        assert tickets[2].result
+
+
+class TestFootprints:
+    """``run_window`` reports each op's trunk footprint: exactly the
+    trunks owning the ids it read, whatever the window mixes."""
+
+    @pytest.mark.parametrize("trunk_bits", [4, 9])
+    def test_footprint_is_the_trunks_of_the_op_ids(self, trunk_bits):
+        cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=trunk_bits),
+                            MetricsRegistry())
+        builder = GraphBuilder(cloud, social_graph_schema())
+        for node_id, name in enumerate(sample_names(256, seed=3)):
+            builder.add_node(node_id, Name=name)
+        edges = rmat_edges(8, avg_degree=4.0, seed=5, dedup=True)
+        builder.add_edges(edges[edges[:, 0] != edges[:, 1]].tolist())
+        graph = builder.finalize()
+        rng = np.random.default_rng(trunk_bits)
+        ops = [BatchOp("outlinks", rng.integers(0, 256, size)) for size in
+               (1, 40, 200)]
+        ops += [BatchOp("field_eq", np.empty(0, np.int64), field="Name",
+                        value="David"),
+                BatchOp("outlinks", np.arange(0, 256, 7)),
+                BatchOp("field_eq", rng.integers(0, 256, 30), field="Name",
+                        value="David"),
+                BatchOp("field_read", np.asarray([5, 5, 250]),
+                        field="Name")]
+        executor = FusedExecutor(graph, registry=MetricsRegistry())
+        results, foots = executor.run_window(ops, cloud.epoch_vector())
+        assert len(results) == len(foots) == len(ops)
+        assert foots[3] == frozenset()
+        assert max(len(foot) for foot in foots) > 1
+        for op, foot in zip(ops, foots):
+            assert foot == frozenset(
+                trunk_of(int(uid), trunk_bits) for uid in op.ids)

@@ -3,11 +3,14 @@
 The reference is the form it replaced,
 ``ids[np.sort(np.unique(ids, return_index=True)[1])]``: equal as a set
 for the ascending form, as a sequence for the ordered one — with a stamp
-scratch, without one, and on ids the scratch cannot index.
+scratch, without one, and on ids the scratch cannot index.  The
+visited tracker the searches dedupe through is checked against a Python
+set, both as the library search drives it and as the served plans do
+(``discover``).
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.algorithms.people_search import _VisitedTracker
 from repro.utils.arrays import first_occurrences
@@ -88,3 +91,30 @@ def test_tracker_hops_match_a_python_set(hops):
         expected = [v for v in hop if v not in seen and not seen.add(v)]
         assert new.tolist() == expected
         assert tracker.count == len(seen)
+
+
+DENSE_HOP = st.lists(SMALL, min_size=11, max_size=60)     # span < 4 x len
+SPARSE_HOP = st.lists(st.integers(0, 2**20), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(SMALL, st.integers(2**40, 2**62)),
+       st.lists(st.one_of(DENSE_HOP, SPARSE_HOP, st.lists(ANY, max_size=30)),
+                max_size=6),
+       st.lists(ANY, max_size=20))
+@example(0, [[3, 9, 3] * 4, [0, 2**20], [-1, 3, 3], [2**26, 9]], [9, -1])
+def test_tracker_discover_matches_a_python_set(start, hops, probe):
+    """The way the served plans use it: one ``discover`` per hop — over a
+    dense range (the bool mark), a sparse one (the stamp and a sort), and
+    through the switch to the sorted representation (``setdiff1d``)."""
+    tracker = _VisitedTracker(start)
+    seen = {start}
+    for hop in hops:
+        new = tracker.discover(as_ids(hop))
+        assert new.dtype == np.int64
+        assert new.tolist() == sorted(set(hop) - seen)
+        seen.update(hop)
+        assert tracker.count == len(seen)
+        later = hop + probe
+        assert tracker.unseen(as_ids(later)).tolist() == \
+            [v not in seen for v in later]
