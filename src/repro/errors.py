@@ -54,12 +54,12 @@ class CellLockedError(MemoryCloudError):
 
 
 class StaleSpanError(MemoryCloudError):
-    """A zero-copy span outlived a structural change on its trunk.
+    """A span group outlived a structural change on its trunk.
 
     Raised by span consumers when the trunk's mutation epoch has moved
     since the spans were fetched: a put/remove/resize/defragmentation may
-    have slid cells under the view, so decoding it would read moved
-    bytes.  Re-fetch the spans and decode again.
+    have moved or changed its cells since they were copied, so its
+    bytes are no longer the cells'.  Re-fetch the spans and decode again.
     """
 
     def __init__(self, trunk_id: int, fetched_epoch: int,

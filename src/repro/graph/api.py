@@ -9,9 +9,10 @@ reuse it across supersteps, matching Trinity's memory-resident topology.
 Online queries get a middle road: the ``*_batch`` methods take a whole
 frontier of node ids at once, locate it through the memory cloud's
 ``bulk_get_spans`` (two vectorized hashes and one probe pass, however
-many trunks it touches) and decode adjacency columns CSR-style, in place,
-via the compiled decoders in :mod:`repro.tsl.batch` — k frontier nodes cost
-one batched read instead of k hash probes plus k whole-cell decodes.  The
+many trunks it touches; every trunk copies its cells into the read's one
+buffer) and decode adjacency columns CSR-style, once per read, via the
+compiled decoders in :mod:`repro.tsl.batch` — k frontier nodes cost one
+batched read instead of k hash probes plus k whole-cell decodes.  The
 scalar reads are that path's reference: every batch entry point accepts
 ``cross_check=True``, which replays them per node and hands both
 answers to :func:`repro.oracle.shadow`.
@@ -30,6 +31,9 @@ from ..tsl.layout import install_layout_policy
 from ..tsl.types import ListType
 from ..utils.arrays import gather_ranges
 from .model import GraphSchema
+
+# An empty read has no group: it decodes one empty span list.
+_NO_SPANS = (np.empty(0, dtype=np.uint8), *[np.empty(0, dtype=np.int64)] * 3)
 
 
 class Graph:
@@ -111,14 +115,12 @@ class Graph:
                     cross_check: bool, dtype=None, csr: bool = False):
         """The one batched read behind every ``*_batch`` method.
 
-        Fetches the frontier as spans — one group per trunk — runs
-        ``decode(arena, starts, limits, field_name)`` once per buffer,
-        and scatters the results to input order: an ndarray of
-        ``dtype``, a plain list when ``dtype`` is None, or ``(indptr,
-        flat)`` with ``flat`` of ``dtype`` when ``csr``.  A resident
-        trunk's group is zero-copy spans of its own arena, decoded on
-        its own; a paged read's groups all share one read-wide copy of
-        their pages, decoded once however many trunks it touches.
+        Fetches the frontier as spans — one group per trunk, every
+        group's spans in the read's one private buffer, on either
+        storage — runs ``decode(buffer, starts, limits, field_name)``
+        once over all of them, and scatters the results to input order:
+        an ndarray of ``dtype``, a plain list when ``dtype`` is None, or
+        ``(indptr, flat)`` with ``flat`` of ``dtype`` when ``csr``.
 
         Repeated node ids are deduplicated *before* hashing and routing:
         fused multi-query frontiers overlap heavily, and a duplicate
@@ -128,8 +130,8 @@ class Graph:
 
         The freshness check runs *after* decoding: if any touched trunk
         structurally changed since the span fetch (a put that triggered
-        a defrag, a remove, a resize) the arena views may have read
-        moved bytes, so the answer is
+        a defrag, a remove, a resize) the cells may have moved under the
+        copy, so the answer is
         :class:`~repro.errors.StaleSpanError`, never silent garbage.
 
         ``cross_check`` replays ``scalar(node_id)`` per input id and
@@ -152,30 +154,26 @@ class Graph:
                 unique, inverse = ids, None
             else:
                 self._m_batch_dedup.inc(len(ids) - len(unique))
-        groups = reads = self.cloud.bulk_get_spans(unique)
-        if len(groups) > 1 and groups[0].arena is groups[-1].arena:
-            # A paged read: its groups share one buffer, decoded once.
-            arenas, *columns = zip(*groups)
-            reads = [(arenas[0], *map(np.concatenate, columns))]
-        parts = [(idx, decode(arena, starts, limits, field_name))
-                 for arena, starts, limits, idx in reads]
+        groups = self.cloud.bulk_get_spans(unique)
+        # Every group's spans sit in the read's one buffer: one decode.
+        buffers, *columns = zip(*(groups or [_NO_SPANS]))
+        starts, limits, idx = map(np.concatenate, columns)
+        part = decode(buffers[0], starts, limits, field_name)
         for group in groups:
             group.assert_fresh()
         m = len(unique)
         if csr:
+            sub_indptr, sub_flat = part
+            sizes = np.diff(sub_indptr)
             counts = np.zeros(m, dtype=np.int64)
-            for idx, (sub_indptr, _) in parts:
-                counts[idx] = np.diff(sub_indptr)
+            counts[idx] = sizes
             indptr = np.zeros(m + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
+            # Scatter the read's contiguous lists to their input-order
+            # positions in one fancy index.
             flat = np.empty(int(indptr[-1]), dtype=dtype)
-            for idx, (sub_indptr, sub_flat) in parts:
-                if len(sub_flat):
-                    # Scatter each trunk's contiguous lists to their
-                    # input-order positions in one fancy index.
-                    sizes = np.diff(sub_indptr)
-                    flat[np.repeat(indptr[idx] - sub_indptr[:-1], sizes)
-                         + np.arange(len(sub_flat))] = sub_flat
+            flat[np.repeat(indptr[idx] - sub_indptr[:-1], sizes)
+                 + np.arange(len(sub_flat))] = sub_flat
             if inverse is not None:
                 # Each duplicate position gathers its unique id's list.
                 flat = gather_ranges(flat, indptr[inverse], counts[inverse])
@@ -184,15 +182,13 @@ class Graph:
             result = indptr, flat
         elif dtype is None:
             result = [None] * m
-            for idx, column in parts:
-                for i, value in zip(idx.tolist(), column):
-                    result[i] = value
+            for i, value in zip(idx.tolist(), part):
+                result[i] = value
             if inverse is not None:
                 result = [result[j] for j in inverse.tolist()]
         else:
             result = np.zeros(m, dtype=dtype)
-            for idx, column in parts:
-                result[idx] = column
+            result[idx] = part
             if inverse is not None:
                 result = result[inverse]
         if cross_check:

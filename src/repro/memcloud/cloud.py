@@ -16,7 +16,6 @@ import contextlib
 import dataclasses
 import os
 import tempfile
-from itertools import repeat
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from ..config import ClusterConfig
 from ..errors import AddressingError, CellNotFoundError, StaleSpanError
 from ..obs import MetricsRegistry, MetricsReport, get_registry
 from ..oracle import shadow
-from ..utils.arrays import SpanBatch, as_span_batch
+from ..utils.arrays import SpanBatch, as_span_batch, range_indices
 from ..utils.hashing import trunk_of, trunk_of_array
 from ..utils.sorting import stable_argsort
 from .addressing import AddressingTable
@@ -41,8 +40,8 @@ class SpanGroup:
     so existing decoders keep unpacking it; additionally carries the trunk
     and the structural epoch at fetch time so consumers can
     :meth:`assert_fresh` right before (or after) decoding.  ``arena`` is
-    the trunk's own arena when resident, and on a paged cloud the one
-    buffer every group of the read shares.
+    the read's one private buffer, which every group of the read shares
+    on either storage; it never aliases a trunk's arena.
     """
 
     __slots__ = ("arena", "starts", "limits", "positions", "trunk", "epoch")
@@ -112,6 +111,8 @@ class MemoryCloud:
         self._m_bulk_get_cells = self.obs.counter("memcloud.bulk.get.cells")
         self._m_bulk_get_batches = self.obs.counter(
             "memcloud.bulk.get.batches")
+        self._m_read_buffer_bytes = self.obs.counter(
+            "memcloud.cloud.read_buffer_bytes")
         self._h_bulk_put = self.obs.histogram("memcloud.bulk.put.seconds")
         self._h_bulk_get = self.obs.histogram("memcloud.bulk.get.seconds")
         # Mirroring BspEngine's cross_check: a shadow cloud replays every
@@ -165,7 +166,7 @@ class MemoryCloud:
         every trunk gets the cloud's registry and spill-file wiring.
         Replacing a trunk has two hazards, both handled here:
 
-        * Outstanding zero-copy span groups hold the *old* trunk object,
+        * Outstanding span groups hold the *old* trunk object,
           so replacing it silently would leave their epoch checks forever
           green against dead state — the old trunk is touched first so
           they all go stale, and its storage is released before the
@@ -237,7 +238,7 @@ class MemoryCloud:
         which trunks it was decoded from only needs those components to
         still match — a write to trunk 7 leaves entries that never read
         trunk 7 provably fresh.  Each component is the same counter that
-        guards zero-copy spans (:attr:`MemoryTrunk.mutation_epoch`), so
+        guards batched-read spans (:attr:`MemoryTrunk.mutation_epoch`), so
         every mutation path that bumps the scalar epoch moves exactly
         its owning trunk's component here.
         """
@@ -348,25 +349,25 @@ class MemoryCloud:
         Returns one :class:`SpanGroup` per trunk touched, in trunk order
         — unpacking as ``(arena, starts, limits, positions)`` — where
         ``arena[starts[i]:limits[i]]`` is the payload of
-        ``cell_ids[positions[i]]``.  On resident trunks nothing is
-        copied: the views alias trunk arenas and are only valid until the
-        next write or defragmentation on those trunks, which is exactly
-        the lifetime a query hop needs (fetch a frontier, decode it, move
-        on).  On a paged cloud every touched trunk's pages land in **one
-        read-wide buffer**, each trunk in its own rows of it, so every
-        group's ``arena`` is that one buffer and the read decodes once.
-        Each group records the structural epoch its cells were located
-        at; decoders call :meth:`SpanGroup.assert_fresh` so an
-        interleaved mutation raises :class:`~repro.errors.StaleSpanError`
-        instead of yielding bytes read from relocated cells.
+        ``cell_ids[positions[i]]``.  Every touched trunk copies into
+        **one read-wide buffer**, each trunk into its own run of it —
+        a resident trunk its spans' bytes end to end, a paged one the
+        pages under its spans — so every group's ``arena`` is that one
+        private buffer and the read decodes once.  The resident byte
+        offsets are computed once for the whole read; a trunk copies its
+        slice of them in one ``take``.  Each group records the structural
+        epoch its cells were located at; decoders call
+        :meth:`SpanGroup.assert_fresh` so an interleaved mutation raises
+        :class:`~repro.errors.StaleSpanError` instead of yielding bytes
+        of cells that have since moved.
 
         The whole window is located in one probe pass over the cloud's
         :class:`~repro.memcloud.directory.SpanDirectory`; a trunk touched
-        then costs a slice of the result (and, paged, one walk, copy and
-        drop of its pages).  Observably the batch is a scalar :meth:`get`
-        loop: the same probe accounting per table, and a missing cell
-        raises for the first such id in input order, before any page is
-        touched.
+        then costs a slice of the result and one copy (paged: one walk,
+        copy and drop of its pages).  Observably the batch is a scalar
+        :meth:`get` loop: the same probe accounting per table, and a
+        missing cell raises for the first such id in input order, before
+        any page is touched.
         """
         count = len(cell_ids)
         if not count:
@@ -391,22 +392,28 @@ class MemoryCloud:
                 raise CellNotFoundError(
                     int(cell_ids[int(order[~found].min())]))
             highs = [*lows[1:], count]
-            # resident: read in place, no pages and no buffer
-            pages, rows, buffer = repeat(None), repeat(0), None
+            # Size one buffer for the whole read, then each trunk fills
+            # its own run of it under its own mutex.
             memory = self.config.memory
             if memory.storage == "paged":
-                # Size one buffer for every trunk's pages, then each
-                # trunk fills its own rows of it under its own mutex.
-                pages = [self.trunks[trunk_id].storage.span_pages(
+                units = [self.trunks[trunk_id].storage.span_pages(
                              starts[low:high], limits[low:high])
                          for trunk_id, low, high in zip(touched, lows, highs)]
-                rows = np.cumsum([0, *map(len, pages)]).tolist()
-                buffer = np.empty(rows[-1] * memory.page_size,
-                                  dtype=np.uint8)
+                rows = np.cumsum([0, *map(len, units)]).tolist()
+                size = rows[-1] * memory.page_size
+            else:
+                # the read's byte offsets, once: a trunk copies a slice
+                sizes = limits - starts
+                offsets = range_indices(starts, sizes)
+                rows = [0, *np.cumsum(np.add.reduceat(sizes, lows)).tolist()]
+                units = [offsets[a:b] for a, b in zip(rows, rows[1:])]
+                size = len(offsets)
+            buffer = np.empty(size, dtype=np.uint8)
+            self._m_read_buffer_bytes.inc(size)
             spans: list[SpanGroup] = []
             for trunk_id, epoch, walked, low, high, batch, at in zip(
                     touched, epochs, np.add.reduceat(probes, lows).tolist(),
-                    lows, highs, pages, rows):
+                    lows, highs, units, rows):
                 trunk = self.trunks[trunk_id]
                 arena, begin, end = trunk.open_spans(
                     starts[low:high], limits[low:high], walked, batch,

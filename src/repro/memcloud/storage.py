@@ -6,8 +6,7 @@ Every storage is one :class:`~repro.memcloud.arena.Arena` (one mmap);
 the two tiers differ in its backing and in residency policy:
 
 * :class:`ResidentStorage` — a process-private anonymous arena.  All
-  operations are thin slices; ``open_spans`` is the arena and its
-  inputs because nothing can ever be evicted.
+  operations are thin slices, and nothing can ever be evicted.
 * :class:`PagedStorage` — the out-of-core tier: the arena is a page
   file on disk, chopped into fixed-size pages tracked by an LRU page
   table.  At most ``page_budget`` pages are *resident* at a time;
@@ -27,12 +26,13 @@ budget evicts pages of its own, which dropped first would fault
 straight back in and stay.  (The kernel's fault-around maps a fault's
 neighbours, so the bound is the budget plus one such window.)
 
-A batched read (``MemoryTrunk.open_spans``) copies: the pages under
-its spans land in rows of a caller's buffer — whole pages end to end,
-as a buffer pool would read them, with the spans rebased into it — in
-one walk, one copy and one drop.  The cloud sizes one such buffer for
-every paged trunk a read touches, so the read decodes once.  Nothing of
-it aliases the mapping, so nothing needs to stay resident for it.  Only
+A batched read (``MemoryTrunk.open_spans``) copies, on both tiers,
+into a caller's buffer with the spans rebased into it: a resident trunk
+its spans' bytes end to end, a paged one the pages under its spans —
+whole pages, as a buffer pool would read them, in one walk, one copy and
+one drop.  The cloud sizes one such buffer for every trunk a read
+touches, so the read decodes once.  Nothing of it aliases the mapping,
+so nothing needs to stay resident for it.  Only
 a writable ``view`` (``MemoryCloud.pin``) pins its pages, as reference
 counts dropped on the trunk's next structural epoch bump (any
 mutation).
@@ -50,6 +50,7 @@ import tempfile
 import numpy as np
 
 from ..obs import get_registry
+from ..utils.arrays import range_indices
 from .arena import Arena
 
 # A trunk writes a fresh run through its storage in chunks of at most
@@ -99,13 +100,23 @@ class TrunkStorage:
             self._array = np.frombuffer(self.arena.buf, dtype=np.uint8)
         return self._array
 
-    def open_spans(self, starts, limits, pages=None, buffer=None, at=0):
+    def open_spans(self, starts, limits, units=None, buffer=None, at=0):
         """``(buffer, starts, limits)`` with ``buffer[starts[i]:limits[i]]``
-        the bytes of span ``i``: the arena and the inputs when the spans
-        can be read in place.  A paged backing copies the spans' pages
-        into ``buffer`` instead and rebases the spans into it.
+        the bytes of span ``i``, never aliasing the arena: one ``take``
+        of ``units`` (the spans' byte offsets in the arena, end to end;
+        computed here when None) into ``buffer`` from byte ``at`` on (a
+        fresh buffer of its own when None), with the spans rebased into
+        it.  A paged backing copies the spans' whole pages instead.
         """
-        return self.as_ndarray(), starts, limits
+        sizes = limits - starts
+        if units is None:
+            units = range_indices(starts, sizes)
+        if buffer is None:
+            buffer = np.empty(len(units), dtype=np.uint8)
+        np.take(self.as_ndarray(), units, out=buffer[at:at + len(units)],
+                mode="clip")
+        ends = np.cumsum(sizes) + at
+        return buffer, ends - sizes, ends
 
     def release_pins(self) -> None:
         """Drop every view pin (structural epoch bump)."""
@@ -126,8 +137,8 @@ class ResidentStorage(TrunkStorage):
     """The whole trunk stays in RAM: a private anonymous arena and no
     residency policy.
 
-    Reads and writes are plain slices, spans alias the arena buffer,
-    there is nothing to pin.
+    Reads and writes are plain slices, a batched read is one ``take``
+    of its spans' bytes, there is nothing to pin.
     """
 
     kind = "resident"
@@ -329,16 +340,16 @@ class PagedStorage(TrunkStorage):
         self._drop(evicted)
         return view
 
-    def open_spans(self, starts, limits, pages=None, buffer=None, at=0):
-        """Copy ``pages`` (:meth:`span_pages` of the spans) end to end
-        into rows ``at`` onward of ``buffer`` (a flat ``uint8`` array of
-        whole pages; a fresh one of its own when None) in one walk, one
-        copy and one drop, and rebase the spans into it: a span keeps
-        its offset in its first page, which sits at that page's row; a
-        page-crossing span's pages stay adjacent."""
+    def open_spans(self, starts, limits, units=None, buffer=None, at=0):
+        """Copy the pages ``units`` (:meth:`span_pages` of the spans)
+        end to end into rows ``at`` onward of ``buffer`` (a flat
+        ``uint8`` array of whole pages; a fresh one of its own when
+        None) in one walk, one copy and one drop, and rebase the spans
+        into it: a span keeps its offset in its first page, which sits
+        at that page's row; a page-crossing span's pages stay
+        adjacent."""
         page = self._page
-        if pages is None:
-            pages = self.span_pages(starts, limits)
+        pages = self.span_pages(starts, limits) if units is None else units
         if buffer is None:
             buffer = np.empty(len(pages) * page, dtype=np.uint8)
         rows = buffer[at * page:(at + len(pages)) * page].reshape(-1, page)

@@ -360,29 +360,29 @@ class MemoryTrunk:
                     starts, starts + self._sizes[slots])
 
     def open_spans(self, starts: np.ndarray, limits: np.ndarray,
-                   probes: int, pages=None, buffer=None, at: int = 0
+                   probes: int, units=None, buffer=None, at: int = 0
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Payload spans ``(buffer, starts, limits)`` for cells the span
         directory located on its mirror of this trunk, walking ``probes``
         slots: the index is charged what the same ``get`` calls would
         have counted.
 
-        ``buffer[starts[i]:limits[i]]`` is cell ``i``'s payload.  A
-        resident trunk reads in place: the buffer is its arena, nothing
-        is copied, and the spans are only valid until the next structural
-        change on this trunk (a put, remove, resize, or defragmentation
-        relocates cells).  A paged trunk copies the pages under the spans
-        into rows ``at`` onward of ``buffer`` (``pages`` is
-        :meth:`~repro.memcloud.storage.PagedStorage.span_pages` of the
-        spans; both default to the spans' own) and rebases the spans
-        into it.  Either way whoever decodes checks the epoch the cells
-        were located at against :attr:`mutation_epoch`
-        (:exc:`~repro.errors.StaleSpanError`).
+        ``buffer[starts[i]:limits[i]]`` is cell ``i``'s payload, copied
+        under the mutex: the storage's copy ``units`` under the spans —
+        a resident trunk's byte offsets, a paged trunk's pages
+        (:meth:`~repro.memcloud.storage.PagedStorage.span_pages`) — land
+        from ``at`` onward (a byte, or a row of pages) in ``buffer``,
+        and the spans are rebased into it; both default to the spans'
+        own.  The buffer never aliases the arena, but the cells it
+        holds may move or change at the next structural change on this
+        trunk (a put, remove, resize, or defragmentation), so whoever
+        decodes checks the epoch the cells were located at against
+        :attr:`mutation_epoch` (:exc:`~repro.errors.StaleSpanError`).
         """
         with self._mutex:
             self._index.lookup_count += len(starts)
             self._index.probe_count += probes
-            return self._storage.open_spans(starts, limits, pages, buffer,
+            return self._storage.open_spans(starts, limits, units, buffer,
                                             at)
 
     def _invalidate_spans(self) -> None:
@@ -401,7 +401,7 @@ class MemoryTrunk:
 
     @property
     def mutation_epoch(self) -> int:
-        """Structural-change counter guarding zero-copy spans.
+        """Structural-change counter guarding batched-read spans.
 
         Read without the mutex: a single int load is atomic under the
         GIL, and the lock could not make the value any less stale — it
@@ -417,7 +417,7 @@ class MemoryTrunk:
         (no relocation, no put), which leaves offsets valid but changes
         cell *content*.  Anything caching decoded values keyed on
         :attr:`mutation_epoch` — the serving layer's hub/result caches,
-        outstanding zero-copy spans — must observe such writes too, so
+        outstanding span groups — must observe such writes too, so
         they share the same epoch bump as structural changes.
         """
         with self._mutex:

@@ -393,3 +393,71 @@ class TestBulkGetSpans:
             for j, i in enumerate(idx.tolist()):
                 out[i] = arena[starts[j]:limits[j]].tobytes()
         assert out == payloads
+
+    def test_a_resident_read_is_one_private_buffer(self, monkeypatch):
+        """Every trunk a resident read touches copies its spans into the
+        read's one buffer: the groups share it, it aliases no trunk's
+        arena, and its payloads (empty ones among them) are
+        ``bulk_get``'s.  Groups stay per trunk, so a put that relocates
+        cells on one trunk stales exactly that trunk's group, and a
+        batched graph read that straddles such a put refuses to answer."""
+        from repro.errors import StaleSpanError
+        from repro.graph import GraphBuilder
+        from repro.graph.model import social_graph_schema
+        cloud, uids, payloads = self._loaded_cloud()
+        assert b"" in payloads
+        copied = cloud.obs.counter("memcloud.cloud.read_buffer_bytes")
+        groups = cloud.bulk_get_spans(uids)
+        assert copied.value == sum(map(len, payloads))
+        assert len(groups) >= 2
+        [buffer] = {id(group.arena): group.arena for group in groups}.values()
+        for trunk in cloud.trunks.values():
+            assert not np.shares_memory(buffer, trunk.storage.as_ndarray())
+        out = [None] * len(uids)
+        for arena, starts, limits, idx in groups:
+            for j, i in enumerate(idx.tolist()):
+                out[i] = arena[starts[j]:limits[j]].tobytes()
+        assert out == cloud.bulk_get(uids) == payloads
+        moved = groups[1]
+        uid = int(uids[moved.positions[0]])
+        trunk = cloud.trunk_for(uid)
+        relocations = trunk.stats().relocations
+        cloud.put(uid, b"z" * 4096)      # outgrows its slot: relocated
+        assert trunk.stats().relocations == relocations + 1
+        assert [group.stale for group in groups] == [
+            group is moved for group in groups]
+
+        graph_cloud = make_cloud()
+        builder = GraphBuilder(graph_cloud, social_graph_schema())
+        for node in range(64):
+            builder.add_node(node, Name=f"n{node}")
+        builder.add_edges([(node, (node * 7 + 1) % 64) for node in range(64)])
+        graph = builder.finalize()
+        decoder = graph._decoder
+        decode = decoder.decode_list_csr_spans
+
+        def put_then_decode(*args):
+            graph_cloud.put(5, graph_cloud.get(5) + bytes(4096))
+            return decode(*args)
+
+        monkeypatch.setattr(decoder, "decode_list_csr_spans",
+                            put_then_decode)
+        with pytest.raises(StaleSpanError):
+            graph.outlinks_batch(np.arange(64))
+
+    def test_a_paged_read_counts_its_whole_pages(self):
+        """A paged read copies whole pages, and the read-buffer counter
+        says how many bytes that was."""
+        memory = MemoryParams(trunk_size=256 * 1024, storage="paged",
+                              page_size=512, page_budget=2)
+        cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=3,
+                                          memory=memory), MetricsRegistry())
+        try:
+            uids = list(range(40))
+            cloud.bulk_put(uids, [bytes([uid]) * 100 for uid in uids])
+            copied = cloud.obs.counter("memcloud.cloud.read_buffer_bytes")
+            buffer = cloud.bulk_get_spans(uids)[0].arena
+            assert copied.value == len(buffer)
+            assert len(buffer) % 512 == 0 and len(buffer) >= 40 * 100
+        finally:
+            cloud.release_arenas()
