@@ -11,8 +11,9 @@ seams — no profiler:
 * ``MemoryTrunk.open_spans``, one trunk's share of it, and inside that
   the page computation (``PagedStorage.span_pages``), the page-table
   walk and the drop of its victims (``_walk`` / ``_drop``) and the copy
-  of the pages: ``PagedStorage.open_spans`` less its walk and drop, at
-  a checkout whose every paged read copies into one read-wide buffer;
+  of the pages: ``PagedStorage.take`` (``open_spans`` before it) less
+  its walk and drop, at a checkout whose every paged read copies into
+  one read-wide buffer;
   the over-budget fallback ``_copy_pages`` at one that pinned or copied;
 * the columnar decode — ``BatchStructDecoder``'s four span entry
   points, an outer one only when one calls another (``_decode`` at a
@@ -89,6 +90,7 @@ def main() -> None:
     timed(PagedStorage, "_copy_pages", "copy")
     if "_copy_pages" not in PagedStorage.__dict__:
         timed(PagedStorage, "open_spans", "storage")
+        timed(PagedStorage, "take", "storage")
     decode_seams = (("_decode",) if "_decode" in BatchStructDecoder.__dict__
                     else ("field_counts_spans", "decode_list_csr_spans",
                           "decode_column_spans", "string_eq_spans"))

@@ -37,6 +37,9 @@ class Arena:
 
     def __init__(self, size: int, path: str | None = None):
         self.path = path
+        # Mapped rounded up to whole 8-byte words, so a read can copy it
+        # word by word (``TrunkStorage.take``); ``len()`` stays ``size``.
+        self._size, mapped = size, -(-size // 8) * 8
         fd, self._remove = -1, None
         if path is None:
             # Spelled out: Python's default for an anonymous map is
@@ -59,8 +62,8 @@ class Arena:
             self._remove = weakref.finalize(self, _remove_quietly, path)
         try:
             if fd != -1:
-                os.ftruncate(fd, size)
-            self._map: mmap.mmap | None = mmap.mmap(fd, size, flags=flags)
+                os.ftruncate(fd, mapped)
+            self._map: mmap.mmap | None = mmap.mmap(fd, mapped, flags=flags)
         finally:
             if fd != -1:
                 os.close(fd)
@@ -73,7 +76,7 @@ class Arena:
         return self._map
 
     def __len__(self) -> int:
-        return len(self.buf)
+        return min(len(self.buf), self._size)
 
     def close(self) -> None:
         """Unmap, and remove the page file of a file-backed arena.

@@ -23,13 +23,13 @@ from ..config import ClusterConfig
 from ..errors import AddressingError, CellNotFoundError, StaleSpanError
 from ..obs import MetricsRegistry, MetricsReport, get_registry
 from ..oracle import shadow
-from ..utils.arrays import SpanBatch, as_span_batch, range_indices
+from ..utils.arrays import SpanBatch, as_span_batch
 from ..utils.hashing import trunk_of, trunk_of_array
 from ..utils.sorting import stable_argsort
 from .addressing import AddressingTable
 from .directory import SpanDirectory
 from .hashtable import wrap_keys
-from .storage import make_trunk_storage
+from .storage import make_trunk_storage, word_spans
 from .trunk import MemoryTrunk, TrunkStats
 
 
@@ -351,15 +351,16 @@ class MemoryCloud:
         ``arena[starts[i]:limits[i]]`` is the payload of
         ``cell_ids[positions[i]]``.  Every touched trunk copies into
         **one read-wide buffer**, each trunk into its own run of it —
-        a resident trunk its spans' bytes end to end, a paged one the
-        pages under its spans — so every group's ``arena`` is that one
-        private buffer and the read decodes once.  The resident byte
-        offsets are computed once for the whole read; a trunk copies its
-        slice of them in one ``take``.  Each group records the structural
-        epoch its cells were located at; decoders call
-        :meth:`SpanGroup.assert_fresh` so an interleaved mutation raises
-        :class:`~repro.errors.StaleSpanError` instead of yielding bytes
-        of cells that have since moved.
+        a resident trunk the 8-byte words under its spans, a paged one
+        the pages under them — so every group's ``arena`` is that one
+        private buffer and the read decodes once.  The resident words
+        and every span's place among them are computed once for the
+        whole read (:func:`~repro.memcloud.storage.word_spans`); a
+        trunk copies its slice of the words in one ``take``.  Each group
+        records the structural epoch its cells were located at; decoders
+        call :meth:`SpanGroup.assert_fresh` so an interleaved mutation
+        raises :class:`~repro.errors.StaleSpanError` instead of yielding
+        bytes of cells that have since moved.
 
         The whole window is located in one probe pass over the cloud's
         :class:`~repro.memcloud.directory.SpanDirectory`; a trunk touched
@@ -395,30 +396,37 @@ class MemoryCloud:
             # Size one buffer for the whole read, then each trunk fills
             # its own run of it under its own mutex.
             memory = self.config.memory
-            if memory.storage == "paged":
-                units = [self.trunks[trunk_id].storage.span_pages(
+            paged = memory.storage == "paged"
+            if paged:
+                pages = [self.trunks[trunk_id].storage.span_pages(
                              starts[low:high], limits[low:high])
                          for trunk_id, low, high in zip(touched, lows, highs)]
-                rows = np.cumsum([0, *map(len, units)]).tolist()
-                size = rows[-1] * memory.page_size
+                rows = np.cumsum([0, *map(len, pages)]).tolist()
+                units = np.concatenate(pages)
+                page = memory.page_size
+                buffer = np.empty(rows[-1] * page, dtype=np.uint8)
+                out = buffer.reshape(-1, page)
             else:
-                # the read's byte offsets, once: a trunk copies a slice
-                sizes = limits - starts
-                offsets = range_indices(starts, sizes)
-                rows = [0, *np.cumsum(np.add.reduceat(sizes, lows)).tolist()]
-                units = [offsets[a:b] for a, b in zip(rows, rows[1:])]
-                size = len(offsets)
-            buffer = np.empty(size, dtype=np.uint8)
-            self._m_read_buffer_bytes.inc(size)
+                # the read's words and rebased spans, once: a trunk
+                # copies its slice of the words
+                units, begins, ends = word_spans(starts, limits)
+                rows = [*(begins[lows] >> 3).tolist(), len(units)]
+                buffer = np.empty(8 * len(units), dtype=np.uint8)
+                out = buffer.view(np.uint64)
+            self._m_read_buffer_bytes.inc(len(buffer))
             spans: list[SpanGroup] = []
-            for trunk_id, epoch, walked, low, high, batch, at in zip(
+            for trunk_id, epoch, walked, low, high, at, to in zip(
                     touched, epochs, np.add.reduceat(probes, lows).tolist(),
-                    lows, highs, units, rows):
+                    lows, highs, rows, rows[1:]):
                 trunk = self.trunks[trunk_id]
-                arena, begin, end = trunk.open_spans(
-                    starts[low:high], limits[low:high], walked, batch,
-                    buffer, at)
-                spans.append(SpanGroup(arena, begin, end, order[low:high],
+                batch = units[at:to]
+                trunk.open_spans(high - low, walked, batch, out[at:to])
+                if paged:
+                    begin, end = trunk.storage.rebase(
+                        starts[low:high], limits[low:high], batch, at)
+                else:
+                    begin, end = begins[low:high], ends[low:high]
+                spans.append(SpanGroup(buffer, begin, end, order[low:high],
                                        trunk, epoch))
         self._m_bulk_get_cells.inc(count)
         self._m_bulk_get_batches.inc(len(spans))

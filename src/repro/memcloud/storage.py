@@ -27,15 +27,15 @@ straight back in and stay.  (The kernel's fault-around maps a fault's
 neighbours, so the bound is the budget plus one such window.)
 
 A batched read (``MemoryTrunk.open_spans``) copies, on both tiers,
-into a caller's buffer with the spans rebased into it: a resident trunk
-its spans' bytes end to end, a paged one the pages under its spans —
-whole pages, as a buffer pool would read them, in one walk, one copy and
-one drop.  The cloud sizes one such buffer for every trunk a read
-touches, so the read decodes once.  Nothing of it aliases the mapping,
-so nothing needs to stay resident for it.  Only
-a writable ``view`` (``MemoryCloud.pin``) pins its pages, as reference
-counts dropped on the trunk's next structural epoch bump (any
-mutation).
+units of the arena into a caller's buffer with one
+:meth:`TrunkStorage.take`: a resident trunk the 8-byte words under its
+spans (:func:`word_spans`), a paged one the pages under them — whole
+pages, as a buffer pool would read them, in one walk, one copy and one
+drop.  The cloud sizes one such buffer for every trunk a read touches,
+so the read decodes once.  Nothing of it aliases the mapping, so nothing
+needs to stay resident for it.  Only a writable ``view``
+(``MemoryCloud.pin``) pins its pages, as reference counts dropped on the
+trunk's next structural epoch bump (any mutation).
 
 Everything is observable: ``trunk.page.{fault,evict,writeback}.total``
 counters plus ``trunk.page.{resident,pinned}`` gauges per trunk.
@@ -78,6 +78,7 @@ class TrunkStorage:
     def __init__(self, arena: Arena):
         self.arena = arena
         self._array: np.ndarray | None = None
+        self._words: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.arena)
@@ -97,26 +98,18 @@ class TrunkStorage:
     def as_ndarray(self) -> np.ndarray:
         """The whole address space as one ``uint8`` array (span reads)."""
         if self._array is None:
-            self._array = np.frombuffer(self.arena.buf, dtype=np.uint8)
+            self._array = np.frombuffer(self.arena.buf, dtype=np.uint8,
+                                        count=len(self.arena))
         return self._array
 
-    def open_spans(self, starts, limits, units=None, buffer=None, at=0):
-        """``(buffer, starts, limits)`` with ``buffer[starts[i]:limits[i]]``
-        the bytes of span ``i``, never aliasing the arena: one ``take``
-        of ``units`` (the spans' byte offsets in the arena, end to end;
-        computed here when None) into ``buffer`` from byte ``at`` on (a
-        fresh buffer of its own when None), with the spans rebased into
-        it.  A paged backing copies the spans' whole pages instead.
-        """
-        sizes = limits - starts
-        if units is None:
-            units = range_indices(starts, sizes)
-        if buffer is None:
-            buffer = np.empty(len(units), dtype=np.uint8)
-        np.take(self.as_ndarray(), units, out=buffer[at:at + len(units)],
-                mode="clip")
-        ends = np.cumsum(sizes) + at
-        return buffer, ends - sizes, ends
+    def take(self, units, out) -> None:
+        """Copy the arena's 8-byte words ``units`` (:func:`word_spans`)
+        into the ``uint64`` array ``out``; a paged backing, pages."""
+        if self._words is None:
+            self._words = np.frombuffer(self.arena.buf, dtype=np.uint64)
+        # "clip" (the words are in range) lets take write into ``out``
+        # directly; the default mode copies through a temporary
+        self._words.take(units, out=out, mode="clip")
 
     def release_pins(self) -> None:
         """Drop every view pin (structural epoch bump)."""
@@ -129,7 +122,7 @@ class TrunkStorage:
     def close(self) -> None:
         """Release the arena (and a paged trunk's page file).  Any later
         use of the storage raises :class:`MemoryCloudError`."""
-        self._array = None
+        self._array = self._words = None
         self.arena.close()
 
 
@@ -138,7 +131,7 @@ class ResidentStorage(TrunkStorage):
     residency policy.
 
     Reads and writes are plain slices, a batched read is one ``take``
-    of its spans' bytes, there is nothing to pin.
+    of the words under its spans, there is nothing to pin.
     """
 
     kind = "resident"
@@ -340,30 +333,24 @@ class PagedStorage(TrunkStorage):
         self._drop(evicted)
         return view
 
-    def open_spans(self, starts, limits, units=None, buffer=None, at=0):
-        """Copy the pages ``units`` (:meth:`span_pages` of the spans)
-        end to end into rows ``at`` onward of ``buffer`` (a flat
-        ``uint8`` array of whole pages; a fresh one of its own when
-        None) in one walk, one copy and one drop, and rebase the spans
-        into it: a span keeps its offset in its first page, which sits
-        at that page's row; a page-crossing span's pages stay
-        adjacent."""
-        page = self._page
-        pages = self.span_pages(starts, limits) if units is None else units
-        if buffer is None:
-            buffer = np.empty(len(pages) * page, dtype=np.uint8)
-        rows = buffer[at * page:(at + len(pages)) * page].reshape(-1, page)
-        evicted = self._walk(pages.tolist())
-        # "clip" (the pages are in range) lets take write into ``rows``
-        # directly; the default mode copies through a temporary
-        np.take(self.as_ndarray().reshape(-1, page), pages, axis=0,
-                out=rows, mode="clip")
+    def take(self, units, out) -> None:
+        """Copy the pages ``units`` (:meth:`span_pages`) into ``out``,
+        one page a row, in one walk, one copy and one drop."""
+        evicted = self._walk(units.tolist())
+        self.as_ndarray().reshape(-1, self._page).take(
+            units, axis=0, out=out, mode="clip")
         self._drop(evicted)
-        first = starts // page
-        shift = (np.searchsorted(pages, first) + at - first) * page
+
+    def rebase(self, starts, limits, pages, at: int) -> tuple:
+        """``(starts, limits)`` of the spans in a copy of ``pages`` that
+        starts at row ``at``: a span keeps its offset in its first page,
+        which sits at that page's row; a page-crossing span's pages stay
+        adjacent."""
+        first = starts // self._page
+        shift = (np.searchsorted(pages, first) + at - first) * self._page
         # an empty span may sit on no page of the batch: park it at 0
         shift = np.where(limits > starts, shift, -starts)
-        return buffer, starts + shift, limits + shift
+        return starts + shift, limits + shift
 
     def release_pins(self) -> None:
         if self._pins:
@@ -376,6 +363,16 @@ class PagedStorage(TrunkStorage):
         self._drop([(page, True) for page in self._dirty])
         self._dirty.clear()
         return written
+
+
+def word_spans(starts, limits) -> tuple:
+    """``(words, starts, limits)``: the 8-byte words under the spans, end
+    to end, and each span rebased into a copy of them.  The bytes a word
+    brings along are never read as data: decoders stop at a limit."""
+    first = starts >> 3
+    count = ((limits + 7) >> 3) - first
+    begins = ((np.cumsum(count) - count) << 3) + (starts & 7)
+    return range_indices(first, count), begins, begins + (limits - starts)
 
 
 def make_trunk_storage(trunk_id: int, params, registry=None,

@@ -359,31 +359,19 @@ class MemoryTrunk:
             return (self._mutation_epoch, keys.copy(), states.copy(),
                     starts, starts + self._sizes[slots])
 
-    def open_spans(self, starts: np.ndarray, limits: np.ndarray,
-                   probes: int, units=None, buffer=None, at: int = 0
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Payload spans ``(buffer, starts, limits)`` for cells the span
-        directory located on its mirror of this trunk, walking ``probes``
-        slots: the index is charged what the same ``get`` calls would
-        have counted.
-
-        ``buffer[starts[i]:limits[i]]`` is cell ``i``'s payload, copied
-        under the mutex: the storage's copy ``units`` under the spans —
-        a resident trunk's byte offsets, a paged trunk's pages
-        (:meth:`~repro.memcloud.storage.PagedStorage.span_pages`) — land
-        from ``at`` onward (a byte, or a row of pages) in ``buffer``,
-        and the spans are rebased into it; both default to the spans'
-        own.  The buffer never aliases the arena, but the cells it
-        holds may move or change at the next structural change on this
-        trunk (a put, remove, resize, or defragmentation), so whoever
-        decodes checks the epoch the cells were located at against
-        :attr:`mutation_epoch` (:exc:`~repro.errors.StaleSpanError`).
-        """
+    def open_spans(self, cells: int, probes: int, units, out) -> None:
+        """Copy this trunk's share of a batched read into ``out``: the
+        index is charged the ``cells`` lookups and ``probes`` slots the
+        span directory walked for it, then the storage takes ``units``
+        (:meth:`~repro.memcloud.storage.TrunkStorage.take`) under the
+        mutex.  The copy never aliases the arena, but its cells may move
+        at this trunk's next structural change, so whoever decodes
+        checks the epoch they were located at against
+        :attr:`mutation_epoch` (:exc:`~repro.errors.StaleSpanError`)."""
         with self._mutex:
-            self._index.lookup_count += len(starts)
+            self._index.lookup_count += cells
             self._index.probe_count += probes
-            return self._storage.open_spans(starts, limits, units, buffer,
-                                            at)
+            self._storage.take(units, out)
 
     def _invalidate_spans(self) -> None:
         """Advance the structural epoch.

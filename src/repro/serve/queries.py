@@ -382,8 +382,9 @@ class QueryTicket:
     query: ServeQuery
     deadline: float | None = None
     priority: str = ""              # WFQ class (defaults to cls_name)
-    status: str = "queued"          # queued | running | done | rejected
+    status: str = "queued"   # queued | running | done | rejected | failed
     reject_reason: str | None = None
+    error: Exception | None = None  # what a failed ticket's plan raised
     result: object = None
     cached: bool = False
     submitted_at: float = 0.0
@@ -395,6 +396,6 @@ class QueryTicket:
     @property
     def latency(self) -> float:
         """Submit-to-completion wall seconds (0 until finished)."""
-        if self.status not in ("done", "rejected"):
+        if self.status not in ("done", "rejected", "failed"):
             return 0.0
         return max(0.0, self.finished_at - self.submitted_at)

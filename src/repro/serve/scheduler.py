@@ -25,6 +25,9 @@ Execution model — deterministic by construction:
   which accumulates on the ticket and becomes the completed result's
   cache stamp: a later write to trunk 7 only invalidates results that
   actually read trunk 7.
+* A plan that raises fails its own ticket — status ``failed``, the
+  exception on ``ticket.error``, one ``serve.failed{cls=...}`` — and
+  the rest of its window runs on.
 * Mutations go through :meth:`QueryServer.mutate`, which drains all
   in-flight work first (a barrier): every query executes against one
   consistent graph version, and every trunk epoch bump invalidates
@@ -50,7 +53,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..algorithms.subgraph import LabelIndex, assign_labels
-from ..errors import QueryError
+from ..errors import DivergenceError, QueryError
 from ..graph.csr import CsrTopology
 from ..obs import get_registry
 from ..oracle import shadow
@@ -383,12 +386,7 @@ class QueryServer:
                 if ticket.trunks is None:
                     ticket.trunks = set()
                 ticket.trunks |= foot
-            try:
-                next_op = gen.send(result)
-            except StopIteration as stop:
-                self._complete(ticket, stop.value)
-            else:
-                still_active.append((ticket, gen, next_op))
+            self._advance(ticket, gen, result, still_active)
         self._active = still_active
 
     def _admit(self) -> None:
@@ -411,15 +409,31 @@ class QueryServer:
                     self._m_cached.inc()
                     self._complete(ticket, hit)
                     continue
-            gen = ticket.query.plan(self)
-            try:
-                first_op = gen.send(None)
-            except StopIteration as stop:
-                # Inline queries (subgraph, non-fusible TQL) finish on
-                # their first step.
-                self._complete(ticket, stop.value)
-            else:
-                self._active.append((ticket, gen, first_op))
+            # Inline queries (subgraph, non-fusible TQL) finish on
+            # their first step.
+            self._advance(ticket, ticket.query.plan(self), None,
+                          self._active)
+
+    def _advance(self, ticket: QueryTicket, gen, value,
+                 active: list) -> None:
+        """Step ``ticket``'s plan with ``value``: it completes, fails, or
+        stays in flight with its next op appended to ``active``.  A plan
+        that raises fails its own ticket and no other; the oracle's
+        :class:`~repro.errors.DivergenceError` still stops the run."""
+        try:
+            op = gen.send(value)
+        except StopIteration as stop:
+            self._complete(ticket, stop.value)
+        except DivergenceError:
+            raise
+        except Exception as error:
+            ticket.status = "failed"
+            ticket.error = error
+            ticket.finished_at = time.perf_counter()
+            self.registry.counter("serve.failed",
+                                  cls=ticket.query.cls_name).inc()
+        else:
+            active.append((ticket, gen, op))
 
     def _observe_wait(self, ticket: QueryTicket, now: float) -> None:
         cls = ticket.priority

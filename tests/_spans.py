@@ -2,8 +2,9 @@
 
 ``MemoryCloud.bulk_get_spans`` locates a window in its
 :class:`~repro.memcloud.directory.SpanDirectory` and then asks each trunk
-touched to open its spans.  Tests that exercise a trunk (or a hash table)
-on its own make the same calls here, through a directory of one region.
+touched to copy its spans.  Tests that exercise a trunk, a storage (or a
+hash table) on its own make the same calls here, through a directory of
+one region.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 from repro.errors import CellNotFoundError
 from repro.memcloud import SpanGroup
 from repro.memcloud.directory import SpanDirectory
+from repro.memcloud.storage import word_spans
 from repro.obs import MetricsRegistry
 
 
@@ -32,18 +34,42 @@ def locate(directory: SpanDirectory, trunk, keys):
                 epoch)
 
 
+def open_spans(storage, starts, limits, take=None, buffer=None, at=0):
+    """``(buffer, starts, limits)``: the spans copied the way the cloud
+    copies one trunk's share of a read — a resident storage's words
+    under them (:func:`~repro.memcloud.storage.word_spans`), a paged
+    one's pages — by ``take(units, out)`` (default: the storage's own
+    ``take``) into ``buffer`` from unit ``at`` on (a fresh buffer when
+    None), and rebased into it."""
+    if storage.resident:
+        unit, (units, begins, ends) = 8, word_spans(starts, limits)
+        begins, ends = begins + 8 * at, ends + 8 * at
+    else:
+        unit, units = storage.page_size, storage.span_pages(starts, limits)
+        begins, ends = storage.rebase(starts, limits, units, at)
+    if buffer is None:
+        buffer = np.empty((at + len(units)) * unit, dtype=np.uint8)
+    out = (buffer.view(np.uint64) if storage.resident
+           else buffer.reshape(-1, unit))
+    (take or storage.take)(units, out[at:at + len(units)])
+    return buffer, begins, ends
+
+
 def trunk_spans(trunk, uids, directory: SpanDirectory | None = None
                 ) -> SpanGroup:
     """One batched read of a standalone trunk, as the one span group the
     cloud would make of it: located in a directory (a throwaway one
-    unless given), charged to the trunk's index, opened by the trunk —
-    a paged trunk copies its pages into a buffer of its own."""
+    unless given), charged to the trunk's index and copied by the trunk
+    (:func:`open_spans`)."""
     if directory is None:
         directory = SpanDirectory(1, MetricsRegistry())
     starts, limits, probes, found, epoch = locate(directory, trunk, uids)
     if not found.all():
         raise CellNotFoundError(int(uids[int(np.flatnonzero(~found)[0])]))
-    return SpanGroup(*trunk.open_spans(starts, limits, int(probes.sum())),
+
+    def take(units, out):
+        trunk.open_spans(len(uids), int(probes.sum()), units, out)
+    return SpanGroup(*open_spans(trunk.storage, starts, limits, take),
                      np.arange(len(uids)), trunk, epoch)
 
 

@@ -408,7 +408,18 @@ class TestBulkGetSpans:
         assert b"" in payloads
         copied = cloud.obs.counter("memcloud.cloud.read_buffer_bytes")
         groups = cloud.bulk_get_spans(uids)
-        assert copied.value == sum(map(len, payloads))
+        # the whole 8-byte words under each cell's span in its arena
+        located = {}
+        for trunk in cloud.trunks.values():
+            _, keys, states, starts, limits = trunk.span_table()
+            live = states == 1
+            located.update(zip(keys[live].tolist(),
+                               zip(starts[live].tolist(),
+                                   limits[live].tolist())))
+        assert copied.value == 8 * sum(
+            (limit + 7) // 8 - start // 8
+            for start, limit in map(located.get, uids.tolist()))
+        assert copied.value > sum(map(len, payloads))
         assert len(groups) >= 2
         [buffer] = {id(group.arena): group.arena for group in groups}.values()
         for trunk in cloud.trunks.values():

@@ -24,7 +24,7 @@ from repro.obs import MetricsRegistry
 from repro.utils.arrays import gather_ranges
 
 from ._pages import PageTableModel
-from ._spans import payloads, trunk_spans
+from ._spans import open_spans, payloads, trunk_spans
 
 PAGE = 64
 OS_PAGE = mmap.ALLOCATIONGRANULARITY    # msync/madvise extents align to it
@@ -111,7 +111,7 @@ class Harness:
             starts = np.array([b[0] for b in bounds], dtype=np.int64)
             limits = np.array([b[1] for b in bounds], dtype=np.int64)
             model.open_spans(starts.tolist(), limits.tolist())
-            buffer, lo, hi = storage.open_spans(starts, limits)
+            buffer, lo, hi = open_spans(storage, starts, limits)
             for (start, end), a, b in zip(bounds, lo.tolist(), hi.tolist()):
                 assert bytes(buffer[a:b]) == bytes(shadow[start:end])
             assert not np.shares_memory(buffer, storage.as_ndarray())
@@ -251,8 +251,8 @@ class TestPageCopy:
             # other rows belong to other trunks and must stay as they are.
             shared = np.full((len(pages) + 5) * page, 0xAB, dtype=np.uint8)
             for buffer, lo, hi in (
-                    storage.open_spans(starts, limits),
-                    storage.open_spans(starts, limits, pages, shared, 3)):
+                    open_spans(storage, starts, limits),
+                    open_spans(storage, starts, limits, buffer=shared, at=3)):
                 assert storage.pinned_pages == 0
                 assert not np.shares_memory(buffer, storage.as_ndarray())
                 assert np.array_equal(gather_ranges(buffer, lo, hi - lo),
@@ -263,7 +263,7 @@ class TestPageCopy:
                     assert 0 <= a <= b <= len(buffer)
                     assert np.array_equal(buffer[a:b], expected[start:limit])
             assert buffer is shared
-            assert len(storage.open_spans(starts, limits)[0]) == (
+            assert len(open_spans(storage, starts, limits)[0]) == (
                 len(pages) * page)
             assert (shared[:3 * page] == 0xAB).all()
             assert (shared[(len(pages) + 3) * page:] == 0xAB).all()

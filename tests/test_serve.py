@@ -389,6 +389,26 @@ TestHubCacheMachine.settings = settings(max_examples=60,
                                         deadline=None)
 
 
+class RaisingQuery(PeopleSearchQuery):
+    """A plan that raises ``error`` at admission (its first step) or in
+    a window (after its first fused read)."""
+
+    cls_name = "raising"
+
+    def __init__(self, error: Exception, step: str):
+        super().__init__(0, "David")
+        self.error = error
+        self.step = step
+
+    def key(self) -> tuple:
+        return (self.cls_name, self.step)
+
+    def plan(self, ctx):
+        if self.step == "window":
+            yield BatchOp("outlinks", [self.start])
+        raise self.error
+
+
 class TestAdmission:
     def test_queue_full_rejection(self, deployment):
         _, graph = deployment
@@ -415,6 +435,42 @@ class TestAdmission:
         assert doomed.status == "rejected"
         assert doomed.reject_reason == "deadline"
         assert alive.status == "done"
+
+    @pytest.mark.parametrize("step", ["admission", "window"])
+    def test_a_raising_plan_fails_only_its_own_ticket(self, deployment,
+                                                      step):
+        """A plan that raises — on its first step, at admission, or
+        after a fused read in mid-window — ends its own ticket as
+        ``failed`` with the exception; ``run()`` returns, and every
+        other ticket in flight with it is done with the sequential
+        answer."""
+        _, graph = deployment
+        registry = MetricsRegistry()
+        server = QueryServer(graph, ServeConfig(cross_check=True),
+                             registry=registry)
+        queries = mixed_queries(server, count=7)
+        bug = ValueError("a plan bug")
+        raiser = RaisingQuery(bug, step)
+        tickets = [server.submit(q) for q in queries[:3]]
+        failed = server.submit(raiser)
+        tickets += [server.submit(q) for q in queries[3:]]
+        server.run()
+        assert [t.status for t in tickets] == ["done"] * 7
+        assert [t.result for t in tickets] == [
+            q.run_sequential(server) for q in queries]
+        assert failed.status == "failed"
+        assert failed.error is bug and failed.result is None
+        assert failed.latency > 0
+        assert registry.counter("serve.failed", cls="raising").value == 1
+        assert server.report().classes.keys() == {
+            q.cls_name for q in queries}
+
+    def test_the_oracle_still_stops_the_run(self, deployment):
+        _, graph = deployment
+        server = QueryServer(graph, registry=MetricsRegistry())
+        server.submit(RaisingQuery(DivergenceError("replay"), "window"))
+        with pytest.raises(DivergenceError):
+            server.run()
 
     @pytest.mark.parametrize("knob,value", [
         ("max_in_flight", 0),       # used to hang run(): nothing admitted
