@@ -2,10 +2,8 @@
 
 Nodes are cells: a cell holds the node's attributes plus one or two lists
 of 64-bit cell ids — ``Outlinks``/``Inlinks`` for directed graphs, a single
-``Neighbors`` list for undirected ones.  Edges are normally *SimpleEdge*s
-(just the target's cell id, optionally with associated data kept beside
-it); rich edges become their own cells (*StructEdge*), and *HyperEdge*
-cells store a set of member node ids.
+``Neighbors`` list for undirected ones.  Edges are *SimpleEdge*s: just the
+target's cell id.
 
 Public pieces:
 
@@ -22,31 +20,18 @@ Public pieces:
 
 from .model import (
     GraphSchema,
-    hyperedge_schema,
     plain_graph_schema,
     social_graph_schema,
-    struct_edge_schema,
 )
 from .builder import GraphBuilder
 from .api import Graph
 from .csr import CsrTopology
-from .weighted import WeightedGraph, WeightedGraphBuilder, weighted_graph_schema
-from .rich import HyperGraph, HyperGraphBuilder, RichGraph, RichGraphBuilder
 
 __all__ = [
     "GraphSchema",
     "plain_graph_schema",
     "social_graph_schema",
-    "struct_edge_schema",
-    "hyperedge_schema",
     "GraphBuilder",
     "Graph",
     "CsrTopology",
-    "WeightedGraph",
-    "WeightedGraphBuilder",
-    "weighted_graph_schema",
-    "RichGraph",
-    "RichGraphBuilder",
-    "HyperGraph",
-    "HyperGraphBuilder",
 ]

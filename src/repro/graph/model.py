@@ -120,44 +120,3 @@ def social_graph_schema(directed: bool = False) -> GraphSchema:
         compile_tsl(source), "Person", "Friends", None,
         attribute_fields=("Name",),
     )
-
-
-def struct_edge_schema() -> CompiledSchema:
-    """Nodes whose edges are independent cells carrying rich data.
-
-    Section 4.1: "when edges are associated with rich information, we may
-    represent edges using cells ... a node will store a set of edge
-    cellids."
-    """
-    return compile_tsl("""
-    [CellType: NodeCell]
-    cell struct Entity {
-        string Name;
-        [EdgeType: StructEdge, ReferencedCell: Relation]
-        List<long> Relations;
-    }
-    [CellType: EdgeCell]
-    cell struct Relation {
-        string Kind;
-        double Weight;
-        long Source;
-        long Target;
-    }
-    """)
-
-
-def hyperedge_schema() -> CompiledSchema:
-    """Hypergraph modelling: an edge cell stores a set of node cell ids."""
-    return compile_tsl("""
-    [CellType: NodeCell]
-    cell struct Member {
-        string Name;
-        [EdgeType: HyperEdge, ReferencedCell: Group]
-        List<long> Groups;
-    }
-    [CellType: EdgeCell]
-    cell struct Group {
-        string Label;
-        List<long> Members;
-    }
-    """)

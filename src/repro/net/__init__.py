@@ -2,8 +2,9 @@
 
 Trinity's network module "provides an efficient, one-sided,
 machine-to-machine message passing infrastructure" (Section 2) with
-request-response semantics, bulk-synchronous messaging, and transparent
-packing of small asynchronous messages (Section 4.2).
+request-response semantics (:class:`MessageRuntime`) and transparent
+packing of small messages into shared transfers (Section 4.2), charged
+per round by :class:`ParallelRound`.
 
 Because this reproduction runs a whole cluster in one process, the fabric
 is a *cost model* rather than sockets: every transfer is delivered

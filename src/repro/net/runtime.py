@@ -6,12 +6,11 @@ Implements the communication semantics of Sections 2 and 4.2:
   rendezvous; the receiver's registered protocol handler runs on arrival
   (the paper contrasts this with MPI's two-sided paradigm).
 * **Synchronous protocols** (`Type: Syn`) return the handler's response to
-  the caller, charging a full round trip.
-* **Asynchronous protocols** (`Type: Asyn`) are buffered per destination
-  and *packed*: many small messages bound for the same machine share one
-  physical transfer when ``NetworkParams.packing_enabled`` is set — the
-  optimisation the paper singles out as essential when "the total number
-  of messages in the system is huge although each message may be small".
+  the caller, charging a full round trip.  The cluster's request paths
+  are all synchronous; Section 4.2's packing of many small messages
+  into one physical transfer is charged per round by
+  :class:`~repro.net.simnet.ParallelRound` when
+  ``NetworkParams.packing_enabled`` is set.
 * Handlers are registered per (machine, protocol), mirroring the generated
   ``EchoHandler`` pattern: users implement the algorithm logic "as if
   implementing a local method".
@@ -23,12 +22,11 @@ are the real blob sizes.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Callable
 
 from ..errors import MachineDownError, ProtocolError
 from .message import Message
-from .simnet import ParallelRound, SimNetwork
+from .simnet import SimNetwork
 
 Handler = Callable[[Message, object], object]
 
@@ -40,10 +38,6 @@ class MessageRuntime:
         self.network = network or SimNetwork()
         self.schema = schema
         self._handlers: dict[tuple[int, str], Handler] = {}
-        self._async_buffers: dict[tuple[int, int], list[Message]] = (
-            defaultdict(list)
-        )
-        self._reply_callbacks: dict[int, Handler] = {}
         self._down: set[int] = set()
         self.delivered = 0
 
@@ -65,13 +59,6 @@ class MessageRuntime:
                          handler: Handler) -> None:
         """Install the message handler for ``protocol`` on one machine."""
         self._handlers[(machine_id, protocol)] = handler
-
-    def register_everywhere(self, machines, protocol: str,
-                            handler_factory) -> None:
-        """Install ``handler_factory(machine_id)`` on every machine."""
-        for machine_id in machines:
-            self.register_handler(machine_id, protocol,
-                                  handler_factory(machine_id))
 
     # -- encoding ------------------------------------------------------------
 
@@ -142,89 +129,6 @@ class MessageRuntime:
             "cluster.request.seconds", machine=dst, protocol=protocol,
         ).observe(self.network.clock.now - start)
         return self._decode(protocol, response_blob, request=False)
-
-    def send_async(self, src: int, dst: int, protocol: str,
-                   payload=None, on_reply=None) -> None:
-        """One-sided asynchronous send; buffered until :meth:`flush`.
-
-        ``on_reply``, if given, receives the handler's decoded response
-        after delivery — TSL's asynchronous protocols with responses
-        ("calling a protocol defined in the TSL is like calling a local
-        method", but without blocking the caller).
-        """
-        self._check_alive(dst)
-        blob = self._encode(protocol, payload, request=True)
-        message = Message(src, dst, protocol, blob)
-        if on_reply is not None:
-            self._reply_callbacks[message.correlation_id] = on_reply
-        self._async_buffers[(src, dst)].append(message)
-
-    def flush(self, parallelism: int = 1) -> float:
-        """Deliver all buffered async messages as one parallel round.
-
-        Messages sharing a (src, dst) link are packed: the round charges
-        one (or few) physical transfers per link instead of one per
-        message.  Returns the round's elapsed simulated time.
-        """
-        if not self._async_buffers:
-            return 0.0
-        wave = ParallelRound(self.network)
-        buffers = self._async_buffers
-        self._async_buffers = defaultdict(list)
-        for (src, dst), messages in buffers.items():
-            total = sum(m.size for m in messages)
-            wave.add_message(src, dst, total, len(messages))
-        elapsed = wave.finish(parallelism=parallelism)
-        for messages in buffers.values():
-            for message in messages:
-                if message.dst in self._down:
-                    raise MachineDownError(message.dst)
-                response = self._dispatch(message)
-                callback = self._reply_callbacks.pop(
-                    message.correlation_id, None
-                )
-                if callback is not None:
-                    # The reply rides the next packed transfer back; its
-                    # size is charged with the same cost model.
-                    blob = self._encode(message.protocol, response,
-                                        request=False)
-                    self.network.clock.advance(self.network.transfer(
-                        message.dst, message.src,
-                        message.reply(blob).size,
-                    ))
-                    callback(self._decode(message.protocol, blob,
-                                          request=False))
-        return elapsed
-
-    def broadcast_sync(self, src: int, machines, protocol: str,
-                       payload=None) -> list:
-        """Bulk-synchronous call: one request per machine, issued in a
-        single parallel round; returns the decoded replies in machine
-        order (TSL's "bulk synchronous message passing")."""
-        machines = list(machines)
-        blob = self._encode(protocol, payload, request=True)
-        round_ = ParallelRound(self.network)
-        for dst in machines:
-            self._check_alive(dst)
-            round_.add_message(src, dst, len(blob) + 24)
-        round_.finish()
-        replies = []
-        for dst in machines:
-            message = Message(src, dst, protocol, blob)
-            response = self._dispatch(message)
-            response_blob = self._encode(protocol, response, request=False)
-            replies.append(self._decode(protocol, response_blob,
-                                        request=False))
-        # All replies return in one gather round.
-        gather = ParallelRound(self.network)
-        for dst in machines:
-            gather.add_message(dst, src, len(blob) + 24)
-        gather.finish()
-        return replies
-
-    @property
-    def pending_async(self) -> int:
-        return sum(len(v) for v in self._async_buffers.values())
 
     # -- dispatch ------------------------------------------------------------
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import QueryError
+from ..errors import DivergenceError, QueryError
 from ..obs import get_registry
 from ..utils.arrays import gather_ranges
 from .caches import EpochLruCache
@@ -64,7 +64,10 @@ class FusedExecutor:
         ``epochs`` is the per-trunk epoch vector the scheduler pinned
         for this window.  ``foots[i]`` is the frozenset of trunk ids op
         *i*'s reads resolved through (``None`` when the executor was
-        built with ``footprints=False``).
+        built with ``footprints=False``).  An op whose read raises (an
+        unknown field, an id that names no cell) gets the exception as
+        its result; the oracle's
+        :class:`~repro.errors.DivergenceError` still propagates.
         """
         self._m_windows.inc()
         self._m_ops.inc(len(ops))
@@ -74,8 +77,22 @@ class FusedExecutor:
         for position, op in enumerate(ops):
             groups.setdefault(op.group_key(), []).append(position)
         for positions in groups.values():
-            self._run_group([ops[p] for p in positions], positions,
-                            results, epochs, foots)
+            try:
+                self._run_group([ops[p] for p in positions], positions,
+                                results, epochs, foots)
+            except DivergenceError:
+                raise
+            except Exception:
+                # Run the group again one op at a time, so only the ops
+                # that raise fail: each gets its exception as its result.
+                for p in positions:
+                    try:
+                        self._run_group([ops[p]], [p], results, epochs,
+                                        foots)
+                    except DivergenceError:
+                        raise
+                    except Exception as error:
+                        results[p] = error
         return results, foots
 
     # -- group execution ---------------------------------------------------

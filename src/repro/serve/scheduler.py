@@ -27,7 +27,9 @@ Execution model — deterministic by construction:
   actually read trunk 7.
 * A plan that raises fails its own ticket — status ``failed``, the
   exception on ``ticket.error``, one ``serve.failed{cls=...}`` — and
-  the rest of its window runs on.
+  the rest of its window runs on.  So does a plan whose fused read
+  raises: the executor reruns that op's group one op at a time, and
+  only the ops that still raise fail their tickets.
 * Mutations go through :meth:`QueryServer.mutate`, which drains all
   in-flight work first (a barrier): every query executes against one
   consistent graph version, and every trunk epoch bump invalidates
@@ -287,6 +289,7 @@ class QueryServer:
             for reason in ("queue_full", "deadline")
         }
         self._m_completed: dict[str, object] = {}
+        self._m_failed: dict[str, object] = {}
         self._m_cached = self.registry.counter("serve.completed.from_cache")
         self._m_windows = self.registry.counter("serve.windows")
         self._m_mutations = self.registry.counter("serve.mutations")
@@ -382,6 +385,9 @@ class QueryServer:
         for (ticket, gen, _op), result, foot in zip(self._active, results,
                                                     foots):
             ticket.windows += 1
+            if isinstance(result, Exception):
+                self._fail(ticket, result)
+                continue
             if foot is not None:
                 if ticket.trunks is None:
                     ticket.trunks = set()
@@ -427,13 +433,21 @@ class QueryServer:
         except DivergenceError:
             raise
         except Exception as error:
-            ticket.status = "failed"
-            ticket.error = error
-            ticket.finished_at = time.perf_counter()
-            self.registry.counter("serve.failed",
-                                  cls=ticket.query.cls_name).inc()
+            self._fail(ticket, error)
         else:
             active.append((ticket, gen, op))
+
+    def _fail(self, ticket: QueryTicket, error: Exception) -> None:
+        """End ``ticket`` as ``failed`` with ``error``; its plan is
+        dropped, not resumed."""
+        ticket.status = "failed"
+        ticket.error = error
+        ticket.finished_at = time.perf_counter()
+        cls = ticket.query.cls_name
+        if cls not in self._m_failed:
+            self._m_failed[cls] = self.registry.counter("serve.failed",
+                                                        cls=cls)
+        self._m_failed[cls].inc()
 
     def _observe_wait(self, ticket: QueryTicket, now: float) -> None:
         cls = ticket.priority
@@ -499,6 +513,7 @@ class QueryServer:
             "rejected_queue_full": self._m_rejected["queue_full"].value,
             "rejected_deadline": self._m_rejected["deadline"].value,
             "completed_from_cache": self._m_cached.value,
+            "failed": sum(c.value for c in self._m_failed.values()),
         }
         queues = {}
         for cls in sorted(set(self._queue_wait) | set(self._wfq.classes())):

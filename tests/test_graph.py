@@ -10,10 +10,8 @@ from repro.graph import (
     CsrTopology,
     GraphBuilder,
     GraphSchema,
-    hyperedge_schema,
     plain_graph_schema,
     social_graph_schema,
-    struct_edge_schema,
 )
 from repro.obs import MetricsRegistry
 from repro.tsl import compile_tsl
@@ -54,16 +52,6 @@ class TestSchemas:
         compiled = compile_tsl("cell struct X { int A; }")
         with pytest.raises(TslTypeError, match="EdgeType"):
             GraphSchema.from_compiled(compiled, "X")
-
-    def test_struct_edge_schema_compiles(self):
-        schema = struct_edge_schema()
-        assert "Relation" in schema.cells
-        edge = schema.edge_fields("Entity")[0]
-        assert edge.edge_type == "StructEdge"
-
-    def test_hyperedge_schema_compiles(self):
-        schema = hyperedge_schema()
-        assert schema.edge_fields("Member")[0].edge_type == "HyperEdge"
 
 
 class TestBuilder:

@@ -92,7 +92,9 @@ class TestParallelRound:
         round_.add_message(0, 1, 1000, count=10)
         elapsed = round_.finish()
         assert elapsed > 0
+        # Ten logical messages on one link pack into one physical send.
         assert net.counters.messages == 10
+        assert net.counters.transfers == 1
 
     def test_double_finish_rejected(self):
         round_ = ParallelRound(SimNetwork())
@@ -144,39 +146,12 @@ class TestMessageRuntime:
         with pytest.raises(ProtocolError, match="no handler"):
             runtime.send_sync(0, 1, "ghost", b"")
 
-    def test_async_buffers_until_flush(self):
-        runtime = MessageRuntime()
-        received = []
-        runtime.register_handler(1, "note", lambda m, d: received.append(d))
-        runtime.send_async(0, 1, "note", b"a")
-        runtime.send_async(0, 1, "note", b"b")
-        assert received == []
-        assert runtime.pending_async == 2
-        elapsed = runtime.flush()
-        assert received == [b"a", b"b"]
-        assert elapsed > 0
-        assert runtime.pending_async == 0
-
-    def test_flush_packs_per_link(self):
-        runtime = MessageRuntime()
-        runtime.register_handler(1, "n", lambda m, d: None)
-        runtime.register_handler(2, "n", lambda m, d: None)
-        for _ in range(50):
-            runtime.send_async(0, 1, "n", b"x")
-            runtime.send_async(0, 2, "n", b"x")
-        runtime.flush()
-        # 100 logical messages but only a handful of physical transfers.
-        assert runtime.network.counters.messages == 100
-        assert runtime.network.counters.transfers <= 4
-
     def test_send_to_down_machine(self):
         runtime = MessageRuntime()
         runtime.register_handler(1, "p", lambda m, d: None)
         runtime.fail_machine(1)
         with pytest.raises(MachineDownError):
             runtime.send_sync(0, 1, "p", b"")
-        with pytest.raises(MachineDownError):
-            runtime.send_async(0, 1, "p", b"")
         runtime.recover_machine(1)
         runtime.send_sync(0, 1, "p", b"")
 
@@ -188,83 +163,8 @@ class TestMessageRuntime:
         with pytest.raises(ProtocolError, match="void"):
             runtime.send_sync(0, 1, "Ping", {"x": 1})
 
-    def test_register_everywhere(self):
-        runtime = MessageRuntime()
-        runtime.register_everywhere(
-            range(3), "who",
-            lambda machine_id: (lambda m, d: machine_id.to_bytes(1, "little")),
-        )
-        assert runtime.send_sync(9, 2, "who", b"") == b"\x02"
-
     def test_unencodable_payload_rejected(self):
         runtime = MessageRuntime()
         runtime.register_handler(1, "p", lambda m, d: None)
         with pytest.raises(ProtocolError, match="cannot encode"):
             runtime.send_sync(0, 1, "p", {"dict": "without schema"})
-
-
-class TestAsyncReplies:
-    def test_callback_receives_reply(self):
-        runtime = MessageRuntime()
-        runtime.register_handler(1, "double", lambda m, d: d + d)
-        received = []
-        runtime.send_async(0, 1, "double", b"ab",
-                           on_reply=received.append)
-        assert received == []
-        runtime.flush()
-        assert received == [b"abab"]
-
-    def test_callbacks_with_schema(self):
-        schema = compile_tsl("""
-        struct M { int X; }
-        protocol Inc { Type: Asyn; Request: M; Response: M; }
-        """)
-        runtime = MessageRuntime(schema=schema)
-        runtime.register_handler(
-            2, "Inc", lambda m, d: {"X": d["X"] + 1},
-        )
-        out = []
-        for value in range(5):
-            runtime.send_async(0, 2, "Inc", {"X": value},
-                               on_reply=lambda r: out.append(r["X"]))
-        runtime.flush()
-        assert out == [1, 2, 3, 4, 5]
-
-    def test_fire_and_forget_has_no_reply_cost(self):
-        runtime = MessageRuntime()
-        runtime.register_handler(1, "note", lambda m, d: b"ignored")
-        runtime.send_async(0, 1, "note", b"x")
-        runtime.flush()
-        transfers_without = runtime.network.counters.transfers
-        runtime.send_async(0, 1, "note", b"x", on_reply=lambda r: None)
-        runtime.flush()
-        # The reply ride adds one extra transfer.
-        assert runtime.network.counters.transfers == transfers_without + 2
-
-
-class TestBroadcastSync:
-    def test_gathers_replies_in_order(self):
-        runtime = MessageRuntime()
-        for machine in range(4):
-            runtime.register_handler(
-                machine, "who",
-                lambda m, d, mid=machine: mid.to_bytes(1, "little"),
-            )
-        replies = runtime.broadcast_sync(9, range(4), "who", b"")
-        assert replies == [b"\x00", b"\x01", b"\x02", b"\x03"]
-
-    def test_down_machine_rejected(self):
-        runtime = MessageRuntime()
-        runtime.register_handler(0, "p", lambda m, d: b"")
-        runtime.register_handler(1, "p", lambda m, d: b"")
-        runtime.fail_machine(1)
-        with pytest.raises(MachineDownError):
-            runtime.broadcast_sync(9, [0, 1], "p", b"")
-
-    def test_charges_two_rounds(self):
-        runtime = MessageRuntime()
-        for machine in range(3):
-            runtime.register_handler(machine, "p", lambda m, d: b"r")
-        before = runtime.network.clock.now
-        runtime.broadcast_sync(9, range(3), "p", b"payload")
-        assert runtime.network.clock.now > before

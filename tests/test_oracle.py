@@ -15,16 +15,11 @@ import pytest
 from repro.algorithms.landmarks import evaluate_oracle, select_landmarks
 from repro.algorithms.pagerank import PageRankProgram
 from repro.algorithms.people_search import people_search
-from repro.algorithms.people_search_distributed import (
-    distributed_people_search,
-    install_search_handlers,
-)
 from repro.algorithms.subgraph import (
     assign_labels,
     generate_query_dfs,
     match_subgraph,
 )
-from repro.cluster import TrinityCluster
 from repro.compute import BspEngine
 from repro.config import ClusterConfig, MemoryParams
 from repro.errors import DivergenceError, TrinityError
@@ -122,21 +117,20 @@ class TestShadow:
 
 @pytest.fixture(scope="module")
 def world():
-    """A small named friendship graph on a two-machine cluster."""
-    cluster = TrinityCluster(ClusterConfig(
+    """A small named friendship graph on a two-machine cloud."""
+    cloud = MemoryCloud(ClusterConfig(
         machines=2, trunk_bits=4,
-        memory=MemoryParams(trunk_size=4 * 1024 * 1024)))
+        memory=MemoryParams(trunk_size=4 * 1024 * 1024)), MetricsRegistry())
     scale = 7
     edges = rmat_edges(scale, avg_degree=6.0, seed=11, dedup=True)
     edges = edges[edges[:, 0] != edges[:, 1]]
-    builder = GraphBuilder(cluster.cloud, social_graph_schema())
+    builder = GraphBuilder(cloud, social_graph_schema())
     for node_id, name in enumerate(sample_names(1 << scale, seed=12)):
         builder.add_node(node_id, Name=name)
     builder.add_edges(edges)
     graph = builder.finalize()
     topology = CsrTopology(graph)
-    return SimpleNamespace(cluster=cluster, graph=graph, topology=topology,
-                           edges=edges,
+    return SimpleNamespace(graph=graph, topology=topology, edges=edges,
                            ids=np.asarray(graph.node_ids[:40],
                                           dtype=np.int64))
 
@@ -162,12 +156,6 @@ def run_landmarks(w):
     landmarks = select_landmarks(w.topology, 3, strategy="degree")
     evaluate_oracle(w.topology, landmarks, pairs=10, seed=2,
                     cross_check=True)
-
-
-def run_distributed(w):
-    install_search_handlers(w.cluster, w.graph, cross_check=True)
-    distributed_people_search(w.cluster, w.graph, 0, "David", hops=2,
-                              cross_check=True)
 
 
 def run_finalize(w):
@@ -210,11 +198,6 @@ ENTRY_POINTS = [
                  ("algorithms.landmarks.bfs",
                   "algorithms.landmarks.pair_distance"),
                  id="evaluate_oracle"),
-    pytest.param(run_distributed,
-                 ("algorithms.people_search_distributed.handler",
-                  "algorithms.people_search_distributed.dedup")
-                 + READ_BATCH,
-                 id="distributed_people_search"),
     pytest.param(run_finalize, ("graph.builder.finalize",),
                  id="GraphBuilder.finalize"),
     pytest.param(lambda w: w.graph.outlinks_batch(w.ids, cross_check=True),

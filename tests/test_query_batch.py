@@ -1,9 +1,8 @@
 """Equivalence tests for the batched online-traversal path.
 
-Every batched query surface — the Graph ``*_batch`` reads, people search
-(fast path and protocol-driven), TQL multi-hop expansion, subgraph
-candidate prefiltering, and the landmark-oracle BFS — must agree with
-its scalar twin on seeded R-MAT graphs, across at least two machine
+Every batched query surface — the Graph ``*_batch`` reads, people
+search, TQL multi-hop expansion, subgraph candidate prefiltering, and
+the landmark-oracle BFS — must agree with its scalar twin on seeded R-MAT graphs, across at least two machine
 counts, with ``cross_check=True`` shadow-replaying the scalar path
 inside the batched one.  The scalar twins are private references, not
 modes: where a test wants the reference *object*, it calls the module's
@@ -23,11 +22,6 @@ from repro.algorithms.people_search import (
     _people_search_scalar,
     people_search,
 )
-from repro.algorithms.people_search_distributed import (
-    _client_scalar,
-    distributed_people_search,
-    install_search_handlers,
-)
 from repro.algorithms.subgraph import (
     LabelIndex,
     assign_labels,
@@ -35,7 +29,6 @@ from repro.algorithms.subgraph import (
     generate_query_random,
     match_subgraph,
 )
-from repro.cluster import TrinityCluster
 from repro.config import ClusterConfig, MemoryParams
 from repro.errors import CellNotFoundError, QueryError
 from repro.generators.names import sample_names
@@ -380,31 +373,6 @@ class TestOneDecodePerRead:
                  "decode_column_spans"]
         assert calls["paged"] == reads
         assert calls["resident"] == reads
-
-
-class TestDistributedSearchBatch:
-    @pytest.fixture(scope="class", params=MACHINE_COUNTS)
-    def cluster_deployment(self, request):
-        cluster = TrinityCluster(ClusterConfig(
-            machines=request.param, trunk_bits=6,
-            memory=MemoryParams(trunk_size=8 * 1024 * 1024),
-        ))
-        graph = build_rmat_named_graph(cluster.cloud, scale=8)
-        return cluster, graph
-
-    def test_batch_handlers_equal_scalar(self, cluster_deployment):
-        cluster, graph = cluster_deployment
-        # Every handler reply is checked against ``scalar_expand`` as it
-        # is made, so the scalar client below talks to verified handlers.
-        install_search_handlers(cluster, graph, cross_check=True)
-        batched = distributed_people_search(cluster, graph, 0, "David",
-                                            hops=3, cross_check=True)
-        scalar = _client_scalar(cluster, graph, 0, "David", 3)
-        assert batched.matches == scalar.matches
-        assert batched.visited == scalar.visited
-        assert batched.protocol_calls == scalar.protocol_calls
-        fast = people_search(graph, 0, "David", hops=3)
-        assert batched.matches == fast.matches
 
 
 class TestTqlBatch:

@@ -19,7 +19,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.algorithms.subgraph import generate_query_dfs
 from repro.config import ClusterConfig
-from repro.errors import DivergenceError, QueryError
+from repro.errors import CellNotFoundError, DivergenceError, QueryError
 from repro.generators.names import sample_names
 from repro.generators.rmat import rmat_edges
 from repro.graph import GraphBuilder
@@ -409,6 +409,24 @@ class RaisingQuery(PeopleSearchQuery):
         raise self.error
 
 
+class BadOpQuery(PeopleSearchQuery):
+    """A plan whose one read raises inside the fused executor."""
+
+    cls_name = "bad_op"
+
+    def __init__(self, op: BatchOp):
+        super().__init__(0, "David")
+        self.op = op
+
+    def key(self) -> tuple:
+        return (self.cls_name, self.op.kind, self.op.field,
+                tuple(self.op.ids.tolist()))
+
+    def plan(self, ctx):
+        yield self.op
+        return None
+
+
 class TestAdmission:
     def test_queue_full_rejection(self, deployment):
         _, graph = deployment
@@ -462,8 +480,39 @@ class TestAdmission:
         assert failed.error is bug and failed.result is None
         assert failed.latency > 0
         assert registry.counter("serve.failed", cls="raising").value == 1
-        assert server.report().classes.keys() == {
-            q.cls_name for q in queries}
+        report = server.report()
+        assert report.classes.keys() == {q.cls_name for q in queries}
+        assert report.admission["failed"] == 1
+        assert "failed=1" in report.render()
+
+    def test_a_raising_fused_read_fails_only_its_own_ops(self, deployment):
+        """A read that raises inside a fused group — an unknown field,
+        an id that names no cell — fails the tickets whose ops raise;
+        the ops it was fused with are rerun one at a time and answer
+        as sequential execution does, and ``run()`` returns."""
+        _, graph = deployment
+        registry = MetricsRegistry()
+        server = QueryServer(graph, ServeConfig(cross_check=True),
+                             registry=registry)
+        queries = mixed_queries(server, count=8)
+        missing = max(graph.node_ids) + 1000
+        bad_field = BadOpQuery(BatchOp("field_eq", [0, 1],
+                                       field="NoSuchField", value="David"))
+        # Fuses with the people searches' and the BFSes' first hop.
+        bad_id = BadOpQuery(BatchOp("outlinks", [1, missing]))
+        tickets = [server.submit(q) for q in queries[:4]]
+        failed = [server.submit(bad_field), server.submit(bad_id)]
+        tickets += [server.submit(q) for q in queries[4:]]
+        server.run()
+        assert [t.status for t in tickets] == ["done"] * len(queries)
+        assert [t.result for t in tickets] == [
+            q.run_sequential(server) for q in queries]
+        assert [t.status for t in failed] == ["failed", "failed"]
+        assert isinstance(failed[0].error, QueryError)
+        assert isinstance(failed[1].error, CellNotFoundError)
+        assert all(t.result is None and t.latency > 0 for t in failed)
+        assert registry.counter("serve.failed", cls="bad_op").value == 2
+        assert server.report().admission["failed"] == 2
 
     def test_the_oracle_still_stops_the_run(self, deployment):
         _, graph = deployment
