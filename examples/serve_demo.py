@@ -11,9 +11,10 @@ walks the serving story end to end:
 2. the same burst again: the epoch-stamped result cache answers
    repeats without touching the cloud;
 3. a mutation through the barrier: every cached entry goes stale at
-   once, and the re-served queries see the new edge (cross_check=True
-   shadow-replays each completion through the sequential library path,
-   so a stale answer would raise);
+   once, and the re-served queries see the new edge (the bursts run
+   inside ``repro.oracle.checking()``, which shadow-replays each
+   completion through the sequential library path, so a stale answer
+   would raise);
 4. bounded admission: a burst beyond the queue limit is rejected
    immediately instead of melting latency for everyone else;
 5. the SLO report: p50/p99 wall latency per query class.
@@ -32,6 +33,7 @@ from repro.graph import GraphBuilder                        # noqa: E402
 from repro.graph.model import social_graph_schema           # noqa: E402
 from repro.memcloud import MemoryCloud                      # noqa: E402
 from repro.obs import MetricsRegistry                       # noqa: E402
+from repro.oracle import checking                           # noqa: E402
 from repro.serve import (                                   # noqa: E402
     LandmarkBfsQuery,
     PeopleSearchQuery,
@@ -62,7 +64,8 @@ def burst(server):
     tickets.append(server.submit(TqlServeQuery(
         "MATCH (a = 0) -[Friends*1..3]-> (b {Name: 'David'}) RETURN b")))
     tickets.append(server.submit(LandmarkBfsQuery(7, max_hops=4)))
-    server.run()
+    with checking():
+        server.run()
     return tickets
 
 
@@ -70,8 +73,7 @@ def main() -> None:
     graph, edge_count = build_graph()
     print(f"friendship graph: {graph.num_nodes} nodes, {edge_count} edges")
 
-    server = QueryServer(graph, ServeConfig(cross_check=True,
-                                            hub_degree_threshold=16))
+    server = QueryServer(graph, ServeConfig(hub_degree_threshold=16))
 
     print("\n-- burst 1: cold (fused bulk reads) --")
     first = burst(server)

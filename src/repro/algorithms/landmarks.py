@@ -27,7 +27,7 @@ import numpy as np
 
 from ..config import CELL_ACCESS_COST, EDGE_SCAN_COST, THREADS_PER_MACHINE
 from ..errors import QueryError
-from ..oracle import shadow
+from ..oracle import is_checking, shadow
 
 
 @dataclass
@@ -269,8 +269,7 @@ class OracleEvaluation:
 
 
 def evaluate_oracle(topology, landmarks: list[int], pairs: int = 200,
-                    seed: int = 0,
-                    cross_check: bool = False) -> OracleEvaluation:
+                    seed: int = 0) -> OracleEvaluation:
     """Measure estimation accuracy of a landmark set.
 
     Estimates are upper bounds, so accuracy is the mean of
@@ -280,7 +279,7 @@ def evaluate_oracle(topology, landmarks: list[int], pairs: int = 200,
     The underlying BFS passes run as vectorized frontier waves over
     the CSR arrays (wave levels don't depend on intra-level order, so
     the distances are those of a node-at-a-time walk);
-    ``cross_check=True`` also runs that scalar BFS and raises
+    checked, it also runs that scalar BFS and raises
     :class:`~repro.errors.DivergenceError` on any mismatch.
     """
     n = topology.n
@@ -288,7 +287,7 @@ def evaluate_oracle(topology, landmarks: list[int], pairs: int = 200,
     landmark_distances = np.stack([
         _bfs_distances_batch(topology, lm) for lm in landmarks
     ])
-    if cross_check:
+    if is_checking():
         shadow("algorithms.landmarks.bfs", landmark_distances, np.stack([
             _bfs_distances_scalar(topology, lm) for lm in landmarks
         ]), equal=np.array_equal)
@@ -306,7 +305,7 @@ def evaluate_oracle(topology, landmarks: list[int], pairs: int = 200,
         if u == v:
             continue
         true = _pair_distance_batch(topology, u, v)
-        if cross_check:
+        if is_checking():
             shadow("algorithms.landmarks.pair_distance", true,
                    _pair_distance_scalar(topology, u, v))
         if true <= 0:

@@ -31,7 +31,7 @@ class PageRankProgram(VertexProgram):
     Declares the ``sum`` combiner (a vertex only ever consumes
     ``sum(messages)``), so the engine runs it on the vectorized path;
     :meth:`compute_batch` is the numpy kernel with identical semantics,
-    bit for bit (the equivalence tests and ``cross_check`` assert this).
+    bit for bit (the equivalence tests and a checked run assert this).
     """
 
     restrictive = True

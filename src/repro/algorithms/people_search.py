@@ -18,8 +18,9 @@ ownership pass groups the frontier, each machine group expands with one
 next frontier's raw utf-8 bytes with one ``field_eq_batch`` (no Python
 string is ever built).  Its private reference, ``_people_search_scalar``
 — one whole-cell decode per frontier node — visits nodes in the same
-order and charges identical simulated costs; ``cross_check=True`` runs
-both, per batched read *and* end-to-end (:func:`repro.oracle.shadow`).
+order and charges identical simulated costs; inside a
+:func:`repro.oracle.checking` scope both run, per batched read *and*
+end-to-end (:func:`repro.oracle.shadow`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from ..config import CELL_ACCESS_COST, EDGE_SCAN_COST, THREADS_PER_MACHINE
 from ..errors import QueryError
 from ..net.simnet import ParallelRound, SimNetwork
-from ..oracle import shadow
+from ..oracle import is_checking, shadow
 from ..utils.arrays import first_occurrences
 
 _FRONTIER_ID_BYTES = 9   # 8-byte cell id + 1-byte hop tag
@@ -130,24 +131,22 @@ class PeopleSearchResult:
 
 
 def people_search(graph, start: int, name: str, hops: int = 3,
-                  network: SimNetwork | None = None,
-                  cross_check: bool = False) -> PeopleSearchResult:
+                  network: SimNetwork | None = None) -> PeopleSearchResult:
     """Find all nodes named ``name`` within ``hops`` of ``start``.
 
     The graph must use a schema with a ``Name`` attribute (see
     :func:`repro.graph.model.social_graph_schema`).
-    ``cross_check=True`` additionally replays the scalar reference and
-    raises :class:`~repro.errors.DivergenceError` if the two ever
-    disagree (matches, visited set, messages or simulated hop times).
+    Checked, it also replays the scalar reference and raises
+    :class:`~repro.errors.DivergenceError` if the two ever disagree
+    (matches, visited set, messages or simulated hop times).
     """
     if hops < 1:
         raise QueryError("hops must be >= 1")
     if "Name" not in graph.graph_schema.attribute_fields:
         raise QueryError("people_search needs a graph with a Name attribute")
     network = network or SimNetwork()
-    result = _people_search_batch(graph, start, name, hops, network,
-                                  cross_check)
-    if cross_check:
+    result = _people_search_batch(graph, start, name, hops, network)
+    if is_checking():
         reference = _people_search_scalar(
             graph, start, name, hops, SimNetwork(network.params),
         )
@@ -215,8 +214,7 @@ def _people_search_scalar(graph, start: int, name: str, hops: int,
 
 
 def _people_search_batch(graph, start: int, name: str, hops: int,
-                         network: SimNetwork,
-                         cross_check: bool) -> PeopleSearchResult:
+                         network: SimNetwork) -> PeopleSearchResult:
     """Vectorized frontier expansion; bit-identical accounting.
 
     Per hop: one ``machine_of_batch`` pass routes the frontier, machine
@@ -244,8 +242,7 @@ def _people_search_batch(graph, start: int, name: str, hops: int,
         delivery: dict[tuple[int, int], int] = defaultdict(int)
         for machine in group_machines.tolist():
             nodes = frontier[owners == machine]
-            indptr, flat = graph.outlinks_batch(nodes,
-                                                cross_check=cross_check)
+            indptr, flat = graph.outlinks_batch(nodes)
             edges_scanned = int(indptr[-1])
             # First-occurrence dedup of this group's discoveries against
             # everything visited so far (including earlier groups of the
@@ -278,8 +275,7 @@ def _people_search_batch(graph, start: int, name: str, hops: int,
             for machine in np.flatnonzero(checks).tolist():
                 round_.add_compute(
                     machine, int(checks[machine]) * CELL_ACCESS_COST)
-            hits = graph.field_eq_batch(next_frontier, "Name", name,
-                                        cross_check=cross_check)
+            hits = graph.field_eq_batch(next_frontier, "Name", name)
             result.matches.extend(next_frontier[hits].tolist())
 
         for (src, dst), count in delivery.items():

@@ -29,7 +29,7 @@ import numpy as np
 from ..config import CELL_ACCESS_COST, EDGE_SCAN_COST, THREADS_PER_MACHINE
 from ..errors import QueryError
 from ..net.simnet import ParallelRound, SimNetwork
-from ..oracle import shadow
+from ..oracle import is_checking, shadow
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +268,7 @@ def match_subgraph(topology, labels, query: Query,
                    network: SimNetwork | None = None,
                    index: LabelIndex | None = None,
                    max_embeddings: int = 1024,
-                   max_expansions: int = 2_000_000,
-                   cross_check: bool = False) -> SubgraphMatchResult:
+                   max_expansions: int = 2_000_000) -> SubgraphMatchResult:
     """Find embeddings of ``query`` in the labeled data graph.
 
     Embeddings are injective label-preserving mappings with every query
@@ -284,8 +283,8 @@ def match_subgraph(topology, labels, query: Query,
     candidate array instead of a Python test per candidate.  The filter
     is loop-invariant at each level (anchor bindings and the injectivity
     set only change at *other* depths), so the surviving candidates and
-    their order are those of a per-candidate test; ``cross_check=True``
-    replays that scalar filter at every level and raises
+    their order are those of a per-candidate test; checked, it replays
+    that scalar filter at every level and raises
     :class:`~repro.errors.DivergenceError` on any difference.
 
     Stops once ``max_embeddings`` are found or ``max_expansions``
@@ -340,7 +339,7 @@ def match_subgraph(topology, labels, query: Query,
         for a in anchor_nodes:
             mask &= np.isin(cand, neighbors_of(mapping[a]))
         survivors = cand[mask]
-        if cross_check:
+        if is_checking():
             shadow("algorithms.subgraph.prefilter", survivors.tolist(), [
                 int(c) for c in candidates
                 if int(labels[int(c)]) == wanted_label

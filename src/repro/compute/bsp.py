@@ -50,8 +50,8 @@ Pregel's stop test and one barrier per superstep (:class:`_Path`):
 
 Both paths add a superstep's messages into one machine-pair ledger, so
 they charge the simulated clock identically — same superstep reports,
-same network counters — which ``cross_check=True`` verifies by running
-the reference path against a throwaway network and comparing.
+same network counters — which a checked run verifies by running the
+reference path against a throwaway network and comparing.
 
 Superstep semantics are deterministic and order-independent: a vertex
 runs in superstep *s* iff it is active at the barrier entering *s*;
@@ -77,7 +77,7 @@ from ..errors import ComputeError
 from ..faults import FaultInjector, FaultPlan
 from ..net.simnet import ParallelRound, SimNetwork
 from ..obs import MetricsRegistry, Tracer
-from ..oracle import shadow
+from ..oracle import is_checking, shadow
 from ..tfs import TrinityFileSystem
 from .checkpoint import CheckpointManager
 from .vertex import (
@@ -406,7 +406,7 @@ class BspEngine:
         """Route one message (general-model path)."""
         program = self._program
         assert program is not None
-        if program.restrictive and self.cross_check:
+        if program.restrictive and self._checking:
             # A cross-checked run also holds a restrictive program to
             # its word: every point-to-point send goes to an out-neighbor.
             self._check_restrictive(src, dst)
@@ -539,10 +539,10 @@ class BspEngine:
 
         Programs declaring a ``combiner`` and both batch kernels
         (``init_batch``, ``compute_batch``) run on the vectorized fast
-        path when ``vectorize`` is on (the default); with
-        ``cross_check=True`` the per-vertex reference path is executed
-        as well (against a throwaway network) and any divergence in
-        values or accounting raises
+        path when ``vectorize`` is on (the default).  Checked (by
+        ``cross_check`` or a :func:`repro.oracle.checking` scope) the
+        per-vertex reference path runs as well, against a throwaway
+        network, and any divergence in values or accounting raises
         :class:`~repro.errors.DivergenceError`; it also raises
         :class:`~repro.errors.ComputeError` when a restrictive program
         sends to a vertex that is not an out-neighbor (a kernel's block
@@ -550,6 +550,7 @@ class BspEngine:
         """
         if max_supersteps < 1:
             raise ComputeError("max_supersteps must be >= 1")
+        self._checking = self.cross_check or is_checking()   # once a run
         combiner = program.combiner
         if combiner is not None and combiner not in COMBINERS:
             raise ComputeError(
@@ -561,7 +562,7 @@ class BspEngine:
                              initial_values, on_superstep)
         result = self._run(_FastPath(self, program), max_supersteps,
                            initial_values, on_superstep)
-        if self.cross_check:
+        if self._checking:
             self._run_cross_check(program, max_supersteps, initial_values,
                                   result)
         return result

@@ -52,7 +52,7 @@ class VertexProgram:
 
     restrictive: bool = True
     """True if vertices only message their out-neighbors (Trinity's model).
-    A cross-checked engine (``cross_check=True``) verifies this at
+    A checked engine run (:func:`repro.oracle.checking`) verifies this at
     runtime and raises on violations, since the message-scheduling
     optimisations are only sound under it."""
 
@@ -117,8 +117,8 @@ class VertexProgram:
         identity where nothing arrived), received flags and out-degrees.
         The kernel reads and writes ``block.values``, sends and halts
         through the block, and aggregates through ``ctx``.  Semantics
-        must match :meth:`compute` exactly — the engine's ``cross_check``
-        flag and the equivalence tests enforce it."""
+        must match :meth:`compute` exactly — a checked engine run and
+        the equivalence tests enforce it."""
         raise NotImplementedError
 
     def after_superstep(self, ctx) -> None:

@@ -17,7 +17,7 @@ class ConfigError(TrinityError):
 
 
 class DivergenceError(TrinityError, AssertionError):
-    """A ``cross_check`` replay disagreed with the path it shadows.
+    """A checked replay disagreed with the path it shadows.
 
     Raised in one place, :func:`repro.oracle.shadow`, which every
     differential check calls.  An :class:`AssertionError` because it

@@ -13,9 +13,9 @@ many trunks it touches; every trunk copies its cells into the read's one
 buffer) and decode adjacency columns CSR-style, once per read, via the
 compiled decoders in :mod:`repro.tsl.batch` — k frontier nodes cost one
 batched read instead of k hash probes plus k whole-cell decodes.  The
-scalar reads are that path's reference: every batch entry point accepts
-``cross_check=True``, which replays them per node and hands both
-answers to :func:`repro.oracle.shadow`.
+scalar reads are that path's reference: inside a
+:func:`repro.oracle.checking` scope every batch entry point replays them
+per node and hands both answers to :func:`repro.oracle.shadow`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import QueryError
 from ..memcloud import MemoryCloud
-from ..oracle import shadow
+from ..oracle import is_checking, shadow
 from ..tsl.accessor import use_cell
 from ..tsl.batch import batch_decoder_for
 from ..tsl.layout import install_layout_policy
@@ -112,7 +112,7 @@ class Graph:
     # -- batched adjacency (the online traversal fast path) ----------------
 
     def _read_batch(self, node_ids, field_name: str, decode, scalar,
-                    cross_check: bool, dtype=None, csr: bool = False):
+                    dtype=None, csr: bool = False):
         """The one batched read behind every ``*_batch`` method.
 
         Fetches the frontier as spans — one group per trunk, every
@@ -134,8 +134,8 @@ class Graph:
         copy, so the answer is
         :class:`~repro.errors.StaleSpanError`, never silent garbage.
 
-        ``cross_check`` replays ``scalar(node_id)`` per input id and
-        raises :class:`~repro.errors.DivergenceError` on any difference.
+        Checked, it replays ``scalar(node_id)`` per input id and raises
+        :class:`~repro.errors.DivergenceError` on any difference.
         """
         self._require_field(field_name)
         ids = np.asarray(node_ids, dtype=np.int64)
@@ -191,7 +191,7 @@ class Graph:
             result[idx] = part
             if inverse is not None:
                 result = result[inverse]
-        if cross_check:
+        if is_checking():
             if csr:
                 values, cuts = flat.tolist(), indptr.tolist()
                 rows = [values[cuts[i]:cuts[i + 1]] for i in range(len(ids))]
@@ -202,28 +202,21 @@ class Graph:
                    [(node_id, scalar(node_id)) for node_id in nodes])
         return result
 
-    def outlinks_batch(self, node_ids, cross_check: bool = False
-                       ) -> tuple[np.ndarray, np.ndarray]:
+    def outlinks_batch(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
         """CSR adjacency for a whole frontier: ``(indptr, flat)``.
 
         ``flat[indptr[i]:indptr[i + 1]]`` are the out-neighbors of
         ``node_ids[i]`` — one span fetch and one columnar decode for the
-        whole batch.  ``cross_check=True`` replays every node through
-        the scalar :meth:`outlinks` path and raises
-        :class:`~repro.errors.DivergenceError` on any difference.
-        """
-        return self.read_field_csr(node_ids, self.graph_schema.out_field,
-                                   cross_check=cross_check)
+        whole batch."""
+        return self.read_field_csr(node_ids, self.graph_schema.out_field)
 
-    def inlinks_batch(self, node_ids, cross_check: bool = False
-                      ) -> tuple[np.ndarray, np.ndarray]:
+    def inlinks_batch(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
         """CSR in-neighbors per node (== :meth:`outlinks_batch` when
         undirected)."""
         field = self.graph_schema.in_field or self.graph_schema.out_field
-        return self.read_field_csr(node_ids, field, cross_check=cross_check)
+        return self.read_field_csr(node_ids, field)
 
-    def read_field_csr(self, node_ids, field_name: str,
-                       cross_check: bool = False
+    def read_field_csr(self, node_ids, field_name: str
                        ) -> tuple[np.ndarray, np.ndarray]:
         """Batched CSR decode of one ``List<primitive>`` field."""
         self._require_field(field_name)
@@ -235,20 +228,17 @@ class Graph:
         return self._read_batch(
             node_ids, field_name, self._decoder.decode_list_csr_spans,
             lambda node_id: self._read_field(node_id, field_name),
-            cross_check, dtype=dtype, csr=True)
+            dtype=dtype, csr=True)
 
-    def read_field_batch(self, node_ids, field_name: str,
-                         cross_check: bool = False) -> list:
+    def read_field_batch(self, node_ids, field_name: str) -> list:
         """One value per node for any declared field (attribute or edge
         list), through one span fetch — the batched twin of
         :meth:`read_field`."""
         return self._read_batch(
             node_ids, field_name, self._decoder.decode_column_spans,
-            lambda node_id: self._read_field(node_id, field_name),
-            cross_check)
+            lambda node_id: self._read_field(node_id, field_name))
 
-    def field_eq_batch(self, node_ids, field_name: str, value,
-                       cross_check: bool = False) -> np.ndarray:
+    def field_eq_batch(self, node_ids, field_name: str, value) -> np.ndarray:
         """``field == value`` per node, as one bool array.
 
         The frontier name-check of people search: for string fields the
@@ -261,9 +251,9 @@ class Graph:
             node_ids, field_name,
             lambda *args: decoder.string_eq_spans(*args, value),
             lambda node_id: self._read_field(node_id, field_name) == value,
-            cross_check, dtype=bool)
+            dtype=bool)
 
-    def degree_batch(self, node_ids, cross_check: bool = False) -> np.ndarray:
+    def degree_batch(self, node_ids) -> np.ndarray:
         """Out-degrees for a batch of nodes, reading only the adjacency
         count headers (no element decode at all)."""
         field_name = self.graph_schema.out_field
@@ -276,7 +266,7 @@ class Graph:
         counts = self._read_batch(
             node_ids, field_name, decode,
             lambda node_id: len(self.outlinks(node_id)),
-            cross_check, dtype=np.int64)
+            dtype=np.int64)
         self._m_batch_headers.inc(len(counts))
         return counts
 

@@ -15,7 +15,7 @@ each direction's lists once, back to back, into the order the cloud
 routes the cells, encodes the cells a field at a time straight into one
 packed batch (no ``bytes`` per cell) and stores it with one
 ``cloud.bulk_put``.  The reference is the scalar TSL encoder, one record
-and one ``node_type.encode`` per node: ``finalize(cross_check=True)``
+and one ``node_type.encode`` per node: a checked ``finalize()``
 runs both through :func:`repro.oracle.shadow`, and the tests keep a
 whole reference load that stores one such cell per ``put``.
 """
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import QueryError
 from ..memcloud import MemoryCloud
-from ..oracle import shadow
+from ..oracle import is_checking, shadow
 from ..tsl.batch import ListColumn, batch_encoder_for
 from ..tsl.layout import install_layout_policy
 from ..utils.arrays import SpanBatch, first_occurrences, gather_ranges
@@ -192,18 +192,18 @@ class GraphBuilder:
         """Edges added so far (a running counter, not a recount)."""
         return self._edge_total
 
-    def finalize(self, cross_check: bool = False) -> Graph:
+    def finalize(self) -> Graph:
         """Encode every node into its blob and store it in the cloud.
 
         The cells are encoded a field at a time — each adjacency field
         as its lists back to back, gathered once into the order the
         cloud routes the cells — into one packed batch, stored with one
-        ``cloud.bulk_put``.  ``cross_check=True`` additionally re-encodes
-        every node through the scalar TSL encoder and asserts the blobs
-        are bit-identical before anything is stored (mirroring
-        ``BspEngine``'s paranoia mode).  An id no cell can have — not an
-        integer, or outside ``[0, 2**63)`` — is a :exc:`QueryError`
-        before anything is encoded, and the builder stays open.
+        ``cloud.bulk_put``.  Checked, it also re-encodes every node
+        through the scalar TSL encoder and asserts the blobs are
+        bit-identical before anything is stored.  An id no cell can
+        have — not an integer, or outside ``[0, 2**63)`` — is a
+        :exc:`QueryError` before anything is encoded, and the builder
+        stays open.
         """
         self._check_open()
         out_group, in_group = self._grouped_directions(self._all_edges())
@@ -215,8 +215,12 @@ class GraphBuilder:
         route = stable_argsort(self.cloud.trunks_of_array(node_ids))
         ids = node_ids[route]
         cells = self._encode(node_ids, route, out_group, in_group)
-        if cross_check:
-            self._shadow_encoding(ids, out_group, in_group, cells)
+        if is_checking():   # every blob is its record's scalar encoding
+            encode = self.graph_schema.node_type.encode
+            id_list = ids.tolist()
+            records = self._records(ids, out_group, in_group)
+            shadow("graph.builder.finalize", list(zip(id_list, cells.blobs())),
+                   [(i, encode(rec)) for i, rec in zip(id_list, records)])
         self.cloud.bulk_put(ids, cells)
         return Graph(self.cloud, self.graph_schema, node_ids.tolist())
 
@@ -244,16 +248,6 @@ class GraphBuilder:
             columns.append([values[i] for i in order])
         return batch_encoder_for(schema.node_type).encode_columns(
             columns, len(order))
-
-    def _shadow_encoding(self, ids, out_group, in_group, cells) -> None:
-        """``cross_check``: every bulk blob is the scalar TSL encoding
-        of its node's record."""
-        encode = self.graph_schema.node_type.encode
-        records = self._records(ids, out_group, in_group)
-        id_list = ids.tolist()
-        shadow("graph.builder.finalize", list(zip(id_list, cells.blobs())),
-               [(node_id, encode(record))
-                for node_id, record in zip(id_list, records)])
 
     def _records(self, ids, out_group, in_group) -> list[dict]:
         """Python-dict records per node (the cross-check's reference)."""

@@ -22,7 +22,7 @@ import numpy as np
 from ..config import ClusterConfig
 from ..errors import AddressingError, CellNotFoundError, StaleSpanError
 from ..obs import MetricsRegistry, MetricsReport, get_registry
-from ..oracle import shadow
+from ..oracle import checking, is_checking, shadow
 from ..utils.arrays import SpanBatch, as_span_batch
 from ..utils.hashing import trunk_of, trunk_of_array
 from ..utils.sorting import stable_argsort
@@ -87,8 +87,7 @@ class MemoryCloud:
     """
 
     def __init__(self, config: ClusterConfig | None = None,
-                 registry: MetricsRegistry | None = None,
-                 cross_check: bool = False):
+                 registry: MetricsRegistry | None = None):
         self.config = config or ClusterConfig()
         self.obs = registry if registry is not None else get_registry()
         self.addressing = AddressingTable(
@@ -101,6 +100,7 @@ class MemoryCloud:
         if memory.storage == "paged":
             self._spill_dir = (memory.spill_dir
                                or tempfile.mkdtemp(prefix="repro-cloud-"))
+        self._shadow: MemoryCloud | None = None   # set below, if checking
         self.trunks: dict[int, MemoryTrunk] = {}
         for trunk_id in range(self.config.trunk_count):
             self.replace_trunk(trunk_id)
@@ -115,25 +115,19 @@ class MemoryCloud:
             "memcloud.cloud.read_buffer_bytes")
         self._h_bulk_put = self.obs.histogram("memcloud.bulk.put.seconds")
         self._h_bulk_get = self.obs.histogram("memcloud.bulk.get.seconds")
-        # Mirroring BspEngine's cross_check: a shadow cloud replays every
-        # mutation through the scalar path (own registry so the trunk
-        # metric series don't merge) and verify_shadow() compares worlds.
-        self._shadow: MemoryCloud | None = None
+        # Built in a checking() scope (read once, here: the shadow must
+        # see every mutation), a cloud keeps a resident shadow cloud that
+        # replays them through the scalar path; verify_shadow() compares
+        # the worlds, across storage tiers on a paged cloud.  The shadow
+        # is built unchecked, or it would build a shadow of its own.
         self._shadow_probes_comparable = True
-        if cross_check:
-            # The shadow always runs resident storage: on a paged cloud,
-            # cross_check then doubles as a storage-tier equivalence
-            # proof (identical cells, stats, and probe counters across
-            # backing tiers), and the shadow never pays page faults.
-            shadow_config = self.config
-            if memory.storage != "resident":
-                shadow_config = dataclasses.replace(
-                    self.config,
-                    memory=dataclasses.replace(
-                        memory, storage="resident", spill_dir=None
-                    ),
-                )
-            self._shadow = MemoryCloud(shadow_config, MetricsRegistry())
+        if is_checking():
+            resident = dataclasses.replace(memory, storage="resident",
+                                           spill_dir=None)
+            with checking(False):
+                self._shadow = MemoryCloud(
+                    dataclasses.replace(self.config, memory=resident),
+                    MetricsRegistry())
 
     # -- addressing ----------------------------------------------------------
 
@@ -158,12 +152,15 @@ class MemoryCloud:
         for trunk in self.trunks_on(machine_id):
             yield from trunk.uids()
 
-    def replace_trunk(self, trunk_id: int) -> MemoryTrunk:
-        """Install a fresh, empty trunk under ``trunk_id``; returns it.
+    def replace_trunk(self, trunk_id: int,
+                      image_state: dict | None = None) -> MemoryTrunk:
+        """Install a fresh trunk under ``trunk_id``; returns it.
 
         The one place a cloud's trunks are made — at construction, when
         a trunk image is adopted, when a machine's memory is lost — so
-        every trunk gets the cloud's registry and spill-file wiring.
+        every trunk gets the cloud's registry and spill-file wiring.  It
+        is empty or adopts ``image_state`` (a parsed trunk image), and a
+        shadow cloud gets the same replacement.
         Replacing a trunk has two hazards, both handled here:
 
         * Outstanding span groups hold the *old* trunk object,
@@ -191,6 +188,10 @@ class MemoryCloud:
         if old is not None:
             fresh.adopt_epoch(old.mutation_epoch)
         self.trunks[trunk_id] = fresh
+        if image_state is not None:
+            fresh.adopt_image_state(image_state)
+        if self._shadow is not None:
+            self._shadow.replace_trunk(trunk_id, image_state)
         return fresh
 
     # -- key-value operations ----------------------------------------------
@@ -444,7 +445,7 @@ class MemoryCloud:
         probe lengths, never contents).
         """
         if self._shadow is None:
-            raise AddressingError("cloud was not built with cross_check=True")
+            raise AddressingError("cloud was built outside oracle.checking()")
         # One list entry per trunk, in trunk-id order: the index a
         # divergence is reported at is the trunk it happened in.
         mine = [self.trunks[t] for t in sorted(self.trunks)]

@@ -206,12 +206,12 @@ def adopt_trunk_images(cloud: MemoryCloud, images: dict[int, bytes]) -> int:
 
     Every image is parsed and checked in full first: one unusable image
     raises :class:`MemoryCloudError` and leaves every current trunk
-    installed and readable.  The replacement itself — old spans going
-    stale, the page file changing hands, the epoch carried forward — is
-    :meth:`MemoryCloud.replace_trunk`.  Returns cells restored.
+    installed and readable.  The replacement — old spans stale, the page
+    file handed on, the epoch carried forward, the shadow cloud's trunk
+    too — is :meth:`MemoryCloud.replace_trunk`.  Returns cells restored.
     """
     states = {trunk_id: _parse_image(image, cloud.config.memory)
               for trunk_id, image in images.items()}
     for trunk_id, state in states.items():
-        cloud.replace_trunk(trunk_id).adopt_image_state(state)
+        cloud.replace_trunk(trunk_id, state)
     return sum(len(state["cells"]) for state in states.values())

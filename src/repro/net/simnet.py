@@ -213,7 +213,7 @@ class ParallelRound:
         if network.faults is not None and remote_pairs:
             # Sorted pair order keeps the injector's hash-token sequence
             # independent of dict insertion order, so the reference and
-            # vectorized BSP paths draw identical faults (cross_check
+            # vectorized BSP paths draw identical faults (a checked run
             # compares round timings bit-for-bit).
             for src, dst, size, count in sorted(remote_pairs):
                 elapsed += network.faults.charge_transfer_faults(

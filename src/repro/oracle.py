@@ -1,20 +1,40 @@
 """The oracle seam: the one place a fast path meets its reference.
 
-Every ``cross_check=True`` site computes its answer twice — the path it
-serves from, then the private reference that path shadows — and hands
-both to :func:`shadow`.  Nothing else under ``src/`` raises
-:class:`~repro.errors.DivergenceError`; DESIGN.md §18 lists the sites.
+Inside a :func:`checking` scope, however deep, every site computes its
+answer twice — the path it serves from, then the private reference that
+path shadows — and hands both to :func:`shadow`.  Nothing else under
+``src/`` raises :class:`~repro.errors.DivergenceError`; DESIGN.md §18
+lists the sites.
 """
 
 from __future__ import annotations
 
+import contextlib
 import operator
 from collections.abc import Sequence
+from contextvars import ContextVar
 
 from .errors import DivergenceError
 from .obs import get_registry
 
 _CLIP = 160   # characters of a value's repr a message carries
+_CHECKING = ContextVar("repro.oracle.checking", default=False)
+
+
+@contextlib.contextmanager
+def checking(on: bool = True):
+    """Check every site this block reaches (``checking(False)`` suspends
+    it).  Scopes nest; a new thread starts outside every scope."""
+    token = _CHECKING.set(on)
+    try:
+        yield
+    finally:
+        _CHECKING.reset(token)
+
+
+def is_checking() -> bool:
+    """Whether the innermost :func:`checking` scope is on."""
+    return _CHECKING.get()
 
 
 def _clip(value) -> str:

@@ -22,8 +22,8 @@ Entries come in two validity granularities:
   for inline plans whose reads are not footprintable (subgraph matching
   over a snapshot, inline TQL backtracking).
 
-Staleness stays impossible rather than unlikely — the serving layer's
-``cross_check`` mode proves it by shadow-replaying cached answers.
+Staleness stays impossible rather than unlikely — a checked server
+proves it by shadow-replaying cached answers.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ single bulk read against the memory cloud (see
 
 Each query class also knows how to run itself through the existing
 one-at-a-time library path (:meth:`ServeQuery.run_sequential`) — the
-serving layer's correctness oracle: ``cross_check=True`` replays every
+serving layer's correctness oracle: a checked server replays every
 completion through it and hands both answers to
 :func:`repro.oracle.shadow` before the served one is published.
 

@@ -35,9 +35,10 @@ Execution model — deterministic by construction:
   consistent graph version, and every trunk epoch bump invalidates
   exactly the epoch-stamped cache entries whose footprint it touches.
 
-``cross_check=True`` shadow-replays **every** completion — fused,
-cached, or inline — through the query's existing one-at-a-time library
-path *before* the answer is published, counted or cached, and raises
+Checked (``ServeConfig.cross_check`` or a ``repro.oracle.checking()``
+scope), a server shadow-replays **every** completion — fused, cached,
+or inline — through the query's existing one-at-a-time library path
+*before* the answer is published, counted or cached, and raises
 :class:`~repro.errors.DivergenceError` on any difference, which is how
 the test suite proves the optimizations change the speed and never the
 answers.
@@ -58,7 +59,7 @@ from ..algorithms.subgraph import LabelIndex, assign_labels
 from ..errors import DivergenceError, QueryError
 from ..graph.csr import CsrTopology
 from ..obs import get_registry
-from ..oracle import shadow
+from ..oracle import checking, is_checking, shadow
 from .caches import EpochLruCache
 from .fusion import FusedExecutor
 from .queries import QueryTicket, ServeQuery
@@ -462,11 +463,12 @@ class QueryServer:
 
     def _complete(self, ticket: QueryTicket, result) -> None:
         finished_at = time.perf_counter()   # serving time, not oracle time
-        if self.config.cross_check:
+        if self.config.cross_check or is_checking():
             # Oracle first: an answer that fails it is never published,
-            # counted or cached.
-            shadow(f"serve.{ticket.query.cls_name}", result,
-                   ticket.query.run_sequential(self))
+            # counted or cached.  The reference itself runs unchecked.
+            with checking(False):
+                reference = ticket.query.run_sequential(self)
+            shadow(f"serve.{ticket.query.cls_name}", result, reference)
         ticket.result = result
         ticket.status = "done"
         ticket.finished_at = finished_at

@@ -19,8 +19,8 @@ charged on first *consumption*, never at prefetch time, so
 ``cells_touched``/``elapsed`` stay bit-identical to the same engine with
 the prefetch off (its private reference: one scalar read per value) even
 when a LIMIT stops the search before prefetched values are used.
-``cross_check=True`` runs both — per batched read and for the whole
-query — through :func:`repro.oracle.shadow`.
+Inside a :func:`repro.oracle.checking` scope both run — per batched
+read and for the whole query — through :func:`repro.oracle.shadow`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from ..config import CELL_ACCESS_COST, EDGE_SCAN_COST, THREADS_PER_MACHINE
 from ..errors import QueryError
 from ..net.simnet import ParallelRound, SimNetwork
-from ..oracle import shadow
+from ..oracle import is_checking, shadow
 from .parser import Operand, TqlQuery, parse_tql
 
 _OPS = {
@@ -60,22 +60,21 @@ class TqlResult:
 
 def execute_tql(graph, query: TqlQuery | str,
                 network: SimNetwork | None = None,
-                max_rows: int = 10_000,
-                cross_check: bool = False) -> TqlResult:
+                max_rows: int = 10_000) -> TqlResult:
     """Run a TQL query against a :class:`~repro.graph.api.Graph`.
 
-    ``cross_check=True`` additionally re-executes the query with the
-    batched prefetch off and raises
+    Checked, it also re-executes the query with the batched prefetch
+    off and raises
     :class:`~repro.errors.DivergenceError` if rows, cost
     accounting or simulated time diverge.
     """
     if isinstance(query, str):
         query = parse_tql(query)
     network = network or SimNetwork()
-    result = _execute(graph, query, network, max_rows, True, cross_check)
-    if cross_check:
+    result = _execute(graph, query, network, max_rows, True)
+    if is_checking():
         reference = _execute(graph, query, SimNetwork(network.params),
-                             max_rows, False, False)
+                             max_rows, False)
         shadow("tql.engine.execute", result, reference,
                fields=("rows", "cells_touched", "messages", "elapsed",
                        "truncated"))
@@ -83,7 +82,7 @@ def execute_tql(graph, query: TqlQuery | str,
 
 
 def _execute(graph, query: TqlQuery, network: SimNetwork, max_rows: int,
-             batch: bool, cross_check: bool) -> TqlResult:
+             batch: bool) -> TqlResult:
     result = TqlResult(query=query)
     limit = query.limit if query.limit is not None else max_rows
 
@@ -125,9 +124,7 @@ def _execute(graph, query: TqlQuery, network: SimNetwork, max_rows: int,
         if len(wanted) < 2:
             return
         values = graph.read_field_batch(
-            np.asarray(wanted, dtype=np.int64), field_name,
-            cross_check=cross_check,
-        )
+            np.asarray(wanted, dtype=np.int64), field_name)
         for node_id, value in zip(wanted, values):
             prefetched[(node_id, field_name)] = value
 

@@ -28,7 +28,7 @@ Tag 3 is reserved and decodes to a :class:`SchemaMismatchError`.
 
 Selection is deterministic and *shared*: the scalar encoder is a
 single-list call into the same vectorized segment encoder the bulk
-loader uses, so ``cross_check=True`` holds bit-identically across every
+loader uses, so a checked load holds bit-identically across every
 layout mix by construction.  Every write goes through it — the bulk
 load, a whole-field ``set`` and the accessor's ``append`` and
 ``__setitem__`` — so a cell's stored layout is its policy's choice as

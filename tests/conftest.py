@@ -12,6 +12,7 @@ from repro.cluster import TrinityCluster
 from repro.graph import CsrTopology, GraphBuilder, plain_graph_schema
 from repro.generators import rmat_edges
 from repro.memcloud import MemoryCloud
+from repro.oracle import checking
 
 
 @pytest.fixture
@@ -92,3 +93,12 @@ def random_blob(rng: random.Random, max_len: int = 256) -> bytes:
 def numpy_seeded():
     np.random.seed(1234)
     return np.random
+
+
+@pytest.fixture
+def checked():
+    """Run the test inside a ``repro.oracle.checking()`` scope: every
+    checked site it reaches replays its reference (fixtures of a wider
+    scope are built before it, outside the scope)."""
+    with checking():
+        yield

@@ -17,6 +17,7 @@ from repro.compute.bsp import HUB_FRACTION
 from repro.errors import ComputeError
 from repro.net import SimNetwork
 from repro.obs import MetricsRegistry
+from repro.oracle import checking
 
 
 def recorded_pagerank(topology, iterations):
@@ -47,9 +48,9 @@ class TestPageRank:
         # A cross-checked run also runs the per-vertex reference path and
         # requires bit-identical ranks and accounting.
         run = pagerank(rmat_topology, iterations=10)
-        engine = BspEngine(rmat_topology, cross_check=True)
-        result = engine.run(PageRankProgram(iterations=10),
-                            max_supersteps=12)
+        with checking():
+            result = BspEngine(rmat_topology).run(
+                PageRankProgram(iterations=10), max_supersteps=12)
         assert np.array_equal(result.values, run.ranks)
         assert [step.elapsed for step in result.supersteps] == (
             run.iteration_times)
@@ -121,8 +122,9 @@ class TestBfs:
 
     def test_vertex_engine_agrees(self, rmat_topology):
         run = bfs(rmat_topology, 0)
-        engine = BspEngine(rmat_topology, cross_check=True)
-        result = engine.run(BfsProgram(0), max_supersteps=60)
+        with checking():
+            result = BspEngine(rmat_topology).run(BfsProgram(0),
+                                                  max_supersteps=60)
         assert np.array_equal(result.values, run.levels)
         assert [step.elapsed for step in result.supersteps] == (
             run.level_times)
@@ -186,8 +188,9 @@ class TestSssp:
             assert run.distances[vertex] == pytest.approx(expected)
 
     def test_vertex_engine_agrees(self, rmat_topology):
-        engine = BspEngine(rmat_topology, cross_check=True)
-        result = engine.run(SsspProgram(0), max_supersteps=80)
+        with checking():
+            result = BspEngine(rmat_topology).run(SsspProgram(0),
+                                                  max_supersteps=80)
         run = sssp(rmat_topology, 0)
         assert np.array_equal(result.values, run.distances)
 
@@ -215,8 +218,9 @@ class TestWcc:
 
     def test_vertex_engine_agrees_on_undirected(self, undirected_topology):
         run = wcc(undirected_topology)
-        engine = BspEngine(undirected_topology, cross_check=True)
-        result = engine.run(WccProgram(), max_supersteps=80)
+        with checking():
+            result = BspEngine(undirected_topology).run(WccProgram(),
+                                                        max_supersteps=80)
         # On an undirected (symmetrised) topology the vertex program's
         # out-neighbor propagation equals weak connectivity.
         engine_labels = np.array(result.values)

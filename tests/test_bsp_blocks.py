@@ -26,6 +26,7 @@ from repro.faults import FaultPlan
 from repro.graph import CsrTopology
 from repro.net import SimNetwork
 from repro.obs import MetricsRegistry
+from repro.oracle import checking
 from repro.tfs import TrinityFileSystem
 
 
@@ -149,8 +150,9 @@ def hooked_run(engine, program, initial):
 @given(cases())
 def test_blocks_are_invisible_outside_the_engine(case):
     topology, make_program, initial, crash = case
-    fast, fast_seen = hooked_run(engine_for(topology, cross_check=True),
-                                 make_program(), initial)
+    with checking():
+        fast, fast_seen = hooked_run(engine_for(topology), make_program(),
+                                     initial)
     reference, reference_seen = hooked_run(
         engine_for(topology, vectorize=False), make_program(), initial)
 
@@ -170,10 +172,11 @@ def test_blocks_are_invisible_outside_the_engine(case):
     assert fast.aggregators == reference.aggregators
 
     # A crash and restart from a checkpoint replays to the same bits.
-    chaos = engine_for(
-        topology, cross_check=True, faults=FaultPlan(seed=3, crashes=(crash,)),
-        checkpoints=CheckpointManager(TrinityFileSystem(), every=2),
-    ).run(make_program(), initial_values=initial)
+    with checking():
+        chaos = engine_for(
+            topology, faults=FaultPlan(seed=3, crashes=(crash,)),
+            checkpoints=CheckpointManager(TrinityFileSystem(), every=2),
+        ).run(make_program(), initial_values=initial)
     assert chaos.restarts == int(fast.superstep_count > crash[0])
     assert np.array_equal(np.asarray(chaos.values), values)
     assert chaos.aggregators == fast.aggregators
@@ -263,5 +266,6 @@ def test_a_send_reads_its_values_at_the_call():
             block.values *= 2
             block.halt()
 
-    result = engine_for(topology, cross_check=True).run(SendThenDouble())
+    with checking():
+        result = engine_for(topology).run(SendThenDouble())
     assert result.superstep_count == 3

@@ -35,6 +35,7 @@ from repro.generators import rmat_edges
 from repro.graph import CsrTopology
 from repro.net import SimNetwork
 from repro.obs import MetricsRegistry
+from repro.oracle import checking
 from repro.tfs import TrinityFileSystem
 
 SEED = int(os.environ.get("FAULTS_SEED", "7"))
@@ -85,7 +86,7 @@ class UnbufferedPageRank(PageRankProgram):
 
 def test_programs_back_to_back_on_one_engine(topology):
     """Whatever plan the previous program left behind, every run equals
-    the reference path (``cross_check``) and a fresh engine's run."""
+    the reference path (a checked run) and a fresh engine's run."""
     weights = np.random.default_rng(3).uniform(
         0.5, 4.0, size=topology.num_edges)
     sequence = [
@@ -99,10 +100,11 @@ def test_programs_back_to_back_on_one_engine(topology):
         # hub flag is part of the key.
         lambda: UnbufferedPageRank(iterations=10),
     ]
-    engine = make_engine(topology, cross_check=True)
+    engine = make_engine(topology)
     for make_program in sequence:
-        assert_same_run(engine.run(make_program()),
-                        make_engine(topology).run(make_program()))
+        with checking():
+            checked = engine.run(make_program())
+        assert_same_run(checked, make_engine(topology).run(make_program()))
     builds, reuses = plan_counts(engine)
     # Four PageRanks, each after another program or a hub-flag flip
     # evicted its plan: one build and nine reuses apiece at the least.
@@ -155,8 +157,8 @@ class ScriptedBroadcast(VertexProgram):
 
 SMALL = rmat_topology(6, 4)
 # Lives across hypothesis examples: each starts from whatever plan the
-# last one left.
-LONG_LIVED = make_engine(SMALL, cross_check=True)
+# last one left.  Its runs are checked.
+LONG_LIVED = make_engine(SMALL)
 
 
 def barrier_states(engine, program):
@@ -202,8 +204,9 @@ def scripts(draw):
 @given(scripts())
 def test_fold_by_cached_plan_equals_fold_by_fresh_build(case):
     combiner, dtype, uniform, script = case
-    cached, cached_states = barrier_states(
-        LONG_LIVED, ScriptedBroadcast(combiner, dtype, uniform, script))
+    with checking():
+        cached, cached_states = barrier_states(
+            LONG_LIVED, ScriptedBroadcast(combiner, dtype, uniform, script))
     fresh_engine = make_engine(SMALL)
     fresh, fresh_states = barrier_states(
         fresh_engine, ScriptedBroadcast(combiner, dtype, uniform, script))
@@ -225,8 +228,9 @@ def test_equal_length_sender_sets_with_other_members_rebuild():
     values = np.arange(SMALL.n, dtype=np.float64)
     script = [(as_mask(members), values)
               for members in (first, second, second, first)]
-    engine = make_engine(SMALL, cross_check=True)
-    engine.run(ScriptedBroadcast("sum", np.float64, True, script))
+    engine = make_engine(SMALL)
+    with checking():
+        engine.run(ScriptedBroadcast("sum", np.float64, True, script))
     assert plan_counts(engine) == (3, 1)
 
 
@@ -241,7 +245,7 @@ def test_rollback_with_a_plan_cached_from_a_later_superstep(
         topology, make_program, checkpointed):
     baseline = make_engine(topology).run(make_program())
     engine = make_engine(
-        topology, cross_check=True,
+        topology,
         faults=FaultPlan(seed=SEED, crashes=((3, SEED % MACHINES),)),
         checkpoints=(CheckpointManager(TrinityFileSystem(), every=2)
                      if checkpointed else None),
@@ -250,7 +254,8 @@ def test_rollback_with_a_plan_cached_from_a_later_superstep(
     # still holds the first's images, which it must not resume).
     for _ in range(2):
         before = plan_counts(engine)
-        chaos = engine.run(make_program())
+        with checking():
+            chaos = engine.run(make_program())
         assert chaos.restarts == 1
         chaos.restarts = 0
         # Replayed supersteps recharge the clock, never the answers.

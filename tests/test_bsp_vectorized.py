@@ -23,6 +23,7 @@ from repro.generators.erdos_renyi import erdos_renyi_edges
 from repro.graph import CsrTopology
 from repro.net.simnet import SimNetwork
 from repro.obs import MetricsRegistry
+from repro.oracle import checking
 
 
 @pytest.fixture(scope="module")
@@ -120,9 +121,9 @@ def test_pagerank_dangling_aggregator_matches(er_topology):
 
 def test_cross_check_accepts_consistent_program(er_topology):
     engine = BspEngine(er_topology,
-                       network=SimNetwork(registry=MetricsRegistry()),
-                       cross_check=True)
-    result = engine.run(PageRankProgram(iterations=4))
+                       network=SimNetwork(registry=MetricsRegistry()))
+    with checking():
+        result = engine.run(PageRankProgram(iterations=4))
     assert result.superstep_count == 5
 
 
@@ -133,9 +134,8 @@ def test_cross_check_rejects_divergent_kernel(er_topology):
             block.values[0] += 1e-9  # diverge slightly
 
     engine = BspEngine(er_topology,
-                       network=SimNetwork(registry=MetricsRegistry()),
-                       cross_check=True)
-    with pytest.raises(DivergenceError, match="cross-check"):
+                       network=SimNetwork(registry=MetricsRegistry()))
+    with checking(), pytest.raises(DivergenceError, match="cross-check"):
         engine.run(Broken(iterations=2))
 
 

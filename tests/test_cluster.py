@@ -9,6 +9,7 @@ from repro.errors import (
     LeaderElectionError,
     RecoveryError,
 )
+from repro.oracle import checking
 
 
 @pytest.fixture
@@ -160,6 +161,27 @@ class TestRecovery:
         cluster.fail_machine(3)
         for uid, value in reference.items():
             assert client.get_cell(uid) == value
+
+    def test_a_checked_cluster_recovers_with_its_shadow(self, small_config,
+                                                        rng):
+        """Inside the scope the cluster's cloud keeps a shadow; losing a
+        machine and recovering it (image restore plus log replay) keeps
+        the shadow in step."""
+        with checking():
+            cluster = TrinityCluster(small_config)
+            client = cluster.new_client()
+            reference = {}
+            for uid in range(300):
+                reference[uid] = b"c%d" % uid
+                client.put_cell(uid, reference[uid])
+            cluster.backup_to_tfs()
+            for uid in range(300, 340):     # only in memory and the log
+                reference[uid] = b"late%d" % uid
+                client.put_cell(uid, reference[uid])
+            cluster.fail_machine(2)
+            cluster.report_failure(2)
+            assert all(client.get_cell(u) == v for u, v in reference.items())
+            cluster.cloud.verify_shadow()
 
     def test_two_sequential_failures(self, loaded_cluster):
         cluster, client, reference = loaded_cluster

@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms import PageRankProgram
 from repro.compute import BspEngine, VertexProgram
 from repro.errors import ComputeError
+from repro.oracle import checking
 
 
 class CountdownProgram(VertexProgram):
@@ -95,7 +96,7 @@ class TestEngineBasics:
         assert result.values[0] == rmat_topology.n
 
     def test_restrictive_violation_detected(self, rmat_topology):
-        engine = BspEngine(rmat_topology, cross_check=True)
+        engine = BspEngine(rmat_topology)
 
         class Cheater(VertexProgram):
             restrictive = True
@@ -110,7 +111,7 @@ class TestEngineBasics:
         far = (1 + 101) % rmat_topology.n
         if far in set(rmat_topology.out_neighbors(1).tolist()):
             pytest.skip("fixture graph happens to contain the edge")
-        with pytest.raises(ComputeError, match="non-neighbor"):
+        with checking(), pytest.raises(ComputeError, match="non-neighbor"):
             engine.run(Cheater(), max_supersteps=2)
 
     def test_restrictive_violation_detected_with_a_combiner(self,
@@ -118,7 +119,7 @@ class TestEngineBasics:
         # A combiner without batch kernels runs per vertex on a
         # vectorizing engine too; the cross-checked engine holds it to
         # the same rule.
-        engine = BspEngine(rmat_topology, cross_check=True)
+        engine = BspEngine(rmat_topology)
 
         class Cheater(VertexProgram):
             restrictive = True
@@ -132,7 +133,7 @@ class TestEngineBasics:
         far = (1 + 101) % rmat_topology.n
         if far in set(rmat_topology.out_neighbors(1).tolist()):
             pytest.skip("fixture graph happens to contain the edge")
-        with pytest.raises(ComputeError, match="non-neighbor"):
+        with checking(), pytest.raises(ComputeError, match="non-neighbor"):
             engine.run(Cheater(), max_supersteps=2)
 
     def test_aggregators_visible_next_superstep(self, rmat_topology):

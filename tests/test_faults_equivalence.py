@@ -3,9 +3,9 @@
 Every workload here runs twice — fault-free, then under a seeded
 ``FaultPlan`` that crashes a machine mid-job, drops/duplicates/delays
 messages and partitions the network — and the final vertex values must
-be **bit-identical**.  Each faulted run also executes with
-``cross_check=True``, so the per-vertex reference path replays the same
-chaos and must agree with the vectorized path superstep by superstep.
+be **bit-identical**.  Each faulted run is also checked
+(``repro.oracle.checking``), so the per-vertex reference path replays
+the same chaos and must agree with the vectorized path superstep by superstep.
 Both paths share one superstep loop, so rollback and replay are
 checked here against the fault-free run, for a kernel program and for
 one without a combiner (whose carry is list inboxes).
@@ -40,6 +40,7 @@ from repro.graph import CsrTopology, GraphBuilder, plain_graph_schema
 from repro.memcloud import MemoryCloud
 from repro.net import SimNetwork
 from repro.obs import MetricsRegistry
+from repro.oracle import checking
 from repro.tfs import TrinityFileSystem
 
 SEED = int(os.environ.get("FAULTS_SEED", "7"))
@@ -73,12 +74,12 @@ def run(topology, program, faults=None, max_supersteps=50):
     engine = BspEngine(
         topology,
         network=SimNetwork(registry=registry),
-        cross_check=faults is not None,
         faults=faults,
         checkpoints=(CheckpointManager(TrinityFileSystem(), every=2)
                      if faults is not None else None),
     )
-    result = engine.run(program, max_supersteps=max_supersteps)
+    with checking(faults is not None):
+        result = engine.run(program, max_supersteps=max_supersteps)
     return result, registry
 
 
@@ -190,10 +191,10 @@ def test_crash_without_checkpoints_restarts_from_scratch(topology):
     registry = MetricsRegistry()
     engine = BspEngine(
         topology, network=SimNetwork(registry=registry),
-        cross_check=True,
         faults=FaultPlan(seed=SEED, crashes=((3, 0),)),
     )
-    chaos = engine.run(PageRankProgram(iterations=6))
+    with checking():
+        chaos = engine.run(PageRankProgram(iterations=6))
     assert_bit_identical(baseline, chaos)
     assert chaos.restarts == 1
     assert registry.counter("bsp.checkpoint.total").value == 0
@@ -207,10 +208,12 @@ def test_reused_checkpoint_manager_resumes_only_its_own_run(topology):
     registry = MetricsRegistry()
     checkpoints = CheckpointManager(TrinityFileSystem(), every=2)
     engine = BspEngine(topology, network=SimNetwork(registry=registry),
-                       cross_check=True, checkpoints=checkpoints)
-    engine.run(PageRankProgram(iterations=10))
-    engine.faults = FaultPlan(seed=SEED, crashes=((3, SEED % MACHINES),))
-    chaos = engine.run(PageRankProgram(iterations=6))
+                       checkpoints=checkpoints)
+    with checking():
+        engine.run(PageRankProgram(iterations=10))
+        engine.faults = FaultPlan(seed=SEED,
+                                  crashes=((3, SEED % MACHINES),))
+        chaos = engine.run(PageRankProgram(iterations=6))
     assert chaos.restarts == 1
     assert_bit_identical(baseline, chaos)
     assert [report.superstep for report in chaos.supersteps][:5] == [

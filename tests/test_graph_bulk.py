@@ -18,6 +18,7 @@ from repro.graph import GraphBuilder
 from repro.graph.model import plain_graph_schema, social_graph_schema
 from repro.memcloud import MemoryCloud
 from repro.obs import MetricsRegistry
+from repro.oracle import checking
 from repro.tsl import LONG, ListType, StructType, batch_encoder_for
 from repro.tsl.batch import BatchStructEncoder
 
@@ -32,9 +33,10 @@ def make_cloud():
                        MetricsRegistry())
 
 
-def build(edges, directed, cross_check=False, as_array=False):
+def build(edges, directed, checked=False, as_array=False):
     """The builder's load, its edges from an ``add_edge`` loop or, with
-    ``as_array``, one ``add_edges`` array."""
+    ``as_array``, one ``add_edges`` array; ``checked`` finalizes inside
+    the oracle's scope."""
     cloud = make_cloud()
     builder = GraphBuilder(cloud, plain_graph_schema(directed=directed))
     if as_array and edges:
@@ -42,7 +44,8 @@ def build(edges, directed, cross_check=False, as_array=False):
     else:
         for src, dst in edges:
             builder.add_edge(src, dst)
-    graph = builder.finalize(cross_check=cross_check)
+    with checking(checked):
+        graph = builder.finalize()
     return cloud, graph
 
 
@@ -142,8 +145,7 @@ class TestBulkFinalize:
     @given(EDGES, st.booleans())
     def test_bulk_finalize_matches_scalar(self, edges, directed):
         scalar_cloud, _ = reference(edges, directed)
-        bulk_cloud, _ = build(edges, directed, as_array=True,
-                              cross_check=True)
+        bulk_cloud, _ = build(edges, directed, as_array=True, checked=True)
         assert cloud_cells(scalar_cloud) == cloud_cells(bulk_cloud)
 
     def test_bulk_and_scalar_loads_account_identically(self):
@@ -152,7 +154,7 @@ class TestBulkFinalize:
         from repro.generators import rmat_edges
         edges = rmat_edges(scale=8, avg_degree=6, seed=42).tolist()
         scalar_cloud, _ = reference(edges, True)
-        bulk_cloud, _ = build(edges, True, as_array=True, cross_check=True)
+        bulk_cloud, _ = build(edges, True, as_array=True, checked=True)
         assert cloud_cells(scalar_cloud) == cloud_cells(bulk_cloud)
         for trunk_id, trunk in bulk_cloud.trunks.items():
             assert trunk.stats() == scalar_cloud.trunks[trunk_id].stats()
@@ -167,13 +169,14 @@ class TestBulkFinalize:
         assert graph.inlinks(3) == [1, 2]
 
     def test_attributes_survive_bulk_path(self):
-        for cross_check in (False, True):
+        for checked in (False, True):
             cloud = make_cloud()
             builder = GraphBuilder(cloud, social_graph_schema())
             builder.add_node(1, Name="Alice")
             builder.add_node(2, Name="Bob")
             builder.add_edge(1, 2)
-            graph = builder.finalize(cross_check=cross_check)
+            with checking(checked):
+                graph = builder.finalize()
             assert graph.attribute(1, "Name") == "Alice"
             assert graph.attribute(2, "Name") == "Bob"
 
@@ -263,7 +266,8 @@ class TestIdsCheckedAtFinalize:
     def test_largest_id_is_stored(self):
         builder, cloud = self.builder()
         builder.add_edge(0, 2**63 - 1)
-        graph = builder.finalize(cross_check=True)
+        with checking():
+            graph = builder.finalize()
         assert graph.outlinks(0) == [2**63 - 1]
         assert graph.node_ids == [0, 2**63 - 1]
 

@@ -3,6 +3,9 @@
 * A fast path meets its reference in one place: ``raise
   DivergenceError`` occurs only in ``repro/oracle.py``, which itself
   leans on nothing in ``repro`` but ``errors`` and ``obs``.
+* Whether to check is a scope (``repro.oracle.checking``), not a
+  parameter: no public callable takes ``cross_check`` but
+  ``BspEngine``'s constructor.
 * The reference is not a mode a caller can select: no public callable
   under ``repro.algorithms`` or ``repro.tql`` takes a ``batch``
   parameter.
@@ -19,6 +22,7 @@
 
 import ast
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -69,7 +73,16 @@ def test_oracle_depends_on_errors_and_obs_only():
     public = [node.name for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")]
-    assert public == ["shadow"]
+    assert public == ["checking", "is_checking", "shadow"]
+
+
+def test_only_the_bsp_engine_takes_cross_check():
+    """``ServeConfig.cross_check`` is a config field, not a parameter;
+    it and ``BspEngine(cross_check=)`` stay while a frozen benchmark
+    sets them."""
+    offenders = public_callables_taking(SRC, {"cross_check"})
+    assert [re.sub(r":\d+ ", " ", entry) for entry in offenders] == \
+        ["compute/bsp.py __init__"]
 
 
 def public_callables_taking(directory: pathlib.Path, forbidden: set[str]):

@@ -22,6 +22,7 @@ from repro.errors import StaleSpanError
 from repro.graph import Graph, GraphBuilder, plain_graph_schema
 from repro.memcloud import MemoryCloud
 from repro.memcloud.persistence import adopt_trunk_image, trunk_to_bytes
+from repro.oracle import checking
 from repro.tsl import LAYOUT_DELTA_VARINT, LAYOUT_RAW
 from repro.tsl.layout import (
     DEFAULT_LAYOUT_POLICY,
@@ -41,7 +42,8 @@ def build_graph(policy="raw", storage="resident", nodes=60, seed=7):
         degree = int(rng.integers(16, 48))
         for dst in rng.integers(0, 10 ** 5, degree):
             builder.add_edge(src, int(dst))
-    return builder.finalize(cross_check=True)
+    with checking():
+        return builder.finalize()
 
 
 def out_tag(graph, uid):
@@ -53,7 +55,8 @@ def out_tag(graph, uid):
 
 def snapshot(graph):
     node_ids = sorted(graph.node_ids)
-    indptr, flat = graph.outlinks_batch(node_ids, cross_check=True)
+    with checking():
+        indptr, flat = graph.outlinks_batch(node_ids)
     return node_ids, indptr.tolist(), flat.tolist()
 
 
@@ -147,8 +150,9 @@ class TestSpanInvalidation:
 class TestConcurrentServe:
     def test_rewrites_under_query_traffic(self):
         """A writer thread re-encodes cells (raw to adaptive and back)
-        while queries run with cross_check on: every answer is either
-        correct or a StaleSpanError retry, never silently wrong."""
+        while checked queries run: every answer is either correct or a
+        StaleSpanError retry, never silently wrong.  The scope is the
+        reading thread's own; the writer's thread does not inherit it."""
         graph = build_graph(policy="raw", nodes=80, seed=19)
         expected = {uid: graph.outlinks(uid) for uid in graph.node_ids}
         node_ids = sorted(expected)
@@ -178,8 +182,8 @@ class TestConcurrentServe:
                     or node_ids[:16]
                 for _ in range(50):  # bounded retry on stale spans
                     try:
-                        indptr, flat = graph.outlinks_batch(
-                            batch, cross_check=True)
+                        with checking():
+                            indptr, flat = graph.outlinks_batch(batch)
                         break
                     except StaleSpanError:
                         pass

@@ -16,19 +16,23 @@ from repro.config import ClusterConfig, MemoryParams
 from repro.errors import AddressingError, DivergenceError, TrinityError
 from repro.memcloud import MemoryCloud
 from repro.obs import MetricsRegistry
+from repro.oracle import checking
 
 UID = st.integers(min_value=0, max_value=2**63 - 1)
 SMALL_UID = st.integers(min_value=0, max_value=23)
 PAYLOAD = st.binary(max_size=48)
 
 
-def make_cloud(trunk_bits=3, cross_check=False,
+def make_cloud(trunk_bits=3, checked=False,
                trunk_size=4 * 1024 * 1024, page_size=4096):
+    """A cloud; ``checked`` builds it inside the oracle's scope, so it
+    keeps a shadow."""
     config = ClusterConfig(
         machines=2, trunk_bits=trunk_bits,
         memory=MemoryParams(trunk_size=trunk_size, page_size=page_size),
     )
-    return MemoryCloud(config, MetricsRegistry(), cross_check=cross_check)
+    with checking(checked):
+        return MemoryCloud(config, MetricsRegistry())
 
 
 def assert_clouds_identical(bulk, scalar, probes=True):
@@ -191,7 +195,7 @@ class TestScalarEquivalence:
 
 class TestCrossCheckShadow:
     def test_shadow_verifies_bulk_ops(self):
-        cloud = make_cloud(cross_check=True)
+        cloud = make_cloud(checked=True)
         uids = list(range(500))
         payloads = [bytes([i % 256]) * (i % 33) for i in uids]
         cloud.bulk_put(uids, payloads, presize=False)  # verifies internally
@@ -203,13 +207,13 @@ class TestCrossCheckShadow:
         cloud.verify_shadow()
 
     def test_presize_disables_probe_comparison_only(self):
-        cloud = make_cloud(cross_check=True)
+        cloud = make_cloud(checked=True)
         cloud.bulk_put(list(range(2000)), [b"x"] * 2000, presize=True)
         assert not cloud._shadow_probes_comparable
         cloud.verify_shadow()  # bytes + accounting still must match
 
     def test_divergence_detected(self):
-        cloud = make_cloud(cross_check=True)
+        cloud = make_cloud(checked=True)
         cloud.bulk_put([1, 2, 3], [b"a", b"b", b"c"], presize=False)
         # Tamper with the real world behind the shadow's back.
         cloud.trunk_for(2).put(2, b"corrupted")
@@ -217,7 +221,7 @@ class TestCrossCheckShadow:
             cloud.verify_shadow()
 
     def test_missing_cell_detected(self):
-        cloud = make_cloud(cross_check=True)
+        cloud = make_cloud(checked=True)
         cloud.bulk_put([1, 2, 3], [b"a", b"b", b"c"], presize=False)
         cloud.trunk_for(3).remove(3)
         with pytest.raises(DivergenceError):
@@ -293,7 +297,7 @@ class TestPropertyEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(UID, PAYLOAD), min_size=1, max_size=60))
     def test_cross_check_shadow_accepts_any_batch(self, pairs):
-        cloud = make_cloud(cross_check=True)
+        cloud = make_cloud(checked=True)
         uids = [uid for uid, _ in pairs]
         payloads = [payload for _, payload in pairs]
         cloud.bulk_put(uids, payloads, presize=False)

@@ -8,6 +8,8 @@ from repro.config import ClusterConfig, MemoryParams
 from repro.errors import CellNotFoundError, MemoryCloudError
 from repro.memcloud import MemoryCloud
 from repro.memcloud import persistence
+from repro.obs import MetricsRegistry
+from repro.oracle import checking
 from repro.tfs import TrinityFileSystem
 from repro.utils.varint import encode_varint
 
@@ -293,6 +295,56 @@ class TestPersistence:
         written = persistence.backup_all(cloud, tfs)
         assert written > 100
         assert len(tfs.list_files("/trinity/trunks/")) == len(cloud.trunks)
+
+
+class TestShadowFollowsTrunkReplacement:
+    """A checked cloud's shadow mirrors every trunk the cloud replaces:
+    emptied (a machine's memory lost) or adopted from an image (restore,
+    recovery, checkpoint load).  Otherwise the cloud reads through a
+    stale shadow and ``verify_shadow`` reports a divergence the cloud
+    never had."""
+
+    @pytest.fixture(params=["resident", "paged"])
+    def checked_cloud(self, request):
+        config = ClusterConfig(machines=2, trunk_bits=2, memory=MemoryParams(
+            trunk_size=64 * 1024, storage=request.param, page_size=1024,
+            page_budget=4))
+        with checking():
+            cloud = MemoryCloud(config, MetricsRegistry())
+        for uid in range(20):
+            cloud.put(uid, b"v%d" % uid)
+        yield cloud
+        cloud.release_arenas()
+
+    def test_restore_after_a_change(self, checked_cloud):
+        cloud = checked_cloud
+        tfs = TrinityFileSystem()
+        persistence.backup_all(cloud, tfs)
+        cloud.put(3, b"changed")
+        cloud.put(100, b"new")
+        trunk_id = cloud.trunk_for(3).trunk_id
+        persistence.restore_trunk(cloud, trunk_id, tfs)
+        assert cloud.get(3) == b"v3"
+        cloud.verify_shadow()
+
+    def test_adopted_images_reach_the_shadow(self, checked_cloud):
+        images = {trunk_id: persistence.trunk_to_bytes(trunk)
+                  for trunk_id, trunk in checked_cloud.trunks.items()}
+        with checking():
+            cloud = MemoryCloud(checked_cloud.config, MetricsRegistry())
+        try:
+            assert persistence.adopt_trunk_images(cloud, images) == 20
+            assert cloud.get(3) == b"v3"
+            cloud.bulk_put([3, 200], [b"w3", b"w200"])
+            cloud.verify_shadow()
+        finally:
+            cloud.release_arenas()
+
+    def test_a_lost_trunk_is_lost_in_the_shadow_too(self, checked_cloud):
+        cloud = checked_cloud
+        cloud.replace_trunk(cloud.trunk_for(3).trunk_id)
+        assert 3 not in cloud
+        cloud.verify_shadow()
 
 
 def _paged_config(spill_dir=None) -> ClusterConfig:

@@ -1,17 +1,22 @@
-"""The oracle seam: ``repro.oracle.shadow`` and every site that calls it.
+"""The oracle seam: ``repro.oracle.shadow``, the ``checking()`` scope and
+every site that calls the seam.
 
-Two halves.  The unit cases pin what a :class:`DivergenceError` says —
-where, which field or index, both values, clipped.  The reachability
-case runs every public ``cross_check=True`` entry point once and asserts
-the ``oracle.checks{where}`` series of its site moved: a site that stops
+Three parts.  The unit cases pin what a :class:`DivergenceError` says —
+where, which field or index, both values, clipped.  The scope cases pin
+``checking()``: off by default, nested, restored on a raise, not
+inherited by a new thread, one shadow per cloud.  The reachability case
+runs every public entry point once inside the scope and asserts the
+``oracle.checks{where}`` series of its site moved: a site that stops
 handing its answer to the seam fails here and nowhere else.
 """
 
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.algorithms import bfs, count_triangles, pagerank, sssp, wcc
 from repro.algorithms.landmarks import evaluate_oracle, select_landmarks
 from repro.algorithms.pagerank import PageRankProgram
 from repro.algorithms.people_search import people_search
@@ -22,7 +27,7 @@ from repro.algorithms.subgraph import (
 )
 from repro.compute import BspEngine
 from repro.config import ClusterConfig, MemoryParams
-from repro.errors import DivergenceError, TrinityError
+from repro.errors import AddressingError, DivergenceError, TrinityError
 from repro.generators.names import sample_names
 from repro.generators.rmat import rmat_edges
 from repro.graph import GraphBuilder
@@ -31,13 +36,33 @@ from repro.graph.model import social_graph_schema
 from repro.memcloud import MemoryCloud
 from repro.net.simnet import SimNetwork
 from repro.obs import MetricsRegistry, get_registry
-from repro.oracle import shadow
+from repro.oracle import checking, is_checking, shadow
 from repro.serve import PeopleSearchQuery, QueryServer, ServeConfig
 from repro.tql.engine import execute_tql
 
 
 def checks(where: str) -> int:
     return get_registry().counter("oracle.checks", where=where).value
+
+
+def checks_by_where() -> dict:
+    return {dict(metric.labels)["where"]: metric.value
+            for metric in get_registry().collect()
+            if metric.name == "oracle.checks"}
+
+
+def checks_total() -> int:
+    return sum(checks_by_where().values())
+
+
+def moved_since(before: dict) -> dict:
+    return {where: count - before.get(where, 0)
+            for where, count in checks_by_where().items()
+            if count != before.get(where, 0)}
+
+
+def network():
+    return SimNetwork(registry=MetricsRegistry())
 
 
 class TestShadow:
@@ -111,7 +136,73 @@ class TestShadow:
 
 
 # ---------------------------------------------------------------------------
-# Reachability: every public cross_check=True entry point meets the seam
+# The checking() scope
+# ---------------------------------------------------------------------------
+
+
+class TestCheckingScope:
+    def test_off_by_default(self):
+        assert not is_checking()
+
+    def test_scopes_nest(self):
+        with checking():
+            assert is_checking()
+            with checking(False):
+                assert not is_checking()
+                with checking():
+                    assert is_checking()
+                assert not is_checking()
+            assert is_checking()
+        assert not is_checking()
+
+    def test_restored_when_the_body_raises(self):
+        with pytest.raises(KeyError):
+            with checking():
+                raise KeyError("boom")
+        assert not is_checking()
+        with checking():
+            with pytest.raises(KeyError):
+                with checking(False):
+                    raise KeyError("boom")
+            assert is_checking()
+
+    def test_a_new_thread_does_not_inherit_the_scope(self):
+        seen = []
+
+        def probe():
+            seen.append(is_checking())
+            with checking():
+                seen.append(is_checking())
+
+        with checking():
+            thread = threading.Thread(target=probe)
+            thread.start()
+            thread.join()
+            assert is_checking()
+        assert seen == [False, True]
+
+    def test_a_cloud_built_in_scope_has_one_shadow(self):
+        config = ClusterConfig(machines=2, trunk_bits=2)
+        with checking():
+            cloud = MemoryCloud(config, MetricsRegistry())
+        assert cloud._shadow is not None
+        assert cloud._shadow._shadow is None
+        cloud.put(1, b"a")          # the shadow follows outside the scope
+        cloud.verify_shadow()
+        cloud.release_arenas()
+
+    def test_a_cloud_built_outside_has_none(self):
+        cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=2),
+                            MetricsRegistry())
+        with checking():
+            cloud.put(1, b"a")
+            with pytest.raises(AddressingError, match="checking"):
+                cloud.verify_shadow()
+        cloud.release_arenas()
+
+
+# ---------------------------------------------------------------------------
+# Reachability: every public entry point meets the seam inside the scope
 # ---------------------------------------------------------------------------
 
 
@@ -136,26 +227,23 @@ def world():
 
 
 def run_people_search(w):
-    people_search(w.graph, 0, "David", hops=2, network=SimNetwork(),
-                  cross_check=True)
+    people_search(w.graph, 0, "David", hops=2, network=SimNetwork())
 
 
 def run_tql(w):
     execute_tql(w.graph, "MATCH (a = 0) -[Friends*1..2]-> (b) RETURN b",
-                network=SimNetwork(), cross_check=True)
+                network=SimNetwork())
 
 
 def run_subgraph(w):
     labels = assign_labels(w.topology.n, num_labels=6, seed=3)
     query = generate_query_dfs(w.topology, labels, size=4, seed=2)
-    match_subgraph(w.topology, labels, query, network=SimNetwork(),
-                   cross_check=True)
+    match_subgraph(w.topology, labels, query, network=SimNetwork())
 
 
 def run_landmarks(w):
     landmarks = select_landmarks(w.topology, 3, strategy="degree")
-    evaluate_oracle(w.topology, landmarks, pairs=10, seed=2,
-                    cross_check=True)
+    evaluate_oracle(w.topology, landmarks, pairs=10, seed=2)
 
 
 def run_finalize(w):
@@ -163,29 +251,29 @@ def run_finalize(w):
                         MetricsRegistry())
     builder = GraphBuilder(cloud, social_graph_schema())
     builder.add_edges(w.edges)
-    builder.finalize(cross_check=True)
+    builder.finalize()
 
 
 def run_bsp(w):
-    BspEngine(w.topology, network=SimNetwork(registry=MetricsRegistry()),
-              cross_check=True).run(PageRankProgram(iterations=2))
+    BspEngine(w.topology, network=network()).run(
+        PageRankProgram(iterations=2))
 
 
 def run_server(w):
-    server = QueryServer(w.graph, ServeConfig(cross_check=True),
-                         registry=MetricsRegistry())
+    server = QueryServer(w.graph, ServeConfig(), registry=MetricsRegistry())
     server.submit(PeopleSearchQuery(0, "David", hops=2))
     server.run()
 
 
 def run_verify_shadow(w):
     cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=2),
-                        MetricsRegistry(), cross_check=True)
+                        MetricsRegistry())
     cloud.bulk_put([1, 2, 3], [b"a", b"b", b"c"], presize=False)
     cloud.verify_shadow()
 
 
 READ_BATCH = ("graph.api.read_batch",)
+BSP = ("compute.bsp.values", "compute.bsp.accounting")
 ENTRY_POINTS = [
     pytest.param(run_people_search,
                  ("algorithms.people_search",) + READ_BATCH,
@@ -200,20 +288,26 @@ ENTRY_POINTS = [
                  id="evaluate_oracle"),
     pytest.param(run_finalize, ("graph.builder.finalize",),
                  id="GraphBuilder.finalize"),
-    pytest.param(lambda w: w.graph.outlinks_batch(w.ids, cross_check=True),
+    pytest.param(lambda w: w.graph.outlinks_batch(w.ids),
                  READ_BATCH, id="Graph.outlinks_batch"),
-    pytest.param(lambda w: w.graph.inlinks_batch(w.ids, cross_check=True),
+    pytest.param(lambda w: w.graph.inlinks_batch(w.ids),
                  READ_BATCH, id="Graph.inlinks_batch"),
-    pytest.param(lambda w: w.graph.read_field_batch(w.ids, "Name",
-                                                    cross_check=True),
+    pytest.param(lambda w: w.graph.read_field_batch(w.ids, "Name"),
                  READ_BATCH, id="Graph.read_field_batch"),
-    pytest.param(lambda w: w.graph.field_eq_batch(w.ids, "Name", "David",
-                                                  cross_check=True),
+    pytest.param(lambda w: w.graph.field_eq_batch(w.ids, "Name", "David"),
                  READ_BATCH, id="Graph.field_eq_batch"),
-    pytest.param(lambda w: w.graph.degree_batch(w.ids, cross_check=True),
+    pytest.param(lambda w: w.graph.degree_batch(w.ids),
                  READ_BATCH, id="Graph.degree_batch"),
-    pytest.param(run_bsp, ("compute.bsp.values", "compute.bsp.accounting"),
-                 id="BspEngine.run"),
+    pytest.param(run_bsp, BSP, id="BspEngine.run"),
+    pytest.param(lambda w: pagerank(w.topology, iterations=2,
+                                    network=network()),
+                 BSP, id="pagerank"),
+    pytest.param(lambda w: bfs(w.topology, 0, network=network()),
+                 BSP, id="bfs"),
+    pytest.param(lambda w: sssp(w.topology, 0, network=network()),
+                 BSP, id="sssp"),
+    pytest.param(lambda w: wcc(w.topology, network=network()),
+                 BSP, id="wcc"),
     pytest.param(run_server, ("serve.people_search",), id="QueryServer"),
     pytest.param(run_verify_shadow,
                  ("memcloud.cloud.verify_shadow.cells",
@@ -226,6 +320,56 @@ ENTRY_POINTS = [
 @pytest.mark.parametrize("run,sites", ENTRY_POINTS)
 def test_cross_check_reaches_the_seam(world, run, sites):
     before = {where: checks(where) for where in sites}
-    run(world)
+    with checking():
+        run(world)
     stalled = [where for where in sites if checks(where) == before[where]]
     assert not stalled, f"no oracle.checks movement at {stalled}"
+
+
+def test_count_triangles_checks_its_sends_in_scope(world, monkeypatch):
+    """Triangle counting has no combiner, so it runs the per-vertex path
+    only and has no fast path to compare; what the scope reaches there
+    is the engine's check that a restrictive program sends to
+    out-neighbors only."""
+    sends = []
+    check = BspEngine._check_restrictive
+    monkeypatch.setattr(BspEngine, "_check_restrictive",
+                        lambda engine, src, dst: (sends.append(src),
+                                                  check(engine, src, dst)))
+    topology = world.topology
+    expected = count_triangles(topology, network=network()).count
+    assert not sends
+    with checking():
+        assert count_triangles(topology, network=network()).count == expected
+    assert sends
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda w: people_search(w.graph, 0, "David", hops=2),
+                 id="people_search"),
+    pytest.param(lambda w: w.graph.outlinks_batch(w.ids),
+                 id="Graph.outlinks_batch"),
+    pytest.param(lambda w: pagerank(w.topology, iterations=2,
+                                    network=network()), id="pagerank"),
+])
+def test_no_scope_no_checks(world, run):
+    before = checks_total()
+    run(world)
+    assert checks_total() == before
+
+
+def test_the_two_constructor_switches_check_their_own_sites_only(world):
+    """``ServeConfig(cross_check=True)`` and ``BspEngine(cross_check=True)``
+    check without a scope, and only at their own sites: the scope is
+    what reaches the library paths below them."""
+    before = checks_by_where()
+    server = QueryServer(world.graph, ServeConfig(cross_check=True),
+                         registry=MetricsRegistry())
+    server.submit(PeopleSearchQuery(0, "David", hops=2))
+    server.run()
+    assert moved_since(before) == {"serve.people_search": 1}
+    before = checks_by_where()
+    BspEngine(world.topology, network=network(),
+              cross_check=True).run(PageRankProgram(iterations=2))
+    assert moved_since(before) == {"compute.bsp.values": 1,
+                                   "compute.bsp.accounting": 1}

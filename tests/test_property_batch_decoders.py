@@ -171,6 +171,7 @@ from repro.config import ClusterConfig, MemoryParams  # noqa: E402
 from repro.graph import GraphBuilder, plain_graph_schema  # noqa: E402
 from repro.memcloud import MemoryCloud  # noqa: E402
 from repro.obs import MetricsRegistry, get_registry  # noqa: E402
+from repro.oracle import checking  # noqa: E402
 from repro.tsl import (  # noqa: E402
     LAYOUT_BITMAP,
     LAYOUT_DELTA_VARINT,
@@ -340,10 +341,11 @@ class TestFallbackIsCounted:
         graph = builder.finalize()
         ids = np.arange(30)
         before = self._fallbacks()
-        graph.outlinks_batch(ids, cross_check=True)
-        graph.degree_batch(ids, cross_check=True)
-        graph.read_field_batch(ids, "Name", cross_check=True)
-        assert graph.field_eq_batch(ids, "Name", "p3", cross_check=True).any()
+        with checking():
+            graph.outlinks_batch(ids)
+            graph.degree_batch(ids)
+            graph.read_field_batch(ids, "Name")
+            assert graph.field_eq_batch(ids, "Name", "p3").any()
         assert self._fallbacks() == before
 
     @staticmethod
@@ -377,7 +379,8 @@ class TestFallbackIsCounted:
             builder.add_node(node_id, Name=name)
         builder.add_edges(rmat_edges(9, avg_degree=8, seed=42))
         before = self._encode_fallbacks()
-        builder.finalize(cross_check=True)
+        with checking():
+            builder.finalize()
         assert self._encode_fallbacks() == before
 
 
@@ -414,7 +417,7 @@ class TestAdjacencyCanonicalErrors:
 
 class TestAdjacencyThroughStorageTiers:
     """End to end: bulk-load under an adaptive policy, then read through
-    the Graph batch surface with cross_check on, per storage tier."""
+    the Graph batch surface, checked, per storage tier."""
 
     @pytest.mark.parametrize("storage", ["resident", "paged"])
     @pytest.mark.parametrize("policy", ["adaptive", "raw"])
@@ -434,14 +437,14 @@ class TestAdjacencyThroughStorageTiers:
             expected[src] = [int(v) for v in out]
             for dst in expected[src]:
                 builder.add_edge(src, dst)
-        graph = builder.finalize(cross_check=True)
-        node_ids = sorted(expected)
-        indptr, flat = graph.read_field_csr(node_ids, "Outlinks",
-                                            cross_check=True)
+        with checking():
+            graph = builder.finalize()
+            node_ids = sorted(expected)
+            indptr, flat = graph.read_field_csr(node_ids, "Outlinks")
+            degrees = graph.degree_batch(node_ids).tolist()
         for i, uid in enumerate(node_ids):
             assert flat[indptr[i]:indptr[i + 1]].tolist() == expected[uid]
-        assert graph.degree_batch(node_ids, cross_check=True).tolist() == \
-            [len(expected[uid]) for uid in node_ids]
+        assert degrees == [len(expected[uid]) for uid in node_ids]
 
     @pytest.mark.parametrize("storage", ["resident", "paged"])
     def test_adaptive_and_raw_clouds_agree(self, storage):
@@ -456,10 +459,10 @@ class TestAdjacencyThroughStorageTiers:
             builder = GraphBuilder(cloud, plain_graph_schema(directed=True))
             for src, dst in edges:
                 builder.add_edge(src, dst)
-            graph = builder.finalize(cross_check=True)
-            node_ids = sorted(graph.node_ids)
-            indptr, flat = graph.read_field_csr(node_ids, "Outlinks",
-                                                cross_check=True)
+            with checking():
+                graph = builder.finalize()
+                node_ids = sorted(graph.node_ids)
+                indptr, flat = graph.read_field_csr(node_ids, "Outlinks")
             results.append((node_ids, indptr.tolist(), flat.tolist()))
         assert results[0] == results[1]
 

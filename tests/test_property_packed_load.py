@@ -27,6 +27,7 @@ from repro.graph import GraphBuilder
 from repro.graph.model import GraphSchema, social_graph_schema
 from repro.memcloud import MemoryCloud
 from repro.obs import MetricsRegistry
+from repro.oracle import checking
 from repro.tsl import LayoutPolicy, compile_tsl
 from repro.utils.arrays import SpanBatch
 from repro.utils.varint import decode_varint
@@ -89,15 +90,17 @@ def make_cloud(policy):
     return MemoryCloud(config, MetricsRegistry())
 
 
-def load(schema, policy, nodes, edges, cross_check=False):
-    """The builder's load: declared nodes, then one edge array."""
+def load(schema, policy, nodes, edges, checked=False):
+    """The builder's load: declared nodes, then one edge array;
+    ``checked`` finalizes inside the oracle's scope."""
     cloud = make_cloud(policy)
     builder = GraphBuilder(cloud, schema)
     for node, attributes in nodes.items():
         builder.add_node(node, **attributes)
     if edges:
         builder.add_edges(np.asarray(edges, dtype=np.int64))
-    graph = builder.finalize(cross_check=cross_check)
+    with checking(checked):
+        graph = builder.finalize()
     return cloud, graph
 
 
@@ -127,7 +130,7 @@ class TestPackedCellsAreScalarCells:
         schema = SCHEMAS[schema_name]
         nodes, edges = data.draw(graphs(schema_name))
         cloud, graph = load(schema, POLICIES[policy], nodes, edges,
-                            cross_check=True)
+                            checked=True)
         records = reference_records(schema, nodes, edges)
         assert graph.node_ids == sorted(records)
         encode = schema.node_type.encode
@@ -146,8 +149,7 @@ class TestPackedCellsAreScalarCells:
         edges += [(2, int(v)) for v in rng.integers(0, 10**6, 40)]  # delta
         edges += [(3, 4), (4, 3)]                                  # raw
         nodes = {1: {"Name": "Ådne"}, 9: {}, 10: {"Name": "三位一体"}}
-        cloud, _ = load(schema, POLICIES["low"], nodes, edges,
-                        cross_check=True)
+        cloud, _ = load(schema, POLICIES["low"], nodes, edges, checked=True)
         assert stored_tags(cloud, schema) == {0, 1, 2}
         records = reference_records(schema, nodes, edges)
         encode = schema.node_type.encode
@@ -220,9 +222,10 @@ class TestPackedBulkPutIsThePutLoop:
 
     def test_wraps_repeats_and_stored_ids_all_happen(self):
         # The fallbacks the property draws, each forced once.
-        cloud = MemoryCloud(ClusterConfig(machines=1, trunk_bits=1,
-                                          memory=CONFIGS["wrapping"]),
-                            MetricsRegistry(), cross_check=True)
+        with checking():
+            cloud = MemoryCloud(ClusterConfig(machines=1, trunk_bits=1,
+                                              memory=CONFIGS["wrapping"]),
+                                MetricsRegistry())
         payload = bytes(range(150))
         rng = random.Random(0)
         for start in range(0, 200, 8):

@@ -2,8 +2,9 @@
 
 Every batched query surface — the Graph ``*_batch`` reads, people
 search, TQL multi-hop expansion, subgraph candidate prefiltering, and
-the landmark-oracle BFS — must agree with its scalar twin on seeded R-MAT graphs, across at least two machine
-counts, with ``cross_check=True`` shadow-replaying the scalar path
+the landmark-oracle BFS — must agree with its scalar twin on seeded
+R-MAT graphs, across at least two machine counts, checked
+(``repro.oracle.checking``) so that the scalar path is shadow-replayed
 inside the batched one.  The scalar twins are private references, not
 modes: where a test wants the reference *object*, it calls the module's
 private scalar function.
@@ -39,6 +40,7 @@ from repro.graph.model import social_graph_schema
 from repro.memcloud import MemoryCloud
 from repro.net.simnet import SimNetwork
 from repro.obs import MetricsRegistry
+from repro.oracle import checking
 from repro.tql.engine import _execute, execute_tql
 from repro.tql.parser import parse_tql
 from repro.tsl.layout import LAYOUT_DELTA_VARINT, LAYOUT_RAW
@@ -53,8 +55,7 @@ def scalar_people_search(graph, start, name, hops):
 
 def scalar_tql(graph, tql):
     """``execute_tql``'s private reference: the engine, prefetch off."""
-    return _execute(graph, parse_tql(tql), SimNetwork(), 10_000, False,
-                    False)
+    return _execute(graph, parse_tql(tql), SimNetwork(), 10_000, False)
 
 
 def build_rmat_named_graph(cloud, scale=8, avg_degree=6.0, seed=11):
@@ -82,7 +83,8 @@ class TestGraphBatchSurface:
     def test_outlinks_batch_matches_scalar(self, deployment):
         _, graph = deployment
         ids = np.asarray(graph.node_ids[:300], dtype=np.int64)
-        indptr, flat = graph.outlinks_batch(ids, cross_check=True)
+        with checking():
+            indptr, flat = graph.outlinks_batch(ids)
         assert len(indptr) == len(ids) + 1
         for i, node_id in enumerate(ids.tolist()):
             assert flat[indptr[i]:indptr[i + 1]].tolist() == \
@@ -91,13 +93,15 @@ class TestGraphBatchSurface:
     def test_read_field_batch_attribute_column(self, deployment):
         _, graph = deployment
         ids = np.asarray(graph.node_ids[:200], dtype=np.int64)
-        names = graph.read_field_batch(ids, "Name", cross_check=True)
+        with checking():
+            names = graph.read_field_batch(ids, "Name")
         assert names == [graph.attribute(int(i), "Name") for i in ids]
 
     def test_degree_batch_header_only(self, deployment):
         _, graph = deployment
         ids = np.asarray(graph.node_ids, dtype=np.int64)
-        degrees = graph.degree_batch(ids, cross_check=True)
+        with checking():
+            degrees = graph.degree_batch(ids)
         assert degrees.tolist() == [len(graph.outlinks(int(i)))
                                     for i in ids]
 
@@ -159,8 +163,9 @@ class TestPeopleSearchBatch:
     @pytest.mark.parametrize("hops", [1, 2, 3])
     def test_batch_equals_scalar(self, deployment, hops):
         _, graph = deployment
-        batched = people_search(graph, 0, "David", hops=hops,
-                                network=SimNetwork(), cross_check=True)
+        with checking():
+            batched = people_search(graph, 0, "David", hops=hops,
+                                    network=SimNetwork())
         scalar = scalar_people_search(graph, 0, "David", hops)
         assert batched.matches == scalar.matches
         assert batched.visited == scalar.visited
@@ -169,8 +174,9 @@ class TestPeopleSearchBatch:
 
     def test_rare_name(self, deployment):
         _, graph = deployment
-        result = people_search(graph, 0, "NoSuchName", hops=3,
-                               network=SimNetwork(), cross_check=True)
+        with checking():
+            result = people_search(graph, 0, "NoSuchName", hops=3,
+                                   network=SimNetwork())
         assert result.matches == []
         assert result.visited > 0
 
@@ -180,11 +186,11 @@ class TestStorageTiers:
 
     The page budget is deliberately smaller than the graph's arena
     bytes, so queries run against a working set that cannot all be
-    resident.  The cloud is built with ``cross_check=True`` — its
+    resident.  The cloud is built inside the oracle's scope — its
     shadow always runs *resident* storage, so every mutation during
     graph build is verified cell-for-cell across tiers — and each query
-    runs with ``cross_check=True``, replaying the scalar read path on
-    the paged cloud itself.
+    runs checked, replaying the scalar read path on the paged cloud
+    itself.
     """
 
     STORAGES = ["resident", "paged"]
@@ -194,9 +200,10 @@ class TestStorageTiers:
         memory = MemoryParams(trunk_size=256 * 1024,
                               storage=request.param,
                               page_size=512, page_budget=2)
-        cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=4,
-                                          memory=memory),
-                            MetricsRegistry(), cross_check=True)
+        with checking():
+            cloud = MemoryCloud(ClusterConfig(machines=2, trunk_bits=4,
+                                              memory=memory),
+                                MetricsRegistry())
         graph = build_rmat_named_graph(cloud, scale=9)
         yield request.param, cloud, graph
         cloud.release_arenas()
@@ -222,8 +229,9 @@ class TestStorageTiers:
 
     def test_people_search_bit_identical(self, tier_deployment):
         _, _, graph = tier_deployment
-        batched = people_search(graph, 0, "David", hops=3,
-                                network=SimNetwork(), cross_check=True)
+        with checking():
+            batched = people_search(graph, 0, "David", hops=3,
+                                    network=SimNetwork())
         scalar = scalar_people_search(graph, 0, "David", 3)
         assert batched.matches == scalar.matches
         assert batched.visited == scalar.visited
@@ -236,8 +244,8 @@ class TestStorageTiers:
     ])
     def test_tql_bit_identical(self, tier_deployment, tql):
         _, _, graph = tier_deployment
-        batched = execute_tql(graph, tql, network=SimNetwork(),
-                              cross_check=True)
+        with checking():
+            batched = execute_tql(graph, tql, network=SimNetwork())
         scalar = scalar_tql(graph, tql)
         assert batched.rows == scalar.rows
         assert batched.cells_touched == scalar.cells_touched
@@ -245,11 +253,13 @@ class TestStorageTiers:
     def test_batch_surface_cross_checked(self, tier_deployment):
         _, _, graph = tier_deployment
         ids = np.asarray(graph.node_ids[:300], dtype=np.int64)
-        indptr, flat = graph.outlinks_batch(ids, cross_check=True)
+        with checking():
+            indptr, flat = graph.outlinks_batch(ids)
         for i, node_id in enumerate(ids.tolist()):
             assert flat[indptr[i]:indptr[i + 1]].tolist() == \
                 graph.outlinks(node_id)
-        names = graph.read_field_batch(ids[:100], "Name", cross_check=True)
+        with checking():
+            names = graph.read_field_batch(ids[:100], "Name")
         assert names == [graph.attribute(int(i), "Name")
                          for i in ids[:100]]
 
@@ -277,23 +287,23 @@ class TestLayoutPolicies:
                     ids = np.asarray(graph.node_ids, dtype=np.int64)
                     hubs = ids[np.argsort(graph.degree_batch(ids),
                                           kind="stable")[-3:]].tolist()
-                    searches = [people_search(graph, hub, "David", hops=3,
-                                              network=SimNetwork(),
-                                              cross_check=True)
-                                for hub in hubs]
-                    tql = execute_tql(
-                        graph, f"MATCH (a = {hubs[0]}) -[Friends*1..3]-> "
-                               "(b {Name: 'David'}) RETURN b",
-                        network=SimNetwork(), cross_check=True)
+                    query = (f"MATCH (a = {hubs[0]}) -[Friends*1..3]-> "
+                             "(b {Name: 'David'}) RETURN b")
                     # Served with the hub adjacency cache on and the
                     # result cache off, so every repeat really traverses.
                     server = QueryServer(
-                        graph, ServeConfig(result_cache=False,
-                                           cross_check=True),
+                        graph, ServeConfig(result_cache=False),
                         registry=MetricsRegistry())
                     tickets = [server.submit(PeopleSearchQuery(hub, "David"))
                                for _ in range(2) for hub in hubs]
-                    server.run()
+                    with checking():
+                        searches = [people_search(graph, hub, "David",
+                                                  hops=3,
+                                                  network=SimNetwork())
+                                    for hub in hubs]
+                        tql = execute_tql(graph, query,
+                                          network=SimNetwork())
+                        server.run()
                     signatures[storage, policy] = (
                         hubs,
                         [(r.matches, r.visited, r.hop_times)
@@ -359,9 +369,10 @@ class TestOneDecodePerRead:
                         counted.append(name)
                         return inner(*args)
                     monkeypatch.setattr(decoder, name, spy)
-                indptr, flat = graph.outlinks_batch(ids, cross_check=True)
-                degrees = graph.degree_batch(ids, cross_check=True)
-                names = graph.read_field_batch(ids, "Name", cross_check=True)
+                with checking():
+                    indptr, flat = graph.outlinks_batch(ids)
+                    degrees = graph.degree_batch(ids)
+                    names = graph.read_field_batch(ids, "Name")
                 monkeypatch.undo()
                 answers[storage] = (indptr.tolist(), flat.tolist(),
                                     degrees.tolist(), names)
@@ -388,8 +399,8 @@ class TestTqlBatch:
     @pytest.mark.parametrize("tql", QUERIES)
     def test_batch_equals_scalar(self, deployment, tql):
         _, graph = deployment
-        batched = execute_tql(graph, tql, network=SimNetwork(),
-                              cross_check=True)
+        with checking():
+            batched = execute_tql(graph, tql, network=SimNetwork())
         scalar = scalar_tql(graph, tql)
         assert batched.rows == scalar.rows
         assert batched.cells_touched == scalar.cells_touched
@@ -411,9 +422,9 @@ class TestSubgraphBatch:
         # The scalar prefilter is replayed at every level of the checked
         # run (the only place the two ever differed); the run without it
         # must then be the same search, and every embedding a real one.
-        checked = match_subgraph(topology, labels, query,
-                                 network=SimNetwork(), index=index,
-                                 cross_check=True)
+        with checking():
+            checked = match_subgraph(topology, labels, query,
+                                     network=SimNetwork(), index=index)
         plain = match_subgraph(topology, labels, query,
                                network=SimNetwork(), index=index)
         assert checked.embeddings == plain.embeddings
@@ -433,8 +444,8 @@ class TestLandmarkBatch:
         _, graph = deployment
         topology = CsrTopology(graph)
         landmarks = select_landmarks(topology, 4, strategy="degree")
-        batched = evaluate_oracle(topology, landmarks, pairs=40, seed=2,
-                                  cross_check=True)
+        with checking():
+            batched = evaluate_oracle(topology, landmarks, pairs=40, seed=2)
         through = np.stack([_bfs_distances_scalar(topology, lm)
                             for lm in landmarks])
         scalar_pairs = [
@@ -453,7 +464,8 @@ class TestFieldEqBatch:
         _, graph = deployment
         ids = np.asarray(graph.node_ids[:300], dtype=np.int64)
         target = graph.attribute(5, "Name")
-        hits = graph.field_eq_batch(ids, "Name", target, cross_check=True)
+        with checking():
+            hits = graph.field_eq_batch(ids, "Name", target)
         assert hits.dtype == bool
         assert hits.tolist() == [
             graph.attribute(int(i), "Name") == target for i in ids]
@@ -461,10 +473,10 @@ class TestFieldEqBatch:
     def test_no_match_and_empty_needle(self, deployment):
         _, graph = deployment
         ids = np.asarray(graph.node_ids[:64], dtype=np.int64)
-        assert not graph.field_eq_batch(
-            ids, "Name", "no such name ever", cross_check=True).any()
-        assert not graph.field_eq_batch(ids, "Name", "",
-                                        cross_check=True).any()
+        with checking():
+            assert not graph.field_eq_batch(
+                ids, "Name", "no such name ever").any()
+            assert not graph.field_eq_batch(ids, "Name", "").any()
 
     def test_non_str_value_against_string_field_is_all_false(self,
                                                              deployment):
@@ -473,7 +485,8 @@ class TestFieldEqBatch:
         cloud, graph = deployment
         ids = np.asarray(graph.node_ids[:64], dtype=np.int64)
         for value in (5, None, b"David", ["David"]):
-            hits = graph.field_eq_batch(ids, "Name", value, cross_check=True)
+            with checking():
+                hits = graph.field_eq_batch(ids, "Name", value)
             assert hits.dtype == bool and hits.shape == ids.shape
             assert not hits.any()
         # The cells are still looked up: an absent id is still an error.
@@ -484,8 +497,8 @@ class TestFieldEqBatch:
         _, graph = deployment
         ids = np.asarray(graph.node_ids[:50], dtype=np.int64)
         target = graph.outlinks(int(ids[3]))
-        hits = graph.field_eq_batch(ids, "Friends", target,
-                                    cross_check=True)
+        with checking():
+            hits = graph.field_eq_batch(ids, "Friends", target)
         assert hits.tolist() == [graph.outlinks(int(i)) == target
                                  for i in ids]
 
@@ -501,7 +514,8 @@ class TestBatchDedup:
     def test_outlinks_batch_with_duplicates(self, deployment):
         _, graph = deployment
         ids = self._dup_ids(graph)
-        indptr, flat = graph.outlinks_batch(ids, cross_check=True)
+        with checking():
+            indptr, flat = graph.outlinks_batch(ids)
         assert len(indptr) == len(ids) + 1
         for i, node_id in enumerate(ids.tolist()):
             assert flat[indptr[i]:indptr[i + 1]].tolist() == \
@@ -510,21 +524,24 @@ class TestBatchDedup:
     def test_read_field_batch_with_duplicates(self, deployment):
         _, graph = deployment
         ids = self._dup_ids(graph)
-        names = graph.read_field_batch(ids, "Name", cross_check=True)
+        with checking():
+            names = graph.read_field_batch(ids, "Name")
         assert names == [graph.attribute(int(i), "Name") for i in ids]
 
     def test_field_eq_batch_with_duplicates(self, deployment):
         _, graph = deployment
         ids = self._dup_ids(graph)
         target = graph.attribute(5, "Name")
-        hits = graph.field_eq_batch(ids, "Name", target, cross_check=True)
+        with checking():
+            hits = graph.field_eq_batch(ids, "Name", target)
         assert hits.tolist() == [
             graph.attribute(int(i), "Name") == target for i in ids]
 
     def test_degree_batch_with_duplicates(self, deployment):
         _, graph = deployment
         ids = self._dup_ids(graph)
-        degrees = graph.degree_batch(ids, cross_check=True)
+        with checking():
+            degrees = graph.degree_batch(ids)
         assert degrees.tolist() == [len(graph.outlinks(int(i)))
                                     for i in ids]
 
@@ -546,7 +563,8 @@ class TestBatchDedup:
         _, graph = deployment
         node = graph.node_ids[3]
         ids = np.asarray([node] * 25, dtype=np.int64)
-        indptr, flat = graph.outlinks_batch(ids, cross_check=True)
+        with checking():
+            indptr, flat = graph.outlinks_batch(ids)
         expected = graph.outlinks(node)
         assert indptr.tolist() == [len(expected) * i for i in range(26)]
         assert flat.tolist() == expected * 25
@@ -766,8 +784,9 @@ class TestVisitedTracker:
         builder.add_edges(sorted(edges))
         graph = builder.finalize()
         target = names[7]
-        batched = people_search(graph, ids[0], target, hops=3,
-                                network=SimNetwork(), cross_check=True)
+        with checking():
+            batched = people_search(graph, ids[0], target, hops=3,
+                                    network=SimNetwork())
         scalar = scalar_people_search(graph, ids[0], target, 3)
         assert batched.matches == scalar.matches
         assert batched.visited == scalar.visited

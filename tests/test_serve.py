@@ -3,12 +3,12 @@
 The serving layer's contract is that its three optimizations — cross-
 query frontier fusion, hub/result caching, admission control — change
 *when work happens*, never *what the answers are*.  Every test that
-serves queries does so with ``cross_check=True``, which shadow-replays
-each completion (fused, cached, or inline) through the existing
+serves queries does so checked (the ``checked`` fixture opens a
+``repro.oracle.checking()`` scope), which shadow-replays each
+completion (fused, cached, or inline) through the existing
 one-at-a-time library path and raises
-:class:`~repro.errors.DivergenceError` on any difference;
-the suite runs across two machine counts and under interleaved
-mutations.
+:class:`~repro.errors.DivergenceError` on any difference; the suite
+runs across two machine counts and under interleaved mutations.
 """
 
 import numpy as np
@@ -26,6 +26,7 @@ from repro.graph import GraphBuilder
 from repro.graph.model import social_graph_schema
 from repro.memcloud import MemoryCloud
 from repro.obs import MetricsRegistry
+from repro.oracle import checking
 from repro.serve import (
     BatchOp,
     EpochLruCache,
@@ -97,9 +98,10 @@ def mixed_queries(server, count=12):
 class TestCrossCheckSuite:
     """Fused + cached results are identical to the sequential path."""
 
+    @pytest.mark.usefixtures("checked")
     def test_mixed_classes_cross_checked(self, deployment):
         _, graph = deployment
-        server = QueryServer(graph, ServeConfig(cross_check=True))
+        server = QueryServer(graph, ServeConfig())
         tickets = [server.submit(q) for q in mixed_queries(server)]
         server.run()
         assert all(t.status == "done" for t in tickets)
@@ -112,6 +114,7 @@ class TestCrossCheckSuite:
         for first, again in zip(tickets, repeats):
             assert first.result == again.result
 
+    @pytest.mark.usefixtures("checked")
     def test_one_at_a_time_baseline_same_answers(self, deployment):
         """The uncached ``max_in_flight=1`` server — the baseline every
         optimization is measured against — answers like the fused one;
@@ -120,10 +123,9 @@ class TestCrossCheckSuite:
         base = QueryServer(
             graph,
             ServeConfig(max_in_flight=1, result_cache=False,
-                        hub_cache=False, cross_check=True),
+                        hub_cache=False),
             registry=MetricsRegistry())
-        opt = QueryServer(graph, ServeConfig(cross_check=True),
-                          registry=MetricsRegistry())
+        opt = QueryServer(graph, ServeConfig(), registry=MetricsRegistry())
         pool = [PeopleSearchQuery(0, "David"), TqlServeQuery(FUSIBLE_TQL),
                 TqlServeQuery(INLINE_TQL), LandmarkBfsQuery(3)]
         pool += [PeopleSearchQuery(s, "David", hops=3)
@@ -136,12 +138,13 @@ class TestCrossCheckSuite:
             assert tb.status == to.status == "done"
             assert tb.result == to.result
 
+    @pytest.mark.usefixtures("checked")
     def test_interleaved_mutations_cross_checked(self, deployment):
         # Private graph copy: mutations must not leak into the shared
         # module fixture.
         _, shared = deployment
         _cloud, graph = build_graph(shared.cloud.config.machines, scale=7)
-        server = QueryServer(graph, ServeConfig(cross_check=True))
+        server = QueryServer(graph, ServeConfig())
         rng = np.random.default_rng(5)
         results_before = {}
         for round_no in range(4):
@@ -162,13 +165,13 @@ class TestCrossCheckSuite:
             server.mutate(lambda g: g.add_edge(
                 int(rng.choice(g.node_ids[:64])), max(g.node_ids) + 1))
 
+    @pytest.mark.usefixtures("checked")
     def test_divergent_answer_is_never_published(self, deployment,
                                                  monkeypatch):
         """The oracle runs before anything is recorded: an answer that
         fails it is not on the ticket, not counted, not cached."""
         _, graph = deployment
-        server = QueryServer(graph, ServeConfig(cross_check=True),
-                             registry=MetricsRegistry())
+        server = QueryServer(graph, ServeConfig(), registry=MetricsRegistry())
         query = PeopleSearchQuery(0, "David", hops=2)
         monkeypatch.setattr(
             PeopleSearchQuery, "run_sequential",
@@ -220,11 +223,11 @@ class TestFusion:
 
 
 class TestCaches:
+    @pytest.mark.usefixtures("checked")
     def test_result_cache_hits_and_epoch_invalidation(self, deployment):
         _, graph = deployment
         reg = MetricsRegistry()
-        server = QueryServer(graph, ServeConfig(cross_check=True),
-                             registry=reg)
+        server = QueryServer(graph, ServeConfig(), registry=reg)
         q = PeopleSearchQuery(0, "David", hops=3)
         t1 = server.submit(q)
         server.run()
@@ -240,13 +243,13 @@ class TestCaches:
         assert not t3.cached
         assert server.result_cache.invalidated >= 1
 
+    @pytest.mark.usefixtures("checked")
     def test_hub_cache_serves_high_degree_vertices(self, deployment):
         _, graph = deployment
         reg = MetricsRegistry()
         server = QueryServer(
             graph,
-            ServeConfig(result_cache=False, hub_degree_threshold=8,
-                        cross_check=True),
+            ServeConfig(result_cache=False, hub_degree_threshold=8),
             registry=reg)
         for _round in range(2):
             for s in (0, 1, 2):
@@ -455,6 +458,7 @@ class TestAdmission:
         assert alive.status == "done"
 
     @pytest.mark.parametrize("step", ["admission", "window"])
+    @pytest.mark.usefixtures("checked")
     def test_a_raising_plan_fails_only_its_own_ticket(self, deployment,
                                                       step):
         """A plan that raises — on its first step, at admission, or
@@ -464,8 +468,7 @@ class TestAdmission:
         answer."""
         _, graph = deployment
         registry = MetricsRegistry()
-        server = QueryServer(graph, ServeConfig(cross_check=True),
-                             registry=registry)
+        server = QueryServer(graph, ServeConfig(), registry=registry)
         queries = mixed_queries(server, count=7)
         bug = ValueError("a plan bug")
         raiser = RaisingQuery(bug, step)
@@ -485,6 +488,7 @@ class TestAdmission:
         assert report.admission["failed"] == 1
         assert "failed=1" in report.render()
 
+    @pytest.mark.usefixtures("checked")
     def test_a_raising_fused_read_fails_only_its_own_ops(self, deployment):
         """A read that raises inside a fused group — an unknown field,
         an id that names no cell — fails the tickets whose ops raise;
@@ -492,8 +496,7 @@ class TestAdmission:
         as sequential execution does, and ``run()`` returns."""
         _, graph = deployment
         registry = MetricsRegistry()
-        server = QueryServer(graph, ServeConfig(cross_check=True),
-                             registry=registry)
+        server = QueryServer(graph, ServeConfig(), registry=registry)
         queries = mixed_queries(server, count=8)
         missing = max(graph.node_ids) + 1000
         bad_field = BadOpQuery(BatchOp("field_eq", [0, 1],
@@ -603,10 +606,10 @@ class TestTqlFusibility:
         assert compact.key() == spaced.key()
         assert compact.key() != TqlServeQuery(REVERSE_TQL).key()
 
+    @pytest.mark.usefixtures("checked")
     def test_normalized_key_shares_cache_entry(self, deployment):
         _, graph = deployment
-        server = QueryServer(graph, ServeConfig(cross_check=True),
-                             registry=MetricsRegistry())
+        server = QueryServer(graph, ServeConfig(), registry=MetricsRegistry())
         first = server.submit(TqlServeQuery(FUSIBLE_TQL))
         server.run()
         again = server.submit(TqlServeQuery(
@@ -616,10 +619,10 @@ class TestTqlFusibility:
         assert not first.cached and again.cached
         assert first.result == again.result
 
+    @pytest.mark.usefixtures("checked")
     def test_inline_tql_still_served_and_checked(self, deployment):
         _, graph = deployment
-        server = QueryServer(graph, ServeConfig(cross_check=True),
-                             registry=MetricsRegistry())
+        server = QueryServer(graph, ServeConfig(), registry=MetricsRegistry())
         ticket = server.submit(TqlServeQuery(INLINE_TQL))
         server.run()
         assert ticket.status == "done"
@@ -639,7 +642,7 @@ class TestStorageTiers:
     """Serve windows on a paged cloud, identical to resident serving.
 
     The paged deployment's page budget is smaller than the graph, so
-    fused windows constantly fault and evict; ``cross_check=True``
+    fused windows constantly fault and evict; a checked server
     shadow-replays every completion through the sequential library
     path, proving the storage tier never changes an answer.
     """
@@ -654,18 +657,18 @@ class TestStorageTiers:
         yield request.param, cloud, graph
         cloud.release_arenas()
 
+    @pytest.mark.usefixtures("checked")
     def test_mixed_window_cross_checked(self, tier_deployment):
         _, _, graph = tier_deployment
-        server = QueryServer(graph, ServeConfig(cross_check=True),
-                             registry=MetricsRegistry())
+        server = QueryServer(graph, ServeConfig(), registry=MetricsRegistry())
         tickets = [server.submit(q) for q in mixed_queries(server)]
         server.run()
         assert all(t.status == "done" for t in tickets)
 
+    @pytest.mark.usefixtures("checked")
     def test_paged_and_resident_results_identical(self, tier_deployment):
         storage, _, graph = tier_deployment
-        server = QueryServer(graph, ServeConfig(cross_check=True),
-                             registry=MetricsRegistry())
+        server = QueryServer(graph, ServeConfig(), registry=MetricsRegistry())
         tickets = [server.submit(PeopleSearchQuery(s, "David", hops=3))
                    for s in (0, 1, 2)]
         server.run()
@@ -680,12 +683,12 @@ class TestStorageTiers:
             assert result == {"matches": sorted(expected.matches),
                               "visited": expected.visited}
 
+    @pytest.mark.usefixtures("checked")
     def test_mutation_barrier_on_paged_cloud(self, tier_deployment):
         storage, cloud, graph = tier_deployment
         if storage != "paged":
             pytest.skip("exercises the paged tier")
-        server = QueryServer(graph, ServeConfig(cross_check=True),
-                             registry=MetricsRegistry())
+        server = QueryServer(graph, ServeConfig(), registry=MetricsRegistry())
         before = server.submit(PeopleSearchQuery(0, "David", hops=2))
         server.run()
         epoch_before = cloud.mutation_epoch()
@@ -796,12 +799,13 @@ class TestWeightedFairQueue:
         server.run()
         assert fresh.status == "done"
 
+    @pytest.mark.usefixtures("checked")
     def test_wfq_priorities_change_completion_order_not_results(
             self, deployment):
         _, graph = deployment
         weighted = QueryServer(
             graph,
-            ServeConfig(cross_check=True, max_in_flight=1,
+            ServeConfig(max_in_flight=1,
                         class_weights={"vip": 8.0, "bulk": 1.0}),
             registry=MetricsRegistry())
         bulk = [weighted.submit(PeopleSearchQuery(s, "David", hops=2),
@@ -833,11 +837,11 @@ class TestNewFusedShapes:
 
     def _served_fused(self, graph, text):
         reg = MetricsRegistry()
-        server = QueryServer(graph, ServeConfig(cross_check=True),
-                             registry=reg)
+        server = QueryServer(graph, ServeConfig(), registry=reg)
         assert TqlServeQuery(text).fusible(graph), text
         ticket = server.submit(TqlServeQuery(text))
-        server.run()
+        with checking():
+            server.run()
         assert ticket.status == "done"
         # Inline fallbacks complete on their first step, before any
         # fusion window has run an op for them.
@@ -878,24 +882,24 @@ class TestNewFusedShapes:
             "MATCH (a = 1) -[Friends*1..3]-> (b {Name: 'David'}) "
             "WHERE b.Name >= 'D' RETURN b")
 
+    @pytest.mark.usefixtures("checked")
     def test_undirected_reverse_fused(self, deployment):
         _, graph = deployment
         reg = MetricsRegistry()
-        server = QueryServer(graph, ServeConfig(cross_check=True),
-                             registry=reg)
+        server = QueryServer(graph, ServeConfig(), registry=reg)
         ticket = server.submit(TqlServeQuery(REVERSE_TQL))
         server.run()
         assert ticket.status == "done" and ticket.windows >= 1
 
 
+@pytest.mark.usefixtures("checked")
 class TestEpochVectorInvalidation:
     """Per-trunk footprints: writes only kill entries that read the
     written trunk."""
 
     def _fresh(self, scale=7):
         _cloud, graph = build_graph(machines=2, scale=scale)
-        server = QueryServer(graph, ServeConfig(cross_check=True),
-                            registry=MetricsRegistry())
+        server = QueryServer(graph, ServeConfig(), registry=MetricsRegistry())
         return graph, server
 
     @staticmethod
@@ -946,10 +950,10 @@ class TestEpochVectorProperty:
             st.tuples(st.just("write"), st.integers(0, 63)),
         ),
         min_size=4, max_size=16))
+    @pytest.mark.usefixtures("checked")
     def test_interleaved_mutations_never_serve_stale(self, script):
         _cloud, graph = build_graph(machines=2, scale=6, seed=23)
-        server = QueryServer(graph, ServeConfig(cross_check=True),
-                             registry=MetricsRegistry())
+        server = QueryServer(graph, ServeConfig(), registry=MetricsRegistry())
         # Model: key -> (footprint, epoch vector when the entry landed).
         model: dict = {}
         next_node = max(map(int, graph.node_ids)) + 1
@@ -975,7 +979,7 @@ class TestEpochVectorProperty:
                 expected_cached = all(now_vector[t] == then[t]
                                       for t in footprint)
             ticket = server.submit(query)
-            server.run()            # cross_check replays every answer
+            server.run()            # checked: every answer is replayed
             assert ticket.status == "done"
             assert ticket.cached == expected_cached
             if not ticket.cached:
@@ -989,6 +993,7 @@ class TestHugeIds:
     take the tracker's sorted representation and still answer like the
     sequential path."""
 
+    @pytest.mark.usefixtures("checked")
     def test_served_plans_on_sparse_huge_ids(self):
         cloud = MemoryCloud(ClusterConfig(machines=3, trunk_bits=5),
                             MetricsRegistry())
@@ -1006,8 +1011,7 @@ class TestHugeIds:
         reach = TqlServeQuery(f"MATCH (a = {ids[0]}) -[Friends*1..3]-> "
                               f"(b {{Name: '{names[7]}'}}) RETURN b")
         assert reach.fusible(graph)
-        server = QueryServer(graph, ServeConfig(cross_check=True),
-                             registry=MetricsRegistry())
+        server = QueryServer(graph, ServeConfig(), registry=MetricsRegistry())
         tickets = [server.submit(query) for query in (
             PeopleSearchQuery(ids[0], names[7], hops=3),
             LandmarkBfsQuery(ids[0], max_hops=4), reach)]

@@ -8,6 +8,7 @@ from repro.config import ClusterConfig
 from repro.generators import powerlaw_edges
 from repro.graph import CsrTopology, GraphBuilder, plain_graph_schema
 from repro.memcloud import MemoryCloud
+from repro.oracle import checking
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +36,9 @@ class TestTriangles:
         # A cross-checked run holds every send to an out-neighbor; the
         # per-vertex counts must equal a merge over sorted higher-id
         # adjacency, each triangle credited to its middle vertex.
-        engine = BspEngine(triangle_topology, cross_check=True)
-        result = engine.run(TriangleProgram(), max_supersteps=4)
+        with checking():
+            result = BspEngine(triangle_topology).run(TriangleProgram(),
+                                                      max_supersteps=4)
         higher = []
         for vertex in range(triangle_topology.n):
             neighbors = set(triangle_topology.out_neighbors(vertex).tolist())

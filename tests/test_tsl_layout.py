@@ -15,6 +15,7 @@ from repro.config import ClusterConfig, ConfigError, MemoryParams
 from repro.errors import SchemaMismatchError
 from repro.graph import GraphBuilder, plain_graph_schema
 from repro.memcloud import MemoryCloud
+from repro.oracle import checking
 from repro.tsl import (
     LAYOUT_BITMAP,
     LAYOUT_DELTA_VARINT,
@@ -318,7 +319,8 @@ class TestAccessorLayoutPreservation:
         builder = GraphBuilder(cloud, plain_graph_schema(directed=True))
         for src, dst in edges:
             builder.add_edge(src, dst)
-        return builder.finalize(cross_check=True)
+        with checking():
+            return builder.finalize()
 
     def _tag_of(self, graph, node):
         blob = graph.cloud.get(node)
@@ -415,10 +417,11 @@ class TestWritesChooseLayout:
     @given(writes=st.lists(_write, min_size=1, max_size=30))
     def test_stored_layout_is_the_policys_choice(self, storage, policy,
                                                   writes):
-        cloud = MemoryCloud(ClusterConfig(
-            machines=2, trunk_bits=2, memory=MemoryParams(
-                storage=storage, layout_policy=policy, page_size=512,
-                page_budget=2)), cross_check=True)
+        with checking():
+            cloud = MemoryCloud(ClusterConfig(
+                machines=2, trunk_bits=2, memory=MemoryParams(
+                    storage=storage, layout_policy=policy, page_size=512,
+                    page_budget=2)))
         try:
             builder = GraphBuilder(cloud, plain_graph_schema(directed=True))
             for node in range(_NODES):
