@@ -7,21 +7,21 @@ graph, its request stream, four resident pages per trunk; block 0 is a
 warm-up, the next ``--blocks`` are timed) and wraps the batched read's
 seams — no profiler:
 
-* ``MemoryCloud.bulk_get_spans``, the whole span fetch;
-* ``MemoryTrunk.open_spans``, one trunk's share of it, and inside that
-  the page computation (``PagedStorage.span_pages``), the page-table
-  walk and the drop of its victims (``_walk`` / ``_drop``) and the copy
-  of the pages: ``PagedStorage.take`` (``open_spans`` before it) less
-  its walk and drop, at a checkout whose every paged read copies into
-  one read-wide buffer;
-  the over-budget fallback ``_copy_pages`` at one that pinned or copied;
+* ``MemoryCloud.bulk_get_spans``, the whole span fetch, and inside it
+  each touched trunk's share: the page computation
+  (``PagedStorage.span_pages``), the rebase of its spans into its run
+  of the read's buffer (``PagedStorage.rebase``), the page-table walk
+  and the drop of its victims (``_walk`` / ``_drop``) and the copy of
+  the pages: ``PagedStorage.take`` (``open_spans`` before it) less its
+  walk and drop, at a checkout whose every paged read copies into one
+  read-wide buffer; the over-budget fallback ``_copy_pages`` at one
+  that pinned or copied;
 * the columnar decode — ``BatchStructDecoder``'s four span entry
   points, an outer one only when one calls another (``_decode`` at a
   checkout that routed them through it) — with its calls per block: one
   per read when a read's trunks share one buffer, one per trunk touched
   when they do not;
-* ``Graph._read_batch``, the whole batched read those sit in, and
-  ``SpanGroup.close`` at a checkout that still released span pins.
+* ``Graph._read_batch``, the whole batched read those sit in.
 
 ``--src`` points at another checkout's ``src`` so a parent commit can be
 timed by the same script; a seam that checkout lacks is left out.  This
@@ -50,8 +50,7 @@ def main() -> None:
     sys.path.insert(0, args.src)
 
     from repro.graph.api import Graph
-    from repro.memcloud import cloud as cloud_module
-    from repro.memcloud import trunk as trunk_module
+    from repro.memcloud import MemoryCloud
     from repro.memcloud.storage import PagedStorage
     from repro.tsl.batch import BatchStructDecoder
     from workloads import WORKLOADS
@@ -80,10 +79,9 @@ def main() -> None:
         setattr(owner, name, wrapper)
 
     timed(Graph, "_read_batch", "read")
-    timed(cloud_module.SpanGroup, "close", "close")
-    timed(cloud_module.MemoryCloud, "bulk_get_spans", "span fetch")
-    timed(trunk_module.MemoryTrunk, "open_spans", "open_spans")
+    timed(MemoryCloud, "bulk_get_spans", "span fetch")
     timed(PagedStorage, "span_pages", "pages")
+    timed(PagedStorage, "rebase", "rebase")
     timed(PagedStorage, "_span_pages", "pages")
     timed(PagedStorage, "_walk", "walk")
     timed(PagedStorage, "_drop", "drop")
@@ -115,8 +113,8 @@ def main() -> None:
     print(f"serve_cold_paged seed {args.seed}: {workload.nodes} nodes, "
           f"{workload.edges} edges; mean ms per block over {args.blocks} "
           f"(after block 0): {block_ms:.1f}")
-    for key in ("read", "span fetch", "open_spans", "pages", "walk", "drop",
-                "walk + drop", "copy", "decode", "close"):
+    for key in ("read", "span fetch", "pages", "rebase", "walk", "drop",
+                "walk + drop", "copy", "decode"):
         if key in totals:
             per_block = totals[key] / args.blocks * 1e3
             count = (f"{calls[key] / args.blocks:8.0f} calls"

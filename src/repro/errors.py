@@ -54,7 +54,7 @@ class CellLockedError(MemoryCloudError):
 
 
 class StaleSpanError(MemoryCloudError):
-    """A span group outlived a structural change on its trunk.
+    """A batched read outlived a structural change on a trunk it read.
 
     Raised by span consumers when the trunk's mutation epoch has moved
     since the spans were fetched: a put/remove/resize/defragmentation may

@@ -8,11 +8,11 @@ reuse it across supersteps, matching Trinity's memory-resident topology.
 
 Online queries get a middle road: the ``*_batch`` methods take a whole
 frontier of node ids at once, locate it through the memory cloud's
-``bulk_get_spans`` (two vectorized hashes and one probe pass, however
-many trunks it touches; every trunk copies its cells into the read's one
-buffer) and decode adjacency columns CSR-style, once per read, via the
-compiled decoders in :mod:`repro.tsl.batch` — k frontier nodes cost one
-batched read instead of k hash probes plus k whole-cell decodes.  The
+``bulk_get_spans`` (two vectorized hashes, one probe pass and one copy
+into the read's one buffer, however many trunks it touches) and decode
+adjacency columns CSR-style, once per read, via the compiled decoders
+in :mod:`repro.tsl.batch` — k frontier nodes cost one batched read
+instead of k hash probes plus k whole-cell decodes.  The
 scalar reads are that path's reference: inside a
 :func:`repro.oracle.checking` scope every batch entry point replays them
 per node and hands both answers to :func:`repro.oracle.shadow`.
@@ -31,10 +31,6 @@ from ..tsl.layout import install_layout_policy
 from ..tsl.types import ListType
 from ..utils.arrays import gather_ranges
 from .model import GraphSchema
-
-# An empty read has no group: it decodes one empty span list.
-_NO_SPANS = (np.empty(0, dtype=np.uint8), *[np.empty(0, dtype=np.int64)] * 3)
-
 
 class Graph:
     """A graph whose nodes live as cells in a memory cloud.
@@ -115,10 +111,9 @@ class Graph:
                     dtype=None, csr: bool = False):
         """The one batched read behind every ``*_batch`` method.
 
-        Fetches the frontier as spans — one group per trunk, every
-        group's spans in the read's one private buffer, on either
-        storage — runs ``decode(buffer, starts, limits, field_name)``
-        once over all of them, and scatters the results to input order:
+        Fetches the frontier as one span read — every span in the read's
+        one private buffer, on either storage — runs ``decode(buffer,
+        starts, limits, field_name)`` once over all of them, and scatters the results to input order:
         an ndarray of ``dtype``, a plain list when ``dtype`` is None, or
         ``(indptr, flat)`` with ``flat`` of ``dtype`` when ``csr``.
 
@@ -154,13 +149,10 @@ class Graph:
                 unique, inverse = ids, None
             else:
                 self._m_batch_dedup.inc(len(ids) - len(unique))
-        groups = self.cloud.bulk_get_spans(unique)
-        # Every group's spans sit in the read's one buffer: one decode.
-        buffers, *columns = zip(*(groups or [_NO_SPANS]))
-        starts, limits, idx = map(np.concatenate, columns)
-        part = decode(buffers[0], starts, limits, field_name)
-        for group in groups:
-            group.assert_fresh()
+        read = self.cloud.bulk_get_spans(unique)
+        part = decode(read.buffer, read.starts, read.limits, field_name)
+        read.assert_fresh()
+        idx = read.positions
         m = len(unique)
         if csr:
             sub_indptr, sub_flat = part

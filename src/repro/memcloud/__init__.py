@@ -7,8 +7,8 @@ This package implements Section 3 ("The Memory Cloud") and Section 6.1
   control and physical memory pinning.
 * :mod:`~repro.memcloud.hashtable` — the per-trunk open-addressing hash
   table mapping a 64-bit UID to the cell's (offset, size) inside the trunk.
-* :mod:`~repro.memcloud.arena` — the trunk arena: one ``mmap`` (private
-  anonymous, or file-backed) that costs RAM only where it is written.
+* :mod:`~repro.memcloud.arena` — one ``mmap``, RAM only where written: a
+  resident cloud's trunks are slices of one, a paged trunk's file is one.
 * :mod:`~repro.memcloud.trunk` — memory trunks: append-head/committed-tail
   circular allocation over an arena, short-lived memory reservation, and a
   defragmentation pass.
@@ -17,7 +17,8 @@ This package implements Section 3 ("The Memory Cloud") and Section 6.1
 * :mod:`~repro.memcloud.directory` — a mirror of every trunk's hash table,
   on which a batched read locates its whole window in one probe pass.
 * :mod:`~repro.memcloud.cloud` — the :class:`MemoryCloud` facade combining
-  all of the above into a globally addressable key-value store.
+  all of the above into a globally addressable key-value store; a batched
+  read is one :class:`SpanRead`, copied from the arena in one ``take``.
 * :mod:`~repro.memcloud.persistence` — trunk image serialisation for TFS
   backup and failure recovery.
 """
@@ -27,7 +28,7 @@ from .hashtable import TrunkHashTable
 from .arena import Arena
 from .trunk import CELL_HEADER_BYTES, MemoryTrunk, TrunkStats
 from .addressing import AddressingTable
-from .cloud import MemoryCloud, SpanGroup
+from .cloud import MemoryCloud, SpanRead
 
 __all__ = [
     "SpinLock",
@@ -38,5 +39,5 @@ __all__ = [
     "CELL_HEADER_BYTES",
     "AddressingTable",
     "MemoryCloud",
-    "SpanGroup",
+    "SpanRead",
 ]

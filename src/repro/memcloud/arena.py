@@ -1,14 +1,16 @@
-"""The trunk arena: one ``mmap`` the kernel commits on touch.
+"""The arena: one ``mmap`` the kernel commits on touch.
 
-A :class:`MemoryTrunk` reserves one contiguous address space and treats
-it as raw bytes; everything it needs from the backing is a writable
-buffer of fixed length.  :class:`Arena` is that buffer — a single
-``mmap.mmap`` call with one of two backings:
+A :class:`MemoryTrunk` treats one contiguous address space as raw bytes;
+everything it needs from the backing is a writable buffer of fixed
+length.  :class:`Arena` is that buffer — a single ``mmap.mmap`` call
+with one of two backings:
 
 * *private anonymous* (the default): process-private bytes.  Mapping
   reserves address space only; a page costs RAM once it is first
-  written — the paper's VirtualAlloc reserve/commit (§3, §6.1) — so a
-  default cloud is nearly free until cells are stored.
+  written — the paper's VirtualAlloc reserve/commit (§3, §6.1).  A
+  resident cloud reserves **one** such arena for all its trunks, each a
+  fixed slice (:func:`slice_stride`), mapped ``MAP_NORESERVE`` so that
+  heuristic overcommit accepts a reservation larger than RAM.
 * *file-backed* (``path=...``): the paged tier's page file
   (:class:`~repro.memcloud.storage.PagedStorage`), created exclusively
   and removed again by the arena that created it.  The map is shared
@@ -19,9 +21,20 @@ from __future__ import annotations
 
 import mmap
 import os
+import sys
 import weakref
 
 from ..errors import MemoryCloudError
+
+# Python's mmap module names it only from 3.13 (this is Linux's value).
+MAP_NORESERVE = getattr(mmap, "MAP_NORESERVE",
+                        0x4000 if sys.platform == "linux" else 0)
+
+
+def slice_stride(size: int) -> int:
+    """Where trunk slices of ``size`` bytes start apart in one arena:
+    ``size`` rounded up to the OS page, so each is released alone."""
+    return -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
 
 
 def _remove_quietly(path: str) -> None:
@@ -37,15 +50,12 @@ class Arena:
 
     def __init__(self, size: int, path: str | None = None):
         self.path = path
-        # Mapped rounded up to whole 8-byte words, so a read can copy it
-        # word by word (``TrunkStorage.take``); ``len()`` stays ``size``.
-        self._size, mapped = size, -(-size // 8) * 8
         fd, self._remove = -1, None
         if path is None:
             # Spelled out: Python's default for an anonymous map is
             # MAP_SHARED, and a forked child's writes into the arena
             # must not land in the parent's store.
-            flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+            flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | MAP_NORESERVE
         else:
             flags = mmap.MAP_SHARED
             # Exclusive create: two storages on one path would read and
@@ -62,8 +72,8 @@ class Arena:
             self._remove = weakref.finalize(self, _remove_quietly, path)
         try:
             if fd != -1:
-                os.ftruncate(fd, mapped)
-            self._map: mmap.mmap | None = mmap.mmap(fd, mapped, flags=flags)
+                os.ftruncate(fd, size)
+            self._map: mmap.mmap | None = mmap.mmap(fd, size, flags=flags)
         finally:
             if fd != -1:
                 os.close(fd)
@@ -74,9 +84,6 @@ class Arena:
         if self._map is None:
             raise MemoryCloudError("arena used after close()")
         return self._map
-
-    def __len__(self) -> int:
-        return min(len(self.buf), self._size)
 
     def close(self) -> None:
         """Unmap, and remove the page file of a file-backed arena.

@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import os
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,46 +28,37 @@ from ..utils.arrays import SpanBatch, as_span_batch
 from ..utils.hashing import trunk_of, trunk_of_array
 from ..utils.sorting import stable_argsort
 from .addressing import AddressingTable
+from .arena import Arena, slice_stride
 from .directory import SpanDirectory
 from .hashtable import wrap_keys
 from .storage import make_trunk_storage, word_spans
 from .trunk import MemoryTrunk, TrunkStats
 
 
-class SpanGroup:
-    """One trunk's spans plus the machinery to detect staleness.
+class SpanRead(NamedTuple):
+    """One batched read: ``buffer[starts[i]:limits[i]]`` is the payload
+    of id ``positions[i]``, in trunk ``trunk_ids[i]``; the cells of the
+    trunks ``touched`` were located at ``epochs``, which
+    :meth:`assert_fresh` compares with those of the trunks installed in
+    ``trunks`` now (a replaced trunk's successor has a later one)."""
 
-    Iterates as the legacy ``(arena, starts, limits, positions)`` 4-tuple
-    so existing decoders keep unpacking it; additionally carries the trunk
-    and the structural epoch at fetch time so consumers can
-    :meth:`assert_fresh` right before (or after) decoding.  ``arena`` is
-    the read's one private buffer, which every group of the read shares
-    on either storage; it never aliases a trunk's arena.
-    """
-
-    __slots__ = ("arena", "starts", "limits", "positions", "trunk", "epoch")
-
-    def __init__(self, arena, starts, limits, positions, trunk, epoch):
-        self.arena = arena
-        self.starts = starts
-        self.limits = limits
-        self.positions = positions
-        self.trunk = trunk
-        self.epoch = epoch
-
-    def __iter__(self):
-        return iter((self.arena, self.starts, self.limits, self.positions))
-
-    @property
-    def stale(self) -> bool:
-        return self.trunk.mutation_epoch != self.epoch
+    buffer: np.ndarray
+    starts: np.ndarray
+    limits: np.ndarray
+    positions: np.ndarray
+    trunk_ids: np.ndarray
+    trunks: dict
+    touched: list
+    epochs: list
 
     def assert_fresh(self) -> None:
-        """Raise :class:`~repro.errors.StaleSpanError` if the trunk has
-        structurally changed since these spans were fetched."""
-        current = self.trunk.mutation_epoch
-        if current != self.epoch:
-            raise StaleSpanError(self.trunk.trunk_id, self.epoch, current)
+        """Raise :class:`~repro.errors.StaleSpanError` for the first
+        touched trunk that has changed structurally since the read."""
+        current = [self.trunks[t].mutation_epoch for t in self.touched]
+        if current != self.epochs:      # one compare while fresh
+            i = next(i for i, now in enumerate(current)
+                     if now != self.epochs[i])
+            raise StaleSpanError(self.touched[i], self.epochs[i], current[i])
 
 
 class MemoryCloud:
@@ -94,12 +86,17 @@ class MemoryCloud:
             self.config.trunk_bits, range(self.config.machines)
         )
         # Paged clouds keep all their trunks' page files under one spill
-        # directory; a private temp dir is removed with release_arenas().
+        # directory (a private temp dir is removed with release_arenas());
+        # a resident cloud reserves one arena, trunk t its slice t.
         self._spill_dir: str | None = None
+        self._arena: Arena | None = None    # resident clouds only
         memory = self.config.memory
+        self._stride = slice_stride(memory.trunk_size)
         if memory.storage == "paged":
             self._spill_dir = (memory.spill_dir
                                or tempfile.mkdtemp(prefix="repro-cloud-"))
+        else:
+            self._arena = Arena(self.config.trunk_count * self._stride)
         self._shadow: MemoryCloud | None = None   # set below, if checking
         self.trunks: dict[int, MemoryTrunk] = {}
         for trunk_id in range(self.config.trunk_count):
@@ -158,16 +155,19 @@ class MemoryCloud:
 
         The one place a cloud's trunks are made — at construction, when
         a trunk image is adopted, when a machine's memory is lost — so
-        every trunk gets the cloud's registry and spill-file wiring.  It
-        is empty or adopts ``image_state`` (a parsed trunk image), and a
-        shadow cloud gets the same replacement.
-        Replacing a trunk has two hazards, both handled here:
+        every trunk gets the cloud's registry and its arena slice or
+        spill-file wiring.  It is empty or adopts ``image_state`` (a
+        parsed trunk image), and a shadow cloud gets the same
+        replacement.  Replacing a trunk has three hazards, all handled
+        here, under the old trunk's mutex:
 
-        * Outstanding span groups hold the *old* trunk object,
-          so replacing it silently would leave their epoch checks forever
-          green against dead state — the old trunk is touched first so
-          they all go stale, and its storage is released before the
-          successor claims the same page file.
+        * Outstanding reads located cells of the *old* trunk, so
+          replacing it silently would leave their epoch checks forever
+          green against dead state — the old trunk is touched first.
+        * A successor reuses its predecessor's slice of the arena (a
+          paged one, its page file): the old storage is closed and the
+          slice released (``MADV_DONTNEED``) first, so nothing of the
+          old cells leaks into it.
         * The cloud-wide :meth:`mutation_epoch` is a sum over trunks and
           :meth:`epoch_vector` lists them; a successor restarting at 0
           would move both *backwards*, validating serving-layer cache
@@ -175,21 +175,23 @@ class MemoryCloud:
           the old epoch as a floor and bumps past it.
         """
         old = self.trunks.get(trunk_id)
-        if old is not None:
-            old.touch()
-            old.storage.close()
-        memory = self.config.memory
-        fresh = MemoryTrunk(
-            trunk_id, memory, registry=self.obs,
-            storage=make_trunk_storage(
+        with old.mutex if old is not None else contextlib.nullcontext():
+            if old is not None:
+                old.touch()
+                old.storage.close()     # and releases its slice
+            memory = self.config.memory
+            fresh = MemoryTrunk(
                 trunk_id, memory, registry=self.obs,
-                spill_dir=self._spill_dir),
-        )
-        if old is not None:
-            fresh.adopt_epoch(old.mutation_epoch)
-        self.trunks[trunk_id] = fresh
-        if image_state is not None:
-            fresh.adopt_image_state(image_state)
+                storage=make_trunk_storage(
+                    trunk_id, memory, registry=self.obs,
+                    spill_dir=self._spill_dir, arena=self._arena,
+                    base=trunk_id * self._stride),
+            )
+            if old is not None:
+                fresh.adopt_epoch(old.mutation_epoch)
+            self.trunks[trunk_id] = fresh
+            if image_state is not None:
+                fresh.adopt_image_state(image_state)
         if self._shadow is not None:
             self._shadow.replace_trunk(trunk_id, image_state)
         return fresh
@@ -335,45 +337,42 @@ class MemoryCloud:
         """Payload copies for a batch of UIDs, in input order: a copy-out
         over :meth:`bulk_get_spans` (same lookups, same accounting)."""
         out: list = [None] * len(cell_ids)
-        groups = self.bulk_get_spans(cell_ids)
-        for arena, starts, limits, positions in groups:
-            for i, lo, hi in zip(positions.tolist(), starts.tolist(),
-                                 limits.tolist()):
-                out[i] = arena[lo:hi].tobytes()
-        for group in groups:
-            group.assert_fresh()
+        read = self.bulk_get_spans(cell_ids)
+        buffer = read.buffer
+        for i, lo, hi in zip(read.positions.tolist(), read.starts.tolist(),
+                             read.limits.tolist()):
+            out[i] = buffer[lo:hi].tobytes()
+        read.assert_fresh()
         return out
 
-    def bulk_get_spans(self, cell_ids) -> list[SpanGroup]:
-        """Payload spans for a batch, grouped per trunk.
+    def bulk_get_spans(self, cell_ids) -> SpanRead:
+        """Payload spans for a batch, as one :class:`SpanRead` whose
+        payload ``i`` is that of ``cell_ids[read.positions[i]]``.
 
-        Returns one :class:`SpanGroup` per trunk touched, in trunk order
-        — unpacking as ``(arena, starts, limits, positions)`` — where
-        ``arena[starts[i]:limits[i]]`` is the payload of
-        ``cell_ids[positions[i]]``.  Every touched trunk copies into
-        **one read-wide buffer**, each trunk into its own run of it —
-        a resident trunk the 8-byte words under its spans, a paged one
-        the pages under them — so every group's ``arena`` is that one
-        private buffer and the read decodes once.  The resident words
-        and every span's place among them are computed once for the
-        whole read (:func:`~repro.memcloud.storage.word_spans`); a
-        trunk copies its slice of the words in one ``take``.  Each group
-        records the structural epoch its cells were located at; decoders
-        call :meth:`SpanGroup.assert_fresh` so an interleaved mutation
-        raises :class:`~repro.errors.StaleSpanError` instead of yielding
-        bytes of cells that have since moved.
+        Every touched trunk's cells are copied into **one read-wide
+        buffer**, with every touched trunk's mutex held (taken in trunk
+        order, each trunk charged its lookups and probes), so the read
+        decodes once.  A resident cloud copies the 8-byte words under
+        all the spans with one ``take`` over its arena, at cloud offsets
+        ``trunk × stride + start``
+        (:func:`~repro.memcloud.storage.word_spans`); a paged trunk
+        copies the pages under its spans into its own run of the buffer
+        (one walk, copy and drop).  Decoders call
+        :meth:`SpanRead.assert_fresh`, so an interleaved mutation raises
+        :class:`~repro.errors.StaleSpanError` instead of yielding bytes
+        of cells that have since moved.
 
         The whole window is located in one probe pass over the cloud's
-        :class:`~repro.memcloud.directory.SpanDirectory`; a trunk touched
-        then costs a slice of the result and one copy (paged: one walk,
-        copy and drop of its pages).  Observably the batch is a scalar
-        :meth:`get` loop: the same probe accounting per table, and a
-        missing cell raises for the first such id in input order, before
-        any page is touched.
+        :class:`~repro.memcloud.directory.SpanDirectory`.  Observably the
+        batch is a scalar :meth:`get` loop: the same probe accounting per
+        table, and a missing cell raises for the first such id in input
+        order, before any byte is copied.
         """
         count = len(cell_ids)
         if not count:
-            return []
+            none = np.empty(0, dtype=np.int64)
+            return SpanRead(none.view(np.uint8), *[none] * 4, self.trunks,
+                            [], [])
         if self._shadow is not None:
             for cell_id in cell_ids:
                 self._shadow.get(int(cell_id))
@@ -393,45 +392,53 @@ class MemoryCloud:
                 # Not reached, unless the cell was put since the probe.
                 raise CellNotFoundError(
                     int(cell_ids[int(order[~found].min())]))
-            highs = [*lows[1:], count]
-            # Size one buffer for the whole read, then each trunk fills
-            # its own run of it under its own mutex.
-            memory = self.config.memory
-            paged = memory.storage == "paged"
-            if paged:
-                pages = [self.trunks[trunk_id].storage.span_pages(
-                             starts[low:high], limits[low:high])
-                         for trunk_id, low, high in zip(touched, lows, highs)]
+            trunks = [self.trunks[t] for t in touched]
+            if self._arena is None:
+                # paged: each trunk the pages under its spans, in its own
+                # run of the buffer, and its spans rebased into that run
+                page = self.config.memory.page_size
+                runs = [slice(low, high)
+                        for low, high in zip(lows, [*lows[1:], count])]
+                pages = [trunk.storage.span_pages(starts[run], limits[run])
+                         for trunk, run in zip(trunks, runs)]
                 rows = np.cumsum([0, *map(len, pages)]).tolist()
-                units = np.concatenate(pages)
-                page = memory.page_size
+                begins, ends = map(np.concatenate, zip(*(
+                    trunk.storage.rebase(starts[run], limits[run], units, at)
+                    for trunk, run, units, at
+                    in zip(trunks, runs, pages, rows))))
                 buffer = np.empty(rows[-1] * page, dtype=np.uint8)
-                out = buffer.reshape(-1, page)
             else:
-                # the read's words and rebased spans, once: a trunk
-                # copies its slice of the words
-                units, begins, ends = word_spans(starts, limits)
-                rows = [*(begins[lows] >> 3).tolist(), len(units)]
+                # resident: the read's words and rebased spans, once
+                offsets = trunk_ids * self._stride
+                units, begins, ends = word_spans(starts + offsets,
+                                                 limits + offsets)
                 buffer = np.empty(8 * len(units), dtype=np.uint8)
-                out = buffer.view(np.uint64)
             self._m_read_buffer_bytes.inc(len(buffer))
-            spans: list[SpanGroup] = []
-            for trunk_id, epoch, walked, low, high, at, to in zip(
-                    touched, epochs, np.add.reduceat(probes, lows).tolist(),
-                    lows, highs, rows, rows[1:]):
-                trunk = self.trunks[trunk_id]
-                batch = units[at:to]
-                trunk.open_spans(high - low, walked, batch, out[at:to])
-                if paged:
-                    begin, end = trunk.storage.rebase(
-                        starts[low:high], limits[low:high], batch, at)
+            held = []
+            try:
+                for trunk, cells, walked in zip(
+                        trunks, np.diff([*lows, count]).tolist(),
+                        np.add.reduceat(probes, lows).tolist()):
+                    trunk.mutex.acquire()
+                    held.append(trunk.mutex)
+                    trunk.count_lookups(cells, walked)
+                if self._arena is None:
+                    out = buffer.reshape(-1, page)
+                    for trunk, units, at, to in zip(trunks, pages, rows,
+                                                    rows[1:]):
+                        trunk.storage.take(units, out[at:to])
                 else:
-                    begin, end = begins[low:high], ends[low:high]
-                spans.append(SpanGroup(buffer, begin, end, order[low:high],
-                                       trunk, epoch))
+                    # "clip" (the words are in range) lets take write into
+                    # the buffer directly; the default copies via a temporary
+                    np.frombuffer(self._arena.buf, dtype=np.uint64).take(
+                        units, out=buffer.view(np.uint64), mode="clip")
+            finally:
+                for mutex in held:
+                    mutex.release()
         self._m_bulk_get_cells.inc(count)
-        self._m_bulk_get_batches.inc(len(spans))
-        return spans
+        self._m_bulk_get_batches.inc(len(touched))
+        return SpanRead(buffer, begins, ends, order, trunk_ids, self.trunks,
+                        touched, epochs)
 
     def verify_shadow(self) -> None:
         """Compare every trunk against the scalar shadow replay.
@@ -471,14 +478,17 @@ class MemoryCloud:
         return self._spill_dir
 
     def release_arenas(self) -> None:
-        """Unmap every trunk arena and remove paged trunks' page files.
+        """Unmap the cloud's arena and remove paged trunks' page files.
 
         Call when the cloud is done: any later use of it raises
         :class:`~repro.errors.MemoryCloudError`.  Views handed out
         earlier stay readable until they are garbage collected.
         """
-        for trunk in self.trunks.values():
-            trunk.storage.close()
+        if self._arena is not None:
+            self._arena.close()     # every resident storage's
+        else:
+            for trunk in self.trunks.values():
+                trunk.storage.close()
         if self._spill_dir is not None and self.config.memory.spill_dir is None:
             with contextlib.suppress(OSError):
                 os.rmdir(self._spill_dir)  # the temp dir made above
@@ -510,23 +520,11 @@ class MemoryCloud:
 
     def machine_stats(self, machine_id: int) -> TrunkStats:
         """Aggregated trunk statistics for one machine."""
-        stats = [t.stats() for t in self.trunks_on(machine_id)]
+        stats = [dataclasses.astuple(t.stats())
+                 for t in self.trunks_on(machine_id)]
         if not stats:
             raise AddressingError(f"machine {machine_id} owns no trunks")
-        return TrunkStats(
-            cell_count=sum(s.cell_count for s in stats),
-            live_bytes=sum(s.live_bytes for s in stats),
-            reserved_bytes=sum(s.reserved_bytes for s in stats),
-            garbage_bytes=sum(s.garbage_bytes for s in stats),
-            committed_bytes=sum(s.committed_bytes for s in stats),
-            trunk_size=sum(s.trunk_size for s in stats),
-            defrag_passes=sum(s.defrag_passes for s in stats),
-            relocations=sum(s.relocations for s in stats),
-            wraps=sum(s.wraps for s in stats),
-            tail_advances=sum(s.tail_advances for s in stats),
-            defrag_aborts=sum(s.defrag_aborts for s in stats),
-            inplace_resizes=sum(s.inplace_resizes for s in stats),
-        )
+        return TrunkStats(*map(sum, zip(*stats)))     # every field summed
 
     def total_live_bytes(self) -> int:
         """Live bytes (headers + payloads) across the whole cloud."""

@@ -153,21 +153,6 @@ def _parse_body(body: bytes, params: MemoryParams) -> dict:
     return state
 
 
-def trunk_from_bytes(image: bytes, trunk: MemoryTrunk) -> int:
-    """Load an image into the pristine ``trunk``; returns the cell count.
-
-    Raw pages and allocator state are adopted verbatim, so the target
-    must have the page and trunk size the image was taken with —
-    recovery loads a failed machine's images into fresh trunks of the
-    same cloud configuration on survivors.  Anything wrong with the
-    image or the target raises :class:`MemoryCloudError` with the trunk
-    untouched.
-    """
-    state = _parse_image(image, trunk.params)
-    trunk.adopt_image_state(state)
-    return len(state["cells"])
-
-
 def backup_trunk(cloud: MemoryCloud, trunk_id: int,
                  tfs: TrinityFileSystem) -> int:
     """Write one trunk's image to TFS; returns the image size."""

@@ -2,11 +2,11 @@
 
 A :class:`~repro.memcloud.trunk.MemoryTrunk` is an allocator over one
 contiguous byte range; *where those bytes live* is this module's job.
-Every storage is one :class:`~repro.memcloud.arena.Arena` (one mmap);
-the two tiers differ in its backing and in residency policy:
+Every storage is a range of one :class:`~repro.memcloud.arena.Arena`
+(one mmap); the two tiers differ in its backing and in residency policy:
 
-* :class:`ResidentStorage` — a process-private anonymous arena.  All
-  operations are thin slices, and nothing can ever be evicted.
+* :class:`ResidentStorage` — a slice of a process-private anonymous
+  arena: thin slices, and nothing can ever be evicted.
 * :class:`PagedStorage` — the out-of-core tier: the arena is a page
   file on disk, chopped into fixed-size pages tracked by an LRU page
   table.  At most ``page_budget`` pages are *resident* at a time;
@@ -26,16 +26,15 @@ budget evicts pages of its own, which dropped first would fault
 straight back in and stay.  (The kernel's fault-around maps a fault's
 neighbours, so the bound is the budget plus one such window.)
 
-A batched read (``MemoryTrunk.open_spans``) copies, on both tiers,
-units of the arena into a caller's buffer with one
-:meth:`TrunkStorage.take`: a resident trunk the 8-byte words under its
-spans (:func:`word_spans`), a paged one the pages under them — whole
-pages, as a buffer pool would read them, in one walk, one copy and one
-drop.  The cloud sizes one such buffer for every trunk a read touches,
-so the read decodes once.  Nothing of it aliases the mapping, so nothing
-needs to stay resident for it.  Only a writable ``view``
-(``MemoryCloud.pin``) pins its pages, as reference counts dropped on the
-trunk's next structural epoch bump (any mutation).
+A batched read (``MemoryCloud.bulk_get_spans``) copies into one private
+buffer: from a resident cloud's one arena the 8-byte words under all
+its spans (:func:`word_spans`) in one ``take``, from a paged trunk the
+pages under its spans (:meth:`PagedStorage.take`) — whole pages, as a
+buffer pool would read them, in one walk, one copy and one drop.
+Nothing of the buffer aliases a mapping, so nothing needs to stay
+resident for it.  Only a writable ``view`` (``MemoryCloud.pin``) pins
+its pages, as reference counts dropped on the trunk's next structural
+epoch bump (any mutation).
 
 Everything is observable: ``trunk.page.{fault,evict,writeback}.total``
 counters plus ``trunk.page.{resident,pinned}`` gauges per trunk.
@@ -49,9 +48,10 @@ import tempfile
 
 import numpy as np
 
+from ..errors import MemoryCloudError
 from ..obs import get_registry
 from ..utils.arrays import range_indices
-from .arena import Arena
+from .arena import Arena, slice_stride
 
 # A trunk writes a fresh run through its storage in chunks of at most
 # this many bytes (``MemoryTrunk._write_run``): a bigger-than-RAM load
@@ -61,55 +61,43 @@ WRITE_CHUNK_BYTES = 1 << 20
 
 
 class TrunkStorage:
-    """Byte backing for one memory trunk (the storage-tier seam).
+    """Byte backing for one memory trunk (the storage-tier seam): the
+    ``size`` bytes of ``arena`` from ``base``.
 
-    Owns the arena and everything that follows from it alone; the
-    methods a residency policy hooks into default to having none (plain
-    slices, nothing to account, pin or flush).  The trunk holds its own
-    mutex; storages are not thread-safe on their own and every call
-    below happens under the trunk lock.
+    The methods a residency policy hooks into default to having none
+    (plain slices, nothing to account, pin or flush).  The trunk holds
+    its own mutex; storages are not thread-safe on their own and every
+    call below happens under the trunk lock.
     """
 
-    #: True when the whole address space is RAM-resident by construction.
-    resident = True
-    #: Config-facing name ("resident" / "paged").
-    kind = "abstract"
-
-    def __init__(self, arena: Arena):
+    def __init__(self, arena: Arena, base: int, size: int):
         self.arena = arena
+        self.base = base
+        self._size = size
         self._array: np.ndarray | None = None
-        self._words: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.arena)
+        return self._size
 
     def read(self, start: int, end: int) -> bytes:
         """Copy out ``[start, end)``."""
-        return self.arena.buf[start:end]
+        return self.arena.buf[self.base + start:self.base + end]
 
     def write(self, start: int, data) -> None:
         """Write ``data`` at ``start``."""
+        start += self.base
         self.arena.buf[start:start + len(data)] = data
 
     def view(self, start: int, end: int) -> memoryview:
         """Writable zero-copy view of ``[start, end)`` (cell pinning)."""
-        return memoryview(self.arena.buf)[start:end]
+        return memoryview(self.arena.buf)[self.base + start:self.base + end]
 
     def as_ndarray(self) -> np.ndarray:
-        """The whole address space as one ``uint8`` array (span reads)."""
+        """The whole address space as one ``uint8`` array."""
         if self._array is None:
             self._array = np.frombuffer(self.arena.buf, dtype=np.uint8,
-                                        count=len(self.arena))
+                                        count=self._size, offset=self.base)
         return self._array
-
-    def take(self, units, out) -> None:
-        """Copy the arena's 8-byte words ``units`` (:func:`word_spans`)
-        into the ``uint64`` array ``out``; a paged backing, pages."""
-        if self._words is None:
-            self._words = np.frombuffer(self.arena.buf, dtype=np.uint64)
-        # "clip" (the words are in range) lets take write into ``out``
-        # directly; the default mode copies through a temporary
-        self._words.take(units, out=out, mode="clip")
 
     def release_pins(self) -> None:
         """Drop every view pin (structural epoch bump)."""
@@ -122,19 +110,39 @@ class TrunkStorage:
     def close(self) -> None:
         """Release the arena (and a paged trunk's page file).  Any later
         use of the storage raises :class:`MemoryCloudError`."""
-        self._array = self._words = None
+        self._array = None
         self.arena.close()
 
 
-class ResidentStorage(TrunkStorage):
-    """The whole trunk stays in RAM: a private anonymous arena and no
-    residency policy.
+class _Released:
+    """A closed resident storage's arena: its slice may be a successor's."""
 
-    Reads and writes are plain slices, a batched read is one ``take``
-    of the words under its spans, there is nothing to pin.
+    @property
+    def buf(self):
+        raise MemoryCloudError("arena used after close()")
+
+
+_RELEASED = _Released()
+
+
+class ResidentStorage(TrunkStorage):
+    """The whole trunk stays in RAM with no residency policy: the slice
+    of ``arena`` from ``base`` (the cloud's), else an arena of its own.
+
+    Reads and writes are plain slices, there is nothing to pin.
     """
 
-    kind = "resident"
+    def __init__(self, size: int, arena: Arena | None = None, base: int = 0):
+        if arena is None:       # a one-slice arena, as a cloud's would be
+            arena = Arena(slice_stride(size))
+        super().__init__(arena, base, size)
+
+    def close(self) -> None:
+        """Give the slice's pages back (a successor on it reads zeros)
+        and let go of the arena, unmapped with its last holder."""
+        arena, self.arena, self._array = self.arena, _RELEASED, None
+        if arena is not _RELEASED:
+            arena.buf.madvise(mmap.MADV_DONTNEED, self.base, self._size)
 
 
 class PagedStorage(TrunkStorage):
@@ -149,13 +157,9 @@ class PagedStorage(TrunkStorage):
     and removed on :meth:`close` or garbage collection.
     """
 
-    resident = False
-    kind = "paged"
-
     def __init__(self, trunk_id: int, params, registry=None,
                  spill_dir=None):
         self.trunk_id = trunk_id
-        self._size = params.trunk_size
         self._page = params.page_size
         self._budget = max(1, params.page_budget)
         if spill_dir is not None:
@@ -168,7 +172,8 @@ class PagedStorage(TrunkStorage):
             path = tempfile.mktemp(
                 prefix=f"repro-trunk{trunk_id}-", suffix=".pages"
             )
-        super().__init__(Arena(self._size, path=path))
+        super().__init__(Arena(params.trunk_size, path=path), 0,
+                         params.trunk_size)
         # LRU page table: key order is recency (oldest first).
         self._resident: dict[int, None] = {}
         self._dirty: set[int] = set()
@@ -376,10 +381,12 @@ def word_spans(starts, limits) -> tuple:
 
 
 def make_trunk_storage(trunk_id: int, params, registry=None,
-                       spill_dir=None) -> TrunkStorage:
+                       spill_dir=None, arena: Arena | None = None,
+                       base: int = 0) -> TrunkStorage:
     """Build the storage tier a trunk's params ask for; ``spill_dir``
-    (default: the params') is where a paged trunk's page file goes."""
+    (default: the params') is where a paged trunk's page file goes, and
+    a resident trunk is the slice of ``arena`` at ``base``, if given."""
     if params.storage == "paged":
         return PagedStorage(trunk_id, params, registry=registry,
                             spill_dir=spill_dir or params.spill_dir)
-    return ResidentStorage(Arena(params.trunk_size))
+    return ResidentStorage(params.trunk_size, arena, base)

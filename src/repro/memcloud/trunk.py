@@ -1,9 +1,9 @@
 """Memory trunks with circular memory management (Sections 3 and 6.1).
 
-A trunk is a contiguous reserved address space (one ``mmap`` here, a 2 GB
-VirtualAlloc reservation in the paper; both cost RAM only for the pages
-actually written) holding variable-length cells plus a hash table locating
-them.  Allocation follows the paper's circular scheme:
+A trunk is a contiguous reserved address space (a slice of its cloud's
+``mmap`` here, a 2 GB VirtualAlloc reservation in the paper; both cost RAM
+only for the pages written) holding variable-length cells plus a hash
+table locating them.  Allocation follows the paper's circular scheme:
 
 * New cells are appended at ``append_head``; in most cases allocation is a
   pointer bump.
@@ -174,6 +174,12 @@ class MemoryTrunk:
     def storage(self) -> TrunkStorage:
         """The byte backing tier (resident or paged)."""
         return self._storage
+
+    @property
+    def mutex(self) -> threading.RLock:
+        """Held by every operation below, a batched read's copy and the
+        trunk's replacement."""
+        return self._mutex
 
     # -- public API ----------------------------------------------------------
 
@@ -359,19 +365,12 @@ class MemoryTrunk:
             return (self._mutation_epoch, keys.copy(), states.copy(),
                     starts, starts + self._sizes[slots])
 
-    def open_spans(self, cells: int, probes: int, units, out) -> None:
-        """Copy this trunk's share of a batched read into ``out``: the
-        index is charged the ``cells`` lookups and ``probes`` slots the
-        span directory walked for it, then the storage takes ``units``
-        (:meth:`~repro.memcloud.storage.TrunkStorage.take`) under the
-        mutex.  The copy never aliases the arena, but its cells may move
-        at this trunk's next structural change, so whoever decodes
-        checks the epoch they were located at against
-        :attr:`mutation_epoch` (:exc:`~repro.errors.StaleSpanError`)."""
-        with self._mutex:
-            self._index.lookup_count += cells
-            self._index.probe_count += probes
-            self._storage.take(units, out)
+    def count_lookups(self, cells: int, probes: int) -> None:
+        """Charge the index the ``cells`` lookups and ``probes`` slots the
+        span directory walked for a batched read, whose caller holds
+        :attr:`mutex` across this and its copy of the cells."""
+        self._index.lookup_count += cells
+        self._index.probe_count += probes
 
     def _invalidate_spans(self) -> None:
         """Advance the structural epoch.
@@ -405,7 +404,7 @@ class MemoryTrunk:
         (no relocation, no put), which leaves offsets valid but changes
         cell *content*.  Anything caching decoded values keyed on
         :attr:`mutation_epoch` — the serving layer's hub/result caches,
-        outstanding span groups — must observe such writes too, so
+        outstanding batched reads — must observe such writes too, so
         they share the same epoch bump as structural changes.
         """
         with self._mutex:

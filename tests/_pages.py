@@ -83,7 +83,7 @@ class PageTableModel:
         for page in self.span_pages([start], [end]):
             self.pins[page] = self.pins.get(page, 0) + 1
 
-    def open_spans(self, starts, limits) -> None:
+    def copy_spans(self, starts, limits) -> None:
         """A batched read: its pages are read once, in order, and
         copied out; nothing is pinned."""
         for page in self.span_pages(starts, limits):

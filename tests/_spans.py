@@ -1,10 +1,10 @@
 """The cloud's batched read, over one standalone trunk or one bare table.
 
 ``MemoryCloud.bulk_get_spans`` locates a window in its
-:class:`~repro.memcloud.directory.SpanDirectory` and then asks each trunk
-touched to copy its spans.  Tests that exercise a trunk, a storage (or a
-hash table) on its own make the same calls here, through a directory of
-one region.
+:class:`~repro.memcloud.directory.SpanDirectory`, charges each trunk
+touched its lookups and copies the spans under the trunks' mutexes.
+Tests that exercise a trunk, a storage (or a hash table) on its own make
+the same calls here, through a directory of one region.
 """
 
 from __future__ import annotations
@@ -12,16 +12,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CellNotFoundError
-from repro.memcloud import SpanGroup
+from repro.memcloud import SpanRead
 from repro.memcloud.directory import SpanDirectory
-from repro.memcloud.storage import word_spans
+from repro.memcloud.storage import ResidentStorage, word_spans
 from repro.obs import MetricsRegistry
 
 
-def payloads(spans: SpanGroup) -> list[bytes]:
-    """Every payload of a span group, copied out in the group's order."""
-    return [bytes(spans.arena[start:limit]) for start, limit
-            in zip(spans.starts.tolist(), spans.limits.tolist())]
+def payloads(read: SpanRead) -> list[bytes]:
+    """Every payload of a read, copied out in the read's span order."""
+    return [bytes(read.buffer[start:limit]) for start, limit
+            in zip(read.starts.tolist(), read.limits.tolist())]
+
+
+def stale(read: SpanRead) -> list[int]:
+    """The trunks a read touched that have changed structurally since:
+    what ``read.assert_fresh()`` raises for, all of them."""
+    return [t for t, epoch in zip(read.touched, read.epochs)
+            if read.trunks[t].mutation_epoch != epoch]
 
 
 def locate(directory: SpanDirectory, trunk, keys):
@@ -34,43 +41,50 @@ def locate(directory: SpanDirectory, trunk, keys):
                 epoch)
 
 
-def open_spans(storage, starts, limits, take=None, buffer=None, at=0):
+def copy_spans(storage, starts, limits, buffer=None, at=0):
     """``(buffer, starts, limits)``: the spans copied the way the cloud
     copies one trunk's share of a read — a resident storage's words
-    under them (:func:`~repro.memcloud.storage.word_spans`), a paged
-    one's pages — by ``take(units, out)`` (default: the storage's own
-    ``take``) into ``buffer`` from unit ``at`` on (a fresh buffer when
-    None), and rebased into it."""
-    if storage.resident:
+    under them (:func:`~repro.memcloud.storage.word_spans`, taken from
+    its arena at its slice), a paged one's pages (its ``take``) — into
+    ``buffer`` from unit ``at`` on (a fresh buffer when None), and
+    rebased into it."""
+    resident = isinstance(storage, ResidentStorage)
+    if resident:
         unit, (units, begins, ends) = 8, word_spans(starts, limits)
         begins, ends = begins + 8 * at, ends + 8 * at
+        words = np.frombuffer(storage.arena.buf, dtype=np.uint64)
+
+        def take(units, out):
+            words.take(units + storage.base // 8, out=out, mode="clip")
     else:
         unit, units = storage.page_size, storage.span_pages(starts, limits)
         begins, ends = storage.rebase(starts, limits, units, at)
+        take = storage.take
     if buffer is None:
         buffer = np.empty((at + len(units)) * unit, dtype=np.uint8)
-    out = (buffer.view(np.uint64) if storage.resident
+    out = (buffer.view(np.uint64) if resident
            else buffer.reshape(-1, unit))
-    (take or storage.take)(units, out[at:at + len(units)])
+    take(units, out[at:at + len(units)])
     return buffer, begins, ends
 
 
 def trunk_spans(trunk, uids, directory: SpanDirectory | None = None
-                ) -> SpanGroup:
-    """One batched read of a standalone trunk, as the one span group the
-    cloud would make of it: located in a directory (a throwaway one
-    unless given), charged to the trunk's index and copied by the trunk
-    (:func:`open_spans`)."""
+                ) -> SpanRead:
+    """One batched read of a standalone trunk, as the cloud would make
+    it: located in a directory (a throwaway one unless given), charged
+    to the trunk's index and copied (:func:`copy_spans`) under the
+    trunk's mutex."""
     if directory is None:
         directory = SpanDirectory(1, MetricsRegistry())
     starts, limits, probes, found, epoch = locate(directory, trunk, uids)
     if not found.all():
         raise CellNotFoundError(int(uids[int(np.flatnonzero(~found)[0])]))
-
-    def take(units, out):
-        trunk.open_spans(len(uids), int(probes.sum()), units, out)
-    return SpanGroup(*open_spans(trunk.storage, starts, limits, take),
-                     np.arange(len(uids)), trunk, epoch)
+    with trunk.mutex:
+        trunk.count_lookups(len(uids), int(probes.sum()))
+        copied = copy_spans(trunk.storage, starts, limits)
+    t = trunk.trunk_id
+    return SpanRead(*copied, np.arange(len(uids)),
+                    np.full(len(uids), t), {t: trunk}, [t], [epoch])
 
 
 class TableAsTrunk:

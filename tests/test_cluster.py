@@ -11,6 +11,8 @@ from repro.errors import (
 )
 from repro.oracle import checking
 
+from ._spans import stale
+
 
 @pytest.fixture
 def loaded_cluster(cluster, rng):
@@ -250,7 +252,7 @@ class TestRecovery:
         entry stamped before the crash would validate again)."""
         cluster, client, reference = loaded_cluster
         cloud = cluster.cloud
-        groups = cloud.bulk_get_spans(list(reference))
+        read = cloud.bulk_get_spans(list(reference))
         before = cloud.epoch_vector()
         lost = set(cloud.addressing.trunks_of(1))
         assert any(before[t] for t in lost)
@@ -259,7 +261,8 @@ class TestRecovery:
         after = cloud.epoch_vector()
         for trunk_id, (old, new) in enumerate(zip(before, after)):
             assert new > old if trunk_id in lost else new == old
-        assert all(g.stale == (g.trunk.trunk_id in lost) for g in groups)
+        assert stale(read) == [t for t in read.touched if t in lost]
+        assert stale(read) and stale(read) != read.touched
         assert all(client.get_cell(u) == v for u, v in reference.items())
 
     def test_paged_replacement_keeps_its_page_file_in_the_spill_dir(self):

@@ -136,13 +136,11 @@ class TestSpanInvalidation:
         graph = build_graph(policy="raw", storage=storage, nodes=30)
         cloud = graph.cloud
         uids = np.asarray(sorted(graph.node_ids), dtype=np.int64)
-        groups = cloud.bulk_get_spans(uids)
-        for group in groups:
-            group.assert_fresh()  # nothing written yet
+        read = cloud.bulk_get_spans(uids)
+        read.assert_fresh()  # nothing written yet
         rewrite_pass(graph, DEFAULT_LAYOUT_POLICY)
         with pytest.raises(StaleSpanError):
-            for group in groups:
-                group.assert_fresh()
+            read.assert_fresh()
         # A re-fetch observes the new layouts and decodes cleanly.
         snapshot(graph)
 

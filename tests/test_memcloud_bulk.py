@@ -18,6 +18,8 @@ from repro.memcloud import MemoryCloud
 from repro.obs import MetricsRegistry
 from repro.oracle import checking
 
+from ._spans import stale
+
 UID = st.integers(min_value=0, max_value=2**63 - 1)
 SMALL_UID = st.integers(min_value=0, max_value=23)
 PAYLOAD = st.binary(max_size=48)
@@ -33,6 +35,15 @@ def make_cloud(trunk_bits=3, checked=False,
     )
     with checking(checked):
         return MemoryCloud(config, MetricsRegistry())
+
+
+def copy_out(read) -> list[bytes]:
+    """Every payload of a batched read, in input order."""
+    out: list = [None] * len(read.positions)
+    for i, lo, hi in zip(read.positions.tolist(), read.starts.tolist(),
+                         read.limits.tolist()):
+        out[i] = read.buffer[lo:hi].tobytes()
+    return out
 
 
 def assert_clouds_identical(bulk, scalar, probes=True):
@@ -340,11 +351,7 @@ class TestBulkGetSpans:
 
     def test_spans_roundtrip(self):
         cloud, uids, payloads = self._loaded_cloud()
-        out = [None] * len(uids)
-        for arena, starts, limits, idx in cloud.bulk_get_spans(uids):
-            for j, i in enumerate(idx.tolist()):
-                out[i] = arena[starts[j]:limits[j]].tobytes()
-        assert out == payloads
+        assert copy_out(cloud.bulk_get_spans(uids)) == payloads
 
     def test_spans_track_mutations(self):
         """Overwrites and removes must invalidate the span caches."""
@@ -357,11 +364,7 @@ class TestBulkGetSpans:
         keep = np.asarray([u for j, u in enumerate(uids.tolist())
                            if j != 1], dtype=np.int64)
         expected = [p for j, p in enumerate(payloads) if j != 1]
-        out = [None] * len(keep)
-        for arena, starts, limits, idx in cloud.bulk_get_spans(keep):
-            for j, i in enumerate(idx.tolist()):
-                out[i] = arena[starts[j]:limits[j]].tobytes()
-        assert out == expected
+        assert copy_out(cloud.bulk_get_spans(keep)) == expected
 
     def test_spans_missing_uid_raises(self):
         from repro.errors import CellNotFoundError
@@ -375,43 +378,37 @@ class TestBulkGetSpans:
 
         A defragmentation pass relocates cells inside the arena, so span
         offsets fetched before the pass may now point at other cells'
-        bytes.  Every span group carries the trunk's structural epoch at
+        bytes.  A read carries every touched trunk's structural epoch at
         fetch time; the post-decode freshness check turns the interleaved
         relocation into a canonical ``StaleSpanError``.
         """
         from repro.errors import StaleSpanError
         cloud, uids, payloads = self._loaded_cloud()
-        groups = cloud.bulk_get_spans(uids)
-        for group in groups:
-            group.assert_fresh()  # nothing moved yet: decode is safe
+        read = cloud.bulk_get_spans(uids)
+        read.assert_fresh()  # nothing moved yet: decode is safe
         for trunk in cloud.trunks.values():
             assert trunk.defragment()
-        stale = [group for group in groups if group.stale]
-        assert stale, "defragment must advance the structural epoch"
+        assert stale(read) == read.touched, \
+            "defragment must advance the structural epoch"
         with pytest.raises(StaleSpanError):
-            for group in groups:
-                group.assert_fresh()
+            read.assert_fresh()
         # A re-fetch observes the post-defrag layout and decodes cleanly.
-        out = [None] * len(uids)
-        for arena, starts, limits, idx in cloud.bulk_get_spans(uids):
-            for j, i in enumerate(idx.tolist()):
-                out[i] = arena[starts[j]:limits[j]].tobytes()
-        assert out == payloads
+        assert copy_out(cloud.bulk_get_spans(uids)) == payloads
 
     def test_a_resident_read_is_one_private_buffer(self, monkeypatch):
-        """Every trunk a resident read touches copies its spans into the
-        read's one buffer: the groups share it, it aliases no trunk's
-        arena, and its payloads (empty ones among them) are
-        ``bulk_get``'s.  Groups stay per trunk, so a put that relocates
-        cells on one trunk stales exactly that trunk's group, and a
-        batched graph read that straddles such a put refuses to answer."""
+        """Every trunk a resident read touches is copied into the read's
+        one buffer: it aliases no trunk's arena, and its payloads (empty
+        ones among them) are ``bulk_get``'s.  Epochs stay per trunk, so
+        a put that relocates cells on one trunk stales exactly that
+        trunk, and a batched graph read that straddles such a put
+        refuses to answer."""
         from repro.errors import StaleSpanError
         from repro.graph import GraphBuilder
         from repro.graph.model import social_graph_schema
         cloud, uids, payloads = self._loaded_cloud()
         assert b"" in payloads
         copied = cloud.obs.counter("memcloud.cloud.read_buffer_bytes")
-        groups = cloud.bulk_get_spans(uids)
+        read = cloud.bulk_get_spans(uids)
         # the whole 8-byte words under each cell's span in its arena
         located = {}
         for trunk in cloud.trunks.values():
@@ -424,23 +421,18 @@ class TestBulkGetSpans:
             (limit + 7) // 8 - start // 8
             for start, limit in map(located.get, uids.tolist()))
         assert copied.value > sum(map(len, payloads))
-        assert len(groups) >= 2
-        [buffer] = {id(group.arena): group.arena for group in groups}.values()
+        assert len(read.touched) >= 2
         for trunk in cloud.trunks.values():
-            assert not np.shares_memory(buffer, trunk.storage.as_ndarray())
-        out = [None] * len(uids)
-        for arena, starts, limits, idx in groups:
-            for j, i in enumerate(idx.tolist()):
-                out[i] = arena[starts[j]:limits[j]].tobytes()
-        assert out == cloud.bulk_get(uids) == payloads
-        moved = groups[1]
-        uid = int(uids[moved.positions[0]])
+            assert not np.shares_memory(read.buffer,
+                                        trunk.storage.as_ndarray())
+        assert copy_out(read) == cloud.bulk_get(uids) == payloads
+        moved = read.touched[1]
+        uid = int(uids[read.positions[read.trunk_ids == moved][0]])
         trunk = cloud.trunk_for(uid)
         relocations = trunk.stats().relocations
         cloud.put(uid, b"z" * 4096)      # outgrows its slot: relocated
         assert trunk.stats().relocations == relocations + 1
-        assert [group.stale for group in groups] == [
-            group is moved for group in groups]
+        assert stale(read) == [moved]
 
         graph_cloud = make_cloud()
         builder = GraphBuilder(graph_cloud, social_graph_schema())
@@ -471,7 +463,7 @@ class TestBulkGetSpans:
             uids = list(range(40))
             cloud.bulk_put(uids, [bytes([uid]) * 100 for uid in uids])
             copied = cloud.obs.counter("memcloud.cloud.read_buffer_bytes")
-            buffer = cloud.bulk_get_spans(uids)[0].arena
+            buffer = cloud.bulk_get_spans(uids).buffer
             assert copied.value == len(buffer)
             assert len(buffer) % 512 == 0 and len(buffer) >= 40 * 100
         finally:

@@ -13,7 +13,8 @@ from repro.oracle import checking
 from repro.tfs import TrinityFileSystem
 from repro.utils.varint import encode_varint
 
-from ._images import checksummed, reference_image
+from ._images import checksummed, reference_image, trunk_from_bytes
+from ._spans import stale
 
 
 class TestKeyValue:
@@ -175,7 +176,7 @@ class TestPersistence:
         from repro.memcloud.trunk import MemoryTrunk
         trunk = MemoryTrunk(0, cloud.config.memory)
         with pytest.raises(MemoryCloudError, match="magic"):
-            persistence.trunk_from_bytes(b"XXXXjunk", trunk)
+            trunk_from_bytes(b"XXXXjunk", trunk)
 
     def test_image_truncation_detected(self, cloud):
         cloud.put(1, b"payload-bytes")
@@ -187,7 +188,7 @@ class TestPersistence:
         from repro.memcloud.trunk import MemoryTrunk
         fresh = MemoryTrunk(0, cloud.config.memory)
         with pytest.raises(MemoryCloudError, match="truncated"):
-            persistence.trunk_from_bytes(image[:-4], fresh)
+            trunk_from_bytes(image[:-4], fresh)
 
     @pytest.fixture
     def loaded(self, cloud):
@@ -210,7 +211,7 @@ class TestPersistence:
         assert dict(installed.dump_cells()) == cells
         fresh = MemoryTrunk(trunk_id, cloud.config.memory)
         with pytest.raises(MemoryCloudError, match=match):
-            persistence.trunk_from_bytes(image, fresh)
+            trunk_from_bytes(image, fresh)
         assert len(fresh) == 0 and fresh.stats().committed_bytes == 0
 
     def test_bytes_after_the_last_page_are_refused(self, loaded):
@@ -340,6 +341,29 @@ class TestShadowFollowsTrunkReplacement:
         finally:
             cloud.release_arenas()
 
+    def test_an_image_adopted_over_a_live_trunk_reaches_the_shadow(
+            self, checked_cloud):
+        """Images reach a cloud's trunks only through ``replace_trunk``
+        (loading one into a bare trunk object is test-side only), so the
+        shadow adopts what the cloud adopts, over cells both held."""
+        cloud = checked_cloud
+        trunk_id = cloud.trunk_for(3).trunk_id
+        new = next(uid for uid in range(300, 400)
+                   if cloud.trunk_for(uid).trunk_id == trunk_id)
+        other = MemoryCloud(cloud.config, MetricsRegistry())
+        try:
+            other.put(3, b"from the image")
+            other.put(new, b"only in the image")
+            image = persistence.trunk_to_bytes(other.trunks[trunk_id])
+        finally:
+            other.release_arenas()
+        persistence.adopt_trunk_image(cloud, trunk_id, image)
+        cloud.verify_shadow()
+        assert cloud.bulk_get([3, new]) == [b"from the image",
+                                            b"only in the image"]
+        cloud.put(3, b"changed after")
+        cloud.verify_shadow()
+
     def test_a_lost_trunk_is_lost_in_the_shadow_too(self, checked_cloud):
         cloud = checked_cloud
         cloud.replace_trunk(cloud.trunk_for(3).trunk_id)
@@ -360,14 +384,13 @@ class TestArenaWiring:
     def test_replace_trunk_carries_the_epoch_and_stales_old_spans(self, cloud):
         for uid in range(40):
             cloud.put(uid, b"v" * 20)
-        groups = cloud.bulk_get_spans(list(range(40)))
+        read = cloud.bulk_get_spans(list(range(40)))
         before = cloud.epoch_vector()
         fresh = cloud.replace_trunk(0)
         assert cloud.trunks[0] is fresh and len(fresh) == 0
         after = cloud.epoch_vector()
         assert after[0] > before[0] and after[1:] == before[1:]
-        assert [g.stale for g in groups] == [g.trunk.trunk_id == 0
-                                             for g in groups]
+        assert stale(read) == [0]
 
     def test_two_paged_clouds_cannot_share_a_spill_dir(self, tmp_path):
         """They would map the same page files and read each other's

@@ -29,7 +29,7 @@ from repro.memcloud.hashtable import TrunkHashTable
 from repro.obs import MetricsRegistry
 from repro.utils.hashing import trunk_of
 
-from ._spans import TableAsTrunk, locate
+from ._spans import TableAsTrunk, locate, stale
 from .test_memcloud_hashtable import list_prober_of
 
 
@@ -54,17 +54,32 @@ def pinned_pages(cloud) -> list[int]:
             for t in sorted(cloud.trunks)]
 
 
-def copy_out(groups, count) -> list[bytes]:
+def copy_out(read, count) -> list[bytes]:
     """Every payload of one batched read, in input order; the read is
     checked fresh after the copy."""
     out: list = [None] * count
-    for arena, starts, limits, positions in groups:
-        for i, lo, hi in zip(positions.tolist(), starts.tolist(),
-                             limits.tolist()):
-            out[i] = arena[lo:hi].tobytes()
-    for group in groups:
-        group.assert_fresh()
+    for i, lo, hi in zip(read.positions.tolist(), read.starts.tolist(),
+                         read.limits.tolist()):
+        out[i] = read.buffer[lo:hi].tobytes()
+    read.assert_fresh()
     return out
+
+
+def free_mutexes(cloud) -> bool:
+    """Whether another thread could take every trunk's mutex now."""
+    taken: list = []
+
+    def take_all():
+        for trunk in cloud.trunks.values():
+            if not trunk.mutex.acquire(timeout=5):
+                return
+            trunk.mutex.release()
+            taken.append(trunk)
+
+    thread = threading.Thread(target=take_all)
+    thread.start()
+    thread.join()
+    return len(taken) == len(cloud.trunks)
 
 
 def page_faults(cloud) -> list[int]:
@@ -96,19 +111,19 @@ class TestFailedBatch:
             assert raised.value.cell_id == missing
             assert pinned_pages(cloud) == [0] * 8
             assert page_faults(cloud) == faults
-            groups = cloud.bulk_get_spans(live)     # and a good one
+            read = cloud.bulk_get_spans(live)       # and a good one
             assert pinned_pages(cloud) == [0] * 8
-            [buffer] = {id(group.arena): group.arena
-                        for group in groups}.values()
             for trunk in cloud.trunks.values():
-                assert not np.shares_memory(buffer,
+                assert not np.shares_memory(read.buffer,
                                             trunk.storage.as_ndarray())
-            assert copy_out(groups, 40) == [bytes([uid]) * 100
-                                            for uid in live]
+            assert copy_out(read, 40) == [bytes([uid]) * 100
+                                          for uid in live]
         finally:
             cloud.release_arenas()
 
     def test_a_failing_copy_step_leaves_no_page_pinned(self):
+        """Nor a trunk mutex held: the read takes all of them for its
+        copy and lets every one go when a trunk's copy fails."""
         cloud = make_cloud("paged", trunk_bits=3, page_budget=4)
         try:
             live = list(range(40))
@@ -118,11 +133,12 @@ class TestFailedBatch:
             def broken(*args):
                 raise OSError("page file went away")
 
-            cloud.trunks[5].open_spans = broken
+            cloud.trunks[5].storage.take = broken
             with pytest.raises(OSError, match="went away"):
                 cloud.bulk_get_spans(live)
             assert pinned_pages(cloud) == [0] * 8
-            del cloud.trunks[5].open_spans
+            assert free_mutexes(cloud)
+            del cloud.trunks[5].storage.take
             assert copy_out(cloud.bulk_get_spans(live), 40) == [
                 bytes([uid]) * 100 for uid in live]
         finally:
@@ -307,6 +323,50 @@ class TestRegions:
         assert (limits - starts).tolist() == [1] * len(keys)
         assert int(probes.sum()) == reference.probe_count
         assert int(probes.max()) > 1        # some chain was walked
+
+
+class TestOneCompare:
+    """A read is fresh while the epochs its trunks were located at equal
+    theirs now: one compare, naming the first trunk that moved."""
+
+    @pytest.mark.parametrize("change", ["grow", "remove", "defragment",
+                                        "replace"])
+    def test_only_a_touched_trunk_that_changed_stales_a_read(self, change):
+        cloud = make_cloud(trunk_bits=2)
+        try:
+            cells = {t: [uid for uid in range(200)
+                         if trunk_of(uid, 2) == t][:4] for t in range(4)}
+            for uid in sum(cells.values(), []):
+                cloud.put(uid, bytes([uid]) * 30)
+            a, b, c = 0, 2, 3
+            ids = cells[b][:3] + cells[a][:3]
+            read = cloud.bulk_get_spans(ids)
+            assert read.touched == [a, b]
+            assert read.trunk_ids.tolist() == [a] * 3 + [b] * 3
+            cloud.put(cells[c][0], b"c" * 300)      # trunk c: not read
+            cloud.trunks[c].defragment()
+            assert stale(read) == []
+            assert copy_out(read, 6) == [bytes([uid]) * 30 for uid in ids]
+            if change == "grow":
+                cloud.put(cells[b][0], b"b" * 300)  # relocated
+            elif change == "remove":
+                cloud.remove(cells[b][3])           # a cell it did not read
+            elif change == "defragment":
+                cloud.trunks[b].defragment()
+            else:
+                cloud.replace_trunk(b)
+            assert stale(read) == [b]
+            with pytest.raises(StaleSpanError, match=f"trunk {b}:"):
+                read.assert_fresh()
+        finally:
+            cloud.release_arenas()
+
+    def test_an_empty_read_is_fresh(self, cloud):
+        read = cloud.bulk_get_spans([])
+        assert (read.touched, len(read.buffer), len(read.positions)) == (
+            [], 0, 0)
+        cloud.put(1, b"one")
+        read.assert_fresh()
 
 
 class SpanDirectoryMachine(RuleBasedStateMachine):

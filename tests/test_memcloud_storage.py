@@ -24,7 +24,7 @@ from repro.obs import MetricsRegistry
 from repro.utils.arrays import gather_ranges
 
 from ._pages import PageTableModel
-from ._spans import open_spans, payloads, trunk_spans
+from ._spans import copy_spans, payloads, trunk_spans
 
 PAGE = 64
 OS_PAGE = mmap.ALLOCATIONGRANULARITY    # msync/madvise extents align to it
@@ -50,7 +50,7 @@ OPS = st.lists(
         st.tuples(st.just("read"), SPAN),
         st.tuples(st.just("write"), SPAN),
         st.tuples(st.just("view"), SPAN),
-        st.tuples(st.just("open_spans"), st.lists(SPAN, max_size=12)),
+        st.tuples(st.just("copy_spans"), st.lists(SPAN, max_size=12)),
         st.tuples(st.just("release")),
         st.tuples(st.just("flush")),
     ),
@@ -106,12 +106,12 @@ class Harness:
             model.view(start, end)
             with storage.view(start, end) as view:
                 view[:] = data
-        elif kind == "open_spans":
+        elif kind == "copy_spans":
             bounds = [clip(span, self.size) for span in op[1]]
             starts = np.array([b[0] for b in bounds], dtype=np.int64)
             limits = np.array([b[1] for b in bounds], dtype=np.int64)
-            model.open_spans(starts.tolist(), limits.tolist())
-            buffer, lo, hi = open_spans(storage, starts, limits)
+            model.copy_spans(starts.tolist(), limits.tolist())
+            buffer, lo, hi = copy_spans(storage, starts, limits)
             for (start, end), a, b in zip(bounds, lo.tolist(), hi.tolist()):
                 assert bytes(buffer[a:b]) == bytes(shadow[start:end])
             assert not np.shares_memory(buffer, storage.as_ndarray())
@@ -160,7 +160,7 @@ class TestBatchWalkAgainstPerPageChain:
             assert list(harness.storage._resident) == [0, 1]
             harness.step(("view", (2, 0, PAGE)))
             assert list(harness.storage._resident) == [0, 1, 2]
-            harness.step(("open_spans", [(5, 0, 10), (6, 0, 10)]))
+            harness.step(("copy_spans", [(5, 0, 10), (6, 0, 10)]))
             assert list(harness.storage._resident) == [0, 1, 2]
             assert harness.victims[-2:] == [5, 6]
             harness.step(("release",))
@@ -173,7 +173,7 @@ class TestBatchWalkAgainstPerPageChain:
         try:
             harness.step(("write", (0, 0, 6 * PAGE)))
             harness.step(("write", (2, 1, 6 * PAGE)))
-            harness.step(("open_spans", [(p, 17, 1) for p in range(10)]))
+            harness.step(("copy_spans", [(p, 17, 1) for p in range(10)]))
             harness.step(("read", (1, 0, 6 * PAGE)))
             harness.step(("flush",))
         finally:
@@ -251,8 +251,8 @@ class TestPageCopy:
             # other rows belong to other trunks and must stay as they are.
             shared = np.full((len(pages) + 5) * page, 0xAB, dtype=np.uint8)
             for buffer, lo, hi in (
-                    open_spans(storage, starts, limits),
-                    open_spans(storage, starts, limits, buffer=shared, at=3)):
+                    copy_spans(storage, starts, limits),
+                    copy_spans(storage, starts, limits, buffer=shared, at=3)):
                 assert storage.pinned_pages == 0
                 assert not np.shares_memory(buffer, storage.as_ndarray())
                 assert np.array_equal(gather_ranges(buffer, lo, hi - lo),
@@ -263,7 +263,7 @@ class TestPageCopy:
                     assert 0 <= a <= b <= len(buffer)
                     assert np.array_equal(buffer[a:b], expected[start:limit])
             assert buffer is shared
-            assert len(open_spans(storage, starts, limits)[0]) == (
+            assert len(copy_spans(storage, starts, limits)[0]) == (
                 len(pages) * page)
             assert (shared[:3 * page] == 0xAB).all()
             assert (shared[(len(pages) + 3) * page:] == 0xAB).all()

@@ -10,7 +10,8 @@ from repro.memcloud.directory import SpanDirectory
 from repro.memcloud.trunk import CELL_HEADER_BYTES, MemoryTrunk
 from repro.obs import MetricsRegistry
 
-from ._spans import payloads, trunk_spans
+from ._images import trunk_from_bytes
+from ._spans import payloads, stale, trunk_spans
 
 
 def make_trunk(trunk_size=64 * 1024, **kwargs) -> MemoryTrunk:
@@ -300,7 +301,7 @@ class TestPagedSpanStaleness:
                 trunk.remove(uid)
             uids = np.array([1, 3, 5, 7], dtype=np.uint64)
             spans = trunk_spans(trunk, uids)
-            fetched = spans.epoch
+            [fetched] = spans.epochs
             assert fetched == trunk.mutation_epoch
             assert trunk.defragment()
             assert trunk.mutation_epoch != fetched
@@ -313,7 +314,7 @@ class TestPagedSpanStaleness:
             trunk.put(1, b"a" * 100)
             spans = trunk_spans(trunk, np.array([1], dtype=np.uint64))
             trunk.put(2, b"b" * 100)  # any structural mutation
-            assert trunk.mutation_epoch != spans.epoch
+            assert stale(spans) == [trunk.trunk_id]
         finally:
             trunk.storage.close()
 
@@ -345,13 +346,12 @@ class TestPagedSpanStaleness:
             uids = np.arange(100, dtype=np.uint64)
             cloud.bulk_put(uids, [bytes([i]) * 150 for i in range(100)],
                            presize=False)
-            groups = cloud.bulk_get_spans(uids[:20])
+            read = cloud.bulk_get_spans(uids[:20])
             for uid in uids[:50].tolist():
                 cloud.remove(int(uid))
             cloud.defragment_all()
             with pytest.raises(StaleSpanError):
-                for group in groups:
-                    group.assert_fresh()
+                read.assert_fresh()
         finally:
             cloud.release_arenas()
 
@@ -408,7 +408,7 @@ class TestSpanCacheInvalidation:
         target = make_trunk(trunk_size=1 << 20)
         assert target._index.get(uids[0]) is None
         assert target._index.lookup_count == 1   # a miss on the pristine trunk
-        restored = persistence.trunk_from_bytes(
+        restored = trunk_from_bytes(
             persistence.trunk_to_bytes(source), target)
         assert restored == len(source)
         state = source.freeze_image_state()
@@ -433,7 +433,7 @@ class TestSpanCacheInvalidation:
         uids = np.arange(60, dtype=np.uint64)
         cloud.bulk_put(uids, [bytes([i]) * 40 for i in range(60)],
                        presize=False)
-        groups = cloud.bulk_get_spans(uids)
+        read = cloud.bulk_get_spans(uids)
         epoch_before = cloud.mutation_epoch()
         manager = CheckpointManager(TrinityFileSystem(), job="trunkreg")
         manager.save_cloud(1, cloud)
@@ -441,11 +441,11 @@ class TestSpanCacheInvalidation:
         # The cloud-wide epoch may never go backwards across a restore:
         # serve-layer caches stamped before it must not validate after.
         assert cloud.mutation_epoch() > epoch_before
-        # Outstanding span groups hold the *replaced* trunk objects and
+        # An outstanding read located cells of the *replaced* trunks and
         # must fail freshness rather than silently pass forever.
+        assert stale(read) == read.touched
         with pytest.raises(StaleSpanError):
-            for group in groups:
-                group.assert_fresh()
+            read.assert_fresh()
         assert cloud.bulk_get(uids) == [bytes([i]) * 40 for i in range(60)]
 
     def test_paged_checkpoint_restart_round_trip(self):

@@ -23,7 +23,7 @@ from repro.memcloud import MemoryCloud, persistence
 from repro.memcloud.trunk import MemoryTrunk
 from repro.obs import MetricsRegistry
 
-from ._images import reference_image
+from ._images import reference_image, trunk_from_bytes
 from ._spans import payloads, trunk_spans
 
 TRUNK_SIZE = 2048
@@ -417,7 +417,7 @@ class TestDamagedImage:
             # trunk_from_bytes loads into the trunk it is given, which
             # must be empty: adopting over live cells would orphan them.
             with pytest.raises(MemoryCloudError, match="empty"):
-                persistence.trunk_from_bytes(image, source.trunks[0])
+                trunk_from_bytes(image, source.trunks[0])
             assert source.trunks[0].get(1) == b"from-source"
         finally:
             source.release_arenas()
@@ -489,9 +489,9 @@ class TestEvictionChurn:
             evictions = paged.storage._m_evict.value
             spans = trunk_spans(paged, uids)
             for i in range(12):
-                got = bytes(spans.arena[spans.starts[i]:spans.limits[i]])
+                got = bytes(spans.buffer[spans.starts[i]:spans.limits[i]])
                 assert got == payloads[i]
-            assert not np.shares_memory(spans.arena,
+            assert not np.shares_memory(spans.buffer,
                                         paged.storage.as_ndarray())
             assert paged.storage._m_evict.value > evictions
             assert paged.storage.resident_pages <= PAGE_BUDGET
@@ -510,8 +510,8 @@ class TestEvictionChurn:
             paged.put(2, b"b" * 40)
             spans = trunk_spans(paged, np.array([1, 2], dtype=np.uint64))
             assert payloads(spans) == [b"a" * 40, b"b" * 40]
-            assert len(spans.arena) == PAGE_SIZE
-            assert not np.shares_memory(spans.arena,
+            assert len(spans.buffer) == PAGE_SIZE
+            assert not np.shares_memory(spans.buffer,
                                         paged.storage.as_ndarray())
             assert paged.storage.pinned_pages == 0
         finally:
