@@ -39,22 +39,22 @@ class SpanRead(NamedTuple):
     """One batched read: ``buffer[starts[i]:limits[i]]`` is the payload
     of id ``positions[i]``, in trunk ``trunk_ids[i]``; the cells of the
     trunks ``touched`` were located at ``epochs``, which
-    :meth:`assert_fresh` compares with those of the trunks installed in
-    ``trunks`` now (a replaced trunk's successor has a later one)."""
+    :meth:`assert_fresh` compares with the cloud's epoch ``column`` now
+    (a replaced trunk's successor counts on from a later one)."""
 
     buffer: np.ndarray
     starts: np.ndarray
     limits: np.ndarray
     positions: np.ndarray
     trunk_ids: np.ndarray
-    trunks: dict
+    column: np.ndarray
     touched: list
     epochs: list
 
     def assert_fresh(self) -> None:
         """Raise :class:`~repro.errors.StaleSpanError` for the first
         touched trunk that has changed structurally since the read."""
-        current = [self.trunks[t].mutation_epoch for t in self.touched]
+        current = self.column[self.touched].tolist()
         if current != self.epochs:      # one compare while fresh
             i = next(i for i, now in enumerate(current)
                      if now != self.epochs[i])
@@ -98,6 +98,11 @@ class MemoryCloud:
         else:
             self._arena = Arena(self.config.trunk_count * self._stride)
         self._shadow: MemoryCloud | None = None   # set below, if checking
+        # Slot t of each: the installed trunk t's epoch, and its mutex
+        # with its hash table (one pair, so a read charges the table of
+        # the trunk whose mutex it holds).
+        self._epochs = np.zeros(self.config.trunk_count, dtype=np.int64)
+        self._slots: list = [None] * self.config.trunk_count
         self.trunks: dict[int, MemoryTrunk] = {}
         for trunk_id in range(self.config.trunk_count):
             self.replace_trunk(trunk_id)
@@ -168,16 +173,19 @@ class MemoryCloud:
           paged one, its page file): the old storage is closed and the
           slice released (``MADV_DONTNEED``) first, so nothing of the
           old cells leaks into it.
-        * The cloud-wide :meth:`mutation_epoch` is a sum over trunks and
-          :meth:`epoch_vector` lists them; a successor restarting at 0
+        * The cloud-wide :meth:`mutation_epoch` sums the epoch column
+          and :meth:`epoch_vector` lists it; a successor restarting at 0
           would move both *backwards*, validating serving-layer cache
-          entries stamped before the replacement.  The successor adopts
-          the old epoch as a floor and bumps past it.
+          entries stamped before the replacement.  The successor counts
+          on in its predecessor's slot of the epoch column, one past the
+          epoch the retired trunk keeps in a copy of its own.
         """
         old = self.trunks.get(trunk_id)
         with old.mutex if old is not None else contextlib.nullcontext():
             if old is not None:
                 old.touch()
+                old._count_epoch_in(np.array([old.mutation_epoch]), 0)
+                self._epochs[trunk_id] += 1
                 old.storage.close()     # and releases its slice
             memory = self.config.memory
             fresh = MemoryTrunk(
@@ -187,9 +195,9 @@ class MemoryCloud:
                     spill_dir=self._spill_dir, arena=self._arena,
                     base=trunk_id * self._stride),
             )
-            if old is not None:
-                fresh.adopt_epoch(old.mutation_epoch)
+            fresh._count_epoch_in(self._epochs, trunk_id)
             self.trunks[trunk_id] = fresh
+            self._slots[trunk_id] = (fresh.mutex, fresh._index)
             if image_state is not None:
                 fresh.adopt_image_state(image_state)
         if self._shadow is not None:
@@ -222,7 +230,7 @@ class MemoryCloud:
         return cell_id in self.trunk_for(cell_id)
 
     def mutation_epoch(self) -> int:
-        """Cloud-wide mutation version: the sum of every trunk's epoch.
+        """Cloud-wide mutation version: the sum of the epoch column.
 
         Strictly increases on *any* mutation anywhere in the cloud —
         puts, removes, resizes, defrag passes, wraps, and in-place
@@ -232,21 +240,21 @@ class MemoryCloud:
         CSR snapshot) stamp with it; caches that know which trunks they
         read use :meth:`epoch_vector` instead.
         """
-        return sum(t.mutation_epoch for t in self.trunks.values())
+        return int(self._epochs.sum())
 
     def epoch_vector(self) -> tuple[int, ...]:
-        """Per-trunk mutation epochs, indexed by trunk id.
+        """Per-trunk mutation epochs, indexed by trunk id: the cloud's
+        epoch column as a tuple, read in one ``tolist``.
 
         The fine-grained validity token: a cached value that recorded
         which trunks it was decoded from only needs those components to
         still match — a write to trunk 7 leaves entries that never read
-        trunk 7 provably fresh.  Each component is the same counter that
-        guards batched-read spans (:attr:`MemoryTrunk.mutation_epoch`), so
-        every mutation path that bumps the scalar epoch moves exactly
+        trunk 7 provably fresh.  Component ``t`` *is* the installed
+        trunk's :attr:`MemoryTrunk.mutation_epoch` (the trunk counts in
+        its slot of the column), so every mutation path moves exactly
         its owning trunk's component here.
         """
-        return tuple(self.trunks[t].mutation_epoch
-                     for t in range(self.config.trunk_count))
+        return tuple(self._epochs.tolist())
 
     def trunks_of_array(self, cell_ids) -> np.ndarray:
         """Owning trunk id per UID — one vectorized first-hash pass.
@@ -288,8 +296,8 @@ class MemoryCloud:
         trunks = trunk_of_array(uids, self.config.trunk_bits).astype(np.int64)
         order = stable_argsort(trunks)
         trunks = trunks[order]
-        cuts = np.flatnonzero(trunks[1:] != trunks[:-1]) + 1
-        return uids, outside, order, trunks, [0, *cuts.tolist()]
+        lows = np.flatnonzero(trunks[1:] != trunks[:-1]) + 1
+        return uids, outside, order, trunks, np.concatenate(([0], lows))
 
     def bulk_put(self, cell_ids, values, presize: bool = True) -> None:
         """Insert or overwrite a batch of cells along the batched path.
@@ -312,6 +320,7 @@ class MemoryCloud:
             return
         with self._h_bulk_put.time():
             uids, outside, order, trunks, lows = self._route(cell_ids)
+            lows = lows.tolist()
             if outside is not None:
                 # Routed like the scalar path routes them (by the wrapped
                 # value) but handed on as they are, for the trunk to refuse.
@@ -371,16 +380,17 @@ class MemoryCloud:
         count = len(cell_ids)
         if not count:
             none = np.empty(0, dtype=np.int64)
-            return SpanRead(none.view(np.uint8), *[none] * 4, self.trunks,
+            return SpanRead(none.view(np.uint8), *[none] * 4, self._epochs,
                             [], [])
         if self._shadow is not None:
             for cell_id in cell_ids:
                 self._shadow.get(int(cell_id))
         with self._h_bulk_get.time():
             uids, outside, order, trunk_ids, lows = self._route(cell_ids)
-            touched = trunk_ids[lows].tolist()
+            touched = trunk_ids[lows]
             with self._directory.lock:
-                epochs = self._directory.refresh(self.trunks, touched)
+                epochs = self._directory.refresh(self.trunks, touched,
+                                                 self._epochs)
                 starts, limits, probes, found = self._directory.probe(
                     uids[order], trunk_ids)
             if outside is not None or not found.all():
@@ -392,13 +402,14 @@ class MemoryCloud:
                 # Not reached, unless the cell was put since the probe.
                 raise CellNotFoundError(
                     int(cell_ids[int(order[~found].min())]))
-            trunks = [self.trunks[t] for t in touched]
+            touched = touched.tolist()
             if self._arena is None:
                 # paged: each trunk the pages under its spans, in its own
                 # run of the buffer, and its spans rebased into that run
+                trunks = [self.trunks[t] for t in touched]
                 page = self.config.memory.page_size
-                runs = [slice(low, high)
-                        for low, high in zip(lows, [*lows[1:], count])]
+                runs = [slice(low, high) for low, high
+                        in zip(lows.tolist(), [*lows[1:].tolist(), count])]
                 pages = [trunk.storage.span_pages(starts[run], limits[run])
                          for trunk, run in zip(trunks, runs)]
                 rows = np.cumsum([0, *map(len, pages)]).tolist()
@@ -414,14 +425,16 @@ class MemoryCloud:
                                                  limits + offsets)
                 buffer = np.empty(8 * len(units), dtype=np.uint8)
             self._m_read_buffer_bytes.inc(len(buffer))
-            held = []
+            slots = [self._slots[t] for t in touched]
+            held = 0
             try:
-                for trunk, cells, walked in zip(
-                        trunks, np.diff([*lows, count]).tolist(),
+                for (mutex, table), cells, walked in zip(
+                        slots, np.diff(lows, append=count).tolist(),
                         np.add.reduceat(probes, lows).tolist()):
-                    trunk.mutex.acquire()
-                    held.append(trunk.mutex)
-                    trunk.count_lookups(cells, walked)
+                    mutex.acquire()
+                    held += 1
+                    table.lookup_count += cells
+                    table.probe_count += walked
                 if self._arena is None:
                     out = buffer.reshape(-1, page)
                     for trunk, units, at, to in zip(trunks, pages, rows,
@@ -433,12 +446,12 @@ class MemoryCloud:
                     np.frombuffer(self._arena.buf, dtype=np.uint64).take(
                         units, out=buffer.view(np.uint64), mode="clip")
             finally:
-                for mutex in held:
+                for mutex, _table in slots[:held]:
                     mutex.release()
         self._m_bulk_get_cells.inc(count)
         self._m_bulk_get_batches.inc(len(touched))
-        return SpanRead(buffer, begins, ends, order, trunk_ids, self.trunks,
-                        touched, epochs)
+        return SpanRead(buffer, begins, ends, order, trunk_ids, self._epochs,
+                        touched, epochs.tolist())
 
     def verify_shadow(self) -> None:
         """Compare every trunk against the scalar shadow replay.

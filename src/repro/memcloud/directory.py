@@ -10,10 +10,12 @@ two vectorized hashes and one linear-probe pass over ``base[trunk] +
 
 A trunk's *region* mirrors its table slot for slot and is valid exactly
 while the trunk's ``mutation_epoch`` is the one it was copied at
-(:meth:`~repro.memcloud.trunk.MemoryTrunk.span_table`); a stale region
-is recopied before it is probed.  Regions are laid out again only when a
-table's capacity differs from its region's (the regions between the
-resized ones move as blocks), and a trunk never read in a batch has none.
+(:meth:`~repro.memcloud.trunk.MemoryTrunk.span_table`); a window's stale
+regions are one compare of those epochs with the cloud's epoch column,
+and are recopied before they are probed.  Regions are laid out again
+only when a table's capacity differs from its region's (the regions
+between the resized ones move as blocks), and a trunk never read in a
+batch has none.
 
 Readers hold :attr:`SpanDirectory.lock` around refresh and probe and
 take trunk mutexes inside it, never the reverse; writers never take it:
@@ -38,7 +40,7 @@ class SpanDirectory:
         # Region of trunk t: slots [base[t], base[t + 1]) of each column.
         self._base = np.zeros(trunk_count + 1, dtype=np.int64)
         self._mask = np.zeros(trunk_count, dtype=np.int64)
-        self._epochs = [-1] * trunk_count     # no trunk epoch is negative
+        self._epochs = np.full(trunk_count, -1)   # no epoch is negative
         self._columns = [                     # keys, states, starts, limits
             np.zeros(0, dtype=dtype)
             for dtype in (np.uint64, np.uint8, np.int64, np.int64)]
@@ -46,11 +48,12 @@ class SpanDirectory:
         self._m_relayouts = registry.counter("memcloud.directory.relayouts")
         self._g_slots = registry.gauge("memcloud.directory.slots")
 
-    def refresh(self, trunks, touched: list[int]) -> list[int]:
-        """Recopy the stale regions among ``touched``; the epoch each of
-        their regions now mirrors, in ``touched`` order."""
+    def refresh(self, trunks, touched: np.ndarray,
+                column: np.ndarray) -> np.ndarray:
+        """Recopy the regions among ``touched`` whose epoch is not the
+        trunk's in ``column``; the epochs they now mirror, in order."""
         epochs, base = self._epochs, self._base
-        stale = [t for t in touched if trunks[t].mutation_epoch != epochs[t]]
+        stale = touched[epochs[touched] != column[touched]].tolist()
         if stale:
             tables = [trunks[t].span_table() for t in stale]
             resized = {t: len(table[1]) for t, table in zip(stale, tables)
@@ -62,7 +65,7 @@ class SpanDirectory:
                     column[base[t]:base[t + 1]] = values
                 epochs[t] = epoch
             self._m_refreshed.inc(len(stale))
-        return [epochs[t] for t in touched]
+        return epochs[touched]
 
     def _relayout(self, resized: dict[int, int]) -> None:
         """Give each trunk of ``resized`` a region of its new capacity,

@@ -145,7 +145,7 @@ class MemoryTrunk:
         # loaded cells are never contended) and dropped with the slot.
         # Every access runs under the trunk mutex, so neither can race.
         self._locks: dict[int, SpinLock] = {}
-        self._mutation_epoch = 0
+        self._count_epoch_in(np.zeros(1, dtype=np.int64), 0)
         self._free_slots: list[int] = []
         self._append_head = 0
         self._committed_tail = 0       # oldest live byte (circular start)
@@ -362,15 +362,8 @@ class MemoryTrunk:
         with self._mutex:
             keys, slots, states = self._index.columns()
             starts = self._offsets[slots]
-            return (self._mutation_epoch, keys.copy(), states.copy(),
+            return (self.mutation_epoch, keys.copy(), states.copy(),
                     starts, starts + self._sizes[slots])
-
-    def count_lookups(self, cells: int, probes: int) -> None:
-        """Charge the index the ``cells`` lookups and ``probes`` slots the
-        span directory walked for a batched read, whose caller holds
-        :attr:`mutex` across this and its copy of the cells."""
-        self._index.lookup_count += cells
-        self._index.probe_count += probes
 
     def _invalidate_spans(self) -> None:
         """Advance the structural epoch.
@@ -383,19 +376,26 @@ class MemoryTrunk:
         bytes.  View pins die with their epoch: whatever mutated may now
         evict freely.
         """
-        self._mutation_epoch += 1
+        self._epoch_slots[self._epoch_slot] += 1
         self._storage.release_pins()
+
+    def _count_epoch_in(self, column: np.ndarray, slot: int) -> None:
+        """Keep :attr:`mutation_epoch` in ``column[slot]`` from now on:
+        a one-slot column of its own, or its slot of a cloud's column."""
+        self._epoch_slots, self._epoch_slot = memoryview(column), slot
 
     @property
     def mutation_epoch(self) -> int:
-        """Structural-change counter guarding batched-read spans.
+        """Structural-change counter guarding batched-read spans: this
+        trunk's slot of its epoch column.
 
-        Read without the mutex: a single int load is atomic under the
-        GIL, and the lock could not make the value any less stale — it
-        may advance the instant after release either way.  Keeping this
-        lock-free matters because :meth:`MemoryCloud.epoch_vector` reads
-        it once per trunk on every serving drain."""
-        return self._mutation_epoch
+        Read without the mutex: the lock could not make the value any
+        less stale — it may advance the instant after release either
+        way.  A cloud's consumers do not read it trunk by trunk: they
+        read the cloud's whole column (:meth:`MemoryCloud.epoch_vector`,
+        a read's staleness check, the span directory's refresh) in one
+        vector operation."""
+        return self._epoch_slots[self._epoch_slot]
 
     def touch(self) -> None:
         """Record an in-place payload mutation that bypassed put().
@@ -607,19 +607,6 @@ class MemoryTrunk:
             self._index.probe_count = self._index.lookup_count = 0
             self._invalidate_spans()
             self._storage.flush()
-
-    def adopt_epoch(self, floor: int) -> None:
-        """Raise the mutation epoch strictly above ``floor``.
-
-        A restored trunk replaces its previous incarnation wholesale;
-        carrying the old epoch forward keeps the cloud-wide
-        :meth:`MemoryCloud.mutation_epoch` monotonic, so serving-layer
-        caches stamped before the restore can never validate as fresh
-        against the restored data.
-        """
-        with self._mutex:
-            self._mutation_epoch = max(self._mutation_epoch, floor)
-            self._invalidate_spans()
 
     # -- allocation internals --------------------------------------------
 

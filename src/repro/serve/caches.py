@@ -9,18 +9,22 @@ the owning trunk's ``mutation_epoch``; the cloud exposes those counters
 as a per-trunk vector (:meth:`repro.memcloud.cloud.MemoryCloud.
 epoch_vector`).
 
-Entries come in two validity granularities:
+Entries come in two validity granularities; either stamp records a
+``getter`` and ``getter(epochs)``, valid iff ``getter(now) == recorded``
+(one C-level call, however many trunks it names):
 
 * **footprint-stamped** — ``put(..., footprint=trunk_ids)`` records the
-  epoch of exactly the trunks the value was decoded from.  A write to
-  trunk 7 only invalidates entries whose footprint includes trunk 7;
-  everything else stays provably fresh.  Hub-adjacency entries stamp
-  their one owning trunk; query-result entries stamp the trunk set their
-  plan's batch reads resolved through.
-* **full-stamped** — no footprint: the entry records the entire epoch
-  vector.  *Any* mutation anywhere invalidates it — the only safe rule
-  for inline plans whose reads are not footprintable (subgraph matching
-  over a snapshot, inline TQL backtracking).
+  epoch of exactly the trunks the value was decoded from (the getter is
+  ``operator.itemgetter(*trunk_ids)``).  A write to trunk 7 only
+  invalidates entries whose footprint includes trunk 7; everything else
+  stays provably fresh.  Hub-adjacency entries stamp their one owning
+  trunk; query-result entries stamp the trunk set their plan's batch
+  reads resolved through.
+* **full-stamped** — no footprint: the getter is ``tuple`` and the entry
+  records the entire epoch vector.  *Any* mutation anywhere invalidates
+  it — the only safe rule for inline plans whose reads are not
+  footprintable (subgraph matching over a snapshot, inline TQL
+  backtracking).
 
 Staleness stays impossible rather than unlikely — a checked server
 proves it by shadow-replaying cached answers.
@@ -29,15 +33,14 @@ proves it by shadow-replaying cached answers.
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import itemgetter
 
 import numpy as np
 
 from ..obs import get_registry
 
-#: Stamp tags: a full stamp compares the whole vector for equality, a
-#: partial (footprint) stamp compares only its recorded trunk components.
-_FULL = 0
-_PART = 1
+#: The getter of an empty footprint: nothing to compare, always valid.
+_NOTHING = itemgetter(slice(0, 0))
 
 
 class EpochLruCache:
@@ -50,7 +53,7 @@ class EpochLruCache:
     land under ``serve.cache.*`` labelled with the cache's name.
 
     The epoch token passed to ``get``/``put`` is the cloud's per-trunk
-    epoch vector (a sequence indexed by trunk id); ``footprint`` (an
+    epoch vector (a tuple indexed by trunk id); ``footprint`` (an
     iterable of trunk ids) restricts the entry's validity to those
     components.
 
@@ -85,20 +88,13 @@ class EpochLruCache:
 
     @staticmethod
     def _stamp(epochs, footprint) -> tuple:
+        """``(getter, getter(epochs), trunks)``; ``trunks`` is None for
+        a full stamp."""
         if footprint is None:
-            return (_FULL, tuple(epochs))
-        return (_PART, tuple(sorted(
-            (int(t), int(epochs[int(t)])) for t in set(footprint))))
-
-    @staticmethod
-    def _valid(stamp: tuple, epochs) -> bool:
-        tag, recorded = stamp
-        if tag == _FULL:
-            return recorded == tuple(epochs)
-        for trunk, epoch in recorded:
-            if epochs[trunk] != epoch:
-                return False
-        return True
+            return tuple, tuple(epochs), None
+        trunks = tuple(footprint)
+        getter = itemgetter(*trunks) if trunks else _NOTHING
+        return getter, getter(epochs), trunks
 
     def get(self, key, epochs):
         """The cached value, or None on miss / stale entry.
@@ -109,8 +105,8 @@ class EpochLruCache:
         if entry is None:
             self._m_misses.inc()
             return None
-        stamp, value = entry
-        if not self._valid(stamp, epochs):
+        (getter, recorded, _trunks), value = entry
+        if getter(epochs) != recorded:
             # A trunk this value was decoded from mutated since it was
             # recorded: the bytes may have changed or moved.
             del self._entries[key]
@@ -141,12 +137,9 @@ class EpochLruCache:
         entry is full-stamped or absent) — introspection for tests and
         invalidation-storm debugging."""
         entry = self._entries.get(key)
-        if entry is None:
+        if entry is None or entry[0][2] is None:
             return None
-        tag, recorded = entry[0]
-        if tag != _PART:
-            return None
-        return frozenset(trunk for trunk, _epoch in recorded)
+        return frozenset(entry[0][2])
 
     def clear(self) -> None:
         """Drop every entry, recording the count under

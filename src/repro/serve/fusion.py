@@ -22,8 +22,9 @@ LRU absorbs a large share of the decode volume.
 
 The validity token is the cloud's per-trunk epoch vector: hub entries
 are footprint-stamped with their one owning trunk, and ``run_window``
-reports each op's *trunk footprint* — the set of trunks its ids resolved
-through — which the scheduler folds into the query's result-cache stamp.
+reports each op's *trunk footprint* — the trunks its ids resolved
+through, as a bool row over trunk ids — which the scheduler ORs into
+the query's result-cache stamp.
 """
 
 from __future__ import annotations
@@ -62,11 +63,11 @@ class FusedExecutor:
         """``(results, foots)``, each aligned one-to-one with ``ops``.
 
         ``epochs`` is the per-trunk epoch vector the scheduler pinned
-        for this window.  ``foots[i]`` is the frozenset of trunk ids op
-        *i*'s reads resolved through (``None`` when the executor was
-        built with ``footprints=False``).  An op whose read raises (an
-        unknown field, an id that names no cell) gets the exception as
-        its result; the oracle's
+        for this window.  ``foots[i]`` is the bool row over trunk ids of
+        the trunks op *i*'s reads resolved through (``None`` when the
+        executor was built with ``footprints=False``).  An op whose read
+        raises (an unknown field, an id that names no cell) gets the
+        exception as its result; the oracle's
         :class:`~repro.errors.DivergenceError` still propagates.
         """
         self._m_windows.inc()
@@ -127,14 +128,13 @@ class FusedExecutor:
         if self.footprints:
             # One vectorized owner pass for the whole group, scattered
             # into an (op x trunk) table — every kind's dependency set is
-            # exactly the trunks owning the ids it read.
+            # exactly the trunks owning the ids it read, its row here.
             table = np.zeros((len(group_ops),
                               self.graph.cloud.config.trunk_count), bool)
             table[np.repeat(np.arange(len(group_ops)), np.diff(offsets)),
                   self.graph.cloud.trunks_of_array(ids)] = True
             for op_index, position in enumerate(positions):
-                foots[position] = frozenset(
-                    np.flatnonzero(table[op_index]).tolist())
+                foots[position] = table[op_index]
 
     def _adjacency(self, ids: np.ndarray, kind: str,
                    epochs) -> tuple[np.ndarray, np.ndarray]:

@@ -390,8 +390,16 @@ class QueryTicket:
     submitted_at: float = 0.0
     finished_at: float = 0.0
     windows: int = 0
-    trunks: set | None = None       # trunk footprint of the plan's reads
+    #: Trunk footprint of the plan's reads: the OR of its fused ops'
+    #: bool rows over trunk ids (None until a fused read).
+    footprint: np.ndarray | None = dataclass_field(default=None, repr=False)
     extras: dict = dataclass_field(default_factory=dict)
+
+    @property
+    def trunks(self) -> set | None:
+        """The ids of the trunks in :attr:`footprint` (None without)."""
+        return (None if self.footprint is None
+                else set(np.flatnonzero(self.footprint).tolist()))
 
     @property
     def latency(self) -> float:

@@ -55,6 +55,8 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..algorithms.subgraph import LabelIndex, assign_labels
 from ..errors import DivergenceError, QueryError
 from ..graph.csr import CsrTopology
@@ -390,9 +392,8 @@ class QueryServer:
                 self._fail(ticket, result)
                 continue
             if foot is not None:
-                if ticket.trunks is None:
-                    ticket.trunks = set()
-                ticket.trunks |= foot
+                ticket.footprint = (foot if ticket.footprint is None
+                                    else ticket.footprint | foot)
             self._advance(ticket, gen, result, still_active)
         self._active = still_active
 
@@ -484,8 +485,8 @@ class QueryServer:
             # A fused plan's reads all resolved through ticket.trunks —
             # the entry survives writes to every other trunk.  Inline
             # plans recorded none and are stamped with the whole vector.
-            footprint = (sorted(ticket.trunks)
-                         if ticket.trunks is not None else None)
+            footprint = (np.flatnonzero(ticket.footprint).tolist()
+                         if ticket.footprint is not None else None)
             self.result_cache.put(ticket.query.key(), self._current_epochs,
                                   result, footprint=footprint)
 

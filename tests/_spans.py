@@ -28,7 +28,7 @@ def stale(read: SpanRead) -> list[int]:
     """The trunks a read touched that have changed structurally since:
     what ``read.assert_fresh()`` raises for, all of them."""
     return [t for t, epoch in zip(read.touched, read.epochs)
-            if read.trunks[t].mutation_epoch != epoch]
+            if read.column[t] != epoch]
 
 
 def locate(directory: SpanDirectory, trunk, keys):
@@ -36,7 +36,9 @@ def locate(directory: SpanDirectory, trunk, keys):
     to live in ``trunk``, which is region 0 of ``directory``."""
     uids = np.asarray(keys, dtype=np.uint64)
     with directory.lock:
-        [epoch] = directory.refresh([trunk], [0])
+        [epoch] = directory.refresh(
+            [trunk], np.zeros(1, dtype=np.int64),
+            np.array([trunk.mutation_epoch]))
         return (*directory.probe(uids, np.zeros(len(uids), dtype=np.int64)),
                 epoch)
 
@@ -73,18 +75,22 @@ def trunk_spans(trunk, uids, directory: SpanDirectory | None = None
     """One batched read of a standalone trunk, as the cloud would make
     it: located in a directory (a throwaway one unless given), charged
     to the trunk's index and copied (:func:`copy_spans`) under the
-    trunk's mutex."""
+    trunk's mutex.  Its ``touched`` is the trunk's slot of its epoch
+    column."""
     if directory is None:
         directory = SpanDirectory(1, MetricsRegistry())
     starts, limits, probes, found, epoch = locate(directory, trunk, uids)
     if not found.all():
         raise CellNotFoundError(int(uids[int(np.flatnonzero(~found)[0])]))
     with trunk.mutex:
-        trunk.count_lookups(len(uids), int(probes.sum()))
+        trunk._index.lookup_count += len(uids)
+        trunk._index.probe_count += int(probes.sum())
         copied = copy_spans(trunk.storage, starts, limits)
-    t = trunk.trunk_id
+    # The trunk's epoch column (its own, or its cloud's) and its slot.
+    column, slot = trunk._epoch_slots.obj, trunk._epoch_slot
     return SpanRead(*copied, np.arange(len(uids)),
-                    np.full(len(uids), t), {t: trunk}, [t], [epoch])
+                    np.full(len(uids), trunk.trunk_id), column, [slot],
+                    [int(epoch)])
 
 
 class TableAsTrunk:

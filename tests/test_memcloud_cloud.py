@@ -417,3 +417,76 @@ class TestArenaWiring:
                     lambda: cloud.bulk_get([1])):
             with pytest.raises(MemoryCloudError, match="after close"):
                 use()
+
+
+class TestEpochColumn:
+    """The cloud's epoch column is the one source of trunk epochs: after
+    every mutation kind ``epoch_vector()`` is what the installed trunks
+    report, only the owner's component moved, and none moved back."""
+
+    @staticmethod
+    def moved(cloud, before, owners) -> tuple:
+        """Check the column against the trunks and that exactly the
+        components of ``owners`` rose; returns the vector now."""
+        after = cloud.epoch_vector()
+        assert after == tuple(cloud.trunks[t].mutation_epoch
+                              for t in range(len(after)))
+        assert cloud.mutation_epoch() == sum(after)
+        assert [t for t, (old, new) in enumerate(zip(before, after))
+                if new != old] == sorted(owners)
+        assert all(new >= old for old, new in zip(before, after))
+        return after
+
+    def test_each_mutation_kind_moves_its_owner_only(self, cloud):
+        def owner(uid):
+            return int(cloud.trunks_of_array([uid])[0])
+
+        epochs = cloud.epoch_vector()
+        cloud.put(1, b"one")
+        epochs = self.moved(cloud, epochs, {owner(1)})
+        cloud.put(2, b"two" * 10)
+        epochs = self.moved(cloud, epochs, {owner(2)})
+        cloud.trunk_for(2).resize(2, 300)           # grow
+        epochs = self.moved(cloud, epochs, {owner(2)})
+        cloud.remove(1)
+        epochs = self.moved(cloud, epochs, {owner(1)})
+        cloud.note_cell_write(2)                    # an accessor write
+        epochs = self.moved(cloud, epochs, {owner(2)})
+        cloud.trunk_for(2).defragment()
+        epochs = self.moved(cloud, epochs, {owner(2)})
+        assert cloud.defragment_all() == len(cloud.trunks)
+        epochs = self.moved(cloud, epochs, set(cloud.trunks))
+        image = persistence.trunk_to_bytes(cloud.trunk_for(2))
+        retired = cloud.trunk_for(2)
+        persistence.adopt_trunk_image(cloud, owner(2), image)   # adopted
+        epochs = self.moved(cloud, epochs, {owner(2)})
+        assert cloud.trunk_for(2) is not retired
+        assert retired.mutation_epoch < epochs[owner(2)]
+        cloud.replace_trunk(5)                      # emptied
+        epochs = self.moved(cloud, epochs, {5})
+        assert cloud.get(2) == b"two" * 10 + bytes(270)
+
+    def test_machine_failure_and_recovery_move_the_lost_trunks(self, cluster):
+        client = cluster.new_client()
+        for uid in range(200):
+            client.put_cell(uid, bytes([uid % 251]) * 8)
+        cluster.backup_to_tfs()
+        cloud = cluster.cloud
+        lost = set(cloud.addressing.trunks_of(1))
+        epochs = cloud.epoch_vector()
+        cluster.fail_machine(1)
+        epochs = self.moved(cloud, epochs, lost)
+        cluster.report_failure(1)
+        self.moved(cloud, epochs, lost)
+        assert client.get_cell(7) == bytes([7]) * 8
+
+    def test_a_standalone_trunk_owns_a_one_slot_column(self, cloud):
+        from repro.memcloud.trunk import MemoryTrunk
+        trunk = MemoryTrunk(3, cloud.config.memory, registry=MetricsRegistry())
+        epochs = cloud.epoch_vector()
+        assert trunk.mutation_epoch == 0
+        trunk.put(3, b"alone")
+        trunk.touch()
+        assert trunk.mutation_epoch == 2
+        assert trunk._epoch_slots.obj.tolist() == [2]
+        self.moved(cloud, epochs, set())            # the cloud's stood

@@ -278,7 +278,9 @@ class TestRegions:
 
         def read_all():
             with directory.lock:
-                directory.refresh(trunks, [0, 1, 2, 3, 4])
+                directory.refresh(
+                    trunks, np.arange(5),
+                    np.array([trunk.mutation_epoch for trunk in trunks]))
                 keys = np.array([100 * t + key for t in range(5)
                                  for key in range(8)], dtype=np.uint64)
                 return directory.probe(

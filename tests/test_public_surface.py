@@ -23,7 +23,7 @@ CLASSES = (MemoryCloud, MemoryTrunk, Graph, BspEngine, QueryServer)
 #: decision to add a public method, made in code review.
 CEILINGS = {
     "MemoryCloud": 26,
-    "MemoryTrunk": 18,
+    "MemoryTrunk": 16,
     "Graph": 20,
     "BspEngine": 5,
     "QueryServer": 5,

@@ -324,12 +324,18 @@ class TestCaches:
 class HubCacheMachine(RuleBasedStateMachine):
     """``EpochLruCache`` against a twin that is only ever driven one
     ``get`` at a time: the member index always lists exactly the keys
-    held, and ``get_many`` leaves entries, LRU order and every counter
-    where the per-id loop leaves them."""
+    held, and the batched ``get_many`` — over entries stamped with one
+    trunk, several, none or the whole vector, some gone stale, and
+    windows with repeated and absent ids — leaves hits, values,
+    entries, LRU order and every counter where the per-id loop leaves
+    them."""
 
     KINDS = ("outlinks", "inlinks")
     UIDS = st.integers(0, 11)
     TRUNKS = 3
+    FOOTPRINTS = st.one_of(
+        st.none(), st.tuples(st.integers(0, TRUNKS - 1)),
+        st.lists(st.integers(0, TRUNKS - 1), max_size=3))
 
     def __init__(self):
         super().__init__()
@@ -337,13 +343,12 @@ class HubCacheMachine(RuleBasedStateMachine):
                                    registry=MetricsRegistry())
         self.twin = EpochLruCache("m", capacity=5,
                                   registry=MetricsRegistry())
-        self.epochs = [0] * self.TRUNKS
+        self.epochs = (0,) * self.TRUNKS
 
-    @rule(kind=st.sampled_from(KINDS), uid=UIDS, full=st.booleans())
-    def put(self, kind, uid, full):
-        footprint = None if full else (uid % self.TRUNKS,)
+    @rule(kind=st.sampled_from(KINDS), uid=UIDS, footprint=FOOTPRINTS)
+    def put(self, kind, uid, footprint):
         for cache in (self.cache, self.twin):
-            cache.put((kind, uid), self.epochs, (kind, uid, len(self.epochs)),
+            cache.put((kind, uid), self.epochs, (kind, uid, self.epochs),
                       footprint=footprint)
 
     @rule(kind=st.sampled_from(KINDS), uid=UIDS)
@@ -352,9 +357,9 @@ class HubCacheMachine(RuleBasedStateMachine):
                 == self.twin.get((kind, uid), self.epochs))
 
     @rule(kind=st.sampled_from(KINDS),
-          uids=st.lists(st.integers(-2, 14), unique=True, max_size=12))
+          uids=st.lists(st.integers(-2, 14), max_size=12))
     def get_many(self, kind, uids):
-        uids = np.array(sorted(uids), dtype=np.int64)
+        uids = np.array(uids, dtype=np.int64)
         hits, values = self.cache.get_many(kind, uids, self.epochs)
         looped = [self.twin.get((kind, int(uid)), self.epochs)
                   for uid in uids]
@@ -364,7 +369,9 @@ class HubCacheMachine(RuleBasedStateMachine):
 
     @rule(trunk=st.integers(0, TRUNKS - 1))
     def bump_epoch(self, trunk):
-        self.epochs[trunk] += 1
+        epochs = list(self.epochs)
+        epochs[trunk] += 1
+        self.epochs = tuple(epochs)
 
     @rule()
     def clear(self):
@@ -379,8 +386,12 @@ class HubCacheMachine(RuleBasedStateMachine):
 
     @invariant()
     def same_state_as_the_per_id_twin(self):
-        assert list(self.cache._entries.items()) == list(
-            self.twin._entries.items())
+        def state(cache):
+            return [(key, recorded, value, cache.footprint_of(key))
+                    for key, ((_getter, recorded, _trunks), value)
+                    in cache._entries.items()]
+        assert list(self.cache._entries) == list(self.twin._entries)
+        assert state(self.cache) == state(self.twin)
         for counter in ("hits", "misses", "invalidated", "cleared"):
             assert getattr(self.cache, counter) == getattr(self.twin, counter)
         assert (self.cache._m_evicted.value == self.twin._m_evicted.value)
@@ -1050,6 +1061,9 @@ class TestFootprints:
         executor = FusedExecutor(graph, registry=MetricsRegistry())
         results, foots = executor.run_window(ops, cloud.epoch_vector())
         assert len(results) == len(foots) == len(ops)
+        # Each footprint is a bool row over the cloud's trunks.
+        assert all(foot.shape == (1 << trunk_bits,) for foot in foots)
+        foots = [frozenset(np.flatnonzero(foot).tolist()) for foot in foots]
         assert foots[3] == frozenset()
         assert max(len(foot) for foot in foots) > 1
         for op, foot in zip(ops, foots):
