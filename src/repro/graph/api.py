@@ -112,8 +112,10 @@ class Graph:
         """The one batched read behind every ``*_batch`` method.
 
         Fetches the frontier as one span read — every span in the read's
-        one private buffer, on either storage — runs ``decode(buffer,
-        starts, limits, field_name)`` once over all of them, and scatters the results to input order:
+        one private buffer, on either storage, and on a resident cloud
+        cut to the field where the decoder knows where it ends — runs
+        ``decode(buffer, starts, limits, field_name)`` once over all of
+        them, and scatters the results to input order:
         an ndarray of ``dtype``, a plain list when ``dtype`` is None, or
         ``(indptr, flat)`` with ``flat`` of ``dtype`` when ``csr``.
 
@@ -149,7 +151,8 @@ class Graph:
                 unique, inverse = ids, None
             else:
                 self._m_batch_dedup.inc(len(ids) - len(unique))
-        read = self.cloud.bulk_get_spans(unique)
+        read = self.cloud.bulk_get_spans(
+            unique, clip=self._decoder.clip(field_name))
         part = decode(read.buffer, read.starts, read.limits, field_name)
         read.assert_fresh()
         idx = read.positions

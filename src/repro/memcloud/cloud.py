@@ -354,7 +354,7 @@ class MemoryCloud:
         read.assert_fresh()
         return out
 
-    def bulk_get_spans(self, cell_ids) -> SpanRead:
+    def bulk_get_spans(self, cell_ids, clip=None) -> SpanRead:
         """Payload spans for a batch, as one :class:`SpanRead` whose
         payload ``i`` is that of ``cell_ids[read.positions[i]]``.
 
@@ -370,6 +370,13 @@ class MemoryCloud:
         :meth:`SpanRead.assert_fresh`, so an interleaved mutation raises
         :class:`~repro.errors.StaleSpanError` instead of yielding bytes
         of cells that have since moved.
+
+        A resident read given a ``clip(buf, starts, limits) -> limits``
+        (a decoder's :meth:`~repro.tsl.batch.BatchStructDecoder.clip`)
+        copies only the bytes its reader needs: ``clip`` is called under
+        the same held mutexes with the arena's bytes and the spans' cloud
+        offsets, and may only lower each limit.  A paged read copies
+        whole cells.
 
         The whole window is located in one probe pass over the cloud's
         :class:`~repro.memcloud.directory.SpanDirectory`.  Observably the
@@ -418,13 +425,10 @@ class MemoryCloud:
                     for trunk, run, units, at
                     in zip(trunks, runs, pages, rows))))
                 buffer = np.empty(rows[-1] * page, dtype=np.uint8)
+                self._m_read_buffer_bytes.inc(len(buffer))
             else:
-                # resident: the read's words and rebased spans, once
                 offsets = trunk_ids * self._stride
-                units, begins, ends = word_spans(starts + offsets,
-                                                 limits + offsets)
-                buffer = np.empty(8 * len(units), dtype=np.uint8)
-            self._m_read_buffer_bytes.inc(len(buffer))
+                starts, limits = starts + offsets, limits + offsets
             slots = [self._slots[t] for t in touched]
             held = 0
             try:
@@ -441,10 +445,18 @@ class MemoryCloud:
                                                     rows[1:]):
                         trunk.storage.take(units, out[at:to])
                 else:
-                    # "clip" (the words are in range) lets take write into
-                    # the buffer directly; the default copies via a temporary
-                    np.frombuffer(self._arena.buf, dtype=np.uint64).take(
-                        units, out=buffer.view(np.uint64), mode="clip")
+                    # resident: the spans clipped (if asked), then the
+                    # read's words and rebased spans, once; "clip" (the
+                    # words are in range) lets take write into the buffer
+                    # directly; the default copies via a temporary
+                    words = np.frombuffer(self._arena.buf, dtype=np.uint64)
+                    if clip is not None:
+                        limits = clip(words.view(np.uint8), starts, limits)
+                    units, begins, ends = word_spans(starts, limits)
+                    buffer = np.empty(8 * len(units), dtype=np.uint8)
+                    self._m_read_buffer_bytes.inc(len(buffer))
+                    words.take(units, out=buffer.view(np.uint64),
+                               mode="clip")
             finally:
                 for mutex, _table in slots[:held]:
                     mutex.release()

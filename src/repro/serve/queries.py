@@ -333,7 +333,8 @@ class TqlServeQuery(ServeQuery):
                         f"{rhs!r}: {exc}"
                     ) from None
             keep[np.flatnonzero(keep)] = verdicts
-        return sorted((int(node),) for node in found[keep])
+        # ``found`` is duplicate-free: each depth adds unseen ids only.
+        return [(node,) for node in np.sort(found[keep]).tolist()]
 
     def run_sequential(self, ctx):
         result = execute_tql(ctx.graph, self.query, network=SimNetwork())

@@ -450,6 +450,35 @@ def _decode_adjacency_csr(buf: np.ndarray, pos: np.ndarray,
     return indptr, flat
 
 
+def _clip_step(tsl_type: TslType, base: int) -> Callable | None:
+    """``clip(buf, starts, limits) -> limits``, each span cut to where a
+    field at the static offset ``base`` ends: after its fixed size, or
+    after the varint count of a string or a ``List<fixed>`` and that
+    many elements.  A batch with a count the decoder would reject keeps
+    its limits whole, so the decoder meets that count exactly as it
+    would unclipped; a field that would run past its span keeps that
+    span's limit."""
+    if tsl_type.fixed_size is not None:
+        end = base + tsl_type.fixed_size
+        return lambda buf, starts, limits: np.minimum(limits, starts + end)
+    if tsl_type is STRING:
+        width = 1
+    elif (isinstance(tsl_type, ListType)
+            and not isinstance(tsl_type, AdjacencyListType)
+            and tsl_type.element.fixed_size is not None):
+        width = tsl_type.element.fixed_size
+    else:
+        return None
+
+    def clip(buf, starts, limits):
+        try:
+            counts, after = read_varints(buf, starts + base, limits)
+        except (ValueError, SchemaMismatchError):
+            return limits
+        return np.minimum(limits, after + np.minimum(counts, limits) * width)
+    return clip
+
+
 class _FieldRead(NamedTuple):
     """How :class:`BatchStructDecoder` reaches and reads one field."""
 
@@ -461,6 +490,8 @@ class _FieldRead(NamedTuple):
     one has no such step and the field is located per blob."""
     column: Callable
     """The field's :meth:`BatchStructDecoder.decode_column_spans`."""
+    clip: Callable | None
+    """The field's :meth:`BatchStructDecoder.clip`."""
 
 
 class BatchStructDecoder:
@@ -487,8 +518,9 @@ class BatchStructDecoder:
         self._plans: dict[str, _FieldRead] = {}
         base, skips = 0, ()
         for name, tsl_type in struct_type.fields:
-            self._plans[name] = _FieldRead(tsl_type, base, skips,
-                                           self._column_step(tsl_type))
+            self._plans[name] = _FieldRead(
+                tsl_type, base, skips, self._column_step(tsl_type),
+                _clip_step(tsl_type, base) if skips == () else None)
             if skips == () and tsl_type.fixed_size is not None:
                 base += tsl_type.fixed_size
             elif skips is not None:
@@ -516,6 +548,14 @@ class BatchStructDecoder:
 
     def field_type(self, field_name: str) -> TslType:
         return self._plan(field_name).tsl_type
+
+    def clip(self, field_name: str) -> Callable | None:
+        """``clip(buf, starts, limits) -> limits``: each span of ``buf``
+        cut to the bytes reading ``field_name`` needs, for a read to copy
+        only those (``MemoryCloud.bulk_get_spans``); ``None`` where they
+        depend on earlier fields or the field has no count to end it (an
+        adjacency list)."""
+        return self._plan(field_name).clip
 
     def csr_dtype(self, field_name: str) -> np.dtype | None:
         """The numpy element dtype when the field has a CSR fast path."""

@@ -472,6 +472,9 @@ class TestAdjacencyThroughStorageTiers:
 # or raises the exception class it raises.
 # ---------------------------------------------------------------------------
 
+from repro.graph import Graph, social_graph_schema  # noqa: E402
+from repro.memcloud import CELL_HEADER_BYTES  # noqa: E402
+from repro.utils.hashing import trunk_of  # noqa: E402
 from repro.utils.varint import encode_varint, zigzag_encode  # noqa: E402
 
 MIXED = StructType("Mixed", [
@@ -609,6 +612,183 @@ class TestCorruptBlobsMatchScalar:
             column_of(decoder, [good, bad], "Name")
         assert decoder.string_eq_spans(*pack_blobs([good, bad]), "Name",
                                        "ab").tolist() == [True, False]
+
+    @pytest.mark.parametrize("storage", ["resident", "paged"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=corrupted_batches())
+    def test_reads_cut_to_the_field_match_scalar(self, storage, case):
+        """The same ops over a cloud read given each field's clip (a
+        resident read copies only the field's bytes) answer or raise as
+        the scalar decoder does on the whole blob."""
+        records, blobs = case
+        decoder = batch_decoder_for(MIXED)
+        cloud = _small_cloud(storage)
+        try:
+            uids = list(range(len(blobs)))
+            cloud.bulk_put(uids, blobs)
+            for field_name in MIXED.field_names():
+                assert outcome(lambda: _read_cut(
+                    cloud, decoder, uids, field_name,
+                    decoder.decode_column_spans)) == outcome(
+                    lambda: [scalar_decode(MIXED, b, field_name)
+                             for b in blobs])
+            for field_name in self.LISTS:
+                assert outcome(lambda: _read_cut(
+                    cloud, decoder, uids, field_name,
+                    decoder.field_counts_spans)) == outcome(
+                    lambda: [scalar_count(MIXED, b, field_name)
+                             for b in blobs])
+            for field_name in self.STRINGS + ["Age"]:
+                value = records[0][field_name]
+                assert outcome(lambda: _read_cut(
+                    cloud, decoder, uids, field_name,
+                    lambda *spans: decoder.string_eq_spans(*spans, value)
+                )) == outcome(lambda: [self._scalar_eq(b, field_name, value)
+                                       for b in blobs])
+        finally:
+            cloud.release_arenas()
+
+
+def _small_cloud(storage: str, trunk_size: int = 64 * 1024) -> MemoryCloud:
+    """Two trunks; a paged one keeps two 64-byte pages resident."""
+    memory = MemoryParams(trunk_size=trunk_size, storage=storage,
+                          page_size=64, page_budget=2)
+    return MemoryCloud(ClusterConfig(machines=1, trunk_bits=1,
+                                     memory=memory), MetricsRegistry())
+
+
+def _read_cut(cloud, decoder, uids, field_name, op) -> list:
+    """``op(buffer, starts, limits, field_name)`` over one read of
+    ``uids`` given the field's clip, back in input order."""
+    read = cloud.bulk_get_spans(uids, clip=decoder.clip(field_name))
+    values = op(read.buffer, read.starts, read.limits, field_name)
+    read.assert_fresh()
+    out = [None] * len(uids)
+    for i, value in zip(read.positions.tolist(), list(values)):
+        out[i] = value.item() if isinstance(value, np.generic) else value
+    return out
+
+
+#: A ``List<fixed>`` at a static offset, cut at its count's elements.
+_LEADING_LIST = StructType("Leading", [("Ids", ListType(SHORT)),
+                                       ("Rank", LONG)])
+_RANK = LONG.encode(9)
+
+
+@pytest.mark.parametrize("storage", ["resident", "paged"])
+@pytest.mark.parametrize("cell", [
+    encode_varint(0) + _RANK,
+    encode_varint(1) + b"\x07\x00" + _RANK,
+    encode_varint(200) + b"\x01\x00" * 200 + _RANK,  # a two-byte count
+    encode_varint(3) + b"\x01\x00" * 3,              # ends the cell
+    encode_varint(50) + b"\x01\x00" * 3 + _RANK,     # count overruns
+    b"\xc8",                                         # count cut short
+    b"",
+])
+def test_a_leading_list_reads_as_the_scalar_does(storage, cell):
+    blobs = [_LEADING_LIST.encode({"Ids": [5, -6], "Rank": 9}), cell]
+    decoder = batch_decoder_for(_LEADING_LIST)
+    cloud = _small_cloud(storage)
+    try:
+        uids = list(range(len(blobs)))
+        cloud.bulk_put(uids, blobs)
+        for field_name in ("Ids", "Rank"):
+            assert outcome(lambda: _read_cut(
+                cloud, decoder, uids, field_name,
+                decoder.decode_column_spans)) == outcome(
+                lambda: [scalar_decode(_LEADING_LIST, b, field_name)
+                         for b in blobs])
+        assert outcome(lambda: _read_cut(
+            cloud, decoder, uids, "Ids", decoder.field_counts_spans)) == \
+            outcome(lambda: [scalar_count(_LEADING_LIST, b, "Ids")
+                             for b in blobs])
+    finally:
+        cloud.release_arenas()
+
+
+_SOCIAL = social_graph_schema()
+_FRIENDS = _SOCIAL.node_type.field_type("Friends").encode([3, 1, 2])
+
+
+def _person(name: str) -> bytes:
+    return _SOCIAL.node_type.encode({"Name": name, "Friends": [3, 1, 2]})
+
+
+#: ``Name`` fields the clip must read as the scalar path does.
+_NAME_CELLS = {
+    "length overruns its cell": encode_varint(40) + b"abc",
+    "length cut by the cell": b"\x80",
+    "two-byte length": _person("x" * 200),
+    "three-byte length": _person("y" * 16400),
+    "non-canonical length": b"\x83\x00abc" + _FRIENDS,
+    "ten-byte length": b"\x83" + b"\x80" * 8 + b"\x00abc" + _FRIENDS,
+    "ends at the span limit": STRING.encode("abc"),
+    "empty name": _person(""),
+    "empty cell": b"",
+    "shorter than a word": b"\x02hi",
+    "invalid utf-8": b"\x03\xffab" + _FRIENDS,
+}
+
+
+class TestClippedReadsMatchScalar:
+    """A resident ``Name`` read copies the field's bytes only, cut at the
+    end its length varint gives.  Cells built by hand, each stored with
+    its payload starting at every offset in an 8-byte word, answer
+    ``field_eq_batch`` and ``read_field_batch`` value for value and
+    error for error as the scalar reads do, on both tiers."""
+
+    VALUES = ("abc", "", "x" * 200, "hi")
+
+    @pytest.fixture(scope="class", params=["resident", "paged"])
+    def placed(self, request):
+        """``(graph, good uids, {case: [uid per word offset]})``: every
+        case stored eight times, behind a filler sized to start it at
+        each offset."""
+        cloud = _small_cloud(request.param, trunk_size=1 << 20)
+        trunk = cloud.trunks[0]
+        uids = iter(u for u in range(1 << 20) if trunk_of(u, 1) == 0)
+        good = [next(uids) for _ in range(2)]
+        for uid, name in zip(good, ("abc", "Mary")):
+            cloud.put(uid, _person(name))
+        placed = {}
+        for case, blob in _NAME_CELLS.items():
+            placed[case] = []
+            for offset in range(8):
+                # a cell is a 16-byte header and its payload, laid end on
+                # end: size the filler to put the next payload at offset
+                tail = trunk.stats().reserved_bytes + 2 * CELL_HEADER_BYTES
+                cloud.put(next(uids), b"\x00" * ((offset - tail) % 8))
+                uid = next(uids)
+                cloud.put(uid, blob)
+                placed[case].append(uid)
+        _, keys, states, starts, _ = trunk.span_table()
+        live = states == 1
+        start_of = dict(zip(keys[live].tolist(), starts[live].tolist()))
+        for victims in placed.values():
+            assert [start_of[uid] % 8 for uid in victims] == list(range(8))
+        node_ids = good + [uid for victims in placed.values()
+                           for uid in victims]
+        yield Graph(cloud, _SOCIAL, node_ids), good, placed
+        cloud.release_arenas()
+
+    @pytest.mark.parametrize("case", list(_NAME_CELLS))
+    def test_name_reads_match_scalar(self, placed, case):
+        graph, good, victims = placed
+        for uid in victims[case]:
+            ids = [good[0], uid, good[1]]
+            assert outcome(lambda: graph.read_field_batch(ids, "Name")) == \
+                outcome(lambda: [graph.read_field(i, "Name") for i in ids])
+            for value in self.VALUES:
+                assert outcome(lambda: graph.field_eq_batch(
+                    ids, "Name", value).tolist()) == outcome(
+                    lambda: [self._scalar_eq(graph, i, value) for i in ids])
+
+    @staticmethod
+    def _scalar_eq(graph, uid, value):
+        try:
+            return graph.read_field(uid, "Name") == value
+        except UnicodeDecodeError:      # compared as bytes, never decoded
+            return False
 
 
 def _adjacency_out(tag: int, count: int, *varints: int,

@@ -90,3 +90,51 @@ class TestWordFetch:
             assert graph.field_eq_batch(ids, "Name", value).tolist() == [
                 graph.read_field(int(node), "Name") == value
                 for node in ids]
+        assert graph.read_field_batch(ids, "Name") == [
+            graph.read_field(int(node), "Name") for node in ids]
+
+
+class TestFieldReadsCopyTheField:
+    """A ``Name`` read copies the words under the name, not the cell:
+    ``Name`` is the social schema's first field, so its length varint
+    ends it.  An adjacency read after it still copies whole cells."""
+
+    def test_name_read_skips_the_adjacency(self):
+        cloud = MemoryCloud(ClusterConfig(machines=1, trunk_bits=2),
+                            MetricsRegistry())
+        builder = GraphBuilder(cloud, social_graph_schema())
+        k = 24
+        for node in range(k + 200):
+            builder.add_node(node, Name=("David", "Mary", "Al")[node % 3])
+        builder.add_edges([(hub, k + (hub * 7 + j) % 200)
+                           for hub in range(k) for j in range(64 + hub)])
+        graph = builder.finalize()
+        ids = np.arange(k)
+        assert (graph.degree_batch(ids) >= 64).all()
+        before = read_bytes(cloud)
+        hits = graph.field_eq_batch(ids, "Name", "David")
+        # its length byte and ≤ 5 name bytes lie in at most two words
+        assert read_bytes(cloud) - before <= 24 * k
+        assert hits.tolist() == [node % 3 == 0 for node in range(k)]
+        before = read_bytes(cloud)
+        graph.outlinks_batch(ids)
+        assert read_bytes(cloud) - before == 8 * words_under(cloud,
+                                                             ids.tolist())
+
+    def test_a_long_name_read_stops_at_its_length(self):
+        """Two- and three-byte length varints end the name too."""
+        cloud = MemoryCloud(ClusterConfig(machines=1, trunk_bits=2),
+                            MetricsRegistry())
+        builder = GraphBuilder(cloud, social_graph_schema())
+        names = ["x" * 200, "y" * 16400]
+        for node in range(200):
+            builder.add_node(node, Name=names[node] if node < 2 else "Al")
+        builder.add_edges([(hub, other) for hub in range(2)
+                           for other in range(2, 200)])
+        graph = builder.finalize()
+        before = read_bytes(cloud)
+        assert graph.read_field_batch([0, 1], "Name") == names
+        # the words under each length and name, one more where unaligned
+        assert read_bytes(cloud) - before <= sum(
+            8 * ((size + len(name) + 7) // 8 + 1)
+            for size, name in zip((2, 3), names))

@@ -11,6 +11,8 @@ one-at-a-time library path and raises
 runs across two machine counts and under interleaved mutations.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -901,6 +903,77 @@ class TestNewFusedShapes:
         ticket = server.submit(TqlServeQuery(REVERSE_TQL))
         server.run()
         assert ticket.status == "done" and ticket.windows >= 1
+
+
+@pytest.mark.usefixtures("checked")
+class TestServedWhereResiduals:
+    """WHERE residuals on the target node run on the per-row loop over a
+    ``field_read`` column, with the inline engine's operators: the
+    served rows, and the served errors, are the inline engine's."""
+
+    TEXT = "MATCH (a = 1) -[Friends*1..2]-> (b) WHERE {} RETURN b"
+
+    @staticmethod
+    def _drive(graph, query):
+        """Step ``query``'s plan alone, running each op on ``graph``:
+        ``(result, kinds of the ops it yielded)``."""
+        plan = query.plan(SimpleNamespace(graph=graph))
+        kinds, answer = [], None
+        while True:
+            try:
+                op = plan.send(answer)
+            except StopIteration as done:
+                return done.value, kinds
+            kinds.append(op.kind)
+            if op.kind == "outlinks":
+                answer = graph.outlinks_batch(op.ids)
+            elif op.kind == "field_eq":
+                answer = graph.field_eq_batch(op.ids, op.field, op.value)
+            else:
+                answer = graph.read_field_batch(op.ids, op.field)
+
+    @pytest.mark.parametrize("condition", [
+        "b.Name = '{name}'",
+        "'{name}' != b.Name",
+        "b.Name = 'Nobody Has This Name'",
+        "b.Name != 5",
+        "b.Name >= 'D'",
+    ])
+    def test_residual_matches_the_engine(self, deployment, condition):
+        _, graph = deployment
+        name = graph.read_field(graph.outlinks(1)[0], "Name")
+        query = TqlServeQuery(self.TEXT.format(condition.format(name=name)))
+        expected = query.run_sequential(SimpleNamespace(graph=graph))
+        result, kinds = self._drive(graph, query)
+        assert result == expected
+        assert "field_read" in kinds and "field_eq" not in kinds
+        server = QueryServer(graph, ServeConfig(), registry=MetricsRegistry())
+        ticket = server.submit(query)
+        server.run()
+        assert ticket.status == "done" and ticket.result == expected
+        if "Nobody" in condition:
+            assert expected == []
+        elif condition.startswith("b.Name ="):
+            assert expected        # the anchor's first friend at least
+
+    def test_a_name_that_is_not_utf8_fails_as_the_engine_does(self):
+        """``b.Name != 'x'`` over a stored name that does not decode
+        raises the engine's error; it does not silently keep the row."""
+        cloud, graph = build_graph(2, scale=5)
+        victim = int(graph.outlinks(1)[0])
+        friends = graph.graph_schema.node_type.field_type("Friends")
+        cloud.put(victim, b"\x03\xffab"
+                  + friends.encode(graph.outlinks(victim)))
+        query = TqlServeQuery(self.TEXT.format("b.Name != 'x'"))
+        with pytest.raises(UnicodeDecodeError):
+            query.run_sequential(SimpleNamespace(graph=graph))
+        with pytest.raises(UnicodeDecodeError):
+            self._drive(graph, query)
+        server = QueryServer(graph, ServeConfig(), registry=MetricsRegistry())
+        ticket = server.submit(query)
+        server.run()
+        assert ticket.status == "failed"
+        assert isinstance(ticket.error, UnicodeDecodeError)
 
 
 @pytest.mark.usefixtures("checked")
